@@ -37,7 +37,10 @@ class InductorConfig:
     tile_sizes: dict[str, int] | None = None
     #: Autotune tile sizes against the device model when none are given.
     autotune: bool = True
-    #: Chunk size of the fused NumPy executor along the leading output axis.
+    #: Steps of the leading output variable per streamed window.  The
+    #: interpretive executor streams exactly this many; a specialized
+    #: kernel sizes its windows from the per-step footprint (see
+    #: ``specialize_single_shot_elements``) and treats this as the floor.
     execution_chunk: int = 128
     #: Execute through :mod:`repro.engine` specialized closures (cached
     #: contraction paths, segment-sum scatters, buffer arena).  Disable to
@@ -46,7 +49,9 @@ class InductorConfig:
     specialize: bool = True
     #: Total temporary elements (gathered factors + contraction partial)
     #: below which a specialized kernel runs its whole iteration space as
-    #: one window instead of streaming ``execution_chunk``-sized chunks.
+    #: one window.  Above it the kernel streams windows whose temporaries
+    #: fill a quarter of this budget each (never fewer than
+    #: ``execution_chunk`` steps), so the budget also bounds peak memory.
     specialize_single_shot_elements: int = 1 << 22
     #: Simulated device the cost model targets.
     device: DeviceModel = field(default_factory=lambda: RTX3090)

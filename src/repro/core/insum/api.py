@@ -209,6 +209,16 @@ def _remember_bounds(key: tuple) -> None:
     _VALIDATED_BOUNDS[key] = True
 
 
+def _fresh_output(shape: tuple[int, ...]) -> np.ndarray:
+    """The all-zero float64 base of a call that binds no output operand.
+
+    A read-only zero-stride view rather than a buffer: every executor
+    copies the base into the result it owns before accumulating, so the
+    copy is the one pass that writes the zeros.
+    """
+    return np.broadcast_to(np.float64(0.0), shape)
+
+
 class _EagerKernel:
     """Unfused execution through the FX interpreter (the 'eager' backend)."""
 
@@ -601,7 +611,7 @@ class SparseEinsum:
         if output_name in operands and not isinstance(operands[output_name], SparseFormat):
             output = np.asarray(operands[output_name])
         else:
-            output = np.zeros(output_shape, dtype=np.float64)
+            output = _fresh_output(output_shape)
 
         dense_tensors = {
             name: np.asarray(value)
@@ -677,7 +687,7 @@ class SparseEinsum:
             if name != sparse_name and not isinstance(value, SparseFormat)
         }
         if output_name not in execution_tensors:
-            execution_tensors[output_name] = np.zeros(output_shape, dtype=np.float64)
+            execution_tensors[output_name] = _fresh_output(output_shape)
         execution_tensors.update(rewrite.tensors)
         for name, new_shape in rewrite.reshapes.items():
             execution_tensors[name] = execution_tensors[name].reshape(new_shape)

@@ -12,7 +12,7 @@ re-deriving per-operand artefacts on every request:
   scatter, buffer arena);
 * :mod:`repro.engine.paths` — process-wide ``np.einsum_path`` memo;
 * :mod:`repro.engine.segment` — ``np.add.at`` replaced by disjoint-row
-  fancy ``+=`` or sorted ``np.add.reduceat`` segment sums;
+  fancy ``+=`` or bucketed slab segment sums;
 * :mod:`repro.engine.fingerprint` — identity tokens for live arrays,
   pattern fingerprints for formats, and the derived-artefact cache;
 * :mod:`repro.engine.arena` — per-thread reusable scratch buffers;

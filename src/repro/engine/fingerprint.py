@@ -45,6 +45,12 @@ _LOCK = threading.RLock()
 _TOKENS: dict[int, tuple[weakref.ref, int]] = {}
 _SERIAL = itertools.count(1)
 _ARTIFACTS: OrderedDict[tuple, Any] = OrderedDict()
+#: Tags memoized under each token, so retiring a token touches only its
+#: own artefacts instead of scanning the whole cache.  Releasing an artefact
+#: can drop the last reference to another tracked array, whose eviction
+#: callback then re-enters under the ``RLock`` and removes keys of its own:
+#: every removal below is a ``pop(..., None)``.
+_TAGS: dict[int, set] = {}
 
 
 def array_token(array: np.ndarray) -> int:
@@ -69,9 +75,8 @@ def array_token(array: np.ndarray) -> int:
                 current = _TOKENS.get(key)
                 if current is not None and current[1] == serial:
                     del _TOKENS[key]
-                stale = [k for k in _ARTIFACTS if k[0] == serial]
-                for k in stale:
-                    del _ARTIFACTS[k]
+                for tag in _TAGS.pop(serial, ()):
+                    _ARTIFACTS.pop((serial, tag), None)
 
         _TOKENS[key] = (weakref.ref(array, _evict), serial)
         return serial
@@ -83,7 +88,9 @@ def derived(array: np.ndarray, tag: Hashable, builder: Callable[[], Any]) -> Any
     The first call for a given live array object and tag runs ``builder``
     and caches its result; later calls return the cached artefact without
     touching the array.  Artefacts are evicted LRU beyond the cache bound
-    and eagerly when their array is garbage collected.
+    and eagerly when their array is garbage collected — so an artefact must
+    not hold the array or a view of it, or the cache itself keeps the array
+    alive and only the LRU bound ever releases the pair.
 
     Parameters
     ----------
@@ -107,8 +114,11 @@ def derived(array: np.ndarray, tag: Hashable, builder: Callable[[], Any]) -> Any
         if existing is not None:
             return existing
         _ARTIFACTS[key] = value
+        _TAGS.setdefault(token, set()).add(tag)
         while len(_ARTIFACTS) > _MAX_ARTIFACTS:
-            _ARTIFACTS.popitem(last=False)
+            oldest = next(iter(_ARTIFACTS))
+            _TAGS.get(oldest[0], set()).discard(oldest[1])
+            _ARTIFACTS.pop(oldest, None)
     return value
 
 
@@ -116,6 +126,7 @@ def clear_derived_cache() -> None:
     """Drop every memoized artefact (tests and benchmarks)."""
     with _LOCK:
         _ARTIFACTS.clear()
+        _TAGS.clear()
 
 
 def derived_cache_size() -> int:

@@ -1,21 +1,33 @@
 """Segment-sum scatter: the engine's replacement for ``np.add.at``.
 
 ``np.add.at`` is the correctness workhorse of every scatter in the
-executor, but it processes one update at a time through the ufunc inner
-loop and is an order of magnitude slower than vectorised reductions.  Two
-structure-aware rewrites cover the cases the compiled plans produce:
+executor, but on a source with a trailing shape it processes one update at
+a time through the ufunc inner loop — and so does
+``np.add.reduceat(axis=0)`` on a 2-D array.  Two structure-aware rewrites
+cover the cases the compiled plans produce:
 
 * **disjoint rows** — when the scatter index has no duplicates, plain
   fancy-index ``+=`` is exact (each target row receives exactly one
   contribution) and runs at memcpy speed;
-* **segment sum** — otherwise, sort the contributions by target row
-  (a stable argsort that the engine memoizes per metadata fingerprint)
-  and reduce each run with ``np.add.reduceat``, then add the per-row sums
-  into the target with one fancy-indexed ``+=``.
+* **bucketed segment sum** — otherwise, sort the contributions by target
+  row and group the runs of equal targets *by run length* (one permutation,
+  memoized by the engine per metadata fingerprint).  All runs of one length
+  then form a contiguous ``(runs, length, ...)`` slab that a single
+  ``np.add.reduce(axis=1)`` sums, and the per-row sums are added into the
+  target with one fancy-indexed ``+=``.
 
-Per target row, contributions are combined in storage order — the same
-order ``np.add.at`` applies them — so results match to the usual
-floating-point reassociation of a two-level sum.
+**Summation order contract.**  For every target row and every trailing
+shape, the contributions are summed *sequentially in storage order* —
+``((x0 + x1) + x2) + ...``, the order ``np.add.at`` applies them to a zero
+row — and that sum is then added to the target.  The slab reduction keeps
+it because the reduced axis is never the contiguous inner loop.  A source
+with one element per update (1-D, or a trailing shape of ones) would make
+it the inner loop, where NumPy sums pairwise; those sources accumulate
+their run sums with a 1-D ``np.add.at`` instead, which is sequential by
+definition and has a fast indexed loop.  Coalesced (stacked) and
+per-request executions of the same request therefore agree bit for bit.
+(Without a plan, fewer than ``ADD_AT_THRESHOLD`` updates go straight
+through ``np.add.at``, which applies them to the target one by one.)
 """
 
 from __future__ import annotations
@@ -33,56 +45,85 @@ ADD_AT_THRESHOLD = 16
 class ScatterPlan:
     """Precomputed structure of one scatter index array.
 
+    The plan holds arrays of its own only — no view of the index it
+    describes — so memoizing it under the index's identity
+    (:func:`repro.engine.fingerprint.derived`) does not keep the index alive.
+
     Attributes
     ----------
-    index:
-        The 1-D scatter index the plan describes.
     is_disjoint:
         True when the index has no duplicate targets, so fancy-index
-        ``+=`` is exact and no reduction is needed.
+        ``+=`` is exact and no reduction is needed.  The remaining fields
+        are ``None`` / empty in that case.
     order:
-        Stable argsort of the index (``None`` when disjoint).
-    starts:
-        Start offset of each run of equal targets in the sorted order
-        (``None`` when disjoint).
+        Permutation of the updates into *bucket order*: sorted by run
+        length, then by target, then by storage position (both sorts
+        stable, so every run keeps its storage order).
     targets:
-        The distinct target rows, one per run (``None`` when disjoint).
+        The distinct target rows, one per run, in bucket order.
+    run_of:
+        For every update in storage order, the position of its run in
+        ``targets``.
+    buckets:
+        One ``(length, element_start, element_stop, run_start, run_stop)``
+        tuple per distinct run length: elements
+        ``order[element_start:element_stop]`` are ``run_stop - run_start``
+        runs of ``length`` updates each, summing into
+        ``targets[run_start:run_stop]``.
     """
 
-    index: np.ndarray
     is_disjoint: bool
     order: np.ndarray | None = None
-    starts: np.ndarray | None = None
     targets: np.ndarray | None = None
+    run_of: np.ndarray | None = None
+    buckets: tuple[tuple[int, int, int, int, int], ...] = ()
 
 
 def plan_scatter(index: np.ndarray) -> ScatterPlan:
     """Analyse a 1-D scatter index once, for reuse across executions.
 
     The plan captures everything value-independent about the scatter: the
-    duplicate structure, and — when duplicates exist — the stable sort
-    order and segment boundaries that turn ``np.add.at`` into a
-    ``np.add.reduceat`` segment sum.
+    duplicate structure, and — when duplicates exist — the bucket-order
+    permutation and bucket boundaries that turn ``np.add.at`` into a few
+    contiguous slab reductions.
     """
     index = np.asarray(index)
     if index.ndim != 1:
         raise ValueError(f"plan_scatter expects a 1-D index, got shape {index.shape}")
-    if index.size == 0:
-        return ScatterPlan(index=index, is_disjoint=True)
-    order = np.argsort(index, kind="stable")
-    sorted_index = index[order]
-    run_start = np.empty(sorted_index.size, dtype=bool)
+    count = index.size
+    if count == 0:
+        return ScatterPlan(is_disjoint=True)
+    by_target = np.argsort(index, kind="stable")
+    sorted_index = index[by_target]
+    run_start = np.empty(count, dtype=bool)
     run_start[0] = True
     np.not_equal(sorted_index[1:], sorted_index[:-1], out=run_start[1:])
     starts = np.flatnonzero(run_start)
-    if starts.size == sorted_index.size:
-        return ScatterPlan(index=index, is_disjoint=True)
+    if starts.size == count:
+        return ScatterPlan(is_disjoint=True)
+
+    # Reorder whole runs by length; each run's elements stay consecutive.
+    lengths = np.diff(starts, append=count)
+    by_length = np.argsort(lengths, kind="stable")
+    lengths = lengths[by_length]
+    new_starts = np.cumsum(lengths) - lengths
+    shift = np.repeat(starts[by_length] - new_starts, lengths)
+    order = by_target[shift + np.arange(count)]
+    run_of = np.empty(count, dtype=np.intp)
+    run_of[order] = np.repeat(np.arange(lengths.size), lengths)
+
+    edges = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), lengths.size]
+    buckets = []
+    for run_a, run_b in zip(edges[:-1], edges[1:]):
+        length = int(lengths[run_a])
+        first = int(new_starts[run_a])
+        buckets.append((length, first, first + length * (run_b - run_a), run_a, run_b))
     return ScatterPlan(
-        index=index,
         is_disjoint=False,
         order=order,
-        starts=starts,
-        targets=sorted_index[starts],
+        targets=sorted_index[starts[by_length]],
+        run_of=run_of,
+        buckets=tuple(buckets),
     )
 
 
@@ -96,7 +137,8 @@ def segment_add(
 
     Equivalent to ``np.add.at(target, index, source)`` for a 1-D
     ``index``, but lowered to fancy-index ``+=`` when the index rows are
-    disjoint and to a sorted ``np.add.reduceat`` segment sum otherwise.
+    disjoint and to a bucketed slab reduction otherwise (see the module
+    docstring for the summation-order contract).
 
     Parameters
     ----------
@@ -120,7 +162,7 @@ def segment_add(
     index = np.asarray(index)
     source = np.asarray(source)
     if source.ndim == 0 or source.shape[0] != index.size:
-        # Broadcasting update (e.g. a scalar source): the reduceat path
+        # Broadcasting update (e.g. a scalar source): the segment sum
         # needs one source row per index entry, so defer to np.add.at.
         np.add.at(target, index, source)
         return
@@ -132,9 +174,21 @@ def segment_add(
     if plan.is_disjoint:
         target[index] += source
         return
-    sorted_source = source[plan.order]
-    sums = np.add.reduceat(sorted_source, plan.starts, axis=0)
-    # Keep the source dtype through the reduction: the fancy += below then
-    # applies NumPy's usual casting rules, so an unsafe cast raises exactly
-    # as it would for np.add.at or the disjoint-row branch.
+    # The sums keep the source dtype: the fancy += below then applies
+    # NumPy's usual casting rules, so an unsafe cast raises exactly as it
+    # does in the disjoint-row branch.
+    trailing = source.shape[1:]
+    if source.size == index.size:
+        sums = np.zeros(plan.targets.size, dtype=source.dtype)
+        np.add.at(sums, plan.run_of, source.reshape(-1))
+        sums = sums.reshape((-1,) + trailing)
+    else:
+        ordered = np.take(source, plan.order, axis=0)
+        sums = np.empty((plan.targets.size,) + trailing, dtype=source.dtype)
+        for length, first, last, run_a, run_b in plan.buckets:
+            if length == 1:
+                sums[run_a:run_b] = ordered[first:last]
+            else:
+                slab = ordered[first:last].reshape((run_b - run_a, length) + trailing)
+                np.add.reduce(slab, axis=1, out=sums[run_a:run_b])
     target[plan.targets] += sums

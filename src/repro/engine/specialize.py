@@ -6,22 +6,27 @@ the factor structure, scatters through ``np.add.at``, and allocates every
 temporary afresh.  :class:`SpecializedKernel` moves all of that to
 *compile time*:
 
-* the chunking decision (single-shot vs streamed windows) is made once
-  from the plan's extents and the config's memory budget;
+* the chunking decision is made once from the plan's extents and the
+  config's memory budget: the whole iteration space as one window when its
+  temporaries fit ``specialize_single_shot_elements``, otherwise streamed
+  windows over the leading output variable, each sized from the per-step
+  footprint so its temporaries fill a quarter of that budget
+  (``execution_chunk`` is the floor, whatever a step costs);
 * the contraction path is resolved once per distinct chunk shape through
   :mod:`repro.engine.paths` and passed explicitly on every call;
-* scatters are lowered to disjoint-row fancy ``+=`` or sorted
-  ``np.add.reduceat`` segment sums (:mod:`repro.engine.segment`), with the
-  sort order and segment boundaries memoized per scatter-index identity
+* scatters are lowered to disjoint-row fancy ``+=`` or bucketed slab
+  segment sums (:mod:`repro.engine.segment`), with the bucket permutation
+  and boundaries memoized per ``(scatter-index identity, window)``
   (:mod:`repro.engine.fingerprint`) — repeated calls over the same format
   instance do zero index work;
 * the contraction partial of each chunk is written into a per-thread
   arena buffer (:mod:`repro.engine.arena`) instead of a new allocation.
 
 Numerics match the interpretive executor up to floating-point
-reassociation of the scatter (per output row, contributions are still
-combined in storage order), and every specialized kernel is tested against
-the loop-nest reference interpreter.
+reassociation of the scatter: per output row, contributions are summed
+sequentially in storage order and the sum is then added to the row (the
+contract of :mod:`repro.engine.segment`), within each window.  Every
+specialized kernel is tested against the loop-nest reference interpreter.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ from repro.engine.fingerprint import derived
 from repro.engine.paths import cached_einsum_path
 from repro.engine.segment import plan_scatter, segment_add
 from repro.errors import LoweringError
+
+#: A streamed window's temporaries are sized to this share of the
+#: single-shot budget (1M elements at the default 4M): of 256k / 1M / 4M,
+#: 1M measured fastest on the fig-11 graphs, and 4M costs +24% peak RSS.
+_WINDOW_BUDGET_SHARE = 4
 
 
 @dataclass
@@ -76,12 +86,13 @@ class SpecializedKernel:
         plan:
             The validated lowering plan to specialize.
         chunk_size:
-            Streaming window along the leading output variable when the
-            single-shot budget is exceeded.
+            Fewest steps of the leading output variable a streamed window
+            takes when the single-shot budget is exceeded.
         single_shot_budget:
             Maximum total temporary elements (gathered factors plus the
             contraction partial) for which the whole iteration space runs
-            as one window.
+            as one window.  A streamed window takes as many steps as fill a
+            quarter of it.
         """
         supported = bool(plan.output_subscripts)
         if not supported:
@@ -91,18 +102,33 @@ class SpecializedKernel:
         chunk_var = plan.output_subscripts[0]
         extent = info.extents[chunk_var]
 
-        footprint = 1
-        for var in plan.output_subscripts:
-            footprint *= info.extents[var]
+        def elements(subscripts) -> int:
+            count = 1
+            for var in subscripts:
+                count *= info.extents[var]
+            return count
+
+        # Temporaries of the whole iteration space, and the part of them
+        # one step of the leading variable accounts for: the contraction
+        # partial plus every factor that carries the variable.
+        footprint = elements(plan.output_subscripts)
+        per_step = elements(plan.output_subscripts[1:])
         for factor in plan.factors:
-            factor_elems = 1
-            for var in factor.subscripts:
-                factor_elems *= info.extents[var]
-            footprint += factor_elems
+            footprint += elements(factor.subscripts)
+            if chunk_var in factor.subscripts:
+                per_step += elements(v for v in factor.subscripts if v != chunk_var)
         single_shot = footprint <= single_shot_budget
 
-        size = extent if single_shot else max(1, int(chunk_size))
-        windows = [slice(start, min(extent, start + size)) for start in range(0, extent, size)]
+        if single_shot:
+            size = extent
+        else:
+            target = single_shot_budget // _WINDOW_BUDGET_SHARE
+            size = max(1, int(chunk_size), target // max(1, per_step))
+        # An empty leading extent (an all-zero sparse operand) has no
+        # windows: ``run`` returns the (accumulated) base output.
+        windows = [
+            slice(start, min(extent, start + size)) for start in range(0, extent, max(1, size))
+        ]
 
         inputs_spec, output_spec = plan.einsum_equation.split("->")
         return cls(

@@ -5,8 +5,8 @@ operations* — indirect gathers, scatter-adds, scalar multiply-accumulates,
 and contiguous (block/matmul) multiply-accumulates.  Rather than hard-code
 per-operation costs, they are **measured once per process** with
 :class:`repro.utils.timing.Timer` microbenchmarks over exactly the NumPy
-primitives the executor uses (fancy indexing, ``np.add.at``, ``einsum``,
-``matmul``) — the AraOS-style "calibrate the model from the hardware you
+primitives the executor uses (fancy indexing, the engine's planned
+``segment_add`` scatter, ``einsum``, ``matmul``) — the AraOS-style "calibrate the model from the hardware you
 are on" approach (PAPERS.md).
 
 Calibration takes a few tens of milliseconds.  The constants can be
@@ -26,10 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.engine.segment import plan_scatter, segment_add
 from repro.utils.timing import Timer
 
 #: Bump when the benchmark suite changes; stale persisted files are ignored.
-CALIBRATION_VERSION = 1
+CALIBRATION_VERSION = 2
 
 #: Environment variable naming the JSON persistence path (optional).
 CALIBRATION_ENV_VAR = "REPRO_TUNER_CALIBRATION"
@@ -45,7 +46,9 @@ class Calibration:
         Cost of one indirectly-gathered element (``B[idx]`` fancy
         indexing), amortised over a large gather.
     scatter_ns:
-        Cost of one scattered element (``np.add.at``), the price of an
+        Cost of one scattered element through
+        :func:`repro.engine.segment.segment_add` with a precomputed plan —
+        what the executor runs on a warm pattern — the price of an
         indirect output row.
     flop_ns:
         Cost of one scalar multiply-accumulate in a strided ``einsum``
@@ -133,9 +136,11 @@ def run_microbenchmarks(
     gather_s = _best_of(repeats, lambda: source[index])
     gather_ns = gather_s / n * 1e9
 
-    # Scatter: np.add.at over the same row index.
+    # Scatter: the engine's segment sum over the same row index, with the
+    # plan built outside the timed region as the executor memoizes it.
     out = np.zeros_like(source)
-    scatter_s = _best_of(repeats, lambda: np.add.at(out, index, values))
+    plan = plan_scatter(index)
+    scatter_s = _best_of(repeats, lambda: segment_add(out, index, values, plan=plan))
     scatter_ns = scatter_s / n * 1e9
 
     # Scalar MAC: an einsum that cannot be lowered to a contiguous matmul.

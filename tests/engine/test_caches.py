@@ -6,16 +6,21 @@ memoization, and the legacy-mode kill-switch.
 """
 
 import gc
+import sys
 
 import numpy as np
 import pytest
 
+from repro import SparseEinsum
+from repro.core.inductor.config import InductorConfig
 from repro.engine import (
     BufferArena,
     array_token,
     cached_einsum,
     cached_einsum_path,
+    clear_derived_cache,
     derived,
+    derived_cache_size,
     engine_disabled,
     legacy_mode,
     path_cache_stats,
@@ -77,6 +82,35 @@ def test_derived_distinguishes_new_objects_after_gc(rng):
     gc.collect()
     fresh = rng.integers(0, 8, size=32)
     assert array_token(fresh) != token
+
+
+def test_pattern_churn_evicts_cleanly_and_returns_the_cache_to_its_start(rng, monkeypatch):
+    """Artefacts die with their array, and eviction never raises.
+
+    An eviction callback runs inside whatever released the array — a
+    ``clear_derived_cache()`` mid-way, or another callback — so it must
+    tolerate keys that are already gone; a failure there only shows as an
+    unraisable 'Exception ignored'.
+    """
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    gc.collect()
+    start = derived_cache_size()
+    rhs = rng.standard_normal((24, 4))
+    # A budget of zero streams every call: several scatter plans per pattern.
+    config = InductorConfig(execution_chunk=16, specialize_single_shot_elements=0)
+    operator = SparseEinsum("C[m,n] += A[m,k] * B[k,n]", config=config)
+    for round_ in range(60):
+        dense = np.where(rng.random((16, 24)) < 0.4, 1.0, 0.0)
+        for format_cls in (COO, GroupCOO):
+            operator(A=format_cls.from_dense(dense), B=rhs)
+        if round_ == 30:
+            assert derived_cache_size() > start
+            clear_derived_cache()
+    del operator
+    gc.collect()
+    assert unraisable == []
+    assert derived_cache_size() == start
 
 
 # ---------------------------------------------------------------------------

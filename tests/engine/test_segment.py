@@ -1,0 +1,154 @@
+"""Differential suite for the bucketed segment-sum scatter.
+
+The contract under test (``repro.engine.segment``): for every target row
+and every trailing shape, contributions are summed sequentially in storage
+order and the sum is added to the row.  The reference below applies the
+updates one at a time into zeros — the order ``np.add.at`` uses — and the
+comparison is *bit* equality, because coalesced and per-request executions
+of one request must agree exactly.
+"""
+
+import numpy as np
+import pytest
+
+from repro.engine.segment import ADD_AT_THRESHOLD, plan_scatter, segment_add
+
+ROWS = 48
+DTYPES = [np.float32, np.float64, np.int64, np.complex128]
+TRAILING = [(), (1,), (5,), (3, 4)]
+
+
+def draw_index(rng, shape: str) -> np.ndarray:
+    """A scatter index with the named run-length structure."""
+    if shape == "disjoint":
+        return rng.permutation(ROWS)[:40]
+    if shape == "one-run":
+        return np.full(300, 7)
+    if shape == "power-law":
+        # A few rows take most updates, many rows one or two: dozens of
+        # distinct run lengths, including long single-run buckets.
+        return np.minimum(ROWS - 1, rng.pareto(0.7, 600).astype(np.int64))
+    if shape == "short":
+        return rng.integers(0, 4, size=ADD_AT_THRESHOLD - 1)
+    if shape == "empty":
+        return np.zeros(0, dtype=np.int64)
+    raise AssertionError(shape)
+
+
+def draw_source(rng, count: int, trailing: tuple, dtype) -> np.ndarray:
+    """Values spread over six decades, so a different summation order shows."""
+    shape = (count,) + trailing
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    if np.issubdtype(dtype, np.complexfloating):
+        values = values + 1j * rng.standard_normal(shape)
+    if np.issubdtype(dtype, np.integer):
+        values = values * 1e3
+    return values.astype(dtype)
+
+
+def sequential_reference(index, source, trailing) -> np.ndarray:
+    out = np.zeros((ROWS,) + trailing, dtype=source.dtype)
+    for position, row in enumerate(index):
+        out[row] += source[position]
+    return out
+
+
+@pytest.mark.parametrize("with_plan", [False, True], ids=["no-plan", "plan"])
+@pytest.mark.parametrize("trailing", TRAILING, ids=str)
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("shape", ["disjoint", "one-run", "power-law", "short", "empty"])
+def test_segment_add_is_bit_equal_to_sequential_scatter(rng, shape, dtype, trailing, with_plan):
+    index = draw_index(rng, shape)
+    source = draw_source(rng, index.size, trailing, dtype)
+    plan = plan_scatter(index) if with_plan else None
+    actual = np.zeros((ROWS,) + trailing, dtype=dtype)
+    segment_add(actual, index, source, plan=plan)
+    np.testing.assert_array_equal(actual, sequential_reference(index, source, trailing))
+
+
+def test_stacked_and_single_sources_agree_bitwise(rng):
+    """One column of a stacked (coalesced) source sums exactly like the
+    same column scattered on its own as a 1-D source."""
+    index = draw_index(rng, "power-law")
+    plan = plan_scatter(index)
+    stacked = draw_source(rng, index.size, (6,), np.float32)
+    together = np.zeros((ROWS, 6), dtype=np.float32)
+    segment_add(together, index, stacked, plan=plan)
+    for column in range(6):
+        alone = np.zeros(ROWS, dtype=np.float32)
+        segment_add(alone, index, np.ascontiguousarray(stacked[:, column]), plan=plan)
+        np.testing.assert_array_equal(together[:, column], alone)
+
+
+def test_sum_is_added_to_a_nonzero_target_once(rng):
+    index = draw_index(rng, "power-law")
+    source = draw_source(rng, index.size, (5,), np.float64)
+    base = rng.standard_normal((ROWS, 5))
+    actual = base.copy()
+    segment_add(actual, index, source)
+    np.testing.assert_array_equal(actual, base + sequential_reference(index, source, (5,)))
+
+
+def test_plan_buckets_partition_the_updates(rng):
+    index = draw_index(rng, "power-law")
+    plan = plan_scatter(index)
+    assert not plan.is_disjoint
+    assert sorted(plan.order.tolist()) == list(range(index.size))
+    assert len(set(plan.targets.tolist())) == plan.targets.size
+    lengths = [bucket[0] for bucket in plan.buckets]
+    assert lengths == sorted(set(lengths))
+    element_end = run_end = 0
+    for length, first, last, run_a, run_b in plan.buckets:
+        assert (first, run_a) == (element_end, run_end)
+        assert last - first == length * (run_b - run_a)
+        rows = index[plan.order[first:last]].reshape(run_b - run_a, length)
+        np.testing.assert_array_equal(rows, np.repeat(plan.targets[run_a:run_b, None], length, 1))
+        # Storage order survives inside every run.
+        positions = plan.order[first:last].reshape(run_b - run_a, length)
+        assert (np.diff(positions, axis=1) > 0).all()
+        element_end, run_end = last, run_b
+    assert (element_end, run_end) == (index.size, plan.targets.size)
+    np.testing.assert_array_equal(plan.targets[plan.run_of], index)
+
+
+@pytest.mark.parametrize("trailing", [(), (3,)], ids=str)
+@pytest.mark.parametrize("shape", ["disjoint", "power-law"])
+def test_unsafe_cast_raises_on_every_planned_lowering(rng, shape, trailing):
+    """float64 sums into an int64 target: the final fancy ``+=`` refuses the
+    cast, whichever lowering produced the sums (``np.add.at`` itself would
+    truncate every update silently)."""
+    index = draw_index(rng, shape)
+    source = draw_source(rng, index.size, trailing, np.float64)
+    target = np.zeros((ROWS,) + trailing, dtype=np.int64)
+    with pytest.raises(TypeError):
+        segment_add(target, index, source, plan=plan_scatter(index))
+    assert not target.any()
+
+
+def test_narrow_source_widens_into_the_target(rng):
+    index = draw_index(rng, "power-law")
+    source = draw_source(rng, index.size, (3,), np.float32)
+    actual = np.zeros((ROWS, 3), dtype=np.float64)
+    segment_add(actual, index, source)
+    expected = sequential_reference(index, source, (3,)).astype(np.float64)
+    np.testing.assert_array_equal(actual, expected)
+
+
+@pytest.mark.parametrize("source", [2.5, np.arange(3.0)], ids=["scalar", "row"])
+def test_broadcast_source_defers_to_add_at(rng, source):
+    """A source without one row per update broadcasts as ``np.add.at`` does."""
+    index = draw_index(rng, "power-law")
+    expected = np.zeros((ROWS, 3))
+    np.add.at(expected, index, source)
+    actual = np.zeros((ROWS, 3))
+    segment_add(actual, index, source, plan=plan_scatter(index))
+    np.testing.assert_array_equal(actual, expected)
+
+
+def test_unit_trailing_source_broadcasts_across_target_columns(rng):
+    index = draw_index(rng, "power-law")
+    source = draw_source(rng, index.size, (1,), np.float64)
+    actual = np.zeros((ROWS, 4))
+    segment_add(actual, index, source)
+    expected = np.repeat(sequential_reference(index, source, (1,)), 4, axis=1)
+    np.testing.assert_array_equal(actual, expected)

@@ -10,7 +10,7 @@ executor) on the same operands.
 import numpy as np
 import pytest
 
-from repro import sparse_einsum
+from repro import insum, sparse_einsum
 from repro.core.einsum import reference_execute
 from repro.core.inductor.config import InductorConfig
 from repro.core.inductor.executor import run_fused
@@ -166,3 +166,81 @@ def test_specialize_plan_reports_schedule(small_sparse_matrix, rng):
     )
     assert not chunked.single_shot and len(chunked.windows) > 1
     assert "specialized" in single.describe()
+    assert "single-shot" in single.describe() and "windows" in chunked.describe()
+
+
+def test_windows_are_sized_from_the_per_step_footprint(medium_sparse_matrix, rng):
+    """A streamed window fills a quarter of the single-shot budget, and
+    ``execution_chunk`` is only the floor under it."""
+    coo = COO.from_dense(medium_sparse_matrix)
+    tensors = _spmm_tensors(coo, rng, 64, 96, width=4)
+    plan = plan_insum("C[AI0[p],n] += AV[p] * B[AI1[p],n]", tensors)
+    nnz = coo.values.size
+    per_step = 4 + 1 + 4  # partial row, value, gathered row
+    budget = 4 * 3 * per_step  # a quarter of it holds three steps
+    assert nnz * per_step > budget
+    sized = SpecializedKernel.build(plan, chunk_size=1, single_shot_budget=budget)
+    assert not sized.single_shot and sized.chunk_size == 3
+    assert {w.stop - w.start for w in sized.windows[:-1]} == {3}
+    assert sized.windows[0].start == 0 and sized.windows[-1].stop == nnz
+    floored = SpecializedKernel.build(plan, chunk_size=5, single_shot_budget=budget)
+    assert floored.chunk_size == 5
+
+
+@pytest.mark.parametrize(
+    "format_cls,expression",
+    [
+        (COO, "C[AI0[p],n] += AV[p] * B[AI1[p],n]"),
+        (GroupCOO, "C[AM[p],n] += AV[p,q] * B[AK[p,q],n]"),
+        (ELL, "C[m,n] += AV[m,q] * B[AK[m,q],n]"),
+    ],
+)
+def test_results_hold_across_window_schedules(format_cls, expression, medium_sparse_matrix, rng):
+    """One window, two windows or many, whatever the chunk floor."""
+    fmt = format_cls.from_dense(medium_sparse_matrix)
+    tensors = _spmm_tensors(fmt, rng, 64, 96, width=8)
+    plan = plan_insum(expression, tensors)
+    expected = reference_execute(expression, tensors)
+    extent = plan.info.extents[plan.output_subscripts[0]]
+
+    whole = SpecializedKernel.build(plan, chunk_size=128, single_shot_budget=1 << 22)
+    assert whole.single_shot and len(whole.windows) == 1
+    np.testing.assert_allclose(whole.run(tensors), expected, atol=1e-9)
+
+    window_counts = set()
+    for chunk_size in (1, 16, 128, -(-extent // 2)):
+        for budget in (0, 1 << 12):
+            kernel = SpecializedKernel.build(plan, chunk_size=chunk_size, single_shot_budget=budget)
+            assert not kernel.single_shot
+            window_counts.add(len(kernel.windows))
+            np.testing.assert_allclose(kernel.run(tensors), expected, atol=1e-9)
+    # Two halves from the floor, one step per window from chunk 1 at budget 0.
+    assert {2, extent} <= window_counts and len(window_counts) >= 4
+
+
+# ---------------------------------------------------------------------------
+# Empty leading extent: an all-zero sparse operand
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("bind_output", [False, True], ids=["fresh", "accumulate"])
+@pytest.mark.parametrize(
+    "format_name", ["coo", "groupcoo", "ell", "blockcoo", "blockgroupcoo", "auto"]
+)
+def test_all_zero_operand_matches_dense_einsum(format_name, bind_output, rng):
+    """Zero nonzeros means zero windows; the (accumulated) base comes back."""
+    dense = np.zeros((8, 8))
+    rhs = rng.standard_normal((8, 4))
+    bound = {"C": rng.standard_normal((8, 4))} if bind_output else {}
+    result = insum("C[m,n] += A[m,k] * B[k,n]", A=dense, B=rhs, format=format_name, **bound)
+    expected = bound.get("C", 0.0) + np.einsum("mk,kn->mn", dense, rhs)
+    np.testing.assert_array_equal(result, expected)
+    assert result.dtype == np.float64 and result.shape == (8, 4)
+
+
+def test_empty_extent_builds_zero_windows(rng):
+    coo = COO.from_dense(np.zeros((8, 12)))
+    tensors = _spmm_tensors(coo, rng, 8, 12)
+    plan = plan_insum("C[AI0[p],n] += AV[p] * B[AI1[p],n]", tensors)
+    for budget in (0, 1 << 22):
+        kernel = SpecializedKernel.build(plan, chunk_size=128, single_shot_budget=budget)
+        assert kernel.windows == []
+        np.testing.assert_array_equal(kernel.run(tensors), tensors["C"])

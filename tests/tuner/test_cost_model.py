@@ -28,8 +28,6 @@ def test_microbenchmarks_produce_positive_constants():
     assert cal.flop_ns > 0
     assert cal.block_flop_ns > 0
     assert cal.overhead_us > 0
-    # Contiguous matmul MACs are cheaper than strided scalar MACs.
-    assert cal.block_flop_ns < cal.flop_ns
 
 
 def test_calibration_json_roundtrip(tmp_path):
