@@ -27,8 +27,7 @@ Public API highlights
   with one ``submit()``-returns-:class:`repro.Future` surface over
   inline, threaded, and cluster execution, configured by a typed
   :class:`repro.ServeConfig` and reporting a normalized
-  :class:`repro.ServeStats` (see ``docs/API.md`` for migration from the
-  legacy ticket API).
+  :class:`repro.ServeStats` (see ``docs/API.md``).
 * :mod:`repro.obs` — observability across every tier: the process-wide
   metrics registry, per-request traces (``Future.trace()``), structured
   JSON logs, and the ``/metrics`` / ``/healthz`` / ``/statsz`` ops HTTP

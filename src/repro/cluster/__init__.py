@@ -4,7 +4,7 @@ This package scales :class:`~repro.runtime.server.InsumServer` past a
 single interpreter (the ROADMAP's "production-scale" direction):
 
 * :mod:`repro.cluster.server` — :class:`ClusterServer`, the drop-in
-  multi-process front door (``submit`` / ``submit_many`` / ``gather``).
+  multi-process tier (``submit(request)`` / ``try_cancel(request)``).
 * :mod:`repro.cluster.shm` — :class:`ShmRing`, the single-producer
   single-consumer shared-memory byte ring moving dense payloads.
 * :mod:`repro.cluster.codec` — operand/result descriptors, the

@@ -5,7 +5,7 @@ its engine-specialized kernels are fast, but the Python framework around
 them — queueing, rewriting, coalescing, result bookkeeping — serializes
 on a single GIL.  ``ClusterServer`` implements the exact same
 :class:`repro.serve.ExecutorBackend` protocol
-(``enqueue`` / ``try_cancel`` / ``set_result_sink`` / ``collect``) and
+(``submit(request)`` / ``try_cancel(request)``) and
 moves execution into a pool of worker *processes*, each running its own
 :class:`~repro.runtime.server.InsumServer` (specialization and
 same-plan coalescing intact):
@@ -45,7 +45,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.cluster.admission import AdmissionController, ClusterBusyError
 from repro.cluster.codec import OperandEncoder, decode_result
@@ -66,10 +66,10 @@ from repro.obs import resources as obs_resources
 from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, get_registry
-from repro.resilience import deadline as resilience_deadline
-from repro.resilience.deadline import Deadline, deadline_error
+from repro.resilience.deadline import deadline_error
 from repro.resilience.supervisor import PoisonQuarantine, WorkerSupervisor, poison_key
-from repro.runtime.server import InsumResult, warn_legacy
+from repro.runtime import request as runtime_request
+from repro.runtime.request import InsumResult, Request
 from repro.runtime.stats import RuntimeStats, build_stats
 from repro.runtime.plan_cache import PlanCacheStats
 from repro.utils.timing import LatencyRecorder
@@ -78,35 +78,6 @@ from repro.utils.timing import LatencyRecorder
 RING_CAPACITY = 8 * 1024 * 1024
 
 __all__ = ["ClusterServer", "WorkerCrashedError", "RING_CAPACITY"]
-
-
-@dataclass
-class _Dispatch:
-    """One request waiting for (re)dispatch to a worker.
-
-    ``crashes`` counts requeues caused specifically by the owning worker
-    dying (as opposed to benign bounces off a retiring handle): a request
-    whose every attempt killed a worker is poison and lands in the
-    quarantine when it fails out.
-    """
-
-    request_id: int
-    expression: str
-    operands: dict[str, Any]
-    submitted_at: float
-    attempt: int = 0
-    exclude_worker: int | None = None
-    trace: Any = None
-    deadline: Deadline | None = None
-    crashes: int = 0
-
-
-@dataclass
-class _Inflight:
-    """Parent-side record of a request currently owned by a worker."""
-
-    dispatch: _Dispatch
-    incarnation: int
 
 
 @dataclass
@@ -135,8 +106,9 @@ class _WorkerHandle:
     #: snapshot — so a concurrent dispatch can never register into an
     #: outstanding map that has already been harvested for requeue.
     retired: bool = False
-    #: request_id -> _Inflight, guarded by the server's state condition.
-    outstanding: dict[int, _Inflight] = field(default_factory=dict)
+    #: wire id -> the request this incarnation owns, guarded by the
+    #: server's state condition.
+    outstanding: dict[int, Request] = field(default_factory=dict)
     #: Serializes ring reads against restart-time unlinking.
     ring_lock: threading.Lock = field(default_factory=threading.Lock)
     #: Resource samples taken by the monitor thread (newest last).
@@ -267,9 +239,8 @@ class ClusterServer:
         self._control_error: ControlThreadError | None = None
 
         self._state = threading.Condition()
-        self._results: dict[int, InsumResult] = {}
-        self._pending: set[int] = set()
-        self._result_sink: Any = None
+        #: Requests accepted and not yet recorded (what close() drains).
+        self._unfinished = 0
         self._loads = [0] * self.num_workers
         self._ids = itertools.count()
         self._latencies = LatencyRecorder()
@@ -326,7 +297,7 @@ class ClusterServer:
         self._worker_marks: dict[int, tuple[int, RuntimeStats]] = {}
 
         self._dispatch_cv = threading.Condition()
-        self._dispatch: deque[_Dispatch] = deque()
+        self._dispatch: deque[Request] = deque()
 
         self._closed = False
         self._stopping = threading.Event()
@@ -429,17 +400,15 @@ class ClusterServer:
             if decision == "defer":
                 # Harvest the dead incarnation's work right away — only
                 # the replacement spawn waits for the backoff.
-                for inflight in self._harvest_incarnation(worker_id):
-                    self._requeue(
-                        inflight.dispatch, exclude_worker=worker_id, crashed=True
-                    )
+                for request in self._harvest_incarnation(worker_id):
+                    self._requeue(request, exclude_worker=worker_id, crashed=True)
                 return
             if decision == "restart":
                 self._restart_worker(worker_id)
             else:
                 self._retire_worker_slot(worker_id)
 
-    def _harvest_incarnation(self, worker_id: int) -> list[_Inflight]:
+    def _harvest_incarnation(self, worker_id: int) -> list[Request]:
         """Retire the slot's current handle and collect its in-flight work.
 
         Requeueing the harvest is the *caller's* job, at the point where a
@@ -481,15 +450,15 @@ class ClusterServer:
         # The old collector thread notices it is superseded and exits on
         # its next poll; its queue died with the worker.
         self._teardown_handle(old)
-        for inflight in stranded:
-            self._requeue(inflight.dispatch, exclude_worker=worker_id, crashed=True)
+        for request in stranded:
+            self._requeue(request, exclude_worker=worker_id, crashed=True)
 
     def _retire_worker_slot(self, worker_id: int) -> None:
         """Permanently retire a slot whose restart budget is exhausted."""
         old = self._handles[worker_id]
         stranded = self._harvest_incarnation(worker_id)
-        for inflight in stranded:
-            self._requeue(inflight.dispatch, exclude_worker=worker_id, crashed=True)
+        for request in stranded:
+            self._requeue(request, exclude_worker=worker_id, crashed=True)
         self.router.mark_dead(worker_id)
         self._m_dead_workers.set(len(self.supervisor.dead_workers))
         self._log.error(
@@ -503,7 +472,7 @@ class ClusterServer:
         self._teardown_handle(old)
 
     def _requeue(
-        self, dispatch: _Dispatch, exclude_worker: int | None, crashed: bool = False
+        self, request: Request, exclude_worker: int | None, crashed: bool = False
     ) -> None:
         """Give a stranded request another attempt (or fail it out).
 
@@ -512,20 +481,20 @@ class ClusterServer:
         whose every attempt crashed its worker is quarantined as poison
         when it fails out.
         """
-        dispatch.attempt += 1
+        request.dispatches += 1
         if crashed:
-            dispatch.crashes += 1
-        dispatch.exclude_worker = exclude_worker
-        if dispatch.attempt >= self.max_attempts:
-            if dispatch.crashes >= self.max_attempts:
+            request.crashes += 1
+        request.exclude_worker = exclude_worker
+        if request.dispatches >= self.max_attempts:
+            if request.crashes >= self.max_attempts:
                 self.quarantine.record(
-                    poison_key(dispatch.expression, dispatch.operands)
+                    poison_key(request.expression, request.operands)
                 )
             self._record(
-                dispatch,
+                request,
                 error=WorkerCrashedError(
-                    f"request {dispatch.request_id} failed after "
-                    f"{dispatch.attempt} dispatch attempts (worker crashes)"
+                    f"request {request.request_id} failed after "
+                    f"{request.dispatches} dispatch attempts (worker crashes)"
                 ),
             )
             return
@@ -533,18 +502,18 @@ class ClusterServer:
             self._requeued += 1
         self._m_requeued.inc()
         with self._dispatch_cv:
-            self._dispatch.appendleft(dispatch)
+            self._dispatch.appendleft(request)
             self._dispatch_cv.notify()
 
     # -- the ExecutorBackend protocol ---------------------------------------
-    def enqueue(self, expression: str, **operands: Any) -> int:
-        """Enqueue one request and return its ticket (see :class:`InsumServer`).
+    def submit(self, request: Request) -> None:
+        """Admit one request; its ``on_done`` receives the terminal result.
 
         Operand arrays are shipped asynchronously (and re-shipped if a
-        worker crashes), so they must not be mutated between ``enqueue``
-        and the ticket's ``collect``.  Reusing a buffer *across* requests
+        worker crashes), so they must not be mutated between ``submit``
+        and the request's completion.  Reusing a buffer *across* requests
         — refilling the same array with new values once the previous
-        result is collected — is fine: the transport cache is
+        result has arrived — is fine: the transport cache is
         content-checksummed and re-ships changed bytes.
 
         Raises
@@ -572,9 +541,8 @@ class ClusterServer:
             raise SessionClosedError("ClusterServer is closed")
         if self._control_error is not None:
             raise self._control_error
-        trace = obs_trace.take_pending() or obs_trace.maybe_start()
-        deadline = resilience_deadline.take_pending()
-        if deadline is not None and deadline.expired():
+        trace, deadline = request.trace, request.deadline
+        if request.expired():
             raise DeadlineExceededError(
                 "request exceeded its deadline before admission"
             )
@@ -582,7 +550,7 @@ class ClusterServer:
             # Only fingerprint operands once something is quarantined:
             # the key hashes operand content, too costly for the clean
             # hot path.
-            if self.quarantine.contains(poison_key(expression, operands)):
+            if self.quarantine.contains(poison_key(request.expression, request.operands)):
                 self._m_poisoned.inc()
                 raise PoisonedRequestError(
                     "request matches a quarantined poison key "
@@ -595,158 +563,69 @@ class ClusterServer:
                 wait_budget=None if deadline is None else deadline.remaining_s()
             )
         except ClusterBusyError:
-            if deadline is not None and deadline.expired():
+            if request.expired():
                 raise DeadlineExceededError(
                     "request exceeded its deadline while blocked on admission"
                 ) from None
             raise
-        if deadline is not None and deadline.expired():
+        if request.expired():
             self.admission.release()
             raise DeadlineExceededError(
                 "request exceeded its deadline while blocked on admission"
             )
         if trace is not None:
             trace.stamp("admitted")
-        request_id = next(self._ids)
-        now = time.perf_counter()
-        if self._window_started is None:
-            self._window_started = now
         with self._state:
-            self._pending.add(request_id)
+            # Same critical section as close()'s flag flip: a request is
+            # either counted into the drain or refused, never stranded.
+            if self._closed:
+                self.admission.release()
+                raise SessionClosedError("ClusterServer is closed")
+            self._unfinished += 1
+        request.accept(next(self._ids))
+        if self._window_started is None:
+            self._window_started = request.submitted_at
         with self._dispatch_cv:
-            self._dispatch.append(
-                _Dispatch(
-                    request_id=request_id,
-                    expression=expression,
-                    operands=operands,
-                    submitted_at=now,
-                    trace=trace,
-                    deadline=deadline,
-                )
-            )
+            self._dispatch.append(request)
             self._dispatch_cv.notify()
-        return request_id
 
-    def enqueue_many(self, requests: Iterable[tuple[str, dict[str, Any]]]) -> list[int]:
-        """Enqueue ``(expression, operands)`` pairs; returns their tickets.
-
-        A mid-iteration admission rejection does not leak in-flight work:
-        the raised :class:`~repro.errors.ClusterBusyError` carries the
-        tickets already enqueued as ``error.partial_tickets`` (in
-        submission order), so the caller can ``collect`` the partial
-        batch — or, through :meth:`repro.serve.Session.submit_many`,
-        receive per-request futures where only the rejected tail fails.
-        """
-        tickets: list[int] = []
-        for expression, operands in requests:
-            try:
-                tickets.append(self.enqueue(expression, **operands))
-            except ClusterBusyError as error:
-                error.partial_tickets = tuple(tickets)
-                raise
-        return tickets
-
-    def try_cancel(self, request_id: int) -> bool:
-        """Cancel a ticket that has not been dispatched to a worker yet.
+    def try_cancel(self, request: Request) -> bool:
+        """Cancel a request that has not been dispatched to a worker yet.
 
         Returns True when the request was still in the parent's dispatch
         queue: it is withdrawn, its admission slot is released, and its
-        terminal result carries a
-        :class:`~repro.errors.FutureCancelledError` (not counted as
-        completed or failed).  Returns False once the dispatcher has
-        handed the request to a worker (or it already finished).
+        ``on_done`` receives a :class:`~repro.errors.FutureCancelledError`
+        result (not counted as completed or failed).  Returns False once
+        the dispatcher has handed the request to a worker (or it already
+        finished).
         """
         with self._dispatch_cv:
-            found: _Dispatch | None = None
-            for index, dispatch in enumerate(self._dispatch):
-                if dispatch.request_id == request_id:
-                    found = dispatch
-                    del self._dispatch[index]
-                    break
-        if found is None:
-            return False
+            try:
+                self._dispatch.remove(request)
+            except ValueError:
+                return False
         self._record(
-            found,
-            error=FutureCancelledError(f"request {request_id} was cancelled before dispatch"),
+            request,
+            error=FutureCancelledError(
+                f"request {request.request_id} was cancelled before dispatch"
+            ),
         )
         return True
-
-    def set_result_sink(self, sink: Any) -> None:
-        """Deliver results by pushing them into ``sink`` instead of storing.
-
-        Registered by :class:`repro.serve.Session` before any traffic:
-        each terminal :class:`InsumResult` is handed to ``sink`` from a
-        collector thread, and :meth:`collect` becomes unavailable.
-        """
-        self._result_sink = sink
-
-    # -- the legacy ticket API (deprecation shims) --------------------------
-    def submit(self, expression: str, **operands: Any) -> int:
-        """Deprecated alias of :meth:`enqueue` (the legacy ticket API)."""
-        warn_legacy("ClusterServer.submit()", "Session.submit()")
-        return self.enqueue(expression, **operands)
-
-    def submit_many(self, requests: Iterable[tuple[str, dict[str, Any]]]) -> list[int]:
-        """Deprecated alias of :meth:`enqueue_many` (the legacy ticket API)."""
-        warn_legacy("ClusterServer.submit_many()", "Session.submit_many()")
-        return self.enqueue_many(requests)
-
-    def gather(
-        self, request_ids: Sequence[int] | None = None, timeout: float | None = None
-    ) -> list[InsumResult]:
-        """Deprecated alias of :meth:`collect` (the legacy ticket API)."""
-        warn_legacy("ClusterServer.gather()", "Future.result()")
-        return self.collect(request_ids, timeout=timeout)
 
     def run_batch(
         self,
         requests: Iterable[tuple[str, dict[str, Any]]],
         timeout: float | None = None,
     ) -> list[InsumResult]:
-        """Enqueue a batch and collect it, preserving order.
+        """Serve ``(expression, operands)`` pairs; results in request order.
 
-        Unlike ``submit``/``gather`` this helper exposes no tickets, so it
-        is not deprecated — but new code should still prefer
-        :meth:`repro.serve.Session.map_batches`, which streams results
-        with a bounded in-flight window.
+        The synchronous helper over :meth:`submit` (see
+        :func:`repro.runtime.request.run_batch`): a request admission
+        rejects yields a failed result in its place.  New code should
+        prefer :meth:`repro.serve.Session.map_batches`, which streams
+        results with a bounded in-flight window.
         """
-        return self.collect(self.enqueue_many(requests), timeout=timeout)
-
-    # -- completion ---------------------------------------------------------
-    def collect(
-        self, request_ids: Sequence[int] | None = None, timeout: float | None = None
-    ) -> list[InsumResult]:
-        """Wait for tickets (or everything in flight); same contract as
-        :meth:`InsumServer.collect <repro.runtime.server.InsumServer.collect>`."""
-        if self._result_sink is not None:
-            raise RuntimeError("results are delivered to the registered sink, not collected")
-        deadline = None if timeout is None else time.monotonic() + timeout
-        if request_ids is None:
-            with self._state:
-                while not all(rid in self._results for rid in self._pending):
-                    remaining = None if deadline is None else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        raise TimeoutError("cluster did not drain within the timeout")
-                    self._state.wait(remaining)
-                request_ids = sorted(self._results)
-        results: list[InsumResult] = []
-        with self._state:
-            for request_id in request_ids:
-                while request_id not in self._results:
-                    if request_id not in self._pending:
-                        raise KeyError(
-                            f"request {request_id} is not in flight (never submitted or "
-                            "already gathered)"
-                        )
-                    remaining = None if deadline is None else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        raise TimeoutError(
-                            f"request {request_id} did not complete within the timeout"
-                        )
-                    self._state.wait(remaining)
-                self._pending.discard(request_id)
-                results.append(self._results.pop(request_id))
-        return results
+        return runtime_request.run_batch(self, requests, timeout)
 
     # -- dispatcher ---------------------------------------------------------
     def _dispatch_loop(self) -> None:
@@ -772,69 +651,64 @@ class ClusterServer:
                 self._dispatch_cv.wait(0.2)
             if self._stopping.is_set() and not self._dispatch:
                 return True
-            dispatch = self._dispatch.popleft()
+            request = self._dispatch.popleft()
         try:
-            self._dispatch_one(dispatch)
+            self._dispatch_one(request)
         except Exception:  # noqa: BLE001 — dispatch failure = another attempt
-            self._requeue(dispatch, exclude_worker=dispatch.exclude_worker)
+            self._requeue(request, exclude_worker=request.exclude_worker)
         return False
 
-    def _dispatch_one(self, dispatch: _Dispatch) -> None:
-        if dispatch.deadline is not None and dispatch.deadline.expired():
+    def _dispatch_one(self, request: Request) -> None:
+        if request.expired():
             # Don't spend encode + ring space on work that is already
             # dead; the future resolves with the deadline error now.
-            self._record(
-                dispatch, error=deadline_error(dispatch.request_id, "queue")
-            )
+            self._record(request, error=deadline_error(request.request_id, "queue"))
             return
-        if dispatch.trace is not None:
+        if request.trace is not None:
             # Overwritten on redispatch: the trace describes the attempt
             # that actually produced the result.
-            dispatch.trace.stamp("dispatch.start")
-        key = affinity_key(dispatch.expression, dispatch.operands)
+            request.trace.stamp("dispatch.start")
+        key = affinity_key(request.expression, request.operands)
         with self._state:
             loads = list(self._loads)
-        worker_id = self.router.route(key, loads, exclude=dispatch.exclude_worker)
+        worker_id = self.router.route(key, loads, exclude=request.exclude_worker)
         handle = self._handles[worker_id]
-        expected_incarnation = handle.incarnation
 
         def aborted() -> bool:
             return self._stopping.is_set() or handle.retired or not handle.alive()
 
         try:
             envelope, controls = handle.encoder.encode_request(
-                dispatch.request_id,
-                dispatch.expression,
-                dispatch.operands,
-                dispatch.attempt,
+                request.request_id,
+                request.expression,
+                request.operands,
+                request.dispatches,
                 should_abort=aborted,
             )
         except (RingAborted, TimeoutError):
-            self._requeue(dispatch, exclude_worker=worker_id)
+            self._requeue(request, exclude_worker=worker_id)
             return
-        if dispatch.trace is not None:
-            dispatch.trace.stamp("encode.done")
-            envelope.trace_id = dispatch.trace.trace_id
-        if dispatch.deadline is not None:
-            envelope.deadline = dispatch.deadline.expires_at
+        if request.trace is not None:
+            request.trace.stamp("encode.done")
+            envelope.trace_id = request.trace.trace_id
+        if request.deadline is not None:
+            envelope.deadline = request.deadline.expires_at
         with self._state:
             if self._control_error is not None:
                 # Containment already failed everything in flight; this
                 # request raced the harvest in the dispatch window, so
                 # fail it the same way instead of stranding it on a
                 # worker nobody is collecting from.
-                self._record(dispatch, error=self._control_error)
+                self._record(request, error=self._control_error)
                 return
             if handle.retired:
                 # A restart harvested this handle's outstanding map while
                 # we were encoding: the ring bytes died with the old
                 # incarnation, and registering now would strand the
                 # request.  Try again elsewhere.
-                self._requeue(dispatch, exclude_worker=worker_id)
+                self._requeue(request, exclude_worker=worker_id)
                 return
-            handle.outstanding[dispatch.request_id] = _Inflight(
-                dispatch=dispatch, incarnation=expected_incarnation
-            )
+            handle.outstanding[request.request_id] = request
             self._loads[worker_id] += 1
         try:
             for control in controls:
@@ -846,11 +720,11 @@ class ClusterServer:
             # that already harvested handle.outstanding has requeued the
             # request itself, and a second requeue would execute it twice.
             with self._state:
-                owned = handle.outstanding.pop(dispatch.request_id, None)
+                owned = handle.outstanding.pop(request.request_id, None)
                 if owned is not None:
                     self._loads[worker_id] -= 1
             if owned is not None:
-                self._requeue(dispatch, exclude_worker=worker_id)
+                self._requeue(request, exclude_worker=worker_id)
 
     # -- collector ----------------------------------------------------------
     def _collect_loop(self, handle: _WorkerHandle) -> None:
@@ -911,7 +785,7 @@ class ClusterServer:
             )
             if stale:
                 return
-            inflight = handle.outstanding.pop(response.request_id)
+            request = handle.outstanding.pop(response.request_id)
             self._loads[response.worker_id] -= 1
         error = response.error
         output = None
@@ -938,12 +812,12 @@ class ClusterServer:
                     # the request, but its bytes died with the segment —
                     # give it the same another-attempt treatment as the
                     # requests the harvest did catch.
-                    self._requeue(inflight.dispatch, exclude_worker=response.worker_id)
+                    self._requeue(request, exclude_worker=response.worker_id)
                     return
                 error = decode_error
-        self._record(inflight.dispatch, output=output, error=error, trace_export=response.trace)
+        self._record(request, output=output, error=error, trace_export=response.trace)
 
-    def _finish_trace(self, dispatch: _Dispatch, trace_export: dict | None) -> Any:
+    def _finish_trace(self, request: Request, trace_export: dict | None) -> Any:
         """Merge the worker's trace export and build the parent-side spans.
 
         The parent's spans tile the stretches the worker cannot see —
@@ -951,7 +825,7 @@ class ClusterServer:
         crossings — between its own stamps and the worker's, so the full
         span set covers the request's wall latency without overlap.
         """
-        trace = dispatch.trace
+        trace = request.trace
         if trace is None:
             return None
         trace.stamp("done")
@@ -964,35 +838,33 @@ class ClusterServer:
         trace.span_between("ring.respond", "worker.done", "done")
         return trace
 
-    def _record(self, dispatch: _Dispatch, output=None, error=None, trace_export=None) -> None:
+    def _record(self, request: Request, output=None, error=None, trace_export=None) -> None:
         """Publish one terminal result and update the serving counters.
 
-        Idempotent per request id: control-plane containment can race a
+        Idempotent per request: control-plane containment can race a
         collector already recording the same request, and the loser must
-        not release admission or bump counters a second time.  (A request
-        is recordable exactly while it is pending and resultless.)
+        not release admission or bump counters a second time — the
+        request's own state admits exactly one finisher.
         """
-        with self._state:
-            rid = dispatch.request_id
-            if rid in self._results or rid not in self._pending:
-                return
-        if dispatch.deadline is not None and error is None and dispatch.deadline.expired():
+        if not request.finish():
+            return
+        if error is None and request.expired():
             # The worker finished, but past the deadline: the output is
             # useless to the caller, so the terminal outcome is the same
             # as if the request had been shed early.
             output = None
-            error = deadline_error(rid, "execute")
+            error = deadline_error(request.request_id, "execute")
         if isinstance(error, DeadlineExceededError):
             self._m_deadline.inc()
         finished = time.perf_counter()
-        latency_ms = (finished - dispatch.submitted_at) * 1e3
+        latency_ms = (finished - request.submitted_at) * 1e3
         result = InsumResult(
-            request_id=dispatch.request_id,
-            expression=dispatch.expression,
+            request_id=request.request_id,
+            expression=request.expression,
             output=output,
             error=error,
             latency_ms=latency_ms,
-            trace=self._finish_trace(dispatch, trace_export),
+            trace=self._finish_trace(request, trace_export),
         )
         cancelled = isinstance(error, FutureCancelledError)
         if cancelled:
@@ -1002,12 +874,8 @@ class ClusterServer:
             self._latencies.record(latency_ms)
             self.admission.release(service_seconds=latency_ms / 1e3)
             self._m_latency.observe(latency_ms)
-        sink = self._result_sink
         with self._state:
-            if sink is None:
-                self._results[dispatch.request_id] = result
-            else:
-                self._pending.discard(dispatch.request_id)
+            self._unfinished -= 1
             if cancelled:
                 self._cancelled += 1
             else:
@@ -1023,16 +891,15 @@ class ClusterServer:
                 self._log.info(
                     "request failed",
                     extra={
-                        "request_id": dispatch.request_id,
-                        "expression": dispatch.expression,
+                        "request_id": request.request_id,
+                        "expression": request.expression,
                         "error": repr(error),
                         "trace_id": result.trace.trace_id if result.trace else None,
                     },
                 )
         if result.trace is not None:
             obs_trace.maybe_log_trace(result.trace)
-        if sink is not None:
-            sink(result)
+        request.on_done(result)
 
     # -- control-plane containment ------------------------------------------
     def _control_thread_failed(self, name: str, error: BaseException) -> None:
@@ -1068,16 +935,14 @@ class ClusterServer:
         with self._dispatch_cv:
             queued = list(self._dispatch)
             self._dispatch.clear()
-        stranded: list[_Dispatch] = []
+        stranded: list[Request] = []
         with self._state:
             for handle in self._handles:
-                stranded.extend(
-                    inflight.dispatch for inflight in handle.outstanding.values()
-                )
+                stranded.extend(handle.outstanding.values())
                 handle.outstanding.clear()
             self._loads = [0] * self.num_workers
-        for dispatch in queued + stranded:
-            self._record(dispatch, error=error)
+        for request in queued + stranded:
+            self._record(request, error=error)
 
     # -- health monitor -----------------------------------------------------
     def _monitor_loop(self) -> None:
@@ -1114,21 +979,21 @@ class ClusterServer:
         bounds that wait to one monitor interval.
         """
         now = time.time()
-        expired: list[_Dispatch] = []
+        expired: list[Request] = []
         with self._dispatch_cv:
             if not self._dispatch:
                 return
             retained = []
-            for dispatch in self._dispatch:
-                if dispatch.deadline is not None and dispatch.deadline.expired(now):
-                    expired.append(dispatch)
+            for request in self._dispatch:
+                if request.deadline is not None and request.deadline.expired(now):
+                    expired.append(request)
                 else:
-                    retained.append(dispatch)
+                    retained.append(request)
             if expired:
                 self._dispatch.clear()
                 self._dispatch.extend(retained)
-        for dispatch in expired:
-            self._record(dispatch, error=deadline_error(dispatch.request_id, "queue"))
+        for request in expired:
+            self._record(request, error=deadline_error(request.request_id, "queue"))
 
     def _sample_worker(self, handle: _WorkerHandle) -> None:
         """Record one ``/proc`` RSS/CPU sample for a live worker."""
@@ -1331,12 +1196,12 @@ class ClusterServer:
         Safe to call twice.  ``timeout`` bounds the drain; work still in
         flight afterwards is abandoned (its workers are terminated).
         """
-        if self._closed:
-            return
-        self._closed = True
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._state:
-            while not all(rid in self._results for rid in self._pending):
+            if self._closed:
+                return
+            self._closed = True
+            while self._unfinished:
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     break

@@ -10,11 +10,11 @@ every surviving writer — the parent's crash tests exercise exactly that.)
 
 The loop deliberately *batches*: after blocking on the first envelope it
 drains whatever else has queued (up to ``batch_window``) and submits the
-whole batch to the inner server before gathering, so the inner server's
-coalescer sees the same opportunity window it would see in-process.
-Gathering is then per ticket: every submission is already in flight, so
-ticket-at-a-time gathers cost no parallelism, and they let the worker
-heartbeat as each request completes instead of once per batch.
+whole batch to the inner server before answering any of it, so the inner
+server's coalescer sees the same opportunity window it would see
+in-process.  Completions then come back one at a time, in the order the
+inner server finishes them, which lets the worker heartbeat as each
+request completes instead of once per batch.
 
 The serve loop itself stamps the response ring's heartbeat header — once
 per queue poll and once per completed request — so the stamp measures
@@ -39,6 +39,7 @@ from repro.cluster.messages import RequestEnvelope, ResponseEnvelope
 from repro.cluster.shm import ShmRing
 from repro.obs import trace as obs_trace
 from repro.resilience.deadline import Deadline, deadline_error
+from repro.runtime.request import Request
 
 
 def _reinit_after_fork() -> None:
@@ -80,15 +81,16 @@ def _serve_batch(
     should_abort,
 ) -> None:
     """Decode, execute (as one inner-server batch), and answer ``batch``."""
-    tickets: list[tuple[RequestEnvelope, int]] = []
+    done: queue.SimpleQueue = queue.SimpleQueue()
+    submitted = 0
     for envelope in batch:
         received = time.time()
         try:
             wtrace = None
             if envelope.trace_id is not None:
                 # Re-create the parent's trace worker-side: stamp the ring
-                # arrival, span the decode, and park it for the inner
-                # server's enqueue (which runs on this thread) to claim.
+                # arrival, span the decode, and hand it to the inner
+                # server on the request.
                 wtrace = obs_trace.maybe_start(envelope.trace_id)
             if wtrace is not None:
                 wtrace.stamp("worker.receive", received)
@@ -114,10 +116,15 @@ def _serve_batch(
             if wtrace is not None:
                 wtrace.stamp("decode.done")
                 wtrace.span_between("codec.decode", "worker.receive", "decode.done")
-                obs_trace.push_pending(wtrace)
-            ticket = server.enqueue(envelope.expression, **operands)
+            server.submit(
+                Request(
+                    envelope.expression,
+                    operands,
+                    on_done=lambda result, envelope=envelope: done.put((envelope, result)),
+                    trace=wtrace,
+                )
+            )
         except Exception as error:  # noqa: BLE001 — a bad request must not kill the worker
-            obs_trace.take_pending()  # the enqueue never claimed it
             response_q.put(
                 ResponseEnvelope(
                     request_id=envelope.request_id,
@@ -127,14 +134,12 @@ def _serve_batch(
                 )
             )
             continue
-        tickets.append((envelope, ticket))
-    if not tickets:
-        return
-    # Gather per ticket, not per batch: all tickets are already in
+        submitted += 1
+    # Answer per completion, not per batch: every request is already in
     # flight, and the beat after each one keeps the parent's staleness
     # check scaled to a single request rather than batch_window of them.
-    for envelope, ticket in tickets:
-        (result,) = server.collect([ticket])
+    for _ in range(submitted):
+        envelope, result = done.get()
         response = ResponseEnvelope(
             request_id=envelope.request_id,
             worker_id=worker_id,

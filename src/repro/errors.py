@@ -103,15 +103,6 @@ class ClusterBusyError(ServeError, RuntimeError):
     retry_after:
         Estimated seconds until capacity frees (one service interval,
         from the cluster's recent completion rate).
-
-    Attributes
-    ----------
-    partial_tickets:
-        Tickets already enqueued by the failing ``enqueue_many`` /
-        ``submit_many`` call, in submission order — empty for a
-        single-request rejection.  The caller owns them: ``collect`` the
-        partial batch (or let the session fail their futures) instead of
-        leaking in-flight work.
     """
 
     def __init__(self, inflight: int, limit: int, retry_after: float):
@@ -122,7 +113,6 @@ class ClusterBusyError(ServeError, RuntimeError):
         self.inflight = inflight
         self.limit = limit
         self.retry_after = retry_after
-        self.partial_tickets: tuple[int, ...] = ()
 
 
 class WorkerCrashedError(ServeError, RuntimeError):

@@ -56,7 +56,7 @@ class ELL(SparseFormat):
         n_rows, _ = dense.shape
         occupancy = np.count_nonzero(dense, axis=1)
         width = int(occupancy.max()) if n_rows else 0
-        value_dtype = dense.dtype if dense.dtype.kind == "f" else np.float64
+        value_dtype = dense.dtype if dense.dtype.kind in "fc" else np.float64
         values = np.zeros((n_rows, width), dtype=value_dtype)
         columns = np.zeros((n_rows, width), dtype=np.int64)
         for row in range(n_rows):

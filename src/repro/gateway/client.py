@@ -50,7 +50,7 @@ from repro.gateway.wire import (
 from repro.obs import trace as obs_trace
 from repro.resilience.deadline import Deadline, deadline_error
 from repro.resilience.retry import RetryPolicy
-from repro.runtime.server import InsumResult
+from repro.runtime.request import InsumResult
 from repro.serve.future import Future
 
 __all__ = ["GatewayClient"]

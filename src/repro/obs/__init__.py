@@ -9,7 +9,7 @@ without cycles (this package depends on nothing above the stdlib):
 * :mod:`repro.obs.logs` — structured JSON logging with per-subsystem
   loggers (``REPRO_LOG_LEVEL`` / ``REPRO_LOG_FORMAT``).
 * :mod:`repro.obs.trace` — per-request trace ids and span records,
-  minted at ``Session.submit``, carried through tickets and cluster
+  minted at ``Session.submit``, carried on the request and in cluster
   envelopes, retrievable as ``Future.trace()``.
 * :mod:`repro.obs.ops` — the ``/metrics`` / ``/healthz`` / ``/statsz``
   HTTP endpoint (``Session.serve_ops`` or ``REPRO_OPS_PORT``), plus

@@ -1,7 +1,7 @@
 """Per-request tracing: where did this request spend its time?
 
 A :class:`Trace` is minted when a request enters the serving stack
-(:meth:`repro.serve.Session.submit`, or a backend's ``enqueue`` when
+(:meth:`repro.serve.Session.submit`, or a tier's ``run_batch`` when
 driven directly), carried through the tier that executes it, and
 finalized into contiguous :class:`Span` records at completion time —
 retrievable as :meth:`repro.serve.Future.trace`.
@@ -14,15 +14,12 @@ completes, so they are non-overlapping by construction.  Wall-clock
 traces merge stamps from two processes — same host, same clock — while
 the latency *accounting* elsewhere stays on ``perf_counter``.
 
-Handoff between the session and a backend uses a thread-local "pending
-trace" slot: ``Session.submit`` cannot pass the trace through
-``enqueue(expression, **operands)`` without risking an operand-name
-collision, so it parks the trace (:func:`push_pending`) and the
-backend's ``enqueue`` — which runs on the same thread — claims it
-(:func:`take_pending`).  In the cluster tier the parent ships only the
-trace id in the request envelope; the worker re-creates a trace under
-that id, stamps its own side, and ships the stamps and spans back in
-the response envelope for the parent to merge.
+The trace rides on the request itself
+(:attr:`repro.runtime.request.Request.trace`) from the session into
+whichever backend accepts it.  In the cluster tier the parent ships only
+the trace id in the request envelope; the worker re-creates a trace
+under that id, stamps its own side, and ships the stamps and spans back
+in the response envelope for the parent to merge.
 
 Tracing is on by default (``REPRO_TRACE=0`` disables it); completed
 traces are additionally *logged* (JSON, through :mod:`repro.obs.logs`)
@@ -40,8 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-__all__ = ["Span", "Trace", "maybe_start", "push_pending", "take_pending",
-           "set_enabled", "enabled", "maybe_log_trace"]
+__all__ = ["Span", "Trace", "maybe_start", "set_enabled", "enabled", "maybe_log_trace"]
 
 #: Environment variable disabling tracing entirely when set to ``0``.
 TRACE_ENV = "REPRO_TRACE"
@@ -51,7 +47,6 @@ TRACE_LOG_SAMPLE_ENV = "REPRO_TRACE_LOG_SAMPLE"
 _enabled = os.environ.get(TRACE_ENV, "1").strip().lower() not in ("0", "false", "no", "off")
 _id_prefix = f"{os.getpid():x}-{secrets.token_hex(3)}"
 _id_counter = itertools.count(1)
-_pending = threading.local()
 
 
 @dataclass(frozen=True)
@@ -215,7 +210,7 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
-# Minting and the thread-local handoff
+# Minting
 # ---------------------------------------------------------------------------
 def new_trace_id() -> str:
     """A process-unique trace id (pid-derived prefix + counter)."""
@@ -252,26 +247,6 @@ def maybe_start(trace_id: str | None = None) -> Trace | None:
     if not _enabled:
         return None
     return Trace(trace_id)
-
-
-def push_pending(trace: Trace | None) -> None:
-    """Park a trace for the backend ``enqueue`` running later on this thread.
-
-    Parameters
-    ----------
-    trace:
-        The trace minted at submit time (None is tolerated and ignored).
-    """
-    if trace is not None:
-        _pending.trace = trace
-
-
-def take_pending() -> Trace | None:
-    """Claim (and clear) the thread's parked trace, if any."""
-    trace = getattr(_pending, "trace", None)
-    if trace is not None:
-        _pending.trace = None
-    return trace
 
 
 # ---------------------------------------------------------------------------

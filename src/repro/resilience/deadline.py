@@ -9,8 +9,8 @@ same reasoning as :mod:`repro.obs.trace`).
 
 Expiry is enforced at every stage a request can linger:
 
-* **before dispatch** — the backend's ``enqueue`` (inline) or the
-  cluster dispatcher refuses already-expired work;
+* **before dispatch** — the backend's ``submit`` (every tier) and the
+  cluster dispatcher refuse already-expired work;
 * **in a queue** — the threaded tier's claim step and the cluster's
   dispatch-queue sweep + worker-side skip drop expired requests without
   executing them;
@@ -19,31 +19,19 @@ Expiry is enforced at every stage a request can linger:
   "too late" is a deterministic terminal outcome rather than a race
   between the caller's wait and the worker's finish line.
 
-Handoff between :class:`~repro.serve.Session` and a backend uses the
-same thread-local pending-slot idiom as request traces: ``enqueue``'s
-``(expression, **operands)`` signature cannot grow a ``deadline`` kwarg
-without risking an operand-name collision, so the session parks the
-deadline (:func:`push_pending`) and the backend claims it
-(:func:`take_pending`) on the same thread.
+The deadline rides on the request itself
+(:attr:`repro.runtime.request.Request.deadline`) from the session into
+whichever backend accepts it.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 
 from repro.errors import DeadlineExceededError
 
-__all__ = [
-    "Deadline",
-    "deadline_error",
-    "expired_result",
-    "push_pending",
-    "take_pending",
-]
-
-_pending = threading.local()
+__all__ = ["Deadline", "deadline_error", "expired_result"]
 
 
 @dataclass(frozen=True)
@@ -101,7 +89,7 @@ def deadline_error(request_id: int, stage: str) -> DeadlineExceededError:
     Parameters
     ----------
     request_id:
-        The ticket of the expired request.
+        The id the serving tier gave the expired request.
     stage:
         Where expiry was detected (``"queue"``, ``"worker"``,
         ``"execute"``, ...); recorded in the message for debugging.
@@ -134,24 +122,3 @@ def expired_result(result, deadline: Deadline | None, stage: str = "execute"):
     result.output = None
     result.error = deadline_error(result.request_id, stage)
     return result
-
-
-def push_pending(deadline: Deadline | None) -> None:
-    """Park a deadline for the backend ``enqueue`` running on this thread.
-
-    Parameters
-    ----------
-    deadline:
-        The deadline computed at submit time (None is tolerated and
-        ignored, mirroring the trace handoff).
-    """
-    if deadline is not None:
-        _pending.deadline = deadline
-
-
-def take_pending() -> Deadline | None:
-    """Claim (and clear) the thread's parked deadline, if any."""
-    deadline = getattr(_pending, "deadline", None)
-    if deadline is not None:
-        _pending.deadline = None
-    return deadline

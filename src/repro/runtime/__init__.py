@@ -9,8 +9,10 @@ ROADMAP's "production-scale" direction):
   batch of same-pattern sparse operands executed as one widened Einsum.
 * :mod:`repro.runtime.sharding` — :class:`ShardedExecutor`, row-partitioned
   parallel execution on a thread pool with a deterministic merge.
-* :mod:`repro.runtime.server` — :class:`InsumServer`, submit/gather request
-  queuing over reusable per-expression operators.
+* :mod:`repro.runtime.request` — :class:`Request` / :class:`InsumResult`,
+  the one record a request travels as and the outcome it resolves to.
+* :mod:`repro.runtime.server` — :class:`InsumServer`, request queuing
+  over reusable per-expression operators.
 * :mod:`repro.runtime.stats` — :class:`RuntimeStats`, the throughput /
   latency / cache-hit-rate report.
 """
@@ -24,7 +26,8 @@ from repro.runtime.plan_cache import (
     get_plan_cache,
     plan_key,
 )
-from repro.runtime.server import InsumRequest, InsumResult, InsumServer
+from repro.runtime.request import InsumResult, Request
+from repro.runtime.server import InsumServer
 from repro.runtime.sharding import ShardedExecutor
 from repro.runtime.stacked import StackedSparse
 from repro.runtime.stats import RuntimeStats
@@ -33,11 +36,11 @@ __all__ = [
     "CachedPlan",
     "PlanCache",
     "PlanCacheStats",
+    "Request",
     "clear_plan_cache",
     "configure_plan_cache",
     "get_plan_cache",
     "plan_key",
-    "InsumRequest",
     "InsumResult",
     "InsumServer",
     "ShardedExecutor",

@@ -13,13 +13,13 @@ a serving engine, split into two layers:
   bit-identical across serving backends.
 * :class:`InsumServer` — a queue and a pool of worker threads over the
   executor, implementing the :class:`repro.serve.ExecutorBackend`
-  protocol (``enqueue`` / ``try_cancel`` / ``set_result_sink`` /
-  ``stats`` / ``close``) plus same-plan request coalescing.
+  protocol (``submit(request)`` / ``try_cancel(request)`` / ``stats`` /
+  ``close``) plus same-plan request coalescing.
 
-The legacy ticket methods (``submit`` / ``submit_many`` / ``gather`` /
-``run_batch``) remain as thin deprecation shims over the protocol
-surface; new code should go through :class:`repro.serve.Session`, whose
-futures deliver results and worker-side errors without tickets.
+Requests arrive as :class:`~repro.runtime.request.Request` objects that
+carry their own completion; :meth:`InsumServer.run_batch` is the
+synchronous convenience over that protocol, and
+:class:`repro.serve.Session` the futures-based front door.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ import itertools
 import queue
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -38,79 +37,13 @@ from repro.core.insum.api import Insum, SparseEinsum
 from repro.errors import DeadlineExceededError, FutureCancelledError, SessionClosedError
 from repro.formats.base import SparseFormat
 from repro.obs import trace as obs_trace
-from repro.resilience import deadline as resilience_deadline
-from repro.resilience.deadline import deadline_error, expired_result
+from repro.resilience.deadline import deadline_error
 from repro.obs.logs import get_logger
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, get_registry
+from repro.runtime import request as runtime_request
+from repro.runtime.request import InsumResult, Request, clock
 from repro.runtime.sharding import ShardedExecutor
 from repro.runtime.stats import RuntimeStats, ServingWindow
-
-
-def warn_legacy(old: str, new: str) -> None:
-    """Emit the serving tier's deprecation warning for one shimmed method.
-
-    Every shim funnels through here so the message carries a stable
-    ``legacy ticket API:`` prefix — the CI deprecation gate turns exactly
-    that prefix into an error, proving the repository itself no longer
-    calls the shimmed surface.
-    """
-    warnings.warn(
-        f"legacy ticket API: {old} is deprecated; use {new} via repro.serve.Session",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-@dataclass
-class InsumRequest:
-    """One queued unit of work: an expression, its operands, and a ticket.
-
-    Created by :meth:`InsumServer.enqueue`; ``request_id`` is the ticket
-    handed back to the caller and later passed to :meth:`InsumServer.collect`.
-    ``submitted_at`` (a ``perf_counter`` timestamp) feeds the queue-delay
-    and end-to-end latency statistics; ``trace`` is the request's
-    :class:`~repro.obs.trace.Trace` (None when tracing is disabled);
-    ``deadline`` is the request's wall-clock
-    :class:`~repro.resilience.Deadline` (None when unbounded) — expired
-    requests are skipped at claim time and converted at record time.
-    """
-
-    request_id: int
-    expression: str
-    operands: dict[str, Any]
-    submitted_at: float
-    trace: Any = None
-    deadline: Any = None
-
-
-@dataclass
-class InsumResult:
-    """Outcome of one request: either an output array or an error.
-
-    ``trace`` carries the request's finalized
-    :class:`~repro.obs.trace.Trace` (span records included) when tracing
-    is enabled; :meth:`repro.serve.Future.trace` reads it.
-    """
-
-    request_id: int
-    expression: str
-    output: np.ndarray | None = None
-    error: BaseException | None = None
-    latency_ms: float = 0.0
-    queue_ms: float = 0.0
-    trace: Any = None
-
-    @property
-    def ok(self) -> bool:
-        """True when the request produced an output (no worker-side error)."""
-        return self.error is None
-
-    def unwrap(self) -> np.ndarray:
-        """The output array, re-raising the worker-side error if any."""
-        if self.error is not None:
-            raise self.error
-        assert self.output is not None
-        return self.output
 
 
 @dataclass
@@ -364,8 +297,8 @@ class InsumServer:
 
     This is the *threaded* :class:`repro.serve.ExecutorBackend`: a queue
     drained by worker threads over one shared :class:`RequestExecutor`.
-    Construct it directly for the legacy ticket surface, or (preferred)
-    through ``Session(backend="threaded")``, which wraps it in futures.
+    Construct it directly for :meth:`run_batch`, or (preferred) through
+    ``Session(backend="threaded")``, which wraps it in futures.
 
     Parameters
     ----------
@@ -438,16 +371,11 @@ class InsumServer:
             tune=tune,
         )
 
-        self._queue: queue.Queue[InsumRequest | None] = queue.Queue()
-        self._results: dict[int, InsumResult] = {}
-        self._pending: set[int] = set()
-        self._done = threading.Condition()
+        self._queue: queue.SimpleQueue[Request | None] = queue.SimpleQueue()
+        #: Guards the counters below and makes "closed?" + queue put one
+        #: step, so no request can land behind the shutdown tokens.
+        self._lock = threading.Lock()
         self._ids = itertools.count()
-        #: Tickets cancelled before a worker claimed them (guarded by _done).
-        self._cancelled: set[int] = set()
-        #: Tickets a worker has claimed for execution (guarded by _done).
-        self._taken: set[int] = set()
-        self._result_sink: Callable[[InsumResult], None] | None = None
         self._window = ServingWindow(tier="threaded")
         self._coalesced_requests = 0
         self._coalesced_batches = 0
@@ -482,11 +410,12 @@ class InsumServer:
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
         """Stop the workers after the queue drains."""
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._workers:
-            self._queue.put(None)
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            for _ in self._workers:
+                self._queue.put(None)
         for worker in self._workers:
             worker.join()
         self.executor.close()
@@ -499,201 +428,77 @@ class InsumServer:
         self.close()
 
     # -- the ExecutorBackend protocol ---------------------------------------
-    def enqueue(self, expression: str, **operands: Any) -> int:
-        """Enqueue one request and return immediately with a ticket.
+    def submit(self, request: Request) -> None:
+        """Queue one request; its ``on_done`` receives the terminal result.
 
-        Parameters
-        ----------
-        expression:
-            The Einsum to execute — a raw indirect Einsum over plain
-            arrays, or a format-agnostic Einsum when a sparse operand is
-            bound (or when the server runs with ``auto_format=True``).
-        **operands:
-            Operand tensors by name: :class:`numpy.ndarray` values and/or
-            :class:`~repro.formats.base.SparseFormat` instances.
-
-        Returns
-        -------
-        int
-            A ticket identifying this request; pass it to :meth:`collect`
-            to wait for (and consume) the result — or, when a result sink
-            is registered, the id under which the sink will receive it.
+        The expression is a raw indirect Einsum over plain arrays, or a
+        format-agnostic Einsum when a sparse operand is bound (or the
+        server runs with ``auto_format=True``).  An accepted request
+        always reaches ``on_done`` — the closed check and the queue put
+        share one critical section with :meth:`close`.
 
         Raises
         ------
         SessionClosedError
             If the server has been closed.
         DeadlineExceededError
-            When the request carried a deadline that had already expired
-            at enqueue time (no ticket is created for dead work).
+            When the request's deadline had already expired (dead work
+            is never queued).
         """
-        if self._closed:
-            raise SessionClosedError("InsumServer is closed")
-        trace = obs_trace.take_pending() or obs_trace.maybe_start()
-        deadline = resilience_deadline.take_pending()
-        if deadline is not None and deadline.expired():
-            raise DeadlineExceededError(
-                "request exceeded its deadline before it was enqueued"
-            )
-        if trace is not None:
-            trace.stamp("queued")
-        request = InsumRequest(
-            request_id=next(self._ids),
-            expression=expression,
-            operands=operands,
-            submitted_at=time.perf_counter(),
-            trace=trace,
-            deadline=deadline,
-        )
-        self._window.open_at(request.submitted_at)
-        with self._done:
-            self._pending.add(request.request_id)
-        self._queue.put(request)
-        return request.request_id
+        with self._lock:
+            if self._closed:
+                raise SessionClosedError("InsumServer is closed")
+            if request.expired():
+                raise DeadlineExceededError(
+                    "request exceeded its deadline before it was enqueued"
+                )
+            if request.trace is not None:
+                request.trace.stamp("queued")
+            request.accept(next(self._ids))
+            self._window.open_at(request.submitted_at)
+            self._queue.put(request)
 
-    def enqueue_many(self, requests: Iterable[tuple[str, dict[str, Any]]]) -> list[int]:
-        """Enqueue ``(expression, operands)`` pairs; returns their tickets."""
-        return [self.enqueue(expression, **operands) for expression, operands in requests]
-
-    def try_cancel(self, request_id: int) -> bool:
-        """Cancel a ticket no worker has claimed yet.
+    def try_cancel(self, request: Request) -> bool:
+        """Cancel a request no worker has claimed yet.
 
         Returns True when the request was still queued: it will never
-        execute, and its terminal result carries a
-        :class:`~repro.errors.FutureCancelledError` (not counted as
-        completed or failed).  Returns False once a worker has taken the
-        request (or it already finished) — the result will arrive
+        execute, and its ``on_done`` receives a
+        :class:`~repro.errors.FutureCancelledError` result (not counted
+        as completed or failed).  Returns False once a worker has taken
+        the request (or it already finished) — the result will arrive
         normally.
         """
-        with self._done:
-            if request_id not in self._pending or request_id in self._results:
-                return False
-            if request_id in self._taken or request_id in self._cancelled:
-                return False
-            self._cancelled.add(request_id)
-            return True
-
-    def set_result_sink(self, sink: Callable[[InsumResult], None] | None) -> None:
-        """Deliver results by pushing them into ``sink`` instead of storing.
-
-        Registered by :class:`repro.serve.Session` before any traffic:
-        each terminal :class:`InsumResult` is handed to ``sink`` from a
-        worker thread, and :meth:`collect` becomes unavailable (there is
-        nothing stored to collect).
-        """
-        self._result_sink = sink
-
-    # -- completion ---------------------------------------------------------
-    def collect(
-        self, request_ids: Sequence[int] | None = None, timeout: float | None = None
-    ) -> list[InsumResult]:
-        """Wait for the given tickets (or everything enqueued) to complete.
-
-        Parameters
-        ----------
-        request_ids:
-            Tickets from :meth:`enqueue`, in the order results should be
-            returned; ``None`` waits for the whole queue to drain and
-            returns every outstanding result.
-        timeout:
-            Maximum seconds to wait; ``None`` blocks indefinitely.
-
-        Returns
-        -------
-        list[InsumResult]
-            One result per ticket, in ticket order.  Collected tickets
-            are consumed: a second ``collect`` of the same id — or an id
-            that was never issued — raises ``KeyError`` instead of
-            blocking.
-
-        Raises
-        ------
-        KeyError
-            For a ticket that is not in flight.
-        TimeoutError
-            When the deadline passes before completion.
-        RuntimeError
-            When a result sink is registered (results are pushed, not
-            stored).
-        """
-        if self._result_sink is not None:
-            raise RuntimeError("results are delivered to the registered sink, not collected")
-        if request_ids is None:
-            if timeout is None:
-                self._queue.join()
-            else:
-                self._join_with_timeout(timeout)
-            with self._done:
-                request_ids = sorted(self._results)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        results: list[InsumResult] = []
-        with self._done:
-            for request_id in request_ids:
-                while request_id not in self._results:
-                    if request_id not in self._pending:
-                        raise KeyError(
-                            f"request {request_id} is not in flight (never submitted or "
-                            "already gathered)"
-                        )
-                    remaining = None if deadline is None else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        raise TimeoutError(
-                            f"request {request_id} did not complete within the timeout"
-                        )
-                    self._done.wait(remaining)
-                self._pending.discard(request_id)
-                results.append(self._results.pop(request_id))
-        return results
-
-    # -- the legacy ticket API (deprecation shims) --------------------------
-    def submit(self, expression: str, **operands: Any) -> int:
-        """Deprecated alias of :meth:`enqueue` (the legacy ticket API)."""
-        warn_legacy("InsumServer.submit()", "Session.submit()")
-        return self.enqueue(expression, **operands)
-
-    def submit_many(self, requests: Iterable[tuple[str, dict[str, Any]]]) -> list[int]:
-        """Deprecated alias of :meth:`enqueue_many` (the legacy ticket API)."""
-        warn_legacy("InsumServer.submit_many()", "Session.submit_many()")
-        return self.enqueue_many(requests)
-
-    def gather(
-        self, request_ids: Sequence[int] | None = None, timeout: float | None = None
-    ) -> list[InsumResult]:
-        """Deprecated alias of :meth:`collect` (the legacy ticket API)."""
-        warn_legacy("InsumServer.gather()", "Future.result()")
-        return self.collect(request_ids, timeout=timeout)
+        if not request.cancel():
+            return False
+        self._record(
+            request,
+            request.failed(
+                FutureCancelledError(
+                    f"request {request.request_id} was cancelled before dispatch"
+                )
+            ),
+        )
+        return True
 
     def run_batch(
         self,
         requests: Iterable[tuple[str, dict[str, Any]]],
         timeout: float | None = None,
     ) -> list[InsumResult]:
-        """Enqueue a batch and collect it, preserving order.
+        """Serve ``(expression, operands)`` pairs; results in request order.
 
-        Unlike ``submit``/``gather`` this helper exposes no tickets, so it
-        is not deprecated — but new code should still prefer
+        The synchronous helper over :meth:`submit` (see
+        :func:`repro.runtime.request.run_batch`); new code should prefer
         :meth:`repro.serve.Session.map_batches`, which streams results
         with a bounded in-flight window.
         """
-        return self.collect(self.enqueue_many(requests), timeout=timeout)
-
-    def _join_with_timeout(self, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self._queue.unfinished_tasks == 0:
-                return
-            time.sleep(0.001)
-        raise TimeoutError("request queue did not drain within the timeout")
+        return runtime_request.run_batch(self, requests, timeout)
 
     # -- execution ----------------------------------------------------------
-    def _execute(self, request: InsumRequest) -> np.ndarray:
-        return self.executor.execute(request.expression, request.operands)
-
     def _worker_loop(self) -> None:
         while True:
             request = self._queue.get()
             if request is None:
-                self._queue.task_done()
                 return
             batch = [request]
             if self.coalesce:
@@ -706,57 +511,30 @@ class InsumServer:
                     except queue.Empty:
                         break
                     if extra is None:
-                        # Another worker's shutdown token: hand it back
-                        # (put before task_done so the queue never looks
-                        # drained while the token is in our hands).
+                        # Another worker's shutdown token: hand it back.
                         self._queue.put(None)
-                        self._queue.task_done()
                         break
                     batch.append(extra)
             self._process_batch(batch)
-            for _ in batch:
-                self._queue.task_done()
 
-    def _claim(self, request: InsumRequest) -> bool:
+    def _claim(self, request: Request) -> bool:
         """Claim one dequeued request for execution; False when cancelled
-        or expired (an expired request records its deadline error instead
-        of spending worker time on output nobody can use)."""
-        if request.deadline is not None and request.deadline.expired():
-            with self._done:
-                # A concurrent cancel of the same ticket must not leak
-                # its entry in the cancelled set.
-                self._cancelled.discard(request.request_id)
+        (already recorded by :meth:`try_cancel`) or expired (an expired
+        request records its deadline error instead of spending worker
+        time on output nobody can use)."""
+        if not request.claim():
+            return False
+        if request.expired():
             self._record(
-                InsumResult(
-                    request_id=request.request_id,
-                    expression=request.expression,
-                    error=deadline_error(request.request_id, "queue"),
-                    queue_ms=(time.perf_counter() - request.submitted_at) * 1e3,
-                    trace=request.trace,
-                )
+                request,
+                request.failed(
+                    deadline_error(request.request_id, "queue"), time.perf_counter()
+                ),
             )
             return False
-        with self._done:
-            if request.request_id in self._cancelled:
-                self._cancelled.discard(request.request_id)
-                claimed = False
-            else:
-                self._taken.add(request.request_id)
-                claimed = True
-        if not claimed:
-            self._record(
-                InsumResult(
-                    request_id=request.request_id,
-                    expression=request.expression,
-                    error=FutureCancelledError(
-                        f"request {request.request_id} was cancelled before dispatch"
-                    ),
-                    trace=request.trace,
-                )
-            )
-        return claimed
+        return True
 
-    def _process_batch(self, batch: list[InsumRequest]) -> None:
+    def _process_batch(self, batch: list[Request]) -> None:
         """Group a drained batch by coalesce key and execute the groups.
 
         Groups of one (and requests that cannot coalesce) run through the
@@ -764,7 +542,7 @@ class InsumServer:
         stacked Einsum.  First-arrival order is preserved across groups.
         """
         batch = [request for request in batch if self._claim(request)]
-        groups: dict[tuple, tuple[list[InsumRequest], Any]] = {}
+        groups: dict[tuple, tuple[list[Request], Any]] = {}
         order: list[tuple[str, Any]] = []
         for request in batch:
             ticket = self._coalesce_ticket(request) if len(batch) > 1 else None
@@ -789,40 +567,28 @@ class InsumServer:
                 else:
                     self._execute_group(chunk, ticket)
 
-    def _process_one(self, request: InsumRequest) -> None:
+    def _process_one(self, request: Request) -> None:
         """Execute one request through the per-request path and record it."""
-        started = time.perf_counter()
-        trace = request.trace
-        if trace is not None:
-            trace.stamp("exec.start")
-        result = InsumResult(
-            request_id=request.request_id,
-            expression=request.expression,
-            queue_ms=(started - request.submitted_at) * 1e3,
-            trace=trace,
-        )
+        started = clock()
+        output = error = None
         try:
-            result.output = self._execute(request)
-        except Exception as error:  # noqa: BLE001 — a bad request must not kill the worker
-            result.error = error
+            output = self.executor.execute(request.expression, request.operands)
+        except Exception as caught:  # noqa: BLE001 — a bad request must not kill the worker
+            error = caught
             self._log.info(
                 "request failed",
                 extra={
                     "request_id": request.request_id,
                     "expression": request.expression,
                     "error": repr(error),
-                    "trace_id": trace.trace_id if trace is not None else None,
+                    "trace_id": request.trace.trace_id if request.trace is not None else None,
                 },
             )
-        result.latency_ms = (time.perf_counter() - request.submitted_at) * 1e3
-        expired_result(result, request.deadline)
-        if trace is not None:
-            trace.stamp("exec.end")
-            trace.span_between("queue.wait", "queued", "exec.start")
-            trace.span_between("execute", "exec.start", "exec.end", coalesced=False)
-        self._record(result)
+        self._record(
+            request, request.executed(output, error, started, clock(), coalesced=False)
+        )
 
-    def _coalesce_ticket(self, request: InsumRequest):
+    def _coalesce_ticket(self, request: Request):
         """Coalescing analysis of one request (``None`` = not coalescible).
 
         Coalescing applies to logical expressions over an already-formatted
@@ -839,7 +605,7 @@ class InsumServer:
         except Exception:  # noqa: BLE001 — analysis must not fail a request
             return None
 
-    def _execute_group(self, requests: list[InsumRequest], ticket: Any) -> None:
+    def _execute_group(self, requests: list[Request], ticket: Any) -> None:
         """Execute same-key requests as one widened stacked Einsum.
 
         Any failure falls back to per-request execution, so coalescing can
@@ -847,8 +613,7 @@ class InsumServer:
         """
         from repro.engine.coalesce import split_results, stack_group
 
-        started = time.perf_counter()
-        exec_started = time.time()
+        started = clock()
         try:
             widened = self.executor.widened_for(requests[0].expression)
             if widened is None:
@@ -872,64 +637,36 @@ class InsumServer:
             for request in requests:
                 self._process_one(request)
             return
-        finished = time.perf_counter()
-        exec_finished = time.time()
-        with self._done:
+        finished = clock()
+        with self._lock:
             self._coalesced_batches += 1
             self._coalesced_requests += len(requests)
         self._m_coalesced_batches.inc()
         self._m_coalesced_requests.inc(len(requests))
         self._m_batch_size.observe(len(requests))
         for request, output in zip(requests, outputs):
-            trace = request.trace
-            if trace is not None:
-                queued = trace.stamp_of("queued")
-                if queued is not None:
-                    trace.add_span("queue.wait", queued, exec_started)
-                trace.stamp("exec.end", exec_finished)
-                trace.add_span(
-                    "execute",
-                    exec_started,
-                    exec_finished,
-                    coalesced=True,
-                    batch_size=len(requests),
-                )
-            result = InsumResult(
-                request_id=request.request_id,
-                expression=request.expression,
-                output=output,
-                queue_ms=(started - request.submitted_at) * 1e3,
-                latency_ms=(finished - request.submitted_at) * 1e3,
-                trace=trace,
+            self._record(
+                request,
+                request.executed(
+                    output, None, started, finished, coalesced=True, batch_size=len(requests)
+                ),
             )
-            expired_result(result, request.deadline)
-            self._record(result)
 
-    def _record(self, result: InsumResult) -> None:
+    def _record(self, request: Request, result: InsumResult) -> None:
         """Publish one terminal result and update the serving counters."""
-        finished = time.perf_counter()
         if isinstance(result.error, DeadlineExceededError):
             self._m_deadline.inc()
         if isinstance(result.error, FutureCancelledError):
             self._window.observe_cancelled()
         else:
-            self._window.observe(result.ok, result.latency_ms, finished)
+            self._window.observe(result.ok, result.latency_ms, time.perf_counter())
             obs_trace.maybe_log_trace(result.trace)
-        sink = self._result_sink
-        with self._done:
-            self._taken.discard(result.request_id)
-            if sink is None:
-                self._results[result.request_id] = result
-            else:
-                self._pending.discard(result.request_id)
-            self._done.notify_all()
-        if sink is not None:
-            sink(result)
+        request.on_done(result)
 
     # -- reporting ----------------------------------------------------------
     def stats(self) -> RuntimeStats:
         """Throughput, latency percentiles, and cache hit rate so far."""
-        with self._done:
+        with self._lock:
             coalesced_requests = self._coalesced_requests
             coalesced_batches = self._coalesced_batches
         return self._window.snapshot(
@@ -939,7 +676,7 @@ class InsumServer:
 
     def reset_stats(self) -> None:
         """Start a fresh measurement window (counters, latencies, cache mark)."""
-        with self._done:
+        with self._lock:
             self._coalesced_requests = 0
             self._coalesced_batches = 0
         self._window.reset()

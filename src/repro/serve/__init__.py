@@ -3,7 +3,7 @@
 This package is the serving counterpart of the paper's one-surface
 thesis: just as the indirect Einsum subsumes a zoo of hand-written
 sparse kernels, :class:`Session` subsumes the zoo of tier entry points
-grown by the runtime (ticketed ``InsumServer``), the cluster (ticketed
+grown by the runtime (a thread-pool ``InsumServer``), the cluster (a
 ``ClusterServer`` with admission control), and inline one-shot calls:
 
 * :mod:`repro.serve.session` — :class:`Session`: ``submit`` returning a
@@ -20,7 +20,7 @@ grown by the runtime (ticketed ``InsumServer``), the cluster (ticketed
   shape across ``RuntimeStats`` and ``ClusterStats``.
 
 See ``docs/SERVING.md`` for the architecture and ``docs/API.md`` for the
-migration table from the legacy ticket API.
+public surface and the backend protocol.
 """
 
 from repro.serve.backend import ExecutorBackend, InlineBackend, build_backend

@@ -14,17 +14,14 @@ them.
 from __future__ import annotations
 
 import itertools
-import time
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
+from repro.errors import DeadlineExceededError, SessionClosedError
 from repro.obs import trace as obs_trace
-from repro.resilience import deadline as resilience_deadline
-from repro.resilience.deadline import expired_result
-from repro.runtime.server import InsumResult, RequestExecutor
+from repro.runtime.request import Request, clock
+from repro.runtime.server import RequestExecutor
 from repro.runtime.stats import RuntimeStats, ServingWindow
 from repro.serve.config import ServeConfig
-
-ResultSink = Callable[[InsumResult], None]
 
 
 @runtime_checkable
@@ -32,20 +29,26 @@ class ExecutorBackend(Protocol):
     """The structural contract between :class:`Session` and a serving tier.
 
     ``InsumServer``, ``ClusterServer``, and :class:`InlineBackend` all
-    satisfy it; a custom tier only has to match these six methods to sit
-    behind a session.
+    satisfy it; a custom tier only has to match these five methods to sit
+    behind a session.  The request-carrying pair is ``submit`` /
+    ``try_cancel``; the rest is reporting and lifecycle.
     """
 
-    def enqueue(self, expression: str, **operands: Any) -> int:
-        """Accept one request for execution and return its ticket."""
+    def submit(self, request: Request) -> None:
+        """Accept one request, or raise a :class:`~repro.errors.ServeError`.
+
+        An accepted request's ``on_done`` is called exactly once with its
+        terminal :class:`~repro.runtime.request.InsumResult` (possibly
+        before ``submit`` returns); a refused request's never is.
+        """
         ...
 
-    def try_cancel(self, request_id: int) -> bool:
-        """Withdraw a not-yet-dispatched ticket; False once it is running."""
-        ...
+    def try_cancel(self, request: Request) -> bool:
+        """Withdraw a not-yet-dispatched request; False once it is running.
 
-    def set_result_sink(self, sink: ResultSink) -> None:
-        """Push terminal results into ``sink`` instead of storing them."""
+        On True the request never executes and its ``on_done`` receives a
+        :class:`~repro.errors.FutureCancelledError` result.
+        """
         ...
 
     def stats(self) -> Any:
@@ -64,7 +67,7 @@ class ExecutorBackend(Protocol):
 class InlineBackend:
     """Synchronous in-thread execution behind the backend protocol.
 
-    ``enqueue`` runs the request immediately in the calling thread
+    ``submit`` runs the request immediately in the calling thread
     through the shared :class:`~repro.runtime.server.RequestExecutor` —
     no queue, no worker threads, no coalescing — and delivers the result
     before returning.  The zero-concurrency baseline: debugging,
@@ -77,63 +80,39 @@ class InlineBackend:
     def __init__(self, **executor_kwargs: Any):
         self._executor = RequestExecutor(**executor_kwargs)
         self._ids = itertools.count()
-        self._sink: ResultSink | None = None
-        self._results: dict[int, InsumResult] = {}
         self._window = ServingWindow(tier="inline")
         self._closed = False
 
-    def enqueue(self, expression: str, **operands: Any) -> int:
-        """Execute one request now; its result is delivered before return."""
-        from repro.errors import DeadlineExceededError, SessionClosedError
-
+    def submit(self, request: Request) -> None:
+        """Execute one request now; ``on_done`` runs before this returns."""
         if self._closed:
             raise SessionClosedError("inline backend is closed")
-        trace = obs_trace.take_pending() or obs_trace.maybe_start()
-        deadline = resilience_deadline.take_pending()
-        if deadline is not None and deadline.expired():
+        if request.expired():
             # Inline has no queue to linger in: expiry can only happen
-            # before execution starts or while it runs (converted below).
+            # before execution starts or while it runs (converted at
+            # result time).
             raise DeadlineExceededError(
                 "request exceeded its deadline before execution"
             )
-        request_id = next(self._ids)
-        if trace is not None:
-            trace.stamp("exec.start")
-        started = time.perf_counter()
-        self._window.open_at(started)
-        result = InsumResult(request_id=request_id, expression=expression, trace=trace)
+        if request.trace is not None:
+            request.trace.stamp("queued")
+        request.accept(next(self._ids))
+        started = clock()
+        self._window.open_at(started[0])
+        output = error = None
         try:
-            result.output = self._executor.execute(expression, operands)
-        except Exception as error:  # noqa: BLE001 — delivered through the result
-            result.error = error
-        finished = time.perf_counter()
-        result.latency_ms = (finished - started) * 1e3
-        expired_result(result, deadline)
-        if trace is not None:
-            trace.stamp("exec.end")
-            trace.span_between("queue.wait", "submit", "exec.start")
-            trace.span_between("execute", "exec.start", "exec.end", coalesced=False)
-            obs_trace.maybe_log_trace(trace)
-        self._window.observe(result.ok, result.latency_ms, finished)
-        if self._sink is not None:
-            self._sink(result)
-        else:
-            self._results[request_id] = result
-        return request_id
+            output = self._executor.execute(request.expression, request.operands)
+        except Exception as caught:  # noqa: BLE001 — delivered through the result
+            error = caught
+        finished = clock()
+        result = request.executed(output, error, started, finished, coalesced=False)
+        obs_trace.maybe_log_trace(result.trace)
+        self._window.observe(result.ok, result.latency_ms, finished[0])
+        request.on_done(result)
 
-    def try_cancel(self, request_id: int) -> bool:
-        """Always False: inline work completes during ``enqueue``."""
+    def try_cancel(self, request: Request) -> bool:
+        """Always False: inline work completes during ``submit``."""
         return False
-
-    def set_result_sink(self, sink: ResultSink) -> None:
-        """Deliver results into ``sink`` (synchronously, from ``enqueue``)."""
-        self._sink = sink
-
-    def collect(self, request_ids: list[int] | None = None) -> list[InsumResult]:
-        """Pop stored results by ticket (sink-less direct use only)."""
-        if request_ids is None:
-            request_ids = sorted(self._results)
-        return [self._results.pop(request_id) for request_id in request_ids]
 
     def stats(self) -> RuntimeStats:
         """Throughput, latency percentiles, and cache hit rate so far."""

@@ -1,9 +1,9 @@
 """Future: the completion handle returned by :meth:`repro.serve.Session.submit`.
 
 A deliberately small, backend-agnostic future: results and worker-side
-errors are *delivered through it* (by the session's result sink, from
+errors are *delivered through it* (by the request's ``on_done``, from
 whichever thread the backend completes on) instead of being raised at a
-``gather`` call far from the submission site.  The surface mirrors
+wait call far from the submission site.  The surface mirrors
 ``concurrent.futures.Future`` where the semantics match — ``result`` /
 ``done`` / ``cancel`` / ``add_done_callback`` — with one sharpening:
 :meth:`cancel` only succeeds for work the backend has not dispatched
@@ -20,7 +20,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.errors import FutureCancelledError
-from repro.runtime.server import InsumResult
+from repro.runtime.request import InsumResult
 
 _PENDING = "pending"
 _CANCELLED = "cancelled"
@@ -37,22 +37,12 @@ class Future:
 
     def __init__(self, session: Any = None):
         self._session = session
-        self._ticket: int | None = None
-        #: Which of the session's backends owns the ticket ("primary" or
-        #: "fallback") — ticket counters restart at zero per backend, so
-        #: the tag disambiguates cancel routing and result keying.
-        self._backend_tag = "primary"
         self._cond = threading.Condition()
         self._state = _PENDING
         self._record: InsumResult | None = None
         self._callbacks: list[Callable[["Future"], None]] = []
 
     # -- introspection ------------------------------------------------------
-    @property
-    def ticket(self) -> int | None:
-        """The backend ticket this future tracks (None before assignment)."""
-        return self._ticket
-
     @property
     def expression(self) -> str | None:
         """The served expression, once the terminal result is known."""
@@ -90,30 +80,20 @@ class Future:
         """Try to withdraw the request before the backend dispatches it.
 
         Returns True when the backend still held the request undispatched
-        (it will never execute) or the future was already cancelled;
-        False once execution has been claimed or the future resolved.
-        The inline backend executes during ``submit``, so its futures are
-        never cancellable.
+        or the request was waiting on a retry timer (it will never
+        execute), or the future was already cancelled; False once
+        execution has been claimed or the future resolved.  The inline
+        backend executes during ``submit``, so its futures are never
+        cancellable.
         """
         with self._cond:
             if self._state == _CANCELLED:
                 return True
             if self._state != _PENDING:
                 return False
-        session, ticket = self._session, self._ticket
-        if session is None or ticket is None:
-            return False
-        if not session._try_cancel(ticket, self._backend_tag):
-            return False
-        with self._cond:
-            if self._state == _CANCELLED:
-                return True
-            if self._state != _PENDING:
-                return False
-            self._state = _CANCELLED
-            self._cond.notify_all()
-        self._run_callbacks()
-        return True
+        # On True the cancellation result has already come back through
+        # the request's ``on_done`` and resolved this future as cancelled.
+        return self._session is not None and self._session._try_cancel(self)
 
     # -- completion ---------------------------------------------------------
     def result(self, timeout: float | None = None) -> np.ndarray:
@@ -170,7 +150,7 @@ class Future:
             return self._record
 
     def _deliver(self, record: InsumResult) -> None:
-        """Resolve with the backend's terminal result (sink thread)."""
+        """Resolve with the backend's terminal result (completing thread)."""
         with self._cond:
             if self._state != _PENDING:
                 return  # already cancelled; the backend's record is dropped
@@ -184,7 +164,7 @@ class Future:
         self._run_callbacks()
 
     def _reject(self, error: BaseException) -> None:
-        """Resolve as failed before a ticket exists (submit-time errors)."""
+        """Resolve as failed without a backend result (submit-time errors)."""
         self._deliver(InsumResult(request_id=-1, expression="", error=error))
 
     def _run_callbacks(self) -> None:

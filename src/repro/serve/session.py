@@ -2,8 +2,8 @@
 
 The paper's pitch is that one surface (the indirect Einsum) subsumes a
 zoo of hand-written kernels; the serving story makes the same move.
-Instead of three divergent entry points — ``insum()`` one-shots,
-``InsumServer`` tickets, ``ClusterServer`` tickets-with-admission — a
+Instead of three divergent entry points — ``insum()`` one-shots, a
+thread-pool ``InsumServer``, a ``ClusterServer`` with admission — a
 :class:`Session` is constructed with a backend *name* and a typed
 :class:`~repro.serve.config.ServeConfig`, and every call site reads the
 same afterwards::
@@ -14,7 +14,7 @@ same afterwards::
         future = session.submit("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=dense)
         C = future.result(timeout=5.0)
 
-Futures replace tickets: worker-side errors, admission rejections
+Every request resolves a future: worker-side errors, admission rejections
 (:class:`~repro.errors.ClusterBusyError`), and crash give-ups
 (:class:`~repro.errors.WorkerCrashedError`) all surface at
 :meth:`Future.result`, uniformly across backends.  The asyncio bridge
@@ -27,24 +27,25 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import gc
 import os
 import threading
+import time
 from collections import deque
 from typing import Any, AsyncIterator, Iterable, Iterator
 
 import numpy as np
 
 from repro.cluster.stats import ClusterStats
-from repro.errors import ServeError, SessionClosedError
+from repro.errors import FutureCancelledError, ServeError, SessionClosedError
 from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.ops import OPS_PORT_ENV, OpsServer
-from repro.resilience import deadline as resilience_deadline
 from repro.resilience.deadline import Deadline
 from repro.resilience.failover import fallback_config
 from repro.resilience.retry import RetryPolicy
-from repro.runtime.server import InsumResult
+from repro.runtime.request import InsumResult, Request
 from repro.serve.backend import ExecutorBackend, build_backend
 from repro.serve.config import ServeConfig
 from repro.serve.future import Future
@@ -52,31 +53,6 @@ from repro.serve.stats import ServeStats
 
 #: Environment variable selecting the backend for :meth:`Session.from_env`.
 BACKEND_ENV = "REPRO_SERVE_BACKEND"
-
-
-class _RetryState:
-    """Per-future resubmission bookkeeping for the session retry policy.
-
-    Holds everything a retry attempt needs to re-enqueue the request —
-    the original expression/operands (safe to replay because
-    :class:`~repro.runtime.server.RequestExecutor` is pure) plus the
-    attempt counter and the previous backoff delay feeding the
-    decorrelated-jitter schedule.
-    """
-
-    __slots__ = ("expression", "operands", "deadline", "attempts", "prev_delay")
-
-    def __init__(
-        self,
-        expression: str,
-        operands: dict[str, Any],
-        deadline: Deadline | None,
-    ):
-        self.expression = expression
-        self.operands = operands
-        self.deadline = deadline
-        self.attempts = 0
-        self.prev_delay: float | None = None
 
 
 class Session:
@@ -105,20 +81,17 @@ class Session:
         self.config = config
         self._backend_name = backend
         self._lock = threading.Lock()
-        #: Futures keyed by ``(backend_tag, ticket)`` — the primary and
-        #: fallback backends number tickets independently from zero, so
-        #: the tag is part of the identity.
-        self._futures: dict[tuple[str, int], Future] = {}
-        #: Results that arrived before their ticket was mapped (the inline
-        #: backend always resolves inside ``enqueue``, and a fast worker
-        #: can beat the mapping too).
-        self._early: dict[tuple[str, int], InsumResult] = {}
+        #: Every future handed out and not yet resolved -> its request.
+        #: What drain() waits on (futures parked on a retry timer or
+        #: blocked in admission included) and how cancel() finds the
+        #: request; the entry — the only link from a future to its
+        #: request — goes at resolve, so neither outlives the other's use.
+        self._unresolved: dict[Future, Request] = {}
         self._closed = False
         self._ops: OpsServer | None = None
         self._gateway: Any = None
         self._log = get_logger("serve.session")
         self._backend: ExecutorBackend = build_backend(backend, config)
-        self._backend.set_result_sink(functools.partial(self._on_result, "primary"))
         # -- resilience: retry policy (cluster only; attempts=1 disables) --
         self._retry: RetryPolicy | None = None
         if config.retry_attempts is not None and config.retry_attempts > 1:
@@ -128,19 +101,17 @@ class Session:
             if config.retry_max_delay is not None:
                 retry_kwargs["max_delay"] = config.retry_max_delay
             self._retry = RetryPolicy(**retry_kwargs)
-        self._retry_states: dict[Future, _RetryState] = {}
-        #: Armed resubmission timers -> (future, last failed result); close()
-        #: claims entries to cancel the timer and deliver the stored error.
-        self._pending_retries: dict[threading.Timer, tuple[Future, InsumResult]] = {}
+        #: Futures waiting on a resubmission timer -> (timer, request, last
+        #: failed result).  Popping an entry under the lock claims it: the
+        #: timer firing resubmits, cancel() resolves cancelled, close()
+        #: delivers the stored error.
+        self._parked: dict[Future, tuple[threading.Timer, Request, InsumResult]] = {}
         # -- resilience: warm failover backend --
         self._fallback: ExecutorBackend | None = None
         self._failover_floor = 1
         if config.failover is not None:
             self._fallback = build_backend(
                 config.failover, fallback_config(config, config.failover)
-            )
-            self._fallback.set_result_sink(
-                functools.partial(self._on_result, "fallback")
             )
             if config.failover_floor is not None:
                 self._failover_floor = config.failover_floor
@@ -244,80 +215,44 @@ class Session:
         if self._closed:
             raise SessionClosedError("Session is closed")
         future = Future(self)
-        deadline = None if deadline_ms is None else Deadline.after_ms(deadline_ms)
-        state = None
-        if self._retry is not None:
-            state = _RetryState(expression, dict(operands), deadline)
-            with self._lock:
-                self._retry_states[future] = state
-        self._submit_attempt(future, expression, operands, deadline, state, initial=True)
+        request = Request(
+            expression,
+            operands,
+            on_done=functools.partial(self._attempt_done, future),
+            deadline=None if deadline_ms is None else Deadline.after_ms(deadline_ms),
+        )
+        with self._lock:
+            self._unresolved[future] = request
+        self._submit_attempt(future, request, initial=True)
         return future
 
-    def _submit_attempt(
-        self,
-        future: Future,
-        expression: str,
-        operands: dict[str, Any],
-        deadline: Deadline | None,
-        state: _RetryState | None,
-        initial: bool,
-    ) -> None:
-        """Run one enqueue attempt for ``future`` (initial or retry)."""
-        tag = "fallback" if self._use_fallback() else "primary"
-        backend = self._fallback if tag == "fallback" else self._backend
-        assert backend is not None
-        if tag == "fallback":
+    def _submit_attempt(self, future: Future, request: Request, initial: bool) -> None:
+        """Hand ``future``'s request to a backend (first attempt or a retry)."""
+        request.tier = self._fallback if self._use_fallback() else self._backend
+        if request.tier is self._fallback:
             self._m_failover.inc()
-        if state is not None:
-            state.attempts += 1
-        trace = obs_trace.maybe_start()
-        if trace is not None:
-            # Parked thread-locally for the backend's enqueue (same
-            # thread) to claim; cleared below if enqueue never did.
-            trace.stamp("submit")
-            if state is not None and state.attempts > 1:
-                trace.stamp(f"retry.{state.attempts}")
-            obs_trace.push_pending(trace)
-        if deadline is not None:
-            resilience_deadline.push_pending(deadline)
+        request.attempt += 1
+        request.trace = obs_trace.maybe_start()
+        if request.trace is not None:
+            request.trace.stamp("submit")
+            if request.attempt > 1:
+                request.trace.stamp(f"retry.{request.attempt}")
         try:
-            ticket = backend.enqueue(expression, **operands)
-        except SessionClosedError as error:
-            obs_trace.take_pending()
-            resilience_deadline.take_pending()
-            if initial:
-                with self._lock:
-                    self._retry_states.pop(future, None)
-                raise
-            self._resolve_attempt(
-                future, state, InsumResult(request_id=-1, expression="", error=error)
-            )
-            return
+            request.tier.submit(request)
         except ServeError as error:
-            obs_trace.take_pending()
-            resilience_deadline.take_pending()
-            self._resolve_attempt(
-                future, state, InsumResult(request_id=-1, expression="", error=error)
-            )
-            return
-        future._ticket = ticket
-        future._backend_tag = tag
-        key = (tag, ticket)
-        with self._lock:
-            early = self._early.pop(key, None)
-            if early is None:
-                self._futures[key] = future
-        if early is not None:
-            self._resolve_attempt(future, state, early)
+            if initial and isinstance(error, SessionClosedError):
+                with self._lock:
+                    del self._unresolved[future]
+                raise
+            self._attempt_done(future, request.failed(error))
 
     def submit_many(self, requests: Iterable[tuple[str, dict[str, Any]]]) -> list[Future]:
         """Submit ``(expression, operands)`` pairs; one future per request.
 
         Never raises mid-iteration: a request the tier rejects (admission
         over capacity, say) yields a future that fails with that error,
-        while every other request proceeds — the atomicity hazard of the
-        legacy ``submit_many`` (tickets lost on a mid-batch rejection)
-        cannot occur.
+        while every other request proceeds, so a mid-batch rejection
+        never loses the requests already in flight.
         """
         return [self.submit(expression, **operands) for expression, operands in requests]
 
@@ -427,88 +362,59 @@ class Session:
             for task in pending:
                 task.cancel()
 
-    # -- completion plumbing (sink side) ------------------------------------
-    def _on_result(self, tag: str, result: InsumResult) -> None:
-        """A backend's result sink: resolve the ``(tag, ticket)`` future."""
-        key = (tag, result.request_id)
-        with self._lock:
-            future = self._futures.pop(key, None)
-            if future is None:
-                self._early[key] = result
-                return
-            state = self._retry_states.get(future)
-        self._resolve_attempt(future, state, result)
-
-    def _resolve_attempt(
-        self, future: Future, state: _RetryState | None, result: InsumResult
-    ) -> None:
-        """Deliver a terminal result — or intercept it for a retry.
+    # -- completion plumbing ------------------------------------------------
+    def _attempt_done(self, future: Future, result: InsumResult) -> None:
+        """The request's ``on_done``: deliver the result, or park for a retry.
 
         A retryable error (worker crash, admission rejection) with
-        attempts remaining schedules a backoff resubmission instead of
-        resolving the future; everything else delivers immediately.
+        attempts remaining arms a backoff timer that resubmits the
+        request instead of resolving the future; everything else
+        delivers immediately.
         """
         error = result.error
-        if (
-            self._retry is not None
-            and state is not None
-            and error is not None
-            and not self._closed
-            and not future.done()
-            and self._retry.should_retry(state.attempts, error)
-        ):
-            self._schedule_retry(future, state, result)
+        request = None
+        if self._retry is not None and error is not None:
+            with self._lock:
+                request = self._unresolved.get(future)  # None: already cancelled
+        if request is None or not self._retry.should_retry(request.attempt, error):
+            self._resolve(future, result)
             return
-        with self._lock:
-            self._retry_states.pop(future, None)
-        future._deliver(result)
-
-    def _schedule_retry(
-        self, future: Future, state: _RetryState, result: InsumResult
-    ) -> None:
-        """Arm a backoff timer that resubmits ``future``'s request."""
-        assert self._retry is not None and result.error is not None
         delay = self._retry.delay(
-            state.attempts, error=result.error, prev_delay=state.prev_delay
+            request.attempt, error=error, prev_delay=request.prev_delay
         )
-        state.prev_delay = delay
+        request.prev_delay = delay
+        timer = threading.Timer(delay, self._retry_fired, args=(future,))
+        timer.daemon = True
+        with self._lock:
+            parked = not self._closed
+            if parked:
+                self._parked[future] = (timer, request, result)
+        if not parked:
+            self._resolve(future, result)
+            return
         self._m_retries.inc()
         self._log.info(
             "retrying request after retryable failure",
             extra={
-                "attempt": state.attempts,
+                "attempt": request.attempt,
                 "delay_s": round(delay, 4),
-                "error": repr(result.error),
+                "error": repr(error),
             },
         )
+        timer.start()
 
-        def fire() -> None:
-            with self._lock:
-                entry = self._pending_retries.pop(timer, None)
-            if entry is None:
-                return  # close() claimed the timer and delivered the error
-            if future.cancelled():
-                with self._lock:
-                    self._retry_states.pop(future, None)
-                return
-            self._submit_attempt(
-                future, state.expression, state.operands, state.deadline, state,
-                initial=False,
-            )
-
-        timer = threading.Timer(delay, fire)
-        timer.daemon = True
+    def _retry_fired(self, future: Future) -> None:
+        """A backoff timer expired: resubmit, unless someone claimed the entry."""
         with self._lock:
-            if self._closed:
-                self._retry_states.pop(future, None)
-                deliver_now = True
-            else:
-                self._pending_retries[timer] = (future, result)
-                deliver_now = False
-        if deliver_now:
-            future._deliver(result)
-        else:
-            timer.start()
+            entry = self._parked.pop(future, None)
+        if entry is not None:
+            self._submit_attempt(future, entry[1], initial=False)
+
+    def _resolve(self, future: Future, result: InsumResult) -> None:
+        """Deliver ``future``'s terminal result and stop tracking it."""
+        with self._lock:
+            self._unresolved.pop(future, None)
+        future._deliver(result)
 
     def _use_fallback(self) -> bool:
         """True when new submits should route to the warm fallback backend.
@@ -524,12 +430,26 @@ class Session:
             return False
         return int(healthy) < self._failover_floor
 
-    def _try_cancel(self, ticket: int, tag: str = "primary") -> bool:
-        """Forward a future's cancel request to the backend that owns it."""
-        backend = self._fallback if tag == "fallback" else self._backend
-        if backend is None:
-            return False
-        return backend.try_cancel(ticket)
+    def _try_cancel(self, future: Future) -> bool:
+        """Cancel ``future``'s request where it currently waits.
+
+        A request parked on a retry timer is claimed here (the timer is
+        disarmed and the future resolves cancelled); otherwise the
+        backend that accepted the request decides.
+        """
+        with self._lock:
+            entry = self._parked.pop(future, None)
+            request = self._unresolved.get(future)
+        if entry is not None:
+            timer, request, _ = entry
+            timer.cancel()
+            self._resolve(
+                future,
+                request.failed(FutureCancelledError("cancelled while waiting to be retried")),
+            )
+            return True
+        # None: the future resolved while the caller was deciding.
+        return request is not None and request.tier.try_cancel(request)
 
     # -- lifecycle ----------------------------------------------------------
     def drain(self, timeout: float | None = None) -> bool:
@@ -548,11 +468,9 @@ class Session:
             timeout expired with work still unresolved (never raises for
             a timeout — the caller keeps the futures and can wait again).
         """
-        import time
-
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            outstanding = list(self._futures.values())
+            outstanding = list(self._unresolved)
         drained = True
         for future in outstanding:
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
@@ -581,13 +499,11 @@ class Session:
         # the last failed attempt's error — a cancelled timer never fires,
         # so leaving these pending would hang drain() (and any waiter).
         with self._lock:
-            pending = dict(self._pending_retries)
-            self._pending_retries.clear()
-        for timer, (future, result) in pending.items():
+            parked = dict(self._parked)
+            self._parked.clear()
+        for future, (timer, _, result) in parked.items():
             timer.cancel()
-            with self._lock:
-                self._retry_states.pop(future, None)
-            future._deliver(result)
+            self._resolve(future, result)
         if self._gateway is not None:
             self._gateway.stop()
             self._gateway = None
@@ -602,6 +518,10 @@ class Session:
             finally:
                 if self._fallback is not None:
                     self._fallback.close()
+        # The plans this session compiled left cyclic FX-graph garbage
+        # that only the cycle collector frees; a closed session hands it
+        # back now, not whenever an allocation next trips a GC threshold.
+        gc.collect()
 
     def __enter__(self) -> "Session":
         """Enter the context; the session is usable immediately."""

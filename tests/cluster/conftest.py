@@ -13,6 +13,7 @@ a leak would hide).
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from repro.cluster import segment_exists
 from repro.cluster.server import ClusterServer
 from repro.formats import COO, GroupCOO
+from repro.runtime import Request
 from repro.kernels import FullyConnectedTensorProduct
 from repro.utils.rng import rng
 
@@ -46,6 +48,41 @@ def cluster_workers() -> int:
 def cluster_timeout() -> float:
     """CPU-derived collect/run timeout in seconds."""
     return CLUSTER_TIMEOUT
+
+
+@pytest.fixture(scope="session")
+def submit_all():
+    """``submit_all(tier, requests) -> wait(timeout)``: the non-blocking half
+    of ``run_batch``, for tests that must act while requests are in flight.
+
+    Submits every ``(expression, operands)`` pair through the backend
+    protocol and returns a function that waits for all of them and
+    returns their results in request order.
+    """
+
+    def submit(tier, requests):
+        results: dict[int, object] = {}
+        landed = threading.Semaphore(0)
+
+        def store(index, result):
+            results[index] = result
+            landed.release()
+
+        count = 0
+        for index, (expression, operands) in enumerate(requests):
+            tier.submit(
+                Request(expression, operands, on_done=lambda r, i=index: store(i, r))
+            )
+            count += 1
+
+        def wait(timeout):
+            for _ in range(count):
+                assert landed.acquire(timeout=timeout), "requests still in flight at timeout"
+            return [results[index] for index in range(count)]
+
+        return wait
+
+    return submit
 
 
 @pytest.fixture(autouse=True)

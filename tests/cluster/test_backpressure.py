@@ -30,21 +30,17 @@ def test_reject_policy_sheds_load_with_retry_after(heavy_request, cluster_timeou
     with ClusterServer(
         num_workers=1, worker_threads=1, max_inflight=2, admission="reject"
     ) as cluster:
-        tickets: list[int] = []
-        rejections: list[ClusterBusyError] = []
-        for _ in range(12):
-            expression, operands = heavy_request()
-            try:
-                tickets.append(cluster.enqueue(expression, **operands))
-            except ClusterBusyError as error:
-                rejections.append(error)
+        results = cluster.run_batch(
+            [heavy_request() for _ in range(12)], timeout=cluster_timeout
+        )
+        rejections = [result.error for result in results if not result.ok]
         assert rejections, "submitting 12 requests over a bound of 2 must shed load"
         for error in rejections:
+            assert isinstance(error, ClusterBusyError)
             assert error.retry_after > 0
             assert error.limit == 2
         # Everything that *was* admitted completes normally.
-        results = cluster.collect(tickets, timeout=cluster_timeout)
-        assert all(result.ok for result in results)
+        assert len(results) - len(rejections) >= 2
         assert cluster.stats().rejected == len(rejections)
 
 
@@ -54,8 +50,8 @@ def test_block_policy_applies_backpressure_not_errors(heavy_request, cluster_tim
         num_workers=1, worker_threads=1, max_inflight=2, admission="block"
     ) as cluster:
         requests = [heavy_request() for _ in range(8)]
-        tickets = cluster.enqueue_many(requests)  # blocks as needed, never raises
-        results = cluster.collect(tickets, timeout=cluster_timeout)
+        # Submission blocks as needed, never rejects.
+        results = cluster.run_batch(requests, timeout=cluster_timeout)
         assert all(result.ok for result in results)
         assert cluster.stats().rejected == 0
         assert cluster.admission.inflight == 0

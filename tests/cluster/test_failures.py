@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro import ClusterServer
-from repro.cluster.server import WorkerCrashedError, _Dispatch
+from repro.cluster.server import WorkerCrashedError
 from repro.formats import COO
+from repro.runtime import Request
 
 
 @pytest.fixture
@@ -21,7 +22,7 @@ def pattern():
     return dense, COO.from_dense(dense)
 
 
-def test_crash_restart_and_requeue(pattern):
+def test_crash_restart_and_requeue(pattern, submit_all):
     """SIGKILL mid-flight: every request still completes, on a new worker."""
     dense, fmt = pattern
     rng = np.random.default_rng(12)
@@ -34,11 +35,12 @@ def test_crash_restart_and_requeue(pattern):
         assert warm[0].ok
         victims = list(cluster.worker_pids)
         operand_sets = [rng.standard_normal((128, 8)) for _ in range(60)]
-        tickets = cluster.enqueue_many(
-            ("C[m,n] += A[m,k] * B[k,n]", dict(A=fmt, B=operand)) for operand in operand_sets
+        wait = submit_all(
+            cluster,
+            (("C[m,n] += A[m,k] * B[k,n]", dict(A=fmt, B=operand)) for operand in operand_sets),
         )
         os.kill(victims[0], signal.SIGKILL)
-        results = cluster.collect(tickets, timeout=120)
+        results = wait(120)
         assert all(result.ok for result in results), [
             result.error for result in results if not result.ok
         ][:1]
@@ -58,19 +60,22 @@ def test_crash_restart_and_requeue(pattern):
         assert after[0].ok
 
 
-def test_two_consecutive_crashes_recover(pattern):
+def test_two_consecutive_crashes_recover(pattern, submit_all):
     """The monitor keeps replacing workers as long as crashes keep coming."""
     _, fmt = pattern
     rng = np.random.default_rng(13)
     with ClusterServer(num_workers=2, worker_threads=1, health_interval=0.05) as cluster:
         for _ in range(2):
             pids = list(cluster.worker_pids)
-            tickets = cluster.enqueue_many(
-                ("C[m,n] += A[m,k] * B[k,n]", dict(A=fmt, B=rng.standard_normal((128, 4))))
-                for _ in range(20)
+            wait = submit_all(
+                cluster,
+                (
+                    ("C[m,n] += A[m,k] * B[k,n]", dict(A=fmt, B=rng.standard_normal((128, 4))))
+                    for _ in range(20)
+                ),
             )
             os.kill(pids[0], signal.SIGKILL)
-            results = cluster.collect(tickets, timeout=120)
+            results = wait(120)
             assert all(result.ok for result in results)
             deadline = time.monotonic() + 30
             while cluster.worker_pids[0] == pids[0]:
@@ -82,24 +87,21 @@ def test_two_consecutive_crashes_recover(pattern):
 def test_requeue_gives_up_after_max_attempts():
     """A request that keeps dying completes with WorkerCrashedError."""
     with ClusterServer(num_workers=1, worker_threads=1, max_attempts=2) as cluster:
-        ticket = cluster.enqueue(
-            "y[m] += A[m,k] * x[k]", y=np.zeros(2), A=np.zeros((2, 2)), x=np.zeros(2)
+        (result,) = cluster.run_batch(
+            [("y[m] += A[m,k] * x[k]", dict(y=np.zeros(2), A=np.zeros((2, 2)), x=np.zeros(2)))],
+            timeout=60,
         )
-        (result,) = cluster.collect([ticket], timeout=60)
         assert result.ok  # sanity: a healthy request is fine
-        # Drive the requeue path directly: a dispatch at the attempt
+        # Drive the requeue path directly: a request at the attempt
         # ceiling must produce a terminal error, not another dispatch.
-        doomed = _Dispatch(
-            request_id=10_000,
-            expression="y[m] += A[m,k] * x[k]",
-            operands={},
-            submitted_at=time.perf_counter(),
-            attempt=1,
-        )
+        landed = []
+        doomed = Request("y[m] += A[m,k] * x[k]", {}, on_done=landed.append)
         cluster.admission.acquire()
         with cluster._state:
-            cluster._pending.add(doomed.request_id)
+            cluster._unfinished += 1
+        doomed.accept(10_000)
+        doomed.dispatches = 1
         cluster._requeue(doomed, exclude_worker=None)
-        (lost,) = cluster.collect([doomed.request_id], timeout=30)
+        (lost,) = landed
         assert not lost.ok
         assert isinstance(lost.error, WorkerCrashedError)

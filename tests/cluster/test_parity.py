@@ -48,29 +48,14 @@ def test_affinity_spreads_distinct_patterns(mixed_workload, cluster_workers, clu
     assert len(busy_workers) >= 2
 
 
-def test_gather_semantics_match_insum_server(mixed_workload, cluster_timeout):
-    """Ticket-order results, consumed-on-gather, KeyError on reuse."""
-    expression, operands = mixed_workload[0]
-    with ClusterServer(num_workers=1, worker_threads=1) as cluster:
-        first = cluster.enqueue(expression, **operands)
-        second = cluster.enqueue(expression, **operands)
-        results = cluster.collect([second, first], timeout=cluster_timeout)
-        assert [result.request_id for result in results] == [second, first]
-        try:
-            cluster.collect([first])
-        except KeyError:
-            pass
-        else:  # pragma: no cover - fails the test
-            raise AssertionError("re-gathering a consumed ticket must raise KeyError")
-
-
 def test_bad_request_is_an_error_not_a_crash(mixed_workload, cluster_timeout):
     """A malformed expression errors per-request; the pool keeps serving."""
     expression, operands = mixed_workload[0]
     with ClusterServer(num_workers=1, worker_threads=1) as cluster:
-        bad = cluster.enqueue("this is not an einsum", x=np.zeros(3))
-        good = cluster.enqueue(expression, **operands)
-        bad_result, good_result = cluster.collect([bad, good], timeout=cluster_timeout)
+        bad_result, good_result = cluster.run_batch(
+            [("this is not an einsum", dict(x=np.zeros(3))), (expression, operands)],
+            timeout=cluster_timeout,
+        )
         assert not bad_result.ok
         assert good_result.ok
         stats = cluster.stats()

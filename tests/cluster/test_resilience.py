@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterServer
-from repro.cluster.server import _Dispatch
+from repro.runtime import Request
 from repro.errors import (
     ControlThreadError,
     PoisonedRequestError,
@@ -162,31 +162,27 @@ class TestPoisonFailFast:
         with ClusterServer(
             num_workers=1, worker_threads=1, coalesce=False, max_attempts=2
         ) as cluster:
-            doomed = _Dispatch(
-                request_id=10_000,
-                expression=SPMM_EXPR,
-                operands=dict(operands),
-                submitted_at=time.perf_counter(),
-                attempt=1,
-                crashes=1,
-            )
+            landed = []
+            doomed = Request(SPMM_EXPR, dict(operands), on_done=landed.append)
             cluster.admission.acquire()
             with cluster._state:
-                cluster._pending.add(doomed.request_id)
-            # Second crash-requeue: attempt and crashes both reach
+                cluster._unfinished += 1
+            doomed.accept(10_000)
+            doomed.dispatches = doomed.crashes = 1
+            # Second crash-requeue: dispatches and crashes both reach
             # max_attempts, so the request fails out AND is quarantined.
             cluster._requeue(doomed, exclude_worker=None, crashed=True)
-            (result,) = cluster.collect([doomed.request_id], timeout=30)
+            (result,) = landed
             assert isinstance(result.error, WorkerCrashedError)
             assert len(cluster.quarantine) == 1
 
-            # Resubmitting identical content fails fast at enqueue...
+            # Resubmitting identical content fails fast at submit...
             with pytest.raises(PoisonedRequestError):
-                cluster.enqueue(SPMM_EXPR, **operands)
+                cluster.submit(Request(SPMM_EXPR, dict(operands), on_done=landed.append))
+            assert len(landed) == 1  # a refused request never reaches on_done
 
             # ...while different operands are served normally.
             rng = np.random.default_rng(29)
             fresh = dict(operands, B=rng.standard_normal((64, 4)))
-            ticket = cluster.enqueue(SPMM_EXPR, **fresh)
-            (ok_result,) = cluster.collect([ticket], timeout=120)
+            (ok_result,) = cluster.run_batch([(SPMM_EXPR, fresh)], timeout=120)
             assert ok_result.ok

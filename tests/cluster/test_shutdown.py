@@ -31,12 +31,12 @@ def test_close_unlinks_every_segment(small_request):
     assert leaked == [], f"shared-memory segments leaked past close(): {leaked}"
 
 
-def test_close_drains_in_flight_work_first(small_request):
+def test_close_drains_in_flight_work_first(small_request, submit_all):
     expression, operands = small_request
     cluster = ClusterServer(num_workers=2, worker_threads=1)
-    tickets = cluster.enqueue_many([(expression, operands)] * 10)
+    wait = submit_all(cluster, [(expression, operands)] * 10)
     cluster.close()  # must wait for the 10 requests, then stop
-    results = cluster.collect(tickets)  # results survive close for gathering
+    results = wait(0)  # every completion landed before close() returned
     assert all(result.ok for result in results)
 
 
@@ -47,7 +47,7 @@ def test_close_is_idempotent_and_submissions_after_close_fail(small_request):
     cluster.close()
     cluster.close()  # second close is a no-op
     with pytest.raises(RuntimeError, match="closed"):
-        cluster.enqueue(expression, **operands)
+        cluster.run_batch([(expression, operands)])
 
 
 def test_worker_processes_exit_on_close(small_request):

@@ -4,6 +4,7 @@ consistency for all seven formats on random, empty, and single-row inputs."""
 import numpy as np
 import pytest
 
+from repro import sparse_einsum
 from repro.formats import BCSR, COO, CSR, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 
 # Each entry: (format name, constructor taking one dense matrix).
@@ -80,3 +81,21 @@ def test_with_values_keeps_pattern_and_swaps_values(rng, format_name, build):
     values = fmt.tensors("A")["AV"]
     doubled = fmt.with_values(values * 2.0)
     np.testing.assert_array_equal(doubled.to_dense(), dense * 2.0)
+
+
+@pytest.mark.parametrize("format_name,build", FORMATS, ids=[name for name, _ in FORMATS])
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+def test_complex128_spmm_matches_dense(rng, format_name, build):
+    """No format may drop the imaginary part (not even under a warning).
+
+    CSR and BCSR are storage-only (not fixed-length, so no Einsum runs
+    on them): they get the round trip; the five executable formats also
+    get the SpMM.
+    """
+    dense = random_matrix(rng) * (1.0 + 0.5j) + np.where(random_matrix(rng) != 0, 0.25j, 0.0)
+    rhs = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
+    fmt = build(dense)
+    np.testing.assert_array_equal(fmt.to_dense(), dense)
+    if fmt.fixed_length:
+        out = sparse_einsum("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=rhs)
+        np.testing.assert_allclose(out, dense @ rhs, rtol=1e-12, atol=1e-12)

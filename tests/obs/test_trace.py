@@ -64,13 +64,6 @@ def test_maybe_start_respects_disable_switch():
     assert trace is not None and trace.trace_id == "adopted-id"
 
 
-def test_pending_slot_is_take_once():
-    trace = Trace("t-3")
-    obs_trace.push_pending(trace)
-    assert obs_trace.take_pending() is trace
-    assert obs_trace.take_pending() is None
-
-
 @pytest.mark.parametrize(
     "backend,config",
     [

@@ -2,18 +2,10 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.errors import DeadlineExceededError
-from repro.resilience.deadline import (
-    Deadline,
-    deadline_error,
-    expired_result,
-    push_pending,
-    take_pending,
-)
+from repro.resilience.deadline import Deadline, deadline_error, expired_result
 from repro.runtime.server import InsumResult
 
 
@@ -75,24 +67,3 @@ class TestExpiredResult:
         error = deadline_error(42, "queue")
         assert isinstance(error, DeadlineExceededError)
         assert "request 42" in str(error) and "(queue)" in str(error)
-
-
-class TestPendingHandoff:
-    def test_push_take_round_trip_clears_the_slot(self):
-        deadline = Deadline.after_ms(100.0)
-        push_pending(deadline)
-        assert take_pending() is deadline
-        assert take_pending() is None  # claimed exactly once
-
-    def test_push_none_is_ignored(self):
-        push_pending(None)
-        assert take_pending() is None
-
-    def test_slot_is_thread_local(self):
-        push_pending(Deadline.after_ms(100.0))
-        seen: list = []
-        thread = threading.Thread(target=lambda: seen.append(take_pending()))
-        thread.start()
-        thread.join()
-        assert seen == [None]  # the other thread sees nothing...
-        assert take_pending() is not None  # ...and ours is still parked

@@ -1,11 +1,14 @@
 """End-to-end tests for the InsumServer front door."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro import InsumServer, insum, sparse_einsum
-from repro.errors import EinsumValidationError
+from repro.errors import EinsumValidationError, SessionClosedError
 from repro.formats import COO, GroupCOO
+from repro.runtime import Request
 
 
 def _mixed_workload(rng, count=100):
@@ -53,16 +56,17 @@ def test_mixed_100_request_workload_end_to_end(rng):
     assert "hit rate" in stats.summary()
 
 
-def test_submit_gather_out_of_order(rng):
+def test_run_batch_returns_results_in_request_order(rng):
     dense = np.where(rng.random((8, 8)) < 0.5, rng.standard_normal((8, 8)), 0.0)
     fmt = COO.from_dense(dense)
+    expression = "C[m,n] += A[m,k] * B[k,n]"
     with InsumServer(num_workers=2) as server:
-        first = server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=np.eye(8))
-        second = server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=2.0 * np.eye(8))
-        late, early = server.collect([second, first])
+        early, late = server.run_batch(
+            [(expression, dict(A=fmt, B=np.eye(8))), (expression, dict(A=fmt, B=2.0 * np.eye(8)))]
+        )
     np.testing.assert_allclose(early.unwrap(), dense, atol=1e-12)
     np.testing.assert_allclose(late.unwrap(), 2.0 * dense, atol=1e-12)
-    assert early.request_id == first and late.request_id == second
+    assert (early.request_id, late.request_id) == (0, 1)
 
 
 def test_dense_indirect_requests_use_insum_path(rng):
@@ -73,17 +77,17 @@ def test_dense_indirect_requests_use_insum_path(rng):
     )
     expression = "C[AM[p],n] += AV[p] * B[AK[p],n]"
     with InsumServer(num_workers=2) as server:
-        ticket = server.enqueue(expression, **operands)
-        (result,) = server.collect([ticket])
+        (result,) = server.run_batch([(expression, operands)])
     np.testing.assert_array_equal(result.unwrap(), insum(expression, **operands))
 
 
 def test_failed_request_reports_error_and_server_survives(rng):
     fmt = COO.from_dense(np.eye(4))
     with InsumServer(num_workers=2) as server:
-        bad = server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=np.zeros((7, 3)))
-        good = server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=np.eye(4))
-        bad_result, good_result = server.collect([bad, good])
+        expression = "C[m,n] += A[m,k] * B[k,n]"
+        bad_result, good_result = server.run_batch(
+            [(expression, dict(A=fmt, B=np.zeros((7, 3)))), (expression, dict(A=fmt, B=np.eye(4)))]
+        )
         stats = server.stats()
     assert not bad_result.ok
     with pytest.raises(EinsumValidationError):
@@ -93,12 +97,13 @@ def test_failed_request_reports_error_and_server_survives(rng):
     assert stats.failed == 1 and stats.completed == 1
 
 
-def test_gather_all_without_tickets(rng):
+def test_run_batch_numbers_requests_from_zero(rng):
     fmt = COO.from_dense(np.eye(4))
     with InsumServer(num_workers=2) as server:
-        for scale in (1.0, 2.0, 3.0):
-            server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=scale * np.eye(4))
-        results = server.collect()
+        results = server.run_batch(
+            ("C[m,n] += A[m,k] * B[k,n]", dict(A=fmt, B=scale * np.eye(4)))
+            for scale in (1.0, 2.0, 3.0)
+        )
     assert [r.request_id for r in results] == [0, 1, 2]
     assert all(r.ok for r in results)
 
@@ -106,21 +111,17 @@ def test_gather_all_without_tickets(rng):
 def test_operator_reuse_across_requests(rng):
     fmt = COO.from_dense(np.eye(4))
     with InsumServer(num_workers=1) as server:
-        for _ in range(5):
-            server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=np.eye(4))
-        server.collect()
+        server.run_batch([("C[m,n] += A[m,k] * B[k,n]", dict(A=fmt, B=np.eye(4)))] * 5)
         assert server.expressions_served == ["C[m,n] += A[m,k] * B[k,n]"]
 
 
 def test_reset_stats_opens_new_window(rng):
     fmt = COO.from_dense(np.eye(4))
     with InsumServer(num_workers=1) as server:
-        server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=np.eye(4))
-        server.collect()
+        server.run_batch([("C[m,n] += A[m,k] * B[k,n]", dict(A=fmt, B=np.eye(4)))])
         server.reset_stats()
         assert server.stats().completed == 0
-        server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=np.eye(4))
-        server.collect()
+        server.run_batch([("C[m,n] += A[m,k] * B[k,n]", dict(A=fmt, B=np.eye(4)))])
         stats = server.stats()
     assert stats.completed == 1
     assert stats.cache_hit_rate == 1.0  # warm cache: the repeat is a pure hit
@@ -132,25 +133,56 @@ def test_sharded_server_matches_unsharded(rng):
     b = np.round(rng.standard_normal((32, 6)) * 8)
     expression = "C[m,n] += A[m,k] * B[k,n]"
     with InsumServer(num_workers=2, num_shards=4) as server:
-        ticket = server.enqueue(expression, A=fmt, B=b)
-        (result,) = server.collect([ticket])
+        (result,) = server.run_batch([(expression, dict(A=fmt, B=b))])
     np.testing.assert_array_equal(result.unwrap(), dense @ b)
-
-
-def test_gather_consumed_or_unknown_ticket_raises_keyerror(rng):
-    fmt = COO.from_dense(np.eye(4))
-    with InsumServer(num_workers=1) as server:
-        ticket = server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=np.eye(4))
-        (result,) = server.collect([ticket])
-        assert result.ok
-        with pytest.raises(KeyError, match="not in flight"):
-            server.collect([ticket])  # already consumed: must not block forever
-        with pytest.raises(KeyError, match="not in flight"):
-            server.collect([999])  # never submitted
 
 
 def test_submit_after_close_raises(rng):
     server = InsumServer(num_workers=1)
     server.close()
     with pytest.raises(RuntimeError, match="closed"):
-        server.enqueue("C[i] += A[i]", A=np.ones(3), C=np.zeros(3))
+        server.run_batch([("C[i] += A[i]", dict(A=np.ones(3), C=np.zeros(3)))])
+
+
+class _GatedQueue:
+    """The server's queue, with the first request ``put`` held at a gate."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def put(self, item):
+        if item is not None and not self.entered.is_set():
+            self.entered.set()
+            assert self.gate.wait(30)
+        self.inner.put(item)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_submit_racing_close_is_served_or_refused_never_lost():
+    """A submit caught between its closed check and its queue put while
+    ``close()`` runs must not land behind the shutdown tokens: it is
+    served before the workers exit, and a submit after close is refused."""
+    server = InsumServer(num_workers=2)
+    server._queue = gated = _GatedQueue(server._queue)
+    landed: list = []
+    request = Request("C[i] += A[i]", dict(A=np.ones(3), C=np.zeros(3)), on_done=landed.append)
+    submitter = threading.Thread(target=server.submit, args=(request,))
+    submitter.start()
+    assert gated.entered.wait(30)  # past the closed check, not yet queued
+    closer = threading.Thread(target=server.close)
+    closer.start()
+    closer.join(0.2)
+    assert closer.is_alive()  # close() waits for the in-progress submit
+    gated.gate.set()
+    submitter.join(30)
+    closer.join(30)
+    assert not submitter.is_alive() and not closer.is_alive()
+    assert len(landed) == 1 and landed[0].ok
+    np.testing.assert_array_equal(landed[0].unwrap(), np.ones(3))
+    with pytest.raises(SessionClosedError):
+        server.submit(Request("C[i] += A[i]", dict(A=np.ones(3), C=np.zeros(3)), on_done=landed.append))
+    assert len(landed) == 1

@@ -9,6 +9,11 @@ reimplementations.  Coalescing is disabled here because batched
 execution is only equal up to floating-point reassociation; parity of
 the coalesced path against per-request execution is covered by
 ``tests/runtime/test_server_coalesce.py``.
+
+The second half proves the protocol itself is the contract: a ~20-line
+fake tier speaking ``submit`` / ``try_cancel`` / ``stats`` /
+``reset_stats`` / ``close`` sits behind an unmodified ``Session`` and
+gets result, error, cancel, deadline and trace delivery for free.
 """
 
 from __future__ import annotations
@@ -16,7 +21,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serve import ServeConfig, ServeStats, Session
+from repro.errors import DeadlineExceededError, FutureCancelledError
+from repro.obs import trace as obs_trace
+from repro.runtime import InsumResult, InsumServer
+from repro.runtime.stats import ServingWindow
+from repro.serve import ExecutorBackend, ServeConfig, ServeStats, Session
 
 BACKEND_CONFIGS = {
     "inline": ServeConfig(),
@@ -94,3 +103,81 @@ def test_sharded_inline_matches_unsharded(serve_workload):
         plain = [np.asarray(f.result(30)) for f in session.submit_many(serve_workload[:6])]
     for expected, actual in zip(plain, sharded):
         np.testing.assert_allclose(actual, expected, atol=1e-12)
+
+
+def test_run_batch_matches_session_futures(serve_workload):
+    """The synchronous helper and the futures path share one execution."""
+    with InsumServer(num_workers=2, coalesce=False) as server:
+        batch = server.run_batch(serve_workload, timeout=60)
+    with Session(backend="threaded", config=ServeConfig(workers=2, coalesce=False)) as session:
+        futures = session.submit_many(serve_workload)
+        modern = [future.result(timeout=60) for future in futures]
+    assert len(batch) == len(modern)
+    for result, output in zip(batch, modern):
+        assert np.array_equal(np.asarray(result.unwrap()), np.asarray(output))
+
+
+class FakeTier:
+    """The whole backend protocol: holds requests until ``release()``."""
+
+    def __init__(self):
+        self.held, self.window = [], ServingWindow(tier="fake")
+
+    def submit(self, request):
+        if request.deadline is not None and request.deadline.expired():
+            raise DeadlineExceededError("expired before the fake tier took it")
+        request.accept(len(self.held))
+        self.held.append(request)
+
+    def try_cancel(self, request):
+        if not request.cancel():
+            return False
+        request.on_done(request.failed(FutureCancelledError("cancelled in the fake tier")))
+        return True
+
+    def release(self):
+        for request in self.held:
+            if request.claim():
+                (value,) = request.operands.values()
+                error = ValueError("negative") if value < 0 else None
+                output = None if error else np.asarray(2 * value)
+                request.on_done(InsumResult(request.request_id, request.expression,
+                                            output=output, error=error, trace=request.trace))
+
+    def stats(self):
+        return self.window.snapshot()
+
+    def reset_stats(self):
+        self.window.reset()
+
+    def close(self):
+        self.release()
+
+
+def test_a_custom_tier_sits_behind_a_session_unchanged(monkeypatch):
+    tier = FakeTier()
+    assert isinstance(tier, ExecutorBackend)
+    monkeypatch.setattr("repro.serve.session.build_backend", lambda name, config: tier)
+    old = obs_trace.set_enabled(True)
+    try:
+        with Session(backend="inline") as session:
+            good = session.submit("double", x=21)
+            bad = session.submit("double", x=-1)
+            withdrawn = session.submit("double", x=5)
+            late = session.submit("double", deadline_ms=-1.0, x=1)
+            assert not good.done() and session.drain(0) is False
+            assert withdrawn.cancel() and withdrawn.cancelled()  # still held: cancellable
+            with pytest.raises(DeadlineExceededError):  # refused at submit -> failed future
+                late.result(timeout=0)
+            tier.release()
+            assert good.result(timeout=5) == 42
+            assert not good.cancel()  # already executed
+            with pytest.raises(ValueError, match="negative"):
+                bad.result(timeout=5)
+            with pytest.raises(FutureCancelledError):
+                withdrawn.result(timeout=5)
+            assert good.trace() is not None and good.trace().stamp_of("submit") is not None
+            assert session.drain(5) is True
+            assert isinstance(session.stats(), ServeStats)
+    finally:
+        obs_trace.set_enabled(old)

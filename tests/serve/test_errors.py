@@ -1,9 +1,9 @@
-"""The unified error taxonomy and submit_many atomicity under admission.
+"""The unified error taxonomy and batch atomicity under admission.
 
 Every serving failure derives from :class:`repro.ServeError`, surfaces
 uniformly through :meth:`Future.result`, and a mid-batch admission
-rejection hands the caller the partial ticket list instead of leaking
-in-flight work.
+rejection fails only the rejected requests instead of leaking in-flight
+work.
 """
 
 from __future__ import annotations
@@ -59,22 +59,19 @@ def test_legacy_import_locations_still_resolve():
     assert from_server is WorkerCrashedError
 
 
-def test_cluster_enqueue_many_returns_partial_tickets(spmm_operands):
-    """A mid-batch admission rejection carries the already-issued tickets."""
+def test_cluster_run_batch_fails_only_the_rejected_requests(spmm_operands):
+    """A mid-batch admission rejection is a failed result in place."""
     from repro.cluster.server import ClusterServer
 
     with ClusterServer(
         num_workers=1, worker_threads=1, admission="reject", max_inflight=1
     ) as cluster:
-        requests = [(SPMM_EXPR, dict(spmm_operands))] * 12
-        with pytest.raises(ClusterBusyError) as excinfo:
-            cluster.enqueue_many(requests)
-        partial = excinfo.value.partial_tickets
-        assert len(partial) >= 1  # the accepted prefix is returned, not leaked
-        assert excinfo.value.retry_after > 0
-        # The partial batch is collectable: nothing is stranded in flight.
-        results = cluster.collect(list(partial), timeout=120)
-        assert all(result.ok for result in results)
+        results = cluster.run_batch([(SPMM_EXPR, dict(spmm_operands))] * 12, timeout=120)
+        assert len(results) == 12  # the accepted ones complete: nothing is stranded
+        assert results[0].ok
+        rejected = [result.error for result in results if not result.ok]
+        assert rejected and all(isinstance(error, ClusterBusyError) for error in rejected)
+        assert all(error.retry_after > 0 for error in rejected)
 
 
 def test_session_submit_many_fails_only_the_rejected_tail(spmm_operands):
@@ -117,10 +114,10 @@ def test_closed_server_raises_session_closed_error(spmm_operands):
     server = InsumServer(num_workers=1)
     server.close()
     with pytest.raises(SessionClosedError):
-        server.enqueue(SPMM_EXPR, **spmm_operands)
+        server.run_batch([(SPMM_EXPR, spmm_operands)])
     # SessionClosedError is still a RuntimeError mentioning "closed".
     with pytest.raises(RuntimeError, match="closed"):
-        server.enqueue(SPMM_EXPR, **spmm_operands)
+        server.run_batch([(SPMM_EXPR, spmm_operands)])
 
 
 def test_worker_error_types_survive_the_future_path(spmm_operands):

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ClusterBusyError
+from repro.errors import ClusterBusyError, FutureCancelledError
 from repro.obs.metrics import get_registry
 from repro.runtime.server import RequestExecutor
 from repro.serve import ServeConfig, Session
@@ -82,8 +82,8 @@ class TestRetry:
             assert isinstance(error, ClusterBusyError)
             assert blocker.result(timeout=120).shape == (32, 8)
             # The retry bookkeeping is cleaned up with the future.
-            assert not session._retry_states
-            assert not session._pending_retries
+            assert not session._parked
+            assert not session._unresolved
 
     def test_close_cancels_pending_retries_promptly(
         self, spmm_operands, monkeypatch
@@ -102,6 +102,43 @@ class TestRetry:
         assert blocker.done()
         # Well under the armed retry delay: close() didn't sleep it out.
         assert time.monotonic() - started < 4.0
+
+    def test_drain_waits_for_a_future_parked_on_a_retry_timer(
+        self, spmm_operands, monkeypatch
+    ):
+        """drain() must not report True while a rejected request still
+        waits out its backoff — that future is as unresolved as any."""
+        slow_down_executor(monkeypatch, 0.2)
+        with busy_session(
+            retry_attempts=4, retry_base_delay=1.0, retry_max_delay=1.5
+        ) as session:
+            blocker = session.submit(SPMM_EXPR, **spmm_operands)
+            victim = session.submit(SPMM_EXPR, **spmm_operands)  # rejected, then parked
+            assert not victim.done()
+            # The blocker resolves long before the victim's backoff ends;
+            # drain() has to keep waiting for the parked future.
+            assert session.drain(timeout=60) is True
+            assert blocker.done() and victim.done()
+            assert victim.result(timeout=0).shape == (32, 8)
+
+    def test_cancel_claims_a_future_parked_on_a_retry_timer(
+        self, spmm_operands, monkeypatch
+    ):
+        slow_down_executor(monkeypatch, 0.3)
+        with busy_session(
+            retry_attempts=3, retry_base_delay=5.0, retry_max_delay=15.0
+        ) as session:
+            blocker = session.submit(SPMM_EXPR, **spmm_operands)
+            victim = session.submit(SPMM_EXPR, **spmm_operands)  # parked 5-15 s out
+            assert victim.cancel() is True
+            assert victim.cancelled() and victim.cancel() is True  # idempotent
+            with pytest.raises(FutureCancelledError):
+                victim.result(timeout=0)
+            assert not session._parked  # the armed timer was claimed, not leaked
+            assert blocker.result(timeout=120).shape == (32, 8)
+            # Nothing is left to wait for: the cancelled retry never fires.
+            assert session.drain(timeout=5) is True
+            assert session.stats().completed == 1
 
     def test_retry_disabled_by_default(self, spmm_operands):
         with busy_session() as session:
@@ -144,8 +181,8 @@ class TestFailover:
             )
             before = counter.value()
             future = session.submit(SPMM_EXPR, **spmm_operands)
-            assert future._backend_tag == "fallback"
             np.testing.assert_allclose(future.result(timeout=120), warm)
+            assert session._fallback.stats().completed == 1  # served by the fallback
             assert counter.value() == before + 1
             assert session.health()["failover"]["active"] is True
 
@@ -159,8 +196,9 @@ class TestFailover:
         )
         with Session("cluster", config=config) as session:
             future = session.submit(SPMM_EXPR, **spmm_operands)
-            assert future._backend_tag == "primary"
             assert future.result(timeout=120).shape == (32, 8)
+            assert session._fallback.stats().completed == 0
+            assert session.stats().completed == 1
 
     def test_failover_is_cluster_only(self):
         with pytest.raises(ValueError, match="failover"):

@@ -19,15 +19,13 @@ def test_server_auto_format_serves_mixed_regimes(rng):
     rhs_blocky = rng.standard_normal((96, 16))
 
     with InsumServer(num_workers=2, auto_format=True) as server:
-        tickets = []
+        requests = []
         for _ in range(4):
-            tickets.append(
-                server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=uniform, B=rhs_uniform)
+            requests.append(("C[m,n] += A[m,k] * B[k,n]", dict(A=uniform, B=rhs_uniform)))
+            requests.append(
+                ("C[m,n] += A[m,k] * B[k,n]", dict(A=COO.from_dense(blocky), B=rhs_blocky))
             )
-            tickets.append(
-                server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=COO.from_dense(blocky), B=rhs_blocky)
-            )
-        results = server.collect(tickets)
+        results = server.run_batch(requests)
         for position, result in enumerate(results):
             expected = (uniform @ rhs_uniform) if position % 2 == 0 else (blocky @ rhs_blocky)
             np.testing.assert_allclose(result.unwrap(), expected)
@@ -44,15 +42,10 @@ def test_server_auto_format_dense_promotion_only_for_logical_expressions(rng):
     coo = COO.from_dense(dense)
     rhs = rng.standard_normal((48, 8))
     with InsumServer(num_workers=1, auto_format=True) as server:
-        ticket = server.enqueue(
-            "C[AM[p],n] += AV[p] * B[AK[p],n]",
-            C=np.zeros((64, 8)),
-            AV=coo.values,
-            AM=coo.coords[0],
-            AK=coo.coords[1],
-            B=rhs,
+        operands = dict(
+            C=np.zeros((64, 8)), AV=coo.values, AM=coo.coords[0], AK=coo.coords[1], B=rhs
         )
-        result = server.collect([ticket])[0]
+        (result,) = server.run_batch([("C[AM[p],n] += AV[p] * B[AK[p],n]", operands)])
         np.testing.assert_allclose(result.unwrap(), dense @ rhs)
 
 
@@ -61,8 +54,7 @@ def test_server_sharding_with_dense_promotion(rng):
     dense = random_sparse_matrix((96, 80), 0.06, rng=7).astype(np.float64)
     rhs = rng.standard_normal((80, 8))
     with InsumServer(num_workers=1, num_shards=2, auto_format=True) as server:
-        ticket = server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=dense, B=rhs)
-        result = server.collect([ticket])[0]
+        (result,) = server.run_batch([("C[m,n] += A[m,k] * B[k,n]", dict(A=dense, B=rhs))])
         assert result.ok, result.error
         np.testing.assert_allclose(result.unwrap(), dense @ rhs)
 
@@ -72,11 +64,11 @@ def test_server_auto_format_composes_with_sharding(rng):
     dense = random_block_sparse_matrix(96, (16, 16), 0.1, rng=5).astype(np.float64)
     rhs = rng.standard_normal((96, 8))
     with InsumServer(num_workers=2, num_shards=2, auto_format=True) as server:
-        tickets = [
-            server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=COO.from_dense(dense), B=rhs)
+        requests = [
+            ("C[m,n] += A[m,k] * B[k,n]", dict(A=COO.from_dense(dense), B=rhs))
             for _ in range(3)
         ]
-        for result in server.collect(tickets):
+        for result in server.run_batch(requests):
             np.testing.assert_allclose(result.unwrap(), dense @ rhs)
 
 
@@ -84,8 +76,10 @@ def test_server_without_auto_format_unchanged(rng):
     dense = random_sparse_matrix((64, 48), 0.1, rng=4).astype(np.float64)
     rhs = rng.standard_normal((48, 8))
     with InsumServer(num_workers=1) as server:
-        ticket = server.enqueue("C[m,n] += A[m,k] * B[k,n]", A=COO.from_dense(dense), B=rhs)
-        np.testing.assert_allclose(server.collect([ticket])[0].unwrap(), dense @ rhs)
+        (result,) = server.run_batch(
+            [("C[m,n] += A[m,k] * B[k,n]", dict(A=COO.from_dense(dense), B=rhs))]
+        )
+        np.testing.assert_allclose(result.unwrap(), dense @ rhs)
 
 
 # ---------------------------------------------------------------------------
