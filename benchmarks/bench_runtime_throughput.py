@@ -1,17 +1,14 @@
-"""Serving-runtime throughput: the engine's measured payoff, tracked in JSON.
+"""Serving-runtime throughput and its gates, tracked in JSON.
 
 Not a paper figure — this harness tracks the serving layer (`repro.runtime`)
-and the plan-time specialization engine (`repro.engine`) on top of the
-compiler, so every PR from here on has a perf trajectory to beat:
+on top of the compiler and its executor (`repro.engine`).  It records
+absolute numbers and the gates CI holds; how far each layer sits from an
+outside yardstick (dense BLAS, ``scipy.sparse``) is the job of
+``benchmarks/layers``.
 
-* **engine vs legacy, single op** — warm per-call latency of representative
-  operators with the engine on vs :func:`repro.engine.legacy_mode` (the
-  faithful pre-engine execution: per-call path search, per-call rewrite and
-  bounds validation, ``np.add.at`` scatters, no specialized closures).
-  Asserts the geometric-mean speedup is **>= 2x**.
-* **engine vs legacy, server** — threaded-session req/s on the mixed
-  workload with specialization + same-plan coalescing vs the legacy server
-  (no coalescing, no specialization).  Asserts **>= 3x**.
+* **server** — threaded-session req/s and latency on the mixed workload
+  with same-plan coalescing, with the plan-cache hit rate and the coalesce
+  rate it reaches.
 * ``StackedSparse`` batched execution vs the per-item Python loop.
 * One-shot ``insum()`` compile saving from the process-wide plan cache.
 * **cluster vs threaded** (``--cluster``) — an open-loop load generator
@@ -26,7 +23,7 @@ compiler, so every PR from here on has a perf trajectory to beat:
 * **trace replay** (``--trace FILE``) — replays a committed workload
   trace (``docs/REPLAY.md``) open-loop through the cluster backend and
   records the ``SLOReport``; the smoke gate holds ``slo_attainment``
-  to an absolute floor next to the speedup-ratio checks.
+  to an absolute floor next to the ratio checks.
 
 All serving measurements run through the :class:`repro.serve.Session`
 front door (futures, :class:`ServeConfig`), so the benchmark covers the
@@ -35,7 +32,7 @@ surface production callers actually use.
 Every metric lands in ``benchmarks/results/BENCH_runtime.json`` (schema
 documented in ``docs/PERFORMANCE.md``).  The CI smoke job reruns a reduced
 workload via ``python benchmarks/bench_runtime_throughput.py --smoke`` and
-``scripts/check_bench_regression.py`` fails the build when a speedup ratio
+``scripts/check_bench_regression.py`` fails the build when a gated ratio
 regresses by more than 25% against the committed baseline.
 
 Determinism: every RNG stream derives from one base seed (the ``--seed``
@@ -46,7 +43,6 @@ smoke gate measures the same workload run-to-run.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import sys
@@ -56,9 +52,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import ServeConfig, Session, clear_plan_cache, get_plan_cache, insum
-from repro.core.insum.api import SparseEinsum
-from repro.core.inductor.config import InductorConfig
-from repro.engine import legacy_mode
 from repro.formats import COO, GroupCOO
 from repro.kernels import BatchedSpMM, FullyConnectedTensorProduct
 from repro.utils.rng import rng as rng_stream
@@ -129,98 +122,32 @@ def build_workload(num_requests: int = NUM_REQUESTS, seed: int = DEFAULT_SEED) -
 # ---------------------------------------------------------------------------
 # Measurements (shared by the pytest harness and the --smoke entry point)
 # ---------------------------------------------------------------------------
-def measure_server_modes(workload: list, rounds: int = 3) -> dict:
-    """Best-of-``rounds`` req/s for the engine server vs the legacy server.
+def measure_server_throughput(workload: list, rounds: int = 3) -> dict:
+    """Best-of-``rounds`` req/s of the coalescing threaded server.
 
-    Both modes serve through the ``repro.serve`` front door —
+    Serves through the ``repro.serve`` front door —
     ``Session(backend="threaded")`` with a :class:`ServeConfig` — so the
     benchmark exercises exactly the surface production callers use.
     """
-    modes = {}
-    for label, legacy in (("engine", False), ("legacy", True)):
-        clear_plan_cache()
-        config = ServeConfig(
-            workers=4,
-            compile_config=InductorConfig(specialize=False) if legacy else None,
-            coalesce=not legacy,
-        )
-        scope = legacy_mode() if legacy else contextlib.nullcontext()
-        with scope:
-            with Session(backend="threaded", config=config) as session:
-                for future in session.submit_many(workload[: max(8, len(workload) // 3)]):
-                    future.result()  # warm compiles; raises on any failure
-                best = None
-                for _ in range(rounds):
-                    session.reset_stats()
-                    for future in session.submit_many(workload):
-                        future.result()
-                    stats = session.stats()
-                    if best is None or stats.throughput_rps > best.throughput_rps:
-                        best = stats
-        modes[label] = best
-    engine, legacy_stats = modes["engine"], modes["legacy"]
+    clear_plan_cache()
+    with Session(backend="threaded", config=ServeConfig(workers=4, coalesce=True)) as session:
+        for future in session.submit_many(workload[: max(8, len(workload) // 3)]):
+            future.result()  # warm compiles; raises on any failure
+        best = None
+        for _ in range(rounds):
+            session.reset_stats()
+            for future in session.submit_many(workload):
+                future.result()
+            stats = session.stats()
+            if best is None or stats.throughput_rps > best.throughput_rps:
+                best = stats
     return {
-        "engine_rps": round(engine.throughput_rps, 1),
-        "legacy_rps": round(legacy_stats.throughput_rps, 1),
-        "speedup": round(engine.throughput_rps / legacy_stats.throughput_rps, 3),
-        "engine_p50_ms": round(engine.p50_latency_ms, 4),
-        "engine_p99_ms": round(engine.p99_latency_ms, 4),
-        "legacy_p50_ms": round(legacy_stats.p50_latency_ms, 4),
-        "legacy_p99_ms": round(legacy_stats.p99_latency_ms, 4),
-        "hit_rate": round(engine.cache_hit_rate, 4),
-        "coalesce_rate": round(engine.coalesce_rate, 4),
+        "rps": round(best.throughput_rps, 1),
+        "p50_ms": round(best.p50_latency_ms, 4),
+        "p99_ms": round(best.p99_latency_ms, 4),
+        "hit_rate": round(best.cache_hit_rate, 4),
+        "coalesce_rate": round(best.coalesce_rate, 4),
     }
-
-
-def _warm_call_seconds(operator, operands: dict, repeats: int, rounds: int = 3) -> float:
-    operator(**operands)  # compile + warm
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            operator(**operands)
-        best = min(best, (time.perf_counter() - start) / repeats)
-    return best
-
-
-def measure_single_op_latency(repeats: int = 150, seed: int = DEFAULT_SEED) -> dict:
-    """Warm per-call latency, engine vs legacy, for representative operators."""
-    rng = rng_stream(seed, "bench/single-op")
-    spmm_dense = np.where(rng.random((256, 256)) < 0.03, rng.standard_normal((256, 256)), 0.0)
-    coo_dense = np.where(rng.random((256, 256)) < 0.05, rng.standard_normal((256, 256)), 0.0)
-    cases = {
-        "groupcoo_spmm": (
-            "C[m,n] += A[m,k] * B[k,n]",
-            dict(A=GroupCOO.from_dense(spmm_dense, group_size=4), B=rng.standard_normal((256, 16))),
-        ),
-        "coo_spmm": (
-            "C[m,n] += A[m,k] * B[k,n]",
-            dict(A=COO.from_dense(coo_dense), B=rng.standard_normal((256, 32))),
-        ),
-        "coo_spmv": (
-            "y[m] += A[m,k] * x[k]",
-            dict(A=COO.from_dense(coo_dense), x=rng.standard_normal(256)),
-        ),
-    }
-    ops: dict = {}
-    speedups = []
-    for name, (expression, operands) in cases.items():
-        engine_s = _warm_call_seconds(SparseEinsum(expression), operands, repeats)
-        with legacy_mode():
-            legacy_s = _warm_call_seconds(
-                SparseEinsum(expression, config=InductorConfig(specialize=False)),
-                operands,
-                repeats,
-            )
-        speedup = legacy_s / engine_s
-        speedups.append(speedup)
-        ops[name] = {
-            "engine_us": round(engine_s * 1e6, 2),
-            "legacy_us": round(legacy_s * 1e6, 2),
-            "speedup": round(speedup, 3),
-        }
-    geomean = float(np.exp(np.mean(np.log(speedups))))
-    return {"ops": ops, "geomean_speedup": round(geomean, 3)}
 
 
 def open_loop_load(session, workload: list, rate_rps: float | None = None) -> dict:
@@ -475,12 +402,7 @@ def write_bench_json(record: dict, path: Path = RESULTS_JSON, profile: str = "fu
         "metrics": record,
         # The ratio metrics the CI regression gate compares (machine-portable,
         # unlike absolute req/s).  Dotted paths into "metrics".
-        "ratio_keys": [
-            "server.speedup",
-            "single_op.geomean_speedup",
-            "stacked.speedup",
-            "one_shot.saving",
-        ],
+        "ratio_keys": ["stacked.speedup", "one_shot.saving"],
     }
     # Absolute floors (not ratios): SLO attainment must stay >= the
     # floor on every machine, so no baseline comparison is needed.  Only
@@ -499,17 +421,14 @@ def write_bench_json(record: dict, path: Path = RESULTS_JSON, profile: str = "fu
 # ---------------------------------------------------------------------------
 # pytest harness (full profile, with the acceptance assertions)
 # ---------------------------------------------------------------------------
-def test_server_engine_vs_legacy_throughput(report, seed):
-    """Tentpole acceptance: >= 3x server req/s over the pre-engine baseline."""
+def test_server_throughput(report, seed):
+    """The mixed workload is served from the plan cache and coalesced."""
     workload = build_workload(seed=seed)
-    server = measure_server_modes(workload)
+    server = measure_server_throughput(workload)
     RECORD["server"] = server
 
     assert server["hit_rate"] > 0.9
     assert server["coalesce_rate"] > 0.5
-    assert server["speedup"] >= 3.0, (
-        f"server speedup {server['speedup']}x < 3x over the legacy baseline"
-    )
 
     from repro.analysis import format_table
 
@@ -519,39 +438,13 @@ def test_server_engine_vs_legacy_throughput(report, seed):
             ["metric", "value"],
             [
                 ["requests", NUM_REQUESTS],
-                ["engine req/s", server["engine_rps"]],
-                ["legacy req/s", server["legacy_rps"]],
-                ["speedup", f"{server['speedup']}x"],
-                ["engine p50 ms", server["engine_p50_ms"]],
+                ["req/s", server["rps"]],
+                ["p50 ms", server["p50_ms"]],
+                ["p99 ms", server["p99_ms"]],
                 ["cache hit rate", server["hit_rate"]],
                 ["coalesce rate", server["coalesce_rate"]],
             ],
             title=f"InsumServer — mixed workload ({NUM_REQUESTS} requests, 4 workers)",
-        ),
-    )
-
-
-def test_single_op_engine_vs_legacy_latency(report, seed):
-    """Tentpole acceptance: >= 2x warm single-op latency over the baseline."""
-    single = measure_single_op_latency(seed=seed)
-    RECORD["single_op"] = single
-
-    assert single["geomean_speedup"] >= 2.0, (
-        f"single-op geomean speedup {single['geomean_speedup']}x < 2x"
-    )
-
-    from repro.analysis import format_table
-
-    report(
-        "runtime_single_op",
-        format_table(
-            ["operator", "engine us", "legacy us", "speedup"],
-            [
-                [name, data["engine_us"], data["legacy_us"], f"{data['speedup']}x"]
-                for name, data in single["ops"].items()
-            ]
-            + [["geomean", "", "", f"{single['geomean_speedup']}x"]],
-            title="Warm single-op latency — engine vs legacy executor",
         ),
     )
 
@@ -694,7 +587,7 @@ def test_one_shot_compile_saving(report, seed):
 
 def test_zz_write_bench_json():
     """Flush every recorded metric to BENCH_runtime.json (runs last in file order)."""
-    required = {"server", "single_op", "stacked", "one_shot"}
+    required = {"server", "stacked", "one_shot"}
     assert required.issubset(RECORD), f"missing benchmark sections: {required - set(RECORD)}"
     write_bench_json(RECORD, profile="full")
     assert RESULTS_JSON.exists()
@@ -727,11 +620,9 @@ def main(argv: list[str]) -> int:
     if "--trace" in argv:
         trace_path = Path(argv[argv.index("--trace") + 1])
     num_requests = 96 if smoke else NUM_REQUESTS
-    repeats = 40 if smoke else 150
 
     record: dict = {}
-    record["server"] = measure_server_modes(build_workload(num_requests, seed=seed), rounds=3)
-    record["single_op"] = measure_single_op_latency(repeats=repeats, seed=seed)
+    record["server"] = measure_server_throughput(build_workload(num_requests, seed=seed))
     record["ops_scrape"] = scrape_ops_endpoint(build_workload(num_requests, seed=seed))
     if with_cluster:
         if (os.cpu_count() or 1) < 2:

@@ -3,9 +3,9 @@
 
 Compares the *ratio* metrics of a freshly measured benchmark record
 against a committed baseline record — in CI, the smoke-profile baseline
-``benchmarks/results/BENCH_runtime_smoke.json``.  Only ratios
-(engine-vs-legacy speedups, cache-saving factors) are compared — they are
-broadly machine-portable, unlike absolute req/s — and only regressions
+``benchmarks/results/BENCH_runtime_smoke.json``.  Only ratios (the
+stacked-batch speedup, the plan-cache saving factor) are compared — they
+are broadly machine-portable, unlike absolute req/s — and only regressions
 fail: a ratio more than ``--tolerance`` (default 25%) below the
 baseline's value exits non-zero.  Improvements never fail.
 
@@ -34,7 +34,7 @@ from pathlib import Path
 
 
 def _lookup(metrics: dict, dotted: str):
-    """Resolve a dotted path (e.g. ``server.speedup``) into the metrics dict."""
+    """Resolve a dotted path (e.g. ``stacked.speedup``) into the metrics dict."""
     node = metrics
     for part in dotted.split("."):
         if not isinstance(node, dict) or part not in node:

@@ -20,8 +20,9 @@ from pathlib import Path
 
 PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 
-#: Total lines at PR 14 (one ``Request`` from Session to worker); 10,867 before it.
-CEILING = 10556
+#: Total lines at PR 15 (one fused executor; ``Session.close`` no longer
+#: collects FX-graph cycles); 10,556 at PR 14, 10,867 before it.
+CEILING = 10547
 
 
 def package_lines(root: Path) -> dict[str, int]:

@@ -53,7 +53,6 @@ def _reinit_after_fork() -> None:
     bookkeeping could have been mid-mutation) before touching them.
     """
     import repro.engine.fingerprint as fingerprint
-    import repro.engine.flags as flags
     import repro.engine.paths as paths
     import repro.obs.metrics as obs_metrics
     import repro.runtime.plan_cache as plan_cache
@@ -63,7 +62,6 @@ def _reinit_after_fork() -> None:
     fingerprint._TOKENS.clear()
     fingerprint._ARTIFACTS.clear()
     paths._LOCK = threading.Lock()
-    flags._LOCK = threading.Lock()
     calibration._CALIBRATION_LOCK = threading.Lock()
     plan_cache._GLOBAL_LOCK = threading.Lock()
     plan_cache._GLOBAL_CACHE._lock = threading.RLock()

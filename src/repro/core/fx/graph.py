@@ -60,19 +60,17 @@ class Node:
 
     def input_nodes(self) -> list["Node"]:
         """All nodes this node reads, in argument order."""
+        # An explicit stack, not a recursive local function: a closure that
+        # names itself is a reference cycle, and one made per call would pin
+        # ``found`` until the cyclic collector runs.
         found: list[Node] = []
-
-        def visit(value: Any) -> None:
+        stack: list[Any] = [*self.args, *self.kwargs.values()][::-1]
+        while stack:
+            value = stack.pop()
             if isinstance(value, Node):
                 found.append(value)
             elif isinstance(value, (list, tuple)):
-                for item in value:
-                    visit(item)
-
-        for arg in self.args:
-            visit(arg)
-        for value in self.kwargs.values():
-            visit(value)
+                stack.extend(reversed(value))
         return found
 
     def format(self) -> str:

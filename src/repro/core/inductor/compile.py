@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.inductor.autotune import AutotuneResult, autotune_tiles
 from repro.core.inductor.config import InductorConfig
 from repro.core.inductor.dot_rewrite import DotInfo, detect_dot
-from repro.core.inductor.executor import run_fused, run_unfused
+from repro.core.inductor.executor import run_unfused
 from repro.core.inductor.fusion import FusedKernelPlan, build_kernel_spec, fuse_stages
 from repro.core.inductor.loop_ir import StageIR, lower_to_stages
 from repro.core.insum.planner import InsumPlan
@@ -47,8 +47,9 @@ class CompiledInsum:
     dot: DotInfo | None
     autotune: AutotuneResult
     compile_seconds: float = 0.0
-    #: Specialized NumPy closure from :mod:`repro.engine` (``None`` when
-    #: ``config.specialize`` is off or the schedule is unfused).
+    #: The fused schedule's executor, a
+    #: :class:`repro.engine.specialize.SpecializedKernel` (``None`` when the
+    #: schedule is unfused).
     specialized: object | None = field(default=None, repr=False)
     _source_cache: str | None = field(default=None, repr=False)
 
@@ -60,17 +61,12 @@ class CompiledInsum:
     def run(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
         """Execute the compiled program on NumPy tensors.
 
-        Routes through the plan-time specialized closure when one was
-        built (cached contraction path, segment-sum scatter, buffer
-        arena); otherwise falls back to the interpretive fused/unfused
-        executors.
+        A fused schedule runs its plan-time specialized closure (cached
+        contraction path, segment-sum scatter, buffer arena); an unfused
+        one runs the FX graph node by node.
         """
-        from repro.engine.flags import engine_disabled
-
-        if self.specialized is not None and not engine_disabled():
+        if self.specialized is not None:
             return self.specialized.run(tensors)
-        if self.is_fused:
-            return run_fused(self.plan, tensors, chunk_size=self.config.execution_chunk)
         return run_unfused(self.plan, tensors)
 
     # -- reporting ------------------------------------------------------------
@@ -105,6 +101,10 @@ class CompiledInsum:
 
 def compile_plan(plan: InsumPlan, config: InductorConfig | None = None) -> CompiledInsum:
     """Compile an Insum plan with the given backend configuration."""
+    # Imported here: repro.engine.specialize imports this package's
+    # executor module, so a module-level import would be circular.
+    from repro.engine.specialize import specialize_plan
+
     config = config or InductorConfig()
     config.validate()
 
@@ -117,11 +117,7 @@ def compile_plan(plan: InsumPlan, config: InductorConfig | None = None) -> Compi
             build_kernel_spec(kp, dot, config, autotune.best_tiles) for kp in kernel_plans
         ]
         cost = estimate_total_time(kernels, config.device)
-        specialized = None
-        if config.specialize and len(kernel_plans) == 1:
-            from repro.engine.specialize import specialize_plan
-
-            specialized = specialize_plan(plan, config)
+        specialized = specialize_plan(plan, config) if len(kernel_plans) == 1 else None
     return CompiledInsum(
         plan=plan,
         config=config,

@@ -37,16 +37,11 @@ class InductorConfig:
     tile_sizes: dict[str, int] | None = None
     #: Autotune tile sizes against the device model when none are given.
     autotune: bool = True
-    #: Steps of the leading output variable per streamed window.  The
-    #: interpretive executor streams exactly this many; a specialized
-    #: kernel sizes its windows from the per-step footprint (see
-    #: ``specialize_single_shot_elements``) and treats this as the floor.
+    #: Fewest steps of the leading output variable a streamed window
+    #: takes: the fused executor sizes its windows from the per-step
+    #: footprint (see ``specialize_single_shot_elements``) and treats this
+    #: as the floor.
     execution_chunk: int = 128
-    #: Execute through :mod:`repro.engine` specialized closures (cached
-    #: contraction paths, segment-sum scatters, buffer arena).  Disable to
-    #: fall back to the interpretive executor — the benchmark harness does
-    #: this to measure the specialization payoff.
-    specialize: bool = True
     #: Total temporary elements (gathered factors + contraction partial)
     #: below which a specialized kernel runs its whole iteration space as
     #: one window.  Above it the kernel streams windows whose temporaries

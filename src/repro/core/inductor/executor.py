@@ -1,184 +1,29 @@
-"""NumPy executors for compiled Insum programs.
+"""The unfused NumPy executor for compiled Insum programs.
 
-Two execution strategies mirror the two kernel schedules:
+The two kernel schedules execute through two code paths:
 
-* :func:`run_unfused` executes the FX graph node by node, materialising
-  every gathered temporary in full — the behaviour of the stock
-  TorchInductor schedule with a template matmul.
-* :func:`run_fused` streams over the leading output variable in chunks,
-  gathering, contracting, and scattering each chunk without ever holding
-  the full gathered temporaries — the memory behaviour of the fused
-  Triton kernel generated by the paper's extension.
+* :func:`run_unfused` (here) executes the FX graph node by node,
+  materialising every gathered temporary in full — the behaviour of the
+  stock TorchInductor schedule with a template matmul.
+* the fused schedule runs
+  :class:`repro.engine.specialize.SpecializedKernel`, which streams over
+  the leading output variable in windows, gathering, contracting, and
+  scattering each window without ever holding the full gathered
+  temporaries — the memory behaviour of the fused Triton kernel generated
+  by the paper's extension.
 
-Both produce identical numerics and are tested against the loop-nest
-reference interpreter.
+Both produce identical numerics (up to reassociation of the scatter sums)
+and are tested against the loop-nest reference interpreter.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.einsum.ast import IndexVar, IntLiteral, TensorAccess
-from repro.core.insum.planner import FactorPlan, InsumPlan
-from repro.engine.flags import engine_disabled
-from repro.engine.paths import cached_einsum_path
-from repro.errors import LoweringError
+from repro.core.insum.planner import InsumPlan
 
 
 def run_unfused(plan: InsumPlan, tensors: dict[str, np.ndarray]) -> np.ndarray:
     """Execute through the FX interpreter (full intermediate materialisation)."""
     assert plan.graph_module is not None
     return plan.graph_module(**tensors)
-
-
-def run_fused(
-    plan: InsumPlan, tensors: dict[str, np.ndarray], chunk_size: int = 128
-) -> np.ndarray:
-    """Execute the gather → einsum → scatter pipeline in streaming chunks."""
-    arrays = {name: np.asarray(value) for name, value in tensors.items()}
-    info = plan.info
-    base = arrays[info.output_name]
-
-    value_dtype = np.result_type(
-        base, *[arrays[f.access.tensor] for f in plan.factors]
-    )
-    if plan.statement.accumulate:
-        result = base.astype(value_dtype, copy=True)
-    else:
-        result = np.zeros(base.shape, dtype=value_dtype)
-
-    if not plan.output_subscripts:
-        return run_unfused(plan, tensors)
-
-    chunk_var = plan.output_subscripts[0]
-    extent = info.extents[chunk_var]
-    chunk_size = max(1, int(chunk_size))
-
-    for start in range(0, extent, chunk_size):
-        window = slice(start, min(extent, start + chunk_size))
-        chunk_factors = [
-            _materialize_factor_chunk(factor, arrays, chunk_var, window)
-            for factor in plan.factors
-        ]
-        # The contraction path depends only on (equation, chunk shapes):
-        # resolve it once per distinct chunk shape instead of per chunk.
-        if engine_disabled():
-            partial = np.einsum(plan.einsum_equation, *chunk_factors, optimize=True)
-        else:
-            path = cached_einsum_path(plan.einsum_equation, *chunk_factors)
-            partial = np.einsum(plan.einsum_equation, *chunk_factors, optimize=path)
-        _scatter_chunk(plan, arrays, result, partial, chunk_var, window)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Chunked factor materialisation
-# ---------------------------------------------------------------------------
-def _materialize_factor_chunk(
-    factor: FactorPlan,
-    arrays: dict[str, np.ndarray],
-    chunk_var: str,
-    window: slice,
-) -> np.ndarray:
-    """Produce the dense temporary of one factor, restricted to the chunk."""
-    access = factor.access
-    source = arrays[access.tensor]
-
-    if not factor.is_indirect:
-        return _slice_direct_access(source, access, chunk_var, window)
-
-    axis = factor.gather_axis
-    assert axis is not None
-    index_access = access.indices[axis]
-    assert isinstance(index_access, TensorAccess)
-    index_array = arrays[index_access.tensor]
-    index_vars = [ix.name for ix in index_access.indices if isinstance(ix, IndexVar)]
-
-    if chunk_var in index_vars:
-        position = index_vars.index(chunk_var)
-        index_array = _slice_axis(index_array, position, window)
-
-    # Slice the source tensor along any *direct* axis carrying the chunk var.
-    sliced_source = source
-    for source_axis, ix in enumerate(access.indices):
-        if isinstance(ix, IndexVar) and ix.name == chunk_var:
-            sliced_source = _slice_axis(sliced_source, source_axis, window)
-
-    flat_index = index_array.reshape(-1)
-    gathered = np.take(sliced_source, flat_index, axis=axis)
-    target_shape = (
-        sliced_source.shape[:axis] + index_array.shape + sliced_source.shape[axis + 1 :]
-    )
-    return gathered.reshape(target_shape)
-
-
-def _slice_direct_access(
-    source: np.ndarray, access: TensorAccess, chunk_var: str, window: slice
-) -> np.ndarray:
-    """Apply constant-index selection and chunk slicing to a direct factor."""
-    result = source
-    removed = 0
-    for axis, ix in enumerate(access.indices):
-        effective_axis = axis - removed
-        if isinstance(ix, IntLiteral):
-            result = np.take(result, ix.value, axis=effective_axis)
-            removed += 1
-        elif isinstance(ix, IndexVar) and ix.name == chunk_var:
-            result = _slice_axis(result, effective_axis, window)
-    return result
-
-
-def _slice_axis(array: np.ndarray, axis: int, window: slice) -> np.ndarray:
-    key = [slice(None)] * array.ndim
-    key[axis] = window
-    return array[tuple(key)]
-
-
-# ---------------------------------------------------------------------------
-# Chunked scatter
-# ---------------------------------------------------------------------------
-def _scatter_chunk(
-    plan: InsumPlan,
-    arrays: dict[str, np.ndarray],
-    result: np.ndarray,
-    partial: np.ndarray,
-    chunk_var: str,
-    window: slice,
-) -> None:
-    """Accumulate a chunk's contraction output into the result tensor."""
-    lhs = plan.statement.lhs
-
-    if not plan.has_scatter:
-        # Direct output: the chunk variable is the first LHS axis.
-        result[window] += partial
-        return
-
-    scatter_dim = plan.scatter_dim
-    assert scatter_dim is not None
-    scatter_vars = plan.scatter_index_subscripts
-    index_array = arrays[plan.scatter_index]
-
-    target_view = result
-    if chunk_var in scatter_vars:
-        index_array = _slice_axis(index_array, scatter_vars.index(chunk_var), window)
-    else:
-        # The chunk variable is a plain LHS axis; find it and slice the output.
-        plain_axis = None
-        for axis, ix in enumerate(lhs.indices):
-            if isinstance(ix, IndexVar) and ix.name == chunk_var:
-                plain_axis = axis
-                break
-        if plain_axis is None:
-            raise LoweringError(
-                f"chunk variable {chunk_var!r} does not appear on the left-hand side"
-            )
-        target_view = _slice_axis(result, plain_axis, window)
-
-    num_scatter_axes = len(scatter_vars)
-    moved_source = np.moveaxis(
-        partial,
-        list(range(scatter_dim, scatter_dim + num_scatter_axes)),
-        list(range(num_scatter_axes)),
-    )
-    moved_target = np.moveaxis(target_view, scatter_dim, 0)
-    np.add.at(moved_target, index_array, moved_source)

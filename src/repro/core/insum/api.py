@@ -146,20 +146,9 @@ class Insum:
                     from repro.core.inductor import compile_plan
 
                     compiled = compile_plan(plan, config=self.config)
-                entry = cache.put(
-                    key,
-                    CachedPlan(
-                        plan=plan,
-                        compiled=compiled,
-                        specialized=getattr(compiled, "specialized", None),
-                    ),
-                )
+                entry = cache.put(key, CachedPlan(plan=plan, compiled=compiled))
             elif self.check_bounds:
-                from repro.engine.flags import engine_disabled
-
-                bounds_key = (
-                    None if engine_disabled() else self._bounds_memo_key(key, tensors)
-                )
+                bounds_key = self._bounds_memo_key(key, tensors)
                 if bounds_key is None or bounds_key not in _VALIDATED_BOUNDS:
                     validate(self.statement, tensors, check_bounds=True)
                     if bounds_key is not None:
@@ -226,8 +215,9 @@ class _EagerKernel:
         self.plan = plan
 
     def run(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
-        assert self.plan.graph_module is not None
-        return self.plan.graph_module(**tensors)
+        from repro.core.inductor.executor import run_unfused
+
+        return run_unfused(self.plan, tensors)
 
 
 def insum(
@@ -566,12 +556,9 @@ class SparseEinsum:
         """
         if self.format is not None:
             operands = self._apply_format(operands)
-        from repro.engine.flags import engine_disabled
-
-        if not engine_disabled():
-            memoized = self._prepare_from_memo(operands)
-            if memoized is not None:
-                return memoized
+        memoized = self._prepare_from_memo(operands)
+        if memoized is not None:
+            return memoized
         return self._prepare_uncached(operands)
 
     def _prepare_uncached(self, operands: dict[str, Any]):

@@ -7,9 +7,9 @@ NumPy closure with every value-independent decision made at compile time,
 and supplies the identity-keyed caches that let a serving process stop
 re-deriving per-operand artefacts on every request:
 
-* :mod:`repro.engine.specialize` — :class:`SpecializedKernel`, the
-  compiled closure (chunk schedule, cached contraction path, segment-sum
-  scatter, buffer arena);
+* :mod:`repro.engine.specialize` — :class:`SpecializedKernel`, the one
+  executor of a fused schedule (window schedule, gather, cached
+  contraction path, segment-sum scatter, buffer arena);
 * :mod:`repro.engine.paths` — process-wide ``np.einsum_path`` memo;
 * :mod:`repro.engine.segment` — ``np.add.at`` replaced by disjoint-row
   fancy ``+=`` or bucketed slab segment sums;
@@ -19,8 +19,9 @@ re-deriving per-operand artefacts on every request:
 * :mod:`repro.engine.coalesce` — widening helpers behind the server's
   same-plan request coalescing.
 
-See ``docs/PERFORMANCE.md`` for what is specialized and how the gains are
-tracked in ``benchmarks/results/BENCH_runtime.json``.
+See ``docs/PERFORMANCE.md`` for what is specialized and which committed
+numbers (``benchmarks/layers``, ``benchmarks/results/BENCH_runtime.json``)
+track it.
 """
 
 from repro.engine.arena import BufferArena
@@ -31,7 +32,6 @@ from repro.engine.coalesce import (
     stack_group,
     widen_expression,
 )
-from repro.engine.flags import engine_disabled, legacy_mode
 from repro.engine.fingerprint import (
     array_token,
     clear_derived_cache,
@@ -61,8 +61,6 @@ __all__ = [
     "coalesce_key",
     "derived",
     "derived_cache_size",
-    "engine_disabled",
-    "legacy_mode",
     "pattern_fingerprint",
     "path_cache_stats",
     "plan_scatter",

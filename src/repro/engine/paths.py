@@ -7,10 +7,10 @@ only on the equation and the operand shapes, so the engine resolves it once
 per ``(equation, shapes)`` pair and passes the explicit path to every later
 call.
 
-:func:`cached_einsum_path` is the lookup used by the specialized executor,
-the FX ``einsum`` operator, and the equivariant reference kernel;
+:func:`cached_einsum_path` is the lookup the fused executor
+(:mod:`repro.engine.specialize`) calls once per window;
 :func:`cached_einsum` is the one-line "einsum with a memoized path" wrapper
-for call sites that do not manage the path themselves.
+behind the FX ``einsum`` operator of the unfused schedule.
 """
 
 from __future__ import annotations
@@ -71,16 +71,8 @@ def cached_einsum(equation: str, *operands: np.ndarray, out: np.ndarray | None =
 
     Drop-in replacement for ``np.einsum(equation, *operands,
     optimize=True)`` that pays the path search once per distinct
-    ``(equation, shapes)`` pair instead of on every call.  Inside
-    :func:`repro.engine.flags.legacy_mode` it degrades to the per-call
-    search, so benchmarks can measure the memo's payoff.
+    ``(equation, shapes)`` pair instead of on every call.
     """
-    from repro.engine.flags import engine_disabled
-
-    if engine_disabled():
-        if out is None:
-            return np.einsum(equation, *operands, optimize=True)
-        return np.einsum(equation, *operands, optimize=True, out=out)
     path = cached_einsum_path(equation, *operands)
     if out is None:
         return np.einsum(equation, *operands, optimize=path)

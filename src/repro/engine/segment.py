@@ -1,10 +1,11 @@
-"""Segment-sum scatter: the engine's replacement for ``np.add.at``.
+"""Segment-sum scatter: how both executors lower ``np.add.at``.
 
-``np.add.at`` is the correctness workhorse of every scatter in the
-executor, but on a source with a trailing shape it processes one update at
-a time through the ufunc inner loop — and so does
-``np.add.reduceat(axis=0)`` on a 2-D array.  Two structure-aware rewrites
-cover the cases the compiled plans produce:
+``np.add.at`` defines what a scatter means, but on a source with a
+trailing shape it processes one update at a time through the ufunc inner
+loop — and so does ``np.add.reduceat(axis=0)`` on a 2-D array.  The fused
+executor and the FX ``index_add`` operator scatter through
+:func:`segment_add` instead; two structure-aware rewrites cover the cases
+the compiled plans produce:
 
 * **disjoint rows** — when the scatter index has no duplicates, plain
   fancy-index ``+=`` is exact (each target row receives exactly one
@@ -154,11 +155,6 @@ def segment_add(
         (the engine memoizes these per metadata fingerprint); computed on
         the fly when omitted.
     """
-    from repro.engine.flags import engine_disabled
-
-    if engine_disabled():
-        np.add.at(target, index, source)
-        return
     index = np.asarray(index)
     source = np.asarray(source)
     if source.ndim == 0 or source.shape[0] != index.size:

@@ -1,10 +1,10 @@
 """Plan-time specialization: turn an :class:`InsumPlan` into a fast closure.
 
-:func:`repro.core.inductor.executor.run_fused` is correct but fully
-interpretive: every call re-derives the einsum contraction path, re-walks
-the factor structure, scatters through ``np.add.at``, and allocates every
-temporary afresh.  :class:`SpecializedKernel` moves all of that to
-*compile time*:
+:class:`SpecializedKernel` is the executor of every fused schedule: it
+streams over the leading output variable in windows, gathering,
+contracting, and scattering each window without ever holding the full
+gathered temporaries.  Everything that does not depend on operand values
+is decided at *compile time*:
 
 * the chunking decision is made once from the plan's extents and the
   config's memory budget: the whole iteration space as one window when its
@@ -22,7 +22,7 @@ temporary afresh.  :class:`SpecializedKernel` moves all of that to
 * the contraction partial of each chunk is written into a per-thread
   arena buffer (:mod:`repro.engine.arena`) instead of a new allocation.
 
-Numerics match the interpretive executor up to floating-point
+Numerics match the unfused FX interpreter up to floating-point
 reassociation of the scatter: per output row, contributions are summed
 sequentially in storage order and the sum is then added to the row (the
 contract of :mod:`repro.engine.segment`), within each window.  Every
@@ -36,8 +36,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.einsum.ast import IndexVar
-from repro.core.insum.planner import InsumPlan
+from repro.core.einsum.ast import IndexVar, IntLiteral, TensorAccess
+from repro.core.inductor.executor import run_unfused
+from repro.core.insum.planner import FactorPlan, InsumPlan
 from repro.engine.arena import BufferArena
 from repro.engine.fingerprint import derived
 from repro.engine.paths import cached_einsum_path
@@ -58,7 +59,7 @@ class SpecializedKernel:
     ``run`` then executes the gather → einsum → scatter pipeline with all
     value-independent decisions precomputed.  Falls back to the unfused FX
     interpreter for plans without a leading output variable (scalar
-    outputs), exactly like the interpretive executor.
+    outputs): there is nothing to window over.
     """
 
     plan: InsumPlan
@@ -145,10 +146,6 @@ class SpecializedKernel:
     # -- execution ----------------------------------------------------------
     def run(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
         """Execute the specialized pipeline on the given tensors."""
-        # Imported lazily: the executor module itself uses the engine's
-        # path cache, so a module-level import would be circular.
-        from repro.core.inductor.executor import _materialize_factor_chunk, run_unfused
-
         plan = self.plan
         if not self.supported:
             return run_unfused(plan, tensors)
@@ -194,8 +191,6 @@ class SpecializedKernel:
         window: slice,
     ) -> None:
         """Accumulate one chunk into the result (segment-sum lowering)."""
-        from repro.core.inductor.executor import _slice_axis
-
         plan = self.plan
         if not plan.has_scatter:
             result[window] += partial
@@ -261,6 +256,69 @@ class SpecializedKernel:
             f"specialized: {mode} (chunk {self.chunk_size}), cached path "
             f"'{self.plan.einsum_equation}', {scatter}"
         )
+
+
+# ---------------------------------------------------------------------------
+# Windowed factor materialisation (the gather stage)
+# ---------------------------------------------------------------------------
+def _materialize_factor_chunk(
+    factor: FactorPlan,
+    arrays: dict[str, np.ndarray],
+    chunk_var: str,
+    window: slice,
+) -> np.ndarray:
+    """Produce the dense temporary of one factor, restricted to the chunk."""
+    access = factor.access
+    source = arrays[access.tensor]
+
+    if not factor.is_indirect:
+        return _slice_direct_access(source, access, chunk_var, window)
+
+    axis = factor.gather_axis
+    assert axis is not None
+    index_access = access.indices[axis]
+    assert isinstance(index_access, TensorAccess)
+    index_array = arrays[index_access.tensor]
+    index_vars = [ix.name for ix in index_access.indices if isinstance(ix, IndexVar)]
+
+    if chunk_var in index_vars:
+        position = index_vars.index(chunk_var)
+        index_array = _slice_axis(index_array, position, window)
+
+    # Slice the source tensor along any *direct* axis carrying the chunk var.
+    sliced_source = source
+    for source_axis, ix in enumerate(access.indices):
+        if isinstance(ix, IndexVar) and ix.name == chunk_var:
+            sliced_source = _slice_axis(sliced_source, source_axis, window)
+
+    flat_index = index_array.reshape(-1)
+    gathered = np.take(sliced_source, flat_index, axis=axis)
+    target_shape = (
+        sliced_source.shape[:axis] + index_array.shape + sliced_source.shape[axis + 1 :]
+    )
+    return gathered.reshape(target_shape)
+
+
+def _slice_direct_access(
+    source: np.ndarray, access: TensorAccess, chunk_var: str, window: slice
+) -> np.ndarray:
+    """Apply constant-index selection and chunk slicing to a direct factor."""
+    result = source
+    removed = 0
+    for axis, ix in enumerate(access.indices):
+        effective_axis = axis - removed
+        if isinstance(ix, IntLiteral):
+            result = np.take(result, ix.value, axis=effective_axis)
+            removed += 1
+        elif isinstance(ix, IndexVar) and ix.name == chunk_var:
+            result = _slice_axis(result, effective_axis, window)
+    return result
+
+
+def _slice_axis(array: np.ndarray, axis: int, window: slice) -> np.ndarray:
+    key = [slice(None)] * array.ndim
+    key[axis] = window
+    return array[tuple(key)]
 
 
 def specialize_plan(plan: InsumPlan, config: Any) -> SpecializedKernel:

@@ -122,9 +122,8 @@ class FullyConnectedTensorProduct:
             raise ShapeError("X, Y, and W must share the batch dimension")
         output = np.zeros((batch, self.slot_dimension, self.channels), dtype=x.dtype)
         tensors = {"Z": output, "X": x, "Y": y, "W": w, **self._grouped}
-        result = self._operator(**tensors)
         self._compiled = self._operator.compile(**tensors)
-        return result
+        return self._compiled.run(tensors)
 
     def estimate_ms(self, batch: int) -> float:
         """Modelled GPU runtime for a given batch size without executing."""
@@ -140,13 +139,10 @@ class FullyConnectedTensorProduct:
     def reference(self, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Dense einsum over the full CG tensor, used by the tests.
 
-        The four-factor contraction path is resolved once per shape
-        signature through the engine's path cache instead of on every
-        call.
+        Plain NumPy on purpose: an oracle that shared the engine's path
+        memo with the kernel it checks could not see a bug there.
         """
-        from repro.engine.paths import cached_einsum
-
-        return cached_einsum("ijkl,bju,bk,bluw->biw", self.cg.dense, x, y, w)
+        return np.einsum("ijkl,bju,bk,bluw->biw", self.cg.dense, x, y, w, optimize=True)
 
     # -- introspection ----------------------------------------------------------------
     @property

@@ -15,8 +15,6 @@ import numpy as np
 from repro.core.inductor import InductorConfig
 from repro.core.insum import Insum
 from repro.datasets.pointclouds import KernelMap
-from repro.engine.fingerprint import derived
-from repro.engine.segment import plan_scatter, segment_add
 from repro.errors import ShapeError
 
 
@@ -85,9 +83,8 @@ class SparseConv3d:
             "Weight": self.weight,
             **self.map_arrays,
         }
-        result = self._operator(**tensors)
         self._compiled = self._operator.compile(**tensors)
-        return result
+        return self._compiled.run(tensors)
 
     def estimate_ms(self) -> float:
         """Modelled GPU runtime of one convolution without executing it."""
@@ -103,20 +100,18 @@ class SparseConv3d:
         return self._compiled.estimated_ms
 
     def reference(self, features: np.ndarray) -> np.ndarray:
-        """Offset-by-offset dense reference used by the tests."""
+        """Offset-by-offset dense reference used by the tests.
+
+        Plain NumPy on purpose: an oracle that shared the engine's scatter
+        lowering with the kernel it checks could not see a bug there.
+        """
         features = np.asarray(features)
         output = np.zeros((self.kernel_map.num_voxels, self.out_channels), dtype=np.float64)
         for offset_index, pairs in enumerate(self.kernel_map.pairs):
             if len(pairs) == 0:
                 continue
             gathered = features[pairs[:, 1]]
-            contribution = gathered @ self.weight[offset_index]
-            # Segment-sum scatter; the per-offset scatter plan (sort order
-            # and segment boundaries) is memoized on the pairs array.
-            plan = derived(
-                pairs, "spconv-out-scatter", lambda pairs=pairs: plan_scatter(pairs[:, 0])
-            )
-            segment_add(output, pairs[:, 0], contribution, plan=plan)
+            np.add.at(output, pairs[:, 0], gathered @ self.weight[offset_index])
         return output
 
     # -- introspection ------------------------------------------------------------

@@ -82,18 +82,16 @@ class PlanCacheStats:
 
 @dataclass(frozen=True)
 class CachedPlan:
-    """One cache entry: the plan, the compiled kernel, and its specialization.
+    """One cache entry: the plan and the kernel compiled from it.
 
-    ``specialized`` is the :class:`~repro.engine.specialize.SpecializedKernel`
-    built at compile time (``None`` for the eager backend or when
-    specialization is disabled); caching it alongside the plan means a
-    cache hit hands back the fully specialized closure — precomputed
-    contraction path, scatter plans, and arena included.
+    An inductor ``compiled`` with a fused schedule carries its
+    :class:`~repro.engine.specialize.SpecializedKernel`, so a cache hit
+    hands back the fully specialized closure — window schedule, arena and
+    all.
     """
 
     plan: Any
     compiled: Any
-    specialized: Any = None
 
 
 class PlanCache:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import gc
 import os
 import threading
 import time
@@ -518,10 +517,6 @@ class Session:
             finally:
                 if self._fallback is not None:
                     self._fallback.close()
-        # The plans this session compiled left cyclic FX-graph garbage
-        # that only the cycle collector frees; a closed session hands it
-        # back now, not whenever an allocation next trips a GC threshold.
-        gc.collect()
 
     def __enter__(self) -> "Session":
         """Enter the context; the session is usable immediately."""

@@ -1,17 +1,28 @@
-"""Tests for the fused (chunked) and unfused executors."""
+"""Tests for the fused (windowed) and unfused executors."""
+
+import dataclasses
 
 import numpy as np
+import pytest
 
 from repro.core.einsum import reference_execute
-from repro.core.inductor.executor import run_fused, run_unfused
+from repro.core.inductor.executor import run_unfused
 from repro.core.insum import plan_insum
+from repro.engine.specialize import SpecializedKernel
+from repro.errors import LoweringError
 from repro.formats import COO, BlockGroupCOO, GroupCOO
+
+
+def run_windowed(plan, tensors, chunk_size=128):
+    """The fused executor streaming windows of exactly ``chunk_size`` steps."""
+    kernel = SpecializedKernel.build(plan, chunk_size=chunk_size, single_shot_budget=0)
+    return kernel.run(tensors)
 
 
 def assert_fused_matches_reference(expression, tensors, chunk_size=3):
     plan = plan_insum(expression, tensors)
     expected = reference_execute(expression, tensors)
-    fused = run_fused(plan, tensors, chunk_size=chunk_size)
+    fused = run_windowed(plan, tensors, chunk_size=chunk_size)
     unfused = run_unfused(plan, tensors)
     np.testing.assert_allclose(fused, expected, atol=1e-9)
     np.testing.assert_allclose(unfused, expected, atol=1e-9)
@@ -64,7 +75,7 @@ def test_assignment_semantics_in_fused_executor(rng):
     existing = rng.standard_normal(6)
     tensors = {"C": existing.copy(), "A": rng.standard_normal(6)}
     plan = plan_insum("C[i] = A[i]", tensors)
-    out = run_fused(plan, tensors, chunk_size=2)
+    out = run_windowed(plan, tensors, chunk_size=2)
     np.testing.assert_allclose(out, tensors["A"], atol=1e-12)
 
 
@@ -76,7 +87,7 @@ def test_fused_executor_does_not_mutate_output(rng):
         "B": rng.standard_normal((7, 3)),
     }
     plan = plan_insum("C[m,n] += A[m,k] * B[k,n]", tensors)
-    run_fused(plan, tensors)
+    run_windowed(plan, tensors)
     np.testing.assert_allclose(original, 0.0)
 
 
@@ -92,7 +103,8 @@ def test_chunk_size_one_and_large(small_sparse_matrix, rng):
     plan = plan_insum("C[AM[p],n] += AV[p] * B[AK[p],n]", tensors)
     expected = reference_execute("C[AM[p],n] += AV[p] * B[AK[p],n]", tensors)
     for chunk in (1, 1000):
-        np.testing.assert_allclose(run_fused(plan, tensors, chunk_size=chunk), expected, atol=1e-9)
+        result = run_windowed(plan, tensors, chunk_size=chunk)
+        np.testing.assert_allclose(result, expected, atol=1e-9)
 
 
 def test_scatter_on_middle_axis(rng):
@@ -104,6 +116,20 @@ def test_scatter_on_middle_axis(rng):
         "X": rng.standard_normal((3, 3, 2)),
     }
     assert_fused_matches_reference("Z[b,I[p],w] += V[p] * X[b,p,w]", tensors, chunk_size=2)
+
+
+def test_chunk_variable_missing_from_the_lhs_is_a_lowering_error(small_sparse_matrix, rng):
+    fmt = GroupCOO.from_dense(small_sparse_matrix, group_size=2)
+    tensors = {
+        "C": np.zeros((8, 4)),
+        "B": rng.standard_normal((12, 4)),
+        **fmt.tensors("A"),
+    }
+    plan = plan_insum("C[AM[p],n] += AV[p,q] * B[AK[p,q],n]", tensors)
+    # No planner output leads with a reduction variable; a hand-built plan can.
+    doctored = dataclasses.replace(plan, output_subscripts=["q", "p", "n"])
+    with pytest.raises(LoweringError, match="does not appear on the left-hand side"):
+        run_windowed(doctored, tensors, chunk_size=1)
 
 
 def test_spconv_style_three_factor_fused(rng):

@@ -108,6 +108,13 @@ def test_users_of_and_categories():
     assert any(u.target == "einsum" for u in users)
 
 
+def test_input_nodes_keep_argument_order_through_nested_arguments():
+    graph = Graph()
+    a, b, c, d = (graph.placeholder(name) for name in "ABCD")
+    node = graph.call("scatter_add_coords", a, [b, None, (c, a)], source=d)
+    assert node.input_nodes() == [a, b, c, a, d]
+
+
 def test_linearize_detects_cycles():
     graph = build_gather_einsum_scatter_graph()
     nodes = list(graph.nodes)

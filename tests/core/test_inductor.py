@@ -11,9 +11,11 @@ from repro.core.inductor import (
     lower_to_stages,
 )
 from repro.core.inductor.autotune import autotune_tiles
+from repro.core.inductor.executor import run_unfused
 from repro.core.inductor.fusion import build_kernel_spec
 from repro.core.inductor.tiling import candidate_tiles, default_tiles
 from repro.core.insum import plan_insum
+from repro.engine.specialize import SpecializedKernel
 from repro.formats import BlockGroupCOO, COO, GroupCOO
 
 
@@ -58,6 +60,11 @@ def test_config_validation():
         InductorConfig(execution_chunk=0).validate()
     with pytest.raises(ValueError):
         InductorConfig(tile_sizes={"m": 0}).validate()
+
+
+def test_config_has_no_specialize_switch():
+    with pytest.raises(TypeError):
+        InductorConfig(specialize=False)
 
 
 # -- dot detection --------------------------------------------------------------------
@@ -191,6 +198,28 @@ def test_compiled_run_matches_reference(blocked_plan, block_sparse_matrix):
     out = compiled.run(tensors)
     expected = block_sparse_matrix @ tensors["B"].reshape(64, 16)
     np.testing.assert_allclose(out.reshape(64, 16), expected, atol=1e-8)
+
+
+def test_fused_schedules_run_their_specialized_kernel(blocked_plan, coo_plan):
+    """One executor per schedule: the closure when fused, the FX graph when not."""
+    presets = (
+        InductorConfig.insum,
+        InductorConfig.insum_tensor_core_only,
+        InductorConfig.torchinductor_default,
+    )
+    fused_count = 0
+    for plan, tensors in (blocked_plan, coo_plan):
+        for preset in presets:
+            compiled = compile_plan(plan, preset())
+            if compiled.is_fused:
+                fused_count += 1
+                assert isinstance(compiled.specialized, SpecializedKernel)
+                expected = compiled.specialized.run(tensors)
+            else:
+                assert compiled.specialized is None
+                expected = run_unfused(plan, tensors)
+            np.testing.assert_array_equal(compiled.run(tensors), expected)
+    assert fused_count == 5  # only the blocked matmul under stock TorchInductor splits
 
 
 def test_lazy_broadcasting_reduces_cost(blocked_plan):

@@ -5,8 +5,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.einsum import reference_execute
-from repro.core.inductor.executor import run_fused, run_unfused
+from repro.core.inductor.executor import run_unfused
 from repro.core.insum import plan_insum
+from repro.engine.specialize import SpecializedKernel
 from repro.formats import COO, GroupCOO
 
 
@@ -47,7 +48,8 @@ def test_fused_executor_matches_reference_on_random_coo(tensors):
     expression = "C[AM[p],n] += AV[p] * B[AK[p],n]"
     plan = plan_insum(expression, tensors)
     expected = reference_execute(expression, tensors)
-    np.testing.assert_allclose(run_fused(plan, tensors, chunk_size=3), expected, atol=1e-8)
+    fused = SpecializedKernel.build(plan, chunk_size=3, single_shot_budget=0)
+    np.testing.assert_allclose(fused.run(tensors), expected, atol=1e-8)
     np.testing.assert_allclose(run_unfused(plan, tensors), expected, atol=1e-8)
 
 
@@ -75,7 +77,8 @@ def test_groupcoo_spmm_matches_numpy_for_any_group_size(pair, group_size):
         **fmt.tensors("A"),
     }
     plan = plan_insum("C[AM[p],n] += AV[p,q] * B[AK[p,q],n]", tensors)
-    np.testing.assert_allclose(run_fused(plan, tensors, chunk_size=2), matrix @ dense, atol=1e-8)
+    fused = SpecializedKernel.build(plan, chunk_size=2, single_shot_budget=0)
+    np.testing.assert_allclose(fused.run(tensors), matrix @ dense, atol=1e-8)
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,7 +2,7 @@
 
 Covers the contraction-path memo, the identity token / derived-artefact
 cache, the segment-sum scatter, the buffer arena, per-instance profile
-memoization, and the legacy-mode kill-switch.
+memoization, and the garbage a compile leaves behind.
 """
 
 import gc
@@ -21,8 +21,6 @@ from repro.engine import (
     clear_derived_cache,
     derived,
     derived_cache_size,
-    engine_disabled,
-    legacy_mode,
     path_cache_stats,
     plan_scatter,
     segment_add,
@@ -235,26 +233,30 @@ def test_plan_cache_entry_carries_specialized_closure(medium_sparse_matrix, rng)
     )
     entry = get_plan_cache().get(key)
     assert entry is not None
-    assert entry.specialized is not None
-    assert entry.specialized is compiled.specialized  # one closure, two handles
+    assert entry.compiled is compiled  # one handle on the closure
+    assert compiled.specialized is not None
 
 
 # ---------------------------------------------------------------------------
-# Legacy mode
+# Garbage
 # ---------------------------------------------------------------------------
-def test_legacy_mode_flag_and_parity(medium_sparse_matrix, rng):
-    from repro import sparse_einsum
+def test_compile_leaves_no_cyclic_garbage(medium_sparse_matrix, rng):
+    """Construct, first call and eviction free everything by reference count."""
+    from repro import clear_plan_cache
 
-    fmt = COO.from_dense(medium_sparse_matrix)
+    fmt = GroupCOO.from_dense(medium_sparse_matrix)
     dense_rhs = rng.standard_normal((96, 8))
-    engine_result = sparse_einsum("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=dense_rhs)
-    assert not engine_disabled()
-    with legacy_mode():
-        assert engine_disabled()
-        legacy_result = sparse_einsum("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=dense_rhs)
-    assert not engine_disabled()
-    np.testing.assert_allclose(engine_result, legacy_result, atol=1e-9)
-    np.testing.assert_allclose(engine_result, medium_sparse_matrix @ dense_rhs, atol=1e-9)
+    clear_plan_cache()
+    gc.collect()
+    gc.disable()
+    try:
+        operator = SparseEinsum("C[m,n] += A[m,k] * B[k,n]")
+        operator(A=fmt, B=dense_rhs)
+        clear_plan_cache()
+        del operator
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bounds_still_checked_on_first_use(rng):
