@@ -1,4 +1,4 @@
-"""The serving runtime: plan cache, stacked batching, sharding, and the server.
+"""The serving runtime: plan cache, stacked batching, and the server.
 
 Run with:  PYTHONPATH=src python examples/serving_runtime.py
 """
@@ -8,13 +8,12 @@ import numpy as np
 from repro import (
     ServeConfig,
     Session,
-    ShardedExecutor,
+    SparseEinsum,
     StackedSparse,
     get_plan_cache,
     sparse_einsum,
 )
 from repro.formats import COO, GroupCOO
-from repro.kernels import BatchedSpMM
 from repro.utils.timing import Timer
 
 
@@ -32,29 +31,16 @@ def main() -> None:
     batched = sparse_einsum("C[s,m,n] += A[s,m,k] * B[k,n]", A=batch, B=dense)
     print("stacked result matches numpy:", np.allclose(batched, stack @ dense))
 
-    op = BatchedSpMM(batch)
+    per_item = SparseEinsum("C[m,n] += A[m,k] * B[k,n]")
     with Timer() as loop_timer:
-        op.per_item_loop(dense)
+        np.stack([per_item(A=item, B=dense) for item in batch.items()])
+    widened = SparseEinsum("C[s,m,n] += A[s,m,k] * B[k,n]")
     with Timer() as batch_timer:
-        op(dense)
+        widened(A=batch, B=dense)
     print(
         f"batched {batch_timer.elapsed * 1e3:.2f} ms vs per-item loop "
         f"{loop_timer.elapsed * 1e3:.2f} ms "
         f"({loop_timer.elapsed / batch_timer.elapsed:.1f}x)"
-    )
-
-    # --- ShardedExecutor: row-partitioned parallel execution -----------------
-    executor = ShardedExecutor(num_shards=4)
-    sharded = executor.run(
-        "C[m,n] += A[m,k] * B[k,n]", A=GroupCOO.from_dense(stack[0], group_size=4), B=dense
-    )
-    sequential = sparse_einsum(
-        "C[m,n] += A[m,k] * B[k,n]", A=GroupCOO.from_dense(stack[0], group_size=4), B=dense
-    )
-    print(
-        f"sharded ({executor.last_mode}, {executor.last_num_shards} shards) "
-        f"matches sequential:",
-        np.allclose(sharded, sequential),
     )
 
     # --- Session: the serving front door (futures over a worker pool) --------

@@ -1,28 +1,43 @@
 #!/usr/bin/env python
-"""Line budget for the serving stack (ROADMAP aim 2: a tracked number).
+"""Line and option budgets for the serving stack (ROADMAP aim 2: tracked numbers).
 
 Prints ``wc -l`` per serving package — ``cluster``, ``gateway``,
 ``serve``, ``runtime``, ``obs``, ``resilience`` under ``src/repro`` —
-and exits 1 when the total exceeds :data:`CEILING`.  The ceiling is the
-size the stack had when it was last lowered; a PR that shrinks the stack
-lowers it in the same commit, and a PR that needs to raise it has to say
-why in review.
+and the number of config fields (``ServeConfig`` + ``InductorConfig`` +
+``GatewayConfig``: every independently settable option), and exits 1
+when the line total exceeds :data:`CEILING` or the field count exceeds
+:data:`OPTIONS_CEILING`.  Each ceiling is the size the stack had when it
+was last lowered; a PR that shrinks the stack lowers it in the same
+commit, and a PR that needs to raise it has to say why in review.
 
-Run from the repository root::
+Run from the repository root (no dependencies — fields are counted with
+``ast``, nothing is imported)::
 
     python scripts/check_serving_loc.py
 """
 
 from __future__ import annotations
 
+import ast
 import sys
 from pathlib import Path
 
 PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 
-#: Total lines at PR 15 (one fused executor; ``Session.close`` no longer
-#: collects FX-graph cycles); 10,556 at PR 14, 10,867 before it.
-CEILING = 10547
+#: Total lines at PR 17 (row-sharded execution and ten unset options
+#: deleted, each ``ServeConfig`` field declared once); 10,547 at PR 15,
+#: 10,556 at PR 14, 10,867 before it.
+CEILING = 10102
+
+#: The config dataclasses whose fields are the stack's options.
+CONFIG_CLASSES = {
+    "serve/config.py": "ServeConfig",
+    "core/inductor/config.py": "InductorConfig",
+    "gateway/config.py": "GatewayConfig",
+}
+
+#: Config fields at PR 17 (22 + 7 + 8); 47 before it.
+OPTIONS_CEILING = 37
 
 
 def package_lines(root: Path) -> dict[str, int]:
@@ -35,19 +50,44 @@ def package_lines(root: Path) -> dict[str, int]:
     }
 
 
+def config_fields(root: Path) -> dict[str, int]:
+    """Annotated assignments in the body of each config dataclass."""
+    counts = {}
+    for relative, name in CONFIG_CLASSES.items():
+        tree = ast.parse((root / relative).read_text())
+        (cls,) = [
+            node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name
+        ]
+        counts[name] = sum(isinstance(node, ast.AnnAssign) for node in cls.body)
+    return counts
+
+
 def main() -> int:
-    counts = package_lines(Path(__file__).resolve().parent.parent / "src" / "repro")
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    counts = package_lines(root)
     total = sum(counts.values())
     for package, lines in counts.items():
         print(f"{lines:7d}  src/repro/{package}")
     print(f"{total:7d}  total (ceiling {CEILING})")
+    fields = config_fields(root)
+    options = sum(fields.values())
+    breakdown = " + ".join(f"{name} {count}" for name, count in fields.items())
+    print(f"{options:7d}  config fields: {breakdown} (ceiling {OPTIONS_CEILING})")
+    status = 0
     if total > CEILING:
         print(
             f"serving stack grew past its ceiling by {total - CEILING} lines",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        status = 1
+    if options > OPTIONS_CEILING:
+        print(
+            f"config fields grew past their ceiling by {options - OPTIONS_CEILING}: "
+            "an option needs a workload or test that sets it on purpose",
+            file=sys.stderr,
+        )
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -76,7 +76,6 @@ from repro.resilience import RetryPolicy
 from repro.runtime import (
     InsumServer,
     PlanCache,
-    ShardedExecutor,
     StackedSparse,
     clear_plan_cache,
     configure_plan_cache,
@@ -125,7 +124,6 @@ __all__ = [
     "RTX3090",
     "InsumServer",
     "PlanCache",
-    "ShardedExecutor",
     "StackedSparse",
     "clear_plan_cache",
     "configure_plan_cache",

@@ -111,9 +111,8 @@ class OperandEncoder:
     worker, so the mirrors can never outlive the caches they shadow.
     """
 
-    def __init__(self, ring: ShmRing, cache_size: int = ARRAY_CACHE_SIZE):
+    def __init__(self, ring: ShmRing):
         self.ring = ring
-        self.cache_size = cache_size
         self._patterns_sent: OrderedDict[tuple, None] = OrderedDict()
         #: token -> content checksum of the bytes the worker caches.
         self._cached_tokens: OrderedDict[int, int] = OrderedDict()
@@ -154,7 +153,7 @@ class OperandEncoder:
             return ("cached", token), release_to, 0
         self._seen_tokens[token] = None
         self._seen_tokens.move_to_end(token)
-        while len(self._seen_tokens) > 4 * self.cache_size:
+        while len(self._seen_tokens) > 4 * ARRAY_CACHE_SIZE:
             self._seen_tokens.popitem(last=False)
         if payload.nbytes > budget:
             # Parent-only sighting above still counts: a later encounter
@@ -165,7 +164,7 @@ class OperandEncoder:
         if stable:
             descriptor = ("ring_store", *descriptor[1:], token)
             self._cached_tokens[token] = checksum
-            while len(self._cached_tokens) > self.cache_size:
+            while len(self._cached_tokens) > ARRAY_CACHE_SIZE:
                 self._cached_tokens.popitem(last=False)
         return descriptor, release_to, payload.nbytes
 
@@ -250,9 +249,8 @@ class OperandEncoder:
 class OperandDecoder:
     """Worker-side decoder mirroring :class:`OperandEncoder`'s caches."""
 
-    def __init__(self, ring: ShmRing, cache_size: int = ARRAY_CACHE_SIZE):
+    def __init__(self, ring: ShmRing):
         self.ring = ring
-        self.cache_size = cache_size
         self._patterns: OrderedDict[tuple, SparseFormat] = OrderedDict()
         self._arrays: OrderedDict[int, np.ndarray] = OrderedDict()
 
@@ -303,7 +301,7 @@ class OperandDecoder:
         if kind == "ring_store":
             array = self._from_ring(*descriptor[1:5])
             self._arrays[descriptor[5]] = array
-            while len(self._arrays) > self.cache_size:
+            while len(self._arrays) > ARRAY_CACHE_SIZE:
                 self._arrays.popitem(last=False)
             return array
         if kind == "cached":

@@ -128,7 +128,7 @@ class ClusterServer:
         Worker processes in the pool.
     worker_threads:
         Threads of each worker's inner :class:`InsumServer`.
-    backend / config / check_bounds / auto_format / tune / coalesce / coalesce_max:
+    backend / config / check_bounds / auto_format / tune / coalesce:
         Forwarded to every worker's inner server (see
         :class:`~repro.runtime.server.InsumServer`).
     ring_capacity:
@@ -149,21 +149,9 @@ class ClusterServer:
         legitimate *single request* — a slower request is mistaken for a
         wedge, its worker killed, and after ``max_attempts`` redispatches
         the request fails with :class:`WorkerCrashedError`.  Raise the
-        timeout (or pass ``None`` to disable the staleness check —
+        timeout (or pass ``None`` or 0 to disable the staleness check —
         process death still triggers a restart) when serving expensive
         kernels.
-    spill_threshold:
-        Router spill point: a sticky key whose assigned worker has this
-        many requests outstanding — while some other worker sits at half
-        that or less — is spread onto that idler worker too, so a
-        single-expression workload still uses the whole pool (see
-        :class:`~repro.cluster.router.Router`).
-    start_method:
-        ``multiprocessing`` start method; default ``"fork"`` where
-        available (workers inherit warm module state), else ``"spawn"``.
-    batch_window:
-        Largest envelope batch a worker drains per inner-server round —
-        the coalescing opportunity window.
     restart_budget / restart_window:
         The :class:`~repro.resilience.WorkerSupervisor` token bucket: at
         most ``restart_budget`` restarts per worker slot per
@@ -183,7 +171,6 @@ class ClusterServer:
         auto_format: bool = False,
         tune: str = "auto",
         coalesce: bool = True,
-        coalesce_max: int = 16,
         ring_capacity: int = RING_CAPACITY,
         max_inflight: int = 1024,
         admission: str = "block",
@@ -191,9 +178,6 @@ class ClusterServer:
         max_attempts: int = 3,
         health_interval: float = 0.25,
         heartbeat_timeout: float | None = 30.0,
-        start_method: str | None = None,
-        batch_window: int = 32,
-        spill_threshold: int = 8,
         restart_budget: int = 8,
         restart_window: float = 60.0,
     ):
@@ -205,8 +189,7 @@ class ClusterServer:
         self.ring_capacity = int(ring_capacity)
         self.max_attempts = int(max_attempts)
         self.health_interval = float(health_interval)
-        self.heartbeat_timeout = heartbeat_timeout
-        self.batch_window = int(batch_window)
+        self.heartbeat_timeout = heartbeat_timeout or None
         self._server_kwargs = dict(
             num_workers=worker_threads,
             backend=backend,
@@ -215,12 +198,11 @@ class ClusterServer:
             auto_format=auto_format,
             tune=tune,
             coalesce=coalesce,
-            coalesce_max=coalesce_max,
         )
 
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
+        # Fork where available (workers inherit warm module state).
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
         self._forked = start_method == "fork"
         self._session = f"{os.getpid():x}{secrets.token_hex(3)}"
@@ -228,7 +210,7 @@ class ClusterServer:
         self.admission = AdmissionController(
             max_inflight=max_inflight, policy=admission, block_timeout=block_timeout
         )
-        self.router = Router(self.num_workers, spill_threshold=spill_threshold)
+        self.router = Router(self.num_workers)
         self.supervisor = WorkerSupervisor(budget=restart_budget, window=restart_window)
         self.quarantine = PoisonQuarantine()
         #: Serializes worker restart/retire against close()'s teardown —
@@ -342,7 +324,6 @@ class ClusterServer:
                 request_q,
                 response_q,
                 self._server_kwargs,
-                self.batch_window,
                 self._forked,
             ),
             daemon=True,

@@ -9,7 +9,7 @@ semaphore that a SIGKILLed writer would leave held forever, stalling
 every surviving writer — the parent's crash tests exercise exactly that.)
 
 The loop deliberately *batches*: after blocking on the first envelope it
-drains whatever else has queued (up to ``batch_window``) and submits the
+drains whatever else has queued (up to :data:`BATCH_WINDOW`) and submits the
 whole batch to the inner server before answering any of it, so the inner
 server's coalescer sees the same opportunity window it would see
 in-process.  Completions then come back one at a time, in the order the
@@ -23,7 +23,7 @@ keep beating while the loop sat wedged, making the parent's staleness
 check worthless).  The parent's health monitor combines the stamp with
 ``Process.is_alive()`` to distinguish "busy" from "gone"; its
 ``heartbeat_timeout`` must therefore exceed the longest legitimate
-single *request*, independent of ``batch_window``.
+single *request*, independent of the batch window.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ from repro.cluster.shm import ShmRing
 from repro.obs import trace as obs_trace
 from repro.resilience.deadline import Deadline, deadline_error
 from repro.runtime.request import Request
+
+#: Largest envelope batch a worker drains per inner-server round — the
+#: coalescing opportunity window.
+BATCH_WINDOW = 32
 
 
 def _reinit_after_fork() -> None:
@@ -135,7 +139,7 @@ def _serve_batch(
         submitted += 1
     # Answer per completion, not per batch: every request is already in
     # flight, and the beat after each one keeps the parent's staleness
-    # check scaled to a single request rather than batch_window of them.
+    # check scaled to a single request rather than BATCH_WINDOW of them.
     for _ in range(submitted):
         envelope, result = done.get()
         response = ResponseEnvelope(
@@ -169,7 +173,6 @@ def worker_main(
     request_q,
     response_q,
     server_kwargs: dict,
-    batch_window: int,
     forked: bool,
 ) -> None:
     """Entry point of one worker process (module-level for spawn support)."""
@@ -213,7 +216,7 @@ def worker_main(
                         break
                 else:
                     batch.append(message)
-                    if len(batch) >= batch_window:
+                    if len(batch) >= BATCH_WINDOW:
                         break
                 try:
                     message = request_q.get_nowait()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.core.inductor.config import InductorConfig
 from repro.core.inductor.dot_rewrite import DotInfo
 from repro.core.inductor.fusion import FusedKernelPlan, build_kernel_spec
-from repro.core.inductor.tiling import candidate_tiles, default_tiles
+from repro.core.inductor.tiling import candidate_tiles
 from repro.core.insum.planner import InsumPlan
 from repro.core.triton_sim.profiler import estimate_total_time
 from repro.errors import AutotuneError
@@ -46,18 +46,6 @@ def autotune_tiles(
     """Pick the tile configuration minimising the modelled runtime."""
     if config.tile_sizes is not None:
         tiles = dict(config.tile_sizes)
-        kernels = [build_kernel_spec(kp, dot, config, tiles) for kp in kernel_plans]
-        cost = estimate_total_time(kernels, config.device).total_ms
-        return AutotuneResult(
-            best_tiles=tiles,
-            best_cost_ms=cost,
-            candidates_evaluated=1,
-            search_seconds=0.0,
-            modeled_seconds=0.0,
-        )
-
-    if not config.autotune:
-        tiles = default_tiles(plan, dot, config)
         kernels = [build_kernel_spec(kp, dot, config, tiles) for kp in kernel_plans]
         cost = estimate_total_time(kernels, config.device).total_ms
         return AutotuneResult(

@@ -3,8 +3,11 @@
 The flags correspond directly to the paper's ablation dimensions
 (Section 6.6): whether matrix multiplication is generated natively via
 ``ops.dot`` instead of the fixed template, whether gather/scatter may fuse
-with the contraction, whether Tensor Cores are used, and whether lazy
-broadcasting removes the reshaping overhead of eager broadcasting.
+with the contraction, whether lazy broadcasting removes the reshaping
+overhead of eager broadcasting, and the value dtype — which alone decides
+whether an ``ops.dot`` maps onto Tensor Cores.  The three remaining fields
+are not ablation knobs: an explicit tile override for the cost model, the
+executor's memory bound, and the simulated device.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from repro.core.triton_sim.device import DeviceModel, RTX3090
 
 @dataclass
 class InductorConfig:
-    """Backend configuration (one field per ablation knob)."""
+    """Backend configuration: one field per ablation knob, then tiles, memory bound, device."""
 
     #: Rewrite broadcast-multiply + sum into ``ops.dot`` and generate the
     #: matmul natively (Section 5.2.2).  When False, contractions that look
@@ -26,8 +29,6 @@ class InductorConfig:
     #: Fuse the gather, contraction, and scatter stages into one kernel.
     #: Requires ``native_dot`` when the contraction is a matmul.
     fuse_gather_scatter: bool = True
-    #: Map eligible ``ops.dot`` nodes onto Tensor Cores.
-    use_tensor_cores: bool = True
     #: Delay broadcasting of loop variables until their use (Section 5.2.3),
     #: removing ``tl.view``/``tl.trans`` overhead before ``tl.dot``.
     lazy_broadcasting: bool = True
@@ -35,18 +36,11 @@ class InductorConfig:
     dtype: str = "fp32"
     #: Explicit tile sizes keyed by role ("m", "n", "k"); None = autotune.
     tile_sizes: dict[str, int] | None = None
-    #: Autotune tile sizes against the device model when none are given.
-    autotune: bool = True
-    #: Fewest steps of the leading output variable a streamed window
-    #: takes: the fused executor sizes its windows from the per-step
-    #: footprint (see ``specialize_single_shot_elements``) and treats this
-    #: as the floor.
-    execution_chunk: int = 128
     #: Total temporary elements (gathered factors + contraction partial)
     #: below which a specialized kernel runs its whole iteration space as
     #: one window.  Above it the kernel streams windows whose temporaries
-    #: fill a quarter of this budget each (never fewer than
-    #: ``execution_chunk`` steps), so the budget also bounds peak memory.
+    #: fill a quarter of this budget each (never fewer than 128 steps), so
+    #: the budget also bounds peak memory.
     specialize_single_shot_elements: int = 1 << 22
     #: Simulated device the cost model targets.
     device: DeviceModel = field(default_factory=lambda: RTX3090)
@@ -84,8 +78,6 @@ class InductorConfig:
         """Check internal consistency of the configuration."""
         if self.dtype not in ("fp16", "fp32"):
             raise ValueError(f"unsupported dtype {self.dtype!r}; use 'fp16' or 'fp32'")
-        if self.execution_chunk < 1:
-            raise ValueError("execution_chunk must be at least 1")
         if self.specialize_single_shot_elements < 0:
             raise ValueError("specialize_single_shot_elements must be >= 0")
         if self.tile_sizes is not None:

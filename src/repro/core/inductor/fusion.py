@@ -105,7 +105,7 @@ def build_kernel_spec(
     dram_efficiency = None
     if has_contraction and dot is not None:
         if config.native_dot:
-            uses_tensor_core = config.use_tensor_cores and dot.tensor_core_eligible(config.dtype)
+            uses_tensor_core = dot.tensor_core_eligible(config.dtype)
             if uses_tensor_core and not config.lazy_broadcasting:
                 # Eager broadcasting forces tl.view + tl.trans before tl.dot
                 # (Figure 8b); lazy broadcasting removes both (Figure 8c).
@@ -113,7 +113,7 @@ def build_kernel_spec(
         else:
             # The hand-written template always uses Tensor Cores and has no
             # broadcasting overhead — its problem is that it cannot fuse.
-            uses_tensor_core = config.use_tensor_cores and dot.tensor_core_eligible(config.dtype)
+            uses_tensor_core = dot.tensor_core_eligible(config.dtype)
             compute_efficiency = 0.78
 
     if fused and config.native_dot and config.fuse_gather_scatter:

@@ -448,7 +448,6 @@ class SparseEinsum:
         self.last_decision: Any | None = None
         self._auto_bucket: Any | None = None
         self._auto_hint: Any | None = None
-        self._auto_config: Any | None = None
         #: Memoized rewrites keyed by (sparse identity, dense shapes); see
         #: :meth:`_prepare`.
         self._prepare_memo: dict[tuple, tuple] = {}
@@ -512,7 +511,6 @@ class SparseEinsum:
         """Convert the target operand per the ``format=`` request."""
         self._auto_bucket = None
         self._auto_hint = None
-        self._auto_config = None
         target = self._pick_reformat_target(operands)
         operand = operands[target]
         if isinstance(operand, SparseFormat) and operand.format_name == "StackedSparse":
@@ -522,7 +520,7 @@ class SparseEinsum:
 
         if self.format == "auto":
             from repro.tuner.auto import auto_format_with_decision
-            from repro.tuner.schedule import suggest_config, suggest_schedule
+            from repro.tuner.schedule import suggest_schedule
 
             n_cols = self._infer_n_cols(operands, target)
             converted, decision = auto_format_with_decision(
@@ -530,13 +528,7 @@ class SparseEinsum:
             )
             self.last_decision = decision
             self._auto_bucket = decision.bucket
-            if decision.profile is not None:
-                self._auto_hint = suggest_schedule(
-                    decision.profile, decision.candidate, n_cols=n_cols
-                )
-                self._auto_config = suggest_config(
-                    decision.profile, decision.candidate, base=self.config, n_cols=n_cols
-                )
+            self._auto_hint = suggest_schedule(decision.candidate, n_cols=n_cols)
         else:
             converted = _forced_format_operand(self.format, operand)
 
@@ -698,12 +690,9 @@ class SparseEinsum:
         if self.format == "auto":
             # Thread the tuner's schedule choice and regime bucket into the
             # compilation: the bucket keys the plan cache (per-regime
-            # kernels), the hint feeds the backend autotuner, and the
-            # config carries the suggested execution chunk.
+            # kernels) and the hint feeds the backend autotuner.
             self.operator.schedule_hint = self._auto_hint
             self.operator.profile_bucket = self._auto_bucket
-            if self._auto_config is not None:
-                self.operator.config = self._auto_config
         return self.operator
 
     def __call__(self, **operands: Any) -> np.ndarray:

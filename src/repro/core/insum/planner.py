@@ -78,8 +78,7 @@ class InsumPlan:
     graph_module: GraphModule | None = None
     #: Optional tuner-provided schedule preference
     #: (:class:`repro.tuner.schedule.ScheduleHint`): the backend autotuner
-    #: evaluates the hinted tiles as an extra candidate, and the auto
-    #: format path sizes the executor chunk from it.
+    #: evaluates the hinted tiles as an extra candidate.
     schedule_hint: object | None = None
 
     @property

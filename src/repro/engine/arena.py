@@ -7,9 +7,9 @@ calls, so the arena hands back the same buffers run after run instead of
 allocating fresh ones.
 
 Buffers are keyed per thread: compiled kernels are shared through the
-process-wide plan cache and may execute concurrently (the sharded executor
-and the server's workers), so each thread reuses its own buffer set and no
-locking is needed on the hot path.
+process-wide plan cache and may execute concurrently (the server's
+workers), so each thread reuses its own buffer set and no locking is
+needed on the hot path.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ is decided at *compile time*:
   temporaries fit ``specialize_single_shot_elements``, otherwise streamed
   windows over the leading output variable, each sized from the per-step
   footprint so its temporaries fill a quarter of that budget
-  (``execution_chunk`` is the floor, whatever a step costs);
+  (:data:`_MIN_WINDOW_STEPS` is the floor, whatever a step costs);
 * the contraction path is resolved once per distinct chunk shape through
   :mod:`repro.engine.paths` and passed explicitly on every call;
 * scatters are lowered to disjoint-row fancy ``+=`` or bucketed slab
@@ -49,6 +49,9 @@ from repro.errors import LoweringError
 #: single-shot budget (1M elements at the default 4M): of 256k / 1M / 4M,
 #: 1M measured fastest on the fig-11 graphs, and 4M costs +24% peak RSS.
 _WINDOW_BUDGET_SHARE = 4
+
+#: Fewest steps of the leading output variable a streamed window takes.
+_MIN_WINDOW_STEPS = 128
 
 
 @dataclass
@@ -324,10 +327,9 @@ def _slice_axis(array: np.ndarray, axis: int, window: slice) -> np.ndarray:
 def specialize_plan(plan: InsumPlan, config: Any) -> SpecializedKernel:
     """Build the specialized closure for a plan under a backend config.
 
-    Reads ``execution_chunk`` and ``specialize_single_shot_elements`` from
-    the config; cheap (structure-only — no operand values are touched), so
-    it runs eagerly at compile time and is cached alongside the plan.
+    Reads ``specialize_single_shot_elements`` from the config; cheap
+    (structure-only — no operand values are touched), so it runs eagerly
+    at compile time and is cached alongside the plan.
     """
-    chunk = int(getattr(config, "execution_chunk", 128))
     budget = int(getattr(config, "specialize_single_shot_elements", 1 << 22))
-    return SpecializedKernel.build(plan, chunk_size=chunk, single_shot_budget=budget)
+    return SpecializedKernel.build(plan, chunk_size=_MIN_WINDOW_STEPS, single_shot_budget=budget)

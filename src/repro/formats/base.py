@@ -62,10 +62,9 @@ class SparseFormat(abc.ABC):
             "Convert to COO, ELL, GroupCOO, BlockCOO, or BlockGroupCOO first."
         )
 
-    # -- runtime hooks ------------------------------------------------------
-    # These three hooks power the serving runtime (repro.runtime): stacking
-    # same-pattern operands (StackedSparse) and row-partitioning the output
-    # iteration space (ShardedExecutor).  Formats opt in by overriding.
+    # -- runtime hook -------------------------------------------------------
+    # Powers the serving runtime's stacking of same-pattern operands
+    # (repro.runtime.StackedSparse).  Formats opt in by overriding.
     def with_values(self, values: np.ndarray) -> "SparseFormat":
         """A copy of this format with its value array replaced.
 
@@ -76,31 +75,6 @@ class SparseFormat(abc.ABC):
         raise FormatError(
             f"{self.format_name} does not support value replacement; implement with_values "
             "to enable stacking"
-        )
-
-    def scatter_row_ids(self) -> np.ndarray:
-        """Output-row coordinate of every stored unit, in storage order.
-
-        A *unit* is one entry of the leading storage axis (a nonzero for
-        COO, a group for GroupCOO/BlockGroupCOO, a block for BlockCOO).
-        Used by the sharded executor to row-partition the iteration space
-        so that shard outputs have disjoint row support.
-        """
-        raise FormatError(
-            f"{self.format_name} does not expose per-unit output rows; sharded execution "
-            "falls back to sequential for this format"
-        )
-
-    def select_units(self, selector: np.ndarray) -> "SparseFormat":
-        """A copy restricted to the selected storage units (same logical shape).
-
-        ``selector`` is a boolean mask or integer index array over the
-        leading storage axis.  Relative storage order is preserved, which
-        keeps per-row accumulation order identical to the unsharded run.
-        """
-        raise FormatError(
-            f"{self.format_name} does not support unit selection; sharded execution "
-            "falls back to sequential for this format"
         )
 
     def fingerprint(self) -> tuple:

@@ -140,18 +140,6 @@ class BlockCOO(SparseFormat):
         """Same block coordinates, new block values (the stacking primitive)."""
         return BlockCOO(self._shape, self.block_shape, self.block_rows, self.block_cols, values)
 
-    def scatter_row_ids(self) -> np.ndarray:
-        return self.block_rows
-
-    def select_units(self, selector: np.ndarray) -> "BlockCOO":
-        return BlockCOO(
-            self._shape,
-            self.block_shape,
-            self.block_rows[selector],
-            self.block_cols[selector],
-            self.values[selector],
-        )
-
     # -- storage accounting -----------------------------------------------------------
     def value_count(self) -> int:
         return int(self.values.size)

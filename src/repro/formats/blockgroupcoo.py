@@ -230,18 +230,6 @@ class BlockGroupCOO(SparseFormat):
             self._shape, self.block_shape, self.group_rows, self.block_cols, values
         )
 
-    def scatter_row_ids(self) -> np.ndarray:
-        return self.group_rows
-
-    def select_units(self, selector: np.ndarray) -> "BlockGroupCOO":
-        return BlockGroupCOO(
-            self._shape,
-            self.block_shape,
-            self.group_rows[selector],
-            self.block_cols[selector],
-            self.values[selector],
-        )
-
     # -- storage accounting ------------------------------------------------------------------
     def value_count(self) -> int:
         return int(self.values.size)

@@ -139,16 +139,6 @@ class COO(SparseFormat):
         """Same coordinates, new values (the stacking primitive)."""
         return COO(self._shape, values, self.coords)
 
-    def scatter_row_ids(self) -> np.ndarray:
-        return self.coords[0]
-
-    def select_units(self, selector: np.ndarray) -> "COO":
-        return COO(
-            self._shape,
-            self.values[selector],
-            tuple(coord[selector] for coord in self.coords),
-        )
-
     # -- storage accounting -----------------------------------------------------
     def value_count(self) -> int:
         return self.nnz

@@ -184,17 +184,6 @@ class GroupCOO(SparseFormat):
         """Same group structure, new per-slot values (the stacking primitive)."""
         return GroupCOO(self._shape, self.group_rows, self.columns, values)
 
-    def scatter_row_ids(self) -> np.ndarray:
-        return self.group_rows
-
-    def select_units(self, selector: np.ndarray) -> "GroupCOO":
-        return GroupCOO(
-            self._shape,
-            self.group_rows[selector],
-            self.columns[selector],
-            self.values[selector],
-        )
-
     # -- storage accounting ------------------------------------------------------------
     def value_count(self) -> int:
         return int(self.values.size)

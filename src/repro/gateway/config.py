@@ -2,9 +2,9 @@
 
 The same configuration discipline as :class:`~repro.serve.config.ServeConfig`
 applied to the network edge: one frozen dataclass, explicit rejection of
-meaningless combinations (binary-codec cache sizes with the binary wire
-disabled, per-tenant quota overrides without an API keyring to name
-tenants), and ``REPRO_GATEWAY_*`` environment parsing so a deployment
+meaningless combinations (per-tenant quota overrides without an API
+keyring to name tenants), and ``REPRO_GATEWAY_*`` environment parsing
+(the same helper ``ServeConfig.from_env`` uses) so a deployment
 turns the gateway on without a code change —
 :meth:`repro.serve.Session.from_env` starts one automatically when
 ``REPRO_GATEWAY_PORT`` is set.
@@ -12,12 +12,11 @@ turns the gateway on without a code change —
 
 from __future__ import annotations
 
-import dataclasses
-import os
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro.errors import GatewayError
+from repro.serve.config import config_from_env
 
 __all__ = ["GatewayConfig", "GatewayConfigError", "GATEWAY_PORT_ENV", "ENV_PREFIX"]
 
@@ -31,35 +30,6 @@ GATEWAY_PORT_ENV = "REPRO_GATEWAY_PORT"
 
 class GatewayConfigError(GatewayError, ValueError):
     """A :class:`GatewayConfig` is internally inconsistent or unparseable."""
-
-
-def _parse_env_value(name: str, raw: str) -> Any:
-    """Parse one ``REPRO_GATEWAY_*`` value by the target field's type."""
-    field_types = {
-        "port": int,
-        "binary": bool,
-        "max_inflight_per_tenant": int,
-        "quota_retry_after": float,
-        "array_cache_size": int,
-        "pattern_cache_size": int,
-        "max_body_bytes": int,
-    }
-    kind = field_types.get(name, str)
-    try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if name == "api_keys":
-            return _parse_api_keys(raw)
-        if name == "tenant_quotas":
-            return _parse_tenant_quotas(raw)
-        return kind(raw)
-    except ValueError as error:
-        raise GatewayConfigError(f"{ENV_PREFIX}{name.upper()}={raw!r}: {error}") from None
 
 
 def _parse_api_keys(raw: str) -> dict[str, str]:
@@ -122,13 +92,7 @@ class GatewayConfig:
         The ``retry_after`` hint (seconds) carried by quota rejections.
     binary:
         Accept the raw binary operand encoding (magic ``RGW1``) next to
-        JSON.  Disabling it makes the two cache sizes below meaningless
-        (they size the binary codec's per-connection caches), so setting
-        either alongside ``binary=False`` is rejected.
-    array_cache_size / pattern_cache_size:
-        Per-connection entries of the binary codec's stable-array and
-        sparse-pattern caches (defaults mirror the cluster codec's
-        worker-side sizes).
+        JSON.
     max_body_bytes:
         Largest accepted request body; larger requests are rejected 400
         before the body is read into memory.
@@ -141,8 +105,6 @@ class GatewayConfig:
     tenant_quotas: Mapping[str, int] | None = None
     quota_retry_after: float = 0.05
     binary: bool = True
-    array_cache_size: int | None = None
-    pattern_cache_size: int | None = None
     max_body_bytes: int = 256 * 1024 * 1024
 
     def validate(self) -> None:
@@ -151,23 +113,12 @@ class GatewayConfig:
         Raises
         ------
         GatewayConfigError
-            When a field combination is meaningless: codec cache sizes
-            with the binary wire disabled, per-tenant quota overrides
-            without an API keyring, or out-of-range numeric fields.
+            When a field combination is meaningless (per-tenant quota
+            overrides without an API keyring) or a numeric field is out
+            of range.
         """
         if not (0 <= self.port <= 65535):
             raise GatewayConfigError(f"port must be in [0, 65535], got {self.port}")
-        if not self.binary:
-            offending = [
-                name
-                for name in ("array_cache_size", "pattern_cache_size")
-                if getattr(self, name) is not None
-            ]
-            if offending:
-                raise GatewayConfigError(
-                    f"GatewayConfig fields {', '.join(offending)} size the binary "
-                    "wire codec's caches and are meaningless with binary=False"
-                )
         if self.tenant_quotas is not None and self.api_keys is None:
             raise GatewayConfigError(
                 "tenant_quotas requires api_keys: without a keyring every "
@@ -186,10 +137,10 @@ class GatewayConfig:
                     "tenant_quotas name tenants absent from api_keys: "
                     f"{', '.join(sorted(unknown))}"
                 )
-        for name in ("max_inflight_per_tenant", "array_cache_size", "pattern_cache_size"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise GatewayConfigError(f"{name} must be >= 1, got {value}")
+        if self.max_inflight_per_tenant is not None and self.max_inflight_per_tenant < 1:
+            raise GatewayConfigError(
+                f"max_inflight_per_tenant must be >= 1, got {self.max_inflight_per_tenant}"
+            )
         for tenant, limit in (self.tenant_quotas or {}).items():
             if limit < 1:
                 raise GatewayConfigError(
@@ -221,15 +172,13 @@ class GatewayConfig:
         environ:
             The mapping to read (defaults to ``os.environ``).
         """
-        environ = os.environ if environ is None else environ
-        overrides: dict[str, Any] = {}
-        for config_field in dataclasses.fields(cls):
-            if config_field.name.startswith("_"):
-                continue
-            raw = environ.get(f"{ENV_PREFIX}{config_field.name.upper()}")
-            if raw is not None:
-                overrides[config_field.name] = _parse_env_value(config_field.name, raw)
-        config = cls(**overrides)
+        config = config_from_env(
+            cls,
+            ENV_PREFIX,
+            environ,
+            GatewayConfigError,
+            parsers={"api_keys": _parse_api_keys, "tenant_quotas": _parse_tenant_quotas},
+        )
         config.validate()
         return config
 

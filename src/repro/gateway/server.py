@@ -36,7 +36,6 @@ import threading
 import time
 from typing import Any, Mapping
 
-from repro.cluster.codec import ARRAY_CACHE_SIZE, PATTERN_CACHE_SIZE
 from repro.errors import (
     ClusterBusyError,
     DeadlineExceededError,
@@ -236,10 +235,7 @@ class GatewayServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        decoder = WireDecoder(
-            array_cache_size=self.config.array_cache_size or ARRAY_CACHE_SIZE,
-            pattern_cache_size=self.config.pattern_cache_size or PATTERN_CACHE_SIZE,
-        )
+        decoder = WireDecoder()
         try:
             while True:
                 request = await self._read_request(reader, writer)

@@ -45,13 +45,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro import errors as _errors
-from repro.cluster.codec import (
-    ARRAY_CACHE_SIZE,
-    PATTERN_CACHE_SIZE,
-    content_checksum,
-    pattern_key,
-    transport_payload,
-)
+from repro.cluster import codec  # cache bounds are read from it at use time, as the ring codec does
+from repro.cluster.codec import content_checksum, pattern_key, transport_payload
 from repro.engine.fingerprint import array_token
 from repro.errors import (
     ClusterBusyError,
@@ -264,23 +259,12 @@ class WireEncoder:
     frame instead of the shared-memory ring.  One encoder per
     *connection*, discarded with it — the server's decoder caches die
     with the connection, so an encoder that outlived its connection
-    would reference entries the server no longer holds.
-
-    Parameters
-    ----------
-    array_cache_size:
-        Stable-array cache entries (default: the cluster codec's).
-    pattern_cache_size:
-        Sparse-pattern cache entries (default: the cluster codec's).
+    would reference entries the server no longer holds.  Both halves
+    bound their caches by the cluster codec's ``ARRAY_CACHE_SIZE`` /
+    ``PATTERN_CACHE_SIZE``, so the mirror cannot be sized apart.
     """
 
-    def __init__(
-        self,
-        array_cache_size: int = ARRAY_CACHE_SIZE,
-        pattern_cache_size: int = PATTERN_CACHE_SIZE,
-    ):
-        self.array_cache_size = array_cache_size
-        self.pattern_cache_size = pattern_cache_size
+    def __init__(self):
         self._patterns_sent: OrderedDict[str, None] = OrderedDict()
         self._cached_tokens: OrderedDict[int, int] = OrderedDict()
         self._seen_tokens: OrderedDict[int, None] = OrderedDict()
@@ -385,13 +369,13 @@ class WireEncoder:
             return ["cached", token]
         self._seen_tokens[token] = None
         self._seen_tokens.move_to_end(token)
-        while len(self._seen_tokens) > 4 * self.array_cache_size:
+        while len(self._seen_tokens) > 4 * codec.ARRAY_CACHE_SIZE:
             self._seen_tokens.popitem(last=False)
         descriptor = self._append_blob(view, payload)
         if stable:
             descriptor = ["blob_store", *descriptor[1:], token]
             self._cached_tokens[token] = checksum
-            while len(self._cached_tokens) > self.array_cache_size:
+            while len(self._cached_tokens) > codec.ARRAY_CACHE_SIZE:
                 self._cached_tokens.popitem(last=False)
         return descriptor
 
@@ -404,7 +388,7 @@ class WireEncoder:
         if dense.dtype.hasobject:
             raise WireFormatError("object-dtype patterns cannot cross the gateway wire")
         self._patterns_sent[key] = None
-        while len(self._patterns_sent) > self.pattern_cache_size:
+        while len(self._patterns_sent) > codec.PATTERN_CACHE_SIZE:
             self._patterns_sent.popitem(last=False)
         return ["pattern_store", key, _format_spec(fmt), self._append_blob(dense, payload)]
 
@@ -420,22 +404,9 @@ class WireDecoder:
     — and cached as *one live instance per key*, which keeps the
     engine's identity-fingerprint caches (and the cluster's coalescing
     keys) stable across requests on the connection.
-
-    Parameters
-    ----------
-    array_cache_size:
-        Stable-array cache entries; must match the client's encoder.
-    pattern_cache_size:
-        Sparse-pattern cache entries; must match the client's encoder.
     """
 
-    def __init__(
-        self,
-        array_cache_size: int = ARRAY_CACHE_SIZE,
-        pattern_cache_size: int = PATTERN_CACHE_SIZE,
-    ):
-        self.array_cache_size = array_cache_size
-        self.pattern_cache_size = pattern_cache_size
+    def __init__(self):
         self._arrays: OrderedDict[int, np.ndarray] = OrderedDict()
         self._patterns: OrderedDict[str, SparseFormat] = OrderedDict()
 
@@ -535,7 +506,7 @@ class WireDecoder:
         if kind == "blob_store":
             array = self._read_blob(payload, *descriptor[1:5])
             self._arrays[descriptor[5]] = array
-            while len(self._arrays) > self.array_cache_size:
+            while len(self._arrays) > codec.ARRAY_CACHE_SIZE:
                 self._arrays.popitem(last=False)
             return array
         if kind == "cached":
@@ -545,14 +516,14 @@ class WireDecoder:
             except KeyError:
                 raise WireFormatError(
                     f"operand {name!r} references unknown cached token — "
-                    "client/server cache sizes out of sync?"
+                    "encoder reused across connections?"
                 ) from None
         if kind == "pattern_store":
             _, key, spec, dense_descriptor = descriptor
             dense = self._decode_descriptor(name, dense_descriptor, payload)
             fmt = _build_format(np.array(dense), spec)
             self._patterns[key] = fmt
-            while len(self._patterns) > self.pattern_cache_size:
+            while len(self._patterns) > codec.PATTERN_CACHE_SIZE:
                 self._patterns.popitem(last=False)
             return fmt
         if kind == "pattern":
@@ -562,7 +533,7 @@ class WireDecoder:
             except KeyError:
                 raise WireFormatError(
                     f"operand {name!r} references unknown pattern key — "
-                    "client/server cache sizes out of sync?"
+                    "encoder reused across connections?"
                 ) from None
         if kind == "json":
             return _decode_json_operand(descriptor[1])

@@ -10,7 +10,6 @@ from repro.kernels.spmm import StructuredSpMM, UnstructuredSpMM
 from repro.kernels.spconv import SparseConv3d
 from repro.kernels.equivariant import FullyConnectedTensorProduct
 from repro.kernels.elementwise import coo_elementwise_multiply, sddmm, spmv
-from repro.kernels.batched import BatchedEquivariant, BatchedSpMM
 
 __all__ = [
     "StructuredSpMM",
@@ -20,6 +19,4 @@ __all__ = [
     "coo_elementwise_multiply",
     "sddmm",
     "spmv",
-    "BatchedEquivariant",
-    "BatchedSpMM",
 ]

@@ -583,7 +583,7 @@ def compute_digests(trace: WorkloadTrace) -> None:
 
     Executes each record once through a canonical
     :class:`~repro.runtime.server.RequestExecutor` (inline, uncoalesced,
-    unsharded, default compiler config) — the same execution the serve
+    default compiler config) — the same execution the serve
     tier's inline backend performs, which the threaded and cluster tiers
     are bit-identical to when coalescing is off.
 
@@ -596,13 +596,10 @@ def compute_digests(trace: WorkloadTrace) -> None:
 
     materializer = TraceMaterializer(trace.seed)
     executor = RequestExecutor()
-    try:
-        for record in trace.records:
-            operands = materializer.materialize(record)
-            record.operand_digest = digest_operands(operands)
-            record.digest = digest_array(executor.execute(record.expression, operands))
-    finally:
-        executor.close()
+    for record in trace.records:
+        operands = materializer.materialize(record)
+        record.operand_digest = digest_operands(operands)
+        record.digest = digest_array(executor.execute(record.expression, operands))
 
 
 # ---------------------------------------------------------------------------

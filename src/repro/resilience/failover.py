@@ -40,10 +40,10 @@ another multiplies the blast radius of whatever killed the first.
 def fallback_config(config, failover: str):
     """Derive the fallback backend's config from the primary's.
 
-    Copies the fields meaningful to an in-process tier (coalescing,
-    batching, plan-cache and queue settings) and strips everything
-    cluster-gated, including the failover fields — the fallback is a
-    leaf, never itself failed over.
+    Keeps every field whose declaration names the fallback backend and
+    clears the rest — everything cluster-gated, including the failover
+    fields (the fallback is a leaf, never itself failed over), and for
+    ``"inline"`` the worker-pool and coalescing fields too.
 
     Parameters
     ----------
@@ -56,29 +56,11 @@ def fallback_config(config, failover: str):
         raise ValueError(
             f"failover backend must be one of {FALLBACK_BACKENDS}, got {failover!r}"
         )
-    cleared = dict(
-        worker_threads=None,
-        admission=None,
-        max_inflight=None,
-        block_timeout=None,
-        max_attempts=None,
-        ring_capacity=None,
-        batch_window=None,
-        spill_threshold=None,
-        health_interval=None,
-        heartbeat_timeout=None,
-        start_method=None,
-        retry_attempts=None,
-        retry_base_delay=None,
-        retry_max_delay=None,
-        restart_budget=None,
-        restart_window=None,
-        failover=None,
-        failover_floor=None,
-    )
-    if failover == "inline":
-        # Inline has no queue and no worker pool: drop those knobs too.
-        cleared.update(workers=None, coalesce=None, coalesce_max=None)
+    cleared = {
+        config_field.name: None
+        for config_field in dataclasses.fields(config)
+        if failover not in config_field.metadata["backends"]
+    }
     derived = dataclasses.replace(config, **cleared)
     derived.validate(failover)
     return derived

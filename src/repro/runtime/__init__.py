@@ -1,4 +1,4 @@
-"""The serving runtime: plan caching, batching, sharding, and a front door.
+"""The serving runtime: plan caching, batching, and a front door.
 
 This package turns the Insum compiler into a serving engine (the
 ROADMAP's "production-scale" direction):
@@ -7,8 +7,6 @@ ROADMAP's "production-scale" direction):
   kernels, consulted by every operator and one-shot helper.
 * :mod:`repro.runtime.stacked` — :class:`StackedSparse`, a DSBCOO-style
   batch of same-pattern sparse operands executed as one widened Einsum.
-* :mod:`repro.runtime.sharding` — :class:`ShardedExecutor`, row-partitioned
-  parallel execution on a thread pool with a deterministic merge.
 * :mod:`repro.runtime.request` — :class:`Request` / :class:`InsumResult`,
   the one record a request travels as and the outcome it resolves to.
 * :mod:`repro.runtime.server` — :class:`InsumServer`, request queuing
@@ -28,7 +26,6 @@ from repro.runtime.plan_cache import (
 )
 from repro.runtime.request import InsumResult, Request
 from repro.runtime.server import InsumServer
-from repro.runtime.sharding import ShardedExecutor
 from repro.runtime.stacked import StackedSparse
 from repro.runtime.stats import RuntimeStats
 
@@ -43,7 +40,6 @@ __all__ = [
     "plan_key",
     "InsumResult",
     "InsumServer",
-    "ShardedExecutor",
     "StackedSparse",
     "RuntimeStats",
 ]

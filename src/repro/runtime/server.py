@@ -6,11 +6,10 @@ a serving engine, split into two layers:
 
 * :class:`RequestExecutor` — the per-request execution core: long-lived
   per-expression operators (:class:`SparseEinsum` / :class:`Insum`),
-  expression classification, tuner-driven re-formatting, and optional
-  row-sharded execution.  The inline backend of :mod:`repro.serve`, the
-  threaded ``InsumServer``, and every cluster worker's inner server all
-  execute through this one code path — which is what makes results
-  bit-identical across serving backends.
+  expression classification, and tuner-driven re-formatting.  The inline
+  backend of :mod:`repro.serve`, the threaded ``InsumServer``, and every
+  cluster worker's inner server all execute through this one code path —
+  which is what makes results bit-identical across serving backends.
 * :class:`InsumServer` — a queue and a pool of worker threads over the
   executor, implementing the :class:`repro.serve.ExecutorBackend`
   protocol (``submit(request)`` / ``try_cancel(request)`` / ``stats`` /
@@ -42,7 +41,6 @@ from repro.obs.logs import get_logger
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, get_registry
 from repro.runtime import request as runtime_request
 from repro.runtime.request import InsumResult, Request, clock
-from repro.runtime.sharding import ShardedExecutor
 from repro.runtime.stats import RuntimeStats, ServingWindow
 
 
@@ -56,21 +54,16 @@ class RequestExecutor:
     """The per-request execution core shared by every serving backend.
 
     Owns the long-lived reusable operators (one per distinct expression),
-    the expression-classification cache, the tuner's per-request
-    re-formatting when ``auto_format`` is on, and the optional
-    :class:`~repro.runtime.sharding.ShardedExecutor`.  ``InsumServer``
-    (threaded), the cluster workers' inner servers, and the serve tier's
-    inline backend all call :meth:`execute`, so a request produces the
-    same bits no matter which tier served it.
+    the expression-classification cache, and the tuner's per-request
+    re-formatting when ``auto_format`` is on.  ``InsumServer`` (threaded),
+    the cluster workers' inner servers, and the serve tier's inline
+    backend all call :meth:`execute`, so a request produces the same bits
+    no matter which tier served it.
 
     Parameters
     ----------
     backend / config / check_bounds:
         Defaults for every operator the executor builds.
-    num_shards:
-        When > 1, requests with a shardable sparse operand run through a
-        :class:`~repro.runtime.sharding.ShardedExecutor` instead of a
-        single sequential kernel.
     auto_format / tune:
         Tuner integration: profile each request's sparse (or promotable
         dense) operand and re-format it per sparsity regime (see
@@ -82,14 +75,12 @@ class RequestExecutor:
         backend: str = "inductor",
         config: Any | None = None,
         check_bounds: bool = True,
-        num_shards: int = 1,
         auto_format: bool = False,
         tune: str = "auto",
     ):
         self.backend = backend
         self.config = config
         self.check_bounds = check_bounds
-        self.num_shards = int(num_shards)
         self.auto_format = bool(auto_format)
         self.tune = tune
         self._operators: dict[tuple[str, str], _OperatorSlot] = {}
@@ -100,24 +91,6 @@ class RequestExecutor:
         self._expression_info: dict[str, tuple[bool, tuple[str, ...], Any]] = {}
         #: expression -> widened (expression, stack_var), built on demand.
         self._widened: dict[str, tuple[str, str] | None] = {}
-        # One long-lived executor (and thread pool) for all sharded
-        # requests; None when sharding is off.
-        self._sharded_executor = (
-            ShardedExecutor(
-                num_shards=self.num_shards,
-                backend=backend,
-                config=config,
-                check_bounds=check_bounds,
-                persistent_pool=True,
-            )
-            if self.num_shards > 1
-            else None
-        )
-
-    def close(self) -> None:
-        """Release the sharded executor's thread pool (if any)."""
-        if self._sharded_executor is not None:
-            self._sharded_executor.close()
 
     def operator_for(self, expression: str, has_sparse: bool) -> _OperatorSlot:
         """The long-lived reusable operator for one expression.
@@ -185,8 +158,8 @@ class RequestExecutor:
 
         This is the single per-request code path of every serving tier:
         classify the expression, optionally promote/re-format the sparse
-        operand through the tuner, try the sharded path, and fall through
-        to the cached per-expression operator.
+        operand through the tuner, and run the cached per-expression
+        operator.
         """
         has_instance = any(isinstance(value, SparseFormat) for value in operands.values())
         promoted_name: str | None = None
@@ -207,8 +180,7 @@ class RequestExecutor:
         if has_sparse and self.auto_format:
             logical, rhs_names, _ = self.expression_info(expression)
             # Re-format the sparse (or promoted dense) operand once, here —
-            # decisions are cached per regime bucket — so the sharded path
-            # executes the tuner's chosen format and the per-expression
+            # decisions are cached per regime bucket — so the per-expression
             # operator's own auto pass sees a matching format and skips
             # both the density rescan and a second conversion.  The width
             # is inferred from the request's dense operand so the decision
@@ -242,12 +214,6 @@ class RequestExecutor:
                         operands[name] = tuner_auto_format(
                             operands[name], n_cols=n_cols, tune=self.tune
                         )
-        if has_sparse and self._sharded_executor is not None:
-            sharded = self._sharded_executor.try_run(expression, **operands)
-            if sharded is not None:
-                return sharded
-            # Not shardable (format without row hooks, or a single shard):
-            # fall through to the cached per-expression operator.
         slot = self.operator_for(expression, has_sparse)
         with slot.lock:
             return slot.operator(**operands)
@@ -306,11 +272,6 @@ class InsumServer:
         Worker threads draining the request queue.
     backend / config / check_bounds:
         Defaults for every operator the server builds.
-    num_shards:
-        When > 1, requests with a shardable sparse operand run through a
-        :class:`~repro.runtime.sharding.ShardedExecutor` instead of a
-        single sequential kernel.  Off by default — sequential execution
-        keeps results bit-identical to direct ``sparse_einsum`` calls.
     auto_format:
         When True, format-agnostic requests route through the
         :mod:`repro.tuner` auto path (``format="auto"``): each request's
@@ -344,7 +305,6 @@ class InsumServer:
         backend: str = "inductor",
         config: Any | None = None,
         check_bounds: bool = True,
-        num_shards: int = 1,
         auto_format: bool = False,
         tune: str = "auto",
         coalesce: bool = True,
@@ -357,7 +317,6 @@ class InsumServer:
         self.backend = backend
         self.config = config
         self.check_bounds = check_bounds
-        self.num_shards = int(num_shards)
         self.auto_format = bool(auto_format)
         self.tune = tune
         self.coalesce = bool(coalesce)
@@ -366,7 +325,6 @@ class InsumServer:
             backend=backend,
             config=config,
             check_bounds=check_bounds,
-            num_shards=num_shards,
             auto_format=auto_format,
             tune=tune,
         )
@@ -418,7 +376,6 @@ class InsumServer:
                 self._queue.put(None)
         for worker in self._workers:
             worker.join()
-        self.executor.close()
         self._log.info("InsumServer closed", extra={"workers": len(self._workers)})
 
     def __enter__(self) -> "InsumServer":

@@ -295,12 +295,6 @@ class StackedSparse(SparseFormat):
     def with_values(self, values: np.ndarray) -> "StackedSparse":
         return StackedSparse(self.base, values)
 
-    def scatter_row_ids(self) -> np.ndarray:
-        return self.base.scatter_row_ids()
-
-    def select_units(self, selector: np.ndarray) -> "StackedSparse":
-        return StackedSparse(self.base.select_units(selector), self.data[:, selector])
-
     # -- storage accounting -------------------------------------------------
     def value_count(self) -> int:
         return int(self.data.size)

@@ -131,9 +131,8 @@ class InlineBackend:
         }
 
     def close(self) -> None:
-        """Release the executor (and its sharded thread pool, if any)."""
+        """Refuse further submits (inline holds no threads or queues)."""
         self._closed = True
-        self._executor.close()
 
 
 def build_backend(name: str, config: ServeConfig) -> ExecutorBackend:
@@ -146,12 +145,13 @@ def build_backend(name: str, config: ServeConfig) -> ExecutorBackend:
     config:
         Already validated for ``name`` (see :meth:`ServeConfig.validate`).
     """
+    kwargs = config._backend_kwargs(name)
     if name == "inline":
-        return InlineBackend(**config._inline_kwargs())
+        return InlineBackend(**kwargs)
     if name == "threaded":
         from repro.runtime.server import InsumServer
 
-        return InsumServer(**config._threaded_kwargs())
+        return InsumServer(**kwargs)
     from repro.cluster.server import ClusterServer
 
-    return ClusterServer(**config._cluster_kwargs())
+    return ClusterServer(**kwargs)

@@ -10,6 +10,12 @@ backend (``max_inflight`` on a threaded session, ``coalesce`` on an
 inline one) raises :class:`ServeConfigError` instead of being silently
 ignored.
 
+Each field is declared once: its dataclass entry carries, as
+``metadata``, the backends it is meaningful on and the constructor
+keyword it is forwarded under.  Validation, environment parsing, kwarg
+resolution and :func:`repro.resilience.failover.fallback_config` all read
+that declaration through ``dataclasses.fields``.
+
 Tier-specific fields default to ``None`` meaning "the backend's own
 default"; only explicitly-set fields are validated and forwarded.
 """
@@ -19,43 +25,12 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, get_args, get_type_hints
 
 from repro.errors import ServeError
 
 #: The recognised backend names, in escalation order.
 BACKENDS = ("inline", "threaded", "cluster")
-
-#: Fields meaningful on every backend (never rejected).
-_COMMON_FIELDS = frozenset(
-    {"compile_backend", "compile_config", "check_bounds", "auto_format", "tune"}
-)
-
-#: Tier-specific fields -> the backends they are meaningful on.
-_FIELD_BACKENDS: dict[str, frozenset[str]] = {
-    "workers": frozenset({"threaded", "cluster"}),
-    "num_shards": frozenset({"inline", "threaded"}),
-    "coalesce": frozenset({"threaded", "cluster"}),
-    "coalesce_max": frozenset({"threaded", "cluster"}),
-    "worker_threads": frozenset({"cluster"}),
-    "admission": frozenset({"cluster"}),
-    "max_inflight": frozenset({"cluster"}),
-    "block_timeout": frozenset({"cluster"}),
-    "max_attempts": frozenset({"cluster"}),
-    "ring_capacity": frozenset({"cluster"}),
-    "batch_window": frozenset({"cluster"}),
-    "spill_threshold": frozenset({"cluster"}),
-    "health_interval": frozenset({"cluster"}),
-    "heartbeat_timeout": frozenset({"cluster"}),
-    "start_method": frozenset({"cluster"}),
-    "retry_attempts": frozenset({"cluster"}),
-    "retry_base_delay": frozenset({"cluster"}),
-    "retry_max_delay": frozenset({"cluster"}),
-    "restart_budget": frozenset({"cluster"}),
-    "restart_window": frozenset({"cluster"}),
-    "failover": frozenset({"cluster"}),
-    "failover_floor": frozenset({"cluster"}),
-}
 
 #: Environment-variable prefix understood by :meth:`ServeConfig.from_env`.
 ENV_PREFIX = "REPRO_SERVE_"
@@ -65,43 +40,68 @@ class ServeConfigError(ServeError, ValueError):
     """A :class:`ServeConfig` is invalid for the requested backend."""
 
 
-def _parse_env_value(name: str, raw: str) -> Any:
-    """Parse one ``REPRO_SERVE_*`` value by the target field's type."""
-    field_types = {
-        "workers": int,
-        "worker_threads": int,
-        "num_shards": int,
-        "coalesce": bool,
-        "coalesce_max": int,
-        "auto_format": bool,
-        "check_bounds": bool,
-        "max_inflight": int,
-        "block_timeout": float,
-        "max_attempts": int,
-        "ring_capacity": int,
-        "batch_window": int,
-        "spill_threshold": int,
-        "health_interval": float,
-        "heartbeat_timeout": float,
-        "retry_attempts": int,
-        "retry_base_delay": float,
-        "retry_max_delay": float,
-        "restart_budget": int,
-        "restart_window": float,
-        "failover_floor": int,
-    }
-    kind = field_types.get(name, str)
-    try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return kind(raw)
-    except ValueError as error:
-        raise ServeConfigError(f"{ENV_PREFIX}{name.upper()}={raw!r}: {error}") from None
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+_ENV_PARSERS: dict[Any, Callable[[str], Any]] = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+}
+
+
+def config_from_env(
+    cls: type,
+    prefix: str,
+    environ: Mapping[str, str] | None,
+    error: type[Exception],
+    parsers: Mapping[str, Callable[[str], Any]] | None = None,
+) -> Any:
+    """Build the config dataclass ``cls`` from ``<prefix><FIELD>`` variables.
+
+    Each value is parsed by the field's annotated type (``int``,
+    ``float``, ``str``, ``bool`` — optionally ``| None``; booleans accept
+    1/0, true/false, yes/no, on/off) or by the field's entry in
+    ``parsers``.  A field with neither (``compile_config``) is not
+    expressible as an environment string and is skipped; a value that
+    does not parse raises ``error`` naming the variable.
+    """
+    environ = os.environ if environ is None else environ
+    parsers = parsers or {}
+    hints = get_type_hints(cls)
+    overrides: dict[str, Any] = {}
+    for config_field in dataclasses.fields(cls):
+        variable = f"{prefix}{config_field.name.upper()}"
+        raw = environ.get(variable)
+        if raw is None:
+            continue
+        hint = hints[config_field.name]
+        kinds = [arg for arg in get_args(hint) if arg is not type(None)] or [hint]
+        parse = parsers.get(config_field.name) or _ENV_PARSERS.get(kinds[0])
+        if parse is None:
+            continue
+        try:
+            overrides[config_field.name] = parse(raw)
+        except ValueError as caught:
+            raise error(f"{variable}={raw!r}: {caught}") from None
+    return cls(**overrides)
+
+
+def _option(*backends: str, kwarg: str | None = None, default: Any = None) -> Any:
+    """Declare one field: the backends it applies to (none named = all of
+    them) and the backend-constructor keyword it is forwarded under
+    (``None`` = read by :class:`~repro.serve.Session` itself)."""
+    return dataclasses.field(
+        default=default,
+        metadata={"backends": frozenset(backends or BACKENDS), "kwarg": kwarg},
+    )
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,11 @@ class ServeConfig:
         rejected — for ``inline``, which executes in the calling thread.
     worker_threads:
         Cluster only: threads of each worker process's inner server.
-    num_shards:
-        Inline/threaded: when > 1, shardable requests row-partition onto
-        a thread pool (see :class:`~repro.runtime.sharding.ShardedExecutor`).
     compile_backend / compile_config / check_bounds:
         The compiler stack under every operator (any backend).
     auto_format / tune:
         Tuner-driven per-request re-formatting (any backend).
-    coalesce / coalesce_max:
+    coalesce:
         Same-plan request coalescing (threaded and cluster — inline has
         no queue to drain a window from).
     admission / max_inflight / block_timeout:
@@ -133,10 +130,10 @@ class ServeConfig:
         fails with :class:`~repro.errors.WorkerCrashedError`.
     ring_capacity:
         Cluster: bytes per shared-memory transport ring.
-    batch_window / spill_threshold / health_interval / heartbeat_timeout / start_method:
-        Cluster tuning knobs, forwarded verbatim to
-        :class:`~repro.cluster.server.ClusterServer`; ``heartbeat_timeout=0``
-        disables the staleness check (the cluster's ``None``).
+    health_interval / heartbeat_timeout:
+        Cluster: the health monitor's cadence and the heartbeat staleness
+        beyond which a live-but-silent worker is replaced;
+        ``heartbeat_timeout=0`` disables the staleness check.
     retry_attempts / retry_base_delay / retry_max_delay:
         Cluster: session-level :class:`~repro.resilience.RetryPolicy` for
         retryable failures (worker crashes, admission rejection);
@@ -152,33 +149,28 @@ class ServeConfig:
         plane has failed (see ``docs/RESILIENCE.md``).
     """
 
-    workers: int | None = None
-    worker_threads: int | None = None
-    num_shards: int | None = None
-    compile_backend: str = "inductor"
-    compile_config: Any = None
-    check_bounds: bool = True
-    auto_format: bool = False
-    tune: str = "auto"
-    coalesce: bool | None = None
-    coalesce_max: int | None = None
-    admission: str | None = None
-    max_inflight: int | None = None
-    block_timeout: float | None = None
-    max_attempts: int | None = None
-    ring_capacity: int | None = None
-    batch_window: int | None = None
-    spill_threshold: int | None = None
-    health_interval: float | None = None
-    heartbeat_timeout: float | None = None
-    start_method: str | None = None
-    retry_attempts: int | None = None
-    retry_base_delay: float | None = None
-    retry_max_delay: float | None = None
-    restart_budget: int | None = None
-    restart_window: float | None = None
-    failover: str | None = None
-    failover_floor: int | None = None
+    workers: int | None = _option("threaded", "cluster", kwarg="num_workers")
+    worker_threads: int | None = _option("cluster", kwarg="worker_threads")
+    compile_backend: str = _option(kwarg="backend", default="inductor")
+    compile_config: Any = _option(kwarg="config")
+    check_bounds: bool = _option(kwarg="check_bounds", default=True)
+    auto_format: bool = _option(kwarg="auto_format", default=False)
+    tune: str = _option(kwarg="tune", default="auto")
+    coalesce: bool | None = _option("threaded", "cluster", kwarg="coalesce")
+    admission: str | None = _option("cluster", kwarg="admission")
+    max_inflight: int | None = _option("cluster", kwarg="max_inflight")
+    block_timeout: float | None = _option("cluster", kwarg="block_timeout")
+    max_attempts: int | None = _option("cluster", kwarg="max_attempts")
+    ring_capacity: int | None = _option("cluster", kwarg="ring_capacity")
+    health_interval: float | None = _option("cluster", kwarg="health_interval")
+    heartbeat_timeout: float | None = _option("cluster", kwarg="heartbeat_timeout")
+    retry_attempts: int | None = _option("cluster")
+    retry_base_delay: float | None = _option("cluster")
+    retry_max_delay: float | None = _option("cluster")
+    restart_budget: int | None = _option("cluster", kwarg="restart_budget")
+    restart_window: float | None = _option("cluster", kwarg="restart_window")
+    failover: str | None = _option("cluster")
+    failover_floor: int | None = _option("cluster")
 
     def validate(self, backend: str) -> None:
         """Reject this config when it is meaningless for ``backend``.
@@ -200,14 +192,16 @@ class ServeConfig:
                 f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
             )
         offending = [
-            name
-            for name, allowed in _FIELD_BACKENDS.items()
-            if getattr(self, name) is not None and backend not in allowed
+            config_field
+            for config_field in dataclasses.fields(self)
+            if getattr(self, config_field.name) is not None
+            and backend not in config_field.metadata["backends"]
         ]
         if offending:
             details = ", ".join(
-                f"{name} (only meaningful on {'/'.join(sorted(_FIELD_BACKENDS[name]))})"
-                for name in offending
+                f"{config_field.name} (only meaningful on "
+                f"{'/'.join(sorted(config_field.metadata['backends']))})"
+                for config_field in offending
             )
             raise ServeConfigError(
                 f"ServeConfig fields not applicable to the {backend!r} backend: {details}"
@@ -258,76 +252,18 @@ class ServeConfig:
         environ:
             The mapping to read (defaults to ``os.environ``).
         """
-        environ = os.environ if environ is None else environ
-        overrides: dict[str, Any] = {}
-        for field in dataclasses.fields(cls):
-            if field.name == "compile_config":
-                continue  # not expressible as an environment string
-            raw = environ.get(f"{ENV_PREFIX}{field.name.upper()}")
-            if raw is not None:
-                overrides[field.name] = _parse_env_value(field.name, raw)
-        return cls(**overrides)
+        return config_from_env(cls, ENV_PREFIX, environ, ServeConfigError)
 
-    # -- kwarg resolution (serve-internal) ----------------------------------
-    def _common_kwargs(self) -> dict[str, Any]:
-        return dict(
-            backend=self.compile_backend,
-            config=self.compile_config,
-            check_bounds=self.check_bounds,
-            auto_format=self.auto_format,
-            tune=self.tune,
-        )
-
-    def _inline_kwargs(self) -> dict[str, Any]:
-        """Constructor kwargs for the inline backend's RequestExecutor."""
-        kwargs = self._common_kwargs()
-        if self.num_shards is not None:
-            kwargs["num_shards"] = self.num_shards
-        return kwargs
-
-    def _threaded_kwargs(self) -> dict[str, Any]:
-        """Constructor kwargs for :class:`~repro.runtime.server.InsumServer`."""
-        kwargs = self._common_kwargs()
-        for field_name, kwarg in (
-            ("workers", "num_workers"),
-            ("num_shards", "num_shards"),
-            ("coalesce", "coalesce"),
-            ("coalesce_max", "coalesce_max"),
-        ):
-            value = getattr(self, field_name)
-            if value is not None:
-                kwargs[kwarg] = value
-        return kwargs
-
-    def _cluster_kwargs(self) -> dict[str, Any]:
-        """Constructor kwargs for :class:`~repro.cluster.server.ClusterServer`."""
-        kwargs = self._common_kwargs()
-        for field_name, kwarg in (
-            ("workers", "num_workers"),
-            ("worker_threads", "worker_threads"),
-            ("coalesce", "coalesce"),
-            ("coalesce_max", "coalesce_max"),
-            ("admission", "admission"),
-            ("max_inflight", "max_inflight"),
-            ("block_timeout", "block_timeout"),
-            ("max_attempts", "max_attempts"),
-            ("ring_capacity", "ring_capacity"),
-            ("batch_window", "batch_window"),
-            ("spill_threshold", "spill_threshold"),
-            ("health_interval", "health_interval"),
-            ("start_method", "start_method"),
-            ("restart_budget", "restart_budget"),
-            ("restart_window", "restart_window"),
-        ):
-            value = getattr(self, field_name)
-            if value is not None:
-                kwargs[kwarg] = value
-        if self.heartbeat_timeout is not None:
-            # 0 = "disable the staleness check", the cluster's None.
-            kwargs["heartbeat_timeout"] = (
-                None if self.heartbeat_timeout == 0 else self.heartbeat_timeout
-            )
-        return kwargs
+    def _backend_kwargs(self, backend: str) -> dict[str, Any]:
+        """Constructor kwargs of ``backend``'s tier: every set field the
+        tier accepts, under the keyword its declaration names."""
+        return {
+            config_field.metadata["kwarg"]: getattr(self, config_field.name)
+            for config_field in dataclasses.fields(self)
+            if config_field.metadata["kwarg"] is not None
+            and backend in config_field.metadata["backends"]
+            and getattr(self, config_field.name) is not None
+        }
 
     def resolved_workers(self, backend: str) -> int:
         """The effective worker parallelism for ``backend``.

@@ -17,9 +17,8 @@ This package closes that gap:
    the public API accepts ``insum(..., format="auto", tune="auto")``
    (``tune="measure"`` times the top candidates through the real
    compile-and-execute pipeline instead);
-4. :mod:`~repro.tuner.schedule` turns a decision into backend knobs
-   (execution chunk, tile preferences) consumed by the planner and the
-   Inductor-like autotuner.
+4. :mod:`~repro.tuner.schedule` turns a decision into tile preferences
+   consumed by the planner and the Inductor-like autotuner.
 
 See ``docs/FORMATS.md`` for the candidate-space specification and
 ``benchmarks/bench_tuner_adaptive.py`` for the four-regime evaluation.
@@ -46,7 +45,7 @@ from repro.tuner.profile import (
     SparsityProfile,
     profile_operand,
 )
-from repro.tuner.schedule import ScheduleHint, suggest_config, suggest_schedule
+from repro.tuner.schedule import ScheduleHint, suggest_schedule
 
 __all__ = [
     "auto_format",
@@ -64,7 +63,6 @@ __all__ = [
     "SparsityProfile",
     "profile_operand",
     "ScheduleHint",
-    "suggest_config",
     "suggest_schedule",
     "DecisionCache",
     "TunerDecision",

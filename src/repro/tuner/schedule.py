@@ -1,15 +1,9 @@
-"""Schedule suggestions: from a format decision to backend knobs.
+"""Schedule suggestions: from a format decision to backend tiles.
 
 The tuner does not stop at picking a format — a (format, planner-config,
-tiling) triple is the real decision.  This module turns a profile and a
-chosen candidate into:
-
-* a :class:`ScheduleHint` — preferred Triton-style tile sizes (for block
-  candidates, matched to the block shape) and an execution chunk for the
-  fused NumPy executor, sized so one chunk's gathered working set stays
-  cache-resident;
-* a ready-to-use :class:`~repro.core.inductor.config.InductorConfig` via
-  :func:`suggest_config`.
+tiling) triple is the real decision.  This module turns a chosen
+candidate into a :class:`ScheduleHint`: preferred Triton-style tile sizes
+(for block candidates, matched to the block shape).
 
 The Insum planner stores the hint on the plan
 (:attr:`repro.core.insum.planner.InsumPlan.schedule_hint`), and the
@@ -19,16 +13,10 @@ search still picks the modelled minimum, so the hint can only help.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.core.inductor.config import InductorConfig
 from repro.tuner.candidates import Candidate
-from repro.tuner.profile import SparsityProfile
 from repro.utils.arrays import next_power_of_two, prev_power_of_two
-
-#: Target bytes of one execution chunk's gathered working set (~half the
-#: L2 of a desktop part; fp64 NumPy execution).
-_CHUNK_WORKING_SET_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -37,14 +25,11 @@ class ScheduleHint:
 
     Attributes
     ----------
-    execution_chunk:
-        Chunk size of the fused executor along the leading output axis.
     tile_sizes:
         Preferred tile assignment for the simulated Triton kernel, or
         ``None`` to leave the choice entirely to the autotuner.
     """
 
-    execution_chunk: int
     tile_sizes: dict[str, int] | None = None
 
 
@@ -54,15 +39,11 @@ def _clamp_pow2(value: int, lo: int, hi: int) -> int:
     return max(lo, min(hi, prev_power_of_two(max(1, value))))
 
 
-def suggest_schedule(
-    profile: SparsityProfile, candidate: Candidate, n_cols: int = 64
-) -> ScheduleHint:
-    """Derive schedule parameters from the profile and the chosen format.
+def suggest_schedule(candidate: Candidate, n_cols: int = 64) -> ScheduleHint:
+    """Derive schedule parameters from the chosen format.
 
     Parameters
     ----------
-    profile:
-        Structural summary of the sparse operand.
     candidate:
         The format configuration the tuner selected.
     n_cols:
@@ -71,13 +52,8 @@ def suggest_schedule(
     Returns
     -------
     ScheduleHint
-        Execution chunk and (for block formats) a tile preference aligned
-        with the block shape.
+        For block formats, a tile preference aligned with the block shape.
     """
-    # Each chunk row drags ~row_mean gathered rows of n_cols fp64 elements.
-    bytes_per_row = max(1.0, profile.row_mean) * max(1, n_cols) * 8
-    chunk = _clamp_pow2(int(_CHUNK_WORKING_SET_BYTES / bytes_per_row), 16, 4096)
-
     tiles: dict[str, int] | None = None
     if candidate.block_shape is not None:
         bm, bk = candidate.block_shape
@@ -86,33 +62,4 @@ def suggest_schedule(
             "n": _clamp_pow2(next_power_of_two(max(1, n_cols)), 1, 128),
             "k": _clamp_pow2(bk, 1, 64),
         }
-    return ScheduleHint(execution_chunk=chunk, tile_sizes=tiles)
-
-
-def suggest_config(
-    profile: SparsityProfile,
-    candidate: Candidate,
-    base: InductorConfig | None = None,
-    n_cols: int = 64,
-) -> InductorConfig:
-    """An :class:`InductorConfig` carrying the tuner's schedule choice.
-
-    Starts from ``base`` (or the default configuration), sets the
-    suggested execution chunk, and keeps tile autotuning on — the hinted
-    tiles reach the autotuner through the plan's schedule hint instead of
-    being forced, so the device model can still override them.
-
-    Parameters
-    ----------
-    profile:
-        Structural summary of the sparse operand.
-    candidate:
-        The format configuration the tuner selected.
-    base:
-        Configuration to start from (default: a fresh ``InductorConfig``).
-    n_cols:
-        Dense operand width of the SpMM-shaped workload.
-    """
-    hint = suggest_schedule(profile, candidate, n_cols=n_cols)
-    config = base if base is not None else InductorConfig()
-    return replace(config, execution_chunk=hint.execution_chunk)
+    return ScheduleHint(tile_sizes=tiles)

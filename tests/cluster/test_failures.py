@@ -105,3 +105,45 @@ def test_requeue_gives_up_after_max_attempts():
         (lost,) = landed
         assert not lost.ok
         assert isinstance(lost.error, WorkerCrashedError)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP to wedge a worker")
+def test_wedged_worker_is_replaced_by_heartbeat_timeout(pattern, submit_all):
+    """SIGSTOP: the process stays alive but stops beating — only
+    ``heartbeat_timeout`` can notice.  The slot is replaced and every
+    request lands on the survivor or the replacement.
+
+    An idle worker beats once per 1 s queue poll, so the timeout sits a
+    full second above that; a tighter one would retire healthy workers.
+    """
+    dense, fmt = pattern
+    rng = np.random.default_rng(14)
+    with ClusterServer(
+        num_workers=2, worker_threads=1, health_interval=0.05, heartbeat_timeout=2.0
+    ) as cluster:
+        # Warm the route so the wedged worker is the one owning the key.
+        warm = cluster.run_batch(
+            [("C[m,n] += A[m,k] * B[k,n]", dict(A=fmt, B=rng.standard_normal((128, 8))))],
+            timeout=180,
+        )
+        assert warm[0].ok
+        before = list(cluster.worker_pids)
+        os.kill(before[0], signal.SIGSTOP)
+        operand_sets = [rng.standard_normal((128, 8)) for _ in range(12)]
+        wait = submit_all(
+            cluster,
+            (("C[m,n] += A[m,k] * B[k,n]", dict(A=fmt, B=operand)) for operand in operand_sets),
+        )
+        results = wait(120)
+        assert all(result.ok for result in results), [
+            result.error for result in results if not result.ok
+        ][:1]
+        for operand, result in zip(operand_sets, results):
+            np.testing.assert_allclose(result.unwrap(), dense @ operand, atol=1e-8)
+        assert cluster.stats().restarts == 1
+        after = list(cluster.worker_pids)
+        assert after[0] is not None and after[0] != before[0]
+        assert after[1] == before[1]  # the healthy worker was left alone
+        # The stopped process ignored SIGTERM; teardown escalated to SIGKILL.
+        with pytest.raises(ProcessLookupError):
+            os.kill(before[0], 0)

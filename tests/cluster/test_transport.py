@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster import codec
 from repro.cluster.codec import OperandDecoder, OperandEncoder, decode_result, encode_result
 from repro.cluster.router import Router, affinity_key
 from repro.cluster.shm import HEADER_BYTES, ShmRing, segment_exists
@@ -236,6 +237,38 @@ class TestCodec:
         envelope, _ = encoder.encode_request(4, "expr", {"I": buffer}, 0)
         assert envelope.operands["I"][0] == "cached"  # cached again, new bytes
         np.testing.assert_array_equal(decoder.decode(envelope)["I"], buffer)
+
+    def test_mirror_stays_coherent_through_eviction(self, ring, monkeypatch):
+        """More stable arrays and patterns than fit, revisited after their
+        eviction: every request decodes to what was sent, and the parent's
+        mirror holds the worker's entries in the same LRU order throughout."""
+        monkeypatch.setattr(codec, "ARRAY_CACHE_SIZE", 2)
+        monkeypatch.setattr(codec, "PATTERN_CACHE_SIZE", 2)
+        encoder, decoder = self._pair(ring)
+        rng = np.random.default_rng(11)
+        arrays = [rng.standard_normal((8, 8)) for _ in range(5)]  # 512 bytes each
+        patterns = [COO.from_dense(np.diag(np.arange(1.0, 5.0)) * (k + 1)) for k in range(5)]
+        array_kinds, broadcasts = [], []
+        picks = zip(rng.integers(0, 5, size=120), rng.integers(0, 5, size=120))
+        for request_id, (pick_a, pick_p) in enumerate(picks):
+            operands = {"A": patterns[pick_p], "B": arrays[pick_a]}
+            envelope, controls = encoder.encode_request(request_id, "expr", operands, 0)
+            for _, key, payload in controls:
+                decoder.store_pattern(key, payload)
+                broadcasts.append(pick_p)
+            array_kinds.append((envelope.operands["B"][0], pick_a))
+            decoded = decoder.decode(envelope)
+            np.testing.assert_array_equal(decoded["B"], arrays[pick_a])
+            np.testing.assert_array_equal(decoded["A"].to_dense(), patterns[pick_p].to_dense())
+            assert list(encoder._cached_tokens) == list(decoder._arrays)
+            assert list(encoder._patterns_sent) == list(decoder._patterns)
+            assert len(decoder._arrays) <= 2 and len(decoder._patterns) <= 2
+        # The run must have crossed both paths: cache hits, and entries
+        # stored again after the LRU dropped them.
+        stores = [pick for kind, pick in array_kinds if kind == "ring_store"]
+        assert len(stores) > len(set(stores))
+        assert any(kind == "cached" for kind, _ in array_kinds)
+        assert len(set(broadcasts)) < len(broadcasts) < 120
 
     def test_result_roundtrip(self, ring):
         out = np.random.default_rng(2).standard_normal((16, 4))

@@ -57,8 +57,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         InductorConfig(dtype="fp8").validate()
     with pytest.raises(ValueError):
-        InductorConfig(execution_chunk=0).validate()
-    with pytest.raises(ValueError):
         InductorConfig(tile_sizes={"m": 0}).validate()
 
 

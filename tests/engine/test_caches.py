@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import SparseEinsum
-from repro.core.inductor.config import InductorConfig
+from repro.core.insum import plan_insum
 from repro.engine import (
     BufferArena,
     array_token,
@@ -25,6 +25,7 @@ from repro.engine import (
     plan_scatter,
     segment_add,
 )
+from repro.engine.specialize import SpecializedKernel
 from repro.formats import BCSR, COO, CSR, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 from repro.tuner.profile import profile_operand
 
@@ -95,17 +96,24 @@ def test_pattern_churn_evicts_cleanly_and_returns_the_cache_to_its_start(rng, mo
     gc.collect()
     start = derived_cache_size()
     rhs = rng.standard_normal((24, 4))
-    # A budget of zero streams every call: several scatter plans per pattern.
-    config = InductorConfig(execution_chunk=16, specialize_single_shot_elements=0)
-    operator = SparseEinsum("C[m,n] += A[m,k] * B[k,n]", config=config)
+    expressions = {
+        COO: "C[AI0[p],n] += AV[p] * B[AI1[p],n]",
+        GroupCOO: "C[AM[p],n] += AV[p,q] * B[AK[p,q],n]",
+    }
     for round_ in range(60):
         dense = np.where(rng.random((16, 24)) < 0.4, 1.0, 0.0)
-        for format_cls in (COO, GroupCOO):
-            operator(A=format_cls.from_dense(dense), B=rhs)
+        for format_cls, expression in expressions.items():
+            arrays = format_cls.from_dense(dense).tensors("A")
+            tensors = {"C": np.zeros((16, 4)), "B": rhs, **arrays}
+            # A budget of zero streams every call: several scatter plans per pattern.
+            kernel = SpecializedKernel.build(
+                plan_insum(expression, tensors), chunk_size=16, single_shot_budget=0
+            )
+            kernel.run(tensors)
         if round_ == 30:
             assert derived_cache_size() > start
             clear_derived_cache()
-    del operator
+    del kernel, tensors, arrays
     gc.collect()
     assert unraisable == []
     assert derived_cache_size() == start

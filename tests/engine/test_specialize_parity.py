@@ -136,16 +136,15 @@ def test_stacked_sparse_parity(medium_sparse_matrix, rng):
     np.testing.assert_allclose(result, stack @ dense_rhs, atol=1e-9)
 
 
-@pytest.mark.parametrize("execution_chunk", [1, 7, 64, 4096])
-def test_chunk_size_invariance_through_config(execution_chunk, medium_sparse_matrix, rng):
-    """The public config's chunk size must not change results."""
-    fmt = COO.from_dense(medium_sparse_matrix)
-    dense_rhs = rng.standard_normal((96, 8))
-    config = InductorConfig(
-        execution_chunk=execution_chunk, specialize_single_shot_elements=0
-    )
-    result = sparse_einsum("C[m,n] += A[m,k] * B[k,n]", A=fmt, B=dense_rhs, config=config)
-    np.testing.assert_allclose(result, medium_sparse_matrix @ dense_rhs, atol=1e-9)
+@pytest.mark.parametrize("chunk_size", [1, 7, 64, 4096])
+def test_chunk_size_invariance_through_config(chunk_size, medium_sparse_matrix, rng):
+    """The streamed window's size must not change results."""
+    tensors = _spmm_tensors(COO.from_dense(medium_sparse_matrix), rng, 64, 96, width=8)
+    plan = plan_insum("C[AI0[p],n] += AV[p] * B[AI1[p],n]", tensors)
+    kernel = SpecializedKernel.build(plan, chunk_size=chunk_size, single_shot_budget=0)
+    assert not kernel.single_shot and kernel.chunk_size == chunk_size
+    expected = tensors["C"] + medium_sparse_matrix @ tensors["B"]
+    np.testing.assert_allclose(kernel.run(tensors), expected, atol=1e-9)
 
 
 def test_specialize_plan_reports_schedule(small_sparse_matrix, rng):
@@ -160,9 +159,7 @@ def test_specialize_plan_reports_schedule(small_sparse_matrix, rng):
     plan = plan_insum("C[AM[p],n] += AV[p] * B[AK[p],n]", tensors)
     single = specialize_plan(plan, InductorConfig())
     assert single.single_shot and len(single.windows) == 1
-    chunked = specialize_plan(
-        plan, InductorConfig(execution_chunk=4, specialize_single_shot_elements=0)
-    )
+    chunked = SpecializedKernel.build(plan, chunk_size=4, single_shot_budget=0)
     assert not chunked.single_shot and len(chunked.windows) > 1
     assert "specialized" in single.describe()
     assert "single-shot" in single.describe() and "windows" in chunked.describe()
@@ -170,7 +167,7 @@ def test_specialize_plan_reports_schedule(small_sparse_matrix, rng):
 
 def test_windows_are_sized_from_the_per_step_footprint(medium_sparse_matrix, rng):
     """A streamed window fills a quarter of the single-shot budget, and
-    ``execution_chunk`` is only the floor under it."""
+    ``chunk_size`` is only the floor under it."""
     coo = COO.from_dense(medium_sparse_matrix)
     tensors = _spmm_tensors(coo, rng, 64, 96, width=4)
     plan = plan_insum("C[AI0[p],n] += AV[p] * B[AI1[p],n]", tensors)

@@ -2,20 +2,35 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.gateway import GatewayConfig, GatewayConfigError
+from repro.gateway import GatewayConfig, GatewayConfigError, WireDecoder
+
+#: field -> (non-default value, its REPRO_GATEWAY_* spelling).
+_ENV_SAMPLES = {
+    "host": ("0.0.0.0", "0.0.0.0"),
+    "port": (8123, "8123"),
+    "api_keys": ({"key-a": "acme"}, "key-a=acme"),
+    "max_inflight_per_tenant": (128, "128"),
+    "tenant_quotas": ({"acme": 64}, "acme=64"),
+    "quota_retry_after": (0.2, "0.2"),
+    "binary": (False, "off"),
+    "max_body_bytes": (1048576, "1048576"),
+}
 
 
 class TestValidation:
     def test_defaults_are_valid(self):
         GatewayConfig().validate()
 
-    def test_cache_sizes_rejected_without_binary_wire(self):
-        with pytest.raises(GatewayConfigError, match="binary=False"):
-            GatewayConfig(binary=False, array_cache_size=8).validate()
-        with pytest.raises(GatewayConfigError, match="binary=False"):
-            GatewayConfig(binary=False, pattern_cache_size=8).validate()
+    def test_codec_caches_are_not_configurable(self):
+        """Both ends of the wire read one constant, so the mirror cannot be sized apart."""
+        with pytest.raises(TypeError):
+            GatewayConfig(array_cache_size=8)
+        with pytest.raises(TypeError):
+            WireDecoder(8)
 
     def test_tenant_quotas_require_keyring(self):
         with pytest.raises(GatewayConfigError, match="requires api_keys"):
@@ -31,9 +46,7 @@ class TestValidation:
                 api_keys={"k": "acme"}, tenant_quotas={"ghost": 4}
             ).validate()
 
-    @pytest.mark.parametrize(
-        "field", ["max_inflight_per_tenant", "array_cache_size", "pattern_cache_size"]
-    )
+    @pytest.mark.parametrize("field", ["max_inflight_per_tenant"])
     def test_counts_below_one_rejected(self, field):
         with pytest.raises(GatewayConfigError, match=field):
             GatewayConfig(**{field: 0}).validate()
@@ -115,6 +128,15 @@ class TestFromEnv:
 
     def test_invalid_combination_rejected_at_parse(self):
         with pytest.raises(GatewayConfigError):
-            GatewayConfig.from_env(
-                {"REPRO_GATEWAY_BINARY": "off", "REPRO_GATEWAY_ARRAY_CACHE_SIZE": "8"}
-            )
+            GatewayConfig.from_env({"REPRO_GATEWAY_TENANT_QUOTAS": "acme=4"})
+
+    @pytest.mark.parametrize(
+        "config_field", dataclasses.fields(GatewayConfig), ids=lambda f: f.name
+    )
+    def test_every_field_round_trips_through_its_variable(self, config_field):
+        """No field can be added without ``REPRO_GATEWAY_<FIELD>`` reaching it."""
+        value, raw = _ENV_SAMPLES[config_field.name]
+        environ = {f"REPRO_GATEWAY_{config_field.name.upper()}": raw}
+        if config_field.name == "tenant_quotas":
+            environ["REPRO_GATEWAY_API_KEYS"] = "key-a=acme"  # quotas need named tenants
+        assert getattr(GatewayConfig.from_env(environ), config_field.name) == value

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cluster import codec
 from repro.errors import (
     ClusterBusyError,
     ControlThreadError,
@@ -214,6 +215,39 @@ class TestCacheMirror:
         content_type, body = encoder.encode_request("e", {"A": fmt}, binary=True)
         decoded = decoder.decode_request(content_type, body)
         np.testing.assert_array_equal(decoded[0][1]["A"].to_dense(), np.eye(4))
+
+    def test_mirror_stays_coherent_through_eviction(self, monkeypatch):
+        """More stable arrays and patterns than fit, revisited after their
+        eviction: every request decodes to what was sent, and both ends
+        hold the same entries in the same LRU order after each one."""
+        monkeypatch.setattr(codec, "ARRAY_CACHE_SIZE", 2)
+        monkeypatch.setattr(codec, "PATTERN_CACHE_SIZE", 2)
+        rng = np.random.default_rng(11)
+        arrays = [rng.standard_normal((8, 8)) for _ in range(5)]  # 512 bytes each
+        patterns = [COO.from_dense(np.diag(np.arange(1.0, 5.0)) * (k + 1)) for k in range(5)]
+        encoder, decoder = WireEncoder(), WireDecoder()
+        kinds = {"array": [], "pattern": []}
+        for pick_a, pick_p in zip(rng.integers(0, 5, size=120), rng.integers(0, 5, size=120)):
+            operands = {"A": patterns[pick_p], "B": arrays[pick_a]}
+            content_type, body = encoder.encode_request("e", operands, binary=True)
+            header, _ = unpack_frame(body)
+            kinds["array"].append((header["operands"]["B"][0], pick_a))
+            kinds["pattern"].append((header["operands"]["A"][0], pick_p))
+            decoded = decoder.decode_request(content_type, body)[0][1]
+            np.testing.assert_array_equal(decoded["B"], arrays[pick_a])
+            np.testing.assert_array_equal(decoded["A"].to_dense(), patterns[pick_p].to_dense())
+            assert list(encoder._cached_tokens) == list(decoder._arrays)
+            assert list(encoder._patterns_sent) == list(decoder._patterns)
+            assert len(decoder._arrays) <= 2 and len(decoder._patterns) <= 2
+        # The run must have crossed both paths: cache hits, and entries
+        # stored again after the LRU dropped them.
+        for family, store, hit in (
+            ("array", "blob_store", "cached"),
+            ("pattern", "pattern_store", "pattern"),
+        ):
+            stores = [pick for kind, pick in kinds[family] if kind == store]
+            assert len(stores) > len(set(stores)), family
+            assert any(kind == hit for kind, _ in kinds[family]), family
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ def test_inline_fallback_also_drops_pool_knobs():
     derived = fallback_config(cluster_config(failover="inline"), "inline")
     assert derived.workers is None
     assert derived.coalesce is None
-    assert derived.coalesce_max is None
     derived.validate("inline")
 
 

@@ -127,16 +127,6 @@ def test_reset_stats_opens_new_window(rng):
     assert stats.cache_hit_rate == 1.0  # warm cache: the repeat is a pure hit
 
 
-def test_sharded_server_matches_unsharded(rng):
-    dense = np.where(rng.random((64, 32)) < 0.2, np.round(rng.standard_normal((64, 32)) * 8), 0.0)
-    fmt = GroupCOO.from_dense(dense, group_size=4)
-    b = np.round(rng.standard_normal((32, 6)) * 8)
-    expression = "C[m,n] += A[m,k] * B[k,n]"
-    with InsumServer(num_workers=2, num_shards=4) as server:
-        (result,) = server.run_batch([(expression, dict(A=fmt, B=b))])
-    np.testing.assert_array_equal(result.unwrap(), dense @ b)
-
-
 def test_submit_after_close_raises(rng):
     server = InsumServer(num_workers=1)
     server.close()

@@ -95,16 +95,6 @@ def test_map_batches_matches_submit_order(serve_workload):
         assert np.array_equal(expected, actual)
 
 
-def test_sharded_inline_matches_unsharded(serve_workload):
-    """num_shards is an inline/threaded knob; results stay exact (disjoint rows)."""
-    with Session(backend="inline", config=ServeConfig(num_shards=2)) as session:
-        sharded = [np.asarray(f.result(30)) for f in session.submit_many(serve_workload[:6])]
-    with Session(backend="inline") as session:
-        plain = [np.asarray(f.result(30)) for f in session.submit_many(serve_workload[:6])]
-    for expected, actual in zip(plain, sharded):
-        np.testing.assert_allclose(actual, expected, atol=1e-12)
-
-
 def test_run_batch_matches_session_futures(serve_workload):
     """The synchronous helper and the futures path share one execution."""
     with InsumServer(num_workers=2, coalesce=False) as server:

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import pytest
 
-from repro.serve import ServeConfig, ServeConfigError, Session
+from repro.cluster.server import ClusterServer
+from repro.core.inductor import InductorConfig
+from repro.resilience.failover import FALLBACK_BACKENDS, fallback_config
+from repro.runtime.server import InsumServer, RequestExecutor
+from repro.serve import BACKENDS, ServeConfig, ServeConfigError, Session
 
 
 def test_defaults_valid_on_every_backend():
@@ -20,23 +27,63 @@ def test_unknown_backend_rejected():
         Session(backend="gpu-farm")
 
 
-@pytest.mark.parametrize(
-    ("backend", "config", "field"),
-    [
-        ("inline", ServeConfig(workers=4), "workers"),
-        ("inline", ServeConfig(coalesce=True), "coalesce"),
-        ("inline", ServeConfig(max_inflight=10), "max_inflight"),
-        ("threaded", ServeConfig(max_inflight=10), "max_inflight"),
-        ("threaded", ServeConfig(worker_threads=2), "worker_threads"),
-        ("threaded", ServeConfig(admission="reject"), "admission"),
-        ("threaded", ServeConfig(heartbeat_timeout=5.0), "heartbeat_timeout"),
-        ("cluster", ServeConfig(num_shards=2), "num_shards"),
-    ],
-)
-def test_meaningless_combinations_rejected_not_ignored(backend, config, field):
-    """A tier-inapplicable field raises and is named — never silently dropped."""
-    with pytest.raises(ServeConfigError, match=field):
+#: What each tier's forwarded kwargs must be accepted by (inline hands
+#: them to the executor unchanged).
+_TIER_CONSTRUCTORS = {
+    "inline": RequestExecutor,
+    "threaded": InsumServer,
+    "cluster": ClusterServer,
+}
+
+#: (value, REPRO_SERVE_* spelling) per annotation; the value is valid on
+#: every tier that accepts the field and differs from its default.
+_SAMPLES = {"int": (3, "3"), "float": (1.5, "1.5"), "str": ("eager", "eager")}
+_ENUMERATED = {"tune": "model", "admission": "reject", "failover": "threaded"}
+
+
+def _sample(config_field):
+    if config_field.name in _ENUMERATED:
+        return _ENUMERATED[config_field.name], _ENUMERATED[config_field.name]
+    kind = config_field.type.split(" | ")[0]
+    if kind == "bool":
+        value = config_field.default is not True
+        return value, "on" if value else "off"
+    if kind == "Any":
+        return InductorConfig(), None  # not expressible as an environment string
+    return _SAMPLES[kind]
+
+
+@pytest.mark.parametrize("config_field", dataclasses.fields(ServeConfig), ids=lambda f: f.name)
+def test_one_declaration_drives_validate_env_kwargs_and_fallback(config_field):
+    """A field's metadata is the only place its tiers and kwarg are written:
+    validation, env parsing, kwarg forwarding and the failover derivation
+    must all follow it — never silently drop or mis-route a field."""
+    name, tiers, kwarg = (
+        config_field.name,
+        config_field.metadata["backends"],
+        config_field.metadata["kwarg"],
+    )
+    value, raw = _sample(config_field)
+    config = ServeConfig(**{name: value})
+    for backend in BACKENDS:
+        forwarded = config._backend_kwargs(backend)
+        if backend not in tiers:
+            with pytest.raises(ServeConfigError, match=name):
+                config.validate(backend)
+            assert kwarg not in forwarded
+            continue
         config.validate(backend)
+        if kwarg is not None:
+            assert forwarded[kwarg] == value
+            assert kwarg in inspect.signature(_TIER_CONSTRUCTORS[backend]).parameters
+    variable = f"REPRO_SERVE_{name.upper()}"
+    if raw is None:
+        assert ServeConfig.from_env({variable: "anything"}) == ServeConfig()
+    else:
+        assert getattr(ServeConfig.from_env({variable: raw}), name) == value
+    for fallback in FALLBACK_BACKENDS:
+        derived = getattr(fallback_config(config, fallback), name)
+        assert derived == (value if fallback in tiers else None)
 
 
 def test_validation_messages_name_every_offending_field():

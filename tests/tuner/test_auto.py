@@ -208,7 +208,6 @@ def test_schedule_hint_reaches_the_plan(blocky, rng):
     plan = op.operator.last_plan
     assert plan is not None
     assert plan.schedule_hint is not None
-    assert plan.schedule_hint.execution_chunk >= 16
 
 
 def test_insum_schedule_hint_tiles_enter_autotune(blocky, rng):

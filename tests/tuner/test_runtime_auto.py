@@ -49,29 +49,6 @@ def test_server_auto_format_dense_promotion_only_for_logical_expressions(rng):
         np.testing.assert_allclose(result.unwrap(), dense @ rhs)
 
 
-def test_server_sharding_with_dense_promotion(rng):
-    """A dense sparse-eligible operand on a sharded auto server must work."""
-    dense = random_sparse_matrix((96, 80), 0.06, rng=7).astype(np.float64)
-    rhs = rng.standard_normal((80, 8))
-    with InsumServer(num_workers=1, num_shards=2, auto_format=True) as server:
-        (result,) = server.run_batch([("C[m,n] += A[m,k] * B[k,n]", dict(A=dense, B=rhs))])
-        assert result.ok, result.error
-        np.testing.assert_allclose(result.unwrap(), dense @ rhs)
-
-
-def test_server_auto_format_composes_with_sharding(rng):
-    """num_shards + auto_format: the shards execute the tuner's format."""
-    dense = random_block_sparse_matrix(96, (16, 16), 0.1, rng=5).astype(np.float64)
-    rhs = rng.standard_normal((96, 8))
-    with InsumServer(num_workers=2, num_shards=2, auto_format=True) as server:
-        requests = [
-            ("C[m,n] += A[m,k] * B[k,n]", dict(A=COO.from_dense(dense), B=rhs))
-            for _ in range(3)
-        ]
-        for result in server.run_batch(requests):
-            np.testing.assert_allclose(result.unwrap(), dense @ rhs)
-
-
 def test_server_without_auto_format_unchanged(rng):
     dense = random_sparse_matrix((64, 48), 0.1, rng=4).astype(np.float64)
     rhs = rng.standard_normal((48, 8))
