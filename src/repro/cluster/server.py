@@ -482,9 +482,21 @@ class ClusterServer:
         with self._state:
             self._requeued += 1
         self._m_requeued.inc()
+        self._enqueue(request, front=True)
+
+    def _enqueue(self, request: Request, front: bool = False) -> None:
+        """Queue a request for the dispatcher, unless containment already ran.
+
+        Containment sets the error, then clears the queue once: a submit or
+        a crash requeue that lost that race would wait in it for ever.
+        """
         with self._dispatch_cv:
-            self._dispatch.appendleft(request)
-            self._dispatch_cv.notify()
+            contained = self._control_error
+            if contained is None:
+                (self._dispatch.appendleft if front else self._dispatch.append)(request)
+                self._dispatch_cv.notify()
+        if contained is not None:
+            self._record(request, error=contained)
 
     # -- the ExecutorBackend protocol ---------------------------------------
     def submit(self, request: Request) -> None:
@@ -566,9 +578,7 @@ class ClusterServer:
         request.accept(next(self._ids))
         if self._window_started is None:
             self._window_started = request.submitted_at
-        with self._dispatch_cv:
-            self._dispatch.append(request)
-            self._dispatch_cv.notify()
+        self._enqueue(request)
 
     def try_cancel(self, request: Request) -> bool:
         """Cancel a request that has not been dispatched to a worker yet.

@@ -61,9 +61,9 @@ class CompiledInsum:
     def run(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
         """Execute the compiled program on NumPy tensors.
 
-        A fused schedule runs its plan-time specialized closure (cached
-        contraction path, segment-sum scatter, buffer arena); an unfused
-        one runs the FX graph node by node.
+        A fused schedule runs the step list compiled for it at plan time
+        (cache-sized windows, fold + dot contraction, segment-sum scatter);
+        an unfused one runs the FX graph node by node.
         """
         if self.specialized is not None:
             return self.specialized.run(tensors)

@@ -5,9 +5,10 @@ The flags correspond directly to the paper's ablation dimensions
 ``ops.dot`` instead of the fixed template, whether gather/scatter may fuse
 with the contraction, whether lazy broadcasting removes the reshaping
 overhead of eager broadcasting, and the value dtype — which alone decides
-whether an ``ops.dot`` maps onto Tensor Cores.  The three remaining fields
-are not ablation knobs: an explicit tile override for the cost model, the
-executor's memory bound, and the simulated device.
+whether an ``ops.dot`` maps onto Tensor Cores.  The two remaining fields
+are not ablation knobs: an explicit tile override for the cost model and
+the simulated device.  The NumPy executor takes no setting: it sizes its
+windows from a constant (:mod:`repro.engine.specialize`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.core.triton_sim.device import DeviceModel, RTX3090
 
 @dataclass
 class InductorConfig:
-    """Backend configuration: one field per ablation knob, then tiles, memory bound, device."""
+    """Backend configuration: one field per ablation knob, then tiles and device."""
 
     #: Rewrite broadcast-multiply + sum into ``ops.dot`` and generate the
     #: matmul natively (Section 5.2.2).  When False, contractions that look
@@ -36,12 +37,6 @@ class InductorConfig:
     dtype: str = "fp32"
     #: Explicit tile sizes keyed by role ("m", "n", "k"); None = autotune.
     tile_sizes: dict[str, int] | None = None
-    #: Total temporary elements (gathered factors + contraction partial)
-    #: below which a specialized kernel runs its whole iteration space as
-    #: one window.  Above it the kernel streams windows whose temporaries
-    #: fill a quarter of this budget each (never fewer than 128 steps), so
-    #: the budget also bounds peak memory.
-    specialize_single_shot_elements: int = 1 << 22
     #: Simulated device the cost model targets.
     device: DeviceModel = field(default_factory=lambda: RTX3090)
 
@@ -78,8 +73,6 @@ class InductorConfig:
         """Check internal consistency of the configuration."""
         if self.dtype not in ("fp16", "fp32"):
             raise ValueError(f"unsupported dtype {self.dtype!r}; use 'fp16' or 'fp32'")
-        if self.specialize_single_shot_elements < 0:
-            raise ValueError("specialize_single_shot_elements must be >= 0")
         if self.tile_sizes is not None:
             for key, value in self.tile_sizes.items():
                 if value < 1:

@@ -65,12 +65,18 @@ def _extent_product(variables: list[str], extents: dict[str, int]) -> int:
     return product
 
 
-def detect_dot(plan: InsumPlan) -> DotInfo | None:
+def detect_dot(plan: InsumPlan, matvec: bool = False) -> DotInfo | None:
     """Find the best matmul pattern in the plan's contraction, if any.
 
     Returns ``None`` when the contraction has no reduction variable or no
     pair of factors forms an (M, K) x (K, N) structure — those programs are
     lowered as fused pointwise/reduction loops instead.
+
+    With ``matvec`` a pair whose M or N group is empty also qualifies (the
+    matrix–vector shape of every non-block SpMM).  The cost model leaves it
+    off — such a dot neither needs the matmul template nor lights up Tensor
+    Cores — while the NumPy executor turns it on, because a batched
+    ``np.matmul`` runs those shapes too.
     """
     reduction_vars = plan.info.reduction_vars
     if not reduction_vars:
@@ -100,7 +106,7 @@ def detect_dot(plan: InsumPlan) -> DotInfo | None:
                 for v in plan.output_subscripts
                 if v in factor_subs[j] and v not in factor_subs[i]
             ]
-            if not m_vars or not n_vars:
+            if not matvec and not (m_vars and n_vars):
                 continue
             batch_vars = [
                 v

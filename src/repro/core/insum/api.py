@@ -198,14 +198,15 @@ def _remember_bounds(key: tuple) -> None:
     _VALIDATED_BOUNDS[key] = True
 
 
-def _fresh_output(shape: tuple[int, ...]) -> np.ndarray:
-    """The all-zero float64 base of a call that binds no output operand.
+def _fresh_output(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """The all-zero base of a call that binds no output operand.
 
-    A read-only zero-stride view rather than a buffer: every executor
-    copies the base into the result it owns before accumulating, so the
-    copy is the one pass that writes the zeros.
+    ``dtype`` is the right-hand-side operands' common type: float32 in,
+    float32 out.  A read-only zero-stride view rather than a buffer: every
+    executor builds the result it owns from the base before accumulating
+    (the fused one recognises the view and allocates instead of copying).
     """
-    return np.broadcast_to(np.float64(0.0), shape)
+    return np.broadcast_to(np.zeros((), dtype=dtype), shape)
 
 
 class _EagerKernel:
@@ -587,20 +588,22 @@ class SparseEinsum:
         output_shape = tuple(
             extents[ix.name] for ix in statement.lhs.indices if isinstance(ix, IndexVar)
         )
-        if output_name in operands and not isinstance(operands[output_name], SparseFormat):
-            output = np.asarray(operands[output_name])
-        else:
-            output = _fresh_output(output_shape)
-
         dense_tensors = {
             name: np.asarray(value)
             for name, value in operands.items()
             if name != sparse_name and not isinstance(value, SparseFormat)
         }
-        dense_tensors[output_name] = output
+        plan = sparse_operand.rewrite_plan(sparse_name, index_names)
+        output_dtype = None
+        if output_name not in dense_tensors:
+            rhs_names = [f.tensor for f in statement.rhs.factors]
+            output_dtype = np.result_type(
+                plan.tensors[plan.value_access.tensor],
+                *(dense_tensors[name] for name in rhs_names if name in dense_tensors),
+            )
+            dense_tensors[output_name] = _fresh_output(output_shape, output_dtype)
 
         shapes = {name: tuple(arr.shape) for name, arr in dense_tensors.items()}
-        plan = sparse_operand.rewrite_plan(sparse_name, index_names)
         rewrite = rewrite_sparse_operand(statement, plan, shapes)
 
         execution_tensors = dict(dense_tensors)
@@ -621,6 +624,7 @@ class SparseEinsum:
                 sparse_name,
                 output_name,
                 tuple(output_shape),
+                output_dtype,
                 logical_output_shape,
             )
         return rewrite, execution_tensors, logical_output_shape
@@ -659,14 +663,14 @@ class SparseEinsum:
         memo = self._prepare_memo.get(key)
         if memo is None:
             return None
-        rewrite, sparse_name, output_name, output_shape, logical_shape = memo
+        rewrite, sparse_name, output_name, output_shape, output_dtype, logical_shape = memo
         execution_tensors = {
             name: np.asarray(value)
             for name, value in operands.items()
             if name != sparse_name and not isinstance(value, SparseFormat)
         }
         if output_name not in execution_tensors:
-            execution_tensors[output_name] = _fresh_output(output_shape)
+            execution_tensors[output_name] = _fresh_output(output_shape, output_dtype)
         execution_tensors.update(rewrite.tensors)
         for name, new_shape in rewrite.reshapes.items():
             execution_tensors[name] = execution_tensors[name].reshape(new_shape)

@@ -80,6 +80,9 @@ class InsumPlan:
     #: (:class:`repro.tuner.schedule.ScheduleHint`): the backend autotuner
     #: evaluates the hinted tiles as an extra candidate.
     schedule_hint: object | None = None
+    #: Bytes per element of the right-hand-side operands' common dtype; the
+    #: executor sizes its windows from it.
+    value_itemsize: int = 8
 
     @property
     def has_scatter(self) -> bool:
@@ -390,6 +393,9 @@ def plan_insum(
         scatter_dim=scatter_dim,
         scatter_index_subscripts=scatter_subscripts,
         schedule_hint=schedule_hint,
+        value_itemsize=np.result_type(
+            *(np.asarray(tensors[f.access.tensor]) for f in factors)
+        ).itemsize,
     )
     plan.graph_module = _build_graph(plan)
     return plan

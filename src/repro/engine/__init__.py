@@ -1,21 +1,21 @@
 """repro.engine — plan-time specialization for compiled indirect Einsums.
 
 The compiler stack (``repro.core``) decides *what* to execute; this
-package makes the execution itself cheap.  It turns each compiled
-:class:`~repro.core.insum.planner.InsumPlan` into an allocation-light
-NumPy closure with every value-independent decision made at compile time,
+package makes the execution itself cheap.  It compiles each
+:class:`~repro.core.insum.planner.InsumPlan` into a flat list of prebuilt
+NumPy steps with every value-independent decision made at compile time,
 and supplies the identity-keyed caches that let a serving process stop
 re-deriving per-operand artefacts on every request:
 
 * :mod:`repro.engine.specialize` — :class:`SpecializedKernel`, the one
-  executor of a fused schedule (window schedule, gather, cached
-  contraction path, segment-sum scatter, buffer arena);
-* :mod:`repro.engine.paths` — process-wide ``np.einsum_path`` memo;
+  executor of a fused schedule (cache-sized windows, gather, pointwise
+  folds plus one ``np.matmul``, segment-sum scatter), compiled per plan;
+* :mod:`repro.engine.paths` — process-wide ``np.einsum_path`` memo (the
+  unfused ``einsum`` operator, and the fused executor's build-time fallback);
 * :mod:`repro.engine.segment` — ``np.add.at`` replaced by disjoint-row
   fancy ``+=`` or bucketed slab segment sums;
 * :mod:`repro.engine.fingerprint` — identity tokens for live arrays,
   pattern fingerprints for formats, and the derived-artefact cache;
-* :mod:`repro.engine.arena` — per-thread reusable scratch buffers;
 * :mod:`repro.engine.coalesce` — widening helpers behind the server's
   same-plan request coalescing.
 
@@ -24,7 +24,6 @@ numbers (``benchmarks/layers``, ``benchmarks/results/BENCH_runtime.json``)
 track it.
 """
 
-from repro.engine.arena import BufferArena
 from repro.engine.coalesce import (
     CoalesceTicket,
     coalesce_key,
@@ -49,7 +48,6 @@ from repro.engine.segment import ScatterPlan, plan_scatter, segment_add
 from repro.engine.specialize import SpecializedKernel, specialize_plan
 
 __all__ = [
-    "BufferArena",
     "CoalesceTicket",
     "ScatterPlan",
     "SpecializedKernel",

@@ -7,8 +7,9 @@ only on the equation and the operand shapes, so the engine resolves it once
 per ``(equation, shapes)`` pair and passes the explicit path to every later
 call.
 
-:func:`cached_einsum_path` is the lookup the fused executor
-(:mod:`repro.engine.specialize`) calls once per window;
+:func:`cached_einsum_path` is the lookup; the fused executor
+(:mod:`repro.engine.specialize`) calls it at build time only, for a
+contraction it cannot lower to folds plus one ``np.matmul``.
 :func:`cached_einsum` is the one-line "einsum with a memoized path" wrapper
 behind the FX ``einsum`` operator of the unfused schedule.
 """

@@ -1,335 +1,541 @@
-"""Plan-time specialization: turn an :class:`InsumPlan` into a fast closure.
+"""Plan-time specialization: compile an :class:`InsumPlan` into flat steps.
 
-:class:`SpecializedKernel` is the executor of every fused schedule: it
-streams over the leading output variable in windows, gathering,
-contracting, and scattering each window without ever holding the full
-gathered temporaries.  Everything that does not depend on operand values
-is decided at *compile time*:
+:class:`SpecializedKernel` is the executor of every fused schedule.
+:meth:`SpecializedKernel.build` compiles the plan once into a list of
+prebuilt steps over a small register file; ``run`` loads the operands and
+walks the list — no AST inspection, no axis arithmetic and no contraction
+path search per call — and ``describe()`` prints it, so "what does this
+plan execute" is a log line.  What ``build`` decides:
 
-* the chunking decision is made once from the plan's extents and the
-  config's memory budget: the whole iteration space as one window when its
-  temporaries fit ``specialize_single_shot_elements``, otherwise streamed
-  windows over the leading output variable, each sized from the per-step
-  footprint so its temporaries fill a quarter of that budget
-  (:data:`_MIN_WINDOW_STEPS` is the floor, whatever a step costs);
-* the contraction path is resolved once per distinct chunk shape through
-  :mod:`repro.engine.paths` and passed explicitly on every call;
-* scatters are lowered to disjoint-row fancy ``+=`` or bucketed slab
-  segment sums (:mod:`repro.engine.segment`), with the bucket permutation
-  and boundaries memoized per ``(scatter-index identity, window)``
-  (:mod:`repro.engine.fingerprint`) — repeated calls over the same format
-  instance do zero index work;
-* the contraction partial of each chunk is written into a per-thread
-  arena buffer (:mod:`repro.engine.arena`) instead of a new allocation.
+* **the windows** — the kernel streams over the leading output variable in
+  windows whose temporaries (the gathered factors and the partial that
+  carry the variable, ``per_step_bytes`` a step) fill :data:`_WINDOW_BYTES`,
+  so a window is gathered, contracted and scattered while it is still in
+  the L2 cache; a plan whose temporaries fit is one window, and a factor
+  that does not carry the variable is gathered once per call;
+* **the gather** — per factor the source, gather axis, index tensor and
+  the slice keys of every window; NumPy's bounds-checked ``np.take`` runs it;
+* **the contraction** — the decomposition of the paper's kernel, pointwise
+  folds plus one dot: a factor outside the dot pair
+  (:func:`repro.core.inductor.dot_rewrite.detect_dot`) is multiplied, in
+  place, into the side that carries its subscripts — always a temporary
+  the kernel gathered, never a caller's array — then one ``np.matmul``
+  runs over views whose transposes and reshapes are fixed here.  A plan
+  without a reduction variable is the fold chain alone; a contraction this
+  cannot express keeps ``np.einsum``, its path resolved here through
+  :mod:`repro.engine.paths`;
+* **the store** — on an all-zero base a scatter-free plan's ``np.matmul``
+  writes straight into its window of the result; otherwise the partial is
+  added in, through disjoint-row fancy ``+=`` or bucketed slab segment sums
+  (:mod:`repro.engine.segment`) when the output is indirect, the bucket
+  plans of all windows memoized per scatter-index identity
+  (:mod:`repro.engine.fingerprint`): repeated calls over one format
+  instance do zero index work.
 
 Numerics match the unfused FX interpreter up to floating-point
-reassociation of the scatter: per output row, contributions are summed
-sequentially in storage order and the sum is then added to the row (the
-contract of :mod:`repro.engine.segment`), within each window.  Every
-specialized kernel is tested against the loop-nest reference interpreter.
+reassociation: per output row, contributions are summed sequentially in
+storage order and the sum is then added to the row (the contract of
+:mod:`repro.engine.segment`), within each window; the dot sums in its BLAS's
+order.  Every kernel is tested against the loop-nest reference interpreter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from math import prod
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.einsum.ast import IndexVar, IntLiteral, TensorAccess
+from repro.core.einsum.ast import IndexVar, IntLiteral
+from repro.core.inductor.dot_rewrite import detect_dot
 from repro.core.inductor.executor import run_unfused
 from repro.core.insum.planner import FactorPlan, InsumPlan
-from repro.engine.arena import BufferArena
 from repro.engine.fingerprint import derived
 from repro.engine.paths import cached_einsum_path
 from repro.engine.segment import plan_scatter, segment_add
 from repro.errors import LoweringError
 
-#: A streamed window's temporaries are sized to this share of the
-#: single-shot budget (1M elements at the default 4M): of 256k / 1M / 4M,
-#: 1M measured fastest on the fig-11 graphs, and 4M costs +24% peak RSS.
-_WINDOW_BUDGET_SHARE = 4
+#: Bytes of temporaries one window may hold: the measured best of the sweep
+#: committed in `docs/PERFORMANCE.md` (this host has 2 MiB of L2 a core, and
+#: a window's temporaries are read back twice).
+_WINDOW_BYTES = 512 * 1024
 
-#: Fewest steps of the leading output variable a streamed window takes.
-_MIN_WINDOW_STEPS = 128
+
+class _Step(NamedTuple):
+    """One prebuilt operation: ``run(registers, window_number)``."""
+
+    text: str
+    run: Callable[[list, int], None]
+
+
+@dataclass(frozen=True)
+class _Value:
+    """A register holding one factor (or product of factors) at build time."""
+
+    slot: int
+    #: Loop variable of each axis.
+    vars: tuple[str, ...]
+    #: A temporary the kernel allocated itself — the only kind written to.
+    owned: bool
+    #: Recomputed for every window (it carries the leading variable).
+    windowed: bool
+
+
+class _Program:
+    """The registers and steps of one compiled plan; its methods append steps."""
+
+    def __init__(self, plan: InsumPlan, windows: list[slice]):
+        self.plan, self.windows = plan, windows
+        self.lead = plan.output_subscripts[0]
+        self.extents = plan.info.extents
+        names = [plan.info.output_name, *(f.access.tensor for f in plan.factors)]
+        names += [f.gather_index for f in plan.factors if f.is_indirect]
+        if plan.has_scatter:
+            names.append(plan.scatter_index)
+        #: Tensors loaded into the first registers on every call, the output
+        #: first; the result and the factors' common dtype follow them.
+        self.inputs = list(dict.fromkeys(names))
+        self.factor_slots = [self.inputs.index(f.access.tensor) for f in plan.factors]
+        self.names = [*self.inputs, "out", "dtype"]
+        self.result, self.dtype = len(self.inputs), len(self.inputs) + 1
+        self.per_call: list[_Step] = []
+        self.per_window: list[_Step] = []
+        #: The per-window steps when the dot may write straight into the result.
+        self.per_window_direct: list[_Step] | None = None
+        #: Registers a window's steps fill; ``run`` empties them after it.
+        self.scratch: list[int] = []
+
+    # -- registers and steps ------------------------------------------------
+    def new(self, windowed: bool) -> int:
+        self.names.append(f"t{len(self.names)}")
+        if windowed:
+            self.scratch.append(len(self.names) - 1)
+        return len(self.names) - 1
+
+    def emit(self, windowed: bool, text: str, run: Callable[[list, int], None]) -> None:
+        (self.per_window if windowed else self.per_call).append(_Step(text, run))
+
+    def shape(self, groups: list[list[str]]) -> tuple[int, ...]:
+        """One axis per group of variables; the leading variable's is ``-1``."""
+        return tuple(
+            -1 if self.lead in group else prod(self.extents[v] for v in group)
+            for group in groups
+        )
+
+    def keys(self, axes: list[int]) -> list[tuple]:
+        """Per window, the index key that cuts ``axes`` to it."""
+        return [
+            tuple(window if axis in axes else slice(None) for axis in range(max(axes) + 1))
+            for window in self.windows
+        ]
+
+    def lead_axes(self, indices) -> list[int]:
+        """Positions in an access's ``indices`` of the plain leading variable."""
+        return [
+            axis
+            for axis, ix in enumerate(indices)
+            if isinstance(ix, IndexVar) and ix.name == self.lead
+        ]
+
+    def window_slice(self, src: int, axes: list[int]) -> int:
+        """``src`` cut to the current window along ``axes``."""
+        keys, dst = self.keys(axes), self.new(True)
+
+        def cut(regs: list, w: int) -> None:
+            regs[dst] = regs[src][keys[w]]
+
+        self.emit(True, f"{self.names[dst]} = {self.names[src]}[window on axes {axes}]", cut)
+        return dst
+
+    def view(self, value: _Value, groups: list[list[str]]) -> int:
+        """``value`` transposed to the order of ``groups``, each group merged."""
+        perm = tuple(value.vars.index(v) for group in groups for v in group)
+        in_order = perm == tuple(range(len(perm)))
+        if in_order and all(len(group) == 1 for group in groups):
+            return value.slot
+        shape, src, dst = self.shape(groups), value.slot, self.new(value.windowed)
+
+        def arrange(regs: list, w: int) -> None:
+            regs[dst] = regs[src].transpose(perm).reshape(shape)
+
+        moved = "" if in_order else f".transpose{perm}"
+        text = f"{self.names[dst]} = {self.names[src]}{moved}.reshape{shape}"
+        self.emit(value.windowed, text, arrange)
+        return dst
+
+    # -- gather ---------------------------------------------------------------
+    def factor(self, factor: FactorPlan) -> _Value:
+        """Bring one factor into dense form, cut to the window where it carries it."""
+        access, lead = factor.access, self.lead
+        src = self.inputs.index(access.tensor)
+        subscripts = tuple(factor.subscripts)
+        if not factor.is_indirect:
+            if any(isinstance(ix, IntLiteral) for ix in access.indices):
+                key = tuple(
+                    ix.value if isinstance(ix, IntLiteral) else slice(None)
+                    for ix in access.indices
+                )
+                selected, whole = self.new(False), src
+
+                def select(regs: list, w: int) -> None:
+                    regs[selected] = regs[whole][key]
+
+                self.emit(False, f"{self.names[selected]} = {access}", select)
+                src = selected
+            axes = [axis for axis, var in enumerate(subscripts) if var == lead]
+            if axes:
+                src = self.window_slice(src, axes)
+            return _Value(src, subscripts, owned=False, windowed=bool(axes))
+
+        axis = factor.gather_axis
+        index = self.inputs.index(factor.gather_index)
+        index_axes = self.lead_axes(access.indices[axis].indices)
+        source_axes = self.lead_axes(access.indices)
+        if index_axes:
+            index = self.window_slice(index, index_axes)
+        if source_axes:
+            src = self.window_slice(src, source_axes)
+        windowed = bool(index_axes or source_axes)
+        dst = self.new(windowed)
+
+        def take(regs: list, w: int) -> None:
+            regs[dst] = np.take(regs[src], regs[index], axis=axis)
+
+        text = f"{self.names[dst]} = take({self.names[src]}, {self.names[index]}, axis={axis})"
+        self.emit(windowed, f"{text}  # {access} -> [{','.join(subscripts)}]", take)
+        return _Value(dst, subscripts, owned=True, windowed=windowed)
+
+    # -- contraction ----------------------------------------------------------
+    def fold(self, target: _Value, other: _Value) -> _Value:
+        """``target * other``, ``other`` broadcast over the axes it lacks.
+
+        In place when ``target`` is a temporary of this phase that already
+        has the product's dtype; a fresh array otherwise, so a caller's
+        operand and a once-per-call gather are never written to.
+        """
+        perm = tuple(sorted(range(len(other.vars)), key=lambda a: target.vars.index(other.vars[a])))
+        key = tuple(slice(None) if var in other.vars else None for var in target.vars)
+        windowed = target.windowed or other.windowed
+        in_place = target.owned and target.windowed == windowed
+        a, b, dtype = target.slot, other.slot, self.dtype
+        dst = a if in_place else self.new(windowed)
+
+        def multiply(regs: list, w: int) -> None:
+            left = regs[a]
+            out = left if in_place and left.dtype == regs[dtype] else None
+            regs[dst] = np.multiply(left, regs[b].transpose(perm)[key], out=out)
+
+        text = f"{self.names[dst]} = {self.names[a]} * {self.names[b]}"
+        self.emit(windowed, text + (" (in place)" if in_place else ""), multiply)
+        return _Value(dst, target.vars, owned=True, windowed=windowed)
+
+    def contraction(self, values: list[_Value]) -> int | None:
+        """Lower the contraction to folds plus at most one dot.
+
+        Returns the register of the partial, in output order, or ``None``
+        (with no step emitted) when this lowering cannot express the plan.
+        """
+        plan, out = self.plan, list(self.plan.output_subscripts)
+        reduction = plan.info.reduction_vars
+        if len(set(out)) != len(out) or any(len(set(v.vars)) != len(v.vars) for v in values):
+            return None
+        if not reduction:
+            carriers = [v for v in values if set(v.vars) == set(out)]
+            if not carriers:
+                return None
+            product = carrier = max(carriers, key=lambda v: v.owned)
+            for other in values:
+                if other is not carrier:
+                    product = self.fold(product, other)
+            return self.view(product, [[v] for v in out])
+
+        dot = detect_dot(plan, matvec=True)
+        if dot is None:
+            return None
+        pair = (dot.lhs_factor, dot.rhs_factor)
+        sides = [values[position] for position in pair]
+        others = [other for position, other in enumerate(values) if position not in pair]
+        left, right = (set(side.vars) for side in sides)
+        shared = left & right
+        batch = [v for v in out if v in shared]
+        k = [v for v in reduction if v in shared]
+        m = [v for v in out if v in left and v not in shared]
+        n = [v for v in out if v in right and v not in shared]
+        # Decide before emitting anything: a fold keeps its side's variables
+        # but may write in place, and the einsum fallback must find every
+        # register as the gather left it.
+        if (
+            len(k) != len(reduction)
+            or left != {*batch, *m, *k}
+            or right != {*batch, *k, *n}
+            or set(out) != {*batch, *m, *n}
+            or not all(set(other.vars) <= left or set(other.vars) <= right for other in others)
+        ):
+            return None
+        for other in others:
+            fits = [s for s in (0, 1) if set(other.vars) <= set(sides[s].vars)]
+            side = min(fits, key=lambda s: prod(self.extents[v] for v in sides[s].vars))
+            sides[side] = self.fold(sides[side], other)
+        lhs, rhs = sides
+        if batch + m + n != out and batch + n + m == out:
+            lhs, rhs, m, n = rhs, lhs, n, m
+        each = [[v] for v in batch]
+        return self.dot(self.view(lhs, [*each, m, k]), self.view(rhs, [*each, k, n]), [*each, m, n])
+
+    def dot(self, lhs: int, rhs: int, groups: list[list[str]]) -> int:
+        """One batched ``np.matmul``; ``groups`` are the axes it produces."""
+        out, names = list(self.plan.output_subscripts), self.names
+        natural = [v for group in groups for v in group]
+        text = f"matmul({names[lhs]}, {names[rhs]})"
+        if not self.plan.has_scatter and natural == out:
+            windows, merged, result = self.windows, self.shape(groups), self.result
+
+            def direct(regs: list, w: int) -> None:
+                # The result is this kernel's own C-contiguous array and the
+                # window cuts its first axis, so the reshape is a view of it.
+                np.matmul(regs[lhs], regs[rhs], out=regs[result][windows[w]].reshape(merged))
+
+            step = _Step(f"out[window].reshape{merged} = {text}", direct)
+            self.per_window_direct = [*self.per_window, step]
+        # Split the merged M and N axes, then reorder to the output's.
+        partial, split = self.new(True), self.shape([[v] for v in natural])
+
+        def dot(regs: list, w: int) -> None:
+            regs[partial] = np.matmul(regs[lhs], regs[rhs]).reshape(split)
+
+        self.emit(True, f"{names[partial]} = {text}.reshape{split}", dot)
+        value = _Value(partial, tuple(natural), owned=True, windowed=True)
+        return self.view(value, [[v] for v in out])
+
+    def einsum(self, values: list[_Value]) -> int:
+        """The fallback: ``np.einsum`` with its path resolved now."""
+        equation, slots, dst = self.plan.einsum_equation, [v.slot for v in values], self.new(True)
+        steps = self.windows[0].stop
+        shapes = [
+            tuple(steps if v == self.lead else self.extents[v] for v in value.vars)
+            for value in values
+        ]
+        path = cached_einsum_path(equation, *(np.broadcast_to(np.float64(0), s) for s in shapes))
+
+        def contract(regs: list, w: int) -> None:
+            regs[dst] = np.einsum(equation, *[regs[slot] for slot in slots], optimize=path)
+
+        operands = ", ".join(self.names[slot] for slot in slots)
+        self.emit(True, f"{self.names[dst]} = einsum('{equation}', {operands})", contract)
+        return dst
+
+    # -- store ----------------------------------------------------------------
+    def add(self, partial: int) -> None:
+        """Add the partial into its window of a directly indexed result."""
+        windows, result = self.windows, self.result
+
+        def add(regs: list, w: int) -> None:
+            regs[result][windows[w]] += regs[partial]
+
+        self.emit(True, f"out[window] += {self.names[partial]}", add)
+
+    def scatter(self, partial: int) -> None:
+        """Segment-sum the partial into the result through the scatter index."""
+        plan, lead, out = self.plan, self.lead, list(self.plan.output_subscripts)
+        scatter_vars, dim = list(plan.scatter_index_subscripts), plan.scatter_dim
+        index, names = self.inputs.index(plan.scatter_index), self.names
+        result, plans = self.result, self.new(False)
+        # The scattered axis first on both sides, its variables merged.
+        rest = [[v] for v in out if v not in scatter_vars]
+        value = _Value(partial, tuple(out), owned=True, windowed=True)
+        source = self.view(value, [scatter_vars, *rest])
+        perm = (dim, *(a for a in range(len(plan.statement.lhs.indices)) if a != dim))
+        target = "out" if dim == 0 else f"out.transpose{perm}"
+
+        if lead in scatter_vars:
+            # Every window scatters through its own cut of the index; the
+            # bucket plans of all of them are one memoized artefact.  The
+            # cut axis and the window size are part of its tag: two kernels
+            # may scatter through one live index array on different schedules.
+            position = scatter_vars.index(lead)
+            keys = self.keys([position])
+            tag = ("scatter-plans", position, self.windows[0].stop)
+
+            def prepare(regs: list, w: int) -> None:
+                full = regs[index]
+                regs[plans] = derived(
+                    full, tag, lambda: [plan_scatter(full[key].reshape(-1)) for key in keys]
+                )
+
+            def scatter(regs: list, w: int) -> None:
+                cut = regs[index][keys[w]].reshape(-1)
+                segment_add(regs[result].transpose(perm), cut, regs[source], plan=regs[plans][w])
+
+            text = f"segment_add({target}, {names[index]}[window], {names[source]}, "
+            text += f"{names[plans]}[window])"
+        else:
+            # The leading variable is a plain output axis: every window
+            # scatters through the whole index into its own cut of the target.
+            plain = self.lead_axes(plan.statement.lhs.indices)
+            if not plain:
+                raise LoweringError(
+                    f"chunk variable {lead!r} does not appear on the left-hand side"
+                )
+            keys = self.keys([perm.index(plain[0])])
+
+            def prepare(regs: list, w: int) -> None:
+                full = regs[index]
+                regs[plans] = derived(
+                    full, ("scatter-plan", "full"), lambda: plan_scatter(full.reshape(-1))
+                )
+
+            def scatter(regs: list, w: int) -> None:
+                cut = regs[result].transpose(perm)[keys[w]]
+                segment_add(cut, regs[index].reshape(-1), regs[source], plan=regs[plans])
+
+            text = f"segment_add({target}[window], {names[index]}, {names[source]}, {names[plans]})"
+        self.emit(False, f"{names[plans]} = memoized scatter plans of {names[index]}", prepare)
+        self.emit(True, text, scatter)
 
 
 @dataclass
 class SpecializedKernel:
-    """A compiled, allocation-light NumPy closure for one Insum plan.
+    """A plan compiled to a flat list of prebuilt NumPy steps.
 
     Built once per compiled plan (and cached with it in the plan cache);
-    ``run`` then executes the gather → einsum → scatter pipeline with all
-    value-independent decisions precomputed.  Falls back to the unfused FX
-    interpreter for plans without a leading output variable (scalar
-    outputs): there is nothing to window over.
+    ``run`` then executes gather → fold → dot → scatter window by window
+    with every value-independent decision already made.  Falls back to the
+    unfused FX interpreter for plans without a leading output variable
+    (scalar outputs): there is nothing to window over.
     """
 
     plan: InsumPlan
-    chunk_size: int
-    single_shot: bool
-    supported: bool
+    #: Steps of the leading output variable one window takes.
+    window_steps: int = 1
+    #: Bytes of temporaries one step of the leading variable accounts for.
+    per_step_bytes: int = 0
     #: Ordered execution windows over the leading output variable.
     windows: list[slice] = field(default_factory=list)
-    #: Letters of the einsum output spec, for partial-shape derivation.
-    _output_letters: str = ""
-    #: Per-factor input letters, aligned with ``plan.factors``.
-    _factor_letters: list[str] = field(default_factory=list)
-    _arena: BufferArena = field(default_factory=BufferArena, repr=False)
-    _factor_names: list[str] = field(default_factory=list)
+    #: ``None`` for a plan the unfused interpreter runs.
+    _program: _Program | None = field(default=None, repr=False)
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def build(
-        cls, plan: InsumPlan, chunk_size: int, single_shot_budget: int
-    ) -> "SpecializedKernel":
-        """Specialize a plan: fix the chunk schedule and einsum structure.
+    def build(cls, plan: InsumPlan, window_steps: int | None = None) -> "SpecializedKernel":
+        """Compile a plan: fix the window schedule and every step of a window.
 
         Parameters
         ----------
         plan:
             The validated lowering plan to specialize.
-        chunk_size:
-            Fewest steps of the leading output variable a streamed window
-            takes when the single-shot budget is exceeded.
-        single_shot_budget:
-            Maximum total temporary elements (gathered factors plus the
-            contraction partial) for which the whole iteration space runs
-            as one window.  A streamed window takes as many steps as fill a
-            quarter of it.
+        window_steps:
+            Steps of the leading output variable per window.  ``None``
+            (what :func:`specialize_plan` passes) sizes a window so its
+            temporaries fill :data:`_WINDOW_BYTES`; tests pass a count to
+            force a schedule.
         """
-        supported = bool(plan.output_subscripts)
-        if not supported:
-            return cls(plan=plan, chunk_size=1, single_shot=False, supported=False)
+        if not plan.output_subscripts:
+            return cls(plan=plan)
 
-        info = plan.info
-        chunk_var = plan.output_subscripts[0]
-        extent = info.extents[chunk_var]
+        extents = plan.info.extents
+        lead = plan.output_subscripts[0]
+        extent = extents[lead]
 
         def elements(subscripts) -> int:
-            count = 1
-            for var in subscripts:
-                count *= info.extents[var]
-            return count
+            return prod(extents[var] for var in subscripts)
 
-        # Temporaries of the whole iteration space, and the part of them
-        # one step of the leading variable accounts for: the contraction
-        # partial plus every factor that carries the variable.
-        footprint = elements(plan.output_subscripts)
-        per_step = elements(plan.output_subscripts[1:])
-        for factor in plan.factors:
-            footprint += elements(factor.subscripts)
-            if chunk_var in factor.subscripts:
-                per_step += elements(v for v in factor.subscripts if v != chunk_var)
-        single_shot = footprint <= single_shot_budget
+        # What one step of the leading variable costs: its row of the
+        # partial plus its share of every factor that carries the variable.
+        per_step = elements(plan.output_subscripts[1:]) + sum(
+            elements(v for v in factor.subscripts if v != lead)
+            for factor in plan.factors
+            if lead in factor.subscripts
+        )
+        per_step_bytes = per_step * plan.value_itemsize
+        if window_steps is None:
+            window_steps = max(1, _WINDOW_BYTES // max(1, per_step_bytes))
+        # An empty iteration space (an all-zero sparse operand, a zero-width
+        # dense one) has no windows: ``run`` returns the (accumulated) base.
+        starts = range(0, extent, window_steps) if elements(plan.info.loop_vars) else ()
+        windows = [slice(start, min(extent, start + window_steps)) for start in starts]
 
-        if single_shot:
-            size = extent
-        else:
-            target = single_shot_budget // _WINDOW_BUDGET_SHARE
-            size = max(1, int(chunk_size), target // max(1, per_step))
-        # An empty leading extent (an all-zero sparse operand) has no
-        # windows: ``run`` returns the (accumulated) base output.
-        windows = [
-            slice(start, min(extent, start + size)) for start in range(0, extent, max(1, size))
-        ]
-
-        inputs_spec, output_spec = plan.einsum_equation.split("->")
+        program = _Program(plan, windows)
+        if windows:
+            values = [program.factor(factor) for factor in plan.factors]
+            partial = program.contraction(values)
+            if partial is None:
+                partial = program.einsum(values)
+            if plan.has_scatter:
+                program.scatter(partial)
+            else:
+                program.add(partial)
         return cls(
             plan=plan,
-            chunk_size=size,
-            single_shot=single_shot,
-            supported=True,
+            window_steps=window_steps,
+            per_step_bytes=per_step_bytes,
             windows=windows,
-            _output_letters=output_spec,
-            _factor_letters=inputs_spec.split(","),
-            _factor_names=[f.access.tensor for f in plan.factors],
+            _program=program,
         )
 
     # -- execution ----------------------------------------------------------
     def run(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
-        """Execute the specialized pipeline on the given tensors."""
-        plan = self.plan
-        if not self.supported:
-            return run_unfused(plan, tensors)
+        """Execute the compiled steps on the given tensors."""
+        program = self._program
+        if program is None:
+            return run_unfused(self.plan, tensors)
 
-        arrays = {name: np.asarray(value) for name, value in tensors.items()}
-        info = plan.info
-        base = arrays[info.output_name]
-        value_dtype = np.result_type(base, *[arrays[name] for name in self._factor_names])
-        if plan.statement.accumulate:
-            result = base.astype(value_dtype, copy=True)
+        regs: list[Any] = [np.asarray(tensors[name]) for name in program.inputs]
+        base = regs[0]
+        factor_dtype = np.result_type(*[regs[slot] for slot in program.factor_slots])
+        dtype = np.result_type(base, factor_dtype)
+        # A base of all zeros (a "=" statement, or the zero-stride
+        # placeholder of a call that binds no output) need not be copied.
+        zero_base = not self.plan.statement.accumulate or (
+            base.size > 0 and not any(base.strides) and not base[(0,) * base.ndim]
+        )
+        steps = program.per_window
+        if zero_base and self.windows and program.per_window_direct and dtype == factor_dtype:
+            steps = program.per_window_direct
+            result = np.empty(base.shape, dtype=dtype)
+        elif zero_base:
+            result = np.zeros(base.shape, dtype=dtype)
         else:
-            result = np.zeros(base.shape, dtype=value_dtype)
+            result = base.astype(dtype, copy=True)
 
-        chunk_var = plan.output_subscripts[0]
-        for window in self.windows:
-            chunk_factors = [
-                _materialize_factor_chunk(factor, arrays, chunk_var, window)
-                for factor in plan.factors
-            ]
-            partial = self._contract(chunk_factors)
-            self._scatter(arrays, result, partial, chunk_var, window)
+        regs += [result, factor_dtype, *[None] * (len(program.names) - len(regs) - 2)]
+        if self.windows:
+            for step in program.per_call:
+                step.run(regs, 0)
+        for window in range(len(self.windows)):
+            for step in steps:
+                step.run(regs, window)
+            # Free this window's temporaries before the next one allocates:
+            # the allocator then hands the same, cache-warm blocks back.
+            for slot in program.scratch:
+                regs[slot] = None
         return result
-
-    def _contract(self, chunk_factors: list[np.ndarray]) -> np.ndarray:
-        """One chunk's contraction, with a memoized path and arena output."""
-        equation = self.plan.einsum_equation
-        path = cached_einsum_path(equation, *chunk_factors)
-        sizes: dict[str, int] = {}
-        for letters, operand in zip(self._factor_letters, chunk_factors):
-            for letter, dim in zip(letters, operand.shape):
-                sizes[letter] = dim
-        out_shape = tuple(sizes[letter] for letter in self._output_letters)
-        out_dtype = np.result_type(*chunk_factors)
-        buffer = self._arena.get(("partial", out_shape), out_shape, out_dtype)
-        return np.einsum(equation, *chunk_factors, optimize=path, out=buffer)
-
-    def _scatter(
-        self,
-        arrays: dict[str, np.ndarray],
-        result: np.ndarray,
-        partial: np.ndarray,
-        chunk_var: str,
-        window: slice,
-    ) -> None:
-        """Accumulate one chunk into the result (segment-sum lowering)."""
-        plan = self.plan
-        if not plan.has_scatter:
-            result[window] += partial
-            return
-
-        scatter_dim = plan.scatter_dim
-        assert scatter_dim is not None
-        scatter_vars = plan.scatter_index_subscripts
-        full_index = arrays[plan.scatter_index]
-        index_array = full_index
-
-        target_view = result
-        if chunk_var in scatter_vars:
-            index_array = _slice_axis(full_index, scatter_vars.index(chunk_var), window)
-        else:
-            plain_axis = None
-            for axis, ix in enumerate(plan.statement.lhs.indices):
-                if isinstance(ix, IndexVar) and ix.name == chunk_var:
-                    plain_axis = axis
-                    break
-            if plain_axis is None:
-                raise LoweringError(
-                    f"chunk variable {chunk_var!r} does not appear on the left-hand side"
-                )
-            target_view = _slice_axis(result, plain_axis, window)
-
-        num_scatter_axes = len(scatter_vars)
-        moved_source = np.moveaxis(
-            partial,
-            list(range(scatter_dim, scatter_dim + num_scatter_axes)),
-            list(range(num_scatter_axes)),
-        )
-        moved_target = np.moveaxis(target_view, scatter_dim, 0)
-
-        flat_index = index_array.reshape(-1)
-        if num_scatter_axes > 1 or index_array.ndim > 1:
-            lead = int(np.prod(moved_source.shape[:num_scatter_axes]))
-            moved_source = moved_source.reshape((lead,) + moved_source.shape[num_scatter_axes:])
-        # When the chunk variable does not slice the scatter index, every
-        # window scatters through the same full index — share one plan.
-        # The sliced axis must be part of the tag: two plans can scatter
-        # through the same live index array with the chunk variable at
-        # different positions, and their plans must not alias.
-        if chunk_var in scatter_vars:
-            window_tag = (scatter_vars.index(chunk_var), window.start, window.stop)
-        else:
-            window_tag = "full"
-        scatter_plan = derived(
-            full_index,
-            ("scatter-plan", window_tag),
-            lambda: plan_scatter(flat_index),
-        )
-        segment_add(moved_target, flat_index, moved_source, plan=scatter_plan)
 
     # -- reporting ----------------------------------------------------------
     def describe(self) -> str:
-        """One-line summary of the specialization decisions."""
-        if not self.supported:
+        """The window schedule and the step list, one step per line."""
+        program = self._program
+        if program is None:
             return "specialized: unfused fallback (no leading output variable)"
-        mode = "single-shot" if self.single_shot else f"{len(self.windows)} windows"
-        scatter = "segment-sum scatter" if self.plan.has_scatter else "direct output"
-        return (
-            f"specialized: {mode} (chunk {self.chunk_size}), cached path "
-            f"'{self.plan.einsum_equation}', {scatter}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Windowed factor materialisation (the gather stage)
-# ---------------------------------------------------------------------------
-def _materialize_factor_chunk(
-    factor: FactorPlan,
-    arrays: dict[str, np.ndarray],
-    chunk_var: str,
-    window: slice,
-) -> np.ndarray:
-    """Produce the dense temporary of one factor, restricted to the chunk."""
-    access = factor.access
-    source = arrays[access.tensor]
-
-    if not factor.is_indirect:
-        return _slice_direct_access(source, access, chunk_var, window)
-
-    axis = factor.gather_axis
-    assert axis is not None
-    index_access = access.indices[axis]
-    assert isinstance(index_access, TensorAccess)
-    index_array = arrays[index_access.tensor]
-    index_vars = [ix.name for ix in index_access.indices if isinstance(ix, IndexVar)]
-
-    if chunk_var in index_vars:
-        position = index_vars.index(chunk_var)
-        index_array = _slice_axis(index_array, position, window)
-
-    # Slice the source tensor along any *direct* axis carrying the chunk var.
-    sliced_source = source
-    for source_axis, ix in enumerate(access.indices):
-        if isinstance(ix, IndexVar) and ix.name == chunk_var:
-            sliced_source = _slice_axis(sliced_source, source_axis, window)
-
-    flat_index = index_array.reshape(-1)
-    gathered = np.take(sliced_source, flat_index, axis=axis)
-    target_shape = (
-        sliced_source.shape[:axis] + index_array.shape + sliced_source.shape[axis + 1 :]
-    )
-    return gathered.reshape(target_shape)
-
-
-def _slice_direct_access(
-    source: np.ndarray, access: TensorAccess, chunk_var: str, window: slice
-) -> np.ndarray:
-    """Apply constant-index selection and chunk slicing to a direct factor."""
-    result = source
-    removed = 0
-    for axis, ix in enumerate(access.indices):
-        effective_axis = axis - removed
-        if isinstance(ix, IntLiteral):
-            result = np.take(result, ix.value, axis=effective_axis)
-            removed += 1
-        elif isinstance(ix, IndexVar) and ix.name == chunk_var:
-            result = _slice_axis(result, effective_axis, window)
-    return result
-
-
-def _slice_axis(array: np.ndarray, axis: int, window: slice) -> np.ndarray:
-    key = [slice(None)] * array.ndim
-    key[axis] = window
-    return array[tuple(key)]
+        lines = [
+            f"specialized: {len(self.windows)} window(s) of {self.window_steps} steps over "
+            f"{program.lead!r} ({self.per_step_bytes} B per step)"
+        ]
+        sections = [("per call", program.per_call), ("per window", program.per_window)]
+        if program.per_window_direct:
+            sections.append(("per window, all-zero base", program.per_window_direct))
+        for title, steps in sections:
+            if steps:
+                lines.append(f"  {title}:")
+                lines.extend(f"    {step.text}" for step in steps)
+        return "\n".join(lines)
 
 
 def specialize_plan(plan: InsumPlan, config: Any) -> SpecializedKernel:
-    """Build the specialized closure for a plan under a backend config.
+    """Compile the step list for a plan under a backend config.
 
-    Reads ``specialize_single_shot_elements`` from the config; cheap
-    (structure-only — no operand values are touched), so it runs eagerly
-    at compile time and is cached alongside the plan.
+    Cheap (structure-only — no operand values are touched), so it runs
+    eagerly at compile time and is cached alongside the plan.  No field of
+    ``config`` shapes the kernel: the window size is :data:`_WINDOW_BYTES`.
     """
-    budget = int(getattr(config, "specialize_single_shot_elements", 1 << 22))
-    return SpecializedKernel.build(plan, chunk_size=_MIN_WINDOW_STEPS, single_shot_budget=budget)
+    return SpecializedKernel.build(plan)

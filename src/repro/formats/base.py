@@ -46,8 +46,10 @@ class SparseFormat(abc.ABC):
         """Data/metadata arrays keyed by the names used in indirect Einsums.
 
         ``name`` is the operand name in the user's Einsum (e.g. ``"A"``),
-        so COO over indices ``(m, k)`` produces ``{"AV": ..., "AM": ...,
-        "AK": ...}`` exactly as written in the paper.
+        so GroupCOO produces ``{"AV": ..., "AM": ..., "AK": ...}`` exactly as
+        written in the paper.  The mapping depends on ``name`` alone, never
+        on an expression the instance was used in (COO names its coordinate
+        arrays after the index variables only inside ``rewrite_plan``).
         """
 
     def rewrite_plan(self, name: str, index_names: Sequence[str]) -> OperandRewrite:

@@ -84,38 +84,33 @@ class COO(SparseFormat):
         return dense
 
     def tensors(self, name: str) -> dict[str, np.ndarray]:
+        """``{name}V`` and one positional ``{name}I<axis>`` array per axis."""
         out = {f"{name}V": self.values}
         for axis, coord in enumerate(self.coords):
-            out[self._coord_name(name, axis)] = coord
+            out[f"{name}I{axis}"] = coord
         return out
-
-    def _coord_name(self, name: str, axis: int) -> str:
-        if self._index_names is not None:
-            return f"{name}{self._index_names[axis].upper()}"
-        return f"{name}I{axis}"
-
-    _index_names: tuple[str, ...] | None = None
 
     def rewrite_plan(self, name: str, index_names: Sequence[str]) -> OperandRewrite:
         """Rewrite ``name[i0, i1, ...]`` to ``nameV[p]`` with gathered coords.
 
         Each original index variable ``iX`` is substituted by the indirect
         access ``nameIX[p]`` (named after the variable, e.g. ``AM``/``AK``
-        for ``A[m,k]``) wherever it appears in the statement.
+        for ``A[m,k]``) wherever it appears in the statement.  The names
+        live in the returned rewrite only: one instance serves any number
+        of expressions, from any number of threads.
         """
         if len(index_names) != len(self._shape):
             raise FormatError(
                 f"operand {name!r} is rank {len(self._shape)} but was accessed with "
                 f"{len(index_names)} indices"
             )
-        self._index_names = tuple(index_names)
         position_var = IndexVar(self._position_var_name(index_names))
         substitutions = {}
-        tensors = self.tensors(name)
-        for axis, index_name in enumerate(index_names):
-            coord_access = TensorAccess(
-                tensor=self._coord_name(name, axis), indices=(position_var,)
-            )
+        tensors = {f"{name}V": self.values}
+        for index_name, coord in zip(index_names, self.coords):
+            coord_name = f"{name}{index_name.upper()}"
+            tensors[coord_name] = coord
+            coord_access = TensorAccess(tensor=coord_name, indices=(position_var,))
             substitutions[index_name] = IndexSubstitution(exprs=(coord_access,))
         value_access = TensorAccess(tensor=f"{name}V", indices=(position_var,))
         return OperandRewrite(

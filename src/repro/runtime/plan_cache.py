@@ -86,7 +86,7 @@ class CachedPlan:
 
     An inductor ``compiled`` with a fused schedule carries its
     :class:`~repro.engine.specialize.SpecializedKernel`, so a cache hit
-    hands back the fully specialized closure — window schedule, arena and
+    hands back the fully compiled kernel — window schedule, step list and
     all.
     """
 

@@ -4,10 +4,12 @@ The analytical cost model prices a candidate format in *primitive
 operations* — indirect gathers, scatter-adds, scalar multiply-accumulates,
 and contiguous (block/matmul) multiply-accumulates.  Rather than hard-code
 per-operation costs, they are **measured once per process** with
-:class:`repro.utils.timing.Timer` microbenchmarks over exactly the NumPy
-primitives the executor uses (fancy indexing, the engine's planned
-``segment_add`` scatter, ``einsum``, ``matmul``) — the AraOS-style "calibrate the model from the hardware you
-are on" approach (PAPERS.md).
+:class:`repro.utils.timing.Timer` microbenchmarks over exactly what the
+fused executor (:mod:`repro.engine.specialize`) runs on one of its
+cache-sized windows: ``np.take`` of rows, the in-place broadcast
+``np.multiply``, the batched vector–matrix and block ``np.matmul``, and the
+engine's planned ``segment_add`` scatter — the AraOS-style "calibrate the
+model from the hardware you are on" approach (PAPERS.md).
 
 Calibration takes a few tens of milliseconds.  The constants can be
 persisted as JSON (``save`` / ``load``); set the ``REPRO_TUNER_CALIBRATION``
@@ -27,10 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine.segment import plan_scatter, segment_add
+from repro.engine.specialize import _WINDOW_BYTES
 from repro.utils.timing import Timer
 
 #: Bump when the benchmark suite changes; stale persisted files are ignored.
-CALIBRATION_VERSION = 2
+CALIBRATION_VERSION = 3
 
 #: Environment variable naming the JSON persistence path (optional).
 CALIBRATION_ENV_VAR = "REPRO_TUNER_CALIBRATION"
@@ -43,18 +46,20 @@ class Calibration:
     Attributes
     ----------
     gather_ns:
-        Cost of one indirectly-gathered element (``B[idx]`` fancy
-        indexing), amortised over a large gather.
+        Cost of one indirectly-gathered element (``np.take`` of whole
+        rows), over one window of gathered rows.
     scatter_ns:
         Cost of one scattered element through
         :func:`repro.engine.segment.segment_add` with a precomputed plan —
         what the executor runs on a warm pattern — the price of an
         indirect output row.
     flop_ns:
-        Cost of one scalar multiply-accumulate in a strided ``einsum``
-        contraction (the COO/GroupCOO/ELL execution shape).
+        Cost of one scalar multiply or add of the COO/GroupCOO/ELL
+        execution shape: the in-place broadcast ``np.multiply`` over a
+        gathered window (COO's whole contraction) and the batched
+        vector–matrix ``np.matmul`` over it (ELL, GroupCOO), averaged.
     block_flop_ns:
-        Cost of one multiply-accumulate inside a contiguous ``matmul``
+        Cost of one multiply or add inside a batched block ``np.matmul``
         (the BlockCOO/BlockGroupCOO execution shape) — typically several
         times cheaper than ``flop_ns``, which is exactly why block formats
         win on block-structured data.
@@ -92,31 +97,26 @@ class Calibration:
             return None
 
 
-def _best_of(repeats: int, fn) -> float:
-    """Minimum wall-clock seconds of ``fn`` over ``repeats`` runs."""
-    best = float("inf")
-    for _ in range(repeats):
-        with Timer() as timer:
-            fn()
-        best = min(best, timer.elapsed)
-    return best
-
-
 def run_microbenchmarks(
-    elements: int = 1 << 18, repeats: int = 3, rng_seed: int = 0
+    elements: int = _WINDOW_BYTES // 8, repeats: int = 3, rng_seed: int = 0
 ) -> Calibration:
     """Measure the cost constants on this machine.
+
+    The probe is a miniature of the fused executor: it streams a few
+    consecutive windows of ``elements`` float64 temporaries and, on each,
+    gathers, folds, contracts and scatters — the next primitive reading
+    what the previous one left in the cache, as in a compiled kernel — with
+    every primitive timed on its own.
 
     Parameters
     ----------
     elements:
-        Working-set size of each microbenchmark.  The default (256k
-        elements) is large enough to amortise dispatch overhead and small
-        enough to finish in tens of milliseconds.
+        Gathered temporaries of one probed window.  The default is what a
+        window of the fused executor holds (``_WINDOW_BYTES`` of float64).
     repeats:
-        Each primitive is timed this many times; the minimum is kept
-        (standard practice — the minimum is the least noise-contaminated
-        estimate of the true cost).
+        The stream is timed this many times; per primitive the minimum is
+        kept (standard practice — the minimum is the least
+        noise-contaminated estimate of the true cost).
     rng_seed:
         Seed for the index/value generation, for reproducible inputs.
 
@@ -126,48 +126,54 @@ def run_microbenchmarks(
         The measured constants.
     """
     rng = np.random.default_rng(rng_seed)
-    n = int(elements)
-    width = 32
-    source = rng.standard_normal((n // width, width)).astype(np.float64)
-    index = rng.integers(0, n // width, size=n // width)
-    values = rng.standard_normal((n // width, width))
-
-    # Gather: fancy-index n/width rows of `width` elements each.
-    gather_s = _best_of(repeats, lambda: source[index])
-    gather_ns = gather_s / n * 1e9
-
-    # Scatter: the engine's segment sum over the same row index, with the
-    # plan built outside the timed region as the executor memoizes it.
+    windows, width, slots, block = 8, 64, 8, 16
+    rows = max(1, int(elements) // (width * slots * block)) * block
+    source = rng.standard_normal((2048, width))
+    index = rng.integers(0, source.shape[0], size=(windows, rows, slots))
+    values = rng.standard_normal((windows, rows, slots))
+    tiles = rng.standard_normal((rows * slots // block, block, block))
+    # One scattered row per gathered row; the plans are built outside the
+    # timed region, as the executor memoizes them.
+    targets = rng.integers(0, source.shape[0], size=(windows, rows * slots))
+    plans = [plan_scatter(window) for window in targets]
     out = np.zeros_like(source)
-    plan = plan_scatter(index)
-    scatter_s = _best_of(repeats, lambda: segment_add(out, index, values, plan=plan))
-    scatter_ns = scatter_s / n * 1e9
+    tiny, first = np.ones((4, 4)), np.zeros(1, dtype=np.intp)
 
-    # Scalar MAC: an einsum that cannot be lowered to a contiguous matmul.
-    a = rng.standard_normal(n)
-    b = rng.standard_normal(n)
-    flop_s = _best_of(repeats, lambda: np.einsum("p,p->", a, b))
-    flop_ns = flop_s / n * 1e9
+    best: dict[str, float] = {}
+    for _ in range(repeats):
+        spent = dict.fromkeys(("gather", "fold", "dot", "block", "scatter", "overhead"), 0.0)
 
-    # Block MAC: a contiguous matmul with the same total MAC count.
-    k = 64
-    m = max(1, n // k)
-    lhs = rng.standard_normal((m, k))
-    rhs = rng.standard_normal((k, k))
-    block_s = _best_of(repeats, lambda: lhs @ rhs)
-    block_flop_ns = block_s / (m * k * k) * 1e9
+        def timed(name: str, fn):
+            with Timer() as timer:
+                result = fn()
+            spent[name] += timer.elapsed
+            return result
 
-    # Fixed dispatch overhead: a minimal einsum on tiny operands.
-    tiny = np.ones(4)
-    overhead_s = _best_of(repeats, lambda: [np.einsum("p,p->", tiny, tiny) for _ in range(100)])
-    overhead_us = overhead_s / 100 * 1e6
+        for w in range(windows):
+            gathered = timed("gather", lambda: np.take(source, index[w], axis=0))
+            scale = values[w]
+            timed("fold", lambda: np.multiply(gathered, scale[:, :, None], out=gathered))
+            timed("dot", lambda: np.matmul(scale[:, None, :], gathered))
+            timed("block", lambda: np.matmul(tiles, gathered.reshape(-1, block, width)))
+            partial = gathered.reshape(-1, width)
+            timed("scatter", lambda: segment_add(out, targets[w], partial, plan=plans[w]))
+            # As the executor does: free the window before the next allocates.
+            gathered = partial = None
+        # Fixed dispatch overhead: a minimal gather and dot on tiny operands.
+        timed(
+            "overhead",
+            lambda: [np.matmul(np.take(tiny, first, axis=0), tiny) for _ in range(100)],
+        )
+        best = {name: min(best.get(name, seconds), seconds) for name, seconds in spent.items()}
 
+    count = windows * rows * slots * width  # elements every probe touched
     return Calibration(
-        gather_ns=max(gather_ns, 1e-3),
-        scatter_ns=max(scatter_ns, 1e-3),
-        flop_ns=max(flop_ns, 1e-3),
-        block_flop_ns=max(block_flop_ns, 1e-4),
-        overhead_us=max(overhead_us, 1e-2),
+        gather_ns=max(best["gather"] / count * 1e9, 1e-3),
+        scatter_ns=max(best["scatter"] / count * 1e9, 1e-3),
+        # A multiply and an add per element: the fold does the one, the dot both.
+        flop_ns=max((best["fold"] + best["dot"]) / 2 / (2 * count) * 1e9, 1e-3),
+        block_flop_ns=max(best["block"] / (2 * count * block) * 1e9, 1e-4),
+        overhead_us=max(best["overhead"] / 100 * 1e6, 1e-2),
     )
 
 

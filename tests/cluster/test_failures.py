@@ -11,6 +11,7 @@ import pytest
 
 from repro import ClusterServer
 from repro.cluster.server import WorkerCrashedError
+from repro.errors import ControlThreadError
 from repro.formats import COO
 from repro.runtime import Request
 
@@ -105,6 +106,25 @@ def test_requeue_gives_up_after_max_attempts():
         (lost,) = landed
         assert not lost.ok
         assert isinstance(lost.error, WorkerCrashedError)
+
+
+def test_requeue_after_control_plane_containment_fails_the_request():
+    """A crash requeue that loses the race with containment must not wait in
+    a dispatch queue whose dispatcher is dead: containment clears that queue
+    once, so the request would never resolve (``Session.close`` then hangs)."""
+    with ClusterServer(num_workers=1, worker_threads=1) as cluster:
+        landed = []
+        stranded = Request("y[m] += A[m,k] * x[k]", {}, on_done=landed.append)
+        cluster.admission.acquire()
+        with cluster._state:
+            cluster._unfinished += 1
+        stranded.accept(10_000)
+        cluster._control_thread_failed("dispatcher", RuntimeError("injected"))
+        cluster._requeue(stranded, exclude_worker=0, crashed=True)
+        (lost,) = landed
+        assert not lost.ok
+        assert isinstance(lost.error, ControlThreadError)
+        assert not cluster._dispatch
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP to wedge a worker")

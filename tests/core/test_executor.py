@@ -13,16 +13,16 @@ from repro.errors import LoweringError
 from repro.formats import COO, BlockGroupCOO, GroupCOO
 
 
-def run_windowed(plan, tensors, chunk_size=128):
-    """The fused executor streaming windows of exactly ``chunk_size`` steps."""
-    kernel = SpecializedKernel.build(plan, chunk_size=chunk_size, single_shot_budget=0)
+def run_windowed(plan, tensors, window_steps=128):
+    """The fused executor streaming windows of exactly ``window_steps`` steps."""
+    kernel = SpecializedKernel.build(plan, window_steps=window_steps)
     return kernel.run(tensors)
 
 
-def assert_fused_matches_reference(expression, tensors, chunk_size=3):
+def assert_fused_matches_reference(expression, tensors, window_steps=3):
     plan = plan_insum(expression, tensors)
     expected = reference_execute(expression, tensors)
-    fused = run_windowed(plan, tensors, chunk_size=chunk_size)
+    fused = run_windowed(plan, tensors, window_steps=window_steps)
     unfused = run_unfused(plan, tensors)
     np.testing.assert_allclose(fused, expected, atol=1e-9)
     np.testing.assert_allclose(unfused, expected, atol=1e-9)
@@ -58,7 +58,7 @@ def test_blockgroupcoo_spmm_all_executors(block_sparse_matrix, rng):
         **fmt.tensors("A"),
     }
     assert_fused_matches_reference(
-        "C[AM[p],bm,n] += AV[p,q,bm,bk] * B[AK[p,q],bk,n]", tensors, chunk_size=2
+        "C[AM[p],bm,n] += AV[p,q,bm,bk] * B[AK[p,q],bk,n]", tensors, window_steps=2
     )
 
 
@@ -68,14 +68,14 @@ def test_direct_output_executors(rng):
         "A": rng.standard_normal((5, 7)),
         "B": rng.standard_normal((7, 3)),
     }
-    assert_fused_matches_reference("C[m,n] += A[m,k] * B[k,n]", tensors, chunk_size=2)
+    assert_fused_matches_reference("C[m,n] += A[m,k] * B[k,n]", tensors, window_steps=2)
 
 
 def test_assignment_semantics_in_fused_executor(rng):
     existing = rng.standard_normal(6)
     tensors = {"C": existing.copy(), "A": rng.standard_normal(6)}
     plan = plan_insum("C[i] = A[i]", tensors)
-    out = run_windowed(plan, tensors, chunk_size=2)
+    out = run_windowed(plan, tensors, window_steps=2)
     np.testing.assert_allclose(out, tensors["A"], atol=1e-12)
 
 
@@ -102,8 +102,8 @@ def test_chunk_size_one_and_large(small_sparse_matrix, rng):
     }
     plan = plan_insum("C[AM[p],n] += AV[p] * B[AK[p],n]", tensors)
     expected = reference_execute("C[AM[p],n] += AV[p] * B[AK[p],n]", tensors)
-    for chunk in (1, 1000):
-        result = run_windowed(plan, tensors, chunk_size=chunk)
+    for steps in (1, 1000):
+        result = run_windowed(plan, tensors, window_steps=steps)
         np.testing.assert_allclose(result, expected, atol=1e-9)
 
 
@@ -115,7 +115,7 @@ def test_scatter_on_middle_axis(rng):
         "V": rng.standard_normal(3),
         "X": rng.standard_normal((3, 3, 2)),
     }
-    assert_fused_matches_reference("Z[b,I[p],w] += V[p] * X[b,p,w]", tensors, chunk_size=2)
+    assert_fused_matches_reference("Z[b,I[p],w] += V[p] * X[b,p,w]", tensors, window_steps=2)
 
 
 def test_chunk_variable_missing_from_the_lhs_is_a_lowering_error(small_sparse_matrix, rng):
@@ -129,7 +129,7 @@ def test_chunk_variable_missing_from_the_lhs_is_a_lowering_error(small_sparse_ma
     # No planner output leads with a reduction variable; a hand-built plan can.
     doctored = dataclasses.replace(plan, output_subscripts=["q", "p", "n"])
     with pytest.raises(LoweringError, match="does not appear on the left-hand side"):
-        run_windowed(doctored, tensors, chunk_size=1)
+        run_windowed(doctored, tensors, window_steps=1)
 
 
 def test_spconv_style_three_factor_fused(rng):
@@ -144,5 +144,5 @@ def test_spconv_style_three_factor_fused(rng):
         "Weight": rng.standard_normal((2, channels, out_channels)),
     }
     assert_fused_matches_reference(
-        "Out[MAPX[p],m] += MAPV[p] * In[MAPY[p],c] * Weight[MAPZ[p],c,m]", tensors, chunk_size=4
+        "Out[MAPX[p],m] += MAPV[p] * In[MAPY[p],c] * Weight[MAPZ[p],c,m]", tensors, window_steps=4
     )

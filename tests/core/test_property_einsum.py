@@ -48,7 +48,7 @@ def test_fused_executor_matches_reference_on_random_coo(tensors):
     expression = "C[AM[p],n] += AV[p] * B[AK[p],n]"
     plan = plan_insum(expression, tensors)
     expected = reference_execute(expression, tensors)
-    fused = SpecializedKernel.build(plan, chunk_size=3, single_shot_budget=0)
+    fused = SpecializedKernel.build(plan, window_steps=3)
     np.testing.assert_allclose(fused.run(tensors), expected, atol=1e-8)
     np.testing.assert_allclose(run_unfused(plan, tensors), expected, atol=1e-8)
 
@@ -77,7 +77,7 @@ def test_groupcoo_spmm_matches_numpy_for_any_group_size(pair, group_size):
         **fmt.tensors("A"),
     }
     plan = plan_insum("C[AM[p],n] += AV[p,q] * B[AK[p,q],n]", tensors)
-    fused = SpecializedKernel.build(plan, chunk_size=2, single_shot_budget=0)
+    fused = SpecializedKernel.build(plan, window_steps=2)
     np.testing.assert_allclose(fused.run(tensors), matrix @ dense, atol=1e-8)
 
 

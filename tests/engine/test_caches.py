@@ -1,8 +1,8 @@
 """Unit tests for the engine's caches and primitives.
 
 Covers the contraction-path memo, the identity token / derived-artefact
-cache, the segment-sum scatter, the buffer arena, per-instance profile
-memoization, and the garbage a compile leaves behind.
+cache, the segment-sum scatter, per-instance profile memoization, and the
+garbage a compile leaves behind.
 """
 
 import gc
@@ -14,7 +14,6 @@ import pytest
 from repro import SparseEinsum
 from repro.core.insum import plan_insum
 from repro.engine import (
-    BufferArena,
     array_token,
     cached_einsum,
     cached_einsum_path,
@@ -105,10 +104,8 @@ def test_pattern_churn_evicts_cleanly_and_returns_the_cache_to_its_start(rng, mo
         for format_cls, expression in expressions.items():
             arrays = format_cls.from_dense(dense).tensors("A")
             tensors = {"C": np.zeros((16, 4)), "B": rhs, **arrays}
-            # A budget of zero streams every call: several scatter plans per pattern.
-            kernel = SpecializedKernel.build(
-                plan_insum(expression, tensors), chunk_size=16, single_shot_budget=0
-            )
+            # Forced 16-step windows: several scatter plans per pattern.
+            kernel = SpecializedKernel.build(plan_insum(expression, tensors), window_steps=16)
             kernel.run(tensors)
         if round_ == 30:
             assert derived_cache_size() > start
@@ -157,20 +154,6 @@ def test_segment_add_broadcast_scalar_source(rng):
 def test_plan_scatter_rejects_multidim():
     with pytest.raises(ValueError):
         plan_scatter(np.zeros((2, 2), dtype=np.int64))
-
-
-# ---------------------------------------------------------------------------
-# Buffer arena
-# ---------------------------------------------------------------------------
-def test_arena_reuses_and_replaces_buffers():
-    arena = BufferArena()
-    first = arena.get("partial", (4, 4), np.float64)
-    second = arena.get("partial", (4, 4), np.float64)
-    assert first is second
-    resized = arena.get("partial", (2, 8), np.float64)
-    assert resized.shape == (2, 8) and resized is not first
-    retyped = arena.get("partial", (2, 8), np.float32)
-    assert retyped.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ obviously-correct reference interpreter (and the unfused FX executor) on
 the same operands.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.core.einsum import reference_execute
 from repro.core.inductor.config import InductorConfig
 from repro.core.inductor.executor import run_unfused
 from repro.core.insum import plan_insum
-from repro.engine.specialize import SpecializedKernel, specialize_plan
+from repro.engine.specialize import _WINDOW_BYTES, SpecializedKernel, specialize_plan
 from repro.formats import COO, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 from repro.runtime.stacked import StackedSparse
 
@@ -29,25 +31,20 @@ def _spmm_tensors(fmt, rng, n_rows, n_cols, width=4, accumulate=True):
     }
 
 
-CHUNK_SCHEDULES = [
-    # (chunk_size, single_shot_budget): budget 0 forces streaming windows.
-    (1, 0),
-    (3, 0),
-    (128, 0),
-    (128, 1 << 22),
-]
+#: Forced steps per window; ``None`` is the byte policy (one window here).
+WINDOW_SCHEDULES = [1, 3, 128, None]
 
 
 def assert_specialized_matches_reference(expression, tensors):
     plan = plan_insum(expression, tensors)
     expected = reference_execute(expression, tensors)
     np.testing.assert_allclose(run_unfused(plan, tensors), expected, atol=1e-9)
-    for chunk_size, budget in CHUNK_SCHEDULES:
-        kernel = SpecializedKernel.build(plan, chunk_size=chunk_size, single_shot_budget=budget)
+    for window_steps in WINDOW_SCHEDULES:
+        kernel = SpecializedKernel.build(plan, window_steps=window_steps)
         result = kernel.run(tensors)
         np.testing.assert_allclose(result, expected, atol=1e-9)
-        # Repeated execution reuses memoized scatter plans and arena
-        # buffers — results must be bit-identical call to call.
+        # Repeated execution reuses the memoized scatter plans — results
+        # must be bit-identical call to call.
         np.testing.assert_array_equal(kernel.run(tensors), result)
 
 
@@ -141,8 +138,9 @@ def test_chunk_size_invariance_through_config(chunk_size, medium_sparse_matrix, 
     """The streamed window's size must not change results."""
     tensors = _spmm_tensors(COO.from_dense(medium_sparse_matrix), rng, 64, 96, width=8)
     plan = plan_insum("C[AI0[p],n] += AV[p] * B[AI1[p],n]", tensors)
-    kernel = SpecializedKernel.build(plan, chunk_size=chunk_size, single_shot_budget=0)
-    assert not kernel.single_shot and kernel.chunk_size == chunk_size
+    kernel = SpecializedKernel.build(plan, window_steps=chunk_size)
+    assert kernel.window_steps == chunk_size
+    assert len(kernel.windows) == math.ceil(plan.info.extents["p"] / chunk_size)
     expected = tensors["C"] + medium_sparse_matrix @ tensors["B"]
     np.testing.assert_allclose(kernel.run(tensors), expected, atol=1e-9)
 
@@ -158,29 +156,68 @@ def test_specialize_plan_reports_schedule(small_sparse_matrix, rng):
     }
     plan = plan_insum("C[AM[p],n] += AV[p] * B[AK[p],n]", tensors)
     single = specialize_plan(plan, InductorConfig())
-    assert single.single_shot and len(single.windows) == 1
-    chunked = SpecializedKernel.build(plan, chunk_size=4, single_shot_budget=0)
-    assert not chunked.single_shot and len(chunked.windows) > 1
-    assert "specialized" in single.describe()
-    assert "single-shot" in single.describe() and "windows" in chunked.describe()
+    assert len(single.windows) == 1
+    chunked = SpecializedKernel.build(plan, window_steps=4)
+    assert len(chunked.windows) > 1
+    assert "specialized: 1 window(s)" in single.describe()
+    assert f"specialized: {len(chunked.windows)} window(s) of 4 steps" in chunked.describe()
+    # The step list is the log line: gather, fold and scatter, by tensor name.
+    for step in ("take(B,", "(in place)", "segment_add("):
+        assert step in single.describe()
+    assert "einsum" not in single.describe()
 
 
-def test_windows_are_sized_from_the_per_step_footprint(medium_sparse_matrix, rng):
-    """A streamed window fills a quarter of the single-shot budget, and
-    ``chunk_size`` is only the floor under it."""
+def test_a_plan_whose_footprint_fits_is_one_window(medium_sparse_matrix, rng):
+    """The byte policy: temporaries under ``_WINDOW_BYTES`` never split."""
     coo = COO.from_dense(medium_sparse_matrix)
     tensors = _spmm_tensors(coo, rng, 64, 96, width=4)
     plan = plan_insum("C[AI0[p],n] += AV[p] * B[AI1[p],n]", tensors)
-    nnz = coo.values.size
-    per_step = 4 + 1 + 4  # partial row, value, gathered row
-    budget = 4 * 3 * per_step  # a quarter of it holds three steps
-    assert nnz * per_step > budget
-    sized = SpecializedKernel.build(plan, chunk_size=1, single_shot_budget=budget)
-    assert not sized.single_shot and sized.chunk_size == 3
-    assert {w.stop - w.start for w in sized.windows[:-1]} == {3}
-    assert sized.windows[0].start == 0 and sized.windows[-1].stop == nnz
-    floored = SpecializedKernel.build(plan, chunk_size=5, single_shot_budget=budget)
-    assert floored.chunk_size == 5
+    kernel = SpecializedKernel.build(plan)
+    # Per step: a row of the partial, the value, a gathered row — float64.
+    assert kernel.per_step_bytes == (4 + 1 + 4) * 8
+    assert coo.values.size * kernel.per_step_bytes <= _WINDOW_BYTES
+    assert kernel.windows == [slice(0, coo.values.size)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_windows_are_sized_in_bytes_of_the_operand_dtype(dtype, rng):
+    """``len(windows) == ceil(extent / max(1, _WINDOW_BYTES // per_step_bytes))``."""
+    rows, cols, width = 700, 512, 256
+    dense = np.where(rng.random((rows, cols)) < 0.02, 1.0, 0.0).astype(dtype)
+    dense[:, 0] = 1.0  # no empty row
+    fmt = ELL.from_dense(dense)
+    tensors = {
+        "C": np.zeros((rows, width), dtype=dtype),
+        "B": rng.standard_normal((cols, width)).astype(dtype),
+        **fmt.tensors("A"),
+    }
+    plan = plan_insum("C[m,n] += AV[m,q] * B[AK[m,q],n]", tensors)
+    kernel = SpecializedKernel.build(plan)
+    slots = plan.info.extents["q"]
+    assert kernel.per_step_bytes == (width + slots + slots * width) * np.dtype(dtype).itemsize
+    steps = max(1, _WINDOW_BYTES // kernel.per_step_bytes)
+    assert kernel.window_steps == steps and 1 < steps < rows
+    assert len(kernel.windows) == math.ceil(rows / steps)
+    assert {w.stop - w.start for w in kernel.windows[:-1]} == {steps}
+    assert kernel.windows[0].start == 0 and kernel.windows[-1].stop == rows
+    tolerance = 1e-4 if dtype == np.float32 else 1e-10
+    np.testing.assert_allclose(
+        kernel.run(tensors), dense @ tensors["B"], rtol=tolerance, atol=tolerance
+    )
+
+
+def test_a_step_larger_than_the_window_still_takes_one_step(rng):
+    """``max(1, ...)``: the policy never builds an empty window."""
+    tensors = {
+        "C": np.zeros((3, 8)),
+        "X": rng.standard_normal((3, _WINDOW_BYTES // 8)),
+        "Y": rng.standard_normal((_WINDOW_BYTES // 8, 8)),
+    }
+    plan = plan_insum("C[i,j] += X[i,k] * Y[k,j]", tensors)
+    kernel = SpecializedKernel.build(plan)
+    assert kernel.per_step_bytes > _WINDOW_BYTES
+    assert kernel.window_steps == 1 and len(kernel.windows) == 3
+    np.testing.assert_allclose(kernel.run(tensors), tensors["X"] @ tensors["Y"], atol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -192,26 +229,24 @@ def test_windows_are_sized_from_the_per_step_footprint(medium_sparse_matrix, rng
     ],
 )
 def test_results_hold_across_window_schedules(format_cls, expression, medium_sparse_matrix, rng):
-    """One window, two windows or many, whatever the chunk floor."""
+    """One window, two windows or many."""
     fmt = format_cls.from_dense(medium_sparse_matrix)
     tensors = _spmm_tensors(fmt, rng, 64, 96, width=8)
     plan = plan_insum(expression, tensors)
     expected = reference_execute(expression, tensors)
     extent = plan.info.extents[plan.output_subscripts[0]]
 
-    whole = SpecializedKernel.build(plan, chunk_size=128, single_shot_budget=1 << 22)
-    assert whole.single_shot and len(whole.windows) == 1
+    whole = SpecializedKernel.build(plan)
+    assert len(whole.windows) == 1
     np.testing.assert_allclose(whole.run(tensors), expected, atol=1e-9)
 
     window_counts = set()
-    for chunk_size in (1, 16, 128, -(-extent // 2)):
-        for budget in (0, 1 << 12):
-            kernel = SpecializedKernel.build(plan, chunk_size=chunk_size, single_shot_budget=budget)
-            assert not kernel.single_shot
-            window_counts.add(len(kernel.windows))
-            np.testing.assert_allclose(kernel.run(tensors), expected, atol=1e-9)
-    # Two halves from the floor, one step per window from chunk 1 at budget 0.
-    assert {2, extent} <= window_counts and len(window_counts) >= 4
+    for window_steps in (1, 16, 128, -(-extent // 2)):
+        kernel = SpecializedKernel.build(plan, window_steps=window_steps)
+        window_counts.add(len(kernel.windows))
+        np.testing.assert_allclose(kernel.run(tensors), expected, atol=1e-9)
+    # Two halves, and one step per window.
+    assert {2, extent} <= window_counts and len(window_counts) >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +271,7 @@ def test_empty_extent_builds_zero_windows(rng):
     coo = COO.from_dense(np.zeros((8, 12)))
     tensors = _spmm_tensors(coo, rng, 8, 12)
     plan = plan_insum("C[AI0[p],n] += AV[p] * B[AI1[p],n]", tensors)
-    for budget in (0, 1 << 22):
-        kernel = SpecializedKernel.build(plan, chunk_size=128, single_shot_budget=budget)
+    for window_steps in (128, None):
+        kernel = SpecializedKernel.build(plan, window_steps=window_steps)
         assert kernel.windows == []
         np.testing.assert_array_equal(kernel.run(tensors), tensors["C"])

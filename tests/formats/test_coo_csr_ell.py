@@ -53,6 +53,64 @@ def test_coo_memory_bytes(small_sparse_matrix):
     assert coo.memory_bytes(4, 4) == coo.nnz * 4 + coo.nnz * 2 * 4
 
 
+def _assert_self_consistent(rewrite, coo, index_names):
+    """Every tensor a rewrite's accesses name is in its own ``tensors``."""
+    named = {rewrite.value_access.tensor}
+    named.update(sub.exprs[0].tensor for sub in rewrite.substitutions.values())
+    assert named == set(rewrite.tensors)
+    assert set(rewrite.substitutions) == set(index_names)
+    for axis, index_name in enumerate(index_names):
+        coord = rewrite.tensors[rewrite.substitutions[index_name].exprs[0].tensor]
+        assert coord is coo.coords[axis]
+
+
+def test_coo_rewrite_plan_leaves_the_instance_alone(small_sparse_matrix):
+    """What a COO calls its arrays must not depend on the last expression."""
+    coo = COO.from_dense(small_sparse_matrix)
+    before = coo.tensors("A")
+    assert list(before) == ["AV", "AI0", "AI1"]
+    for index_names in (["m", "k"], ["i", "j"]):
+        rewrite = coo.rewrite_plan("A", index_names)
+        _assert_self_consistent(rewrite, coo, index_names)
+        assert list(rewrite.tensors) == ["AV", *(f"A{name.upper()}" for name in index_names)]
+        after = coo.tensors("A")
+        assert list(after) == list(before)
+        assert all(after[key] is before[key] for key in before)
+
+
+def test_coo_rewrite_plan_from_two_threads(small_sparse_matrix):
+    """Two expressions over one instance: no rewrite may name a tensor the
+    other thread's expression introduced."""
+    import sys
+    import threading
+
+    coo = COO.from_dense(small_sparse_matrix)
+    broken: list[tuple] = []
+
+    def worker(index_names):
+        for _ in range(20000):
+            rewrite = coo.rewrite_plan("A", index_names)
+            named = {sub.exprs[0].tensor for sub in rewrite.substitutions.values()}
+            if not named <= set(rewrite.tensors):
+                broken.append((index_names, sorted(named), sorted(rewrite.tensors)))
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(names,)) for names in (["m", "k"], ["i", "j"])
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert broken == []
+
+
 def test_coo_rank_mismatch_in_rewrite(small_sparse_matrix):
     coo = COO.from_dense(small_sparse_matrix)
     with pytest.raises(FormatError):
