@@ -1,0 +1,83 @@
+"""Warm step profile: where one call of a compiled kernel spends its time.
+
+    python scripts/step_profile.py [--case cora/groupcoo ...] [--seed 7] [--calls 20]
+
+Wraps every prebuilt step of a case's ``SpecializedKernel`` in a timer and
+prints milliseconds per step and per warm call, for the eighteen cases of the
+layer benchmark's two kernel workloads (``benchmarks/layers/workloads.py``,
+read only).  The profiles in ``ROADMAP.md`` and ``docs/PERFORMANCE.md`` are its.
+"""
+
+import argparse
+import os
+import sys
+import time
+from collections import defaultdict
+from pathlib import Path
+
+# One BLAS thread, as the layer benchmark pins it; fixed before numpy loads.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "layers")]
+
+import workloads  # noqa: E402
+
+from repro import clear_plan_cache  # noqa: E402
+from repro.engine import specialize  # noqa: E402
+
+
+def profile(case, calls: int) -> str:
+    """Time ``calls`` warm calls of ``case`` and each step of its kernel(s)."""
+    spent: dict[str, float] = defaultdict(float)
+    timed_kernels, run = set(), specialize.SpecializedKernel.run
+
+    def timed(step):
+        def timed_run(regs, window):
+            start = time.perf_counter()
+            step.run(regs, window)
+            spent[step.text] += time.perf_counter() - start
+
+        return step._replace(run=timed_run)
+
+    def traced(kernel, tensors):
+        program = kernel._program
+        if program is not None and id(kernel) not in timed_kernels:
+            timed_kernels.add(id(kernel))
+            for steps in (program.per_call, program.per_window, program.per_window_direct or []):
+                steps[:] = [timed(step) for step in steps]
+        return run(kernel, tensors)
+
+    clear_plan_cache()  # a kernel another case instrumented would count twice
+    specialize.SpecializedKernel.run = traced
+    try:
+        call = case.setup()
+        call()  # compile, memoize, instrument
+        spent.clear()
+        start = time.perf_counter()
+        for _ in range(calls):
+            call()
+        per_call = (time.perf_counter() - start) / calls * 1e3
+    finally:
+        specialize.SpecializedKernel.run = run
+    head = f"{case.name}: {per_call:.3f} ms a warm call, "
+    head += f"{sum(spent.values()) / calls * 1e3:.3f} ms of it in steps"
+    return "\n".join([head, *(f"  {s / calls * 1e3:8.3f} ms  {t}" for t, s in spent.items())])
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--case", action="append", help="case name; default: all eighteen")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--calls", type=int, default=20)
+    args = parser.parse_args()
+    cases = workloads.kernel_spmm_cases(args.seed) + workloads.kernel_indirect_cases(args.seed)
+    if set(args.case or ()) - {case.name for case in cases}:
+        parser.error(f"unknown case in {args.case}; have {[case.name for case in cases]}")
+    for case in cases:
+        if not args.case or case.name in args.case:
+            sys.stdout.write(profile(case, args.calls) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -9,11 +9,13 @@ re-deriving per-operand artefacts on every request:
 
 * :mod:`repro.engine.specialize` — :class:`SpecializedKernel`, the one
   executor of a fused schedule (cache-sized windows, gather, pointwise
-  folds plus one ``np.matmul``, segment-sum scatter), compiled per plan;
+  folds plus one ``np.matmul`` that also sums duplicate targets where one
+  rule allows, segment-sum scatter elsewhere), compiled per plan;
 * :mod:`repro.engine.paths` — process-wide ``np.einsum_path`` memo (the
   unfused ``einsum`` operator, and the fused executor's build-time fallback);
-* :mod:`repro.engine.segment` — ``np.add.at`` replaced by disjoint-row
-  fancy ``+=`` or bucketed slab segment sums;
+* :mod:`repro.engine.segment` — the run structure of a scatter index;
+  ``np.add.at`` replaced by disjoint-row fancy ``+=`` or bucketed slab
+  segment sums;
 * :mod:`repro.engine.fingerprint` — identity tokens for live arrays,
   pattern fingerprints for formats, and the derived-artefact cache;
 * :mod:`repro.engine.coalesce` — widening helpers behind the server's

@@ -2,10 +2,16 @@
 
 ``np.add.at`` defines what a scatter means, but on a source with a
 trailing shape it processes one update at a time through the ufunc inner
-loop — and so does ``np.add.reduceat(axis=0)`` on a 2-D array.  The fused
-executor and the FX ``index_add`` operator scatter through
-:func:`segment_add` instead; two structure-aware rewrites cover the cases
-the compiled plans produce:
+loop — and so does ``np.add.reduceat(axis=0)`` on a 2-D array.  The FX
+``index_add`` operator scatters through :func:`segment_add` instead, and so
+do the fused plans that cannot hand their duplicates to the dot: a scatter
+index over several variables (sparse convolution's ``MAPX[p,q]``, the
+grouped tensor product's ``CGI[p,q]`` — the weights are shared per ``p``)
+and one element per update (SpMV).  Every other scattering plan — the SpMM
+family, plain or stacked — windows over the runs of equal targets
+(:func:`plan_runs`), sums each run inside its ``np.matmul`` and never calls
+:func:`segment_add`.  Two structure-aware rewrites cover the cases the
+remaining plans produce:
 
 * **disjoint rows** — when the scatter index has no duplicates, plain
   fancy-index ``+=`` is exact (each target row receives exactly one
@@ -25,15 +31,19 @@ it because the reduced axis is never the contiguous inner loop.  A source
 with one element per update (1-D, or a trailing shape of ones) would make
 it the inner loop, where NumPy sums pairwise; those sources accumulate
 their run sums with a 1-D ``np.add.at`` instead, which is sequential by
-definition and has a fast indexed loop.  Coalesced (stacked) and
-per-request executions of the same request therefore agree bit for bit.
-(Without a plan, fewer than ``ADD_AT_THRESHOLD`` updates go straight
-through ``np.add.at``, which applies them to the target one by one.)
+definition and has a fast indexed loop.  A coalesced (stacked) execution
+of these plans therefore sums each row's duplicates in the order the
+per-request one does.  (The run-windowed plans make no such promise: their
+duplicates are summed by the dot, in its BLAS's order — see the numerics
+paragraph of :mod:`repro.engine.specialize`.)  Without a plan, fewer than
+``ADD_AT_THRESHOLD`` updates go straight through ``np.add.at``, which
+applies them to the target one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,6 +136,50 @@ def plan_scatter(index: np.ndarray) -> ScatterPlan:
         run_of=run_of,
         buckets=tuple(buckets),
     )
+
+
+class RunWindows(NamedTuple):
+    """:func:`plan_runs` of one index; like :class:`ScatterPlan`, no view of it."""
+
+    #: One ``(span, cut, rows, runs)`` per window, in bucket order: ``runs``
+    #: runs of one length whose updates are ``span`` of bucket order and
+    #: ``cut`` of storage order (positions, or a slice when consecutive),
+    #: summing into the distinct target ``rows``.
+    windows: list[tuple[slice, "slice | np.ndarray", np.ndarray, int]]
+    #: Bucket-ordered copies of the ``gathered`` arrays.
+    ordered: list[np.ndarray]
+
+
+def plan_runs(
+    index: np.ndarray,
+    runs_per_window: Callable[[int], int],
+    gathered: Sequence[tuple[np.ndarray, int]] = (),
+) -> RunWindows:
+    """Window a 1-D scatter index over its runs of equal targets.
+
+    The run-windowed plans sum each run inside their dot, so a window holds
+    whole runs of one length: ``runs_per_window(length)`` (at least one) per
+    :func:`plan_scatter` bucket.  Every target row is one run of one window.
+    ``gathered`` lists ``(array, axis)`` pairs indexed like ``index``; each is
+    copied into bucket order once, here, so a window reads its share as a slice.
+    """
+    plan = plan_scatter(index)
+    if plan.is_disjoint:  # every update is its own run, already in order
+        order, targets = np.arange(index.size), np.array(index)
+        buckets = ((1, 0, index.size, 0, index.size),) if index.size else ()
+    else:
+        order, targets, buckets = plan.order, plan.targets, plan.buckets
+    windows = []
+    for length, first, _, run_a, run_b in buckets:
+        step = max(1, runs_per_window(length))
+        for run in range(run_a, run_b, step):
+            stop = min(run_b, run + step)
+            span = slice(first + (run - run_a) * length, first + (stop - run_a) * length)
+            cut = order[span]
+            if cut[-1] - cut[0] == cut.size - 1 and (cut[1:] > cut[:-1]).all():
+                cut = slice(int(cut[0]), int(cut[-1]) + 1)
+            windows.append((span, cut, targets[run:stop], stop - run))
+    return RunWindows(windows, [np.take(array, order, axis=axis) for array, axis in gathered])
 
 
 def segment_add(

@@ -12,7 +12,14 @@ plan execute" is a log line.  What ``build`` decides:
   carry the variable, ``per_step_bytes`` a step) fill :data:`_WINDOW_BYTES`,
   so a window is gathered, contracted and scattered while it is still in
   the L2 cache; a plan whose temporaries fit is one window, and a factor
-  that does not carry the variable is gathered once per call;
+  that does not carry the variable is gathered once per call.  A plan that
+  scatters through a one-variable index (:func:`_split_runs`: every
+  scattering SpMM, plain or stacked) windows over the *runs of equal
+  targets* of that variable instead, bucketed by run length: duplicates are
+  a reduction, so the positions inside a run join the dot's ``K`` group and
+  no segment sum is left.  Those windows are cut once per pattern
+  (:func:`repro.engine.segment.plan_runs`) and memoized, with bucket-ordered
+  copies of the gather indices, under the index arrays' identities;
 * **the gather** — per factor the source, gather axis, index tensor and
   the slice keys of every window; NumPy's bounds-checked ``np.take`` runs it;
 * **the contraction** — the decomposition of the paper's kernel, pointwise
@@ -25,23 +32,32 @@ plan execute" is a log line.  What ``build`` decides:
   cannot express keeps ``np.einsum``, its path resolved here through
   :mod:`repro.engine.paths`;
 * **the store** — on an all-zero base a scatter-free plan's ``np.matmul``
-  writes straight into its window of the result; otherwise the partial is
-  added in, through disjoint-row fancy ``+=`` or bucketed slab segment sums
-  (:mod:`repro.engine.segment`) when the output is indirect, the bucket
-  plans of all windows memoized per scatter-index identity
+  writes straight into its window of the result, and a run-windowed plan
+  assigns each window's run sums to their rows of a zeroed result (a target
+  row is one run of one window: the write is disjoint); otherwise the
+  partial is added in.  The plans that still scatter duplicates — a
+  multi-variable index (sparse convolution, the grouped tensor product), one
+  element per update (SpMV) — go through disjoint-row fancy ``+=`` or bucketed
+  slab segment sums (:mod:`repro.engine.segment`), the bucket plans of all
+  windows memoized per scatter-index identity
   (:mod:`repro.engine.fingerprint`): repeated calls over one format
   instance do zero index work.
 
 Numerics match the unfused FX interpreter up to floating-point
-reassociation: per output row, contributions are summed sequentially in
-storage order and the sum is then added to the row (the contract of
-:mod:`repro.engine.segment`), within each window; the dot sums in its BLAS's
-order.  Every kernel is tested against the loop-nest reference interpreter.
+reassociation.  The dot sums in its BLAS's order — in a run-windowed plan
+that includes the duplicates of an output row; a ``segment_add`` store keeps
+the sequential contract of :mod:`repro.engine.segment`, within each window.
+Integer-valued data is exact under every schedule.  A coalesced (stacked)
+execution equals the per-request ones bit for bit on integer-valued data
+only: on floats a stack of ``s`` items runs ``s x K @ K x n`` per run where
+one request runs ``1 x K``, and BLAS orders the two sums differently (a few
+ulp: ``tests/runtime/test_stacked.py``).  Every kernel is tested against the
+loop-nest reference interpreter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import prod
 from typing import Any, Callable, NamedTuple
 
@@ -51,15 +67,51 @@ from repro.core.einsum.ast import IndexVar, IntLiteral
 from repro.core.inductor.dot_rewrite import detect_dot
 from repro.core.inductor.executor import run_unfused
 from repro.core.insum.planner import FactorPlan, InsumPlan
-from repro.engine.fingerprint import derived
+from repro.engine.fingerprint import array_token, derived
 from repro.engine.paths import cached_einsum_path
-from repro.engine.segment import plan_scatter, segment_add
+from repro.engine.segment import plan_runs, plan_scatter, segment_add
 from repro.errors import LoweringError
 
 #: Bytes of temporaries one window may hold: the measured best of the sweep
 #: committed in `docs/PERFORMANCE.md` (this host has 2 MiB of L2 a core, and
 #: a window's temporaries are read back twice).
 _WINDOW_BYTES = 512 * 1024
+
+
+def _split_runs(plan: InsumPlan) -> InsumPlan | None:
+    """``plan`` with its scatter variable ``p`` split into ``(p, p')``, or ``None``.
+
+    Duplicate targets are a reduction.  When the plan scatters through an
+    index whose only subscript is one variable ``p``, ``p`` reaches the output
+    only there, no factor carries it twice and an update is a row of more than
+    one element (the output variables after the scattered axis), ``p`` can
+    range over the *runs* of equal targets and a new reduction variable ``p'``
+    over the positions inside a run: the dot then sums the duplicates (``p'``
+    joins its ``K`` group — :meth:`_Program.contraction` says whether it can)
+    and the store is a disjoint write.  One-element updates (SpMV, and the
+    stack of SpMVs a server coalesces) keep ``np.add.at``'s sequential order.
+    """
+    out, info, subscripts = plan.output_subscripts, plan.info, plan.scatter_index_subscripts
+    if not subscripts or len(plan.statement.lhs.indices[plan.scatter_dim].indices) != 1:
+        return None
+    p, inner = subscripts[0], subscripts[0] + "'"
+    if (
+        out.count(p) != 1
+        or any(factor.subscripts.count(p) > 1 for factor in plan.factors)
+        or prod(info.extents[var] for var in out[out.index(p) + 1 :]) <= 1
+    ):
+        return None
+
+    def split(names: list[str]) -> list[str]:
+        return [v for name in names for v in ((p, inner) if name == p else (name,))]
+
+    return replace(
+        plan,
+        info=replace(
+            info, extents={**info.extents, inner: 1}, reduction_vars=[inner, *info.reduction_vars]
+        ),
+        factors=[replace(factor, subscripts=split(factor.subscripts)) for factor in plan.factors],
+    )
 
 
 class _Step(NamedTuple):
@@ -85,9 +137,14 @@ class _Value:
 class _Program:
     """The registers and steps of one compiled plan; its methods append steps."""
 
-    def __init__(self, plan: InsumPlan, windows: list[slice]):
+    def __init__(self, plan: InsumPlan, windows: list[slice], run_budget: tuple | None = None):
         self.plan, self.windows = plan, windows
-        self.lead = plan.output_subscripts[0]
+        #: The variable the windows cut: the leading output variable — or, given
+        #: the ``run_budget`` of :meth:`run_windows`, the scatter variable of a
+        #: plan :func:`_split_runs` split, cut into whole runs of equal targets
+        #: (``inner``: the variable it added, over the positions inside a run).
+        self.lead = plan.scatter_index_subscripts[0] if run_budget else plan.output_subscripts[0]
+        self.inner = plan.info.reduction_vars[0] if run_budget else None
         self.extents = plan.info.extents
         names = [plan.info.output_name, *(f.access.tensor for f in plan.factors)]
         names += [f.gather_index for f in plan.factors if f.is_indirect]
@@ -105,10 +162,15 @@ class _Program:
         self.per_window_direct: list[_Step] | None = None
         #: Registers a window's steps fill; ``run`` empties them after it.
         self.scratch: list[int] = []
+        #: Run-windowed plans: the register of the memoized
+        #: :class:`~repro.engine.segment.RunWindows`.
+        self.schedule: int | None = None
+        if run_budget:
+            self.run_windows(*run_budget)
 
     # -- registers and steps ------------------------------------------------
-    def new(self, windowed: bool) -> int:
-        self.names.append(f"t{len(self.names)}")
+    def new(self, windowed: bool, name: str | None = None) -> int:
+        self.names.append(name or f"t{len(self.names)}")
         if windowed:
             self.scratch.append(len(self.names) - 1)
         return len(self.names) - 1
@@ -116,12 +178,29 @@ class _Program:
     def emit(self, windowed: bool, text: str, run: Callable[[list, int], None]) -> None:
         (self.per_window if windowed else self.per_call).append(_Step(text, run))
 
-    def shape(self, groups: list[list[str]]) -> tuple[int, ...]:
-        """One axis per group of variables; the leading variable's is ``-1``."""
+    def shape(self, groups: list[list[str]]) -> tuple[int | None, ...]:
+        """One axis per group of variables; the windowed variable's is ``-1``.
+
+        In a run-windowed plan that axis is ``None`` — the window's run count,
+        which :meth:`reshaper` fills in — and the positions inside a run get
+        the ``-1``.
+        """
+        lead = -1 if self.schedule is None else None
         return tuple(
-            -1 if self.lead in group else prod(self.extents[v] for v in group)
+            lead if self.lead in group
+            else -1 if self.inner in group
+            else prod(self.extents[v] for v in group)
             for group in groups
         )
+
+    def reshaper(self, shape: tuple) -> tuple[Callable[[list, np.ndarray], np.ndarray], str]:
+        """``(registers, array) -> array.reshape(shape)`` and how ``describe`` prints it."""
+        if None not in shape:
+            return (lambda regs, array: array.reshape(shape)), f".reshape{shape}"
+        at, runs = shape.index(None), self.runs
+        head, tail = shape[:at], shape[at + 1 :]
+        text = f".reshape{shape}".replace("None", "runs")
+        return (lambda regs, array: array.reshape(head + (regs[runs],) + tail)), text
 
     def keys(self, axes: list[int]) -> list[tuple]:
         """Per window, the index key that cuts ``axes`` to it."""
@@ -138,14 +217,78 @@ class _Program:
             if isinstance(ix, IndexVar) and ix.name == self.lead
         ]
 
-    def window_slice(self, src: int, axes: list[int]) -> int:
-        """``src`` cut to the current window along ``axes``."""
-        keys, dst = self.keys(axes), self.new(True)
+    def run_windows(self, update_bytes: int, run_bytes: int, forced: int | None) -> None:
+        """Steps that fetch the memoized run windows and load the current one.
 
-        def cut(regs: list, w: int) -> None:
-            regs[dst] = regs[src][keys[w]]
+        A window holds ``forced`` runs of one length, else as many as fill
+        :data:`_WINDOW_BYTES`: ``update_bytes`` of gathered factors an update,
+        ``run_bytes`` of partial a run, every other output variable whole.
+        """
+        index, names = self.inputs.index(self.plan.scatter_index), self.names
+        self.schedule = schedule = self.new(False)
+        #: ``(index register, axis) -> register of its bucket-ordered copy``.
+        self.ordered: dict[tuple[int, int], int] = {}
+        ordered = self.ordered
+        record = [self.new(True, name) for name in ("span", "cut", "rows", "runs")]
+        self.span, self.cut, self.rows, self.runs = span, cut, rows, runs = record
 
-        self.emit(True, f"{self.names[dst]} = {self.names[src]}[window on axes {axes}]", cut)
+        def runs_per_window(length: int) -> int:
+            return forced or _WINDOW_BYTES // (length * update_bytes + run_bytes)
+
+        def prepare(regs: list, w: int) -> None:
+            # One artefact per pattern; its tag names the budget and the index
+            # arrays whose bucket-ordered copies it holds.
+            full, arrays = regs[index], [(regs[slot], axis) for slot, axis in ordered]
+            tag = ("run-windows", update_bytes, run_bytes, forced)
+            tag += tuple((array_token(array), axis) for array, axis in arrays)
+            regs[schedule] = windows = derived(
+                full, tag, lambda: plan_runs(full.reshape(-1), runs_per_window, arrays)
+            )
+            for copy, array in zip(ordered.values(), windows.ordered):
+                regs[copy] = array
+
+        def load(regs: list, w: int) -> None:
+            regs[span], regs[cut], regs[rows], regs[runs] = regs[schedule].windows[w]
+
+        text = f"{names[schedule]} = memoized windows over the runs of equal {names[index]}"
+        self.emit(False, text + " (and the indices gathered through, in run order)", prepare)
+        self.emit(True, f"span, cut, rows, runs = {names[schedule]}.windows[window]", load)
+
+    def window_slice(self, src: int, axes: list[int], index: bool = False) -> int:
+        """``src`` cut to the current window along ``axes``.
+
+        A run window cuts one axis and splits it ``(runs, -1)``.  An index
+        array is sliced from its bucket-ordered copy; an operand is gathered
+        in bucket order — or sliced, never written, when the window's updates
+        are consecutive in storage.
+        """
+        dst, names = self.new(True), self.names
+        if self.schedule is None:
+            keys = self.keys(axes)
+
+            def cut(regs: list, w: int) -> None:
+                regs[dst] = regs[src][keys[w]]
+
+            self.emit(True, f"{names[dst]} = {names[src]}[window on axes {axes}]", cut)
+            return dst
+        (axis,), chosen, runs = axes, self.span if index else self.cut, self.runs
+        if index:
+            if (src, axis) not in self.ordered:
+                self.ordered[src, axis] = self.new(False, f"{names[src]} in run order")
+            src = self.ordered[src, axis]
+        key = (slice(None),) * axis
+
+        def cut_runs(regs: list, w: int) -> None:
+            picked = regs[chosen]
+            if picked.__class__ is slice:
+                part = regs[src][key + (picked,)]
+            else:
+                part = np.take(regs[src], picked, axis=axis)
+            shape = part.shape
+            regs[dst] = part.reshape(shape[:axis] + (regs[runs], -1) + shape[axis + 1 :])
+
+        text = f"{names[src]}[span, axis {axis}]" if index else f"take({names[src]}, cut, {axis=})"
+        self.emit(True, f"{names[dst]} = {text}, axis {axis} as (runs, -1)", cut_runs)
         return dst
 
     def view(self, value: _Value, groups: list[list[str]]) -> int:
@@ -154,13 +297,14 @@ class _Program:
         in_order = perm == tuple(range(len(perm)))
         if in_order and all(len(group) == 1 for group in groups):
             return value.slot
-        shape, src, dst = self.shape(groups), value.slot, self.new(value.windowed)
+        src, dst = value.slot, self.new(value.windowed)
+        reshape, reshaped = self.reshaper(self.shape(groups))
 
         def arrange(regs: list, w: int) -> None:
-            regs[dst] = regs[src].transpose(perm).reshape(shape)
+            regs[dst] = reshape(regs, regs[src].transpose(perm))
 
         moved = "" if in_order else f".transpose{perm}"
-        text = f"{self.names[dst]} = {self.names[src]}{moved}.reshape{shape}"
+        text = f"{self.names[dst]} = {self.names[src]}{moved}{reshaped}"
         self.emit(value.windowed, text, arrange)
         return dst
 
@@ -193,9 +337,11 @@ class _Program:
         index_axes = self.lead_axes(access.indices[axis].indices)
         source_axes = self.lead_axes(access.indices)
         if index_axes:
-            index = self.window_slice(index, index_axes)
+            index = self.window_slice(index, index_axes, index=True)
         if source_axes:
             src = self.window_slice(src, source_axes)
+            if self.schedule is not None and source_axes[0] < axis:
+                axis += 1  # the cut split that axis into (runs, positions inside a run)
         windowed = bool(index_axes or source_axes)
         dst = self.new(windowed)
 
@@ -230,11 +376,11 @@ class _Program:
         self.emit(windowed, text + (" (in place)" if in_place else ""), multiply)
         return _Value(dst, target.vars, owned=True, windowed=windowed)
 
-    def contraction(self, values: list[_Value]) -> int | None:
+    def contraction(self, values: list[_Value]) -> _Value | None:
         """Lower the contraction to folds plus at most one dot.
 
-        Returns the register of the partial, in output order, or ``None``
-        (with no step emitted) when this lowering cannot express the plan.
+        Returns the partial, or ``None`` (with no step emitted) when this
+        lowering cannot express the plan.
         """
         plan, out = self.plan, list(self.plan.output_subscripts)
         reduction = plan.info.reduction_vars
@@ -248,7 +394,7 @@ class _Program:
             for other in values:
                 if other is not carrier:
                     product = self.fold(product, other)
-            return self.view(product, [[v] for v in out])
+            return product
 
         dot = detect_dot(plan, matvec=True)
         if dot is None:
@@ -283,7 +429,7 @@ class _Program:
         each = [[v] for v in batch]
         return self.dot(self.view(lhs, [*each, m, k]), self.view(rhs, [*each, k, n]), [*each, m, n])
 
-    def dot(self, lhs: int, rhs: int, groups: list[list[str]]) -> int:
+    def dot(self, lhs: int, rhs: int, groups: list[list[str]]) -> _Value:
         """One batched ``np.matmul``; ``groups`` are the axes it produces."""
         out, names = list(self.plan.output_subscripts), self.names
         natural = [v for group in groups for v in group]
@@ -298,17 +444,17 @@ class _Program:
 
             step = _Step(f"out[window].reshape{merged} = {text}", direct)
             self.per_window_direct = [*self.per_window, step]
-        # Split the merged M and N axes, then reorder to the output's.
-        partial, split = self.new(True), self.shape([[v] for v in natural])
+        # Split the merged M and N axes.
+        partial = self.new(True)
+        reshape, reshaped = self.reshaper(self.shape([[v] for v in natural]))
 
         def dot(regs: list, w: int) -> None:
-            regs[partial] = np.matmul(regs[lhs], regs[rhs]).reshape(split)
+            regs[partial] = reshape(regs, np.matmul(regs[lhs], regs[rhs]))
 
-        self.emit(True, f"{names[partial]} = {text}.reshape{split}", dot)
-        value = _Value(partial, tuple(natural), owned=True, windowed=True)
-        return self.view(value, [[v] for v in out])
+        self.emit(True, f"{names[partial]} = {text}{reshaped}", dot)
+        return _Value(partial, tuple(natural), owned=True, windowed=True)
 
-    def einsum(self, values: list[_Value]) -> int:
+    def einsum(self, values: list[_Value]) -> _Value:
         """The fallback: ``np.einsum`` with its path resolved now."""
         equation, slots, dst = self.plan.einsum_equation, [v.slot for v in values], self.new(True)
         steps = self.windows[0].stop
@@ -323,7 +469,22 @@ class _Program:
 
         operands = ", ".join(self.names[slot] for slot in slots)
         self.emit(True, f"{self.names[dst]} = einsum('{equation}', {operands})", contract)
-        return dst
+        return _Value(dst, tuple(self.plan.output_subscripts), owned=True, windowed=True)
+
+    def compile(self) -> bool:
+        """Emit every step; ``False`` when the dot cannot sum a run-windowed
+        plan's runs (the caller then compiles the plain program)."""
+        values = [self.factor(factor) for factor in self.plan.factors]
+        partial = self.contraction(values)
+        if self.schedule is not None:
+            if partial is not None:
+                self.store_runs(partial)
+            return partial is not None
+        # The partial in output order, then into its place in the result.
+        out = [[v] for v in self.plan.output_subscripts]
+        ordered = self.view(partial or self.einsum(values), out)
+        (self.scatter if self.plan.has_scatter else self.add)(ordered)
+        return True
 
     # -- store ----------------------------------------------------------------
     def add(self, partial: int) -> None:
@@ -334,6 +495,25 @@ class _Program:
             regs[result][windows[w]] += regs[partial]
 
         self.emit(True, f"out[window] += {self.names[partial]}", add)
+
+    def store_runs(self, partial: _Value) -> None:
+        """Store each run's sum in its target row: a target row is one run of
+        one window, so the write is disjoint — an assignment on a zero base."""
+        plan, dim, rows, result = self.plan, self.plan.scatter_dim, self.rows, self.result
+        rest = [[v] for v in plan.output_subscripts if v != self.lead]
+        source = self.view(partial, [[self.lead], *rest])
+        perm = (dim, *(a for a in range(len(plan.statement.lhs.indices)) if a != dim))
+        target = "out[rows]" if dim == 0 else f"out.transpose{perm}[rows]"
+
+        def write(regs: list, w: int) -> None:
+            regs[result].transpose(perm)[regs[rows]] = regs[source]
+
+        def add(regs: list, w: int) -> None:
+            regs[result].transpose(perm)[regs[rows]] += regs[source]
+
+        step = _Step(f"{target} = {self.names[source]}", write)
+        self.per_window_direct = [*self.per_window, step]
+        self.emit(True, f"{target} += {self.names[source]}", add)
 
     def scatter(self, partial: int) -> None:
         """Segment-sum the partial into the result through the scatter index."""
@@ -406,12 +586,18 @@ class SpecializedKernel:
     """
 
     plan: InsumPlan
-    #: Steps of the leading output variable one window takes.
-    window_steps: int = 1
-    #: Bytes of temporaries one step of the leading variable accounts for.
+    #: Steps of the leading output variable one window takes (run-windowed:
+    #: the runs per window a test forced, else ``None``).
+    window_steps: int | None = 1
+    #: Bytes of temporaries one step of the windowed variable accounts for.
     per_step_bytes: int = 0
-    #: Ordered execution windows over the leading output variable.
+    #: Ordered execution windows over the leading output variable; empty when
+    #: run-windowed — those windows are cut per pattern at run time.
     windows: list[slice] = field(default_factory=list)
+    #: Run-windowed (:func:`_split_runs`): the scatter variable, and the share
+    #: of ``per_step_bytes`` — its row of the partial — paid once per run.
+    run_variable: str | None = None
+    per_run_bytes: int = 0
     #: ``None`` for a plan the unfused interpreter runs.
     _program: _Program | None = field(default=None, repr=False)
 
@@ -433,21 +619,41 @@ class SpecializedKernel:
         if not plan.output_subscripts:
             return cls(plan=plan)
 
-        extents = plan.info.extents
-        lead = plan.output_subscripts[0]
-        extent = extents[lead]
+        extents, out = plan.info.extents, plan.output_subscripts
 
         def elements(subscripts) -> int:
             return prod(extents[var] for var in subscripts)
 
-        # What one step of the leading variable costs: its row of the
-        # partial plus its share of every factor that carries the variable.
-        per_step = elements(plan.output_subscripts[1:]) + sum(
-            elements(v for v in factor.subscripts if v != lead)
-            for factor in plan.factors
-            if lead in factor.subscripts
-        )
-        per_step_bytes = per_step * plan.value_itemsize
+        def step_bytes(lead: str) -> tuple[int, int]:
+            """What one step of ``lead`` costs: its row of the partial, and
+            its share of every factor that carries the variable."""
+            at = out.index(lead)
+            shares = sum(
+                elements(v for v in factor.subscripts if v != lead)
+                for factor in plan.factors
+                if lead in factor.subscripts
+            )
+            row = elements(out[:at] + out[at + 1 :])
+            return row * plan.value_itemsize, shares * plan.value_itemsize
+
+        split = _split_runs(plan) if elements(plan.info.loop_vars) else None
+        if split is not None:
+            lead = plan.scatter_index_subscripts[0]
+            row, shares = step_bytes(lead)
+            program = _Program(split, [], (shares, row, window_steps))
+            if program.compile():
+                return cls(
+                    plan=plan,
+                    window_steps=window_steps,
+                    per_step_bytes=row + shares,
+                    run_variable=lead,
+                    per_run_bytes=row,
+                    _program=program,
+                )
+
+        lead = out[0]
+        extent = extents[lead]
+        per_step_bytes = sum(step_bytes(lead))
         if window_steps is None:
             window_steps = max(1, _WINDOW_BYTES // max(1, per_step_bytes))
         # An empty iteration space (an all-zero sparse operand, a zero-width
@@ -457,14 +663,7 @@ class SpecializedKernel:
 
         program = _Program(plan, windows)
         if windows:
-            values = [program.factor(factor) for factor in plan.factors]
-            partial = program.contraction(values)
-            if partial is None:
-                partial = program.einsum(values)
-            if plan.has_scatter:
-                program.scatter(partial)
-            else:
-                program.add(partial)
+            program.compile()
         return cls(
             plan=plan,
             window_steps=window_steps,
@@ -490,19 +689,22 @@ class SpecializedKernel:
             base.size > 0 and not any(base.strides) and not base[(0,) * base.ndim]
         )
         steps = program.per_window
-        if zero_base and self.windows and program.per_window_direct and dtype == factor_dtype:
+        if zero_base and program.per_window_direct and dtype == factor_dtype:
+            # A direct dot fills every window of the result; a run-windowed
+            # store assigns only the rows that receive a run.
             steps = program.per_window_direct
-            result = np.empty(base.shape, dtype=dtype)
+            fresh = np.empty if program.schedule is None else np.zeros
+            result = fresh(base.shape, dtype=dtype)
         elif zero_base:
             result = np.zeros(base.shape, dtype=dtype)
         else:
             result = base.astype(dtype, copy=True)
 
         regs += [result, factor_dtype, *[None] * (len(program.names) - len(regs) - 2)]
-        if self.windows:
-            for step in program.per_call:
-                step.run(regs, 0)
-        for window in range(len(self.windows)):
+        for step in program.per_call:
+            step.run(regs, 0)
+        windows = self.windows if program.schedule is None else regs[program.schedule].windows
+        for window in range(len(windows)):
             for step in steps:
                 step.run(regs, window)
             # Free this window's temporaries before the next one allocates:
@@ -517,10 +719,15 @@ class SpecializedKernel:
         program = self._program
         if program is None:
             return "specialized: unfused fallback (no leading output variable)"
-        lines = [
-            f"specialized: {len(self.windows)} window(s) of {self.window_steps} steps over "
-            f"{program.lead!r} ({self.per_step_bytes} B per step)"
-        ]
+        if self.run_variable is None:
+            header = f"{len(self.windows)} window(s) of {self.window_steps} steps over "
+            header += f"{program.lead!r} ({self.per_step_bytes} B per step)"
+        else:
+            size = f"{self.window_steps} run(s)" if self.window_steps else f"{_WINDOW_BYTES} B"
+            header = f"windows of {size} over the runs of equal {self.plan.scatter_index}"
+            header += f"[{self.run_variable}] ({self.per_step_bytes - self.per_run_bytes} B per "
+            header += f"update + {self.per_run_bytes} B per run)"
+        lines = [f"specialized: {header}"]
         sections = [("per call", program.per_call), ("per window", program.per_window)]
         if program.per_window_direct:
             sections.append(("per window, all-zero base", program.per_window_direct))

@@ -21,7 +21,7 @@ from repro.errors import FormatError, ShapeError
 from repro.formats.base import SparseFormat
 from repro.formats.blocking import nonzero_blocks
 from repro.formats.group_size import select_group_size
-from repro.utils.arrays import as_index_array, as_value_array, ceil_div
+from repro.utils.arrays import as_index_array, as_value_array, padded_slots
 
 
 class BlockGroupCOO(SparseFormat):
@@ -102,40 +102,16 @@ class BlockGroupCOO(SparseFormat):
         if group_size < 1:
             raise FormatError(f"group size must be >= 1, got {group_size}")
 
-        order = np.lexsort((cols, rows))
-        rows, cols, blocks = rows[order], cols[order], blocks[order]
-
-        group_rows: list[int] = []
-        col_groups: list[np.ndarray] = []
-        value_groups: list[np.ndarray] = []
-        start = 0
-        for block_row in range(block_rows_count):
-            occ = int(occupancy[block_row])
-            if occ == 0:
-                continue
-            row_cols = cols[start : start + occ]
-            row_blocks = blocks[start : start + occ]
-            start += occ
-            n_groups = ceil_div(occ, group_size)
-            padded_cols = np.zeros(n_groups * group_size, dtype=np.int64)
-            padded_vals = np.zeros(
-                (n_groups * group_size, block_shape[0], block_shape[1]), dtype=blocks.dtype
-            )
-            padded_cols[:occ] = row_cols
-            padded_vals[:occ] = row_blocks
-            for g in range(n_groups):
-                group_rows.append(block_row)
-                col_groups.append(padded_cols[g * group_size : (g + 1) * group_size])
-                value_groups.append(padded_vals[g * group_size : (g + 1) * group_size])
-
-        if group_rows:
-            group_rows_arr = np.asarray(group_rows, dtype=np.int64)
-            col_arr = np.stack(col_groups)
-            val_arr = np.stack(value_groups)
-        else:
-            group_rows_arr = np.zeros((0,), dtype=np.int64)
-            col_arr = np.zeros((0, group_size), dtype=np.int64)
-            val_arr = np.zeros((0, group_size, block_shape[0], block_shape[1]))
+        # ``nonzero_blocks`` orders the blocks row-major: sorted by block row.
+        groups = -(-occupancy // group_size)
+        slots = padded_slots(occupancy, groups, group_size)
+        col_arr = np.zeros(int(groups.sum()) * group_size, dtype=np.int64)
+        val_arr = np.zeros((col_arr.size, *block_shape), dtype=blocks.dtype)
+        col_arr[slots] = cols
+        val_arr[slots] = blocks
+        col_arr = col_arr.reshape(-1, group_size)
+        val_arr = val_arr.reshape(-1, group_size, *block_shape)
+        group_rows_arr = np.repeat(np.arange(block_rows_count, dtype=np.int64), groups)
         return cls(
             dense.shape,
             block_shape,

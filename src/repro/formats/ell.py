@@ -10,7 +10,7 @@ from repro.core.einsum.ast import IndexVar, TensorAccess
 from repro.core.einsum.rewriting import IndexSubstitution, OperandRewrite
 from repro.errors import FormatError, ShapeError
 from repro.formats.base import SparseFormat
-from repro.utils.arrays import as_index_array, as_value_array
+from repro.utils.arrays import as_index_array, as_value_array, padded_slots
 
 
 class ELL(SparseFormat):
@@ -59,10 +59,11 @@ class ELL(SparseFormat):
         value_dtype = dense.dtype if dense.dtype.kind in "fc" else np.float64
         values = np.zeros((n_rows, width), dtype=value_dtype)
         columns = np.zeros((n_rows, width), dtype=np.int64)
-        for row in range(n_rows):
-            cols = np.nonzero(dense[row])[0]
-            values[row, : cols.size] = dense[row, cols]
-            columns[row, : cols.size] = cols
+        # One group of ``width`` slots per row, empty rows included.
+        rows, cols = np.nonzero(dense)
+        slots = padded_slots(occupancy, np.ones(n_rows, dtype=np.int64), width)
+        values.reshape(-1)[slots] = dense[rows, cols]
+        columns.reshape(-1)[slots] = cols
         return cls(dense.shape, values, columns, occupancy)
 
     # -- SparseFormat interface ---------------------------------------------------

@@ -21,7 +21,7 @@ from repro.errors import FormatError, ShapeError
 from repro.formats.base import SparseFormat
 from repro.formats.csr import CSR
 from repro.formats.group_size import select_group_size
-from repro.utils.arrays import as_index_array, as_value_array, ceil_div
+from repro.utils.arrays import as_index_array, as_value_array, padded_slots
 
 
 class GroupCOO(SparseFormat):
@@ -92,32 +92,14 @@ class GroupCOO(SparseFormat):
         if group_size < 1:
             raise FormatError(f"group size must be >= 1, got {group_size}")
 
-        group_rows: list[int] = []
-        column_groups: list[np.ndarray] = []
-        value_groups: list[np.ndarray] = []
-        for row in range(csr.shape[0]):
-            start, end = int(csr.indptr[row]), int(csr.indptr[row + 1])
-            occ = end - start
-            if occ == 0:
-                continue
-            n_groups = ceil_div(occ, group_size)
-            padded_cols = np.zeros(n_groups * group_size, dtype=np.int64)
-            padded_vals = np.zeros(n_groups * group_size, dtype=csr.data.dtype)
-            padded_cols[:occ] = csr.indices[start:end]
-            padded_vals[:occ] = csr.data[start:end]
-            for g in range(n_groups):
-                group_rows.append(row)
-                column_groups.append(padded_cols[g * group_size : (g + 1) * group_size])
-                value_groups.append(padded_vals[g * group_size : (g + 1) * group_size])
-
-        if group_rows:
-            columns = np.stack(column_groups)
-            values = np.stack(value_groups)
-            rows = np.asarray(group_rows, dtype=np.int64)
-        else:
-            columns = np.zeros((0, group_size), dtype=np.int64)
-            values = np.zeros((0, group_size), dtype=csr.data.dtype)
-            rows = np.zeros((0,), dtype=np.int64)
+        groups = -(-occupancy // group_size)
+        slots = padded_slots(occupancy, groups, group_size)
+        columns = np.zeros(int(groups.sum()) * group_size, dtype=np.int64)
+        values = np.zeros(columns.size, dtype=csr.data.dtype)
+        columns[slots] = csr.indices
+        values[slots] = csr.data
+        columns, values = columns.reshape(-1, group_size), values.reshape(-1, group_size)
+        rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64), groups)
         return cls(csr.shape, rows, columns, values, nnz=csr.nnz)
 
     @classmethod

@@ -6,10 +6,10 @@ and contiguous (block/matmul) multiply-accumulates.  Rather than hard-code
 per-operation costs, they are **measured once per process** with
 :class:`repro.utils.timing.Timer` microbenchmarks over exactly what the
 fused executor (:mod:`repro.engine.specialize`) runs on one of its
-cache-sized windows: ``np.take`` of rows, the in-place broadcast
-``np.multiply``, the batched vector–matrix and block ``np.matmul``, and the
-engine's planned ``segment_add`` scatter — the AraOS-style "calibrate the
-model from the hardware you are on" approach (PAPERS.md).
+cache-sized windows: ``np.take`` of rows, the batched vector–matrix
+``np.matmul`` over runs of equal targets, the block ``np.matmul``, and the
+disjoint fancy store of the run sums — the AraOS-style "calibrate the model
+from the hardware you are on" approach (PAPERS.md).
 
 Calibration takes a few tens of milliseconds.  The constants can be
 persisted as JSON (``save`` / ``load``); set the ``REPRO_TUNER_CALIBRATION``
@@ -28,12 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.segment import plan_scatter, segment_add
 from repro.engine.specialize import _WINDOW_BYTES
 from repro.utils.timing import Timer
 
 #: Bump when the benchmark suite changes; stale persisted files are ignored.
-CALIBRATION_VERSION = 3
+CALIBRATION_VERSION = 4
 
 #: Environment variable naming the JSON persistence path (optional).
 CALIBRATION_ENV_VAR = "REPRO_TUNER_CALIBRATION"
@@ -49,22 +48,21 @@ class Calibration:
         Cost of one indirectly-gathered element (``np.take`` of whole
         rows), over one window of gathered rows.
     scatter_ns:
-        Cost of one scattered element through
-        :func:`repro.engine.segment.segment_add` with a precomputed plan —
-        what the executor runs on a warm pattern — the price of an
-        indirect output row.
+        Cost of one stored element of an indirect output row: the disjoint
+        fancy store of a window's run sums (the dot has already summed the
+        duplicates of every row).
     flop_ns:
         Cost of one scalar multiply or add of the COO/GroupCOO/ELL
-        execution shape: the in-place broadcast ``np.multiply`` over a
-        gathered window (COO's whole contraction) and the batched
-        vector–matrix ``np.matmul`` over it (ELL, GroupCOO), averaged.
+        execution shape: the batched vector–matrix ``np.matmul`` over a
+        gathered window, its ``K`` a run of equal targets long.
     block_flop_ns:
         Cost of one multiply or add inside a batched block ``np.matmul``
         (the BlockCOO/BlockGroupCOO execution shape) — typically several
         times cheaper than ``flop_ns``, which is exactly why block formats
         win on block-structured data.
     overhead_us:
-        Fixed per-kernel dispatch overhead in microseconds.
+        Fixed dispatch overhead of one window of a kernel, in microseconds:
+        its cuts, gather, dot and store on operands too small to matter.
     """
 
     gather_ns: float
@@ -104,9 +102,9 @@ def run_microbenchmarks(
 
     The probe is a miniature of the fused executor: it streams a few
     consecutive windows of ``elements`` float64 temporaries and, on each,
-    gathers, folds, contracts and scatters — the next primitive reading
-    what the previous one left in the cache, as in a compiled kernel — with
-    every primitive timed on its own.
+    gathers, contracts and stores — the next primitive reading what the
+    previous one left in the cache, as in a compiled kernel — with every
+    primitive timed on its own.
 
     Parameters
     ----------
@@ -126,22 +124,26 @@ def run_microbenchmarks(
         The measured constants.
     """
     rng = np.random.default_rng(rng_seed)
-    windows, width, slots, block = 8, 64, 8, 16
+    windows, width, slots, block, run = 8, 64, 8, 16, 4
     rows = max(1, int(elements) // (width * slots * block)) * block
+    runs = rows // run  # the window's groups are runs of ``run`` equal targets
     source = rng.standard_normal((2048, width))
     index = rng.integers(0, source.shape[0], size=(windows, rows, slots))
     values = rng.standard_normal((windows, rows, slots))
     tiles = rng.standard_normal((rows * slots // block, block, block))
-    # One scattered row per gathered row; the plans are built outside the
-    # timed region, as the executor memoizes them.
-    targets = rng.integers(0, source.shape[0], size=(windows, rows * slots))
-    plans = [plan_scatter(window) for window in targets]
+    # Every run has its own target row: the store is disjoint.
+    targets = np.stack([rng.permutation(source.shape[0])[:runs] for _ in range(windows)])
     out = np.zeros_like(source)
     tiny, first = np.ones((4, 4)), np.zeros(1, dtype=np.intp)
 
+    def tiny_window() -> None:
+        lhs = np.take(tiny[0], first).reshape(1, 1, -1)
+        rhs = np.take(tiny, first[None], axis=0)
+        tiny[first] = np.matmul(lhs, rhs).reshape(1, -1)
+
     best: dict[str, float] = {}
     for _ in range(repeats):
-        spent = dict.fromkeys(("gather", "fold", "dot", "block", "scatter", "overhead"), 0.0)
+        spent = dict.fromkeys(("gather", "dot", "block", "scatter", "overhead"), 0.0)
 
         def timed(name: str, fn):
             with Timer() as timer:
@@ -151,27 +153,22 @@ def run_microbenchmarks(
 
         for w in range(windows):
             gathered = timed("gather", lambda: np.take(source, index[w], axis=0))
-            scale = values[w]
-            timed("fold", lambda: np.multiply(gathered, scale[:, :, None], out=gathered))
-            timed("dot", lambda: np.matmul(scale[:, None, :], gathered))
+            lhs, rhs = values[w].reshape(runs, 1, -1), gathered.reshape(runs, -1, width)
+            sums = timed("dot", lambda: np.matmul(lhs, rhs)).reshape(runs, width)
             timed("block", lambda: np.matmul(tiles, gathered.reshape(-1, block, width)))
-            partial = gathered.reshape(-1, width)
-            timed("scatter", lambda: segment_add(out, targets[w], partial, plan=plans[w]))
+            timed("scatter", lambda: out.__setitem__(targets[w], sums))
             # As the executor does: free the window before the next allocates.
-            gathered = partial = None
-        # Fixed dispatch overhead: a minimal gather and dot on tiny operands.
-        timed(
-            "overhead",
-            lambda: [np.matmul(np.take(tiny, first, axis=0), tiny) for _ in range(100)],
-        )
+            gathered = rhs = sums = None
+        # Fixed dispatch overhead: a window of one run on tiny operands.
+        timed("overhead", lambda: [tiny_window() for _ in range(100)])
         best = {name: min(best.get(name, seconds), seconds) for name, seconds in spent.items()}
 
     count = windows * rows * slots * width  # elements every probe touched
     return Calibration(
         gather_ns=max(best["gather"] / count * 1e9, 1e-3),
-        scatter_ns=max(best["scatter"] / count * 1e9, 1e-3),
-        # A multiply and an add per element: the fold does the one, the dot both.
-        flop_ns=max((best["fold"] + best["dot"]) / 2 / (2 * count) * 1e9, 1e-3),
+        scatter_ns=max(best["scatter"] / (windows * runs * width) * 1e9, 1e-3),
+        # A multiply and an add per element.
+        flop_ns=max(best["dot"] / (2 * count) * 1e9, 1e-3),
         block_flop_ns=max(best["block"] / (2 * count * block) * 1e9, 1e-4),
         overhead_us=max(best["overhead"] / 100 * 1e6, 1e-2),
     )

@@ -7,26 +7,39 @@ operation census:
 =================  =====================  ==================  =================
 candidate          gathered elements      scattered elements  multiply-adds
 =================  =====================  ==================  =================
-COO                ``S·n + 2S``           ``S·n``             ``2·S·n`` scalar
+COO                ``S·n + 2S``           ``R·n``             ``2·S·n`` scalar
 ELL                ``P·n + P``            0 (direct rows)     ``2·P·n`` scalar
-GroupCOO(g)        ``P·n + P + G``        ``G·n``             ``2·P·n`` scalar
-BlockCOO(b)        ``NB·bK·n + 2·NB``     ``NB·bM·n``         ``2·NB·bM·bK·n`` block
-BlockGroupCOO(g)   ``PB·bK·n + PB + GB``  ``GB·bM·n``         ``2·PB·bM·bK·n`` block
+GroupCOO(g)        ``P·n + P + G``        ``R·n``             ``2·P·n`` scalar
+BlockCOO(b)        ``NB·bK·n + 2·NB``     ``RB·bM·n``         ``2·NB·bM·bK·n`` block
+BlockGroupCOO(g)   ``PB·bK·n + PB + GB``  ``RB·bM·n``         ``2·PB·bM·bK·n`` block
 =================  =====================  ==================  =================
 
 where ``S`` = nnz, ``P`` = padded stored slots, ``G`` = number of groups,
-``NB`` = nonzero blocks, ``PB`` = padded stored blocks, ``GB`` = block
-groups.  Scalar multiply-adds run at the strided-``einsum`` rate and block
-multiply-adds at the contiguous-``matmul`` rate — the two rates (and the
-gather/scatter/overhead costs) come from the
+``R`` = non-empty rows, ``NB`` = nonzero blocks, ``PB`` = padded stored
+blocks, ``GB`` = block groups, ``RB`` = non-empty block rows.  The executor
+sums the duplicates of an output row inside its dot
+(:mod:`repro.engine.specialize`), so a scattering format stores each
+non-empty row once, whatever its grouping.  Scalar multiply-adds run at the
+batched vector–matrix ``np.matmul`` rate (COO's too: its values are the
+dot's left side) and block multiply-adds at the block-``matmul`` rate — the
+two rates (and the gather/scatter/overhead costs) come from the
 :mod:`~repro.tuner.calibration` microbenchmarks, so the model prices
 operations in *measured seconds on this machine*, not abstract counts.
+
+Every window the kernel walks also pays a fixed dispatch cost.  A window
+holds at most ``_WINDOW_BYTES`` of gathered temporaries, and in a scattering
+format only runs of one length — stored rows with equally many groups — so a
+candidate runs ``L + gathered bytes / _WINDOW_BYTES`` windows, ``L`` the
+number of distinct run lengths (1 for ELL).  This is what grouping buys on
+skewed rows now that no format pays a scatter per group: ``ceil(occ/g)`` takes
+far fewer distinct values than ``occ``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.specialize import _WINDOW_BYTES
 from repro.errors import ReproError
 from repro.formats.group_size import exact_indirect_access_count
 from repro.tuner.calibration import Calibration, get_calibration
@@ -55,26 +68,31 @@ class CostModel:
     # -- per-candidate censuses ---------------------------------------------
     def _census(
         self, profile: SparsityProfile, candidate: Candidate, n_cols: int
-    ) -> tuple[float, float, float, float]:
-        """``(gather, scatter, scalar_macs, block_macs)`` element counts."""
+    ) -> tuple[float, float, float, float, float]:
+        """``(gather, scatter, scalar_macs, block_macs)`` element counts, and
+        the distinct run lengths the windows must keep apart."""
         nnz = profile.nnz
         occ = profile.occupancy
         name = candidate.format_name
+        nonempty = occ[occ > 0]
+        # The dot sums a row's duplicates: one stored row per non-empty row.
+        scatter = nonempty.size * n_cols
 
         if name == "COO":
-            return nnz * n_cols + 2 * nnz, nnz * n_cols, 2 * nnz * n_cols, 0.0
+            lengths = np.unique(nonempty).size
+            return nnz * n_cols + 2 * nnz, scatter, 2 * nnz * n_cols, 0.0, lengths
 
         if name == "ELL":
             padded = profile.shape[0] * profile.row_max
-            return padded * n_cols + padded, 0.0, 2 * padded * n_cols, 0.0
+            return padded * n_cols + padded, 0.0, 2 * padded * n_cols, 0.0, 1
 
         if name == "GroupCOO":
             g = candidate.group_size or 1
-            nonempty = occ[occ > 0]
-            groups = int(np.sum(-(nonempty // -g)))  # vectorised ceil_div
+            per_row = -(nonempty // -g)  # vectorised ceil_div
+            groups = int(np.sum(per_row))
             padded = groups * g
             gather = padded * n_cols + padded + groups
-            return gather, groups * n_cols, 2 * padded * n_cols, 0.0
+            return gather, scatter, 2 * padded * n_cols, 0.0, np.unique(per_row).size
 
         if name in ("BlockCOO", "BlockGroupCOO"):
             if candidate.block_shape is None or candidate.block_shape not in profile.blocks:
@@ -83,22 +101,21 @@ class CostModel:
                 )
             bm, bk = candidate.block_shape
             stats = profile.blocks[candidate.block_shape]
+            scatter = stats.nonempty_rows * bm * n_cols
+            g = 1 if name == "BlockCOO" else candidate.group_size or 1
+            # At most every count up to the fullest block row's (summary
+            # statistics only: the profile keeps no block-row histogram).
+            lengths = min(stats.nonempty_rows, -(stats.row_max // -g))
             if name == "BlockCOO":
                 nb = stats.num_blocks
                 gather = nb * bk * n_cols + 2 * nb
-                return gather, nb * bm * n_cols, 0.0, 2 * nb * bm * bk * n_cols
-            g = candidate.group_size or 1
+                return gather, scatter, 0.0, 2 * nb * bm * bk * n_cols, lengths
             # Relaxed Section 4.2 group count over block rows (the profile
             # keeps only summary block statistics, not the full histogram).
             groups = stats.num_blocks / g + stats.nonempty_rows * (1 - 1 / g) * 0.5
             padded_blocks = groups * g
             gather = padded_blocks * bk * n_cols + padded_blocks + groups
-            return (
-                gather,
-                groups * bm * n_cols,
-                0.0,
-                2 * padded_blocks * bm * bk * n_cols,
-            )
+            return gather, scatter, 0.0, 2 * padded_blocks * bm * bk * n_cols, lengths
 
         raise TunerError(f"cost model does not know candidate format {name!r}")
 
@@ -122,7 +139,9 @@ class CostModel:
         float
             Estimated milliseconds per execution on this machine.
         """
-        gather, scatter, scalar_macs, block_macs = self._census(profile, candidate, n_cols)
+        gather, scatter, scalar_macs, block_macs, lengths = self._census(
+            profile, candidate, n_cols
+        )
         cal = self.calibration
         nanos = (
             gather * cal.gather_ns
@@ -130,7 +149,8 @@ class CostModel:
             + scalar_macs * cal.flop_ns
             + block_macs * cal.block_flop_ns
         )
-        return nanos / 1e6 + cal.overhead_us / 1e3
+        windows = lengths + gather * 8 // _WINDOW_BYTES
+        return nanos / 1e6 + windows * cal.overhead_us / 1e3
 
     def rank(
         self,
@@ -174,14 +194,17 @@ class CostModel:
         -------
         dict
             ``gather_elements``, ``scatter_elements``, ``scalar_macs``,
-            ``block_macs``, and the resulting ``modeled_ms``.
+            ``block_macs``, ``run_lengths`` and the resulting ``modeled_ms``.
         """
-        gather, scatter, scalar_macs, block_macs = self._census(profile, candidate, n_cols)
+        gather, scatter, scalar_macs, block_macs, lengths = self._census(
+            profile, candidate, n_cols
+        )
         return {
             "gather_elements": float(gather),
             "scatter_elements": float(scatter),
             "scalar_macs": float(scalar_macs),
             "block_macs": float(block_macs),
+            "run_lengths": float(lengths),
             "modeled_ms": self.estimate_ms(profile, candidate, n_cols),
         }
 

@@ -50,6 +50,23 @@ def round_to_power_of_two(n: float) -> int:
     return lo if n * n < lo * hi else hi
 
 
+def padded_slots(occupancy: np.ndarray, groups: np.ndarray, group_size: int) -> np.ndarray:
+    """Flat slot of every stored entry of a padded, row-grouped layout.
+
+    The entries arrive sorted by row, ``occupancy[row]`` of them per row.
+    Row ``row`` owns ``groups[row]`` consecutive groups of ``group_size``
+    slots and its entries fill them in order, the tail left as padding:
+    ``slot = group_start[row] * group_size + rank within row``.  One fancy
+    store into a zeroed flat array then builds GroupCOO, BlockGroupCOO
+    (rows of blocks) and ELL (one group of the maximum occupancy per row).
+    """
+    occupancy = np.asarray(occupancy, dtype=np.int64)
+    groups = np.asarray(groups, dtype=np.int64)
+    rows = np.repeat(np.arange(occupancy.size), occupancy)
+    rank = np.arange(rows.size) - (np.cumsum(occupancy) - occupancy)[rows]
+    return (np.cumsum(groups) - groups)[rows] * group_size + rank
+
+
 def as_index_array(values, name: str = "index") -> np.ndarray:
     """Coerce ``values`` to a contiguous int64 array, validating integrality."""
     arr = np.asarray(values)

@@ -118,16 +118,18 @@ def test_scatter_on_middle_axis(rng):
     assert_fused_matches_reference("Z[b,I[p],w] += V[p] * X[b,p,w]", tensors, window_steps=2)
 
 
-def test_chunk_variable_missing_from_the_lhs_is_a_lowering_error(small_sparse_matrix, rng):
-    fmt = GroupCOO.from_dense(small_sparse_matrix, group_size=2)
+def test_chunk_variable_missing_from_the_lhs_is_a_lowering_error(rng):
     tensors = {
-        "C": np.zeros((8, 4)),
-        "B": rng.standard_normal((12, 4)),
-        **fmt.tensors("A"),
+        "Z": np.zeros((8, 4)),
+        "I": rng.integers(0, 8, size=(5, 2)),
+        "J": rng.integers(0, 12, size=(5, 2)),
+        "V": rng.standard_normal((5, 2, 3)),
+        "X": rng.standard_normal((12, 3, 4)),
     }
-    plan = plan_insum("C[AM[p],n] += AV[p,q] * B[AK[p,q],n]", tensors)
+    # A scatter index over two variables: the plan keeps its static windows.
+    plan = plan_insum("Z[I[p,q],n] += V[p,q,k] * X[J[p,q],k,n]", tensors)
     # No planner output leads with a reduction variable; a hand-built plan can.
-    doctored = dataclasses.replace(plan, output_subscripts=["q", "p", "n"])
+    doctored = dataclasses.replace(plan, output_subscripts=["k", "p", "q", "n"])
     with pytest.raises(LoweringError, match="does not appear on the left-hand side"):
         run_windowed(doctored, tensors, window_steps=1)
 

@@ -104,7 +104,7 @@ def test_pattern_churn_evicts_cleanly_and_returns_the_cache_to_its_start(rng, mo
         for format_cls, expression in expressions.items():
             arrays = format_cls.from_dense(dense).tensors("A")
             tensors = {"C": np.zeros((16, 4)), "B": rhs, **arrays}
-            # Forced 16-step windows: several scatter plans per pattern.
+            # Forced 16-run windows: one run-window artefact per pattern.
             kernel = SpecializedKernel.build(plan_insum(expression, tensors), window_steps=16)
             kernel.run(tensors)
         if round_ == 30:

@@ -3,11 +3,14 @@
 What the flat kernel promises beyond matching the reference interpreter
 (``test_specialize_parity.py``): the window schedule never changes a result,
 operand dtypes are kept, nothing is interpreted at run time, no caller
-memory is written, NumPy's own bounds check still guards the gathers, and
-one kernel serves many threads.
+memory is written, NumPy's own bounds check still guards the gathers, one
+kernel serves many threads, and one rule — printed by ``describe()`` —
+decides which plans sum their duplicate targets inside the dot.
 """
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from repro.core.einsum.parser import parse_einsum
 from repro.core.einsum.rewriting import rewrite_sparse_operand
 from repro.core.inductor.executor import run_unfused
 from repro.core.insum import plan_insum
+from repro.engine import specialize
+from repro.engine.fingerprint import clear_derived_cache, derived_cache_size
 from repro.engine.specialize import SpecializedKernel
 from repro.formats import COO, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 from repro.runtime.stacked import StackedSparse
@@ -25,6 +30,7 @@ from repro.runtime.stacked import StackedSparse
 SPMM = "C[m,n] += A[m,k] * B[k,n]"
 SPMV = "y[m] += A[m,k] * x[k]"
 STACKED = "C[s,m,n] += A[s,m,k] * B[k,n]"
+STACKED_PER_ITEM = "C[s,m,n] += A[s,m,k] * B[s,k,n]"
 CONV = "Out[MAPX[p,q],m] += MAPV[p,q] * In[MAPY[p,q],c] * Weight[MAPZ[p],c,m]"
 EQUIVARIANT = (
     "Z[b,CGI[p,q],w] += CGV[p,q] * X[b,CGJ[p,q],u] * Y[b,CGK[p,q]] * W[b,CGL[p],u,w]"
@@ -106,6 +112,15 @@ def stacked_case(draw):
     return lowered(STACKED, "A", fmt, ["s", "m", "k"], B=draw(16, 6), C=draw(3, 24, 6))
 
 
+def stacked_per_item_case(draw):
+    """A stack whose every item has its own dense operand."""
+    mask = sparse(draw) != 0
+    stack = np.where(mask[None], draw(3, 24, 16), 0.0)
+    fmt = StackedSparse.from_dense(stack, GroupCOO, group_size=4)
+    dense = {"B": draw(3, 16, 6), "C": draw(3, 24, 6)}
+    return lowered(STACKED_PER_ITEM, "A", fmt, ["s", "m", "k"], **dense)
+
+
 def conv_case(draw):
     voxels, groups, size, channels, filters, offsets = 9, 7, 3, 4, 5, 6
     index = np.random.default_rng(5)
@@ -142,6 +157,7 @@ CASES = {
     "spmv/coo": spmv_case("coo"),
     "spmv/ell": spmv_case("ell"),
     "stacked/groupcoo": stacked_case,
+    "stacked/groupcoo/per-item": stacked_per_item_case,
     "conv": conv_case,
     "equivariant": equivariant_case,
 }
@@ -251,6 +267,18 @@ def test_result_dtype_is_the_operands_common_dtype(format_name, dtype, rng):
     np.testing.assert_array_equal(result, dense @ rhs)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
+@pytest.mark.parametrize("format_name", FORMATS)
+def test_an_all_zero_operand_keeps_the_value_dtype(format_name, dtype, rng):
+    """No stored value is no reason to fall back to float64."""
+    fmt = FORMATS[format_name](np.zeros((24, 16), dtype=dtype))
+    rhs = integers(rng)(16, 6).astype(np.float32)
+    assert fmt.tensors("A")["AV"].dtype == dtype
+    result = sparse_einsum(SPMM, A=fmt, B=rhs)
+    assert result.dtype == np.result_type(dtype, np.float32)
+    assert result.shape == (24, 6) and not result.any()
+
+
 @pytest.mark.parametrize("format_name", FORMATS)
 def test_a_caller_bound_output_still_decides_the_dtype(format_name, rng):
     dense = sparse(integers(rng)).astype(np.float32)
@@ -274,8 +302,11 @@ def test_a_warm_run_neither_searches_a_path_nor_moves_an_axis(make, rng, monkeyp
     def forbidden(*args, **kwargs):
         raise AssertionError("interpreted at run time")
 
-    for name in ("einsum_path", "einsum", "moveaxis"):
+    for name in ("einsum_path", "einsum", "moveaxis", "argsort", "unique"):
         monkeypatch.setattr(np, name, forbidden)
+    # A warm run plans no scatter and cuts no run windows either: the memo hits.
+    for name in ("plan_scatter", "plan_runs"):
+        monkeypatch.setattr(specialize, name, forbidden)
     np.testing.assert_array_equal(kernel.run(tensors), expected)
 
 
@@ -335,7 +366,10 @@ def test_unchecked_gather_indices_behave_as_numpy_take(window_steps, rng):
 # ---------------------------------------------------------------------------
 # (f) one kernel, many threads
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("name", ["spmm/groupcoo", "spmm/ell", "conv", "equivariant"])
+@pytest.mark.parametrize(
+    "name",
+    ["spmm/groupcoo", "spmm/coo", "stacked/groupcoo", "spmm/ell", "conv", "equivariant"],
+)
 def test_four_threads_share_one_compiled_kernel(name, rng):
     expression, tensors = CASES[name](integers(rng))
     kernel = SpecializedKernel.build(plan_insum(expression, tensors), window_steps=2)
@@ -356,3 +390,278 @@ def test_four_threads_share_one_compiled_kernel(name, rng):
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# (g) duplicates are a reduction: the run-windowed plans
+# ---------------------------------------------------------------------------
+#: The shapes the rule takes, as raw indirect Einsums over hand-built index
+#: arrays: ``{tensor: shape}`` with ``G`` the number of updates, and the
+#: ``np.einsum`` of the values with the gathered ``B`` that the oracle scatters.
+#: Rows 7, columns (or block columns) 5.
+RULE_SHAPES = {
+    "coo": (
+        "C[AM[p],n] += AV[p] * B[AK[p],n]",
+        {"C": (7, 3), "AV": ("G",), "AK": ("G",), "B": (5, 3)},
+        "p,pn->pn",
+    ),
+    "groupcoo": (
+        "C[AM[p],n] += AV[p,q] * B[AK[p,q],n]",
+        {"C": (7, 3), "AV": ("G", 2), "AK": ("G", 2), "B": (5, 3)},
+        "pq,pqn->pn",
+    ),
+    "blockcoo": (
+        "C[AM[p],bm,n] += AV[p,bm,bk] * B[AK[p],bk,n]",
+        {"C": (7, 2, 3), "AV": ("G", 2, 4), "AK": ("G",), "B": (5, 4, 3)},
+        "pab,pbn->pan",
+    ),
+    "blockgroupcoo": (
+        "C[AM[p],bm,n] += AV[p,q,bm,bk] * B[AK[p,q],bk,n]",
+        {"C": (7, 2, 3), "AV": ("G", 2, 2, 4), "AK": ("G", 2), "B": (5, 4, 3)},
+        "pqab,pqbn->pan",
+    ),
+    "stacked": (
+        "C[s,AM[p],n] += AV[s,p,q] * B[AK[p,q],n]",
+        {"C": (3, 7, 3), "AV": (3, "G", 2), "AK": ("G", 2), "B": (5, 3)},
+        "spq,pqn->psn",
+    ),
+    "stacked/per-item": (
+        "C[s,AM[p],n] += AV[s,p,q] * B[s,AK[p,q],n]",
+        {"C": (3, 7, 3), "AV": (3, "G", 2), "AK": ("G", 2), "B": (3, 5, 3)},
+        "spq,spqn->psn",
+    ),
+}
+#: Target rows of the updates, in storage order.
+RULE_PATTERNS = {
+    "unsorted duplicates": [4, 0, 4, 6, 0, 4, 2, 6, 4, 0, 1, 4],
+    "empty": [],
+    "a full row beside singletons": [3, 5, 3, 3, 0, 3, 3, 6, 3, 3, 3],
+    "one row": [2] * 9,
+    "disjoint": [5, 1, 6, 0],
+}
+DTYPES = [np.float32, np.float64, np.int64, np.complex128]
+
+
+def rule_case(shape, pattern, dtype, output, rng):
+    """``(expression, tensors, oracle)``: integer-valued operands of ``dtype``.
+
+    The oracle is plain NumPy: gather, ``np.einsum`` per update, ``np.add.at``.
+    """
+    expression, shapes, equation = RULE_SHAPES[shape]
+    rows = np.array(RULE_PATTERNS[pattern], dtype=np.int64)
+    draw = integers(rng)
+    tensors = {"AM": rows}
+    for name, dims in shapes.items():
+        dims = tuple(rows.size if d == "G" else d for d in dims)
+        if name == "AK":
+            tensors[name] = rng.integers(0, 5, size=dims)
+        else:
+            tensors[name] = draw(*dims).astype(dtype) * (1 + 2j if dtype == np.complex128 else 1)
+    if output == "unbound":
+        tensors["C"] = np.broadcast_to(np.zeros((), dtype=dtype), tensors["C"].shape)
+    elif output == "assigned":
+        expression = expression.replace("+=", "=")
+    per_item = shape == "stacked/per-item"
+    gathered = np.take(tensors["B"], tensors["AK"], axis=int(per_item))
+    updates = np.einsum(equation, tensors["AV"], gathered)
+    oracle = np.zeros_like(tensors["C"]) if output == "assigned" else tensors["C"].copy()
+    np.add.at(oracle.swapaxes(0, 1) if shape.startswith("stacked") else oracle, rows, updates)
+    return expression, tensors, oracle
+
+
+@pytest.mark.parametrize("output", ["unbound", "bound", "assigned"])
+@pytest.mark.parametrize("pattern", RULE_PATTERNS)
+@pytest.mark.parametrize("shape", RULE_SHAPES)
+def test_the_dot_sums_duplicate_targets_exactly(shape, pattern, output, rng):
+    for dtype in DTYPES:
+        expression, tensors, expected = rule_case(shape, pattern, dtype, output, rng)
+        before = {name: array.tobytes() for name, array in tensors.items()}
+        for array in tensors.values():
+            array.setflags(write=False)
+        plan = plan_insum(expression, tensors)
+        for window_steps in (1, 2, None):
+            kernel = SpecializedKernel.build(plan, window_steps=window_steps)
+            result = kernel.run(tensors)
+            np.testing.assert_array_equal(result, expected)
+            assert result.dtype == dtype and result.flags.writeable
+            if RULE_PATTERNS[pattern]:
+                assert kernel.run_variable == "p" and "segment_add" not in kernel.describe()
+        assert {name: array.tobytes() for name, array in tensors.items()} == before
+
+
+@pytest.mark.parametrize("shape", RULE_SHAPES)
+def test_a_run_longer_than_a_window_is_one_window(shape, rng, monkeypatch):
+    """``max(1, ...)``: a row's duplicates are never split across windows."""
+    monkeypatch.setattr(specialize, "_WINDOW_BYTES", 64)
+    case = rule_case(shape, "a full row beside singletons", np.float64, "bound", rng)
+    expression, tensors, expected = case
+    kernel = SpecializedKernel.build(plan_insum(expression, tensors))
+    assert 8 * (kernel.per_step_bytes - kernel.per_run_bytes) > 64  # the run of eight
+    walked = []
+    load = kernel._program.per_window[0]
+    kernel._program.per_window[0] = load._replace(
+        run=lambda regs, w: (load.run(regs, w), walked.append(regs[kernel._program.runs]))
+    )
+    np.testing.assert_array_equal(kernel.run(tensors), expected)
+    assert walked == [1, 1, 1, 1]  # three singleton rows, then the full row whole
+
+
+def test_the_rule_is_printed_and_leaves_other_plans_their_segment_sum(rng):
+    draw = integers(rng)
+    for name, make in CASES.items():
+        expression, tensors = make(draw)
+        kernel = SpecializedKernel.build(plan_insum(expression, tensors))
+        described = kernel.describe()
+        scatters_rows = name.startswith(("spmm/", "stacked/")) and "ell" not in name
+        assert (kernel.run_variable == "p") == scatters_rows, name
+        assert ("over the runs of equal AM[p]" in described) == scatters_rows, name
+        assert ("segment_add(" in described) == (name in ("spmv/coo", "conv", "equivariant")), name
+    # One element per update keeps the sequential sum, stacked or not.
+    for expression, shapes in [
+        ("y[s,AM[p]] += AV[p] * x[s,AK[p]]", {"y": (3, 7), "AV": (9,), "x": (3, 5)}),
+        ("C[AM[p],n] += AV[p] * B[AK[p],n]", {"C": (7, 1), "AV": (9,), "B": (5, 1)}),
+    ]:
+        tensors = {name: draw(*shape) for name, shape in shapes.items()}
+        tensors.update(AM=rng.integers(0, 7, size=9), AK=rng.integers(0, 5, size=9))
+        kernel = SpecializedKernel.build(plan_insum(expression, tensors))
+        assert kernel.run_variable is None and "segment_add(" in kernel.describe()
+        np.testing.assert_array_equal(kernel.run(tensors), reference_execute(expression, tensors))
+
+
+def test_a_plan_the_dot_cannot_sum_keeps_its_segment_sum(rng):
+    """``p`` is on one side of the dot only: no ``K`` group for its runs to join."""
+    draw = integers(rng)
+    expression = "C[AM[p],n] += X[p,k] * W[k,n]"
+    tensors = {"C": draw(7, 3), "AM": rng.integers(0, 7, size=9), "X": draw(9, 4), "W": draw(4, 3)}
+    kernel = SpecializedKernel.build(plan_insum(expression, tensors), window_steps=2)
+    assert kernel.run_variable is None and "segment_add(" in kernel.describe()
+    np.testing.assert_array_equal(kernel.run(tensors), reference_execute(expression, tensors))
+
+
+def test_a_plain_source_axis_ahead_of_the_gather_axis_is_cut_too(rng):
+    draw = integers(rng)
+    expression = "Z[I[p],n] += V[p,q] * W[p,J[q],n]"
+    tensors = {
+        "Z": draw(5, 3),
+        "I": np.array([3, 1, 3, 3, 0, 1]),
+        "J": rng.integers(0, 4, size=2),
+        "V": draw(6, 2),
+        "W": draw(6, 4, 3),
+    }
+    for window_steps in (1, None):
+        kernel = SpecializedKernel.build(plan_insum(expression, tensors), window_steps)
+        assert kernel.run_variable == "p"
+        np.testing.assert_array_equal(kernel.run(tensors), reference_execute(expression, tensors))
+
+
+def test_run_windows_are_memoized_once_per_pattern_and_die_with_it(rng):
+    case = rule_case("groupcoo", "unsorted duplicates", np.float64, "bound", rng)
+    expression, tensors, expected = case
+    kernel = SpecializedKernel.build(plan_insum(expression, tensors))
+    gc.collect()
+    clear_derived_cache()
+    np.testing.assert_array_equal(kernel.run(tensors), expected)
+    assert derived_cache_size() == 1  # the windows and the ordered ``AK``: one artefact
+    np.testing.assert_array_equal(kernel.run(tensors), expected)
+    assert derived_cache_size() == 1
+    # Other gather indices under the same scatter index: another artefact.
+    other = dict(tensors, AK=tensors["AK"].copy())
+    np.testing.assert_array_equal(kernel.run(other), expected)
+    assert derived_cache_size() == 2
+    # The artefact holds copies only, so it dies with the scatter index.
+    released = weakref.ref(tensors["AM"])
+    del tensors["AM"], other["AM"]
+    gc.collect()
+    assert released() is None and derived_cache_size() == 0
+
+
+#: ``describe()`` of the five ``kernel_indirect`` plans of the layer benchmark,
+#: recorded at 30341b0 (the parent of the run-windowing change): extents
+#: ``(header, matmul and source reshapes)`` per case.
+CONV_STEPS = """\
+specialized: {header}
+  per call:
+    t15 = memoized scatter plans of MAPX
+  per window:
+    t9 = MAPV[window on axes [0]]
+    t10 = MAPY[window on axes [0]]
+    t11 = take(In, t10, axis=0)  # In[MAPY[p,q],c] -> [p,q,c]
+    t12 = MAPZ[window on axes [0]]
+    t13 = take(Weight, t12, axis=0)  # Weight[MAPZ[p],c,m] -> [p,c,m]
+    t11 = t11 * t9 (in place)
+    t14 = matmul(t11, t13).reshape(-1, 32, {m})
+    t16 = t14.reshape(-1, {m})
+    segment_add(out, MAPX[window], t16, t15[window])"""
+EQUIVARIANT_STEPS = """\
+specialized: {header}
+  per call:
+    t18 = memoized scatter plans of CGI
+  per window:
+    t11 = X[window on axes [0]]
+    t12 = take(t11, CGJ, axis=1)  # X[b,CGJ[p,q],u] -> [b,p,q,u]
+    t13 = Y[window on axes [0]]
+    t14 = take(t13, CGK, axis=1)  # Y[b,CGK[p,q]] -> [b,p,q]
+    t15 = W[window on axes [0]]
+    t16 = take(t15, CGL, axis=1)  # W[b,CGL[p],u,w] -> [b,p,u,w]
+    t12 = t12 * CGV (in place)
+    t12 = t12 * t14 (in place)
+    t17 = matmul(t12, t16).reshape(-1, {p}, {q}, {w})
+    t19 = t17.transpose(1, 2, 0, 3).reshape({pq}, -1, {w})
+    segment_add(out.transpose(1, 0, 2)[window], CGI, t19, t18)"""
+
+
+def conv_shapes(voxels, channels, groups):
+    size = (groups, 32)
+    return {
+        "Out": (voxels, channels), "In": (voxels, channels), "Weight": (27, channels, channels),
+        "MAPX": size, "MAPY": size, "MAPV": size, "MAPZ": (groups,),
+    }  # fmt: skip
+
+
+def equivariant_shapes(slots, paths, channels, groups, size):
+    return {
+        "Z": (64, slots, channels), "X": (64, slots, channels), "Y": (64, slots),
+        "W": (64, paths, channels, channels), "CGV": (groups, size), "CGL": (groups,),
+        "CGI": (groups, size), "CGJ": (groups, size), "CGK": (groups, size),
+    }  # fmt: skip
+
+
+KERNEL_INDIRECT_PLANS = {
+    "conv/pantry/c32": (
+        CONV, conv_shapes(5967, 32, 575),
+        CONV_STEPS.format(header="28 window(s) of 21 steps over 'p' (24832 B per step)", m=32),
+    ),
+    "conv/copyRoom/c64": (
+        CONV, conv_shapes(6178, 64, 568),
+        CONV_STEPS.format(header="82 window(s) of 7 steps over 'p' (65792 B per step)", m=64),
+    ),
+    "equivariant/l1/c16": (
+        EQUIVARIANT, equivariant_shapes(4, 5, 16, 10, 2),
+        EQUIVARIANT_STEPS.format(
+            header="4 window(s) of 20 steps over 'b' (25760 B per step)", p=10, q=2, pq=20, w=16
+        ),
+    ),
+    "equivariant/l2/c16": (
+        EQUIVARIANT, equivariant_shapes(9, 15, 16, 40, 4),
+        EQUIVARIANT_STEPS.format(
+            header="16 window(s) of 4 steps over 'b' (124160 B per step)", p=40, q=4, pq=160, w=16
+        ),
+    ),
+    "equivariant/l2/c32": (
+        EQUIVARIANT, equivariant_shapes(9, 15, 32, 40, 4),
+        EQUIVARIANT_STEPS.format(
+            header="64 window(s) of 1 steps over 'b' (410880 B per step)", p=40, q=4, pq=160, w=32
+        ),
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("name", KERNEL_INDIRECT_PLANS)
+def test_the_kernel_indirect_plans_are_compiled_as_before(name):
+    expression, shapes, recorded = KERNEL_INDIRECT_PLANS[name]
+    tensors = {
+        tensor: np.zeros(shape, dtype=np.int64 if tensor[:3] in ("MAP", "CGI", "CGJ", "CGK", "CGL")
+                         and tensor != "MAPV" else np.float64)
+        for tensor, shape in shapes.items()
+    }  # fmt: skip
+    assert SpecializedKernel.build(plan_insum(expression, tensors)).describe() == recorded

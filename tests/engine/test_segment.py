@@ -11,7 +11,7 @@ of one request must agree exactly.
 import numpy as np
 import pytest
 
-from repro.engine.segment import ADD_AT_THRESHOLD, plan_scatter, segment_add
+from repro.engine.segment import ADD_AT_THRESHOLD, plan_runs, plan_scatter, segment_add
 
 ROWS = 48
 DTYPES = [np.float32, np.float64, np.int64, np.complex128]
@@ -152,3 +152,55 @@ def test_unit_trailing_source_broadcasts_across_target_columns(rng):
     segment_add(actual, index, source)
     expected = np.repeat(sequential_reference(index, source, (1,)), 4, axis=1)
     np.testing.assert_array_equal(actual, expected)
+
+
+# ---------------------------------------------------------------------------
+# Windows over runs of equal targets (the run-windowed plans' schedule)
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("per_window", [1, 3, 1000])
+@pytest.mark.parametrize("shape", ["disjoint", "one-run", "power-law", "short", "empty"])
+def test_run_windows_partition_the_index_into_whole_runs_of_one_length(rng, shape, per_window):
+    index = draw_index(rng, shape)
+    gathered = rng.integers(0, 9, size=(index.size, 2))
+    asked = []
+    windows, (ordered,) = plan_runs(
+        index, lambda length: asked.append(length) or per_window, [(gathered, 0)]
+    )
+    seen_rows, seen_updates, stop = [], [], 0
+    for span, cut, rows, runs in windows:
+        assert span.start == stop and rows.size == runs <= per_window  # consecutive, bounded
+        stop = span.stop
+        positions = np.arange(index.size)[cut]  # a slice or an index array
+        length = positions.size // runs
+        # ``runs`` runs of one length, each all one target, in storage order.
+        targets = index[positions].reshape(runs, length)
+        assert (targets == rows[:, None]).all()
+        assert (np.diff(positions.reshape(runs, length), axis=1) > 0).all()
+        np.testing.assert_array_equal(ordered[span], gathered[positions])
+        if isinstance(cut, slice):
+            assert cut.step is None and cut.stop - cut.start == positions.size
+        else:
+            assert (np.diff(positions) != 1).any()  # consecutive updates are a slice
+        seen_rows.extend(rows.tolist())
+        seen_updates.extend(positions.tolist())
+    # Every update once, every target row in exactly one run of one window.
+    assert sorted(seen_updates) == list(range(index.size))
+    assert sorted(seen_rows) == np.unique(index).tolist()
+    _, counts = np.unique(index, return_counts=True)
+    assert sorted(set(asked)) == np.unique(counts).tolist()
+
+
+def test_run_windows_take_at_least_one_run_and_hold_no_view_of_their_inputs(rng):
+    index = draw_index(rng, "power-law")
+    gathered = rng.integers(0, 9, size=(3, index.size))
+    windows, (ordered,) = plan_runs(index, lambda length: 0, [(gathered, 1)])
+    assert {runs for *_, runs in windows} == {1}
+    assert ordered.shape == gathered.shape
+    for array in (ordered, *(part for span, cut, rows, _ in windows for part in (cut, rows))):
+        if isinstance(array, np.ndarray):
+            assert not np.shares_memory(array, index) and not np.shares_memory(array, gathered)
+    # A disjoint index is windows of singleton runs in storage order: all slices.
+    disjoint = draw_index(rng, "disjoint")
+    windows, _ = plan_runs(disjoint, lambda length: 16)
+    assert [(cut.start, cut.stop) for _, cut, _, _ in windows] == [(0, 16), (16, 32), (32, 40)]
+    np.testing.assert_array_equal(np.concatenate([rows for _, _, rows, _ in windows]), disjoint)

@@ -31,8 +31,37 @@ def _spmm_tensors(fmt, rng, n_rows, n_cols, width=4, accumulate=True):
     }
 
 
-#: Forced steps per window; ``None`` is the byte policy (one window here).
+#: Forced steps (runs, for a run-windowed plan) per window; ``None`` is the
+#: byte policy (one window here — one per run length for a run-windowed plan).
 WINDOW_SCHEDULES = [1, 3, 128, None]
+
+
+def executed_windows(kernel, tensors):
+    """How many windows one ``run`` walks, and its result.
+
+    A run-windowed plan cuts its windows per pattern at run time, so they are
+    counted where they execute: at the first step of the window list.
+    """
+    program, walked = kernel._program, []
+    first = program.per_window[0]
+    counting = first._replace(run=lambda regs, w: (walked.append(w), first.run(regs, w)))
+    lists = [program.per_window, program.per_window_direct or []]
+    for steps in lists:
+        steps[:1] = [counting] * bool(steps)
+    try:
+        result = kernel.run(tensors)
+    finally:
+        for steps in lists:
+            steps[:1] = [first] * bool(steps)
+    assert walked == list(range(len(walked)))
+    return len(walked), result
+
+
+def run_lengths(index):
+    """``{run length: number of target rows with that many updates}``."""
+    _, counts = np.unique(index, return_counts=True)
+    lengths, rows = np.unique(counts, return_counts=True)
+    return dict(zip(lengths.tolist(), rows.tolist()))
 
 
 def assert_specialized_matches_reference(expression, tensors):
@@ -139,10 +168,14 @@ def test_chunk_size_invariance_through_config(chunk_size, medium_sparse_matrix, 
     tensors = _spmm_tensors(COO.from_dense(medium_sparse_matrix), rng, 64, 96, width=8)
     plan = plan_insum("C[AI0[p],n] += AV[p] * B[AI1[p],n]", tensors)
     kernel = SpecializedKernel.build(plan, window_steps=chunk_size)
-    assert kernel.window_steps == chunk_size
-    assert len(kernel.windows) == math.ceil(plan.info.extents["p"] / chunk_size)
+    assert kernel.window_steps == chunk_size and kernel.run_variable == "p"
+    # Run-windowed: ``chunk_size`` whole runs of one length per window.
+    windows, result = executed_windows(kernel, tensors)
+    assert windows == sum(
+        math.ceil(rows / chunk_size) for rows in run_lengths(tensors["AI0"]).values()
+    )
     expected = tensors["C"] + medium_sparse_matrix @ tensors["B"]
-    np.testing.assert_allclose(kernel.run(tensors), expected, atol=1e-9)
+    np.testing.assert_allclose(result, expected, atol=1e-9)
 
 
 def test_specialize_plan_reports_schedule(small_sparse_matrix, rng):
@@ -156,15 +189,25 @@ def test_specialize_plan_reports_schedule(small_sparse_matrix, rng):
     }
     plan = plan_insum("C[AM[p],n] += AV[p] * B[AK[p],n]", tensors)
     single = specialize_plan(plan, InductorConfig())
-    assert len(single.windows) == 1
     chunked = SpecializedKernel.build(plan, window_steps=4)
-    assert len(chunked.windows) > 1
-    assert "specialized: 1 window(s)" in single.describe()
-    assert f"specialized: {len(chunked.windows)} window(s) of 4 steps" in chunked.describe()
-    # The step list is the log line: gather, fold and scatter, by tensor name.
-    for step in ("take(B,", "(in place)", "segment_add("):
+    # The rule that decided the lowering is the first line of the log.
+    header = "over the runs of equal AM[p] (40 B per update + 32 B per run)"
+    assert f"specialized: windows of {_WINDOW_BYTES} B {header}" in single.describe()
+    assert f"specialized: windows of 4 run(s) {header}" in chunked.describe()
+    assert executed_windows(single, tensors)[0] == len(run_lengths(coo.coords[0]))
+    assert executed_windows(chunked, tensors)[0] >= executed_windows(single, tensors)[0]
+    # The step list is the rest: gather, dot and store, by tensor name.
+    for step in ("take(AV, cut,", "take(B,", "matmul(", "out[rows] += ", "out[rows] = "):
         assert step in single.describe()
-    assert "einsum" not in single.describe()
+    assert "einsum" not in single.describe() and "segment_add" not in single.describe()
+    # A plan outside the rule reports its static schedule.
+    spmv = dict(tensors, C=np.zeros(8), B=tensors["B"][:, 0])
+    plan = plan_insum("C[AM[p]] += AV[p] * B[AK[p]]", spmv)
+    windows = math.ceil(coo.values.size / 4)
+    described = SpecializedKernel.build(plan, window_steps=4).describe()
+    assert f"specialized: {windows} window(s) of 4 steps over 'p'" in described
+    assert "specialized: 1 window(s)" in specialize_plan(plan, InductorConfig()).describe()
+    assert "(in place)" in described and "segment_add(" in described
 
 
 def test_a_plan_whose_footprint_fits_is_one_window(medium_sparse_matrix, rng):
@@ -174,9 +217,17 @@ def test_a_plan_whose_footprint_fits_is_one_window(medium_sparse_matrix, rng):
     plan = plan_insum("C[AI0[p],n] += AV[p] * B[AI1[p],n]", tensors)
     kernel = SpecializedKernel.build(plan)
     # Per step: a row of the partial, the value, a gathered row — float64.
-    assert kernel.per_step_bytes == (4 + 1 + 4) * 8
+    assert kernel.per_step_bytes == (4 + 1 + 4) * 8 and kernel.per_run_bytes == 4 * 8
     assert coo.values.size * kernel.per_step_bytes <= _WINDOW_BYTES
-    assert kernel.windows == [slice(0, coo.values.size)]
+    # Run-windowed: runs of different lengths never share a window.
+    assert kernel.windows == [] and kernel.window_steps is None
+    assert executed_windows(kernel, tensors)[0] == len(run_lengths(coo.coords[0]))
+
+    ell = ELL.from_dense(medium_sparse_matrix)
+    tensors = _spmm_tensors(ell, rng, 64, 96, width=4)
+    kernel = SpecializedKernel.build(plan_insum("C[m,n] += AV[m,q] * B[AK[m,q],n]", tensors))
+    assert 64 * kernel.per_step_bytes <= _WINDOW_BYTES
+    assert kernel.windows == [slice(0, 64)] and kernel.run_variable is None
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -237,16 +288,23 @@ def test_results_hold_across_window_schedules(format_cls, expression, medium_spa
     extent = plan.info.extents[plan.output_subscripts[0]]
 
     whole = SpecializedKernel.build(plan)
-    assert len(whole.windows) == 1
-    np.testing.assert_allclose(whole.run(tensors), expected, atol=1e-9)
+    windows, result = executed_windows(whole, tensors)
+    np.testing.assert_allclose(result, expected, atol=1e-9)
+    if whole.run_variable is None:  # two halves, and one step per window
+        assert windows == len(whole.windows) == 1
+        landmarks = {2, extent}
+    else:  # one window per run length, and one run (one non-empty row) per window
+        lengths = run_lengths(tensors[plan.scatter_index])
+        assert windows == len(lengths)
+        landmarks = {len(lengths), sum(lengths.values())}
 
     window_counts = set()
-    for window_steps in (1, 16, 128, -(-extent // 2)):
+    for window_steps in (1, 2, 16, 128, -(-extent // 2)):
         kernel = SpecializedKernel.build(plan, window_steps=window_steps)
-        window_counts.add(len(kernel.windows))
-        np.testing.assert_allclose(kernel.run(tensors), expected, atol=1e-9)
-    # Two halves, and one step per window.
-    assert {2, extent} <= window_counts and len(window_counts) >= 3
+        windows, result = executed_windows(kernel, tensors)
+        window_counts.add(windows)
+        np.testing.assert_allclose(result, expected, atol=1e-9)
+    assert landmarks <= window_counts and len(window_counts) >= 3
 
 
 # ---------------------------------------------------------------------------

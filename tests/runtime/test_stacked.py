@@ -155,6 +155,31 @@ def test_stacked_float_values_match_to_tolerance(rng):
     np.testing.assert_allclose(batched, dense @ b, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("factory,kwargs", [(COO, {}), (GroupCOO, {"group_size": 4})])
+def test_stacked_float_spmm_equals_per_item_up_to_reassociation(rng, factory, kwargs, dtype):
+    """The numerics contract on float normals (``engine/specialize.py``).
+
+    A row's duplicates are summed inside the dot.  A stack of ``s`` items
+    runs ``s x K @ K x n`` per run of equal targets where one request runs
+    ``1 x K``, and BLAS orders the two sums differently: float64 results
+    differ in their last bits on this host's OpenBLAS (float32 happened to
+    agree), so the contract is agreement to a few ulp of the terms summed —
+    bit equality holds on integer-valued data only (the tests above).
+    """
+    mask = rng.random((32, 40)) < 0.3
+    dense = np.where(mask[None], rng.standard_normal((5, 32, 40)), 0.0).astype(dtype)
+    b = rng.standard_normal((40, 16)).astype(dtype)
+    stacked = StackedSparse.from_dense(dense, factory, **kwargs)
+    batched = sparse_einsum("C[s,m,n] += A[s,m,k] * B[k,n]", A=stacked, B=b)
+    reference = np.stack(
+        [sparse_einsum("C[m,n] += A[m,k] * B[k,n]", A=item, B=b) for item in stacked.items()]
+    )
+    assert batched.dtype == reference.dtype == dtype
+    terms = np.abs(dense).astype(np.float64) @ np.abs(b).astype(np.float64)
+    assert (np.abs(batched - reference) <= 8 * np.finfo(dtype).eps * terms).all()
+
+
 def test_stack_index_collision_raises(rng):
     dense = integer_stack(rng, 2, 8, 8)
     stacked = StackedSparse.from_dense(dense, COO)

@@ -79,11 +79,23 @@ def _rank_names(dense, n_cols=64):
 
 
 def test_scatter_free_ell_beats_coo_on_uniform_rows():
-    dense = random_sparse_matrix((256, 256), 0.05, rng=0)
-    ranked = _rank_names(dense)
-    names = [c.format_name for c in ranked]
+    """Rows of exactly equal length: ELL pads nothing, so under any calibration
+    it saves COO's store of every row and its second index per nonzero."""
+    rng = np.random.default_rng(0)
+    dense = np.zeros((256, 256))
+    for row in range(256):
+        dense[row, rng.choice(256, size=12, replace=False)] = 1.0
+    names = [c.format_name for c in _rank_names(dense)]
     assert names.index("ELL") < names.index("COO")
-    assert names[-1] == "COO"  # per-nonzero scatters make COO the priciest
+    # The dot sums a row's duplicates, so COO no longer pays a scatter per
+    # nonzero: it prices as GroupCOO(g=1), dearer only than groupings that pad.
+    profile, model = profile_operand(dense), CostModel()
+    coo = model.explain(profile, Candidate("COO"), n_cols=64)
+    for g in (1, 4):
+        grouped = model.explain(profile, Candidate("GroupCOO", group_size=g), n_cols=64)
+        assert grouped["scatter_elements"] == coo["scatter_elements"] == 256 * 64
+        assert grouped["run_lengths"] == coo["run_lengths"] == 1
+        assert grouped["modeled_ms"] <= coo["modeled_ms"]
 
 
 def test_block_format_wins_on_block_structure():
@@ -106,6 +118,14 @@ def test_grouping_beats_plain_coo_on_powerlaw_rows():
         dense[row, rng.choice(256, size=occ, replace=False)] = 1.0
     ranked = _rank_names(dense)
     assert ranked[0].format_name == "GroupCOO"
+    # What grouping buys now that no format scatters per group: rows with
+    # equally many groups share a window, and ``ceil(occ/g)`` takes far fewer
+    # distinct values than ``occ``.
+    profile, model = profile_operand(dense), CostModel()
+    coo = model.explain(profile, Candidate("COO"), n_cols=64)
+    grouped = model.explain(profile, ranked[0], n_cols=64)
+    assert coo["run_lengths"] == np.unique(occupancy).size > grouped["run_lengths"]
+    assert grouped["scatter_elements"] == coo["scatter_elements"]
 
 
 def test_estimate_scales_with_n_cols():
@@ -118,11 +138,27 @@ def test_estimate_scales_with_n_cols():
 def test_explain_census_terms():
     profile = profile_operand(random_sparse_matrix((64, 64), 0.1, rng=5))
     terms = CostModel().explain(profile, Candidate("COO"), n_cols=8)
-    nnz = profile.nnz
-    assert terms["scatter_elements"] == nnz * 8
+    nnz, occupancy = profile.nnz, profile.occupancy
+    assert terms["gather_elements"] == nnz * 8 + 2 * nnz
+    assert terms["scatter_elements"] == np.count_nonzero(occupancy) * 8  # one store a row
     assert terms["scalar_macs"] == 2 * nnz * 8
     assert terms["block_macs"] == 0
+    assert terms["run_lengths"] == np.unique(occupancy[occupancy > 0]).size
     assert terms["modeled_ms"] > 0
+
+
+def test_block_formats_store_each_nonempty_block_row_once():
+    dense = random_block_sparse_matrix(128, (16, 16), 0.2, rng=7)
+    profile = profile_operand(dense)
+    stats = profile.blocks[(16, 16)]
+    model = CostModel()
+    for candidate in (
+        Candidate("BlockCOO", block_shape=(16, 16)),
+        Candidate("BlockGroupCOO", group_size=2, block_shape=(16, 16)),
+    ):
+        terms = model.explain(profile, candidate, n_cols=8)
+        assert terms["scatter_elements"] == stats.nonempty_rows * 16 * 8
+        assert 1 <= terms["run_lengths"] <= stats.nonempty_rows
 
 
 def test_unknown_candidate_raises():
