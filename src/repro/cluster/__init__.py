@@ -7,8 +7,8 @@ single interpreter (the ROADMAP's "production-scale" direction):
   multi-process tier (``submit(request)`` / ``try_cancel(request)``).
 * :mod:`repro.cluster.shm` — :class:`ShmRing`, the single-producer
   single-consumer shared-memory byte ring moving dense payloads.
-* :mod:`repro.cluster.codec` — operand/result descriptors, the
-  once-per-fingerprint pattern broadcast, and the stable-array cache.
+* :mod:`repro.cluster.codec` — the one operand codec: descriptors, the
+  sender/receiver cache mirror every transport shares, the ring framing.
 * :mod:`repro.cluster.router` — sticky expression+pattern affinity
   routing, so worker-side coalescing still sees whole groups.
 * :mod:`repro.cluster.admission` — bounded in-flight admission control

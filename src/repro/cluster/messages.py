@@ -1,15 +1,13 @@
 """Envelope types crossing the cluster's control queues.
 
-Bulk payloads (dense operands, result arrays) travel through the
-shared-memory rings (:mod:`repro.cluster.shm`); the queues carry only
-these small picklable envelopes plus broadcast/control tuples.  Each
-envelope references ring payloads by ``(offset, nbytes)`` descriptors
-produced by :mod:`repro.cluster.codec`.
+Bulk payloads (dense operands, the arrays of sparse operands, result
+arrays) travel through the shared-memory rings
+(:mod:`repro.cluster.shm`); the queues carry only these small picklable
+envelopes plus control tuples.  Each envelope references ring payloads
+by the descriptors of :mod:`repro.cluster.codec`.
 
 Control messages are plain tuples, dispatched on their first element:
 
-* ``("pattern", key, payload)`` — parent -> worker: cache a pickled
-  sparse-format instance under ``key`` before any request references it.
 * ``("stats", serial)`` — parent -> worker: reply with the worker's
   :class:`~repro.runtime.stats.RuntimeStats`.
 * ``("stats_reply", worker_id, incarnation, serial, stats)`` — the reply.
@@ -41,7 +39,7 @@ class RequestEnvelope:
 
     request_id: int
     expression: str
-    operands: dict[str, tuple] = field(default_factory=dict)
+    operands: dict[str, list] = field(default_factory=dict)
     release_to: int = 0
     attempt: int = 0
     trace_id: str | None = None
@@ -63,7 +61,7 @@ class ResponseEnvelope:
     request_id: int
     worker_id: int
     incarnation: int
-    result: tuple | None = None
+    result: list | None = None
     error: Any = None
     release_to: int = 0
     trace: dict | None = None

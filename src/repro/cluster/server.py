@@ -12,9 +12,9 @@ same-plan coalescing intact):
 
 * **Transport** — dense operands and results cross as raw bytes through
   per-worker :class:`~repro.cluster.shm.ShmRing` shared-memory rings;
-  sparse patterns broadcast once per fingerprint and are cached
-  worker-side; repeated metadata arrays are cached by identity token
-  (:mod:`repro.cluster.codec`).
+  a sparse operand ships once, as its named arrays, and is cached
+  worker-side as one live instance; repeated metadata arrays are cached
+  by identity token (:mod:`repro.cluster.codec`).
 * **Routing** — requests are assigned by expression + pattern
   fingerprint (:mod:`repro.cluster.router`), sticky per key, so the
   inner servers' coalescers still see whole groups.
@@ -669,7 +669,7 @@ class ClusterServer:
             return self._stopping.is_set() or handle.retired or not handle.alive()
 
         try:
-            envelope, controls = handle.encoder.encode_request(
+            envelope = handle.encoder.encode_request(
                 request.request_id,
                 request.expression,
                 request.operands,
@@ -702,8 +702,6 @@ class ClusterServer:
             handle.outstanding[request.request_id] = request
             self._loads[worker_id] += 1
         try:
-            for control in controls:
-                handle.request_q.put(control)
             handle.request_q.put(envelope)
         except (OSError, ValueError):
             # The queue died under us (worker torn down mid-dispatch).

@@ -100,7 +100,7 @@ def _serve_batch(
             # the cache side-effects the parent mirrors from the
             # descriptor stream and releases the envelope's ring space.
             # Only *execution* is skipped for expired work.
-            operands = decoder.decode(envelope)
+            operands = decoder.decode_request(envelope)
             deadline = Deadline.from_epoch(envelope.deadline)
             if deadline is not None and deadline.expired():
                 response_q.put(
@@ -205,9 +205,7 @@ def worker_main(
             while True:
                 if isinstance(message, tuple):
                     kind = message[0]
-                    if kind == "pattern":
-                        decoder.store_pattern(message[1], message[2])
-                    elif kind == "stats":
+                    if kind == "stats":
                         response_q.put(
                             ("stats_reply", worker_id, incarnation, message[1], server.stats())
                         )

@@ -302,15 +302,9 @@ def _forced_format_operand(format_spec: Any, operand: Any) -> SparseFormat:
     shape that divides the matrix).  The variable-length CSR/BCSR are
     rejected here — they cannot execute as indirect Einsums (Section 4).
     """
-    from repro.formats import BlockCOO, BlockGroupCOO, COO, ELL, GroupCOO
+    from repro.formats import FORMATS, BlockCOO, BlockGroupCOO
 
-    by_name = {
-        "coo": COO,
-        "ell": ELL,
-        "groupcoo": GroupCOO,
-        "blockcoo": BlockCOO,
-        "blockgroupcoo": BlockGroupCOO,
-    }
+    by_name = {name: cls for name, cls in FORMATS.items() if cls.fixed_length}
     if isinstance(format_spec, str):
         format_cls = by_name.get(format_spec.lower())
         if format_cls is None:

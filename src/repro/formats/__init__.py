@@ -23,7 +23,16 @@ from repro.formats.group_size import (
 )
 from repro.formats.blocking import dense_to_blocks, nonzero_blocks
 
+#: Every format class by its lower-case name — the one table that the
+#: operand codec, ``sparse_einsum(format=...)`` and the replay traces
+#: resolve a format name with.
+FORMATS: dict[str, type[SparseFormat]] = {
+    cls.__name__.lower(): cls
+    for cls in (COO, CSR, ELL, BCSR, BlockCOO, GroupCOO, BlockGroupCOO)
+}
+
 __all__ = [
+    "FORMATS",
     "SparseFormat",
     "COO",
     "CSR",

@@ -37,7 +37,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from repro.errors import GatewayError, ReproError, SessionClosedError
+from repro.errors import GatewayError, ReproError, SessionClosedError, WireFormatError
 from repro.gateway.wire import (
     API_KEY_HEADER,
     DEADLINE_HEADER,
@@ -327,13 +327,19 @@ class GatewayClient:
         last_error: BaseException | None = None
         for fresh in (False, True):
             conn, encoder = self._connection(reset=fresh)
-            if len(requests) == 1 and path == "/v1/submit":
-                expression, operands = requests[0]
-                content_type, body = encoder.encode_request(
-                    expression, operands, binary=self.binary
-                )
-            else:
-                content_type, body = encoder.encode_batch(requests, binary=self.binary)
+            try:
+                if len(requests) == 1 and path == "/v1/submit":
+                    expression, operands = requests[0]
+                    content_type, body = encoder.encode_request(
+                        expression, operands, binary=self.binary
+                    )
+                else:
+                    content_type, body = encoder.encode_batch(requests, binary=self.binary)
+            except WireFormatError:
+                # An operand outside the domain: the encoder's mirror has
+                # advanced for a body that is never sent, so start over.
+                self._drop_connection()
+                raise
             headers = {"Content-Type": content_type}
             key = self._tenant_keys.get(tenant or "", self._api_key)
             if key is not None:

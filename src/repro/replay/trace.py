@@ -40,6 +40,7 @@ so replay harnesses on a different machine call
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -47,7 +48,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.formats import BCSR, COO, CSR, ELL, BlockCOO, GroupCOO
+from repro.formats import FORMATS
 from repro.formats.base import SparseFormat
 from repro.utils.rng import rng
 
@@ -444,22 +445,15 @@ _PATTERNS: dict[str, Callable] = {
 
 def _build_format(dense: np.ndarray, spec: Mapping[str, Any]) -> SparseFormat:
     name = str(spec.get("format", "coo")).lower()
-    if name == "coo":
-        return COO.from_dense(dense)
-    if name == "csr":
-        return CSR.from_dense(dense)
-    if name == "ell":
-        return ELL.from_dense(dense)
-    if name == "groupcoo":
-        group_size = spec.get("group_size")
-        return GroupCOO.from_dense(dense, group_size=group_size)
-    if name == "blockcoo":
-        block_shape = tuple(spec.get("block_shape", (8, 8)))
-        return BlockCOO.from_dense(dense, block_shape=block_shape)
-    if name == "bcsr":
-        block_shape = tuple(spec.get("block_shape", (8, 8)))
-        return BCSR.from_dense(dense, block_shape=block_shape)
-    raise TraceFormatError(f"unknown sparse format {name!r} in operand spec")
+    if name not in FORMATS:
+        raise TraceFormatError(f"unknown sparse format {name!r} in operand spec")
+    from_dense = FORMATS[name].from_dense
+    options = {
+        "block_shape": tuple(spec.get("block_shape", (8, 8))),
+        "group_size": spec.get("group_size"),
+    }
+    accepted = inspect.signature(from_dense).parameters
+    return from_dense(dense, **{key: value for key, value in options.items() if key in accepted})
 
 
 # ---------------------------------------------------------------------------

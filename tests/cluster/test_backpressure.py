@@ -8,6 +8,7 @@ import pytest
 from repro import ClusterBusyError, ClusterServer
 from repro.cluster.admission import AdmissionController
 from repro.formats import COO
+from repro.serve import ServeConfig, Session
 from repro.utils.rng import rng
 
 
@@ -76,3 +77,31 @@ def test_admission_controller_unit():
         AdmissionController(max_inflight=0)
     with pytest.raises(ValueError):
         AdmissionController(policy="drop")
+
+
+def test_block_policy_rejects_once_block_timeout_runs_out():
+    """Blocking is bounded: at capacity for ``block_timeout``, acquire gives up."""
+    gate = AdmissionController(max_inflight=1, policy="block", block_timeout=0.02)
+    gate.acquire()
+    with pytest.raises(ClusterBusyError) as excinfo:
+        gate.acquire()  # waits out the 20 ms, then rejects
+    assert (excinfo.value.inflight, excinfo.value.limit) == (1, 1)
+    assert (gate.rejected, gate.inflight) == (1, 1)
+    gate.release()
+    gate.acquire()  # capacity freed: admitted without waiting it out
+
+
+def test_serve_config_block_timeout_reaches_the_gate():
+    """``ServeConfig(block_timeout=...)`` is the cluster gate's bound, end to end."""
+    config = ServeConfig(workers=1, worker_threads=1, max_inflight=1, block_timeout=0.02)
+    with Session("cluster", config=config) as session:
+        gate = session._backend.admission
+        assert (gate.policy, gate.block_timeout) == ("block", 0.02)
+        gate.acquire()  # hold the only slot: the next submit can only time out
+        try:
+            with pytest.raises(ClusterBusyError):
+                session.submit(
+                    "y[m] += A[m,k] * x[k]", y=np.zeros(2), A=np.eye(2), x=np.ones(2)
+                ).result(timeout=60)
+        finally:
+            gate.release()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import codec
 from repro.cluster.codec import OperandDecoder, OperandEncoder, decode_result, encode_result
 from repro.cluster.router import Router, affinity_key
 from repro.cluster.shm import HEADER_BYTES, ShmRing, segment_exists
@@ -95,90 +94,52 @@ class TestShmRing:
 
 
 class TestCodec:
+    """What only the ring framing does; the cache mirror it shares with the
+    gateway wire is asserted once, in ``tests/gateway/test_operand_codec.py``."""
+
     def _pair(self, ring):
         return OperandEncoder(ring), OperandDecoder(ring)
 
     def test_dense_arrays_ride_the_ring(self, ring):
         encoder, decoder = self._pair(ring)
         dense = np.random.default_rng(0).standard_normal((32, 8))
-        envelope, controls = encoder.encode_request(1, "expr", {"B": dense}, 0)
-        assert controls == []
-        assert envelope.operands["B"][0] == "ring"
-        operands = decoder.decode(envelope)
+        envelope = encoder.encode_request(1, "expr", {"B": dense}, 0)
+        assert envelope.operands["B"][0] == "blob"
+        assert envelope.release_to == dense.nbytes
+        operands = decoder.decode_request(envelope)
         np.testing.assert_array_equal(operands["B"], dense)
         assert ring.free_bytes == ring.capacity  # decode released the space
 
-    def test_repeated_array_cached_worker_side(self, ring):
-        encoder, decoder = self._pair(ring)
-        stable = np.arange(512, dtype=np.int64)
-        kinds = []
-        for request_id in range(3):
-            envelope, _ = encoder.encode_request(request_id, "expr", {"I": stable}, 0)
-            kinds.append(envelope.operands["I"][0])
-            out = decoder.decode(envelope)["I"]
-            np.testing.assert_array_equal(out, stable)
-        # 1st sighting ships plain, 2nd ships + stores, 3rd is a pure ref.
-        assert kinds == ["ring", "ring_store", "cached"]
-
-    def test_pattern_broadcast_once_per_fingerprint(self, ring):
+    def test_sparse_operand_rides_the_ring_as_its_arrays(self, ring):
         encoder, decoder = self._pair(ring)
         rng = np.random.default_rng(1)
         dense = np.where(rng.random((16, 24)) < 0.2, rng.standard_normal((16, 24)), 0.0)
         fmt = COO.from_dense(dense)
-        broadcasts = 0
-        for request_id in range(3):
-            envelope, controls = encoder.encode_request(request_id, "expr", {"A": fmt}, 0)
-            for control in controls:
-                assert control[0] == "pattern"
-                decoder.store_pattern(control[1], control[2])
-                broadcasts += 1
-            decoded = decoder.decode(envelope)["A"]
-            np.testing.assert_allclose(decoded.to_dense(), dense)
-        assert broadcasts == 1
-        # All three requests decode to the *same* worker-side instance —
-        # the identity the inner server's coalescer keys on.
-        envelope, _ = encoder.encode_request(3, "expr", {"A": fmt}, 0)
-        first = decoder.decode(envelope)["A"]
-        envelope, _ = encoder.encode_request(4, "expr", {"A": fmt}, 0)
-        assert decoder.decode(envelope)["A"] is first
+        envelope = encoder.encode_request(0, "expr", {"A": fmt}, 0)
+        kind, _, record = envelope.operands["A"]
+        assert kind == "pattern_store"
+        assert record["values"][0] == "blob" and record["coords"][0][0] == "blob"
+        assert envelope.release_to == sum(a.nbytes for a in fmt.tensors("A").values())
+        np.testing.assert_allclose(decoder.decode_request(envelope)["A"].to_dense(), dense)
+        assert ring.free_bytes == ring.capacity
+        # Cached worker-side: the next request moves no bytes at all.
+        assert encoder.encode_request(1, "expr", {"A": fmt}, 0).release_to == 0
 
     def test_small_and_odd_operands_inline(self, ring):
         encoder, decoder = self._pair(ring)
-        envelope, _ = encoder.encode_request(
-            1, "expr", {"tiny": np.arange(3), "flag": True}, 0
-        )
+        envelope = encoder.encode_request(1, "expr", {"tiny": np.arange(3), "flag": True}, 0)
         assert envelope.operands["tiny"][0] == "inline"
         assert envelope.operands["flag"][0] == "inline"
-        operands = decoder.decode(envelope)
+        operands = decoder.decode_request(envelope)
         np.testing.assert_array_equal(operands["tiny"], np.arange(3))
         assert operands["flag"] is True
-
-    def test_bad_operand_does_not_desync_cache_mirror(self, ring):
-        # Regression: a failing operand must not skip the cache effects
-        # of the OTHER descriptors in its envelope — the parent's mirror
-        # assumes every ring_store it emitted was applied.
-        encoder, decoder = self._pair(ring)
-        stable = np.arange(256, dtype=np.int64)
-        envelope, _ = encoder.encode_request(0, "expr", {"I": stable}, 0)
-        decoder.decode(envelope)  # 1st sighting: plain ring
-        envelope, _ = encoder.encode_request(
-            1, "expr", {"bad": lambda: None, "I": stable}, 0
-        )
-        assert envelope.operands["bad"][0] == "bad"
-        assert envelope.operands["I"][0] == "ring_store"
-        with pytest.raises(TypeError):
-            decoder.decode(envelope)  # fails, but must still store I
-        envelope, _ = encoder.encode_request(2, "expr", {"I": stable}, 0)
-        assert envelope.operands["I"][0] == "cached"
-        out = decoder.decode(envelope)["I"]
-        np.testing.assert_array_equal(out, stable)
 
     def test_oversized_array_falls_back_to_inline(self, ring):
         encoder, decoder = self._pair(ring)
         big = np.zeros(ring.max_payload // 8 + 8, dtype=np.float64)
-        envelope, _ = encoder.encode_request(0, "expr", {"B": big}, 0)
+        envelope = encoder.encode_request(0, "expr", {"B": big}, 0)
         assert envelope.operands["B"][0] == "inline"
-        np.testing.assert_array_equal(decoder.decode(envelope)["B"], big)
+        np.testing.assert_array_equal(decoder.decode_request(envelope)["B"], big)
 
     def test_request_ring_footprint_is_budgeted(self, ring):
         # Regression (deadlock): every ring payload of one request stays
@@ -190,13 +151,31 @@ class TestCodec:
         rng = np.random.default_rng(4)
         chunk = ring.max_payload // 8 - 64  # each fits; two don't
         operands = {name: rng.standard_normal(chunk) for name in "ABC"}
-        envelope, _ = encoder.encode_request(0, "expr", operands, 0)
+        envelope = encoder.encode_request(0, "expr", operands, 0)
         kinds = [envelope.operands[name][0] for name in "ABC"]
-        assert kinds == ["ring", "inline", "inline"]
-        decoded = decoder.decode(envelope)
+        assert kinds == ["blob", "inline", "inline"]
+        decoded = decoder.decode_request(envelope)
         for name, value in operands.items():
             np.testing.assert_array_equal(decoded[name], value)
         assert ring.free_bytes == ring.capacity
+
+    def test_sparse_operand_over_budget_still_crosses_once(self, ring):
+        # The arrays of one sparse operand share the request's budget like
+        # any others: what does not fit rides inline, and the operand is
+        # cached whole either way.
+        encoder, decoder = self._pair(ring)
+        count = ring.max_payload // 8 - 64  # values fit; the coordinates no longer do
+        fmt = COO((count, 4), np.ones(count), (np.arange(count), np.zeros(count, dtype=np.int64)))
+        envelope = encoder.encode_request(0, "expr", {"A": fmt}, 0)
+        record = envelope.operands["A"][2]
+        assert record["values"][0] == "blob"
+        assert [coord[0] for coord in record["coords"]] == ["inline", "inline"]
+        decoded = decoder.decode_request(envelope)["A"]
+        np.testing.assert_array_equal(decoded.coords[0], fmt.coords[0])
+        assert ring.free_bytes == ring.capacity
+        envelope = encoder.encode_request(1, "expr", {"A": fmt}, 0)
+        assert envelope.operands["A"][0] == "pattern"
+        assert decoder.decode_request(envelope)["A"] is decoded
 
     def test_budget_does_not_starve_repeated_metadata(self, ring):
         # Regression: a large fresh operand encoded first must not eat
@@ -209,71 +188,19 @@ class TestCodec:
         kinds = []
         for request_id in range(3):
             fresh = rng.standard_normal(ring.max_payload // 8 - 64)
-            envelope, _ = encoder.encode_request(
-                request_id, "expr", {"V": fresh, "I": metadata}, 0
-            )
+            envelope = encoder.encode_request(request_id, "expr", {"V": fresh, "I": metadata}, 0)
             kinds.append(envelope.operands["I"][0])
-            decoded = decoder.decode(envelope)
+            decoded = decoder.decode_request(envelope)
             np.testing.assert_array_equal(decoded["I"], metadata)
             np.testing.assert_array_equal(decoded["V"], fresh)
         # 1st sighting loses the budget race (inline) but is recorded;
         # the 2nd ships + stores; the 3rd is a pure cache reference.
-        assert kinds == ["inline", "ring_store", "cached"]
-
-    def test_mutated_cached_array_reships(self, ring):
-        # Regression (stale cache): refilling the same buffer with new
-        # values per request is a common serving pattern; an identity-only
-        # cache would keep answering with the first shipment's bytes.
-        encoder, decoder = self._pair(ring)
-        buffer = np.arange(512, dtype=np.int64)
-        for request_id in range(3):  # promote to the cached tier
-            envelope, _ = encoder.encode_request(request_id, "expr", {"I": buffer}, 0)
-            decoder.decode(envelope)
-        assert envelope.operands["I"][0] == "cached"
-        buffer += 1000  # in-place mutation between requests
-        envelope, _ = encoder.encode_request(3, "expr", {"I": buffer}, 0)
-        assert envelope.operands["I"][0] == "ring_store"  # re-ships + refreshes
-        np.testing.assert_array_equal(decoder.decode(envelope)["I"], buffer)
-        envelope, _ = encoder.encode_request(4, "expr", {"I": buffer}, 0)
-        assert envelope.operands["I"][0] == "cached"  # cached again, new bytes
-        np.testing.assert_array_equal(decoder.decode(envelope)["I"], buffer)
-
-    def test_mirror_stays_coherent_through_eviction(self, ring, monkeypatch):
-        """More stable arrays and patterns than fit, revisited after their
-        eviction: every request decodes to what was sent, and the parent's
-        mirror holds the worker's entries in the same LRU order throughout."""
-        monkeypatch.setattr(codec, "ARRAY_CACHE_SIZE", 2)
-        monkeypatch.setattr(codec, "PATTERN_CACHE_SIZE", 2)
-        encoder, decoder = self._pair(ring)
-        rng = np.random.default_rng(11)
-        arrays = [rng.standard_normal((8, 8)) for _ in range(5)]  # 512 bytes each
-        patterns = [COO.from_dense(np.diag(np.arange(1.0, 5.0)) * (k + 1)) for k in range(5)]
-        array_kinds, broadcasts = [], []
-        picks = zip(rng.integers(0, 5, size=120), rng.integers(0, 5, size=120))
-        for request_id, (pick_a, pick_p) in enumerate(picks):
-            operands = {"A": patterns[pick_p], "B": arrays[pick_a]}
-            envelope, controls = encoder.encode_request(request_id, "expr", operands, 0)
-            for _, key, payload in controls:
-                decoder.store_pattern(key, payload)
-                broadcasts.append(pick_p)
-            array_kinds.append((envelope.operands["B"][0], pick_a))
-            decoded = decoder.decode(envelope)
-            np.testing.assert_array_equal(decoded["B"], arrays[pick_a])
-            np.testing.assert_array_equal(decoded["A"].to_dense(), patterns[pick_p].to_dense())
-            assert list(encoder._cached_tokens) == list(decoder._arrays)
-            assert list(encoder._patterns_sent) == list(decoder._patterns)
-            assert len(decoder._arrays) <= 2 and len(decoder._patterns) <= 2
-        # The run must have crossed both paths: cache hits, and entries
-        # stored again after the LRU dropped them.
-        stores = [pick for kind, pick in array_kinds if kind == "ring_store"]
-        assert len(stores) > len(set(stores))
-        assert any(kind == "cached" for kind, _ in array_kinds)
-        assert len(set(broadcasts)) < len(broadcasts) < 120
+        assert kinds == ["inline", "blob_store", "cached"]
 
     def test_result_roundtrip(self, ring):
         out = np.random.default_rng(2).standard_normal((16, 4))
         descriptor, release_to = encode_result(ring, out)
-        assert descriptor[0] == "ring"
+        assert descriptor[0] == "blob"
         np.testing.assert_array_equal(decode_result(ring, descriptor), out)
         ring.release(release_to)
 

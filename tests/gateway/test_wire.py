@@ -1,4 +1,8 @@
-"""The wire codec: framing, operand specs, cache mirror, error contract."""
+"""The gateway wire: framing, JSON specs, malformed input, results, error contract.
+
+The cache mirror and operand fidelity, which the wire shares with the
+ring, are asserted in ``test_operand_codec.py``.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +11,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.cluster import codec
 from repro.errors import (
     ClusterBusyError,
     ControlThreadError,
     DeadlineExceededError,
+    FormatError,
     FutureCancelledError,
     GatewayAuthError,
     GatewayError,
@@ -21,7 +25,7 @@ from repro.errors import (
     WireFormatError,
     WorkerCrashedError,
 )
-from repro.formats import BCSR, BlockCOO, BlockGroupCOO, COO, CSR, ELL, GroupCOO
+from repro.formats import COO
 from repro.gateway.wire import (
     BINARY_CONTENT_TYPE,
     JSON_CONTENT_TYPE,
@@ -76,19 +80,6 @@ class TestFraming:
 # ---------------------------------------------------------------------------
 # Operand round trips (both encodings, all formats)
 # ---------------------------------------------------------------------------
-SPARSE_BUILDERS = {
-    "coo": lambda dense: COO.from_dense(dense),
-    "csr": lambda dense: CSR.from_dense(dense),
-    "ell": lambda dense: ELL.from_dense(dense),
-    "groupcoo": lambda dense: GroupCOO.from_dense(dense, group_size=4),
-    "blockcoo": lambda dense: BlockCOO.from_dense(dense, block_shape=(8, 8)),
-    "bcsr": lambda dense: BCSR.from_dense(dense, block_shape=(8, 8)),
-    "blockgroupcoo": lambda dense: BlockGroupCOO.from_dense(
-        dense, block_shape=(8, 8), group_size=2
-    ),
-}
-
-
 def _round_trip(operands, binary):
     content_type, body = WireEncoder().encode_request("C[m,n] += A[m,k] * B[k,n]",
                                                       operands, binary=binary)
@@ -100,16 +91,6 @@ def _round_trip(operands, binary):
 
 
 @pytest.mark.parametrize("binary", [True, False], ids=["binary", "json"])
-@pytest.mark.parametrize("name", sorted(SPARSE_BUILDERS))
-def test_sparse_operand_round_trip(name, binary, block_sparse_matrix):
-    fmt = SPARSE_BUILDERS[name](block_sparse_matrix)
-    decoded = _round_trip({"A": fmt, "B": np.ones((64, 3))}, binary)
-    assert type(decoded["A"]) is type(fmt)
-    np.testing.assert_array_equal(decoded["A"].to_dense(), fmt.to_dense())
-    np.testing.assert_array_equal(decoded["B"], np.ones((64, 3)))
-
-
-@pytest.mark.parametrize("binary", [True, False], ids=["binary", "json"])
 def test_scalar_and_dense_round_trip(binary, dense_pair):
     a, b = dense_pair
     decoded = _round_trip({"A": a, "B": b, "alpha": 2.5, "name": "x", "flag": True}, binary)
@@ -118,16 +99,6 @@ def test_scalar_and_dense_round_trip(binary, dense_pair):
     assert decoded["alpha"] == 2.5
     assert decoded["name"] == "x"
     assert decoded["flag"] is True
-
-
-def test_object_dtype_rejected():
-    with pytest.raises(WireFormatError):
-        WireEncoder().encode_request("e", {"A": np.array([object()])}, binary=False)
-
-
-def test_unsupported_operand_type_rejected():
-    with pytest.raises(WireFormatError):
-        WireEncoder().encode_request("e", {"A": {"not": "wire-safe"}}, binary=True)
 
 
 def test_unknown_content_type_rejected():
@@ -147,107 +118,134 @@ def test_batch_round_trip(dense_pair):
     np.testing.assert_array_equal(requests[1][1]["B"], b)
 
 
+def test_batch_entry_failure_still_applies_later_entries():
+    # A batch whose FIRST entry is malformed while the second stores a
+    # pattern: every entry is decoded before the failure is re-raised, or
+    # the connection's mirror drifts.
+    encoder, decoder = WireEncoder(), WireDecoder()
+    fmt = COO.from_dense(np.eye(4))
+    header, payload = unpack_frame(encoder.encode_batch([("e", {"A": fmt})])[1])
+    body = pack_frame({"requests": [{"operands": {}}, *header["requests"]]}, payload)
+    with pytest.raises(WireFormatError, match="expression"):
+        decoder.decode_request(BINARY_CONTENT_TYPE, body)
+    # The pattern is now resident: a bare reference must resolve.
+    content_type, body = encoder.encode_request("e", {"A": fmt}, binary=True)
+    assert unpack_frame(body)[0]["operands"]["A"][0] == "pattern"
+    decoded = decoder.decode_request(content_type, body)
+    np.testing.assert_array_equal(decoded[0][1]["A"].to_dense(), np.eye(4))
+
+
 # ---------------------------------------------------------------------------
-# The per-connection cache mirror
+# Malformed descriptors and specs: always WireFormatError (HTTP 400)
 # ---------------------------------------------------------------------------
-class TestCacheMirror:
-    def test_stable_array_cached_from_third_send(self, dense_pair):
-        a, _ = dense_pair
-        encoder, decoder = WireEncoder(), WireDecoder()
-        sizes = []
-        for _ in range(3):
-            content_type, body = encoder.encode_request("e", {"A": a}, binary=True)
-            decoded = decoder.decode_request(content_type, body)
-            np.testing.assert_array_equal(decoded[0][1]["A"], a)
-            sizes.append(len(body))
-        # Send 1 ships the blob, send 2 ships blob_store, send 3 hits the cache.
-        header, _ = unpack_frame(body)
-        assert header["operands"]["A"][0] == "cached"
-        assert sizes[2] < sizes[0]
+_BLOB = ["blob", 0, 256, "<f8", [32]]
+_DENSE = {"kind": "dense", "dtype": "<f8", "shape": [2], "data": [1.0, 2.0]}
+_COO = {"format": "coo", "shape": [4, 4], "values": _BLOB, "coords": [_BLOB, _BLOB]}
+MALFORMED_DESCRIPTORS = {
+    # The seven that answered 500 before the codec checked before use.
+    "offset-not-int": ["blob", "0", 256, "<f8", [32]],
+    "blob-too-short": ["blob", 0],
+    "pattern-store-too-short": ["pattern_store", "k"],
+    "record-not-object": ["pattern_store", 1, ["coo"]],
+    "inline-without-payload": ["inline"],
+    "unhashable-token": ["blob_store", 0, 256, "<f8", [32], [1]],
+    "dtype-syntax-error": ["blob", 0, 256, "{'names':", [32]],
+    # And their neighbours.
+    "not-a-list": {"kind": "blob"},
+    "empty": [],
+    "kind-not-str": [["blob"], 0, 256, "<f8", [32]],
+    "unknown-kind": ["json", {"kind": "scalar", "value": 1}],
+    "negative-offset": ["blob", -8, 256, "<f8", [32]],
+    "bool-offset": ["blob", False, 256, "<f8", [32]],
+    "outside-payload": ["blob", 128, 256, "<f8", [32]],
+    "shape-not-list": ["blob", 0, 256, "<f8", 32],
+    "shape-mismatch": ["blob", 0, 256, "<f8", [31]],
+    "negative-dim": ["blob", 0, 256, "<f8", [-32, -1]],
+    "object-dtype": ["blob", 0, 256, "|O", [32]],
+    "string-dtype": ["blob", 0, 256, "<U8", [8]],
+    "structured-dtype": ["blob", 0, 256, "i4, f4", [32]],
+    "dtype-not-str": ["blob", 0, 256, 8, [32]],
+    "float-token": ["blob_store", 0, 256, "<f8", [32], 1.5],
+    "unhashable-reference": ["cached", {"a": 1}],
+    "unhashable-pattern-key": ["pattern", [1]],
+    "string-pattern-key": ["pattern_store", "k", _COO],
+    "unknown-format": ["pattern_store", 1, dict(_COO, format="stackedsparse2")],
+    "format-not-str": ["pattern_store", 1, dict(_COO, format=["coo"])],
+    "missing-field": ["pattern_store", 1, {"format": "coo", "shape": [4, 4], "values": _BLOB}],
+    "extra-field": ["pattern_store", 1, dict(_COO, group_size=4)],
+    "shape-of-strings": ["pattern_store", 1, dict(_COO, shape=["a", "b"])],
+    "coords-not-list": ["pattern_store", 1, dict(_COO, coords=_BLOB[0])],
+    "array-is-a-scalar": ["pattern_store", 1, dict(_COO, values=["inline", {"kind": "scalar"}])],
+    "array-is-a-pattern": ["pattern_store", 1, dict(_COO, values=["pattern", 1])],
+    "zero-block": [
+        "pattern_store", 1,
+        {"format": "bcsr", "shape": [8, 8], "block_shape": [0, 0],
+         "indptr": _BLOB, "indices": _BLOB, "values": _BLOB},
+    ],
+    "short-block-shape": [
+        "pattern_store", 1,
+        {"format": "blockcoo", "shape": [8, 8], "block_shape": [],
+         "block_rows": _BLOB, "block_cols": _BLOB, "values": _BLOB},
+    ],
+    "nested-stack": [
+        "pattern_store", 1,
+        {"format": "stackedsparse", "data": _BLOB,
+         "base": {"format": "stackedsparse", "data": _BLOB, "base": _COO}},
+    ],
+    "inline-bad-spec": ["inline", {"kind": "dense", "dtype": "<f8", "shape": [3], "data": [1]}],
+    "inline-scalar-not-scalar": ["inline", {"kind": "scalar", "value": [1, 2]}],
+    "inline-old-sparse-spec": ["inline", dict(_DENSE, kind="sparse", format="coo")],
+}
 
-    def test_inplace_mutation_reships(self, dense_pair):
-        a, _ = dense_pair
-        encoder, decoder = WireEncoder(), WireDecoder()
-        for _ in range(3):
-            content_type, body = encoder.encode_request("e", {"A": a}, binary=True)
-            decoder.decode_request(content_type, body)
-        a[0, 0] += 1.0  # same buffer, new content: the checksum gate must miss
-        content_type, body = encoder.encode_request("e", {"A": a}, binary=True)
-        header, _ = unpack_frame(body)
-        assert header["operands"]["A"][0] != "cached"
-        decoded = decoder.decode_request(content_type, body)
-        np.testing.assert_array_equal(decoded[0][1]["A"], a)
 
-    def test_pattern_shipped_once_and_identity_cached(self, block_sparse_matrix):
-        fmt = GroupCOO.from_dense(block_sparse_matrix, group_size=4)
-        encoder, decoder = WireEncoder(), WireDecoder()
-        content_type, body = encoder.encode_request("e", {"A": fmt}, binary=True)
-        first = decoder.decode_request(content_type, body)[0][1]["A"]
-        content_type, body = encoder.encode_request("e", {"A": fmt}, binary=True)
-        header, _ = unpack_frame(body)
-        assert header["operands"]["A"][0] == "pattern"
-        second = decoder.decode_request(content_type, body)[0][1]["A"]
-        # One live instance per key: identity survives across requests, so
-        # fingerprint-keyed caches (and coalescing keys) stay stable.
-        assert second is first
-        np.testing.assert_array_equal(first.to_dense(), fmt.to_dense())
+@pytest.mark.parametrize("name", sorted(MALFORMED_DESCRIPTORS))
+def test_malformed_descriptor_is_a_wire_format_error(name):
+    body = pack_frame({"expression": "e", "operands": {"A": MALFORMED_DESCRIPTORS[name]}}, bytes(256))
+    with pytest.raises(WireFormatError) as excinfo:
+        WireDecoder().decode_request(BINARY_CONTENT_TYPE, body)
+    assert http_status(excinfo.value) == 400
 
-    def test_dangling_cached_token_rejected(self):
-        with pytest.raises(WireFormatError):
-            WireDecoder().decode_request(
-                BINARY_CONTENT_TYPE,
-                pack_frame({"expression": "e", "operands": {"A": ["cached", 12345]}}),
-            )
 
-    def test_cache_effects_applied_before_failure(self):
-        encoder, decoder = WireEncoder(), WireDecoder()
-        # Batch where the FIRST entry is malformed but the second stores a
-        # pattern: the decoder must still apply the second entry's cache
-        # effect before re-raising, or the mirror drifts.
-        fmt = COO.from_dense(np.eye(4))
-        payload = bytearray()
-        good = encoder._encode_entry("e", {"A": fmt}, payload)
-        bad = {"operands": {}}  # no expression
-        body = pack_frame({"requests": [bad, good]}, payload)
-        with pytest.raises(WireFormatError):
-            decoder.decode_request(BINARY_CONTENT_TYPE, body)
-        # The pattern is now resident: a bare reference must resolve.
-        content_type, body = encoder.encode_request("e", {"A": fmt}, binary=True)
-        decoded = decoder.decode_request(content_type, body)
-        np.testing.assert_array_equal(decoded[0][1]["A"].to_dense(), np.eye(4))
+@pytest.mark.parametrize(
+    "record",
+    [
+        dict(_COO, shape=[2, 2]),  # coordinates outside the shape (values are zeros: in range)
+        dict(_COO, shape=[4]),  # one coordinate array too many
+        {"format": "csr", "shape": [4, 4], "indptr": _BLOB, "indices": _BLOB, "data": _BLOB},
+    ],
+    ids=["coords-out-of-range", "rank-mismatch", "indptr-shape"],
+)
+def test_constructor_violation_stays_a_typed_400(record):
+    payload = np.full(32, 3.0).tobytes()
+    body = pack_frame({"expression": "e", "operands": {"A": ["pattern_store", 1, record]}}, payload)
+    with pytest.raises(FormatError) as excinfo:  # ShapeError names the violated invariant
+        WireDecoder().decode_request(BINARY_CONTENT_TYPE, body)
+    assert http_status(excinfo.value) == 400
 
-    def test_mirror_stays_coherent_through_eviction(self, monkeypatch):
-        """More stable arrays and patterns than fit, revisited after their
-        eviction: every request decodes to what was sent, and both ends
-        hold the same entries in the same LRU order after each one."""
-        monkeypatch.setattr(codec, "ARRAY_CACHE_SIZE", 2)
-        monkeypatch.setattr(codec, "PATTERN_CACHE_SIZE", 2)
-        rng = np.random.default_rng(11)
-        arrays = [rng.standard_normal((8, 8)) for _ in range(5)]  # 512 bytes each
-        patterns = [COO.from_dense(np.diag(np.arange(1.0, 5.0)) * (k + 1)) for k in range(5)]
-        encoder, decoder = WireEncoder(), WireDecoder()
-        kinds = {"array": [], "pattern": []}
-        for pick_a, pick_p in zip(rng.integers(0, 5, size=120), rng.integers(0, 5, size=120)):
-            operands = {"A": patterns[pick_p], "B": arrays[pick_a]}
-            content_type, body = encoder.encode_request("e", operands, binary=True)
-            header, _ = unpack_frame(body)
-            kinds["array"].append((header["operands"]["B"][0], pick_a))
-            kinds["pattern"].append((header["operands"]["A"][0], pick_p))
-            decoded = decoder.decode_request(content_type, body)[0][1]
-            np.testing.assert_array_equal(decoded["B"], arrays[pick_a])
-            np.testing.assert_array_equal(decoded["A"].to_dense(), patterns[pick_p].to_dense())
-            assert list(encoder._cached_tokens) == list(decoder._arrays)
-            assert list(encoder._patterns_sent) == list(decoder._patterns)
-            assert len(decoder._arrays) <= 2 and len(decoder._patterns) <= 2
-        # The run must have crossed both paths: cache hits, and entries
-        # stored again after the LRU dropped them.
-        for family, store, hit in (
-            ("array", "blob_store", "cached"),
-            ("pattern", "pattern_store", "pattern"),
-        ):
-            stores = [pick for kind, pick in kinds[family] if kind == store]
-            assert len(stores) > len(set(stores)), family
-            assert any(kind == hit for kind, _ in kinds[family]), family
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "not-an-object",
+        {"kind": "tensor"},
+        {"kind": "dense", "dtype": "<f8", "shape": [2]},
+        {"kind": "dense", "dtype": "O", "shape": [1], "data": [None]},
+        {"kind": "dense", "dtype": "<i8", "shape": [1], "data": [2**80]},
+        {"kind": "dense", "dtype": "<c16", "shape": [2], "data": [1.0, 2.0, 3.0]},
+        {"kind": "scalar", "value": {"a": 1}},
+        {"kind": "sparse", "format": "coo", "shape": [2, 2]},
+    ],
+    ids=repr,
+)
+def test_malformed_json_spec_is_a_wire_format_error(spec):
+    body = json.dumps({"expression": "e", "operands": {"A": spec}}).encode()
+    with pytest.raises(WireFormatError):
+        WireDecoder().decode_request(JSON_CONTENT_TYPE, body)
+
+
+def test_deeply_nested_json_is_a_wire_format_error():
+    with pytest.raises(WireFormatError, match="not JSON"):
+        WireDecoder().decode_request(JSON_CONTENT_TYPE, b"[" * 100_000)
 
 
 # ---------------------------------------------------------------------------
