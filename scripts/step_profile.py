@@ -5,7 +5,9 @@
 Wraps every prebuilt step of a case's ``SpecializedKernel`` in a timer and
 prints milliseconds per step and per warm call, for the eighteen cases of the
 layer benchmark's two kernel workloads (``benchmarks/layers/workloads.py``,
-read only).  The profiles in ``ROADMAP.md`` and ``docs/PERFORMANCE.md`` are its.
+read only).  A plan that runs its emitted C loop nest has no steps to wrap:
+its one line is ``<ms>  emitted C``; one that could have been emitted and was not
+says why.  The profiles in ``ROADMAP.md`` and ``docs/PERFORMANCE.md`` are its.
 """
 
 import argparse
@@ -24,13 +26,19 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "layers")]
 import workloads  # noqa: E402
 
 from repro import clear_plan_cache  # noqa: E402
-from repro.engine import specialize  # noqa: E402
+from repro.engine import emit, specialize  # noqa: E402
 
 
 def profile(case, calls: int) -> str:
     """Time ``calls`` warm calls of ``case`` and each step of its kernel(s)."""
     spent: dict[str, float] = defaultdict(float)
     timed_kernels, run = set(), specialize.SpecializedKernel.run
+    loop, reasons = emit.Emitted.__call__, set()
+
+    def timed_loop(emitted, result, operands):
+        start = time.perf_counter()
+        loop(emitted, result, operands)
+        spent["emitted C"] += time.perf_counter() - start
 
     def timed(step):
         def timed_run(regs, window):
@@ -46,10 +54,12 @@ def profile(case, calls: int) -> str:
             timed_kernels.add(id(kernel))
             for steps in (program.per_call, program.per_window, program.per_window_direct or []):
                 steps[:] = [timed(step) for step in steps]
+            if isinstance(kernel.emitted, str):
+                reasons.add(kernel.emitted)
         return run(kernel, tensors)
 
     clear_plan_cache()  # a kernel another case instrumented would count twice
-    specialize.SpecializedKernel.run = traced
+    specialize.SpecializedKernel.run, emit.Emitted.__call__ = traced, timed_loop
     try:
         call = case.setup()
         call()  # compile, memoize, instrument
@@ -59,10 +69,12 @@ def profile(case, calls: int) -> str:
             call()
         per_call = (time.perf_counter() - start) / calls * 1e3
     finally:
-        specialize.SpecializedKernel.run = run
+        specialize.SpecializedKernel.run, emit.Emitted.__call__ = run, loop
     head = f"{case.name}: {per_call:.3f} ms a warm call, "
-    head += f"{sum(spent.values()) / calls * 1e3:.3f} ms of it in steps"
-    return "\n".join([head, *(f"  {s / calls * 1e3:8.3f} ms  {t}" for t, s in spent.items())])
+    head += f"{sum(spent.values()) / calls * 1e3:.3f} ms of it in the kernel"
+    lines = [f"  emitter: steps ({reason})" for reason in sorted(reasons)]
+    lines += [f"  {s / calls * 1e3:8.3f} ms  {t}" for t, s in spent.items()]
+    return "\n".join([head, *lines])
 
 
 def main() -> None:

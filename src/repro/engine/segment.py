@@ -2,7 +2,10 @@
 
 ``np.add.at`` defines what a scatter means, but on a source with a
 trailing shape it processes one update at a time through the ufunc inner
-loop — and so does ``np.add.reduceat(axis=0)`` on a 2-D array.  The FX
+loop — and so does ``np.add.reduceat(axis=0)`` on a 2-D array.  (The emitted
+C loop nest of :mod:`repro.engine.emit` *is* that sequential loop, fused with
+its gather; this module serves the step list, which runs every plan with a
+dense reduction and every plan on a machine without a compiler.)  The FX
 ``index_add`` operator scatters through :func:`segment_add` instead, and so
 do the fused plans that cannot hand their duplicates to the dot: a scatter
 index over several variables (sparse convolution's ``MAPX[p,q]``, the

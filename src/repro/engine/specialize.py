@@ -1,4 +1,4 @@
-"""Plan-time specialization: compile an :class:`InsumPlan` into flat steps.
+"""Plan-time specialization: lower an :class:`InsumPlan` once, emit it twice.
 
 :class:`SpecializedKernel` is the executor of every fused schedule.
 :meth:`SpecializedKernel.build` compiles the plan once into a list of
@@ -7,6 +7,18 @@ walks the list — no AST inspection, no axis arithmetic and no contraction
 path search per call — and ``describe()`` prints it, so "what does this
 plan execute" is a log line.  What ``build`` decides:
 
+* **the emitter** — a plan that is *pure gather–scale–accumulate*
+  (:func:`repro.engine.emit.covers`: ELL, GroupCOO and COO SpMM, their
+  stacked forms, SpMV) also gets the paper's kernel, one fused C loop nest
+  with nothing materialised between gather, multiply and scatter
+  (:mod:`repro.engine.emit`), when this machine has a C compiler.  The choice
+  is made here, once, from the plan and the platform, and holds for the
+  kernel's lifetime: ``describe()`` says ``emitter: C`` with the source, or
+  ``emitter: steps (<why>)``.  The loop nest takes float32 / float64 values of
+  one dtype with int64 indices; any other call of that kernel — and every
+  plan with a dense reduction (the block formats, sparse convolution, the
+  tensor product: a BLAS dot does those better), every forced
+  ``window_steps``, every machine without ``cc`` — runs the steps below;
 * **the windows** — the kernel streams over the leading output variable in
   windows whose temporaries (the gathered factors and the partial that
   carry the variable, ``per_step_bytes`` a step) fill :data:`_WINDOW_BYTES`,
@@ -43,16 +55,18 @@ plan execute" is a log line.  What ``build`` decides:
   (:mod:`repro.engine.fingerprint`): repeated calls over one format
   instance do zero index work.
 
-Numerics match the unfused FX interpreter up to floating-point
-reassociation.  The dot sums in its BLAS's order — in a run-windowed plan
-that includes the duplicates of an output row; a ``segment_add`` store keeps
-the sequential contract of :mod:`repro.engine.segment`, within each window.
-Integer-valued data is exact under every schedule.  A coalesced (stacked)
-execution equals the per-request ones bit for bit on integer-valued data
-only: on floats a stack of ``s`` items runs ``s x K @ K x n`` per run where
-one request runs ``1 x K``, and BLAS orders the two sums differently (a few
-ulp: ``tests/runtime/test_stacked.py``).  Every kernel is tested against the
-loop-nest reference interpreter.
+Numerics.  The emitted loop nest multiplies, then adds (no fused
+multiply-add), in storage order — ``np.add.at``'s order — so its result is a
+sequential loop's bit for bit, whatever the shapes and wherever the operands
+lie, and a coalesced (stacked) execution equals the per-request ones bit for
+bit.  The step list matches the unfused FX interpreter up to floating-point
+reassociation: its dot sums in its BLAS's order — in a run-windowed plan that
+includes the duplicates of an output row, and a stack of ``s`` items runs
+``s x K @ K x n`` per run where one request runs ``1 x K``, a few ulp apart
+(``tests/runtime/test_stacked.py``) — and a ``segment_add`` store keeps the
+sequential contract of :mod:`repro.engine.segment`, within each window.
+Integer-valued data is exact under every schedule and both emitters.  Every
+kernel is tested against the loop-nest reference interpreter.
 """
 
 from __future__ import annotations
@@ -67,6 +81,7 @@ from repro.core.einsum.ast import IndexVar, IntLiteral
 from repro.core.inductor.dot_rewrite import detect_dot
 from repro.core.inductor.executor import run_unfused
 from repro.core.insum.planner import FactorPlan, InsumPlan
+from repro.engine.emit import Emitted, covers, emit
 from repro.engine.fingerprint import array_token, derived
 from repro.engine.paths import cached_einsum_path
 from repro.engine.segment import plan_runs, plan_scatter, segment_add
@@ -576,7 +591,8 @@ class _Program:
 
 @dataclass
 class SpecializedKernel:
-    """A plan compiled to a flat list of prebuilt NumPy steps.
+    """A plan compiled to a flat list of prebuilt NumPy steps — and, where the
+    plan and the machine allow, to one fused C loop nest that runs instead.
 
     Built once per compiled plan (and cached with it in the plan cache);
     ``run`` then executes gather → fold → dot → scatter window by window
@@ -600,11 +616,16 @@ class SpecializedKernel:
     per_run_bytes: int = 0
     #: ``None`` for a plan the unfused interpreter runs.
     _program: _Program | None = field(default=None, repr=False)
+    #: The plan's fused C loop nest (:mod:`repro.engine.emit`) when the plan is
+    #: pure gather–scale–accumulate and this machine compiled it; else why the
+    #: steps run; ``None`` for a plan outside that rule.  Fixed here, at build.
+    emitted: Emitted | str | None = field(default=None, repr=False)
 
     # -- construction -------------------------------------------------------
     @classmethod
     def build(cls, plan: InsumPlan, window_steps: int | None = None) -> "SpecializedKernel":
-        """Compile a plan: fix the window schedule and every step of a window.
+        """Compile a plan: fix the window schedule, every step of a window and
+        which emitter runs.
 
         Parameters
         ----------
@@ -614,8 +635,17 @@ class SpecializedKernel:
             Steps of the leading output variable per window.  ``None``
             (what :func:`specialize_plan` passes) sizes a window so its
             temporaries fill :data:`_WINDOW_BYTES`; tests pass a count to
-            force a schedule.
+            force a schedule — and a forced schedule is the step list's.
         """
+        kernel = cls._steps(plan, window_steps)
+        if kernel._program is not None and covers(plan):
+            forced = window_steps is not None
+            kernel.emitted = "window_steps forced" if forced else emit(plan, kernel._program.inputs)
+        return kernel
+
+    @classmethod
+    def _steps(cls, plan: InsumPlan, window_steps: int | None) -> "SpecializedKernel":
+        """The step list of ``plan`` (see :meth:`build`)."""
         if not plan.output_subscripts:
             return cls(plan=plan)
 
@@ -688,6 +718,20 @@ class SpecializedKernel:
         zero_base = not self.plan.statement.accumulate or (
             base.size > 0 and not any(base.strides) and not base[(0,) * base.ndim]
         )
+        emitted = self.emitted
+        operands = emitted.operands(regs, factor_dtype) if emitted.__class__ is Emitted else None
+        if operands is not None:
+            # A base the sum would promote (float64 under float32 operands)
+            # receives the operand-dtype partial in one add, as on the step list.
+            promote = dtype != factor_dtype
+            if zero_base or promote:
+                result = np.zeros(base.shape, dtype=factor_dtype)
+            else:
+                result = np.array(base, dtype=dtype, order="C")
+            emitted(result, operands)
+            if promote:
+                result = result.astype(dtype) if zero_base else base + result
+            return result
         steps = program.per_window
         if zero_base and program.per_window_direct and dtype == factor_dtype:
             # A direct dot fills every window of the result; a run-windowed
@@ -728,6 +772,11 @@ class SpecializedKernel:
             header += f"[{self.run_variable}] ({self.per_step_bytes - self.per_run_bytes} B per "
             header += f"update + {self.per_run_bytes} B per run)"
         lines = [f"specialized: {header}"]
+        if self.emitted.__class__ is Emitted:
+            lines.append("  emitter: C (float32/float64 values, int64 indices; else the steps)")
+            lines.extend(f"    {line}" for line in self.emitted.source.splitlines())
+        elif self.emitted is not None:
+            lines.append(f"  emitter: steps ({self.emitted})")
         sections = [("per call", program.per_call), ("per window", program.per_window)]
         if program.per_window_direct:
             sections.append(("per window, all-zero base", program.per_window_direct))
@@ -739,9 +788,11 @@ class SpecializedKernel:
 
 
 def specialize_plan(plan: InsumPlan, config: Any) -> SpecializedKernel:
-    """Compile the step list for a plan under a backend config.
+    """Compile the kernel of a plan under a backend config.
 
-    Cheap (structure-only — no operand values are touched), so it runs
+    Cheap (structure-only — no operand values are touched; the C object of a
+    covered plan comes from this process, else the disk cache, else from
+    ``cc`` the first time a machine sees its structure), so it runs
     eagerly at compile time and is cached alongside the plan.  No field of
     ``config`` shapes the kernel: the window size is :data:`_WINDOW_BYTES`.
     """

@@ -37,7 +37,7 @@ def exact_indirect_access_count(occupancy: Sequence[int] | np.ndarray, group_siz
     if group_size < 1:
         raise ValueError(f"group size must be >= 1, got {group_size}")
     occ = np.asarray(occupancy, dtype=np.int64)
-    groups = int(sum(ceil_div(int(o), group_size) for o in occ if o > 0))
+    groups = int((-(-occ[occ > 0] // group_size)).sum())
     return (group_size + 1) * groups
 
 

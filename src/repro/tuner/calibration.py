@@ -9,7 +9,13 @@ fused executor (:mod:`repro.engine.specialize`) runs on one of its
 cache-sized windows: ``np.take`` of rows, the batched vector–matrix
 ``np.matmul`` over runs of equal targets, the block ``np.matmul``, and the
 disjoint fancy store of the run sums — the AraOS-style "calibrate the model
-from the hardware you are on" approach (PAPERS.md).
+from the hardware you are on" approach (PAPERS.md).  Those are the step
+list's primitives, which every block candidate runs.  An element-granular
+candidate (COO, ELL, GroupCOO) runs the emitted loop nest
+(:mod:`repro.engine.emit`) where this machine compiles one: the probe then
+builds the real GroupCOO kernel on the probe's operands and times it — no
+gather pass, no stored row per run, no per-window dispatch, so ``flop_ns`` is
+that loop's whole cost per multiply or add and ``emitted`` records it.
 
 Calibration takes a few tens of milliseconds.  The constants can be
 persisted as JSON (``save`` / ``load``); set the ``REPRO_TUNER_CALIBRATION``
@@ -28,11 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.specialize import _WINDOW_BYTES
+from repro.core.insum.planner import plan_insum
+from repro.engine.emit import Emitted
+from repro.engine.specialize import _WINDOW_BYTES, SpecializedKernel
 from repro.utils.timing import Timer
 
 #: Bump when the benchmark suite changes; stale persisted files are ignored.
-CALIBRATION_VERSION = 4
+CALIBRATION_VERSION = 5
 
 #: Environment variable naming the JSON persistence path (optional).
 CALIBRATION_ENV_VAR = "REPRO_TUNER_CALIBRATION"
@@ -54,7 +62,9 @@ class Calibration:
     flop_ns:
         Cost of one scalar multiply or add of the COO/GroupCOO/ELL
         execution shape: the batched vector–matrix ``np.matmul`` over a
-        gathered window, its ``K`` a run of equal targets long.
+        gathered window, its ``K`` a run of equal targets long — or, with
+        ``emitted``, of the fused loop nest, index loads and scattered
+        ``+=`` included.
     block_flop_ns:
         Cost of one multiply or add inside a batched block ``np.matmul``
         (the BlockCOO/BlockGroupCOO execution shape) — typically several
@@ -63,6 +73,10 @@ class Calibration:
     overhead_us:
         Fixed dispatch overhead of one window of a kernel, in microseconds:
         its cuts, gather, dot and store on operands too small to matter.
+    emitted:
+        ``flop_ns`` was measured on the emitted loop nest: an element-granular
+        candidate is one call of it, whose multiply-adds are its whole cost.
+        The other constants price the step list, which block candidates run.
     """
 
     gather_ns: float
@@ -70,6 +84,7 @@ class Calibration:
     flop_ns: float
     block_flop_ns: float
     overhead_us: float
+    emitted: bool = False
     version: int = CALIBRATION_VERSION
 
     # -- persistence ---------------------------------------------------------
@@ -164,13 +179,31 @@ def run_microbenchmarks(
         best = {name: min(best.get(name, seconds), seconds) for name, seconds in spent.items()}
 
     count = windows * rows * slots * width  # elements every probe touched
+    # What an element-granular candidate runs where plans compile to C: the
+    # real GroupCOO kernel, the whole stream as the one operand of its one call
+    # (nothing is windowed; the result is the stream's target rows).
+    expression = "C[AM[p],n] += AV[p,q] * B[AK[p,q],n]"
+    tensors = {
+        "C": np.broadcast_to(np.float64(0.0), (windows * runs, width)),
+        "AV": values.reshape(-1, slots),
+        "AK": index.reshape(-1, slots),
+        "AM": np.repeat(rng.permutation(windows * runs), run),
+        "B": source,
+    }
+    kernel = SpecializedKernel.build(plan_insum(expression, tensors, check_bounds=False))
+    emitted = isinstance(kernel.emitted, Emitted)
+    for _ in range(repeats if emitted else 0):
+        with Timer() as timer:
+            kernel.run(tensors)
+        best["loop"] = min(best.get("loop", timer.elapsed), timer.elapsed)
     return Calibration(
         gather_ns=max(best["gather"] / count * 1e9, 1e-3),
         scatter_ns=max(best["scatter"] / (windows * runs * width) * 1e9, 1e-3),
         # A multiply and an add per element.
-        flop_ns=max(best["dot"] / (2 * count) * 1e9, 1e-3),
+        flop_ns=max(best["loop" if emitted else "dot"] / (2 * count) * 1e9, 1e-3),
         block_flop_ns=max(best["block"] / (2 * count * block) * 1e9, 1e-4),
         overhead_us=max(best["overhead"] / 100 * 1e6, 1e-2),
+        emitted=emitted,
     )
 
 

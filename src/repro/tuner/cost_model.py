@@ -26,6 +26,13 @@ two rates (and the gather/scatter/overhead costs) come from the
 :mod:`~repro.tuner.calibration` microbenchmarks, so the model prices
 operations in *measured seconds on this machine*, not abstract counts.
 
+That is the census of the step list.  Where the machine compiles plans to C
+(:mod:`repro.engine.emit`; the calibration says so: ``Calibration.emitted``)
+the COO, ELL and GroupCOO rows run one fused loop nest instead — no gather
+pass, no stored row per run, no window — and cost their multiply-adds alone,
+at the measured all-in rate of that loop: ``2·S·n``, ``2·P·n`` and ``2·P·n``
+times ``flop_ns``.  The block rows run the step list on every machine.
+
 Every window the kernel walks also pays a fixed dispatch cost.  A window
 holds at most ``_WINDOW_BYTES`` of gathered temporaries, and in a scattering
 format only runs of one length — stored rows with equally many groups — so a
@@ -143,6 +150,10 @@ class CostModel:
             profile, candidate, n_cols
         )
         cal = self.calibration
+        if cal.emitted and not block_macs:
+            # One call of the emitted loop nest: no gather pass, no stored row
+            # per run, no window — ``flop_ns`` is all of it.
+            return scalar_macs * cal.flop_ns / 1e6
         nanos = (
             gather * cal.gather_ns
             + scatter * cal.scatter_ns

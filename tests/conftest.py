@@ -51,3 +51,18 @@ def block_sparse_matrix(rng) -> np.ndarray:
     if not dense.any():
         dense[:8, :8] = 1.0
     return dense
+
+
+@pytest.fixture
+def steps_only(monkeypatch):
+    """No emitter: every plan built inside runs its step list, as on a machine
+    without a C compiler.  The step-list suites use it module-wide, so tier-1
+    covers both emitters whatever the machine has."""
+    from repro import clear_plan_cache
+    from repro.engine import emit
+
+    monkeypatch.setenv("CC", "/bin/false")
+    monkeypatch.setattr(emit, "_LOADED", {})
+    clear_plan_cache()
+    yield
+    clear_plan_cache()

@@ -2,13 +2,19 @@
 interpreter on randomly generated indirect Einsums."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
 
 from repro.core.einsum import reference_execute
 from repro.core.inductor.executor import run_unfused
 from repro.core.insum import plan_insum
 from repro.engine.specialize import SpecializedKernel
 from repro.formats import COO, GroupCOO
+
+# Declared in requirements-dev.txt; a bare machine skips this module instead of
+# stopping ``pytest -x`` at collection.
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, settings = hypothesis.given, hypothesis.settings
 
 
 @st.composite

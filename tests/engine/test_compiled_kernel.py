@@ -27,6 +27,10 @@ from repro.engine.specialize import SpecializedKernel
 from repro.formats import COO, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 from repro.runtime.stacked import StackedSparse
 
+#: These suites are about the step list: they run with the C emitter unavailable
+#: (``tests/engine/test_emitters.py`` is the differential net over both).
+pytestmark = pytest.mark.usefixtures("steps_only")
+
 SPMM = "C[m,n] += A[m,k] * B[k,n]"
 SPMV = "y[m] += A[m,k] * x[k]"
 STACKED = "C[s,m,n] += A[s,m,k] * B[k,n]"

@@ -1,0 +1,636 @@
+"""A differential net over both emitters of :class:`SpecializedKernel`.
+
+The step list and the emitted C loop nest (:mod:`repro.engine.emit`) lower one
+plan; this module runs every gather–scale–accumulate plan family through both
+— emitter x plan x dtype x shape x output — against oracles written with plain
+``np.einsum`` / ``np.add.at`` / a sequential Python loop, none of which imports
+anything from ``repro.engine``.  Seeds are fixed: this is the narrow, always-on
+half of the differential suite (ROADMAP item 4).
+"""
+
+import itertools
+import multiprocessing
+import os
+import stat
+import subprocess
+import sys
+import threading
+
+import numpy as np
+import pytest
+from test_compiled_kernel import KERNEL_INDIRECT_PLANS, lowered
+
+from repro import SparseEinsum, clear_plan_cache, insum
+from repro.core.einsum.ast import IndexVar, IntLiteral
+from repro.core.einsum.parser import parse_einsum
+from repro.core.insum import plan_insum
+from repro.engine import emit
+from repro.engine.specialize import SpecializedKernel
+from repro.errors import EinsumValidationError
+from repro.formats import COO, ELL, GroupCOO
+from repro.runtime.stacked import StackedSparse
+
+SPMM, SPMV = "C[m,n] += A[m,k] * B[k,n]", "y[m] += A[m,k] * x[k]"
+STACKED, STACKED_PER_ITEM = "C[s,m,n] += A[s,m,k] * B[k,n]", "C[s,m,n] += A[s,m,k] * B[s,k,n]"
+COO_SPMM = "C[AM[p],n] += AV[p] * B[AK[p],n]"
+GROUPCOO_SPMM = "C[AM[p],n] += AV[p,q] * B[AK[p,q],n]"
+DTYPES = [np.float32, np.float64, np.int64, np.complex128]
+EMITTED_DTYPES = (np.float32, np.float64)
+
+
+# ---------------------------------------------------------------------------
+# Which emitter runs, and a count of the calls the C one took
+# ---------------------------------------------------------------------------
+@pytest.fixture(params=["steps", "C"])
+def emitter(request, monkeypatch):
+    """Run a test under each emitter; ``calls`` counts emitted executions."""
+    calls = []
+    if request.param == "steps":
+        request.getfixturevalue("steps_only")
+    else:
+        clear_plan_cache()
+        probe = np.zeros(1)
+        plan = plan_insum("y[i] += a[i] * b[i]", {"y": probe, "a": probe, "b": probe})
+        if not isinstance(SpecializedKernel.build(plan).emitted, emit.Emitted):
+            pytest.skip("no usable C compiler on this machine")
+        run = emit.Emitted.__call__
+
+        def counted(self, result, operands):
+            calls.append(result.dtype)
+            return run(self, result, operands)
+
+        monkeypatch.setattr(emit.Emitted, "__call__", counted)
+    yield request.param, calls
+    clear_plan_cache()
+
+
+def only_c(test):
+    """Run ``test`` under the C emitter only (skipped where there is no compiler)."""
+    return pytest.mark.parametrize("emitter", ["C"], indirect=True)(test)
+
+
+# ---------------------------------------------------------------------------
+# Inputs: integer-valued (exact under every order) or normals; fixed patterns
+# ---------------------------------------------------------------------------
+def draw(rng, dtype, integer=True):
+    def values(*shape):
+        array = rng.standard_normal(shape)
+        if np.dtype(dtype).kind == "c":
+            array = array + 1j * rng.standard_normal(shape)
+        array = array * 4.0
+        if integer and array.dtype.kind == "c":
+            array = np.round(array.real) + 1j * np.round(array.imag)
+        elif integer:
+            array = np.round(array)
+        return array.astype(dtype)
+
+    return values
+
+
+def full_row_pattern(rows=6, cols=5):
+    """One full row beside singleton rows."""
+    mask = np.zeros((rows, cols), dtype=bool)
+    mask[1] = True
+    mask[np.arange(rows), np.arange(rows) % cols] = True
+    return mask
+
+
+#: ``(name, pattern, N)``: nnz = 0; a full row beside singleton rows; N = 1 and
+#: N not a multiple of any vector width; extent-1 axes.
+SHAPES = [
+    ("nnz=0", np.zeros((6, 5), dtype=bool), 3),
+    ("full-row/N=7", full_row_pattern(), 7),
+    ("full-row/N=1", full_row_pattern(), 1),
+    ("1x1", np.ones((1, 1), dtype=bool), 1),
+    ("one-column", np.ones((6, 1), dtype=bool), 13),
+    ("one-row", np.ones((1, 5), dtype=bool), 2),
+]
+BUILD = {
+    "ell": ELL.from_dense,
+    "groupcoo": lambda dense: GroupCOO.from_dense(dense, group_size=2),
+    "coo": COO.from_dense,
+}
+#: ``family -> (expression, stack depth, per-item dense operand, format)``.
+FAMILIES = {
+    "spmm/ell": (SPMM, 0, False, "ell"),
+    "spmm/groupcoo": (SPMM, 0, False, "groupcoo"),
+    "spmm/coo": (SPMM, 0, False, "coo"),
+    "stacked/shared": (STACKED, 3, False, "groupcoo"),
+    "stacked/per-item": (STACKED_PER_ITEM, 3, True, "coo"),
+    "spmv/ell": (SPMV, 0, False, "ell"),
+    "spmv/coo": (SPMV, 0, False, "coo"),
+}
+
+
+def problem(family, pattern, n_cols, values):
+    """``(expression, operands, dense oracle inputs)`` of one family on one pattern."""
+    expression, stack, per_item, fmt = FAMILIES[family]
+    rows, cols = pattern.shape
+    if stack:
+        dense = np.where(pattern[None], values(stack, rows, cols), 0)
+        sparse = StackedSparse.from_dense(dense, {"groupcoo": GroupCOO, "coo": COO}[fmt])
+        rhs = values(stack, cols, n_cols) if per_item else values(cols, n_cols)
+        oracle = np.einsum("smk,skn->smn" if per_item else "smk,kn->smn", dense, rhs)
+        return expression, {"A": sparse, "B": rhs}, oracle
+    dense = np.where(pattern, values(rows, cols), 0)
+    if expression == SPMV:
+        x = values(cols)
+        return expression, {"A": BUILD[fmt](dense), "x": x}, np.einsum("mk,k->m", dense, x)
+    rhs = values(cols, n_cols)
+    return expression, {"A": BUILD[fmt](dense), "B": rhs}, np.einsum("mk,kn->mn", dense, rhs)
+
+
+# ---------------------------------------------------------------------------
+# (a) emitter x plan x dtype x shape x output, integer-valued data: exact
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_dtype_shape_and_output_matches_the_dense_oracle(emitter, family, dtype):
+    which, calls = emitter
+    rng = np.random.default_rng(11)
+    values = draw(rng, dtype)
+    for name, pattern, n_cols in SHAPES:
+        expression, operands, product = problem(family, pattern, n_cols, values)
+        output = parse_einsum(expression).lhs.tensor
+        base = values(*product.shape)
+        outputs = {
+            "unbound": (expression, {}, product),
+            "bound": (expression, {output: base}, base + product),
+            "assign": (expression.replace("+=", "="), {output: base}, product),
+        }
+        for kind, (statement, bound, expected) in outputs.items():
+            before = len(calls)
+            operator = SparseEinsum(statement)
+            result = operator(**operands, **bound)
+            context = f"{family} {np.dtype(dtype).name} {name} {kind} on {which}"
+            # Result dtype = np.result_type of the operands (an empty pattern
+            # stores float64 values whatever it was built from).
+            stored = operands["A"].tensors("A")["AV"].dtype
+            dense = [v for k, v in {**operands, **bound}.items() if k != "A"]
+            assert result.dtype == np.result_type(stored, *dense), context
+            assert result.shape == expected.shape, context
+            np.testing.assert_array_equal(result, expected, err_msg=context)
+            took_c = which == "C" and stored == dense[0].dtype and stored in EMITTED_DTYPES
+            assert len(calls) - before == int(took_c), context
+            kernel = operator.compiled.specialized
+            assert isinstance(kernel.emitted, emit.Emitted if which == "C" else str), context
+
+
+def test_unsorted_coo_with_duplicate_coordinates(emitter):
+    """Hand-built arrays: nothing sorted or merged them on the way in."""
+    which, calls = emitter
+    rng = np.random.default_rng(12)
+    rows = np.array([4, 0, 4, 2, 4, 0, 5, 4])
+    cols = np.array([1, 3, 1, 0, 2, 3, 4, 1])
+    for dtype in DTYPES:
+        values = draw(rng, dtype)
+        stored, rhs, base = values(rows.size), values(5, 7), values(6, 7)
+        expected = base.copy()
+        np.add.at(expected, rows, stored[:, None] * rhs[cols])
+        result = insum(COO_SPMM, C=base, AV=stored, AM=rows, AK=cols, B=rhs)
+        np.testing.assert_array_equal(result, expected)
+    assert len(calls) == (2 if which == "C" else 0)
+
+
+# ---------------------------------------------------------------------------
+# (b) float normals: the emitted loop is a sequential multiply-then-add loop,
+#     and a coalesced execution is its per-request ones — bit for bit
+# ---------------------------------------------------------------------------
+def sequential(expression, tensors):
+    """The statement as a storage-order Python loop in the operands' dtype:
+    one multiply per factor, then one add, per point (no fused multiply-add)."""
+    statement = parse_einsum(expression)
+    arrays = {name: np.asarray(value) for name, value in tensors.items()}
+    out = statement.lhs
+    result = arrays[out.tensor].copy()
+
+    def at(access, env):
+        coords = []
+        for ix in access.indices:
+            if isinstance(ix, IndexVar):
+                coords.append(env[ix.name])
+            elif isinstance(ix, IntLiteral):
+                coords.append(ix.value)
+            else:
+                coords.append(int(arrays[ix.tensor][at(ix, env)]))
+        return tuple(coords)
+
+    extents = {}
+    for access in [*statement.all_accesses(), *out.nested_accesses()] + [
+        nested for factor in statement.rhs.factors for nested in factor.nested_accesses()
+    ]:
+        for axis, ix in enumerate(access.indices):
+            if isinstance(ix, IndexVar):
+                extents[ix.name] = arrays[access.tensor].shape[axis]
+    order = [*statement.output_index_vars(), *statement.reduction_index_vars()]
+    for point in itertools.product(*(range(extents[var]) for var in order)):
+        env = dict(zip(order, point))
+        value = arrays[statement.rhs.factors[0].tensor][at(statement.rhs.factors[0], env)]
+        for factor in statement.rhs.factors[1:]:
+            value = value * arrays[factor.tensor][at(factor, env)]
+        result[at(out, env)] = result[at(out, env)] + value
+    return result
+
+
+def indirect(expression, operands, base):
+    """``(indirect expression, tensors)`` a logical call executes, with ``base`` bound."""
+    statement = parse_einsum(expression)
+    (factor,) = [f for f in statement.rhs.factors if f.tensor == "A"]
+    dense = {name: value for name, value in operands.items() if name != "A"}
+    dense[statement.lhs.tensor] = base
+    return lowered(expression, "A", operands["A"], [str(ix) for ix in factor.indices], **dense)
+
+
+@only_c
+@pytest.mark.parametrize("dtype", EMITTED_DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_emitted_loop_is_a_sequential_multiply_then_add_loop(emitter, family, dtype):
+    _, calls = emitter
+    rng = np.random.default_rng(13)
+    values = draw(rng, dtype, integer=False)
+    expression, operands, product = problem(family, full_row_pattern(), 7, values)
+    base = values(*product.shape)
+    statement, tensors = indirect(expression, operands, base)
+    calls.clear()
+    result = insum(statement, **tensors)
+    assert len(calls) == 1
+    assert result.tobytes() == sequential(statement, tensors).tobytes()
+    np.testing.assert_allclose(result.reshape(base.shape), base + product, rtol=1e-4, atol=1e-4)
+
+
+@only_c
+@pytest.mark.parametrize("dtype", EMITTED_DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("fmt", ["ell", "groupcoo", "coo"])
+def test_coalesced_equals_per_request_bit_for_bit_on_float_normals(emitter, fmt, dtype):
+    rng = np.random.default_rng(14)
+    values = draw(rng, dtype, integer=False)
+    mask = rng.random((32, 40)) < 0.3
+    dense = np.where(mask[None], values(5, 32, 40), 0).astype(dtype)
+    shared, per_item = values(40, 16), values(5, 40, 16)
+    stacked = StackedSparse.from_dense(dense, {"ell": ELL, "groupcoo": GroupCOO, "coo": COO}[fmt])
+    for expression, rhs in ((STACKED, shared), (STACKED_PER_ITEM, per_item)):
+        batched = SparseEinsum(expression)(A=stacked, B=rhs)
+        singles = [
+            SparseEinsum(SPMM)(A=item, B=rhs[position] if rhs.ndim == 3 else rhs)
+            for position, item in enumerate(stacked.items())
+        ]
+        assert batched.tobytes() == np.stack(singles).tobytes()
+
+
+@only_c
+def test_one_process_returns_the_same_bytes_before_and_after_a_thousand_calls(emitter):
+    _, calls = emitter
+    rng = np.random.default_rng(15)
+    values = draw(rng, np.float64, integer=False)
+    expression, operands, _ = problem("spmm/groupcoo", full_row_pattern(), 7, values)
+    operator = SparseEinsum(expression)
+    first = operator(**operands).tobytes()
+    assert all(operator(**operands).tobytes() == first for _ in range(1000))
+    assert len(calls) == 1001  # the emitter of a plan is fixed when it is built
+
+
+# ---------------------------------------------------------------------------
+# (c) indices out of range: the same exception type, nothing of the caller's touched
+# ---------------------------------------------------------------------------
+def groupcoo_tensors(rng, dtype=np.float64):
+    values = draw(rng, dtype)
+    fmt = GroupCOO.from_dense(np.where(full_row_pattern(), values(6, 5), 0), group_size=2)
+    tensors = {name: np.array(value) for name, value in fmt.tensors("A").items()}
+    return {**tensors, "B": values(5, 7), "C": values(6, 7)}
+
+
+@pytest.mark.parametrize("index", ["AK", "AM"])
+def test_an_index_out_of_range_raises_the_same_exception_on_both_emitters(emitter, index):
+    rng = np.random.default_rng(16)
+    tensors = groupcoo_tensors(rng)
+    extent = {"AK": 5, "AM": 6}[index]
+    good = insum(GROUPCOO_SPMM, check_bounds=False, **tensors)
+    for bad, error in ((extent, IndexError), (-extent - 1, IndexError), (2**40, IndexError)):
+        broken = {**tensors, index: tensors[index].copy()}
+        broken[index].reshape(-1)[-1] = bad
+        before = {name: array.tobytes() for name, array in broken.items()}
+        with pytest.raises(error):
+            insum(GROUPCOO_SPMM, check_bounds=False, **broken)
+        with pytest.raises(EinsumValidationError):  # the checked entry point stops it earlier
+            insum(GROUPCOO_SPMM, **broken)
+        assert {name: array.tobytes() for name, array in broken.items()} == before
+    # A negative index inside [-extent, 0) wraps, as in NumPy, on both emitters.
+    wrapped = {**tensors, index: tensors[index].copy()}
+    wrapped[index].reshape(-1)[-1] -= extent
+    np.testing.assert_array_equal(insum(GROUPCOO_SPMM, check_bounds=False, **wrapped), good)
+
+
+def test_an_index_written_into_a_live_array_after_a_good_call(emitter):
+    """The bounds verdict of the checked entry point is memoized per index
+    array identity; the emitted loop checks every index it loads on every
+    call, so the write is caught.  The step list catches it where it reads
+    the live array (ELL) — a scattering plan reads its memoized run-ordered
+    copy and keeps answering for the pattern it memoized."""
+    which, _ = emitter
+    rng = np.random.default_rng(17)
+    values = draw(rng, np.float64)
+    fmt = ELL.from_dense(np.where(full_row_pattern(), values(6, 5), 0))
+    ell = {name: np.array(value) for name, value in fmt.tensors("A").items()}
+    ell.update(B=values(5, 7), C=values(6, 7))
+    cases = [("C[m,n] += AV[m,q] * B[AK[m,q],n]", ell, "AK")]
+    if which == "C":
+        cases += [(GROUPCOO_SPMM, groupcoo_tensors(rng), name) for name in ("AK", "AM")]
+    for expression, tensors, index in cases:
+        good = insum(expression, **tensors)
+        np.testing.assert_array_equal(insum(expression, **tensors), good)
+        tensors[index].reshape(-1)[0] = 10**6
+        before = {name: array.tobytes() for name, array in tensors.items()}
+        with pytest.raises(IndexError):
+            insum(expression, **tensors)
+        assert {name: array.tobytes() for name, array in tensors.items()} == before
+
+
+# ---------------------------------------------------------------------------
+# (d) threads and processes
+# ---------------------------------------------------------------------------
+@only_c
+def test_four_threads_share_one_emitted_kernel(emitter):
+    rng = np.random.default_rng(18)
+    tensors = groupcoo_tensors(rng)
+    kernel = SpecializedKernel.build(plan_insum(GROUPCOO_SPMM, tensors))
+    expected = kernel.run(tensors)
+    barrier, wrong = threading.Barrier(4), []
+
+    def worker():
+        barrier.wait(timeout=30)
+        for _ in range(200):
+            if kernel.run(tensors).tobytes() != expected.tobytes():
+                wrong.append(1)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads) and not wrong
+
+
+def logging_compiler(tmp_path):
+    """A ``$CC`` that appends a line per invocation, then runs the real one."""
+    log, script = tmp_path / "cc.log", tmp_path / "cc"
+    script.write_text(f'#!/bin/sh\necho run >> "{log}"\nexec cc "$@"\n')
+    script.chmod(script.stat().st_mode | stat.S_IXUSR)
+    return str(script), log
+
+
+def child_result(queue):
+    """What a worker process computes: the emitter it got and its result's bytes."""
+    tensors = groupcoo_tensors(np.random.default_rng(19))
+    kernel = SpecializedKernel.build(plan_insum(GROUPCOO_SPMM, tensors))
+    queue.put((type(kernel.emitted).__name__, kernel.run(tensors).tobytes()))
+
+
+@only_c
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_a_worker_process_loads_the_cached_object(emitter, method, tmp_path, monkeypatch):
+    compiler, log = logging_compiler(tmp_path)
+    monkeypatch.setenv("CC", compiler)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(emit, "_LOADED", {})
+    tensors = groupcoo_tensors(np.random.default_rng(19))
+    kernel = SpecializedKernel.build(plan_insum(GROUPCOO_SPMM, tensors))
+    assert isinstance(kernel.emitted, emit.Emitted)
+    assert log.read_text().count("run") == 1
+    if method == "spawn":
+        emit._LOADED.clear()  # inherited by a fork only: a spawn worker starts empty anyway
+    context = multiprocessing.get_context(method)
+    queue = context.Queue()
+    process = context.Process(target=child_result, args=(queue,))
+    process.start()
+    name, data = queue.get(timeout=60)
+    process.join(timeout=60)
+    assert not process.is_alive() and process.exitcode == 0
+    assert name == "Emitted" and data == kernel.run(tensors).tobytes()
+    assert log.read_text().count("run") == 1  # nobody compiled again
+    objects = list((tmp_path / "cache" / "repro" / "kernels").iterdir())
+    assert [path.suffix for path in objects] == [".so"]
+    assert stat.S_IMODE((tmp_path / "cache" / "repro" / "kernels").stat().st_mode) == 0o700
+
+
+# ---------------------------------------------------------------------------
+# (e) every fallback: the step list's result, and describe() says why
+# ---------------------------------------------------------------------------
+def test_a_forced_schedule_is_the_step_list(emitter):
+    which, calls = emitter
+    tensors = groupcoo_tensors(np.random.default_rng(20))
+    plan = plan_insum(GROUPCOO_SPMM, tensors)
+    forced, free = SpecializedKernel.build(plan, window_steps=2), SpecializedKernel.build(plan)
+    assert forced.emitted == "window_steps forced"
+    assert "  emitter: steps (window_steps forced)" in forced.describe().splitlines()
+    np.testing.assert_array_equal(forced.run(tensors), free.run(tensors))
+    assert len(calls) == (1 if which == "C" else 0)
+    if which == "C":
+        assert free.describe().splitlines()[1].startswith("  emitter: C")
+        assert "int64_t KERNEL(void *const *T, const int64_t *D) {" in free.describe()
+
+
+@only_c
+@pytest.mark.parametrize("broken", ["CC=/bin/false", "no compiler", "cache directory is a file",
+                                    "cache directory is not ours alone"])  # fmt: skip
+def test_without_a_usable_compiler_or_cache_a_plan_runs_its_steps(
+    emitter, broken, tmp_path, monkeypatch
+):
+    _, calls = emitter
+    tensors = groupcoo_tensors(np.random.default_rng(21))
+    expected = SpecializedKernel.build(plan_insum(GROUPCOO_SPMM, tensors)).run(tensors)
+    calls.clear()
+    monkeypatch.setattr(emit, "_LOADED", {})
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    if broken == "CC=/bin/false":
+        monkeypatch.setenv("CC", "/bin/false")
+        reason = "CalledProcessError"
+    elif broken == "no compiler":
+        monkeypatch.setenv("CC", "no-such-compiler-anywhere")
+        reason = "FileNotFoundError: no C compiler"
+    elif broken == "cache directory is a file":
+        (tmp_path / "repro").write_text("in the way")
+        reason = "Error"
+    else:
+        (tmp_path / "repro" / "kernels").mkdir(parents=True)
+        (tmp_path / "repro" / "kernels").chmod(0o777)
+        reason = "PermissionError"
+    kernel = SpecializedKernel.build(plan_insum(GROUPCOO_SPMM, tensors))
+    assert isinstance(kernel.emitted, str) and reason in kernel.emitted
+    assert f"  emitter: steps ({kernel.emitted})" in kernel.describe().splitlines()
+    np.testing.assert_array_equal(kernel.run(tensors), expected)
+    assert not calls
+    # Decided once per process: the same source is not retried.
+    assert SpecializedKernel.build(plan_insum(GROUPCOO_SPMM, tensors)).emitted == kernel.emitted
+
+
+REQUEST = (
+    "import sys, numpy as np\n"
+    "from repro import SparseEinsum\n"
+    "from repro.formats import GroupCOO\n"
+    "rng = np.random.default_rng(25)\n"
+    "dense = np.where(rng.random((40, 30)) < 0.2, rng.standard_normal((40, 30)), 0.0)\n"
+    "operator = SparseEinsum('C[m,n] += A[m,k] * B[k,n]')\n"
+    "result = operator(A=GroupCOO.from_dense(dense), B=rng.standard_normal((30, 9)))\n"
+    "sys.stdout.buffer.write(result.tobytes())\n"
+    "sys.stderr.write(type(operator.compiled.specialized.emitted).__name__)\n"
+)
+
+
+def fresh_interpreter(**environment):
+    """One request in a new process: ``(result bytes, its emitter's class name)``."""
+    environment = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **environment}
+    command = [sys.executable, "-c", REQUEST]
+    done = subprocess.run(command, env=environment, capture_output=True, check=True, timeout=120)
+    return done.stdout, done.stderr.decode()
+
+
+@only_c
+def test_an_object_that_is_truncated_or_not_ours_alone_is_rebuilt_never_loaded(emitter, tmp_path):
+    """Each step is a new process: one that already mapped an object keeps it."""
+    compiler, log = logging_compiler(tmp_path)
+    environment = {"CC": compiler, "XDG_CACHE_HOME": str(tmp_path / "cache")}
+    expected = fresh_interpreter(**environment)
+    assert expected[1] == "Emitted" and log.read_text().count("run") == 1
+    (cached,) = (tmp_path / "cache" / "repro" / "kernels").iterdir()
+    assert fresh_interpreter(**environment) == expected
+    assert log.read_text().count("run") == 1  # a good object is loaded, not rebuilt
+    whole = cached.read_bytes()
+    for builds, damage in ((2, whole[: len(whole) // 2]), (3, b"")):
+        cached.write_bytes(damage)
+        assert fresh_interpreter(**environment) == expected
+        assert log.read_text().count("run") == builds and len(cached.read_bytes()) == len(whole)
+    cached.chmod(0o777)  # anyone could have swapped it
+    assert fresh_interpreter(**environment) == expected
+    assert log.read_text().count("run") == 4 and stat.S_IMODE(cached.stat().st_mode) & 0o022 == 0
+    # Another compiler binary never loads this one's object.
+    other = tmp_path / "other-cc"
+    other.write_text(f'#!/bin/sh\necho run >> "{log}"\nexec cc "$@"\n# another build\n')
+    other.chmod(0o755)
+    assert fresh_interpreter(**{**environment, "CC": str(other)}) == expected
+    assert log.read_text().count("run") == 5
+    assert len(list((tmp_path / "cache" / "repro" / "kernels").iterdir())) == 2
+
+
+@only_c
+def test_operands_the_loop_cannot_read_in_place(emitter):
+    """Non-contiguous and misaligned operands are copied for the call (the bits
+    of a result never depend on where an operand lies), read-only ones are
+    read; a dtype the loop nest has no instance for runs the steps."""
+    _, calls = emitter
+    rng = np.random.default_rng(23)
+    tensors = groupcoo_tensors(rng, np.float64)
+    normal = draw(rng, np.float64, integer=False)
+    tensors["B"], tensors["AV"] = normal(5, 7), normal(*tensors["AV"].shape)
+    kernel = SpecializedKernel.build(plan_insum(GROUPCOO_SPMM, tensors))
+    expected = kernel.run(tensors)
+    steps = SpecializedKernel.build(plan_insum(GROUPCOO_SPMM, tensors), window_steps=2).run(tensors)
+    np.testing.assert_allclose(expected, steps, rtol=1e-12)
+
+    strided = np.zeros((5, 14))[:, ::2]
+    strided[...] = tensors["B"]
+    raw = np.zeros(tensors["B"].nbytes + 4, dtype=np.uint8)
+    misaligned = raw[4:].view(np.float64).reshape(5, 7)
+    misaligned[...] = tensors["B"]
+    assert not strided.flags.c_contiguous and not misaligned.flags.aligned
+    frozen = {name: array.copy() for name, array in tensors.items()}
+    for array in frozen.values():
+        array.setflags(write=False)
+    calls.clear()
+    for variant in ({**tensors, "B": strided}, {**tensors, "B": misaligned}, frozen,
+                    {**tensors, "AK": np.asfortranarray(tensors["AK"])}):  # fmt: skip
+        assert kernel.run(variant).tobytes() == expected.tobytes()
+    assert len(calls) == 4
+
+    for name, dtype in (("B", np.float32), ("AK", np.int32), ("AV", np.complex128)):
+        mixed = {**tensors, name: tensors[name].astype(dtype)}
+        np.testing.assert_allclose(kernel.run(mixed), expected, rtol=1e-5)
+    assert len(calls) == 4  # none of the three took the loop nest
+    # A base the sum promotes receives the operand-dtype partial in one add.
+    single = {name: tensors[name].astype(np.float32) for name in ("AV", "B")}
+    single = {**tensors, **single}
+    promoted = SpecializedKernel.build(plan_insum(GROUPCOO_SPMM, single)).run(single)
+    assert promoted.dtype == np.float64 and len(calls) == 5
+    np.testing.assert_allclose(promoted, expected, rtol=1e-4, atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# (f) the rule: what the emitter leaves alone
+# ---------------------------------------------------------------------------
+BLOCK_STEPS = """\
+specialized: windows of 524288 B over the runs of equal AM[p] ({update} B per update + \
+32768 B per run)
+  per call:
+    t7 = memoized windows over the runs of equal AM (and the indices gathered through, in run order)
+  per window:
+    span, cut, rows, runs = t7.windows[window]
+    t12 = take(AV, cut, axis=0), axis 0 as (runs, -1)
+    t13 = AK in run order[span, axis 0], axis 0 as (runs, -1)
+    t15 = take(B, t13, axis=0)  # B[AK[p,q],bk,n] -> [p,p',q,bk,n]
+    t16 = t12.transpose(0, 3, 1, 2, 4).reshape(runs, 32, -1)
+    t17 = t15.reshape(runs, -1, 256)
+    t18 = matmul(t16, t17).reshape(runs, 32, 256)
+    out[rows] += t18
+  per window, all-zero base:
+    span, cut, rows, runs = t7.windows[window]
+    t12 = take(AV, cut, axis=0), axis 0 as (runs, -1)
+    t13 = AK in run order[span, axis 0], axis 0 as (runs, -1)
+    t15 = take(B, t13, axis=0)  # B[AK[p,q],bk,n] -> [p,p',q,bk,n]
+    t16 = t12.transpose(0, 3, 1, 2, 4).reshape(runs, 32, -1)
+    t17 = t15.reshape(runs, -1, 256)
+    t18 = matmul(t16, t17).reshape(runs, 32, 256)
+    out[rows] = t18"""
+BLOCK = "C[AM[p],bm,n] += AV[p,q,bm,bk] * B[AK[p,q],bk,n]"
+#: The two block plans of ``kernel_spmm`` (float32), ``describe()`` recorded at 3814fe4.
+BLOCK_PLANS = {
+    "block1024@0.1": ((58, 2), BLOCK_STEPS.format(update=73728)),
+    "block1024@0.3": ((90, 4), BLOCK_STEPS.format(update=147456)),
+}
+
+
+@pytest.mark.parametrize("name", [*KERNEL_INDIRECT_PLANS, *BLOCK_PLANS])
+def test_plans_with_a_dense_reduction_keep_the_parents_steps_byte_for_byte(emitter, name):
+    if name in BLOCK_PLANS:
+        (groups, size), recorded = BLOCK_PLANS[name]
+        tensors = {
+            "C": np.zeros((32, 32, 256), np.float32), "B": np.zeros((32, 32, 256), np.float32),
+            "AV": np.zeros((groups, size, 32, 32), np.float32),
+            "AM": np.zeros(groups, np.int64), "AK": np.zeros((groups, size), np.int64),
+        }  # fmt: skip
+        expression = BLOCK
+    else:
+        expression, shapes, recorded = KERNEL_INDIRECT_PLANS[name]
+        integer = ("MAPX", "MAPY", "MAPZ", "CGI", "CGJ", "CGK", "CGL")
+        tensors = {
+            tensor: np.zeros(shape, dtype=np.int64 if tensor in integer else np.float64)
+            for tensor, shape in shapes.items()
+        }
+    kernel = SpecializedKernel.build(plan_insum(expression, tensors))
+    assert kernel.emitted is None and not emit.covers(kernel.plan)
+    assert kernel.describe() == recorded
+
+
+def test_the_source_is_a_function_of_the_plans_structure_only(emitter):
+    """Shapes, patterns, dtypes and tensor spellings share one source — one object."""
+    rng = np.random.default_rng(24)
+    small, large = groupcoo_tensors(rng), groupcoo_tensors(rng, np.float32)
+    large["B"], large["C"] = np.zeros((5, 33), np.float32), np.zeros((6, 33), np.float32)
+    spelled = {"Out": "C", "W": "AV", "R": "AM", "K": "AK", "D": "B"}
+    renamed = {new: small[old] for new, old in spelled.items()}
+    plans = [
+        plan_insum(GROUPCOO_SPMM, small),
+        plan_insum(GROUPCOO_SPMM, large),
+        plan_insum("Out[R[a],b] += W[a,c] * D[K[a,c],b]", renamed),
+    ]
+    kernels = [SpecializedKernel.build(plan, window_steps=1) for plan in plans]
+    sources = {emit._source(k.plan.statement, tuple(k._program.inputs))[0] for k in kernels}
+    assert len(sources) == 1
+    (source,) = sources
+    assert "restrict" in source and "return 0;" in source
+    assert not any(name in source for name in ("AM", "AK", "AV", "Out"))
+
+
+def test_two_processes_return_identical_bytes_for_one_request(emitter):
+    which, _ = emitter
+    first, second = fresh_interpreter(), fresh_interpreter()
+    assert first == second and len(first[0]) == 40 * 9 * 8
+    assert first[1] == ("Emitted" if which == "C" else "str")

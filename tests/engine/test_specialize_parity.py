@@ -21,6 +21,10 @@ from repro.engine.specialize import _WINDOW_BYTES, SpecializedKernel, specialize
 from repro.formats import COO, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 from repro.runtime.stacked import StackedSparse
 
+#: These suites are about the step list: they run with the C emitter unavailable
+#: (``tests/engine/test_emitters.py`` is the differential net over both).
+pytestmark = pytest.mark.usefixtures("steps_only")
+
 
 def _spmm_tensors(fmt, rng, n_rows, n_cols, width=4, accumulate=True):
     base = rng.standard_normal((n_rows, width)) if accumulate else np.zeros((n_rows, width))

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ShapeError
 from repro.formats import BCSR, BlockCOO, BlockGroupCOO, COO, CSR, ELL, GroupCOO
 from repro.formats.blocking import block_occupancy, blocks_to_dense, dense_to_blocks, nonzero_blocks
+
+# Declared in requirements-dev.txt; a bare machine skips this module instead of
+# stopping ``pytest -x`` at collection.
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, settings = hypothesis.given, hypothesis.settings
 
 
 def test_dense_to_blocks_roundtrip(block_sparse_matrix):

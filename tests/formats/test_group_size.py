@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.formats.group_size import (
     GroupSizeModel,
@@ -13,6 +12,12 @@ from repro.formats.group_size import (
     select_group_size,
 )
 
+# Declared in requirements-dev.txt; a bare machine skips this module instead of
+# stopping ``pytest -x`` at collection.
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, settings = hypothesis.given, hypothesis.settings
+
 
 PAPER_OCC = [3, 1, 1, 2]  # Figure 4's example occupancy
 
@@ -22,6 +27,30 @@ def test_exact_cost_matches_figure4_example():
     assert exact_indirect_access_count(PAPER_OCC, 1) == 14
     assert exact_indirect_access_count(PAPER_OCC, 2) == 15
     assert exact_indirect_access_count(PAPER_OCC, 3) == 4 * 4
+
+
+def test_exact_cost_is_the_per_row_loop_on_the_kernel_benchmark_occupancies():
+    """The vectorised count is the same integers as the loop it replaced, on
+    occupancies of the kinds behind the thirteen ``kernel_spmm`` cases (the
+    three graph stand-ins at 2048 rows, 32 x 32 block masks at both densities,
+    the 256 x 192 reference request) and on empty ones."""
+    from repro.datasets import load_graph_matrix
+    from repro.utils.rng import rng as stream
+
+    occupancies = [np.zeros(0, dtype=np.int64), np.zeros(5, dtype=np.int64)]
+    for graph in ("cora", "amazon0505", "soc-BlogCatalog"):
+        matrix = load_graph_matrix(graph, max_rows=2048, rng=stream(2026, f"graph/{graph}"))
+        occupancies.append(matrix.row_occupancy())
+    for density in (0.1, 0.3):
+        tiles = stream(2026, f"block/{density}").random((32, 32)) < density
+        occupancies.append(np.kron(tiles, np.ones((32, 32), dtype=bool)).sum(axis=1))
+    occupancies.append((stream(2026, "reference").random((256, 192)) < 0.1).sum(axis=1))
+    for occupancy in occupancies:
+        for group_size in (1, 2, 3, 4, 8, 32):
+            loop = sum(-(-int(o) // group_size) for o in occupancy if o > 0) * (group_size + 1)
+            count = exact_indirect_access_count(occupancy, group_size)
+            assert isinstance(count, int) and count == loop
+    assert exact_indirect_access_count([], 4) == 0
 
 
 def test_exact_cost_ignores_empty_rows():

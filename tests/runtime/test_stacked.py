@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import StackedSparse, sparse_einsum
+from repro import SparseEinsum, StackedSparse, sparse_einsum
 from repro.errors import FormatError, ShapeError
 from repro.formats import BCSR, COO, ELL, BlockGroupCOO, GroupCOO
 
@@ -155,29 +155,40 @@ def test_stacked_float_values_match_to_tolerance(rng):
     np.testing.assert_allclose(batched, dense @ b, atol=1e-12)
 
 
+@pytest.mark.parametrize("emitter", ["C", "steps"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
 @pytest.mark.parametrize("factory,kwargs", [(COO, {}), (GroupCOO, {"group_size": 4})])
-def test_stacked_float_spmm_equals_per_item_up_to_reassociation(rng, factory, kwargs, dtype):
+def test_stacked_float_spmm_equals_per_item(rng, factory, kwargs, dtype, emitter, request):
     """The numerics contract on float normals (``engine/specialize.py``).
 
-    A row's duplicates are summed inside the dot.  A stack of ``s`` items
+    The emitted loop nest adds in storage order, stack or no stack: a
+    coalesced execution *is* its per-request ones, bit for bit.  On the step
+    list a row's duplicates are summed inside the dot — a stack of ``s`` items
     runs ``s x K @ K x n`` per run of equal targets where one request runs
-    ``1 x K``, and BLAS orders the two sums differently: float64 results
-    differ in their last bits on this host's OpenBLAS (float32 happened to
-    agree), so the contract is agreement to a few ulp of the terms summed —
-    bit equality holds on integer-valued data only (the tests above).
+    ``1 x K``, and BLAS orders the two sums differently (float64 results
+    differ in their last bits on this host's OpenBLAS) — so there the contract
+    is agreement to a few ulp of the terms summed, and bit equality holds on
+    integer-valued data only (the tests above).
     """
+    if emitter == "steps":
+        request.getfixturevalue("steps_only")
     mask = rng.random((32, 40)) < 0.3
     dense = np.where(mask[None], rng.standard_normal((5, 32, 40)), 0.0).astype(dtype)
     b = rng.standard_normal((40, 16)).astype(dtype)
     stacked = StackedSparse.from_dense(dense, factory, **kwargs)
-    batched = sparse_einsum("C[s,m,n] += A[s,m,k] * B[k,n]", A=stacked, B=b)
+    operator = SparseEinsum("C[s,m,n] += A[s,m,k] * B[k,n]")
+    batched = operator(A=stacked, B=b)
     reference = np.stack(
         [sparse_einsum("C[m,n] += A[m,k] * B[k,n]", A=item, B=b) for item in stacked.items()]
     )
     assert batched.dtype == reference.dtype == dtype
-    terms = np.abs(dense).astype(np.float64) @ np.abs(b).astype(np.float64)
-    assert (np.abs(batched - reference) <= 8 * np.finfo(dtype).eps * terms).all()
+    if emitter == "C":
+        if isinstance(operator.compiled.specialized.emitted, str):
+            pytest.skip("no usable C compiler on this machine")
+        assert batched.tobytes() == reference.tobytes()
+    else:
+        terms = np.abs(dense).astype(np.float64) @ np.abs(b).astype(np.float64)
+        assert (np.abs(batched - reference) <= 8 * np.finfo(dtype).eps * terms).all()
 
 
 def test_stack_index_collision_raises(rng):

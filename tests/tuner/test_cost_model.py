@@ -30,10 +30,28 @@ def test_microbenchmarks_produce_positive_constants():
     assert cal.overhead_us > 0
 
 
+def test_microbenchmarks_time_the_emitter_that_runs(steps_only):
+    """With no compiler the element-granular probe is the step list's dot."""
+    assert run_microbenchmarks(elements=1 << 14, repeats=1).emitted is False
+
+
+def test_microbenchmarks_time_the_emitted_loop_where_plans_compile():
+    from repro.core.insum import plan_insum
+    from repro.engine.emit import Emitted
+    from repro.engine.specialize import SpecializedKernel
+
+    probe = np.zeros(1)
+    plan = plan_insum("y[i] += a[i] * b[i]", {"y": probe, "a": probe, "b": probe})
+    compiles = isinstance(SpecializedKernel.build(plan).emitted, Emitted)
+    cal = run_microbenchmarks(elements=1 << 14, repeats=1)
+    assert cal.emitted is compiles and cal.flop_ns > 0
+
+
 def test_calibration_json_roundtrip(tmp_path):
     cal = Calibration(
-        gather_ns=1.5, scatter_ns=9.0, flop_ns=0.5, block_flop_ns=0.05, overhead_us=2.0
-    )
+        gather_ns=1.5, scatter_ns=9.0, flop_ns=0.5, block_flop_ns=0.05, overhead_us=2.0,
+        emitted=True,
+    )  # fmt: skip
     path = tmp_path / "nested" / "calibration.json"
     cal.save(path)
     assert Calibration.load(path) == cal
@@ -126,6 +144,32 @@ def test_grouping_beats_plain_coo_on_powerlaw_rows():
     grouped = model.explain(profile, ranked[0], n_cols=64)
     assert coo["run_lengths"] == np.unique(occupancy).size > grouped["run_lengths"]
     assert grouped["scatter_elements"] == coo["scatter_elements"]
+
+
+def test_an_emitted_calibration_prices_one_fused_loop_and_leaves_block_candidates_alone():
+    """Where plans compile to C an element-granular candidate is one call of
+    the loop nest — its multiply-adds at the all-in rate, no gather pass, no
+    stored rows, no windows — and a block candidate still runs the step list."""
+    from dataclasses import replace
+
+    from repro.tuner import get_calibration
+
+    fixed = get_calibration()  # the suite's pinned constants (conftest.py)
+    rng = np.random.default_rng(8)
+    dense = np.zeros((128, 128))
+    occupancy = np.minimum(128, (rng.pareto(1.1, 128) * 4 + 1).astype(int))
+    for row, occ in enumerate(occupancy):
+        dense[row, rng.choice(128, size=occ, replace=False)] = 1.0
+    dense[:16, :16] = 1.0
+    profile = profile_operand(dense)
+    steps, emitted = CostModel(fixed), CostModel(replace(fixed, emitted=True))
+    for candidate in (Candidate("COO"), Candidate("ELL"), Candidate("GroupCOO", group_size=4)):
+        terms = emitted.explain(profile, candidate, n_cols=32)
+        expected = terms["scalar_macs"] * fixed.flop_ns / 1e6
+        assert terms["modeled_ms"] == pytest.approx(expected)
+        assert terms["modeled_ms"] < steps.estimate_ms(profile, candidate, n_cols=32)
+    block = Candidate("BlockCOO", block_shape=(16, 16))
+    assert emitted.estimate_ms(profile, block, 32) == steps.estimate_ms(profile, block, 32)
 
 
 def test_estimate_scales_with_n_cols():
