@@ -24,12 +24,12 @@ from pathlib import Path
 
 PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 
-#: Total lines at PR 20: one operand codec behind the ring and the gateway
-#: wire (`cluster/codec.py` + `gateway/wire.py` 1,124 -> 996; the dense
-#: projection, the pickled pattern broadcast and the second cache mirror
-#: deleted).  10,112 at PR 18, 10,102 at PR 17, 10,547 at PR 15, 10,556 at
-#: PR 14, 10,867 before it.
-CEILING = 9984
+#: Total lines at PR 22: one stats report and one serving window for every
+#: tier (three stats modules 497 -> `runtime/stats.py` 259; the cluster's
+#: hand-copied window and the worker stats round trip deleted,
+#: `cluster/server.py` 1,232 -> 1,130).  9,984 at PR 20, 10,112 at PR 18,
+#: 10,102 at PR 17, 10,547 at PR 15, 10,556 at PR 14, 10,867 before it.
+CEILING = 9583
 
 #: The config dataclasses whose fields are the stack's options.
 CONFIG_CLASSES = {

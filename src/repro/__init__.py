@@ -26,8 +26,8 @@ Public API highlights
 * :mod:`repro.serve` — the serving front door: :class:`repro.Session`
   with one ``submit()``-returns-:class:`repro.Future` surface over
   inline, threaded, and cluster execution, configured by a typed
-  :class:`repro.ServeConfig` and reporting a normalized
-  :class:`repro.ServeStats` (see ``docs/API.md``).
+  :class:`repro.ServeConfig` and reporting one
+  :class:`repro.ServeStats` on every tier (see ``docs/API.md``).
 * :mod:`repro.obs` — observability across every tier: the process-wide
   metrics registry, per-request traces (``Future.trace()``), structured
   JSON logs, and the ``/metrics`` / ``/healthz`` / ``/statsz`` ops HTTP
@@ -55,7 +55,7 @@ See ``docs/ARCHITECTURE.md`` for the full pipeline walk-through,
 paper-figure harnesses.
 """
 
-from repro.cluster import ClusterBusyError, ClusterServer, ClusterStats, WorkerCrashedError
+from repro.cluster import ClusterBusyError, ClusterServer, WorkerCrashedError
 from repro.core.insum import Insum, SparseEinsum, insum, sparse_einsum
 from repro.core.inductor import InductorConfig
 from repro.core.triton_sim import DeviceModel, RTX3090
@@ -95,7 +95,6 @@ __version__ = "1.7.0"
 __all__ = [
     "ClusterBusyError",
     "ClusterServer",
-    "ClusterStats",
     "ControlThreadError",
     "DeadlineExceededError",
     "Future",

@@ -15,8 +15,6 @@ single interpreter (the ROADMAP's "production-scale" direction):
   with blocking backpressure or reject-with-``retry_after``.
 * :mod:`repro.cluster.worker` — the worker process: an inner
   ``InsumServer`` (specialization + coalescing intact) behind the rings.
-* :mod:`repro.cluster.stats` — :class:`ClusterStats`, the aggregated
-  pool report.
 
 See ``docs/SERVING.md`` for the architecture and failure model.
 """
@@ -25,13 +23,11 @@ from repro.cluster.admission import AdmissionController, ClusterBusyError
 from repro.cluster.router import Router, affinity_key
 from repro.cluster.server import ClusterServer, WorkerCrashedError
 from repro.cluster.shm import ShmRing, segment_exists
-from repro.cluster.stats import ClusterStats
 
 __all__ = [
     "AdmissionController",
     "ClusterBusyError",
     "ClusterServer",
-    "ClusterStats",
     "Router",
     "ShmRing",
     "WorkerCrashedError",

@@ -6,12 +6,9 @@ arrays) travel through the shared-memory rings
 envelopes plus control tuples.  Each envelope references ring payloads
 by the descriptors of :mod:`repro.cluster.codec`.
 
-Control messages are plain tuples, dispatched on their first element:
-
-* ``("stats", serial)`` — parent -> worker: reply with the worker's
-  :class:`~repro.runtime.stats.RuntimeStats`.
-* ``("stats_reply", worker_id, incarnation, serial, stats)`` — the reply.
-* ``("stop",)`` — parent -> worker: finish in-flight work and exit.
+The one control message is a plain tuple: ``("stop",)`` — parent ->
+worker: finish in-flight work and exit.  (There is no stats message: a
+worker's counters ride on its responses.)
 """
 
 from __future__ import annotations
@@ -55,7 +52,11 @@ class ResponseEnvelope:
     and ``incarnation`` let the parent ignore stale responses from a
     worker generation it has already replaced.  ``trace`` is the
     worker-side :meth:`repro.obs.trace.Trace.export` snapshot (stamps
-    and spans) when the request carried a trace id.
+    and spans) when the request carried a trace id.  ``counters`` holds
+    the worker's cumulative :data:`~repro.runtime.stats.INTERIOR` counters
+    (plan-cache hits and misses, coalesced requests and batches, since the
+    incarnation started) as of this response; the parent keeps the last
+    it saw, so they outlive the worker.
     """
 
     request_id: int
@@ -65,3 +66,4 @@ class ResponseEnvelope:
     error: Any = None
     release_to: int = 0
     trace: dict | None = None
+    counters: tuple[int, ...] = (0, 0, 0, 0)

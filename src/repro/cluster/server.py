@@ -27,10 +27,12 @@ same-plan coalescing intact):
   in-flight requests are requeued to the survivors (bounded by
   ``max_attempts``, so a poison request surfaces as an error instead of
   crashing workers forever).
-* **Stats** — :meth:`stats` returns a
-  :class:`~repro.cluster.stats.ClusterStats`: end-to-end latency and
-  throughput measured at the parent, cache/coalesce counters aggregated
-  across the pool.
+* **Stats** — :meth:`stats` returns the same
+  :class:`~repro.runtime.stats.ServeStats` as every tier, from the
+  parent's own :class:`~repro.runtime.stats.ServingWindow`: outcomes,
+  latency and throughput are measured here, and the cache/coalesce
+  counters are the cumulative totals each worker attaches to its
+  responses — reporting never talks to a worker.
 
 See ``docs/SERVING.md`` for the architecture and failure model.
 """
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import operator
 import os
 import secrets
 import threading
@@ -52,7 +55,6 @@ from repro.cluster.codec import OperandEncoder, decode_result
 from repro.cluster.messages import ResponseEnvelope
 from repro.cluster.router import Router, affinity_key
 from repro.cluster.shm import RingAborted, ShmRing
-from repro.cluster.stats import ClusterStats
 from repro.cluster.worker import worker_main
 from repro.errors import (
     ControlThreadError,
@@ -65,14 +67,12 @@ from repro.errors import (
 from repro.obs import resources as obs_resources
 from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, get_registry
+from repro.obs.metrics import get_registry
 from repro.resilience.deadline import deadline_error
 from repro.resilience.supervisor import PoisonQuarantine, WorkerSupervisor, poison_key
 from repro.runtime import request as runtime_request
 from repro.runtime.request import InsumResult, Request
-from repro.runtime.stats import RuntimeStats, build_stats
-from repro.runtime.plan_cache import PlanCacheStats
-from repro.utils.timing import LatencyRecorder
+from repro.runtime.stats import INTERIOR, ServeStats, ServingWindow
 
 #: Default per-direction ring capacity (bytes).
 RING_CAPACITY = 8 * 1024 * 1024
@@ -114,6 +114,10 @@ class _WorkerHandle:
     #: Resource samples taken by the monitor thread (newest last).
     prev_sample: Any = None
     last_sample: Any = None
+    #: The :data:`~repro.runtime.stats.INTERIOR` counters this incarnation
+    #: last reported (cumulative since it started), guarded by the
+    #: server's state condition.
+    counters: tuple[int, ...] = (0,) * len(INTERIOR)
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -225,37 +229,17 @@ class ClusterServer:
         self._unfinished = 0
         self._loads = [0] * self.num_workers
         self._ids = itertools.count()
-        self._latencies = LatencyRecorder()
-        self._completed = 0
-        self._failed = 0
-        self._cancelled = 0
-        self._requeued = 0
-        self._restarts = 0
+        self._window = ServingWindow(tier="cluster", workers=self.num_workers)
+        #: Per slot, guarded by the state condition: the interior counters
+        #: of the incarnations already replaced, the per-slot totals at the
+        #: last reset_stats(), and the window's completions.  A window is
+        #: a subtraction from the mark, so it outlives the worker it counts.
+        self._replaced_counters = [(0,) * len(INTERIOR)] * self.num_workers
+        self._counter_marks = list(self._replaced_counters)
+        self._worker_completed = [0] * self.num_workers
+        self._rejected_mark = 0
         self._log = get_logger("cluster.server")
         registry = get_registry()
-        outcome_help = "Terminal request outcomes, by serving tier."
-        self._m_completed = registry.counter(
-            "repro_requests_total", outcome_help, backend="cluster", outcome="completed"
-        )
-        self._m_failed = registry.counter(
-            "repro_requests_total", outcome_help, backend="cluster", outcome="failed"
-        )
-        self._m_cancelled = registry.counter(
-            "repro_requests_total", outcome_help, backend="cluster", outcome="cancelled"
-        )
-        self._m_latency = registry.histogram(
-            "repro_request_latency_ms",
-            "End-to-end request latency in milliseconds, by serving tier.",
-            buckets=DEFAULT_LATENCY_BUCKETS_MS,
-            backend="cluster",
-        )
-        self._m_requeued = registry.counter(
-            "repro_requeued_total", "Requests redispatched after losing their worker."
-        )
-        self._m_restarts = registry.counter(
-            "repro_worker_restarts_total",
-            "Worker processes replaced by the health monitor.",
-        )
         self._m_deadline = registry.counter(
             "repro_deadline_expired_total",
             "Requests that exceeded their deadline, by serving tier.",
@@ -269,14 +253,6 @@ class ClusterServer:
             "repro_dead_workers",
             "Worker slots retired permanently after exhausting their restart budget.",
         )
-        self._window_started: float | None = None
-        self._window_finished: float | None = None
-        self._stats_serial = itertools.count(1)
-        self._stats_replies: dict[int, dict[int, RuntimeStats]] = {}
-        self._stats_events: dict[int, threading.Event] = {}
-        #: worker_id -> (incarnation, RuntimeStats) snapshot at the last
-        #: reset_stats(), subtracted from worker reports.
-        self._worker_marks: dict[int, tuple[int, RuntimeStats]] = {}
 
         self._dispatch_cv = threading.Condition()
         self._dispatch: deque[Request] = deque()
@@ -413,9 +389,7 @@ class ClusterServer:
         """Replace a dead/wedged worker and requeue its in-flight requests."""
         old = self._handles[worker_id]
         stranded = self._harvest_incarnation(worker_id)
-        with self._state:
-            self._restarts += 1
-        self._m_restarts.inc()
+        self._window.count("restarts")
         self._log.warning(
             "restarting worker",
             extra={
@@ -426,7 +400,9 @@ class ClusterServer:
             },
         )
         replacement = self._start_worker(worker_id, incarnation=old.incarnation + 1)
-        self._handles[worker_id] = replacement
+        with self._state:
+            self._replaced_counters[worker_id] = self._cumulative_counters()[worker_id]
+            self._handles[worker_id] = replacement
         self._start_collector(replacement)
         # The old collector thread notices it is superseded and exits on
         # its next poll; its queue died with the worker.
@@ -479,9 +455,7 @@ class ClusterServer:
                 ),
             )
             return
-        with self._state:
-            self._requeued += 1
-        self._m_requeued.inc()
+        self._window.count("requeued")
         self._enqueue(request, front=True)
 
     def _enqueue(self, request: Request, front: bool = False) -> None:
@@ -576,8 +550,7 @@ class ClusterServer:
                 raise SessionClosedError("ClusterServer is closed")
             self._unfinished += 1
         request.accept(next(self._ids))
-        if self._window_started is None:
-            self._window_started = request.submitted_at
+        self._window.open_at(request.submitted_at)
         self._enqueue(request)
 
     def try_cancel(self, request: Request) -> bool:
@@ -747,34 +720,18 @@ class ClusterServer:
                     # polling it again would spin on OSError forever.
                     return
                 continue
-            if isinstance(message, tuple):
-                if message[0] == "stats_reply":
-                    self._accept_stats_reply(*message[1:])
-                continue
-            self._accept_response(message)
-
-    def _accept_stats_reply(
-        self, worker_id: int, incarnation: int, serial: int, stats: RuntimeStats
-    ) -> None:
-        with self._state:
-            replies = self._stats_replies.get(serial)
-            if replies is None or self._handles[worker_id].incarnation != incarnation:
-                return
-            replies[worker_id] = stats
-            event = self._stats_events.get(serial)
-            if event is not None and len(replies) >= self.num_workers:
-                event.set()
+            if not isinstance(message, tuple):  # ("wake",) only wakes the poll
+                self._accept_response(message)
 
     def _accept_response(self, response: ResponseEnvelope) -> None:
-        handle = self._handles[response.worker_id]
         with self._state:
-            stale = (
-                handle.incarnation != response.incarnation
-                or response.request_id not in handle.outstanding
-            )
-            if stale:
+            handle = self._handles[response.worker_id]
+            if handle.incarnation != response.incarnation:
                 return
-            request = handle.outstanding.pop(response.request_id)
+            handle.counters = response.counters
+            request = handle.outstanding.pop(response.request_id, None)
+            if request is None:
+                return
             self._loads[response.worker_id] -= 1
         error = response.error
         output = None
@@ -804,7 +761,13 @@ class ClusterServer:
                     self._requeue(request, exclude_worker=response.worker_id)
                     return
                 error = decode_error
-        self._record(request, output=output, error=error, trace_export=response.trace)
+        self._record(
+            request,
+            output=output,
+            error=error,
+            trace_export=response.trace,
+            worker_id=response.worker_id,
+        )
 
     def _finish_trace(self, request: Request, trace_export: dict | None) -> Any:
         """Merge the worker's trace export and build the parent-side spans.
@@ -827,8 +790,11 @@ class ClusterServer:
         trace.span_between("ring.respond", "worker.done", "done")
         return trace
 
-    def _record(self, request: Request, output=None, error=None, trace_export=None) -> None:
-        """Publish one terminal result and update the serving counters.
+    def _record(
+        self, request: Request, output=None, error=None, trace_export=None, worker_id=None
+    ) -> None:
+        """Publish one terminal result and update the serving counters
+        (``worker_id``: the slot whose response this is, if any).
 
         Idempotent per request: control-plane containment can race a
         collector already recording the same request, and the loser must
@@ -855,27 +821,12 @@ class ClusterServer:
             latency_ms=latency_ms,
             trace=self._finish_trace(request, trace_export),
         )
-        cancelled = isinstance(error, FutureCancelledError)
-        if cancelled:
+        if isinstance(error, FutureCancelledError):
             self.admission.release()
-            self._m_cancelled.inc()
+            self._window.count("cancelled")
         else:
-            self._latencies.record(latency_ms)
             self.admission.release(service_seconds=latency_ms / 1e3)
-            self._m_latency.observe(latency_ms)
-        with self._state:
-            self._unfinished -= 1
-            if cancelled:
-                self._cancelled += 1
-            else:
-                if result.ok:
-                    self._completed += 1
-                else:
-                    self._failed += 1
-                self._window_finished = finished
-            self._state.notify_all()
-        if not cancelled:
-            (self._m_completed if result.ok else self._m_failed).inc()
+            self._window.observe(result.ok, latency_ms, finished)
             if not result.ok:
                 self._log.info(
                     "request failed",
@@ -886,6 +837,11 @@ class ClusterServer:
                         "trace_id": result.trace.trace_id if result.trace else None,
                     },
                 )
+        with self._state:
+            self._unfinished -= 1
+            if result.ok and worker_id is not None:
+                self._worker_completed[worker_id] += 1
+            self._state.notify_all()
         if result.trace is not None:
             obs_trace.maybe_log_trace(result.trace)
         request.on_done(result)
@@ -1049,9 +1005,8 @@ class ClusterServer:
             if sample is not None and prev is not None:
                 entry["cpu_percent"] = obs_resources.cpu_percent_between(prev, sample)
             workers.append(entry)
-        with self._state:
-            restarts = self._restarts
-            control_error = self._control_error
+        restarts = self._window.counters()["restarts"]
+        control_error = self._control_error
         dead_workers = list(self.supervisor.dead_workers)
         status = "ok" if all_alive and control_error is None and not dead_workers else "degraded"
         if self._closed:
@@ -1069,101 +1024,44 @@ class ClusterServer:
         }
 
     # -- reporting ----------------------------------------------------------
-    def _collect_worker_stats(self, timeout: float = 2.0) -> dict[int, RuntimeStats]:
-        """Ask every worker for its inner-server stats (best effort)."""
-        serial = next(self._stats_serial)
-        event = threading.Event()
-        with self._state:
-            self._stats_replies[serial] = {}
-            self._stats_events[serial] = event
-        for handle in self._handles:
-            try:
-                handle.request_q.put(("stats", serial))
-            except (OSError, ValueError):
-                pass
-        event.wait(timeout)
-        with self._state:
-            self._stats_events.pop(serial, None)
-            return self._stats_replies.pop(serial, {})
+    def _cumulative_counters(self) -> list[tuple[int, ...]]:
+        """Per slot, the interior counters since the server started: what
+        the incarnations already replaced had reported plus the current
+        one's last report.  The caller holds the state condition."""
+        return [
+            tuple(map(sum, zip(replaced, handle.counters)))
+            for replaced, handle in zip(self._replaced_counters, self._handles)
+        ]
 
-    def _subtract_mark(self, worker_id: int, stats: RuntimeStats) -> RuntimeStats:
-        mark = self._worker_marks.get(worker_id)
-        if mark is None or mark[0] != self._handles[worker_id].incarnation:
-            return stats
-        base = mark[1]
-        return RuntimeStats(
-            completed=stats.completed - base.completed,
-            failed=stats.failed - base.failed,
-            wall_seconds=stats.wall_seconds,
-            p50_latency_ms=stats.p50_latency_ms,
-            p95_latency_ms=stats.p95_latency_ms,
-            mean_latency_ms=stats.mean_latency_ms,
-            max_latency_ms=stats.max_latency_ms,
-            cache_hits=stats.cache_hits - base.cache_hits,
-            cache_misses=stats.cache_misses - base.cache_misses,
-            coalesced_requests=stats.coalesced_requests - base.coalesced_requests,
-            coalesced_batches=stats.coalesced_batches - base.coalesced_batches,
-            cancelled=stats.cancelled - base.cancelled,
-            p99_latency_ms=stats.p99_latency_ms,
-        )
+    def stats(self) -> ServeStats:
+        """The window's report; ``per_worker`` has one entry per slot.
 
-    def stats(self, worker_timeout: float = 2.0) -> ClusterStats:
-        """Aggregated throughput/latency/cache report across the pool."""
-        per_worker_raw = self._collect_worker_stats(timeout=worker_timeout)
-        per_worker = tuple(
-            self._subtract_mark(worker_id, stats)
-            for worker_id, stats in sorted(per_worker_raw.items())
-        )
-        wall = 0.0
-        if self._window_started is not None and self._window_finished is not None:
-            wall = max(0.0, self._window_finished - self._window_started)
-        cache_delta = PlanCacheStats(
-            hits=sum(stats.cache_hits for stats in per_worker),
-            misses=sum(stats.cache_misses for stats in per_worker),
-            evictions=0,
-            size=0,
-            maxsize=0,
-        )
+        Built from the parent's own window and the counters the workers'
+        responses carried: no message is sent and nothing is waited on, so
+        a scrape costs the same with a worker down, and what a dead
+        incarnation served stays counted.
+        """
         with self._state:
-            completed, failed = self._completed, self._failed
-            cancelled = self._cancelled
-            requeued, restarts = self._requeued, self._restarts
-        aggregate = build_stats(
-            completed,
-            failed,
-            wall,
-            self._latencies,
-            cache_delta,
-            coalesced_requests=sum(stats.coalesced_requests for stats in per_worker),
-            coalesced_batches=sum(stats.coalesced_batches for stats in per_worker),
-            cancelled=cancelled,
-        )
-        return ClusterStats(
-            aggregate=aggregate,
-            per_worker=per_worker,
-            workers=self.num_workers,
-            rejected=self.admission.rejected,
-            requeued=requeued,
-            restarts=restarts,
+            slots = [
+                dict(zip(INTERIOR, map(operator.sub, totals, marks)), completed=completed)
+                for totals, marks, completed in zip(
+                    self._cumulative_counters(), self._counter_marks, self._worker_completed
+                )
+            ]
+        threads = self._server_kwargs["num_workers"]
+        return self._window.snapshot(
+            per_worker=tuple(ServeStats("threaded", threads, **slot) for slot in slots),
+            rejected=self.admission.rejected - self._rejected_mark,
         )
 
     def reset_stats(self) -> None:
-        """Start a fresh measurement window (parent counters + worker marks)."""
-        marks = self._collect_worker_stats()
+        """Start a fresh measurement window: the window itself, and a mark
+        under every cumulative counter a window is a subtraction from."""
         with self._state:
-            self._completed = 0
-            self._failed = 0
-            self._cancelled = 0
-            self._requeued = 0
-            self._restarts = 0
-            self._window_started = None
-            self._window_finished = None
-            for worker_id, stats in marks.items():
-                self._worker_marks[worker_id] = (
-                    self._handles[worker_id].incarnation,
-                    stats,
-                )
-        self._latencies.reset()
+            self._counter_marks = self._cumulative_counters()
+            self._worker_completed = [0] * self.num_workers
+            self._rejected_mark = self.admission.rejected
+        self._window.reset()
 
     @property
     def worker_pids(self) -> list[int]:

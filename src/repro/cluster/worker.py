@@ -40,6 +40,7 @@ from repro.cluster.shm import ShmRing
 from repro.obs import trace as obs_trace
 from repro.resilience.deadline import Deadline, deadline_error
 from repro.runtime.request import Request
+from repro.runtime.stats import INTERIOR
 
 #: Largest envelope batch a worker drains per inner-server round — the
 #: coalescing opportunity window.
@@ -83,6 +84,18 @@ def _serve_batch(
     should_abort,
 ) -> None:
     """Decode, execute (as one inner-server batch), and answer ``batch``."""
+
+    def reply(envelope: RequestEnvelope, **fields: Any) -> ResponseEnvelope:
+        # The counters, not a stats snapshot: that sorts every latency sample.
+        counters = server.window.counters()
+        return ResponseEnvelope(
+            request_id=envelope.request_id,
+            worker_id=worker_id,
+            incarnation=incarnation,
+            counters=tuple(counters[name] for name in INTERIOR),
+            **fields,
+        )
+
     done: queue.SimpleQueue = queue.SimpleQueue()
     submitted = 0
     for envelope in batch:
@@ -103,16 +116,8 @@ def _serve_batch(
             operands = decoder.decode_request(envelope)
             deadline = Deadline.from_epoch(envelope.deadline)
             if deadline is not None and deadline.expired():
-                response_q.put(
-                    ResponseEnvelope(
-                        request_id=envelope.request_id,
-                        worker_id=worker_id,
-                        incarnation=incarnation,
-                        error=portable_error(
-                            deadline_error(envelope.request_id, "worker")
-                        ),
-                    )
-                )
+                expired = deadline_error(envelope.request_id, "worker")
+                response_q.put(reply(envelope, error=portable_error(expired)))
                 resp_ring.beat()
                 continue
             if wtrace is not None:
@@ -127,14 +132,7 @@ def _serve_batch(
                 )
             )
         except Exception as error:  # noqa: BLE001 — a bad request must not kill the worker
-            response_q.put(
-                ResponseEnvelope(
-                    request_id=envelope.request_id,
-                    worker_id=worker_id,
-                    incarnation=incarnation,
-                    error=portable_error(error),
-                )
-            )
+            response_q.put(reply(envelope, error=portable_error(error)))
             continue
         submitted += 1
     # Answer per completion, not per batch: every request is already in
@@ -142,11 +140,7 @@ def _serve_batch(
     # check scaled to a single request rather than BATCH_WINDOW of them.
     for _ in range(submitted):
         envelope, result = done.get()
-        response = ResponseEnvelope(
-            request_id=envelope.request_id,
-            worker_id=worker_id,
-            incarnation=incarnation,
-        )
+        response = reply(envelope)
         try:
             if result.ok:
                 response.result, response.release_to = encode_result(
@@ -203,15 +197,9 @@ def worker_main(
                 continue
             batch: list[RequestEnvelope] = []
             while True:
-                if isinstance(message, tuple):
-                    kind = message[0]
-                    if kind == "stats":
-                        response_q.put(
-                            ("stats_reply", worker_id, incarnation, message[1], server.stats())
-                        )
-                    elif kind == "stop":
-                        running = False
-                        break
+                if isinstance(message, tuple):  # ("stop",), the one control message
+                    running = False
+                    break
                 else:
                     batch.append(message)
                     if len(batch) >= BATCH_WINDOW:

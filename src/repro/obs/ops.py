@@ -5,7 +5,7 @@ not for serving traffic:
 
 * ``GET /metrics`` — the process-wide registry in Prometheus text
   format.  When bound to a :class:`~repro.serve.Session`, the session
-  first publishes its normalized :class:`~repro.serve.stats.ServeStats`
+  first publishes its :class:`~repro.runtime.stats.ServeStats` window
   as gauges, so cluster-tier counters that live in worker processes
   (plan-cache hits, coalesce counts) appear in the parent's scrape.
 * ``GET /healthz`` — liveness JSON: ``200`` with per-worker heartbeat /

@@ -11,8 +11,9 @@ ROADMAP's "production-scale" direction):
   the one record a request travels as and the outcome it resolves to.
 * :mod:`repro.runtime.server` — :class:`InsumServer`, request queuing
   over reusable per-expression operators.
-* :mod:`repro.runtime.stats` — :class:`RuntimeStats`, the throughput /
-  latency / cache-hit-rate report.
+* :mod:`repro.runtime.stats` — the one home of serving accounting:
+  :class:`ServeStats`, the report every tier returns, and
+  :class:`ServingWindow`, the counter store every tier embeds.
 """
 
 from repro.runtime.plan_cache import (
@@ -27,7 +28,7 @@ from repro.runtime.plan_cache import (
 from repro.runtime.request import InsumResult, Request
 from repro.runtime.server import InsumServer
 from repro.runtime.stacked import StackedSparse
-from repro.runtime.stats import RuntimeStats
+from repro.runtime.stats import ServeStats
 
 __all__ = [
     "CachedPlan",
@@ -41,5 +42,5 @@ __all__ = [
     "InsumResult",
     "InsumServer",
     "StackedSparse",
-    "RuntimeStats",
+    "ServeStats",
 ]

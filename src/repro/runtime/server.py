@@ -38,10 +38,10 @@ from repro.formats.base import SparseFormat
 from repro.obs import trace as obs_trace
 from repro.resilience.deadline import deadline_error
 from repro.obs.logs import get_logger
-from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, get_registry
+from repro.obs.metrics import get_registry
 from repro.runtime import request as runtime_request
 from repro.runtime.request import InsumResult, Request, clock
-from repro.runtime.stats import RuntimeStats, ServingWindow
+from repro.runtime.stats import ServeStats, ServingWindow
 
 
 @dataclass
@@ -330,29 +330,15 @@ class InsumServer:
         )
 
         self._queue: queue.SimpleQueue[Request | None] = queue.SimpleQueue()
-        #: Guards the counters below and makes "closed?" + queue put one
-        #: step, so no request can land behind the shutdown tokens.
+        #: Makes "closed?" + queue put one step, so no request can land
+        #: behind the shutdown tokens.
         self._lock = threading.Lock()
         self._ids = itertools.count()
-        self._window = ServingWindow(tier="threaded")
-        self._coalesced_requests = 0
-        self._coalesced_batches = 0
+        #: The measurement window; a cluster worker reads its counters.
+        self.window = ServingWindow(tier="threaded", workers=num_workers)
         self._closed = False
         self._log = get_logger("runtime.server")
-        registry = get_registry()
-        self._m_coalesced_requests = registry.counter(
-            "repro_coalesced_requests_total",
-            "Requests served through a widened (stacked) batch.",
-        )
-        self._m_coalesced_batches = registry.counter(
-            "repro_coalesced_batches_total", "Widened (stacked) batches executed."
-        )
-        self._m_batch_size = registry.histogram(
-            "repro_coalesce_batch_size",
-            "Requests per executed coalesced batch.",
-            buckets=DEFAULT_SIZE_BUCKETS,
-        )
-        self._m_deadline = registry.counter(
+        self._m_deadline = get_registry().counter(
             "repro_deadline_expired_total",
             "Requests that exceeded their deadline, by serving tier.",
             backend="threaded",
@@ -412,7 +398,7 @@ class InsumServer:
             if request.trace is not None:
                 request.trace.stamp("queued")
             request.accept(next(self._ids))
-            self._window.open_at(request.submitted_at)
+            self.window.open_at(request.submitted_at)
             self._queue.put(request)
 
     def try_cancel(self, request: Request) -> bool:
@@ -595,12 +581,7 @@ class InsumServer:
                 self._process_one(request)
             return
         finished = clock()
-        with self._lock:
-            self._coalesced_batches += 1
-            self._coalesced_requests += len(requests)
-        self._m_coalesced_batches.inc()
-        self._m_coalesced_requests.inc(len(requests))
-        self._m_batch_size.observe(len(requests))
+        self.window.observe_batch(len(requests))
         for request, output in zip(requests, outputs):
             self._record(
                 request,
@@ -614,29 +595,20 @@ class InsumServer:
         if isinstance(result.error, DeadlineExceededError):
             self._m_deadline.inc()
         if isinstance(result.error, FutureCancelledError):
-            self._window.observe_cancelled()
+            self.window.count("cancelled")
         else:
-            self._window.observe(result.ok, result.latency_ms, time.perf_counter())
+            self.window.observe(result.ok, result.latency_ms, time.perf_counter())
             obs_trace.maybe_log_trace(result.trace)
         request.on_done(result)
 
     # -- reporting ----------------------------------------------------------
-    def stats(self) -> RuntimeStats:
+    def stats(self) -> ServeStats:
         """Throughput, latency percentiles, and cache hit rate so far."""
-        with self._lock:
-            coalesced_requests = self._coalesced_requests
-            coalesced_batches = self._coalesced_batches
-        return self._window.snapshot(
-            coalesced_requests=coalesced_requests,
-            coalesced_batches=coalesced_batches,
-        )
+        return self.window.snapshot()
 
     def reset_stats(self) -> None:
         """Start a fresh measurement window (counters, latencies, cache mark)."""
-        with self._lock:
-            self._coalesced_requests = 0
-            self._coalesced_batches = 0
-        self._window.reset()
+        self.window.reset()
 
     def health(self) -> dict[str, Any]:
         """Liveness report for ``/healthz``: per-worker thread aliveness."""

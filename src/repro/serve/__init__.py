@@ -16,8 +16,9 @@ grown by the runtime (a thread-pool ``InsumServer``), the cluster (a
   delivery, timeout, cancellation of undispatched work, callbacks.
 * :mod:`repro.serve.backend` — the :class:`ExecutorBackend` protocol the
   tiers implement, plus the inline (calling-thread) backend.
-* :mod:`repro.serve.stats` — :class:`ServeStats`: one normalized report
-  shape across ``RuntimeStats`` and ``ClusterStats``.
+
+:class:`ServeStats`, the report every tier's ``stats()`` returns, is
+re-exported here from :mod:`repro.runtime.stats`, its one home.
 
 See ``docs/SERVING.md`` for the architecture and ``docs/API.md`` for the
 public surface and the backend protocol.
@@ -26,8 +27,8 @@ public surface and the backend protocol.
 from repro.serve.backend import ExecutorBackend, InlineBackend, build_backend
 from repro.serve.config import BACKENDS, ServeConfig, ServeConfigError
 from repro.serve.future import Future
+from repro.runtime.stats import ServeStats
 from repro.serve.session import Session
-from repro.serve.stats import ServeStats
 
 __all__ = [
     "BACKENDS",

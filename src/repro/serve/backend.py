@@ -20,7 +20,7 @@ from repro.errors import DeadlineExceededError, SessionClosedError
 from repro.obs import trace as obs_trace
 from repro.runtime.request import Request, clock
 from repro.runtime.server import RequestExecutor
-from repro.runtime.stats import RuntimeStats, ServingWindow
+from repro.runtime.stats import ServeStats, ServingWindow
 from repro.serve.config import ServeConfig
 
 
@@ -51,8 +51,8 @@ class ExecutorBackend(Protocol):
         """
         ...
 
-    def stats(self) -> Any:
-        """The tier's raw report (normalized by the session into ServeStats)."""
+    def stats(self) -> ServeStats:
+        """The tier's report over its current measurement window."""
         ...
 
     def reset_stats(self) -> None:
@@ -80,7 +80,7 @@ class InlineBackend:
     def __init__(self, **executor_kwargs: Any):
         self._executor = RequestExecutor(**executor_kwargs)
         self._ids = itertools.count()
-        self._window = ServingWindow(tier="inline")
+        self._window = ServingWindow(tier="inline", workers=1)
         self._closed = False
 
     def submit(self, request: Request) -> None:
@@ -114,7 +114,7 @@ class InlineBackend:
         """Always False: inline work completes during ``submit``."""
         return False
 
-    def stats(self) -> RuntimeStats:
+    def stats(self) -> ServeStats:
         """Throughput, latency percentiles, and cache hit rate so far."""
         return self._window.snapshot()
 

@@ -264,17 +264,3 @@ class ServeConfig:
             and backend in config_field.metadata["backends"]
             and getattr(self, config_field.name) is not None
         }
-
-    def resolved_workers(self, backend: str) -> int:
-        """The effective worker parallelism for ``backend``.
-
-        Parameters
-        ----------
-        backend:
-            The session backend name this config will drive.
-        """
-        if backend == "inline":
-            return 1
-        if self.workers is not None:
-            return self.workers
-        return 4 if backend == "threaded" else 2

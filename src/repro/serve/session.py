@@ -35,7 +35,6 @@ from typing import Any, AsyncIterator, Iterable, Iterator
 
 import numpy as np
 
-from repro.cluster.stats import ClusterStats
 from repro.errors import FutureCancelledError, ServeError, SessionClosedError
 from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
@@ -45,10 +44,10 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.failover import fallback_config
 from repro.resilience.retry import RetryPolicy
 from repro.runtime.request import InsumResult, Request
+from repro.runtime.stats import ServeStats
 from repro.serve.backend import ExecutorBackend, build_backend
 from repro.serve.config import ServeConfig
 from repro.serve.future import Future
-from repro.serve.stats import ServeStats
 
 #: Environment variable selecting the backend for :meth:`Session.from_env`.
 BACKEND_ENV = "REPRO_SERVE_BACKEND"
@@ -528,15 +527,8 @@ class Session:
 
     # -- reporting ----------------------------------------------------------
     def stats(self) -> ServeStats:
-        """The backend's report, normalized to one :class:`ServeStats` shape."""
-        raw = self._backend.stats()
-        if isinstance(raw, ClusterStats):
-            return ServeStats.from_cluster(raw)
-        return ServeStats.from_runtime(
-            raw,
-            backend=self._backend_name,
-            workers=self.config.resolved_workers(self._backend_name),
-        )
+        """The backend's report over its current measurement window."""
+        return self._backend.stats()
 
     def reset_stats(self) -> None:
         """Start a fresh measurement window on the backend."""
@@ -577,8 +569,9 @@ class Session:
         Called by the ops endpoint before each ``/metrics`` render.  The
         cluster tier's plan-cache and coalescing counters live inside the
         worker *processes* — outside the parent's registry — so this is
-        how they (and the normalized window as a whole) reach Prometheus:
-        gauges snapshotting :meth:`stats`, labelled with the backend.
+        how they (and the window as a whole) reach Prometheus: gauges
+        snapshotting :meth:`stats`, labelled with the backend.  Nothing
+        is asked of a worker — the counters rode in on its responses.
         """
         stats = self.stats()
         registry = get_registry()
@@ -611,7 +604,7 @@ class Session:
         """Start (or return) this session's ops HTTP endpoint.
 
         Serves ``/metrics`` (Prometheus text), ``/healthz`` (JSON
-        liveness), and ``/statsz`` (the normalized :class:`ServeStats`)
+        liveness), and ``/statsz`` (the :class:`ServeStats` window)
         on a daemon thread.  Also started automatically when the
         ``REPRO_OPS_PORT`` environment variable is set.
 

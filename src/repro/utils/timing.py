@@ -5,8 +5,12 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
+
+#: Latency samples a :class:`LatencyRecorder` keeps: the most recent ones.
+MAX_SAMPLES = 65_536
 
 
 class Timer:
@@ -63,8 +67,8 @@ def percentile(samples: Sequence[float], q: float) -> float:
 class LatencySummary:
     """The canonical latency report: p50/p95/p99/mean/max over a window.
 
-    Every place the repository reports latency percentiles — the three
-    stats dataclasses, the benchmark JSON — builds one of these through
+    Every place the repository reports latency percentiles — the serving
+    report, the benchmark JSON — builds one of these through
     :func:`summarize`, so the percentile method (and the set of reported
     quantiles) is defined exactly once.
     """
@@ -105,11 +109,14 @@ class LatencyRecorder:
     """Thread-safe collector of per-request latencies (milliseconds).
 
     The serving runtime records one sample per completed request and
-    reports p50/p95/p99 through :func:`summarize`.
+    reports p50/p95/p99 through :func:`summarize`.  Only the most recent
+    :data:`MAX_SAMPLES` are kept, so a server that is never reset stays
+    bounded: every statistic is over the last ``MAX_SAMPLES`` requests of
+    the window (request *counts* are kept elsewhere and stay exact).
     """
 
     def __init__(self) -> None:
-        self._samples: list[float] = []
+        self._samples: deque[float] = deque(maxlen=MAX_SAMPLES)
         self._lock = threading.Lock()
 
     def record(self, latency_ms: float) -> None:

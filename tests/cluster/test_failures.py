@@ -85,6 +85,59 @@ def test_two_consecutive_crashes_recover(pattern, submit_all):
         assert cluster.stats().restarts >= 2
 
 
+@pytest.mark.parametrize("restart_budget", [0, 8], ids=["slot-retired", "worker-restarted"])
+def test_window_counters_outlive_the_worker_that_earned_them(pattern, restart_budget):
+    """SIGKILL the worker that served the window: what it counted stays counted.
+
+    The interior counters ride on the responses and the parent keeps the
+    last it saw, so inside one window nothing the report sums ever goes
+    down — not when the slot is retired for good (``restart_budget=0``),
+    not when a fresh incarnation starts counting from zero — and the
+    per-worker completions always add up to ``completed``.
+    """
+    _, fmt = pattern
+    rng = np.random.default_rng(15)
+
+    def serve(cluster, count):
+        results = cluster.run_batch(
+            [
+                ("C[m,n] += A[m,k] * B[k,n]", dict(A=fmt, B=rng.standard_normal((128, 8))))
+                for _ in range(count)
+            ],
+            timeout=180,
+        )
+        assert all(result.ok for result in results)
+        stats = cluster.stats()
+        assert sum(worker.completed for worker in stats.per_worker) == stats.completed
+        return stats
+
+    def interior(stats):
+        lookups = stats.cache_hits + stats.cache_misses
+        return (lookups, stats.coalesced_requests, stats.coalesced_batches)
+
+    with ClusterServer(
+        num_workers=2, worker_threads=1, health_interval=0.05, restart_budget=restart_budget
+    ) as cluster:
+        before = serve(cluster, 8)
+        assert before.completed == 8 and interior(before)[0] > 0
+        (owner,) = [slot for slot in range(2) if before.per_worker[slot].completed]
+        victim = cluster.worker_pids[owner]
+        os.kill(victim, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not (cluster.supervisor.dead_workers or cluster.worker_pids[owner] != victim):
+            assert time.monotonic() < deadline, "the crash was never noticed"
+            time.sleep(0.02)
+        after = cluster.stats()
+        assert (after.completed, interior(after)) == (8, interior(before))
+        assert [worker.completed for worker in after.per_worker] == [
+            worker.completed for worker in before.per_worker
+        ]
+        final = serve(cluster, 4)  # whoever serves now counts on top
+        assert final.completed == 12
+        assert all(now >= then for now, then in zip(interior(final), interior(after)))
+        assert interior(final)[0] > interior(after)[0]
+
+
 def test_requeue_gives_up_after_max_attempts():
     """A request that keeps dying completes with WorkerCrashedError."""
     with ClusterServer(num_workers=1, worker_threads=1, max_attempts=2) as cluster:

@@ -29,10 +29,10 @@ def test_mixed_workload_parity(mixed_workload, cluster_workers, cluster_timeout)
 
     # The pool-level report accounts for every request exactly once, and
     # worker-side coalescing survived the process boundary.
-    assert stats.aggregate.completed == len(mixed_workload)
-    assert stats.aggregate.failed == 0
+    assert stats.completed == len(mixed_workload)
+    assert stats.failed == 0
     assert stats.workers == cluster_workers
-    assert stats.aggregate.coalesced_requests > 0
+    assert stats.coalesced_requests > 0
     assert sum(worker.completed for worker in stats.per_worker) == len(mixed_workload)
 
 
@@ -59,5 +59,5 @@ def test_bad_request_is_an_error_not_a_crash(mixed_workload, cluster_timeout):
         assert not bad_result.ok
         assert good_result.ok
         stats = cluster.stats()
-        assert stats.aggregate.failed == 1
+        assert stats.failed == 1
         assert stats.restarts == 0

@@ -74,3 +74,16 @@ def test_timer_measures_elapsed():
         sum(range(10000))
     assert timer.elapsed >= 0.0
     assert timer.elapsed_ms == pytest.approx(timer.elapsed * 1e3)
+
+
+def test_latency_recorder_keeps_only_the_most_recent_samples():
+    """A server never reset must not grow: the oldest sample leaves first."""
+    from repro.utils.timing import MAX_SAMPLES, LatencyRecorder
+
+    recorder = LatencyRecorder()
+    for sample in range(MAX_SAMPLES + 1):
+        recorder.record(float(sample))
+    kept = recorder.samples()
+    assert MAX_SAMPLES == 65_536 and len(kept) == recorder.count == MAX_SAMPLES
+    assert kept[0] == 1.0 and kept[-1] == float(MAX_SAMPLES)
+    assert recorder.summary().max_ms == float(MAX_SAMPLES)

@@ -104,10 +104,12 @@ def test_value_validation():
 
 
 def test_resolved_workers_defaults():
-    assert ServeConfig().resolved_workers("inline") == 1
-    assert ServeConfig().resolved_workers("threaded") == 4
-    assert ServeConfig().resolved_workers("cluster") == 2
-    assert ServeConfig(workers=7).resolved_workers("threaded") == 7
+    """Each tier reports the parallelism it built; no config method repeats the defaults."""
+    for backend, workers in (("inline", 1), ("threaded", 4), ("cluster", 2)):
+        with Session(backend=backend) as session:
+            assert session.stats().workers == workers
+    with Session(backend="threaded", config=ServeConfig(workers=7)) as session:
+        assert session.stats().workers == 7
 
 
 def test_from_env_parses_typed_fields():
