@@ -5,8 +5,10 @@
 Wraps every prebuilt step of a case's ``SpecializedKernel`` in a timer and
 prints milliseconds per step and per warm call, for the eighteen cases of the
 layer benchmark's two kernel workloads (``benchmarks/layers/workloads.py``,
-read only).  A plan that runs its emitted C loop nest has no steps to wrap:
-its one line is ``<ms>  emitted C``; one that could have been emitted and was not
+read only).  A plan that runs its emitted C loop nest — where ``cc`` exists all
+eighteen: the SpMM family, the block formats, sparse convolution and the tensor
+product — has no steps to wrap: its one line is ``<ms>  emitted C``; one that
+could have been emitted and was not (``CC=/bin/false`` shows every step list)
 says why.  The profiles in ``ROADMAP.md`` and ``docs/PERFORMANCE.md`` are its.
 """
 

@@ -1,7 +1,7 @@
 """The Insum frontend: lowering indirect Einsums to FX graphs (Section 5.1)."""
 
 from repro.core.insum.planner import FactorPlan, InsumPlan, plan_insum
-from repro.core.insum.api import Insum, SparseEinsum, insum, sparse_einsum
+from repro.core.insum.api import Insum, SparseEinsum, fresh_output, insum, sparse_einsum
 
 __all__ = [
     "FactorPlan",
@@ -9,6 +9,7 @@ __all__ = [
     "plan_insum",
     "Insum",
     "SparseEinsum",
+    "fresh_output",
     "insum",
     "sparse_einsum",
 ]

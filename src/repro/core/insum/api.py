@@ -198,7 +198,7 @@ def _remember_bounds(key: tuple) -> None:
     _VALIDATED_BOUNDS[key] = True
 
 
-def _fresh_output(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+def fresh_output(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     """The all-zero base of a call that binds no output operand.
 
     ``dtype`` is the right-hand-side operands' common type: float32 in,
@@ -595,7 +595,7 @@ class SparseEinsum:
                 plan.tensors[plan.value_access.tensor],
                 *(dense_tensors[name] for name in rhs_names if name in dense_tensors),
             )
-            dense_tensors[output_name] = _fresh_output(output_shape, output_dtype)
+            dense_tensors[output_name] = fresh_output(output_shape, output_dtype)
 
         shapes = {name: tuple(arr.shape) for name, arr in dense_tensors.items()}
         rewrite = rewrite_sparse_operand(statement, plan, shapes)
@@ -664,7 +664,7 @@ class SparseEinsum:
             if name != sparse_name and not isinstance(value, SparseFormat)
         }
         if output_name not in execution_tensors:
-            execution_tensors[output_name] = _fresh_output(output_shape, output_dtype)
+            execution_tensors[output_name] = fresh_output(output_shape, output_dtype)
         execution_tensors.update(rewrite.tensors)
         for name, new_shape in rewrite.reshapes.items():
             execution_tensors[name] = execution_tensors[name].reshape(new_shape)

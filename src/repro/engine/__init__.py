@@ -4,7 +4,7 @@ The compiler stack (``repro.core``) decides *what* to execute; this
 package makes the execution itself cheap.  It compiles each
 :class:`~repro.core.insum.planner.InsumPlan` into a flat list of prebuilt
 NumPy steps with every value-independent decision made at compile time —
-and, for pure gather–scale–accumulate plans on a machine with a C compiler,
+and, for every sparse kernel of the paper on a machine with a C compiler,
 into the one fused loop nest the paper's backend generates — and supplies
 the identity-keyed caches that let a serving process stop re-deriving
 per-operand artefacts on every request:
@@ -13,8 +13,8 @@ per-operand artefacts on every request:
   executor of a fused schedule (cache-sized windows, gather, pointwise
   folds plus one ``np.matmul`` that also sums duplicate targets where one
   rule allows, segment-sum scatter elsewhere), compiled per plan;
-* :mod:`repro.engine.emit` — the second emitter behind that lowering: the
-  SpMM family's plans as bounds-checked C, compiled once per machine into
+* :mod:`repro.engine.emit` — the second emitter behind that lowering: a
+  plan as bounds-checked C (dense reductions in a register tile), once per machine into
   ``~/.cache/repro/kernels`` and called outside the GIL
   (``python -m repro.engine`` builds them ahead of time);
 * :mod:`repro.engine.paths` — process-wide ``np.einsum_path`` memo (the

@@ -7,18 +7,18 @@ walks the list — no AST inspection, no axis arithmetic and no contraction
 path search per call — and ``describe()`` prints it, so "what does this
 plan execute" is a log line.  What ``build`` decides:
 
-* **the emitter** — a plan that is *pure gather–scale–accumulate*
-  (:func:`repro.engine.emit.covers`: ELL, GroupCOO and COO SpMM, their
-  stacked forms, SpMV) also gets the paper's kernel, one fused C loop nest
-  with nothing materialised between gather, multiply and scatter
-  (:mod:`repro.engine.emit`), when this machine has a C compiler.  The choice
-  is made here, once, from the plan and the platform, and holds for the
-  kernel's lifetime: ``describe()`` says ``emitter: C`` with the source, or
-  ``emitter: steps (<why>)``.  The loop nest takes float32 / float64 values of
-  one dtype with int64 indices; any other call of that kernel — and every
-  plan with a dense reduction (the block formats, sparse convolution, the
-  tensor product: a BLAS dot does those better), every forced
-  ``window_steps``, every machine without ``cc`` — runs the steps below;
+* **the emitter** — a plan :func:`repro.engine.emit.covers` (ELL, GroupCOO,
+  COO, BlockCOO and BlockGroupCOO SpMM, their stacked forms, SpMV, sparse
+  convolution, the tensor product) also gets the paper's kernel, one fused C
+  loop nest with nothing materialised between gather, multiply and scatter and
+  every dense reduction in a register tile (:mod:`repro.engine.emit`), when
+  this machine has a C compiler.  The choice is made here, once, from the plan
+  and the platform, and holds for the kernel's lifetime: ``describe()`` says
+  ``emitter: C`` with the source, or ``emitter: steps (<why>)``.  The loop nest
+  takes float32 / float64 values (a narrower operand is widened) with int64
+  indices; any other call of that kernel — and every dense reduction with no
+  vector variable, every forced ``window_steps``, every machine without
+  ``cc`` — runs the steps below;
 * **the windows** — the kernel streams over the leading output variable in
   windows whose temporaries (the gathered factors and the partial that
   carry the variable, ``per_step_bytes`` a step) fill :data:`_WINDOW_BYTES`,
@@ -56,15 +56,17 @@ plan execute" is a log line.  What ``build`` decides:
   instance do zero index work.
 
 Numerics.  The emitted loop nest multiplies, then adds (no fused
-multiply-add), in storage order — ``np.add.at``'s order — so its result is a
-sequential loop's bit for bit, whatever the shapes and wherever the operands
-lie, and a coalesced (stacked) execution equals the per-request ones bit for
-bit.  The step list matches the unfused FX interpreter up to floating-point
-reassociation: its dot sums in its BLAS's order — in a run-windowed plan that
-includes the duplicates of an output row, and a stack of ``s`` items runs
-``s x K @ K x n`` per run where one request runs ``1 x K``, a few ulp apart
-(``tests/runtime/test_stacked.py``) — and a ``segment_add`` store keeps the
-sequential contract of :mod:`repro.engine.segment`, within each window.
+multiply-add), in storage order — ``np.add.at``'s order; a dense reduction is
+summed per update, from zero, before it is added — so its result is a
+sequential loop's bit for bit, whatever the shapes, the vector width and
+wherever the operands lie, and a coalesced (stacked) execution equals the
+per-request ones bit for bit.  The step list matches it, and the unfused FX
+interpreter, up to floating-point reassociation: its dot sums in its BLAS's
+order — in a run-windowed plan that includes the duplicates of an output row,
+and a stack of ``s`` items runs ``s x K @ K x n`` per run where one request
+runs ``1 x K``, a few ulp apart (``tests/runtime/test_stacked.py``) — and a
+``segment_add`` store keeps the sequential contract of
+:mod:`repro.engine.segment`, within each window.
 Integer-valued data is exact under every schedule and both emitters.  Every
 kernel is tested against the loop-nest reference interpreter.
 """
@@ -616,8 +618,8 @@ class SpecializedKernel:
     per_run_bytes: int = 0
     #: ``None`` for a plan the unfused interpreter runs.
     _program: _Program | None = field(default=None, repr=False)
-    #: The plan's fused C loop nest (:mod:`repro.engine.emit`) when the plan is
-    #: pure gather–scale–accumulate and this machine compiled it; else why the
+    #: The plan's fused C loop nest (:mod:`repro.engine.emit`) when the plan has
+    #: one (``emit.covers``) and this machine compiled it; else why the
     #: steps run; ``None`` for a plan outside that rule.  Fixed here, at build.
     emitted: Emitted | str | None = field(default=None, repr=False)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.inductor import InductorConfig
-from repro.core.insum import Insum
+from repro.core.insum import Insum, fresh_output
 from repro.datasets.clebsch_gordan import CGTensor, fully_connected_cg_tensor
 from repro.errors import ShapeError
 from repro.formats.group_size import select_group_size
@@ -120,7 +120,7 @@ class FullyConnectedTensorProduct:
         batch = x.shape[0]
         if y.shape[0] != batch or w.shape[0] != batch:
             raise ShapeError("X, Y, and W must share the batch dimension")
-        output = np.zeros((batch, self.slot_dimension, self.channels), dtype=x.dtype)
+        output = fresh_output((batch, self.slot_dimension, self.channels), x.dtype)
         tensors = {"Z": output, "X": x, "Y": y, "W": w, **self._grouped}
         self._compiled = self._operator.compile(**tensors)
         return self._compiled.run(tensors)
@@ -131,7 +131,7 @@ class FullyConnectedTensorProduct:
         x = np.zeros((batch, slots, self.channels), dtype=np.float32)
         y = np.zeros((batch, slots), dtype=np.float32)
         w = np.zeros((batch, self.cg.num_paths, self.channels, self.channels), dtype=np.float32)
-        output = np.zeros((batch, slots, self.channels), dtype=np.float32)
+        output = fresh_output((batch, slots, self.channels), np.float32)
         tensors = {"Z": output, "X": x, "Y": y, "W": w, **self._grouped}
         self._compiled = self._operator.compile(**tensors)
         return self._compiled.estimated_ms

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.inductor import InductorConfig
-from repro.core.insum import Insum
+from repro.core.insum import Insum, fresh_output
 from repro.datasets.pointclouds import KernelMap
 from repro.errors import ShapeError
 
@@ -76,7 +76,7 @@ class SparseConv3d:
                 f"expected features of shape ({self.kernel_map.num_voxels}, "
                 f"{self.in_channels}), got {features.shape}"
             )
-        output = np.zeros((self.kernel_map.num_voxels, self.out_channels), dtype=features.dtype)
+        output = fresh_output((self.kernel_map.num_voxels, self.out_channels), features.dtype)
         tensors = {
             "Out": output,
             "In": features,
@@ -89,7 +89,7 @@ class SparseConv3d:
     def estimate_ms(self) -> float:
         """Modelled GPU runtime of one convolution without executing it."""
         features = np.zeros((self.kernel_map.num_voxels, self.in_channels), dtype=np.float32)
-        output = np.zeros((self.kernel_map.num_voxels, self.out_channels), dtype=np.float32)
+        output = fresh_output((self.kernel_map.num_voxels, self.out_channels), np.float32)
         tensors = {
             "Out": output,
             "In": features,

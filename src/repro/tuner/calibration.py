@@ -10,12 +10,13 @@ cache-sized windows: ``np.take`` of rows, the batched vector–matrix
 ``np.matmul`` over runs of equal targets, the block ``np.matmul``, and the
 disjoint fancy store of the run sums — the AraOS-style "calibrate the model
 from the hardware you are on" approach (PAPERS.md).  Those are the step
-list's primitives, which every block candidate runs.  An element-granular
-candidate (COO, ELL, GroupCOO) runs the emitted loop nest
-(:mod:`repro.engine.emit`) where this machine compiles one: the probe then
-builds the real GroupCOO kernel on the probe's operands and times it — no
-gather pass, no stored row per run, no per-window dispatch, so ``flop_ns`` is
-that loop's whole cost per multiply or add and ``emitted`` records it.
+list's primitives.  Where this machine compiles plans to C
+(:mod:`repro.engine.emit`) every candidate runs one emitted loop nest instead,
+and the probe times the code that runs: it builds the real GroupCOO kernel on
+the probe's stream and the real BlockGroupCOO kernel on its tiles — no gather
+pass, no stored row per run, no per-window dispatch, so ``flop_ns`` and
+``block_flop_ns`` are those loops' whole cost per multiply or add and
+``emitted`` records it.
 
 Calibration takes a few tens of milliseconds.  The constants can be
 persisted as JSON (``save`` / ``load``); set the ``REPRO_TUNER_CALIBRATION``
@@ -40,7 +41,7 @@ from repro.engine.specialize import _WINDOW_BYTES, SpecializedKernel
 from repro.utils.timing import Timer
 
 #: Bump when the benchmark suite changes; stale persisted files are ignored.
-CALIBRATION_VERSION = 5
+CALIBRATION_VERSION = 6
 
 #: Environment variable naming the JSON persistence path (optional).
 CALIBRATION_ENV_VAR = "REPRO_TUNER_CALIBRATION"
@@ -69,14 +70,15 @@ class Calibration:
         Cost of one multiply or add inside a batched block ``np.matmul``
         (the BlockCOO/BlockGroupCOO execution shape) — typically several
         times cheaper than ``flop_ns``, which is exactly why block formats
-        win on block-structured data.
+        win on block-structured data — or, with ``emitted``, of the
+        BlockGroupCOO loop nest and its register tile, all in.
     overhead_us:
         Fixed dispatch overhead of one window of a kernel, in microseconds:
         its cuts, gather, dot and store on operands too small to matter.
     emitted:
-        ``flop_ns`` was measured on the emitted loop nest: an element-granular
-        candidate is one call of it, whose multiply-adds are its whole cost.
-        The other constants price the step list, which block candidates run.
+        ``flop_ns`` and ``block_flop_ns`` were measured on the emitted loop
+        nests: a candidate is one call of one, whose multiply-adds are its
+        whole cost.  The other constants price the step list.
     """
 
     gather_ns: float
@@ -179,29 +181,42 @@ def run_microbenchmarks(
         best = {name: min(best.get(name, seconds), seconds) for name, seconds in spent.items()}
 
     count = windows * rows * slots * width  # elements every probe touched
-    # What an element-granular candidate runs where plans compile to C: the
-    # real GroupCOO kernel, the whole stream as the one operand of its one call
-    # (nothing is windowed; the result is the stream's target rows).
-    expression = "C[AM[p],n] += AV[p,q] * B[AK[p,q],n]"
-    tensors = {
-        "C": np.broadcast_to(np.float64(0.0), (windows * runs, width)),
-        "AV": values.reshape(-1, slots),
-        "AK": index.reshape(-1, slots),
-        "AM": np.repeat(rng.permutation(windows * runs), run),
-        "B": source,
-    }
-    kernel = SpecializedKernel.build(plan_insum(expression, tensors, check_bounds=False))
-    emitted = isinstance(kernel.emitted, Emitted)
-    for _ in range(repeats if emitted else 0):
-        with Timer() as timer:
-            kernel.run(tensors)
-        best["loop"] = min(best.get("loop", timer.elapsed), timer.elapsed)
+    # What a candidate runs where plans compile to C, each one call of the real
+    # kernel on the probe's operands: GroupCOO over the whole stream (nothing is
+    # windowed; the result is the stream's target rows) and BlockGroupCOO over
+    # one window's tiles in groups of ``run``.
+    block_rows, groups = source.shape[0] // block, len(tiles) // run
+    probes = {
+        "loop": ("C[AM[p],n] += AV[p,q] * B[AK[p,q],n]", {
+            "C": np.broadcast_to(np.float64(0.0), (windows * runs, width)),
+            "AV": values.reshape(-1, slots),
+            "AK": index.reshape(-1, slots),
+            "AM": np.repeat(rng.permutation(windows * runs), run),
+            "B": source,
+        }),
+        "block loop": ("C[AM[p],bm,n] += AV[p,q,bm,bk] * B[AK[p,q],bk,n]", {
+            "C": np.broadcast_to(np.float64(0.0), (block_rows, block, width)),
+            "AV": tiles.reshape(groups, run, block, block),
+            "AK": rng.integers(0, block_rows, size=(groups, run)),
+            "AM": rng.permutation(block_rows)[:groups],
+            "B": source.reshape(block_rows, block, width),
+        }),
+    }  # fmt: skip
+    for name, (expression, tensors) in probes.items():
+        kernel = SpecializedKernel.build(plan_insum(expression, tensors, check_bounds=False))
+        for _ in range(repeats if isinstance(kernel.emitted, Emitted) else 0):
+            with Timer() as timer:
+                kernel.run(tensors)
+            best[name] = min(best.get(name, timer.elapsed), timer.elapsed)
+    emitted = probes.keys() <= best.keys()
+    # The block loop ran one window's tiles, the block matmul all ``windows``.
+    block_seconds = best["block loop"] * windows if emitted else best["block"]
     return Calibration(
         gather_ns=max(best["gather"] / count * 1e9, 1e-3),
         scatter_ns=max(best["scatter"] / (windows * runs * width) * 1e9, 1e-3),
         # A multiply and an add per element.
         flop_ns=max(best["loop" if emitted else "dot"] / (2 * count) * 1e9, 1e-3),
-        block_flop_ns=max(best["block"] / (2 * count * block) * 1e9, 1e-4),
+        block_flop_ns=max(block_seconds / (2 * count * block) * 1e9, 1e-4),
         overhead_us=max(best["overhead"] / 100 * 1e6, 1e-2),
         emitted=emitted,
     )

@@ -28,10 +28,10 @@ operations in *measured seconds on this machine*, not abstract counts.
 
 That is the census of the step list.  Where the machine compiles plans to C
 (:mod:`repro.engine.emit`; the calibration says so: ``Calibration.emitted``)
-the COO, ELL and GroupCOO rows run one fused loop nest instead — no gather
-pass, no stored row per run, no window — and cost their multiply-adds alone,
-at the measured all-in rate of that loop: ``2·S·n``, ``2·P·n`` and ``2·P·n``
-times ``flop_ns``.  The block rows run the step list on every machine.
+every row runs one fused loop nest instead — no gather pass, no stored row per
+run, no window — and costs its multiply-adds alone, at the measured all-in
+rate of its loop: the scalar ones times ``flop_ns``, the block ones (a
+register tile per block row) times ``block_flop_ns``.
 
 Every window the kernel walks also pays a fixed dispatch cost.  A window
 holds at most ``_WINDOW_BYTES`` of gathered temporaries, and in a scattering
@@ -150,10 +150,10 @@ class CostModel:
             profile, candidate, n_cols
         )
         cal = self.calibration
-        if cal.emitted and not block_macs:
+        if cal.emitted:
             # One call of the emitted loop nest: no gather pass, no stored row
-            # per run, no window — ``flop_ns`` is all of it.
-            return scalar_macs * cal.flop_ns / 1e6
+            # per run, no window — the measured rate of its loop is all of it.
+            return (scalar_macs * cal.flop_ns + block_macs * cal.block_flop_ns) / 1e6
         nanos = (
             gather * cal.gather_ns
             + scatter * cal.scatter_ns

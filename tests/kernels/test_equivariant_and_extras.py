@@ -22,6 +22,15 @@ def test_tensor_product_matches_reference(l_max, rng):
     assert out.shape == (6, layer.slot_dimension, 4)
 
 
+def test_tensor_product_returns_a_result_the_caller_owns(rng):
+    from test_spconv_kernel import owned_results
+
+    layer = FullyConnectedTensorProduct(l_max=1, channels=4)
+    x, y, w = layer.random_inputs(batch=6, rng=3)
+    out = owned_results(lambda: layer(x, y, w))
+    np.testing.assert_allclose(out, layer.reference(x, y, w), atol=1e-8)
+
+
 def test_tensor_product_metadata(rng):
     layer = FullyConnectedTensorProduct(l_max=2, channels=8)
     assert layer.lines_of_code == 1

@@ -23,6 +23,29 @@ def test_sparse_conv_matches_reference(small_kernel_map, rng):
     assert out.shape == (small_kernel_map.num_voxels, 12)
 
 
+def owned_results(call):
+    """Two calls' results: each writable, C-contiguous and the caller's own
+    (the zero placeholder the layer binds is never what comes back)."""
+    first, second = call(), call()
+    for result in (first, second):
+        assert result.flags.writeable and result.flags.c_contiguous and result.flags.owndata
+    assert not np.shares_memory(first, second)
+    kept = first.copy()
+    second += 1.0  # the caller's to write: the first result does not move
+    np.testing.assert_array_equal(first, kept)
+    return first
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
+def test_sparse_conv_returns_a_result_the_caller_owns(small_kernel_map, rng, dtype):
+    conv = SparseConv3d(small_kernel_map, in_channels=8, out_channels=12, rng=0)
+    features = rng.standard_normal((small_kernel_map.num_voxels, 8)).astype(dtype)
+    out = owned_results(lambda: conv(features))
+    assert out.dtype == np.result_type(dtype, conv.weight.dtype)
+    np.testing.assert_allclose(out, conv.reference(features), atol=1e-4)
+    assert conv.estimate_ms() > 0
+
+
 def test_sparse_conv_modeled_cost_and_loc(small_kernel_map, rng):
     conv = SparseConv3d(small_kernel_map, in_channels=8, out_channels=8, rng=0)
     features = rng.standard_normal((small_kernel_map.num_voxels, 8))

@@ -157,11 +157,15 @@ def test_stacked_float_values_match_to_tolerance(rng):
 
 @pytest.mark.parametrize("emitter", ["C", "steps"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
-@pytest.mark.parametrize("factory,kwargs", [(COO, {}), (GroupCOO, {"group_size": 4})])
+@pytest.mark.parametrize(
+    "factory,kwargs",
+    [(COO, {}), (GroupCOO, {"group_size": 4}), (BlockGroupCOO, {"block_shape": (4, 4)})],
+)
 def test_stacked_float_spmm_equals_per_item(rng, factory, kwargs, dtype, emitter, request):
     """The numerics contract on float normals (``engine/specialize.py``).
 
-    The emitted loop nest adds in storage order, stack or no stack: a
+    The emitted loop nest adds in storage order, stack or no stack — a block
+    format's register tile sums each update's block row from zero first — so a
     coalesced execution *is* its per-request ones, bit for bit.  On the step
     list a row's duplicates are summed inside the dot — a stack of ``s`` items
     runs ``s x K @ K x n`` per run of equal targets where one request runs

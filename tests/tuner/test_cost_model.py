@@ -44,7 +44,7 @@ def test_microbenchmarks_time_the_emitted_loop_where_plans_compile():
     plan = plan_insum("y[i] += a[i] * b[i]", {"y": probe, "a": probe, "b": probe})
     compiles = isinstance(SpecializedKernel.build(plan).emitted, Emitted)
     cal = run_microbenchmarks(elements=1 << 14, repeats=1)
-    assert cal.emitted is compiles and cal.flop_ns > 0
+    assert cal.emitted is compiles and cal.flop_ns > 0 and cal.block_flop_ns > 0
 
 
 def test_calibration_json_roundtrip(tmp_path):
@@ -66,9 +66,10 @@ def test_calibration_load_rejects_stale_and_corrupt(tmp_path):
         gather_ns=1.0, scatter_ns=1.0, flop_ns=1.0, block_flop_ns=1.0, overhead_us=1.0
     )
     cal.save(path)
-    stale = path.read_text().replace(f'"version": {CALIBRATION_VERSION}', '"version": -1')
-    path.write_text(stale)
-    assert Calibration.load(path) is None  # stale version
+    current, tag = path.read_text(), f'"version": {CALIBRATION_VERSION}'
+    for version in (-1, 5):  # 5: block_flop_ns priced the step list's matmul on every machine
+        path.write_text(current.replace(tag, f'"version": {version}'))
+        assert Calibration.load(path) is None  # stale version
 
 
 def test_calibration_env_var_persistence(tmp_path, monkeypatch):
@@ -146,10 +147,10 @@ def test_grouping_beats_plain_coo_on_powerlaw_rows():
     assert grouped["scatter_elements"] == coo["scatter_elements"]
 
 
-def test_an_emitted_calibration_prices_one_fused_loop_and_leaves_block_candidates_alone():
-    """Where plans compile to C an element-granular candidate is one call of
-    the loop nest — its multiply-adds at the all-in rate, no gather pass, no
-    stored rows, no windows — and a block candidate still runs the step list."""
+def test_an_emitted_calibration_prices_every_candidate_as_one_fused_loop():
+    """Where plans compile to C every candidate is one call of its loop nest —
+    its multiply-adds at the all-in rate of that loop, no gather pass, no
+    stored rows, no windows: one line, scalar and block alike."""
     from dataclasses import replace
 
     from repro.tuner import get_calibration
@@ -163,13 +164,15 @@ def test_an_emitted_calibration_prices_one_fused_loop_and_leaves_block_candidate
     dense[:16, :16] = 1.0
     profile = profile_operand(dense)
     steps, emitted = CostModel(fixed), CostModel(replace(fixed, emitted=True))
-    for candidate in (Candidate("COO"), Candidate("ELL"), Candidate("GroupCOO", group_size=4)):
+    candidates = [Candidate("COO"), Candidate("ELL"), Candidate("GroupCOO", group_size=4)]
+    candidates += [Candidate("BlockCOO", block_shape=(16, 16))]
+    candidates += [Candidate("BlockGroupCOO", group_size=2, block_shape=(16, 16))]
+    for candidate in candidates:
         terms = emitted.explain(profile, candidate, n_cols=32)
-        expected = terms["scalar_macs"] * fixed.flop_ns / 1e6
-        assert terms["modeled_ms"] == pytest.approx(expected)
+        expected = terms["scalar_macs"] * fixed.flop_ns + terms["block_macs"] * fixed.block_flop_ns
+        assert terms["modeled_ms"] == pytest.approx(expected / 1e6)
         assert terms["modeled_ms"] < steps.estimate_ms(profile, candidate, n_cols=32)
-    block = Candidate("BlockCOO", block_shape=(16, 16))
-    assert emitted.estimate_ms(profile, block, 32) == steps.estimate_ms(profile, block, 32)
+    assert emitted.explain(profile, candidates[-1], 32)["block_macs"] > 0
 
 
 def test_estimate_scales_with_n_cols():
