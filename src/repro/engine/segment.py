@@ -93,13 +93,14 @@ class ScatterPlan:
     buckets: tuple[tuple[int, int, int, int, int], ...] = ()
 
 
-def plan_scatter(index: np.ndarray) -> ScatterPlan:
+def plan_scatter(index: np.ndarray, extent: int) -> ScatterPlan:
     """Analyse a 1-D scatter index once, for reuse across executions.
 
     The plan captures everything value-independent about the scatter: the
     duplicate structure, and — when duplicates exist — the bucket-order
     permutation and bucket boundaries that turn ``np.add.at`` into a few
-    contiguous slab reductions.
+    contiguous slab reductions.  An index in ``[-extent, 0)`` is wrapped by the
+    target's ``extent`` first: a row addressed both ways is one target.
     """
     index = np.asarray(index)
     if index.ndim != 1:
@@ -107,6 +108,8 @@ def plan_scatter(index: np.ndarray) -> ScatterPlan:
     count = index.size
     if count == 0:
         return ScatterPlan(is_disjoint=True)
+    if index.min() < 0:  # out of range stays so, and raises
+        index = np.where((index < 0) & (index >= -extent), index + extent, index)
     by_target = np.argsort(index, kind="stable")
     sorted_index = index[by_target]
     run_start = np.empty(count, dtype=bool)
@@ -155,6 +158,7 @@ class RunWindows(NamedTuple):
 
 def plan_runs(
     index: np.ndarray,
+    extent: int,
     runs_per_window: Callable[[int], int],
     gathered: Sequence[tuple[np.ndarray, int]] = (),
 ) -> RunWindows:
@@ -162,11 +166,11 @@ def plan_runs(
 
     The run-windowed plans sum each run inside their dot, so a window holds
     whole runs of one length: ``runs_per_window(length)`` (at least one) per
-    :func:`plan_scatter` bucket.  Every target row is one run of one window.
-    ``gathered`` lists ``(array, axis)`` pairs indexed like ``index``; each is
-    copied into bucket order once, here, so a window reads its share as a slice.
+    :func:`plan_scatter` bucket of ``index`` and ``extent``.  Every target row
+    is one run of one window.  ``gathered`` lists ``(array, axis)`` pairs
+    indexed like ``index``; each is copied into bucket order once, here.
     """
-    plan = plan_scatter(index)
+    plan = plan_scatter(index, extent)
     if plan.is_disjoint:  # every update is its own run, already in order
         order, targets = np.arange(index.size), np.array(index)
         buckets = ((1, 0, index.size, 0, index.size),) if index.size else ()
@@ -208,9 +212,9 @@ def segment_add(
         Contributions; ``source.shape[0] == index.size`` and the trailing
         shape broadcasts against ``target``'s trailing shape.
     plan:
-        Optional precomputed :func:`plan_scatter` result for ``index``
-        (the engine memoizes these per metadata fingerprint); computed on
-        the fly when omitted.
+        Optional precomputed :func:`plan_scatter` result for ``index`` and
+        ``target.shape[0]`` (the engine memoizes these per metadata
+        fingerprint); computed on the fly when omitted.
     """
     index = np.asarray(index)
     source = np.asarray(source)
@@ -223,7 +227,7 @@ def segment_add(
         np.add.at(target, index, source)
         return
     if plan is None:
-        plan = plan_scatter(index)
+        plan = plan_scatter(index, target.shape[0])
     if plan.is_disjoint:
         target[index] += source
         return

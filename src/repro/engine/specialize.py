@@ -242,6 +242,7 @@ class _Program:
         ``run_bytes`` of partial a run, every other output variable whole.
         """
         index, names = self.inputs.index(self.plan.scatter_index), self.names
+        result, dim = self.result, self.plan.scatter_dim
         self.schedule = schedule = self.new(False)
         #: ``(index register, axis) -> register of its bucket-ordered copy``.
         self.ordered: dict[tuple[int, int], int] = {}
@@ -253,13 +254,14 @@ class _Program:
             return forced or _WINDOW_BYTES // (length * update_bytes + run_bytes)
 
         def prepare(regs: list, w: int) -> None:
-            # One artefact per pattern; its tag names the budget and the index
-            # arrays whose bucket-ordered copies it holds.
+            # One artefact per pattern; its tag names the budget, the target's
+            # extent and the index arrays whose bucket-ordered copies it holds.
             full, arrays = regs[index], [(regs[slot], axis) for slot, axis in ordered]
-            tag = ("run-windows", update_bytes, run_bytes, forced)
+            extent = regs[result].shape[dim]
+            tag = ("run-windows", update_bytes, run_bytes, forced, extent)
             tag += tuple((array_token(array), axis) for array, axis in arrays)
             regs[schedule] = windows = derived(
-                full, tag, lambda: plan_runs(full.reshape(-1), runs_per_window, arrays)
+                full, tag, lambda: plan_runs(full.reshape(-1), extent, runs_per_window, arrays)
             )
             for copy, array in zip(ordered.values(), windows.ordered):
                 regs[copy] = array
@@ -546,19 +548,10 @@ class _Program:
         target = "out" if dim == 0 else f"out.transpose{perm}"
 
         if lead in scatter_vars:
-            # Every window scatters through its own cut of the index; the
-            # bucket plans of all of them are one memoized artefact.  The
-            # cut axis and the window size are part of its tag: two kernels
-            # may scatter through one live index array on different schedules.
+            # Every window scatters through its own cut of the index.
             position = scatter_vars.index(lead)
-            keys = self.keys([position])
-            tag = ("scatter-plans", position, self.windows[0].stop)
-
-            def prepare(regs: list, w: int) -> None:
-                full = regs[index]
-                regs[plans] = derived(
-                    full, tag, lambda: [plan_scatter(full[key].reshape(-1)) for key in keys]
-                )
+            keys = cuts = self.keys([position])
+            schedule = (position, self.windows[0].stop)
 
             def scatter(regs: list, w: int) -> None:
                 cut = regs[index][keys[w]].reshape(-1)
@@ -574,19 +567,25 @@ class _Program:
                 raise LoweringError(
                     f"chunk variable {lead!r} does not appear on the left-hand side"
                 )
-            keys = self.keys([perm.index(plain[0])])
-
-            def prepare(regs: list, w: int) -> None:
-                full = regs[index]
-                regs[plans] = derived(
-                    full, ("scatter-plan", "full"), lambda: plan_scatter(full.reshape(-1))
-                )
+            keys, cuts, schedule = self.keys([perm.index(plain[0])]), [()], ("full",)
 
             def scatter(regs: list, w: int) -> None:
                 cut = regs[result].transpose(perm)[keys[w]]
-                segment_add(cut, regs[index].reshape(-1), regs[source], plan=regs[plans])
+                segment_add(cut, regs[index].reshape(-1), regs[source], plan=regs[plans][0])
 
             text = f"segment_add({target}[window], {names[index]}, {names[source]}, {names[plans]})"
+
+        def prepare(regs: list, w: int) -> None:
+            # The bucket plans of every cut are one memoized artefact, tagged with
+            # the schedule and the target's extent: two kernels may scatter through
+            # one live index array on different schedules, into different targets.
+            full, extent = regs[index], regs[result].shape[dim]
+            regs[plans] = derived(
+                full,
+                ("scatter-plans", *schedule, extent),
+                lambda: [plan_scatter(full[cut].reshape(-1), extent) for cut in cuts],
+            )
+
         self.emit(False, f"{names[plans]} = memoized scatter plans of {names[index]}", prepare)
         self.emit(True, text, scatter)
 

@@ -118,7 +118,7 @@ class BlockGroupCOO(SparseFormat):
             group_rows_arr,
             col_arr,
             val_arr,
-            nnz=int(np.count_nonzero(dense)),
+            nnz=int(np.count_nonzero(blocks)),  # every nonzero lies in a nonzero block
         )
 
     # -- SparseFormat interface ----------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.utils.arrays import nonzero_entries
 
 
 def dense_to_blocks(dense: np.ndarray, block_shape: tuple[int, int]) -> np.ndarray:
@@ -54,8 +55,7 @@ def nonzero_blocks(
         ``(n_blocks, bM, bK)``, ordered row-major by block coordinate.
     """
     blocks = dense_to_blocks(dense, block_shape)
-    mask = np.any(blocks != 0, axis=(2, 3))
-    block_rows, block_cols = np.nonzero(mask)
+    (block_rows, block_cols), _ = nonzero_entries(np.any(blocks != 0, axis=(2, 3)))
     return block_rows, block_cols, blocks[block_rows, block_cols]
 
 

@@ -10,7 +10,7 @@ from repro.core.einsum.ast import IndexVar, TensorAccess
 from repro.core.einsum.rewriting import IndexSubstitution, OperandRewrite
 from repro.errors import FormatError, ShapeError
 from repro.formats.base import SparseFormat
-from repro.utils.arrays import as_index_array, as_value_array
+from repro.utils.arrays import as_index_array, as_value_array, nonzero_entries
 
 
 class COO(SparseFormat):
@@ -58,8 +58,7 @@ class COO(SparseFormat):
     def from_dense(cls, dense: np.ndarray) -> "COO":
         """Build a COO tensor from a dense array, keeping only nonzeros."""
         dense = np.asarray(dense)
-        coords = np.nonzero(dense)
-        values = dense[coords]
+        coords, values = nonzero_entries(dense)
         return cls(dense.shape, values, coords)
 
     @classmethod

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.formats.base import SparseFormat
-from repro.utils.arrays import as_index_array, as_value_array
+from repro.utils.arrays import as_index_array, as_value_array, nonzero_entries
 
 
 def _rows_to_indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -71,8 +71,7 @@ class CSR(SparseFormat):
         dense = np.asarray(dense)
         if dense.ndim != 2:
             raise ShapeError(f"CSR.from_dense expects a matrix, got shape {dense.shape}")
-        rows, cols = np.nonzero(dense)
-        data = dense[rows, cols]
+        (rows, cols), data = nonzero_entries(dense)
         indptr = _rows_to_indptr(rows, dense.shape[0])
         return cls(dense.shape, indptr, cols, data)
 

@@ -10,7 +10,7 @@ from repro.core.einsum.ast import IndexVar, TensorAccess
 from repro.core.einsum.rewriting import IndexSubstitution, OperandRewrite
 from repro.errors import FormatError, ShapeError
 from repro.formats.base import SparseFormat
-from repro.utils.arrays import as_index_array, as_value_array, padded_slots
+from repro.utils.arrays import as_index_array, as_value_array, nonzero_entries, padded_slots
 
 
 class ELL(SparseFormat):
@@ -54,15 +54,15 @@ class ELL(SparseFormat):
         if dense.ndim != 2:
             raise ShapeError(f"ELL.from_dense expects a matrix, got shape {dense.shape}")
         n_rows, _ = dense.shape
-        occupancy = np.count_nonzero(dense, axis=1)
+        (rows, cols), entries = nonzero_entries(dense)
+        occupancy = np.bincount(rows, minlength=n_rows)
         width = int(occupancy.max()) if n_rows else 0
         value_dtype = dense.dtype if dense.dtype.kind in "fc" else np.float64
         values = np.zeros((n_rows, width), dtype=value_dtype)
         columns = np.zeros((n_rows, width), dtype=np.int64)
         # One group of ``width`` slots per row, empty rows included.
-        rows, cols = np.nonzero(dense)
         slots = padded_slots(occupancy, np.ones(n_rows, dtype=np.int64), width)
-        values.reshape(-1)[slots] = dense[rows, cols]
+        values.reshape(-1)[slots] = entries
         columns.reshape(-1)[slots] = cols
         return cls(dense.shape, values, columns, occupancy)
 

@@ -184,8 +184,9 @@ def _as_dense(operand) -> np.ndarray:
 
 def _measure_candidates(
     candidates: list[Candidate], dense: np.ndarray, n_cols: int, rounds: int = 5
-) -> dict[Candidate, float]:
-    """Wall-clock milliseconds of one SpMM per candidate format.
+) -> tuple[dict[Candidate, float], dict[Candidate, SparseFormat]]:
+    """Wall-clock milliseconds of one SpMM per candidate format, and the
+    operand each candidate built.
 
     Each candidate compiles through the full pipeline (planner →
     Inductor-like backend, whose tile autotuner runs because the default
@@ -211,7 +212,7 @@ def _measure_candidates(
             with Timer() as timer:
                 op(A=operand, B=dense_rhs)
             best[candidate] = min(best[candidate], timer.elapsed_ms)
-    return best
+    return best, {candidate: operand for candidate, _, operand in operators}
 
 
 def choose_format(
@@ -258,13 +259,28 @@ def choose_format(
     TunerDecision
         The winning candidate plus the full ranking.
     """
+    return _choose(profile, n_cols, mode, cost_model, allow_blocks, dense, use_cache)[0]
+
+
+def _choose(
+    profile: SparsityProfile,
+    n_cols: int,
+    mode: str,
+    cost_model: CostModel | None,
+    allow_blocks: bool,
+    dense,
+    use_cache: bool,
+) -> tuple[TunerDecision, dict[Candidate, SparseFormat]]:
+    """:func:`choose_format`, plus the operands a measurement in this call
+    built (empty when none ran): the caller converting the operand takes the
+    winner's from there instead of building it again."""
     if mode not in ("model", "auto", "measure"):
         raise TunerError(f"unknown tune mode {mode!r}; use 'model', 'auto', or 'measure'")
     bucket = (*profile.bucket(), n_cols, mode)
     if use_cache:
         cached = _DECISIONS.get(bucket)
         if cached is not None:
-            return cached
+            return cached, {}
 
     model = cost_model if cost_model is not None else CostModel()
     ranked = model.rank(profile, enumerate_candidates(profile, allow_blocks=allow_blocks), n_cols)
@@ -277,9 +293,10 @@ def choose_format(
         and len(ranked) > 1
         and ranked[1].modeled_ms < ranked[0].modeled_ms * AUTO_MEASURE_MARGIN
     )
+    built: dict[Candidate, SparseFormat] = {}
     if should_measure:
         dense = dense() if callable(dense) else dense
-        timings = _measure_candidates(
+        timings, built = _measure_candidates(
             [scored.candidate for scored in ranked[:MEASURE_TOP_K]], dense, n_cols
         )
         measured = [
@@ -298,7 +315,7 @@ def choose_format(
     )
     if use_cache:
         decision = _DECISIONS.put(decision)
-    return decision
+    return decision, built
 
 
 def auto_format_with_decision(
@@ -322,17 +339,14 @@ def auto_format_with_decision(
         if not isinstance(operand, SparseFormat)
         else (lambda: _as_dense(operand))
     )
-    decision = choose_format(
-        profile,
-        n_cols=n_cols,
-        mode=tune,
-        cost_model=cost_model,
-        dense=dense,
-        use_cache=use_cache,
+    decision, built = _choose(
+        profile, n_cols, tune, cost_model, allow_blocks=True, dense=dense, use_cache=use_cache
     )
     candidate = decision.candidate
     if isinstance(operand, SparseFormat) and candidate.matches(operand):
         return operand, decision
+    if candidate in built:  # measured in this call: that build is the operand
+        return built[candidate], decision
     return candidate.build(dense() if callable(dense) else dense), decision
 
 

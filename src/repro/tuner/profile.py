@@ -32,7 +32,7 @@ import numpy as np
 from repro.errors import FormatError
 from repro.formats.base import SparseFormat
 from repro.formats.group_size import optimal_group_size
-from repro.utils.arrays import round_to_power_of_two
+from repro.utils.arrays import nonzero_entries, round_to_power_of_two
 
 #: Block shapes the profiler scores (when they divide the matrix shape).
 CANDIDATE_BLOCK_SHAPES: tuple[tuple[int, int], ...] = ((4, 4), (8, 8), (16, 16), (32, 32))
@@ -214,7 +214,8 @@ def _matrix_coords(operand) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
     if isinstance(operand, ELL):
         width = operand.columns.shape[1]
         mask = np.arange(width) < np.asarray(operand.occupancy)[:, None]
-        return operand.shape, np.nonzero(mask)[0], operand.columns[mask]
+        (rows, within), _ = nonzero_entries(mask)
+        return operand.shape, rows, operand.columns[rows, within]
     if isinstance(operand, GroupCOO):
         mask = operand.values != 0
         group_of_slot = np.broadcast_to(
@@ -231,22 +232,18 @@ def _matrix_coords(operand) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
             b_rows = np.repeat(np.arange(counts.size), counts)
             b_cols, blocks = operand.indices, operand.values
         else:
-            mask_any = np.ones(operand.block_cols.shape, dtype=bool)
-            b_rows = np.broadcast_to(
-                operand.group_rows[:, None], operand.block_cols.shape
-            )[mask_any]
-            b_cols = operand.block_cols[mask_any]
+            b_rows = np.repeat(operand.group_rows, operand.group_size)
+            b_cols = operand.block_cols.reshape(-1)
             blocks = operand.values.reshape(-1, block_rows_size, block_cols_size)
-        mask = blocks != 0
-        slot, local_r, local_c = np.nonzero(mask)
-        rows = np.asarray(b_rows)[slot] * block_rows_size + local_r
-        cols = np.asarray(b_cols)[slot] * block_cols_size + local_c
+        (slot, local_r, local_c), _ = nonzero_entries(blocks)
+        rows = b_rows[slot] * block_rows_size + local_r
+        cols = b_cols[slot] * block_cols_size + local_c
         return operand.shape, rows, cols
 
     dense = np.asarray(operand)
     if dense.ndim != 2:
         raise FormatError(f"the tuner profiles matrices; got an array of shape {dense.shape}")
-    rows, cols = np.nonzero(dense)
+    (rows, cols), _ = nonzero_entries(dense)
     return dense.shape, rows, cols
 
 

@@ -67,6 +67,28 @@ def padded_slots(occupancy: np.ndarray, groups: np.ndarray, group_size: int) -> 
     return (np.cumsum(groups) - groups)[rows] * group_size + rank
 
 
+def nonzero_entries(dense: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Row-major coordinates and values of the nonzeros of a dense array.
+
+    The arrays of ``coords = np.nonzero(dense); dense[coords]`` — NaN is
+    nonzero, ``-0.0`` is zero — from one flat pass: ``np.flatnonzero`` of the
+    ``!= 0`` mask, then ``divmod`` (a matrix) or ``np.unravel_index`` (any
+    other rank) for the coordinates.  ``np.nonzero`` walks a multi-index per
+    element, 4–6 ns each even on a bool mask; this is the one structure scan
+    of every dense → format constructor and of the tuner's profile.
+    """
+    dense = np.asarray(dense)
+    if dense.ndim == 0:
+        raise ShapeError("a structure scan needs at least one axis, got a scalar")
+    flat = np.flatnonzero(dense != 0)
+    if dense.ndim == 2:
+        coords = divmod(flat, dense.shape[1])
+    else:
+        coords = np.unravel_index(flat, dense.shape)
+    # ``np.take`` of flat positions would copy an array that is not C-ordered whole.
+    return coords, np.take(dense, flat) if dense.flags.c_contiguous else dense[coords]
+
+
 def as_index_array(values, name: str = "index") -> np.ndarray:
     """Coerce ``values`` to a contiguous int64 array, validating integrality."""
     arr = np.asarray(values)
@@ -90,10 +112,3 @@ def as_value_array(values, dtype=None, name: str = "values") -> np.ndarray:
         # but we accumulate in float32 elsewhere; nothing to do here.
         pass
     return np.ascontiguousarray(arr)
-
-
-def dense_nnz(dense: np.ndarray, tol: float = 0.0) -> int:
-    """Number of structurally nonzero entries of a dense array."""
-    if tol:
-        return int(np.count_nonzero(np.abs(dense) > tol))
-    return int(np.count_nonzero(dense))

@@ -16,7 +16,7 @@ from repro.utils import (
     prev_power_of_two,
     round_to_power_of_two,
 )
-from repro.utils.arrays import dense_nnz
+from repro.utils.arrays import nonzero_entries
 from repro.utils.naming import reset_names
 
 
@@ -55,9 +55,14 @@ def test_as_value_array_coercion():
     assert as_value_array([1, 2], dtype=np.float32).dtype == np.float32
 
 
-def test_dense_nnz():
-    assert dense_nnz(np.array([0.0, 1.0, 1e-9])) == 2
-    assert dense_nnz(np.array([0.0, 1.0, 1e-9]), tol=1e-6) == 1
+def test_nonzero_entries():
+    (index,), values = nonzero_entries(np.array([0.0, 1.0, 1e-9, -0.0, np.nan]))
+    assert index.tolist() == [1, 2, 4]  # -0.0 is zero, NaN is not
+    assert values[:2].tolist() == [1.0, 1e-9] and np.isnan(values[2])
+    (rows, cols), values = nonzero_entries(np.array([[0, 2], [3, 0]]))
+    assert (rows.tolist(), cols.tolist(), values.tolist()) == ([0, 1], [1, 0], [2, 3])
+    with pytest.raises(ShapeError):
+        nonzero_entries(np.float64(1.0))
 
 
 def test_fresh_name_and_identifier():

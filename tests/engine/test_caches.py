@@ -66,7 +66,7 @@ def test_derived_memoizes_per_object(rng):
 
     def build():
         calls.append(1)
-        return plan_scatter(array)
+        return plan_scatter(array, 8)
 
     first = derived(array, "test-plan", build)
     second = derived(array, "test-plan", build)
@@ -132,7 +132,7 @@ def test_segment_add_matches_add_at(rng, size, targets):
 
 def test_segment_add_disjoint_rows(rng):
     index = rng.permutation(64)[:32]  # unique targets
-    plan = plan_scatter(index)
+    plan = plan_scatter(index, 64)
     assert plan.is_disjoint
     source = rng.standard_normal((32, 4))
     expected = np.zeros((64, 4))
@@ -153,7 +153,7 @@ def test_segment_add_broadcast_scalar_source(rng):
 
 def test_plan_scatter_rejects_multidim():
     with pytest.raises(ValueError):
-        plan_scatter(np.zeros((2, 2), dtype=np.int64))
+        plan_scatter(np.zeros((2, 2), dtype=np.int64), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -524,7 +524,6 @@ INDEX_TENSORS = [
 
 @pytest.mark.parametrize("family,index", INDEX_TENSORS)
 def test_an_index_out_of_range_raises_the_same_exception_on_both_emitters(emitter, family, index):
-    which, _ = emitter
     expression, tensors, extents = indexed(family, np.random.default_rng(16))
     extent = extents[index]
     good = insum(expression, check_bounds=False, **tensors)
@@ -538,15 +537,10 @@ def test_an_index_out_of_range_raises_the_same_exception_on_both_emitters(emitte
             insum(expression, **broken)
         assert {name: array.tobytes() for name, array in broken.items()} == before
     # A negative index inside [-extent, 0) wraps, as in NumPy, on both emitters —
-    # but for a known defect of the step list (ROADMAP item 4; reachable only with
-    # ``check_bounds=False``, the checked entry point rejects a negative index):
-    # ``plan_scatter`` takes a wrapped scatter index and the same row addressed
-    # from zero for two targets, and its disjoint store then loses an update.
-    scatter = [access.tensor for access in parse_einsum(expression).lhs.nested_accesses()]
-    if which == "C" or family == "groupcoo" or index not in scatter:
-        wrapped = {**tensors, index: tensors[index].copy()}
-        wrapped[index].reshape(-1)[-1] -= extent
-        np.testing.assert_array_equal(insum(expression, check_bounds=False, **wrapped), good)
+    # a scatter index too, where the row it names is also addressed from zero.
+    wrapped = {**tensors, index: tensors[index].copy()}
+    wrapped[index].reshape(-1)[-1] -= extent
+    np.testing.assert_array_equal(insum(expression, check_bounds=False, **wrapped), good)
 
 
 def test_an_index_written_into_a_live_array_after_a_good_call(emitter):

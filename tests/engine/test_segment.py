@@ -60,7 +60,7 @@ def sequential_reference(index, source, trailing) -> np.ndarray:
 def test_segment_add_is_bit_equal_to_sequential_scatter(rng, shape, dtype, trailing, with_plan):
     index = draw_index(rng, shape)
     source = draw_source(rng, index.size, trailing, dtype)
-    plan = plan_scatter(index) if with_plan else None
+    plan = plan_scatter(index, ROWS) if with_plan else None
     actual = np.zeros((ROWS,) + trailing, dtype=dtype)
     segment_add(actual, index, source, plan=plan)
     np.testing.assert_array_equal(actual, sequential_reference(index, source, trailing))
@@ -70,7 +70,7 @@ def test_stacked_and_single_sources_agree_bitwise(rng):
     """One column of a stacked (coalesced) source sums exactly like the
     same column scattered on its own as a 1-D source."""
     index = draw_index(rng, "power-law")
-    plan = plan_scatter(index)
+    plan = plan_scatter(index, ROWS)
     stacked = draw_source(rng, index.size, (6,), np.float32)
     together = np.zeros((ROWS, 6), dtype=np.float32)
     segment_add(together, index, stacked, plan=plan)
@@ -91,7 +91,7 @@ def test_sum_is_added_to_a_nonzero_target_once(rng):
 
 def test_plan_buckets_partition_the_updates(rng):
     index = draw_index(rng, "power-law")
-    plan = plan_scatter(index)
+    plan = plan_scatter(index, ROWS)
     assert not plan.is_disjoint
     assert sorted(plan.order.tolist()) == list(range(index.size))
     assert len(set(plan.targets.tolist())) == plan.targets.size
@@ -111,6 +111,28 @@ def test_plan_buckets_partition_the_updates(rng):
     np.testing.assert_array_equal(plan.targets[plan.run_of], index)
 
 
+@pytest.mark.parametrize("with_plan", [False, True], ids=["no-plan", "plan"])
+def test_a_negative_index_and_the_row_it_wraps_to_are_one_target(with_plan):
+    """``-1`` and ``3`` name one row of a 4-row target: both updates land."""
+    index = np.array([-1, 3] + [0] * 20)  # past the threshold: planned, not ``np.add.at``
+    plan = plan_scatter(index, 4) if with_plan else None
+    actual = np.zeros((4, 2))
+    segment_add(actual, index, np.ones((index.size, 2)), plan)
+    expected = np.zeros((4, 2))
+    np.add.at(expected, index, np.ones((index.size, 2)))
+    np.testing.assert_array_equal(actual, expected)
+    assert actual[3].tolist() == [2.0, 2.0]
+    # Out of range below -extent stays out of range.
+    with pytest.raises(IndexError):
+        segment_add(np.zeros((4, 2)), np.array([-5, 3] + [0] * 20), np.ones((22, 2)))
+
+
+def test_run_windows_wrap_a_negative_index_into_the_run_of_its_row():
+    index = np.array([-1, 3, 0, 0])
+    windows, _ = plan_runs(index, 4, lambda length: 8)
+    assert sorted(row for *_, rows, _ in windows for row in rows.tolist()) == [0, 3]
+
+
 @pytest.mark.parametrize("trailing", [(), (3,)], ids=str)
 @pytest.mark.parametrize("shape", ["disjoint", "power-law"])
 def test_unsafe_cast_raises_on_every_planned_lowering(rng, shape, trailing):
@@ -121,7 +143,7 @@ def test_unsafe_cast_raises_on_every_planned_lowering(rng, shape, trailing):
     source = draw_source(rng, index.size, trailing, np.float64)
     target = np.zeros((ROWS,) + trailing, dtype=np.int64)
     with pytest.raises(TypeError):
-        segment_add(target, index, source, plan=plan_scatter(index))
+        segment_add(target, index, source, plan=plan_scatter(index, ROWS))
     assert not target.any()
 
 
@@ -141,7 +163,7 @@ def test_broadcast_source_defers_to_add_at(rng, source):
     expected = np.zeros((ROWS, 3))
     np.add.at(expected, index, source)
     actual = np.zeros((ROWS, 3))
-    segment_add(actual, index, source, plan=plan_scatter(index))
+    segment_add(actual, index, source, plan=plan_scatter(index, ROWS))
     np.testing.assert_array_equal(actual, expected)
 
 
@@ -164,7 +186,7 @@ def test_run_windows_partition_the_index_into_whole_runs_of_one_length(rng, shap
     gathered = rng.integers(0, 9, size=(index.size, 2))
     asked = []
     windows, (ordered,) = plan_runs(
-        index, lambda length: asked.append(length) or per_window, [(gathered, 0)]
+        index, ROWS, lambda length: asked.append(length) or per_window, [(gathered, 0)]
     )
     seen_rows, seen_updates, stop = [], [], 0
     for span, cut, rows, runs in windows:
@@ -193,7 +215,7 @@ def test_run_windows_partition_the_index_into_whole_runs_of_one_length(rng, shap
 def test_run_windows_take_at_least_one_run_and_hold_no_view_of_their_inputs(rng):
     index = draw_index(rng, "power-law")
     gathered = rng.integers(0, 9, size=(3, index.size))
-    windows, (ordered,) = plan_runs(index, lambda length: 0, [(gathered, 1)])
+    windows, (ordered,) = plan_runs(index, ROWS, lambda length: 0, [(gathered, 1)])
     assert {runs for *_, runs in windows} == {1}
     assert ordered.shape == gathered.shape
     for array in (ordered, *(part for span, cut, rows, _ in windows for part in (cut, rows))):
@@ -201,6 +223,6 @@ def test_run_windows_take_at_least_one_run_and_hold_no_view_of_their_inputs(rng)
             assert not np.shares_memory(array, index) and not np.shares_memory(array, gathered)
     # A disjoint index is windows of singleton runs in storage order: all slices.
     disjoint = draw_index(rng, "disjoint")
-    windows, _ = plan_runs(disjoint, lambda length: 16)
+    windows, _ = plan_runs(disjoint, ROWS, lambda length: 16)
     assert [(cut.start, cut.stop) for _, cut, _, _ in windows] == [(0, 16), (16, 32), (32, 40)]
     np.testing.assert_array_equal(np.concatenate([rows for _, _, rows, _ in windows]), disjoint)

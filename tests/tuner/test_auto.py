@@ -61,6 +61,34 @@ def test_auto_format_measure_mode(uniform):
     np.testing.assert_allclose(fmt.to_dense(), uniform)
 
 
+def test_a_measured_winner_is_the_operand_it_built(uniform, monkeypatch):
+    """Measuring builds each top candidate once; the winner's build is returned,
+    not built a fifth time from the dense matrix."""
+    from repro.tuner import auto as auto_module
+    from repro.tuner.candidates import Candidate
+
+    built: list[tuple[Candidate, SparseFormat]] = []
+    build = Candidate.build
+
+    def counting(candidate, dense):
+        operand = build(candidate, dense)
+        built.append((candidate, operand))
+        return operand
+
+    monkeypatch.setattr(Candidate, "build", counting)
+    fmt, decision = auto_module.auto_format_with_decision(uniform, tune="measure", use_cache=False)
+    measured = [scored.candidate for scored in decision.ranked if scored.measured_ms is not None]
+    assert len(measured) == min(auto_module.MEASURE_TOP_K, len(decision.ranked))
+    assert sorted(c.describe() for c, _ in built) == sorted(c.describe() for c in measured)
+    assert any(fmt is operand for candidate, operand in built if candidate == decision.candidate)
+    # A cached decision measures nothing: the winner is built once, from the matrix.
+    _, cached = auto_module.auto_format_with_decision(uniform, tune="measure")
+    built.clear()
+    again, hit = auto_module.auto_format_with_decision(uniform, tune="measure")
+    assert hit is cached
+    assert [c for c, _ in built] == [cached.candidate] and built[0][1] is again
+
+
 def test_auto_format_rejects_unknown_mode(uniform):
     with pytest.raises(TunerError):
         auto_format(uniform, tune="fastest")
