@@ -24,12 +24,13 @@ from pathlib import Path
 
 PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 
-#: Total lines at PR 22: one stats report and one serving window for every
-#: tier (three stats modules 497 -> `runtime/stats.py` 259; the cluster's
-#: hand-copied window and the worker stats round trip deleted,
-#: `cluster/server.py` 1,232 -> 1,130).  9,984 at PR 20, 10,112 at PR 18,
-#: 10,102 at PR 17, 10,547 at PR 15, 10,556 at PR 14, 10,867 before it.
-CEILING = 9583
+#: Total lines once the ``tune`` option left every tier (the tuner's model
+#: decides alone).  9,583 with one stats report and one serving window for
+#: every tier (three stats modules 497 -> `runtime/stats.py` 259; the
+#: cluster's hand-copied window and the worker stats round trip deleted,
+#: `cluster/server.py` 1,232 -> 1,130); 9,984 before that, 10,112 and
+#: 10,102 earlier, 10,547, 10,556, and 10,867 at the start.
+CEILING = 9563
 
 #: The config dataclasses whose fields are the stack's options.
 CONFIG_CLASSES = {
@@ -38,9 +39,10 @@ CONFIG_CLASSES = {
     "gateway/config.py": "GatewayConfig",
 }
 
-#: Config fields at PR 18 (22 + 6 + 8: the executor's memory bound became
-#: the ``_WINDOW_BYTES`` constant); 37 at PR 17, 47 before it.
-OPTIONS_CEILING = 36
+#: Config fields with ``ServeConfig.tune`` deleted (21 + 6 + 8); 36 when the
+#: executor's memory bound became the ``_WINDOW_BYTES`` constant, 37 and 47
+#: before it.
+OPTIONS_CEILING = 35
 
 
 def package_lines(root: Path) -> dict[str, int]:

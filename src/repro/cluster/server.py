@@ -132,7 +132,7 @@ class ClusterServer:
         Worker processes in the pool.
     worker_threads:
         Threads of each worker's inner :class:`InsumServer`.
-    backend / config / check_bounds / auto_format / tune / coalesce:
+    backend / config / check_bounds / auto_format / coalesce:
         Forwarded to every worker's inner server (see
         :class:`~repro.runtime.server.InsumServer`).
     ring_capacity:
@@ -173,7 +173,6 @@ class ClusterServer:
         config: Any | None = None,
         check_bounds: bool = True,
         auto_format: bool = False,
-        tune: str = "auto",
         coalesce: bool = True,
         ring_capacity: int = RING_CAPACITY,
         max_inflight: int = 1024,
@@ -200,7 +199,6 @@ class ClusterServer:
             config=config,
             check_bounds=check_bounds,
             auto_format=auto_format,
-            tune=tune,
             coalesce=coalesce,
         )
 

@@ -227,7 +227,6 @@ def insum(
     config: Any | None = None,
     check_bounds: bool = True,
     format: Any | None = None,
-    tune: str = "auto",
     sparse_operand: str | None = None,
     **tensors: Any,
 ) -> np.ndarray:
@@ -257,10 +256,6 @@ def insum(
     format:
         ``None``, ``"auto"``, a format name (``"coo"``, ``"ell"``, ...),
         or a :class:`~repro.formats.base.SparseFormat` subclass.
-    tune:
-        With ``format="auto"``: ``"auto"`` picks by the calibrated cost
-        model; ``"measure"`` empirically times the top candidates through
-        the compile-and-execute pipeline and picks the fastest.
     sparse_operand:
         Name of the operand ``format`` applies to, when ambiguous.
     **tensors:
@@ -282,7 +277,6 @@ def insum(
             config=config,
             check_bounds=check_bounds,
             format=format,
-            tune=tune,
             sparse_operand=sparse_operand,
         )(**tensors)
     return Insum(expression, backend=backend, config=config, check_bounds=check_bounds)(**tensors)
@@ -405,12 +399,6 @@ class SparseEinsum:
         ``"blockcoo"``, ``"blockgroupcoo"``) or a
         :class:`~repro.formats.base.SparseFormat` subclass forces that
         format.
-    tune:
-        Selection mode for ``format="auto"``: ``"auto"`` scores candidates
-        with the calibrated cost model; ``"measure"`` additionally times
-        the model's top candidates through the real compile-and-execute
-        pipeline (including the backend tile autotuner) and picks the
-        fastest measured one.
     sparse_operand:
         Name of the operand to (re)format.  Only needed when the choice is
         ambiguous — by default the single ``SparseFormat`` operand, or the
@@ -424,7 +412,6 @@ class SparseEinsum:
         config: Any | None = None,
         check_bounds: bool = True,
         format: Any | None = None,
-        tune: str = "auto",
         sparse_operand: str | None = None,
     ):
         self.expression = expression
@@ -433,7 +420,6 @@ class SparseEinsum:
         self.config = config
         self.check_bounds = check_bounds
         self.format = format
-        self.tune = tune
         self.sparse_operand = sparse_operand
         self.operator: Insum | None = None
         self.rewritten_expression: str | None = None
@@ -518,9 +504,7 @@ class SparseEinsum:
             from repro.tuner.schedule import suggest_schedule
 
             n_cols = self._infer_n_cols(operands, target)
-            converted, decision = auto_format_with_decision(
-                operand, n_cols=n_cols, tune=self.tune
-            )
+            converted, decision = auto_format_with_decision(operand, n_cols=n_cols)
             self.last_decision = decision
             self._auto_bucket = decision.bucket
             self._auto_hint = suggest_schedule(decision.candidate, n_cols=n_cols)
@@ -752,7 +736,6 @@ def sparse_einsum(
     backend: str = "inductor",
     config: Any | None = None,
     format: Any | None = None,
-    tune: str = "auto",
     sparse_operand: str | None = None,
     **operands: Any,
 ) -> np.ndarray:
@@ -777,9 +760,6 @@ def sparse_einsum(
     format:
         ``None`` keeps the operand's format; ``"auto"`` lets
         :mod:`repro.tuner` pick it; a name or class forces one.
-    tune:
-        ``"auto"`` (cost model) or ``"measure"`` (empirical timing) for
-        ``format="auto"``.
     sparse_operand:
         Name of the operand ``format`` applies to, when ambiguous.
     **operands:
@@ -801,6 +781,5 @@ def sparse_einsum(
         backend=backend,
         config=config,
         format=format,
-        tune=tune,
         sparse_operand=sparse_operand,
     )(**operands)

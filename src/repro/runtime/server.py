@@ -64,7 +64,7 @@ class RequestExecutor:
     ----------
     backend / config / check_bounds:
         Defaults for every operator the executor builds.
-    auto_format / tune:
+    auto_format:
         Tuner integration: profile each request's sparse (or promotable
         dense) operand and re-format it per sparsity regime (see
         :mod:`repro.tuner`).
@@ -76,13 +76,11 @@ class RequestExecutor:
         config: Any | None = None,
         check_bounds: bool = True,
         auto_format: bool = False,
-        tune: str = "auto",
     ):
         self.backend = backend
         self.config = config
         self.check_bounds = check_bounds
         self.auto_format = bool(auto_format)
-        self.tune = tune
         self._operators: dict[tuple[str, str], _OperatorSlot] = {}
         self._operators_lock = threading.Lock()
         #: expression -> (is_logical, rhs_factor_names, statement); used by
@@ -110,7 +108,6 @@ class RequestExecutor:
                         config=self.config,
                         check_bounds=self.check_bounds,
                         format="auto" if self.auto_format else None,
-                        tune=self.tune,
                     )
                 else:
                     operator = Insum(
@@ -211,9 +208,7 @@ class RequestExecutor:
                             break
                     operands = dict(operands)
                     for name in targets:
-                        operands[name] = tuner_auto_format(
-                            operands[name], n_cols=n_cols, tune=self.tune
-                        )
+                        operands[name] = tuner_auto_format(operands[name], n_cols=n_cols)
         slot = self.operator_for(expression, has_sparse)
         with slot.lock:
             return slot.operator(**operands)
@@ -280,9 +275,6 @@ class InsumServer:
         profile bucket), and compiled plans are cached per regime — so
         one server adapts across heterogeneous request streams.  Sparse
         operands may then also be plain dense arrays.
-    tune:
-        Tuner mode when ``auto_format`` is on: ``"auto"`` (cost model) or
-        ``"measure"`` (empirical timing of the top candidates).
     coalesce:
         Same-plan request coalescing (on by default): a worker drains the
         queue opportunistically and executes requests that share one
@@ -306,7 +298,6 @@ class InsumServer:
         config: Any | None = None,
         check_bounds: bool = True,
         auto_format: bool = False,
-        tune: str = "auto",
         coalesce: bool = True,
         coalesce_max: int = 16,
     ):
@@ -318,7 +309,6 @@ class InsumServer:
         self.config = config
         self.check_bounds = check_bounds
         self.auto_format = bool(auto_format)
-        self.tune = tune
         self.coalesce = bool(coalesce)
         self.coalesce_max = int(coalesce_max)
         self.executor = RequestExecutor(
@@ -326,7 +316,6 @@ class InsumServer:
             config=config,
             check_bounds=check_bounds,
             auto_format=auto_format,
-            tune=tune,
         )
 
         self._queue: queue.SimpleQueue[Request | None] = queue.SimpleQueue()

@@ -177,6 +177,7 @@ class StackedSparse(SparseFormat):
             raise ShapeError(
                 f"from_dense expects a (stack, ...) array of rank >= 2, got {stack.shape}"
             )
+        union_mask = np.any(stack != 0, axis=0)
         if isinstance(format_factory, str):
             if format_factory != "auto":
                 raise FormatError(
@@ -196,16 +197,13 @@ class StackedSparse(SparseFormat):
             from repro.tuner.auto import choose_format
             from repro.tuner.profile import profile_operand
 
-            union = np.any(stack != 0, axis=0).astype(np.float64)
-            decision = choose_format(profile_operand(union), dense=union)
-            format_factory = decision.candidate.build
+            format_factory = choose_format(profile_operand(union_mask)).candidate.build
         factory = (
             format_factory.from_dense  # type: ignore[union-attr]
             if isinstance(format_factory, type)
             else format_factory
         )
         item_shape = stack.shape[1:]
-        union_mask = np.any(stack != 0, axis=0)
         positions = np.where(
             union_mask,
             np.arange(1, union_mask.size + 1, dtype=np.float64).reshape(item_shape),

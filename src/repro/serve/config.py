@@ -118,7 +118,7 @@ class ServeConfig:
         Cluster only: threads of each worker process's inner server.
     compile_backend / compile_config / check_bounds:
         The compiler stack under every operator (any backend).
-    auto_format / tune:
+    auto_format:
         Tuner-driven per-request re-formatting (any backend).
     coalesce:
         Same-plan request coalescing (threaded and cluster — inline has
@@ -155,7 +155,6 @@ class ServeConfig:
     compile_config: Any = _option(kwarg="config")
     check_bounds: bool = _option(kwarg="check_bounds", default=True)
     auto_format: bool = _option(kwarg="auto_format", default=False)
-    tune: str = _option(kwarg="tune", default="auto")
     coalesce: bool | None = _option("threaded", "cluster", kwarg="coalesce")
     admission: str | None = _option("cluster", kwarg="admission")
     max_inflight: int | None = _option("cluster", kwarg="max_inflight")
@@ -211,10 +210,6 @@ class ServeConfig:
         if self.admission is not None and self.admission not in ("block", "reject"):
             raise ServeConfigError(
                 f"admission must be 'block' or 'reject', got {self.admission!r}"
-            )
-        if self.tune not in ("auto", "model", "measure"):
-            raise ServeConfigError(
-                f"tune must be 'auto', 'model', or 'measure', got {self.tune!r}"
             )
         if self.retry_attempts is not None and self.retry_attempts < 1:
             raise ServeConfigError(

@@ -14,14 +14,14 @@ This package closes that gap:
    (persistable as JSON via ``REPRO_TUNER_CALIBRATION``);
 3. :mod:`~repro.tuner.auto` exposes :func:`auto_format` /
    :func:`choose_format` plus a process-wide :class:`DecisionCache`, and
-   the public API accepts ``insum(..., format="auto", tune="auto")``
-   (``tune="measure"`` times the top candidates through the real
-   compile-and-execute pipeline instead);
+   the public API accepts ``insum(..., format="auto")``: profile → rank →
+   build, the model deciding alone — no candidate is built or timed to
+   make the decision;
 4. :mod:`~repro.tuner.schedule` turns a decision into tile preferences
    consumed by the planner and the Inductor-like autotuner.
 
 See ``docs/FORMATS.md`` for the candidate-space specification and
-``benchmarks/bench_tuner_adaptive.py`` for the four-regime evaluation.
+``benchmarks/bench_tuner_adaptive.py`` for the seven-regime evaluation.
 """
 
 from repro.tuner.auto import (

@@ -20,7 +20,7 @@ does) pick it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,25 +101,19 @@ class Candidate:
 
 @dataclass(frozen=True)
 class ScoredCandidate:
-    """A candidate with its modelled cost (and, in measure mode, a timing)."""
+    """A candidate with its modelled execution time in milliseconds."""
 
     candidate: Candidate
     modeled_ms: float
-    measured_ms: float | None = field(default=None, compare=False)
 
 
-def enumerate_candidates(
-    profile: SparsityProfile, allow_blocks: bool = True
-) -> list[Candidate]:
+def enumerate_candidates(profile: SparsityProfile) -> list[Candidate]:
     """The candidate set for one profile.
 
     Parameters
     ----------
     profile:
         The operand's structural summary.
-    allow_blocks:
-        Disable block-format candidates (used when the consumer cannot
-        reshape the dense operand, e.g. a rank-3 stacked Einsum).
 
     Returns
     -------
@@ -138,14 +132,11 @@ def enumerate_candidates(
         if g > 1:
             candidates.append(Candidate("GroupCOO", group_size=g))
 
-    if allow_blocks:
-        for block_shape, stats in profile.blocks.items():
-            if stats.fill < _BLOCK_FILL_FLOOR:
-                continue
-            candidates.append(Candidate("BlockCOO", block_shape=block_shape))
-            for g in power_of_two_candidates(stats.g_star, max_group=max(1, stats.row_max)):
-                if g > 1:
-                    candidates.append(
-                        Candidate("BlockGroupCOO", group_size=g, block_shape=block_shape)
-                    )
+    for block_shape, stats in profile.blocks.items():
+        if stats.fill < _BLOCK_FILL_FLOOR:
+            continue
+        candidates.append(Candidate("BlockCOO", block_shape=block_shape))
+        for g in power_of_two_candidates(stats.g_star, max_group=max(1, stats.row_max)):
+            if g > 1:
+                candidates.append(Candidate("BlockGroupCOO", group_size=g, block_shape=block_shape))
     return candidates

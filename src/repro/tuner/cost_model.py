@@ -2,44 +2,51 @@
 
 For an SpMM-shaped workload ``C[m,n] += A[m,k] * B[k,n]`` with ``A`` sparse
 and ``n_cols`` dense output columns, each candidate format implies an exact
-operation census:
+operation census.  Its stored units ``U`` — slots, or blocks — set the rest:
+``U·bK·n`` gathered elements and ``2·U·bM·bK·n`` multiply-adds (``bM = bK =
+1`` for the scalar formats):
 
-=================  =====================  ==================  =================
-candidate          gathered elements      scattered elements  multiply-adds
-=================  =====================  ==================  =================
-COO                ``S·n + 2S``           ``R·n``             ``2·S·n`` scalar
-ELL                ``P·n + P``            0 (direct rows)     ``2·P·n`` scalar
-GroupCOO(g)        ``P·n + P + G``        ``R·n``             ``2·P·n`` scalar
-BlockCOO(b)        ``NB·bK·n + 2·NB``     ``RB·bM·n``         ``2·NB·bM·bK·n`` block
-BlockGroupCOO(g)   ``PB·bK·n + PB + GB``  ``RB·bM·n``         ``2·PB·bM·bK·n`` block
-=================  =====================  ==================  =================
+=================  ============  ==============  ==================  ==========
+candidate          stored units  index loads     scattered elements  MACs
+=================  ============  ==============  ==================  ==========
+COO                ``S``         ``2S``          ``R·n``             scalar
+ELL                ``P``         ``P``           0 (direct rows)     scalar
+GroupCOO(g)        ``P``         ``P + G``       ``R·n``             scalar
+BlockCOO(b)        ``NB``        ``2·NB``        ``RB·bM·n``         block
+BlockGroupCOO(g)   ``PB``        ``PB + GB``     ``RB·bM·n``         block
+=================  ============  ==============  ==================  ==========
 
 where ``S`` = nnz, ``P`` = padded stored slots, ``G`` = number of groups,
 ``R`` = non-empty rows, ``NB`` = nonzero blocks, ``PB`` = padded stored
-blocks, ``GB`` = block groups, ``RB`` = non-empty block rows.  The executor
-sums the duplicates of an output row inside its dot
-(:mod:`repro.engine.specialize`), so a scattering format stores each
-non-empty row once, whatever its grouping.  Scalar multiply-adds run at the
-batched vector–matrix ``np.matmul`` rate (COO's too: its values are the
-dot's left side) and block multiply-adds at the block-``matmul`` rate — the
-two rates (and the gather/scatter/overhead costs) come from the
-:mod:`~repro.tuner.calibration` microbenchmarks, so the model prices
-operations in *measured seconds on this machine*, not abstract counts.
+blocks, ``GB`` = block groups, ``RB`` = non-empty block rows.  The
+:mod:`~repro.tuner.calibration` microbenchmarks price each count in
+*measured nanoseconds on this machine*: ``flop_ns`` a scalar multiply or add,
+``block_flop_ns`` one inside a block, and ``unit_ns`` what a unit costs
+whatever the width ``n``.
 
-That is the census of the step list.  Where the machine compiles plans to C
-(:mod:`repro.engine.emit`; the calibration says so: ``Calibration.emitted``)
-every row runs one fused loop nest instead — no gather pass, no stored row per
-run, no window — and costs its multiply-adds alone, at the measured all-in
-rate of its loop: the scalar ones times ``flop_ns``, the block ones (a
-register tile per block row) times ``block_flop_ns``.
+Where the machine compiles plans to C (:mod:`repro.engine.emit`; the
+calibration says so: ``Calibration.emitted``) a candidate is one call of one
+fused loop nest — no gather pass, no stored row per run, no window — and
+costs its multiply-adds and ``unit_ns`` per stored unit.  A unit's index
+loads and its per-unit loop work (for a block, the register tile's) are that
+constant: an extra load per unit hides under the unit's row traffic, which
+is why a COO nonzero costs a GroupCOO slot.  The unit term alone separates
+candidates doing equally many multiply-adds, such as the block shapes tiling
+the same nonzeros.
 
-Every window the kernel walks also pays a fixed dispatch cost.  A window
-holds at most ``_WINDOW_BYTES`` of gathered temporaries, and in a scattering
-format only runs of one length — stored rows with equally many groups — so a
-candidate runs ``L + gathered bytes / _WINDOW_BYTES`` windows, ``L`` the
-number of distinct run lengths (1 for ELL).  This is what grouping buys on
-skewed rows now that no format pays a scatter per group: ``ceil(occ/g)`` takes
-far fewer distinct values than ``occ``.
+The step list instead handles every index as an array element of its own, so
+there ``unit_ns`` is paid per index load — what separates COO (two a nonzero)
+from GroupCOO (``1 + 1/g`` a slot) on evenly filled rows — on top of the
+gathered and scattered elements.  The executor sums the duplicates of an
+output row inside its dot (:mod:`repro.engine.specialize`), so a scattering
+format stores each non-empty row once, whatever its grouping.  Every window
+the kernel walks also pays a fixed dispatch cost.  A window holds at most
+``_WINDOW_BYTES`` of gathered temporaries, and in a scattering format only
+runs of one length — stored rows with equally many groups — so a candidate
+runs ``L + gathered bytes / _WINDOW_BYTES`` windows, ``L`` the number of
+distinct run lengths (1 for ELL).  This is what grouping buys on skewed rows
+now that no format pays a scatter per group: ``ceil(occ/g)`` takes far fewer
+distinct values than ``occ``.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ import numpy as np
 
 from repro.engine.specialize import _WINDOW_BYTES
 from repro.errors import ReproError
-from repro.formats.group_size import exact_indirect_access_count
 from repro.tuner.calibration import Calibration, get_calibration
 from repro.tuner.candidates import Candidate, ScoredCandidate
 from repro.tuner.profile import SparsityProfile
@@ -75,56 +81,49 @@ class CostModel:
     # -- per-candidate censuses ---------------------------------------------
     def _census(
         self, profile: SparsityProfile, candidate: Candidate, n_cols: int
-    ) -> tuple[float, float, float, float, float]:
-        """``(gather, scatter, scalar_macs, block_macs)`` element counts, and
-        the distinct run lengths the windows must keep apart."""
-        nnz = profile.nnz
-        occ = profile.occupancy
-        name = candidate.format_name
-        nonempty = occ[occ > 0]
+    ) -> dict[str, float]:
+        """The candidate's operation counts, under :meth:`explain`'s names."""
+        name, g = candidate.format_name, candidate.group_size or 1
+        block = name in ("BlockCOO", "BlockGroupCOO")
+        nonempty = profile.occupancy[profile.occupancy > 0]
         # The dot sums a row's duplicates: one stored row per non-empty row.
-        scatter = nonempty.size * n_cols
-
+        rows = nonempty.size
         if name == "COO":
+            units = targets = profile.nnz
             lengths = np.unique(nonempty).size
-            return nnz * n_cols + 2 * nnz, scatter, 2 * nnz * n_cols, 0.0, lengths
-
-        if name == "ELL":
-            padded = profile.shape[0] * profile.row_max
-            return padded * n_cols + padded, 0.0, 2 * padded * n_cols, 0.0, 1
-
-        if name == "GroupCOO":
-            g = candidate.group_size or 1
+        elif name == "ELL":
+            units, targets, rows, lengths = profile.shape[0] * profile.row_max, 0, 0, 1
+        elif name == "GroupCOO":
             per_row = -(nonempty // -g)  # vectorised ceil_div
-            groups = int(np.sum(per_row))
-            padded = groups * g
-            gather = padded * n_cols + padded + groups
-            return gather, scatter, 2 * padded * n_cols, 0.0, np.unique(per_row).size
-
-        if name in ("BlockCOO", "BlockGroupCOO"):
-            if candidate.block_shape is None or candidate.block_shape not in profile.blocks:
+            targets = int(np.sum(per_row))
+            units, lengths = targets * g, np.unique(per_row).size
+        elif block:
+            stats = profile.blocks.get(candidate.block_shape)
+            if stats is None:
                 raise TunerError(
                     f"candidate {candidate.describe()} has no block statistics in the profile"
                 )
-            bm, bk = candidate.block_shape
-            stats = profile.blocks[candidate.block_shape]
-            scatter = stats.nonempty_rows * bm * n_cols
-            g = 1 if name == "BlockCOO" else candidate.group_size or 1
+            rows = stats.nonempty_rows * candidate.block_shape[0]
             # At most every count up to the fullest block row's (summary
             # statistics only: the profile keeps no block-row histogram).
             lengths = min(stats.nonempty_rows, -(stats.row_max // -g))
-            if name == "BlockCOO":
-                nb = stats.num_blocks
-                gather = nb * bk * n_cols + 2 * nb
-                return gather, scatter, 0.0, 2 * nb * bm * bk * n_cols, lengths
-            # Relaxed Section 4.2 group count over block rows (the profile
-            # keeps only summary block statistics, not the full histogram).
-            groups = stats.num_blocks / g + stats.nonempty_rows * (1 - 1 / g) * 0.5
-            padded_blocks = groups * g
-            gather = padded_blocks * bk * n_cols + padded_blocks + groups
-            return gather, scatter, 0.0, 2 * padded_blocks * bm * bk * n_cols, lengths
-
-        raise TunerError(f"cost model does not know candidate format {name!r}")
+            # BlockCOO: one target a block; BlockGroupCOO: the relaxed
+            # Section 4.2 group count over block rows.
+            targets = stats.num_blocks / g + stats.nonempty_rows * (1 - 1 / g) * 0.5
+            units = targets * g
+        else:
+            raise TunerError(f"cost model does not know candidate format {name!r}")
+        bm, bk = candidate.block_shape if block else (1, 1)
+        macs = 2 * units * bm * bk * n_cols
+        return {
+            "gather_elements": float(units * bk * n_cols),
+            "stored_units": float(units),
+            "index_loads": float(units + targets),
+            "scatter_elements": float(rows * n_cols),
+            "scalar_macs": 0.0 if block else float(macs),
+            "block_macs": float(macs) if block else 0.0,
+            "run_lengths": float(lengths),
+        }
 
     # -- scoring -------------------------------------------------------------
     def estimate_ms(
@@ -146,21 +145,23 @@ class CostModel:
         float
             Estimated milliseconds per execution on this machine.
         """
-        gather, scatter, scalar_macs, block_macs, lengths = self._census(
-            profile, candidate, n_cols
-        )
+        return self._price(self._census(profile, candidate, n_cols))
+
+    def _price(self, terms: dict[str, float]) -> float:
+        """Milliseconds of a census on this calibration."""
         cal = self.calibration
+        nanos = terms["scalar_macs"] * cal.flop_ns + terms["block_macs"] * cal.block_flop_ns
         if cal.emitted:
             # One call of the emitted loop nest: no gather pass, no stored row
-            # per run, no window — the measured rate of its loop is all of it.
-            return (scalar_macs * cal.flop_ns + block_macs * cal.block_flop_ns) / 1e6
-        nanos = (
+            # per run, no window — its multiply-adds and stored units are all.
+            return (nanos + terms["stored_units"] * cal.unit_ns) / 1e6
+        gather = terms["gather_elements"]
+        nanos += (
             gather * cal.gather_ns
-            + scatter * cal.scatter_ns
-            + scalar_macs * cal.flop_ns
-            + block_macs * cal.block_flop_ns
+            + terms["index_loads"] * cal.unit_ns
+            + terms["scatter_elements"] * cal.scatter_ns
         )
-        windows = lengths + gather * 8 // _WINDOW_BYTES
+        windows = terms["run_lengths"] + gather * 8 // _WINDOW_BYTES
         return nanos / 1e6 + windows * cal.overhead_us / 1e3
 
     def rank(
@@ -204,22 +205,9 @@ class CostModel:
         Returns
         -------
         dict
-            ``gather_elements``, ``scatter_elements``, ``scalar_macs``,
-            ``block_macs``, ``run_lengths`` and the resulting ``modeled_ms``.
+            ``gather_elements``, ``stored_units``, ``index_loads``,
+            ``scatter_elements``, ``scalar_macs``, ``block_macs``,
+            ``run_lengths`` and the resulting ``modeled_ms``.
         """
-        gather, scatter, scalar_macs, block_macs, lengths = self._census(
-            profile, candidate, n_cols
-        )
-        return {
-            "gather_elements": float(gather),
-            "scatter_elements": float(scatter),
-            "scalar_macs": float(scalar_macs),
-            "block_macs": float(block_macs),
-            "run_lengths": float(lengths),
-            "modeled_ms": self.estimate_ms(profile, candidate, n_cols),
-        }
-
-
-def indirect_access_count(profile: SparsityProfile, group_size: int) -> int:
-    """The paper's ``F(g)`` evaluated on a profile's occupancy histogram."""
-    return exact_indirect_access_count(np.asarray(profile.occupancy), group_size)
+        terms = self._census(profile, candidate, n_cols)
+        return {**terms, "modeled_ms": self._price(terms)}

@@ -38,7 +38,7 @@ _TIER_CONSTRUCTORS = {
 #: (value, REPRO_SERVE_* spelling) per annotation; the value is valid on
 #: every tier that accepts the field and differs from its default.
 _SAMPLES = {"int": (3, "3"), "float": (1.5, "1.5"), "str": ("eager", "eager")}
-_ENUMERATED = {"tune": "model", "admission": "reject", "failover": "threaded"}
+_ENUMERATED = {"admission": "reject", "failover": "threaded"}
 
 
 def _sample(config_field):
@@ -99,8 +99,6 @@ def test_value_validation():
         ServeConfig(workers=0).validate("threaded")
     with pytest.raises(ServeConfigError, match="admission"):
         ServeConfig(admission="panic").validate("cluster")
-    with pytest.raises(ServeConfigError, match="tune"):
-        ServeConfig(tune="guess").validate("inline")
 
 
 def test_resolved_workers_defaults():
@@ -118,14 +116,12 @@ def test_from_env_parses_typed_fields():
             "REPRO_SERVE_WORKERS": "8",
             "REPRO_SERVE_COALESCE": "off",
             "REPRO_SERVE_BLOCK_TIMEOUT": "2.5",
-            "REPRO_SERVE_TUNE": "measure",
             "UNRELATED": "ignored",
         }
     )
     assert config.workers == 8
     assert config.coalesce is False
     assert config.block_timeout == 2.5
-    assert config.tune == "measure"
     assert config.max_inflight is None  # unset stays at the tier default
 
 

@@ -14,6 +14,7 @@ FIXED_CALIBRATION = Calibration(
     scatter_ns=10.0,
     flop_ns=0.4,
     block_flop_ns=0.04,
+    unit_ns=5.0,
     overhead_us=2.0,
 )
 

@@ -13,7 +13,6 @@ from repro.formats import COO, GroupCOO
 from repro.formats.base import SparseFormat
 from repro.tuner import get_decision_cache
 from repro.tuner.auto import choose_format
-from repro.tuner.cost_model import TunerError
 from repro.tuner.profile import profile_operand
 
 
@@ -56,42 +55,28 @@ def test_auto_format_keeps_matching_instance(uniform):
     assert again is fmt  # already in the chosen format: no conversion
 
 
-def test_auto_format_measure_mode(uniform):
-    fmt = auto_format(uniform, tune="measure", use_cache=False)
-    np.testing.assert_allclose(fmt.to_dense(), uniform)
-
-
-def test_a_measured_winner_is_the_operand_it_built(uniform, monkeypatch):
-    """Measuring builds each top candidate once; the winner's build is returned,
-    not built a fifth time from the dense matrix."""
-    from repro.tuner import auto as auto_module
+def test_the_model_decides_and_only_the_winner_is_built(uniform, monkeypatch):
+    """No candidate is built, compiled or timed to make the decision: the one
+    build is the winner's, from the matrix, on a miss and on a hit alike."""
+    from repro.tuner.auto import auto_format_with_decision
     from repro.tuner.candidates import Candidate
 
     built: list[tuple[Candidate, SparseFormat]] = []
     build = Candidate.build
 
     def counting(candidate, dense):
-        operand = build(candidate, dense)
-        built.append((candidate, operand))
-        return operand
+        built.append((candidate, build(candidate, dense)))
+        return built[-1][1]
 
     monkeypatch.setattr(Candidate, "build", counting)
-    fmt, decision = auto_module.auto_format_with_decision(uniform, tune="measure", use_cache=False)
-    measured = [scored.candidate for scored in decision.ranked if scored.measured_ms is not None]
-    assert len(measured) == min(auto_module.MEASURE_TOP_K, len(decision.ranked))
-    assert sorted(c.describe() for c, _ in built) == sorted(c.describe() for c in measured)
-    assert any(fmt is operand for candidate, operand in built if candidate == decision.candidate)
-    # A cached decision measures nothing: the winner is built once, from the matrix.
-    _, cached = auto_module.auto_format_with_decision(uniform, tune="measure")
-    built.clear()
-    again, hit = auto_module.auto_format_with_decision(uniform, tune="measure")
-    assert hit is cached
-    assert [c for c, _ in built] == [cached.candidate] and built[0][1] is again
-
-
-def test_auto_format_rejects_unknown_mode(uniform):
-    with pytest.raises(TunerError):
-        auto_format(uniform, tune="fastest")
+    for _ in range(2):  # a miss, then a hit
+        built.clear()
+        fmt, decision = auto_format_with_decision(uniform, n_cols=32)
+        assert [candidate for candidate, _ in built] == [decision.candidate]
+        assert built[0][1] is fmt
+    assert decision.bucket == (*profile_operand(uniform).bucket(), 32)
+    assert decision.chosen is decision.ranked[0]
+    assert [s.modeled_ms for s in decision.ranked] == sorted(s.modeled_ms for s in decision.ranked)
 
 
 # ---------------------------------------------------------------------------
@@ -100,27 +85,21 @@ def test_auto_format_rejects_unknown_mode(uniform):
 def test_decisions_are_cached_by_bucket(uniform):
     cache = get_decision_cache()
     profile = profile_operand(uniform)
-    first = choose_format(profile, dense=uniform)
+    first = choose_format(profile)
     assert len(cache) == 1
     # Same regime, different values: served from the cache.
     similar = random_sparse_matrix((96, 80), 0.08, rng=999).astype(np.float64)
-    second = choose_format(profile_operand(similar), dense=similar)
+    second = choose_format(profile_operand(similar))
     assert second is first
     assert cache.hits >= 1
 
 
 def test_different_regimes_get_different_decisions(uniform, blocky):
-    uniform_choice = choose_format(profile_operand(uniform), dense=uniform)
+    uniform_choice = choose_format(profile_operand(uniform))
     # Pad the blocky matrix profile to the same shape? Different shapes are
     # different buckets already; assert the candidate differs by regime.
-    block_choice = choose_format(profile_operand(blocky), dense=blocky)
+    block_choice = choose_format(profile_operand(blocky))
     assert uniform_choice.candidate != block_choice.candidate
-
-
-def test_measure_requires_dense():
-    profile = profile_operand(random_sparse_matrix((32, 32), 0.1, rng=0))
-    with pytest.raises(TunerError):
-        choose_format(profile, mode="measure", dense=None, use_cache=False)
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +108,6 @@ def test_measure_requires_dense():
 def test_insum_format_auto_matches_dense_reference(uniform, rng):
     dense_rhs = rng.standard_normal((80, 24))
     out = insum("C[m,n] += A[m,k] * B[k,n]", A=uniform, B=dense_rhs, format="auto")
-    np.testing.assert_allclose(out, uniform @ dense_rhs)
-
-
-def test_insum_format_auto_measure(uniform, rng):
-    dense_rhs = rng.standard_normal((80, 8))
-    out = insum(
-        "C[m,n] += A[m,k] * B[k,n]", A=uniform, B=dense_rhs, format="auto", tune="measure"
-    )
     np.testing.assert_allclose(out, uniform @ dense_rhs)
 
 

@@ -22,12 +22,21 @@ from repro.tuner.calibration import CALIBRATION_VERSION
 # Calibration
 # ---------------------------------------------------------------------------
 def test_microbenchmarks_produce_positive_constants():
+    """Every constant of the executor that runs is measured and positive; the
+    other executor's probes are not run."""
     cal = run_microbenchmarks(elements=1 << 14, repeats=1)
-    assert cal.gather_ns > 0
-    assert cal.scatter_ns > 0
-    assert cal.flop_ns > 0
-    assert cal.block_flop_ns > 0
-    assert cal.overhead_us > 0
+    assert cal.flop_ns > 0 and cal.block_flop_ns > 0 and cal.unit_ns > 0
+    steps = (cal.gather_ns, cal.scatter_ns, cal.overhead_us)
+    assert steps == (None, None, None) if cal.emitted else min(steps) > 0
+
+
+def test_a_step_list_calibration_needs_the_step_constants(tmp_path):
+    with pytest.raises(TypeError, match="step-list"):
+        Calibration(flop_ns=1.0, block_flop_ns=1.0, unit_ns=1.0)
+    path = tmp_path / "calibration.json"
+    Calibration(flop_ns=1.0, block_flop_ns=1.0, unit_ns=1.0, emitted=True).save(path)
+    path.write_text(path.read_text().replace('"emitted": true', '"emitted": false'))
+    assert Calibration.load(path) is None  # a hand-edited file is refused, not half-read
 
 
 def test_microbenchmarks_time_the_emitter_that_runs(steps_only):
@@ -47,14 +56,54 @@ def test_microbenchmarks_time_the_emitted_loop_where_plans_compile():
     assert cal.emitted is compiles and cal.flop_ns > 0 and cal.block_flop_ns > 0
 
 
+def test_one_untimed_pass_runs_before_the_timed_repeats(monkeypatch):
+    """A process's first pass over the probes reads slow, so it is run and
+    thrown away: every probe runs once with no timer open, then ``repeats``
+    times under one.  Counted, not timed: the step list's probes take rows,
+    the emitted ones run kernels."""
+    import repro.tuner.calibration as calibration
+    from repro.engine.specialize import SpecializedKernel
+
+    events: list[str] = []
+
+    class Recorder:
+        elapsed = 1e-6
+
+        def __enter__(self):
+            events.append("timer")
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    def recording(probe):
+        def recorded(*args, **kwargs):
+            events.append("probe")
+            return probe(*args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(calibration, "Timer", Recorder)
+    monkeypatch.setattr(np, "take", recording(np.take))
+    monkeypatch.setattr(SpecializedKernel, "run", recording(SpecializedKernel.run))
+    calibration.run_microbenchmarks(elements=1 << 14, repeats=2)
+    warm = events.index("timer")
+    timed = events[warm:].count("probe")
+    assert warm > 0 and events[:warm] == ["probe"] * warm
+    assert timed == 2 * warm  # the same probes, each pass
+
+
 def test_calibration_json_roundtrip(tmp_path):
-    cal = Calibration(
-        gather_ns=1.5, scatter_ns=9.0, flop_ns=0.5, block_flop_ns=0.05, overhead_us=2.0,
-        emitted=True,
-    )  # fmt: skip
-    path = tmp_path / "nested" / "calibration.json"
-    cal.save(path)
-    assert Calibration.load(path) == cal
+    for cal in (
+        Calibration(flop_ns=0.5, block_flop_ns=0.05, unit_ns=4.0, emitted=True),
+        Calibration(
+            flop_ns=0.5, block_flop_ns=0.05, unit_ns=4.0, gather_ns=1.5, scatter_ns=9.0,
+            overhead_us=2.0,
+        ),
+    ):  # fmt: skip
+        path = tmp_path / "nested" / "calibration.json"
+        cal.save(path)
+        assert Calibration.load(path) == cal
 
 
 def test_calibration_load_rejects_stale_and_corrupt(tmp_path):
@@ -63,11 +112,12 @@ def test_calibration_load_rejects_stale_and_corrupt(tmp_path):
     path.write_text("{not json")
     assert Calibration.load(path) is None  # corrupt
     cal = Calibration(
-        gather_ns=1.0, scatter_ns=1.0, flop_ns=1.0, block_flop_ns=1.0, overhead_us=1.0
+        gather_ns=1.0, scatter_ns=1.0, flop_ns=1.0, block_flop_ns=1.0, unit_ns=1.0, overhead_us=1.0
     )
     cal.save(path)
     current, tag = path.read_text(), f'"version": {CALIBRATION_VERSION}'
-    for version in (-1, 5):  # 5: block_flop_ns priced the step list's matmul on every machine
+    assert CALIBRATION_VERSION == 7
+    for version in (-1, 5, 6):  # 6: no unit_ns, no warm pass
         path.write_text(current.replace(tag, f'"version": {version}'))
         assert Calibration.load(path) is None  # stale version
 
@@ -124,6 +174,68 @@ def test_block_format_wins_on_block_structure():
     assert best.block_shape == (16, 16)
 
 
+def _pinned(emitted: bool, **changes):
+    """The suite's fixed calibration (conftest.py), as the step list or the
+    emitted loop prices it, made process-wide."""
+    from dataclasses import replace
+
+    from repro.tuner import get_calibration, set_calibration
+
+    calibration = replace(get_calibration(), emitted=emitted, **changes)
+    set_calibration(calibration)
+    return calibration
+
+
+def test_exactly_padded_rows_choose_groupcoo_over_coo():
+    """Rows of 16, 32, 48 or 64 nonzeros: a GroupCOO with g <= 16 pads nothing
+    and does COO's multiply-adds, but the step list loads 1 + 1/g indices a
+    slot against COO's 2.  Without the index-load term the two tie; so they do
+    in the emitted loop, where a nonzero's second load hides under its row."""
+    from dataclasses import replace
+
+    from repro.tuner import choose_format, get_calibration
+
+    rng = np.random.default_rng(12)
+    dense = np.zeros((256, 256))
+    for row, occupancy in enumerate(rng.choice([16, 32, 48, 64], size=256)):
+        dense[row, rng.choice(256, size=occupancy, replace=False)] = 1.0
+    profile = profile_operand(dense)
+    decision = choose_format(profile, use_cache=False)  # the fixed calibration: the step list
+    chosen = decision.candidate
+    assert chosen.format_name == "GroupCOO" and 64 % chosen.group_size == 0
+    costs = {scored.candidate: scored.modeled_ms for scored in decision.ranked}
+    assert costs[Candidate("COO")] > costs[chosen]
+    calibration = get_calibration()
+    for tied in (replace(calibration, unit_ns=0.0), replace(calibration, emitted=True)):
+        model = CostModel(tied)
+        assert model.estimate_ms(profile, Candidate("COO")) == pytest.approx(
+            model.estimate_ms(profile, chosen)
+        )
+
+
+@pytest.mark.parametrize("emitted", [False, True])
+def test_full_16x16_tiles_choose_16x16_over_8x8_and_4x4(emitted):
+    """Every block shape dividing a full 16 x 16 tile does the same
+    multiply-adds; the smaller one stores (and loads the indices of) 4x
+    (8 x 8) or 16x (4 x 4) the blocks.  On the emitted loop that term alone
+    tells them apart."""
+    from dataclasses import replace
+
+    from repro.tuner import choose_format
+
+    dense = random_block_sparse_matrix(256, (16, 16), 0.1, rng=9)
+    calibration = _pinned(emitted)
+    profile = profile_operand(dense)
+    assert profile.block_scores[(16, 16)] == pytest.approx(1.0)
+    assert choose_format(profile, use_cache=False).candidate.block_shape == (16, 16)
+    shapes = [Candidate("BlockCOO", block_shape=(b, b)) for b in (16, 8, 4)]
+    costs = [CostModel().estimate_ms(profile, shape) for shape in shapes]
+    assert costs[0] < costs[1] < costs[2]
+    if emitted:
+        tied = CostModel(replace(calibration, unit_ns=0.0))
+        assert len({round(tied.estimate_ms(profile, shape), 12) for shape in shapes}) == 1
+
+
 def test_no_block_candidates_on_unstructured_data():
     dense = random_sparse_matrix((256, 256), 0.05, rng=2)
     assert all(c.block_shape is None for c in _rank_names(dense))
@@ -149,8 +261,8 @@ def test_grouping_beats_plain_coo_on_powerlaw_rows():
 
 def test_an_emitted_calibration_prices_every_candidate_as_one_fused_loop():
     """Where plans compile to C every candidate is one call of its loop nest —
-    its multiply-adds at the all-in rate of that loop, no gather pass, no
-    stored rows, no windows: one line, scalar and block alike."""
+    its multiply-adds and stored units at the rates of that loop, no gather
+    pass, no stored rows, no windows: one line, scalar and block alike."""
     from dataclasses import replace
 
     from repro.tuner import get_calibration
@@ -170,6 +282,7 @@ def test_an_emitted_calibration_prices_every_candidate_as_one_fused_loop():
     for candidate in candidates:
         terms = emitted.explain(profile, candidate, n_cols=32)
         expected = terms["scalar_macs"] * fixed.flop_ns + terms["block_macs"] * fixed.block_flop_ns
+        expected += terms["stored_units"] * fixed.unit_ns
         assert terms["modeled_ms"] == pytest.approx(expected / 1e6)
         assert terms["modeled_ms"] < steps.estimate_ms(profile, candidate, n_cols=32)
     assert emitted.explain(profile, candidates[-1], 32)["block_macs"] > 0
@@ -186,7 +299,9 @@ def test_explain_census_terms():
     profile = profile_operand(random_sparse_matrix((64, 64), 0.1, rng=5))
     terms = CostModel().explain(profile, Candidate("COO"), n_cols=8)
     nnz, occupancy = profile.nnz, profile.occupancy
-    assert terms["gather_elements"] == nnz * 8 + 2 * nnz
+    assert terms["gather_elements"] == nnz * 8
+    assert terms["stored_units"] == nnz
+    assert terms["index_loads"] == 2 * nnz  # a row and a column a nonzero
     assert terms["scatter_elements"] == np.count_nonzero(occupancy) * 8  # one store a row
     assert terms["scalar_macs"] == 2 * nnz * 8
     assert terms["block_macs"] == 0

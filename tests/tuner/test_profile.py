@@ -65,6 +65,63 @@ def test_profile_identical_across_formats():
         assert profile.block_scores == reference.block_scores, fmt.format_name
 
 
+def _unique_oracle(dense: np.ndarray) -> dict:
+    """``{block shape: (fill, num_blocks, nonempty_rows, row_max)}`` with
+    ``np.unique`` over the block ids, for every candidate shape dividing the
+    matrix (none when it holds no nonzero)."""
+    from repro.tuner.profile import CANDIDATE_BLOCK_SHAPES
+
+    rows, cols = np.nonzero(dense)
+    expected = {}
+    for bm, bk in CANDIDATE_BLOCK_SHAPES:
+        if dense.shape[0] % bm or dense.shape[1] % bk or not rows.size:
+            continue
+        grid_cols = dense.shape[1] // bk
+        blocks = np.unique((rows // bm) * grid_cols + cols // bk)
+        _, per_row = np.unique(blocks // grid_cols, return_counts=True)
+        fill = rows.size / (blocks.size * bm * bk)
+        expected[(bm, bk)] = (fill, blocks.size, per_row.size, int(per_row.max()))
+    return expected
+
+
+def _edge_matrices() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(21)
+    single = np.zeros((64, 64))
+    single[37, 5] = 2.0
+    return {
+        "empty": np.zeros((64, 64)),
+        "single": single,
+        "full tiles": random_block_sparse_matrix(64, (16, 16), 0.25, rng=rng),
+        "not divisible": random_sparse_matrix((72, 40), 0.1, rng=rng),
+        "blocky": random_block_sparse_matrix(64, (8, 8), 0.2, rng=rng),
+    }
+
+
+@pytest.mark.parametrize("name", list(_edge_matrices()))
+def test_block_census_matches_the_unique_oracle_on_every_format(name):
+    """The block census (one sort and a neighbour-difference mask a shape)
+    counts what ``np.unique`` counts, from a dense matrix or any format."""
+    dense = _edge_matrices()[name].astype(np.float64)
+    expected = _unique_oracle(dense)
+    builds = [lambda d: d, COO.from_dense, CSR.from_dense, ELL.from_dense, GroupCOO.from_dense]
+    if dense.shape == (64, 64):
+        builds += [
+            lambda d: BCSR.from_dense(d, (8, 8)),
+            lambda d: BlockCOO.from_dense(d, (8, 8)),
+            lambda d: BlockGroupCOO.from_dense(d, (8, 8)),
+        ]
+    for build in builds:
+        operand = build(dense)
+        profile = profile_operand(operand)
+        census = {
+            shape: (stats.fill, stats.num_blocks, stats.nonempty_rows, stats.row_max)
+            for shape, stats in profile.blocks.items()
+        }
+        assert census == expected, getattr(operand, "format_name", "dense")
+    if name == "not divisible":
+        assert set(expected) == {(4, 4), (8, 8)}  # 72 x 40: no 16 or 32 divides 40
+
+
 @pytest.mark.parametrize("block", [(8, 8), (16, 16)])
 def test_planted_block_structure_is_detected(block):
     dense = random_block_sparse_matrix(128, block, 0.15, rng=3)
