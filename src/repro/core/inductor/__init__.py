@@ -10,7 +10,8 @@ Responsibilities, mirroring the paper's compiler extension:
   Triton kernel — or keep them separate, reproducing stock TorchInductor's
   template-matmul limitation (Section 5.2, "Limitation");
 * apply 2-D output tiling and lazy vs. eager broadcasting (Section 5.2.3);
-* autotune tile sizes against the analytical device model.
+* autotune tile sizes against the analytical device model — on demand, when
+  a modelled number is asked for, never on the way to an executable.
 """
 
 from repro.core.inductor.config import InductorConfig

@@ -1,15 +1,20 @@
-"""Compilation driver: plan → stages → fused kernels → cost report → executable.
+"""Compilation driver: plan → stages → fused schedule → executable; GPU model on demand.
 
 :func:`compile_plan` is the backend entry point used by
-:class:`repro.core.insum.api.Insum`.  It returns a :class:`CompiledInsum`
-that can be executed on NumPy tensors and that exposes the structural
-artefacts of compilation: the kernel specs, the analytical cost report, the
-autotuning result, and Triton-style source for inspection.
+:class:`repro.core.insum.api.Insum`.  It does only the work whose result
+executes: it detects the dot pattern, lowers and fuses the stages (fusion
+decides whether a :class:`~repro.engine.specialize.SpecializedKernel` is
+built) and specializes the plan.  The analytical GPU model — the tile
+search, the kernel specs and the cost report — runs on the first access
+to :attr:`CompiledInsum.autotune`, :attr:`~CompiledInsum.kernels` or
+:attr:`~CompiledInsum.cost` (through ``estimated_ms``, ``describe()`` or
+``source()``), never from :meth:`CompiledInsum.run`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,16 +47,12 @@ class CompiledInsum:
     config: InductorConfig
     stages: list[StageIR]
     kernel_plans: list[FusedKernelPlan]
-    kernels: list[KernelSpec]
-    cost: CostReport
     dot: DotInfo | None
-    autotune: AutotuneResult
     compile_seconds: float = 0.0
     #: The fused schedule's executor, a
     #: :class:`repro.engine.specialize.SpecializedKernel` (``None`` when the
     #: schedule is unfused).
     specialized: object | None = field(default=None, repr=False)
-    _source_cache: str | None = field(default=None, repr=False)
 
     # -- execution -----------------------------------------------------------
     @property
@@ -69,6 +70,23 @@ class CompiledInsum:
             return self.specialized.run(tensors)
         return run_unfused(self.plan, tensors)
 
+    # -- the GPU model, computed on first access --------------------------------
+    @cached_property
+    def autotune(self) -> AutotuneResult:
+        """The tile search against the simulated device."""
+        return autotune_tiles(self.plan, self.kernel_plans, self.dot, self.config)
+
+    @cached_property
+    def kernels(self) -> list[KernelSpec]:
+        """One simulated kernel per fused kernel plan, at the tuned tiles."""
+        tiles = self.autotune.best_tiles
+        return [build_kernel_spec(kp, self.dot, self.config, tiles) for kp in self.kernel_plans]
+
+    @cached_property
+    def cost(self) -> CostReport:
+        """The roofline cost report of :attr:`kernels` on the simulated device."""
+        return estimate_total_time(self.kernels, self.config.device)
+
     # -- reporting ------------------------------------------------------------
     @property
     def estimated_ms(self) -> float:
@@ -77,7 +95,7 @@ class CompiledInsum:
 
     @property
     def num_kernels(self) -> int:
-        return len(self.kernels)
+        return len(self.kernel_plans)
 
     def describe(self) -> str:
         """Readable compilation summary used by the examples."""
@@ -92,11 +110,13 @@ class CompiledInsum:
         lines.append(self.cost.summary())
         return "\n".join(lines)
 
+    @cached_property
+    def _source(self) -> str:
+        return _render_main_kernel(self)
+
     def source(self) -> str:
         """Triton-style source text of the main generated kernel."""
-        if self._source_cache is None:
-            self._source_cache = _render_main_kernel(self)
-        return self._source_cache
+        return self._source
 
 
 def compile_plan(plan: InsumPlan, config: InductorConfig | None = None) -> CompiledInsum:
@@ -107,26 +127,22 @@ def compile_plan(plan: InsumPlan, config: InductorConfig | None = None) -> Compi
 
     config = config or InductorConfig()
     config.validate()
+    # The plan cache keys this compile on repr(config) as it reads now; the
+    # model runs later, so it gets a copy the caller cannot mutate.
+    tiles = config.tile_sizes
+    config = replace(config, tile_sizes=None if tiles is None else dict(tiles))
 
     with Timer() as timer:
         dot = detect_dot(plan)
         stages = lower_to_stages(plan, config)
         kernel_plans = fuse_stages(stages, dot, config)
-        autotune = autotune_tiles(plan, kernel_plans, dot, config)
-        kernels = [
-            build_kernel_spec(kp, dot, config, autotune.best_tiles) for kp in kernel_plans
-        ]
-        cost = estimate_total_time(kernels, config.device)
         specialized = specialize_plan(plan, config) if len(kernel_plans) == 1 else None
     return CompiledInsum(
         plan=plan,
         config=config,
         stages=stages,
         kernel_plans=kernel_plans,
-        kernels=kernels,
-        cost=cost,
         dot=dot,
-        autotune=autotune,
         compile_seconds=timer.elapsed,
         specialized=specialized,
     )

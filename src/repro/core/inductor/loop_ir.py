@@ -10,9 +10,8 @@ estimated runtimes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.inductor.config import InductorConfig
 from repro.core.insum.planner import FactorPlan, InsumPlan
@@ -101,8 +100,8 @@ def lower_to_stages(plan: InsumPlan, config: InductorConfig) -> list[StageIR]:
             continue
         tmp_name = f"tmp_{source_name}_{position}"
         factor_buffer_names.append(tmp_name)
-        index_size = int(np.prod(plan.info.tensor_shapes[factor.gather_index]))
-        source_size = int(np.prod(plan.info.tensor_shapes[source_name]))
+        index_size = math.prod(plan.info.tensor_shapes[factor.gather_index])
+        source_size = math.prod(plan.info.tensor_shapes[source_name])
         gathered = factor.gathered_elements
         stage = StageIR(
             name=f"gather_{source_name}",
@@ -158,7 +157,7 @@ def lower_to_stages(plan: InsumPlan, config: InductorConfig) -> list[StageIR]:
 
     # -- scatter stage -------------------------------------------------------------
     if plan.has_scatter:
-        index_size = int(np.prod(plan.info.tensor_shapes[plan.scatter_index]))
+        index_size = math.prod(plan.info.tensor_shapes[plan.scatter_index])
         stages.append(
             StageIR(
                 name=f"scatter_{plan.info.output_name}",

@@ -35,8 +35,9 @@ class Insum:
 
     Parsing, validation, planning, and backend compilation happen once (per
     input-shape signature); subsequent calls reuse the compiled kernel, so
-    the compile and autotune cost is amortised exactly as discussed for
-    Table 3 of the paper.
+    the compile cost is amortised exactly as discussed for Table 3 of the
+    paper.  The tile autotuning of the GPU model runs only when a modelled
+    number is asked for.
 
     Parameters
     ----------

@@ -108,7 +108,16 @@ def _real_basis_matrix(degree: int) -> np.ndarray:
 
 
 def real_clebsch_gordan_block(l1: int, l2: int, l3: int) -> np.ndarray:
-    """The CG block ``C[m1, m2, m3]`` in the real spherical-harmonic basis."""
+    """The CG block ``C[m1, m2, m3]`` in the real spherical-harmonic basis.
+
+    A constant per ``(l1, l2, l3)``: computed once per process, and every
+    caller gets its own copy of the memoized block.
+    """
+    return _real_clebsch_gordan_block(l1, l2, l3).copy()
+
+
+@lru_cache(maxsize=None)
+def _real_clebsch_gordan_block(l1: int, l2: int, l3: int) -> np.ndarray:
     if l3 < abs(l1 - l2) or l3 > l1 + l2:
         return np.zeros((2 * l1 + 1, 2 * l2 + 1, 2 * l3 + 1))
     complex_block = np.zeros((2 * l1 + 1, 2 * l2 + 1, 2 * l3 + 1), dtype=np.complex128)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.formats.csr import CSR
+from repro.utils.rng import stream_seed
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def load_graph_matrix(
         raise ShapeError(f"unknown graph {name!r}; available: {', '.join(list_graphs())}")
     spec = GRAPH_SPECS[name]
     if rng is None:
-        rng = abs(hash(name)) % (2**32)
+        rng = stream_seed(name)
     rng = np.random.default_rng(rng)
 
     scale = min(1.0, max_rows / spec.num_rows)

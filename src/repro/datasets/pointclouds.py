@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.utils.arrays import padded_slots
+from repro.utils.rng import stream_seed
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ def generate_scene(
         raise ShapeError(f"unknown scene {name!r}; available: {', '.join(list_scenes())}")
     spec = SCENE_SPECS[name]
     if rng is None:
-        rng = abs(hash(name)) % (2**32)
+        rng = stream_seed(name)
     rng = np.random.default_rng(rng)
 
     num_points = spec.num_points if max_points is None else min(spec.num_points, max_points)
@@ -172,45 +174,28 @@ class KernelMap:
         with value 0 so they contribute nothing.
         """
         from repro.formats.group_size import select_group_size
-        from repro.utils.arrays import ceil_div
 
         occupancy = self.occupancy()
         if group_size is None:
             group_size = select_group_size(occupancy)
         group_size = max(1, int(group_size))
 
-        group_x, group_y, group_v, group_z = [], [], [], []
-        for offset_index, pair_block in enumerate(self.pairs):
-            count = len(pair_block)
-            if count == 0:
-                continue
-            num_groups = ceil_div(count, group_size)
-            padded_x = np.zeros(num_groups * group_size, dtype=np.int64)
-            padded_y = np.zeros(num_groups * group_size, dtype=np.int64)
-            padded_v = np.zeros(num_groups * group_size, dtype=np.float32)
-            padded_x[:count] = pair_block[:, 0]
-            padded_y[:count] = pair_block[:, 1]
-            padded_v[:count] = 1.0
-            for g in range(num_groups):
-                window = slice(g * group_size, (g + 1) * group_size)
-                group_x.append(padded_x[window])
-                group_y.append(padded_y[window])
-                group_v.append(padded_v[window])
-                group_z.append(offset_index)
-
-        if group_x:
-            return {
-                "MAPX": np.stack(group_x),
-                "MAPY": np.stack(group_y),
-                "MAPV": np.stack(group_v),
-                "MAPZ": np.asarray(group_z, dtype=np.int64),
-            }
-        return {
-            "MAPX": np.zeros((0, group_size), dtype=np.int64),
-            "MAPY": np.zeros((0, group_size), dtype=np.int64),
-            "MAPV": np.zeros((0, group_size), dtype=np.float32),
-            "MAPZ": np.zeros((0,), dtype=np.int64),
-        }
+        # The pairs are already in offset order: one fancy store per array.
+        # The leading empty block lets a map with no offsets concatenate.
+        groups = -(-occupancy // group_size)
+        slots = padded_slots(occupancy, groups, group_size)
+        pairs = np.concatenate([np.zeros((0, 2), dtype=np.int64), *self.pairs])
+        grouped = {}
+        for key, values, dtype in (
+            ("MAPX", pairs[:, 0], np.int64),
+            ("MAPY", pairs[:, 1], np.int64),
+            ("MAPV", 1.0, np.float32),
+        ):
+            flat = np.zeros(int(groups.sum()) * group_size, dtype=dtype)
+            flat[slots] = values
+            grouped[key] = flat.reshape(-1, group_size)
+        grouped["MAPZ"] = np.repeat(np.arange(occupancy.size, dtype=np.int64), groups)
+        return grouped
 
 
 def build_kernel_map(voxels: np.ndarray, kernel_size: int = 3) -> KernelMap:

@@ -17,7 +17,7 @@ from repro.core.insum import Insum, fresh_output
 from repro.datasets.clebsch_gordan import CGTensor, fully_connected_cg_tensor
 from repro.errors import ShapeError
 from repro.formats.group_size import select_group_size
-from repro.utils.arrays import ceil_div
+from repro.utils.arrays import padded_slots
 
 
 class FullyConnectedTensorProduct:
@@ -50,47 +50,20 @@ class FullyConnectedTensorProduct:
         """Group the COO entries of the CG tensor by their path index (CGL)."""
         coo = self.cg.to_coo_arrays("CG")
         order = np.argsort(coo["CGL"], kind="stable")
-        i, j, k, path_ids, v = (
-            coo[key][order] for key in ("CGI", "CGJ", "CGK", "CGL", "CGV")
-        )
-        occupancy = np.bincount(path_ids, minlength=self.cg.num_paths)
+        occupancy = np.bincount(coo["CGL"], minlength=self.cg.num_paths)
         if group_size is None:
             group_size = select_group_size(occupancy)
         group_size = max(1, int(group_size))
 
-        rows_i, rows_j, rows_k, rows_v, rows_l = [], [], [], [], []
-        cursor = 0
-        for path in range(self.cg.num_paths):
-            count = int(occupancy[path])
-            if count == 0:
-                continue
-            groups = ceil_div(count, group_size)
-            pad_i = np.zeros(groups * group_size, dtype=np.int64)
-            pad_j = np.zeros(groups * group_size, dtype=np.int64)
-            pad_k = np.zeros(groups * group_size, dtype=np.int64)
-            pad_v = np.zeros(groups * group_size, dtype=np.float64)
-            window = slice(cursor, cursor + count)
-            pad_i[:count], pad_j[:count], pad_k[:count], pad_v[:count] = (
-                i[window],
-                j[window],
-                k[window],
-                v[window],
-            )
-            cursor += count
-            for g in range(groups):
-                block = slice(g * group_size, (g + 1) * group_size)
-                rows_i.append(pad_i[block])
-                rows_j.append(pad_j[block])
-                rows_k.append(pad_k[block])
-                rows_v.append(pad_v[block])
-                rows_l.append(path)
-        return {
-            "CGI": np.stack(rows_i),
-            "CGJ": np.stack(rows_j),
-            "CGK": np.stack(rows_k),
-            "CGV": np.stack(rows_v),
-            "CGL": np.asarray(rows_l, dtype=np.int64),
-        }
+        groups = -(-occupancy // group_size)
+        slots = padded_slots(occupancy, groups, group_size)
+        grouped = {}
+        for key in ("CGI", "CGJ", "CGK", "CGV"):
+            flat = np.zeros(int(groups.sum()) * group_size, dtype=coo[key].dtype)
+            flat[slots] = coo[key][order]
+            grouped[key] = flat.reshape(-1, group_size)
+        grouped["CGL"] = np.repeat(np.arange(occupancy.size, dtype=np.int64), groups)
+        return grouped
 
     @property
     def group_size(self) -> int:

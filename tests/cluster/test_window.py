@@ -11,8 +11,12 @@ def test_reset_on_a_warm_cluster_reports_only_the_next_pass(mixed_workload, clus
     """Warm up, ``reset_stats()``, serve the same pass again: the report is
     that pass alone — every plan already compiled, nothing left over from
     the warm-up in any counter (the sequence ``benchmarks/layers`` runs).
-    Coalescing is off: a batch of another width is a plan of its own."""
+    Coalescing is off: a batch of another width is a plan of its own.  No
+    key spills: a key that first spilled in the second pass would compile
+    on a worker the warm-up never sent it to, and how deep a worker's
+    backlog gets depends on the host's speed."""
     with ClusterServer(num_workers=2, worker_threads=1, coalesce=False) as cluster:
+        cluster.router.spill_threshold = len(mixed_workload) + 1
         assert all(r.ok for r in cluster.run_batch(mixed_workload, timeout=cluster_timeout))
         warm = cluster.stats()
         assert warm.cache_misses > 0
