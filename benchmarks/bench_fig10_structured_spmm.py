@@ -23,14 +23,15 @@ SPARSITIES = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99]
 
 
 @pytest.fixture(scope="module")
-def sweep_results():
+def sweep_results(modelled_group_size):
     ours, torchbsr, dense = [], [], []
     placeholder = np.zeros((SIZE, SIZE), dtype=np.float32)
     dense_ms = DenseMatmul(dtype="fp16").modeled_ms(placeholder, placeholder)
     for sparsity in SPARSITIES:
         matrix = random_block_sparse_matrix(SIZE, BLOCK, 1.0 - sparsity, rng=0)
+        group_size = modelled_group_size(matrix, BLOCK, SIZE)
         ours_ms = StructuredSpMM(
-            matrix, BLOCK, dtype="fp16", autotune_group_size=True, autotune_num_cols=SIZE
+            matrix, BLOCK, group_size=group_size, dtype="fp16"
         ).estimate_ms(SIZE)
         bsr_ms = TorchBSRSpMM(matrix, BLOCK, dtype="fp16").modeled_ms(placeholder)
         ours.append(dense_ms / ours_ms)

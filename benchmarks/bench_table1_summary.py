@@ -35,14 +35,14 @@ from repro.kernels import (
 
 
 @pytest.fixture(scope="module")
-def summary_rows():
+def summary_rows(modelled_group_size):
     rows = []
 
     # Structured SpMM: hypersparse 32x32-block matrix (where Figure 10 shows
-    # the largest advantage over TorchBSR).
+    # the largest advantage over TorchBSR), its group size swept as in §4.2.
     matrix = random_block_sparse_matrix(2048, (32, 32), 0.05, rng=0)
-    ours = StructuredSpMM(matrix, dtype="fp16", autotune_group_size=True,
-                          autotune_num_cols=2048).estimate_ms(2048)
+    group_size = modelled_group_size(matrix, (32, 32), 2048)
+    ours = StructuredSpMM(matrix, group_size=group_size, dtype="fp16").estimate_ms(2048)
     baseline = TorchBSRSpMM(matrix, dtype="fp16").modeled_ms(np.zeros((2048, 2048), np.float32))
     rows.append(["Structured SpMM", "TorchBSR", PAPER_BASELINE_LOC["structured_spmm"][1],
                  StructuredSpMM.lines_of_code, loc_saving("structured_spmm", 1), baseline / ours])

@@ -29,3 +29,29 @@ def report():
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
     return _report
+
+
+@pytest.fixture(scope="session")
+def modelled_group_size():
+    """Section 4.2's power-of-two group-size sweep for a block matrix.
+
+    Each candidate ``g`` is priced by the modelled GPU time of
+    :class:`~repro.kernels.StructuredSpMM` at ``num_cols`` dense columns;
+    the first of equal minima wins.  The format is the harness's choice:
+    the kernel class runs whatever group size it is given.
+    """
+    from repro.formats.blocking import block_occupancy
+    from repro.formats.group_size import select_group_size
+    from repro.kernels import StructuredSpMM
+
+    def _pick(matrix, block_shape: tuple[int, int], num_cols: int) -> int:
+        occupancy = block_occupancy(matrix, block_shape)
+        return select_group_size(
+            occupancy,
+            runtime_fn=lambda g: StructuredSpMM(
+                matrix, block_shape, group_size=g, dtype="fp16"
+            ).estimate_ms(num_cols),
+            max_group=int(max(occupancy.max(), 1)),
+        )
+
+    return _pick

@@ -3,12 +3,14 @@
 
 Prints ``wc -l`` per serving package — ``cluster``, ``gateway``,
 ``serve``, ``runtime``, ``obs``, ``resilience`` under ``src/repro`` —
+the two packages with a budget of their own (``engine``, ``tuner``),
 and the number of config fields (``ServeConfig`` + ``InductorConfig`` +
-``GatewayConfig``: every independently settable option), and exits 1
-when the line total exceeds :data:`CEILING` or the field count exceeds
-:data:`OPTIONS_CEILING`.  Each ceiling is the size the stack had when it
-was last lowered; a PR that shrinks the stack lowers it in the same
-commit, and a PR that needs to raise it has to say why in review.
+``GatewayConfig``: every independently settable option).  Exits 1 when
+the serving total exceeds :data:`CEILING`, a budgeted package exceeds
+its entry in :data:`PACKAGE_CEILINGS`, or the field count exceeds
+:data:`OPTIONS_CEILING`.  Each ceiling is the size it had when it was
+last lowered; a PR that shrinks the code lowers it in the same commit,
+and a PR that needs to raise it has to say why in review.
 
 Run from the repository root (no dependencies — fields are counted with
 ``ast``, nothing is imported)::
@@ -24,13 +26,20 @@ from pathlib import Path
 
 PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 
-#: Total lines once the ``tune`` option left every tier (the tuner's model
-#: decides alone).  9,583 with one stats report and one serving window for
+#: Total lines once the plan key lost its per-regime bucket.  9,563 once
+#: the ``tune`` option left every tier (the tuner's model decides alone);
+#: 9,583 with one stats report and one serving window for
 #: every tier (three stats modules 497 -> `runtime/stats.py` 259; the
 #: cluster's hand-copied window and the worker stats round trip deleted,
 #: `cluster/server.py` 1,232 -> 1,130); 9,984 before that, 10,112 and
 #: 10,102 earlier, 10,547, 10,556, and 10,867 at the start.
-CEILING = 9563
+CEILING = 9557
+
+#: Packages outside the serving stack with a line budget of their own.
+#: ``engine`` is at the 2,100 the ROADMAP allows it; ``tuner`` is 1,332
+#: with the schedule hint deleted (1,401 before, 1,517 with measured
+#: tuning; the ROADMAP's budget is 1,350).
+PACKAGE_CEILINGS = {"engine": 2100, "tuner": 1332}
 
 #: The config dataclasses whose fields are the stack's options.
 CONFIG_CLASSES = {
@@ -45,13 +54,13 @@ CONFIG_CLASSES = {
 OPTIONS_CEILING = 35
 
 
-def package_lines(root: Path) -> dict[str, int]:
+def package_lines(root: Path, packages=PACKAGES) -> dict[str, int]:
     """Lines (``wc -l``: newline count) of ``*.py`` directly in each package."""
     return {
         package: sum(
             path.read_bytes().count(b"\n") for path in sorted((root / package).glob("*.py"))
         )
-        for package in PACKAGES
+        for package in packages
     }
 
 
@@ -74,6 +83,9 @@ def main() -> int:
     for package, lines in counts.items():
         print(f"{lines:7d}  src/repro/{package}")
     print(f"{total:7d}  total (ceiling {CEILING})")
+    budgeted = package_lines(root, PACKAGE_CEILINGS)
+    for package, lines in budgeted.items():
+        print(f"{lines:7d}  src/repro/{package} (ceiling {PACKAGE_CEILINGS[package]})")
     fields = config_fields(root)
     options = sum(fields.values())
     breakdown = " + ".join(f"{name} {count}" for name, count in fields.items())
@@ -85,6 +97,14 @@ def main() -> int:
             file=sys.stderr,
         )
         status = 1
+    for package, lines in budgeted.items():
+        if lines > PACKAGE_CEILINGS[package]:
+            print(
+                f"src/repro/{package} grew past its ceiling by "
+                f"{lines - PACKAGE_CEILINGS[package]} lines",
+                file=sys.stderr,
+            )
+            status = 1
     if options > OPTIONS_CEILING:
         print(
             f"config fields grew past their ceiling by {options - OPTIONS_CEILING}: "

@@ -30,47 +30,16 @@ def default_tiles(plan: InsumPlan, dot: DotInfo | None, config: InductorConfig) 
     }
 
 
-def hinted_tiles(
-    plan: InsumPlan, dot: DotInfo | None, config: InductorConfig
-) -> dict[str, int] | None:
-    """Tile assignment suggested by the format tuner's schedule hint.
-
-    Reads ``plan.schedule_hint`` (a
-    :class:`repro.tuner.schedule.ScheduleHint`, duck-typed to avoid a
-    core → tuner import), clamps each hinted size to the problem extents,
-    and returns ``None`` when there is no applicable hint (no dot pattern,
-    no hint, or a hint that exceeds shared memory).
-    """
-    hint = getattr(plan, "schedule_hint", None)
-    tiles = getattr(hint, "tile_sizes", None)
-    if not tiles or dot is None or not config.native_dot:
-        return None
-    clamped = {
-        "m": _clamp_tile(dot.m, tiles.get("m", 32)),
-        "n": _clamp_tile(dot.n, tiles.get("n", 32)),
-        "k": _clamp_tile(dot.k, tiles.get("k", 32)),
-    }
-    return clamped if _fits_shared_memory(clamped, config) else None
-
-
 def candidate_tiles(
     plan: InsumPlan, dot: DotInfo | None, config: InductorConfig
 ) -> list[dict[str, int]]:
-    """The autotuning search space (a small grid, as in torch.compile).
-
-    When the plan carries a tuner schedule hint, the hinted tile
-    assignment is evaluated first; the autotuner still picks the modelled
-    minimum over the whole list.
-    """
+    """The autotuning search space (a small grid, as in torch.compile)."""
     if dot is None or not config.native_dot:
         base = default_tiles(plan, dot, config)["yx"]
         sizes = sorted({max(32, base // 4), max(32, base // 2), base, base * 2})
         return [{"yx": s} for s in sizes]
 
     candidates = []
-    hinted = hinted_tiles(plan, dot, config)
-    if hinted is not None:
-        candidates.append(hinted)
     for tile_m in (16, 32, 64):
         for tile_n in (32, 64, 128):
             for tile_k in (16, 32, 64):

@@ -53,14 +53,6 @@ class Insum:
     check_bounds:
         Validate that index-tensor values are in range (adds a scan of the
         metadata; disable for large pre-validated inputs).
-    schedule_hint:
-        Optional :class:`repro.tuner.schedule.ScheduleHint` stored on the
-        plan; the backend autotuner evaluates the hinted tiles alongside
-        its own candidates.  Set by the ``format="auto"`` path.
-    profile_bucket:
-        Optional sparsity-regime key folded into the plan-cache key (see
-        :func:`repro.runtime.plan_cache.plan_key`).  Set by the
-        ``format="auto"`` path so different regimes compile separately.
     """
 
     def __init__(
@@ -69,8 +61,6 @@ class Insum:
         backend: str = "inductor",
         config: Any | None = None,
         check_bounds: bool = True,
-        schedule_hint: Any | None = None,
-        profile_bucket: Any | None = None,
     ):
         if backend not in ("inductor", "eager"):
             raise LoweringError(f"unknown backend {backend!r}; use 'inductor' or 'eager'")
@@ -79,8 +69,6 @@ class Insum:
         self.backend = backend
         self.config = config
         self.check_bounds = check_bounds
-        self.schedule_hint = schedule_hint
-        self.profile_bucket = profile_bucket
         self.last_plan: InsumPlan | None = None
         self.compile_seconds: float = 0.0
         #: Names of tensors used as indices (gather/scatter metadata) —
@@ -130,17 +118,11 @@ class Insum:
             self.config,
             self.check_bounds,
             self._signature(tensors),
-            profile_bucket=self.profile_bucket,
         )
         with Timer() as timer:
             entry = cache.get(key)
             if entry is None:
-                plan = plan_insum(
-                    self.statement,
-                    tensors,
-                    check_bounds=self.check_bounds,
-                    schedule_hint=self.schedule_hint,
-                )
+                plan = plan_insum(self.statement, tensors, check_bounds=self.check_bounds)
                 if self.backend == "eager":
                     compiled = _EagerKernel(plan)
                 else:
@@ -428,8 +410,6 @@ class SparseEinsum:
         #: The most recent :class:`repro.tuner.auto.TunerDecision` made by
         #: the ``format="auto"`` path (``None`` otherwise).
         self.last_decision: Any | None = None
-        self._auto_bucket: Any | None = None
-        self._auto_hint: Any | None = None
         #: Memoized rewrites keyed by (sparse identity, dense shapes); see
         #: :meth:`_prepare`.
         self._prepare_memo: dict[tuple, tuple] = {}
@@ -491,8 +471,6 @@ class SparseEinsum:
 
     def _apply_format(self, operands: dict[str, Any]) -> dict[str, Any]:
         """Convert the target operand per the ``format=`` request."""
-        self._auto_bucket = None
-        self._auto_hint = None
         target = self._pick_reformat_target(operands)
         operand = operands[target]
         if isinstance(operand, SparseFormat) and operand.format_name == "StackedSparse":
@@ -502,13 +480,9 @@ class SparseEinsum:
 
         if self.format == "auto":
             from repro.tuner.auto import auto_format_with_decision
-            from repro.tuner.schedule import suggest_schedule
 
             n_cols = self._infer_n_cols(operands, target)
-            converted, decision = auto_format_with_decision(operand, n_cols=n_cols)
-            self.last_decision = decision
-            self._auto_bucket = decision.bucket
-            self._auto_hint = suggest_schedule(decision.candidate, n_cols=n_cols)
+            converted, self.last_decision = auto_format_with_decision(operand, n_cols=n_cols)
         else:
             converted = _forced_format_operand(self.format, operand)
 
@@ -661,7 +635,7 @@ class SparseEinsum:
 
     # -- execution --------------------------------------------------------------
     def _ensure_operator(self, rewrite) -> Insum:
-        """The reusable operator for the rewritten expression, tuner-aware."""
+        """The reusable operator for the rewritten expression."""
         if self.operator is None or self.rewritten_expression != rewrite.expression:
             self.rewritten_expression = rewrite.expression
             self.operator = Insum(
@@ -670,12 +644,6 @@ class SparseEinsum:
                 config=self.config,
                 check_bounds=self.check_bounds,
             )
-        if self.format == "auto":
-            # Thread the tuner's schedule choice and regime bucket into the
-            # compilation: the bucket keys the plan cache (per-regime
-            # kernels) and the hint feeds the backend autotuner.
-            self.operator.schedule_hint = self._auto_hint
-            self.operator.profile_bucket = self._auto_bucket
         return self.operator
 
     def __call__(self, **operands: Any) -> np.ndarray:

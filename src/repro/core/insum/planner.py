@@ -76,10 +76,6 @@ class InsumPlan:
     scatter_dim: int | None
     scatter_index_subscripts: list[str] = field(default_factory=list)
     graph_module: GraphModule | None = None
-    #: Optional tuner-provided schedule preference
-    #: (:class:`repro.tuner.schedule.ScheduleHint`): the backend autotuner
-    #: evaluates the hinted tiles as an extra candidate.
-    schedule_hint: object | None = None
     #: Bytes per element of the right-hand-side operands' common dtype; the
     #: executor sizes its windows from it.
     value_itemsize: int = 8
@@ -346,7 +342,6 @@ def plan_insum(
     expression: str | EinsumStatement,
     tensors: dict[str, np.ndarray],
     check_bounds: bool = True,
-    schedule_hint: object | None = None,
 ) -> InsumPlan:
     """Validate, analyse, and lower an indirect Einsum to an FX graph.
 
@@ -358,10 +353,6 @@ def plan_insum(
         The operand arrays (shapes and dtypes drive extent inference).
     check_bounds:
         Validate that index-tensor values are in range.
-    schedule_hint:
-        Optional :class:`repro.tuner.schedule.ScheduleHint` from the
-        format tuner; stored on the plan for the backend autotuner, which
-        evaluates the hinted tiles alongside its own candidates.
 
     Returns
     -------
@@ -392,7 +383,6 @@ def plan_insum(
         scatter_index=scatter_index,
         scatter_dim=scatter_dim,
         scatter_index_subscripts=scatter_subscripts,
-        schedule_hint=schedule_hint,
         value_itemsize=np.result_type(
             *(np.asarray(tensors[f.access.tensor]) for f in factors)
         ).itemsize,

@@ -47,46 +47,15 @@ class StructuredSpMM:
         group_size: int | None = None,
         dtype: str = "fp16",
         config: InductorConfig | None = None,
-        autotune_group_size: bool = False,
-        autotune_num_cols: int = 4096,
     ):
         self.config = config or InductorConfig.insum(dtype=dtype)
         self._einsum = SparseEinsum(self.expression, config=self.config)
         if isinstance(matrix, BlockGroupCOO):
             self.format = matrix
-        elif group_size is None and autotune_group_size:
-            # Section 4.2: round g* to nearby powers of two and keep the
-            # candidate with the best (modelled) runtime.
-            self.format = self._select_format_by_runtime(
-                np.asarray(matrix), block_shape, autotune_num_cols
-            )
         else:
             self.format = BlockGroupCOO.from_dense(
                 np.asarray(matrix), block_shape, group_size=group_size
             )
-
-    def _select_format_by_runtime(
-        self, matrix: np.ndarray, block_shape: tuple[int, int], num_cols: int
-    ) -> BlockGroupCOO:
-        from repro.formats.blocking import block_occupancy
-        from repro.formats.group_size import optimal_group_size, power_of_two_candidates
-
-        occupancy = block_occupancy(matrix, block_shape)
-        candidates = power_of_two_candidates(
-            optimal_group_size(occupancy), max_group=int(max(occupancy.max(), 1))
-        )
-        best_format: BlockGroupCOO | None = None
-        best_ms = float("inf")
-        for candidate in candidates:
-            fmt = BlockGroupCOO.from_dense(matrix, block_shape, group_size=candidate)
-            probe = SparseEinsum(self.expression, config=self.config)
-            dense = np.zeros((fmt.shape[1], num_cols), dtype=np.float32)
-            cost_ms = probe.estimate(A=fmt, B=dense).estimated_ms
-            if cost_ms < best_ms:
-                best_ms = cost_ms
-                best_format = fmt
-        assert best_format is not None
-        return best_format
 
     def __call__(self, dense: np.ndarray) -> np.ndarray:
         """Multiply the stored sparse matrix by ``dense``."""

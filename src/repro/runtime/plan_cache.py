@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Hashable
 
 from repro.obs.metrics import get_registry
@@ -217,9 +217,13 @@ def plan_key(
     config: Any,
     check_bounds: bool,
     signature: Hashable,
-    profile_bucket: Hashable = None,
 ) -> tuple:
     """Build the canonical cache key for one compilation.
+
+    The key holds what decides the executed kernel and nothing else: a
+    ``format="auto"`` request keys on the format the tuner chose (through
+    the rewritten expression and the signature), not on the sparsity
+    regime it was chosen for.
 
     Parameters
     ----------
@@ -231,33 +235,23 @@ def plan_key(
         Backend configuration, folded in through its ``repr`` —
         ``InductorConfig`` is a plain dataclass (of bools, strings, a tile
         dict, and a frozen device model), so equal configurations produce
-        equal reprs without requiring hashability.
+        equal reprs without requiring hashability.  The tile dict is
+        sorted first: two equal dicts built in different insertion orders
+        get one key.
     check_bounds:
         Whether bounds validation was requested at plan time.
     signature:
         Shape-and-dtype signature of every bound tensor.
-    profile_bucket:
-        Coarse sparsity-regime key from
-        :meth:`repro.tuner.profile.SparsityProfile.bucket`, set by the
-        ``format="auto"`` path.  Two requests with identical shapes but
-        different sparsity regimes then compile (and cache) separately, so
-        a server adapts its schedule per regime instead of replaying the
-        first request's kernel forever.  ``None`` (the default) for plans
-        compiled without the tuner.
 
     Returns
     -------
     tuple
         A hashable key for :class:`PlanCache`.
     """
-    return (
-        expression,
-        backend,
-        repr(config),
-        bool(check_bounds),
-        signature,
-        profile_bucket,
-    )
+    tiles = getattr(config, "tile_sizes", None)
+    if tiles:
+        config = replace(config, tile_sizes=dict(sorted(tiles.items())))
+    return (expression, backend, repr(config), bool(check_bounds), signature)
 
 
 # ---------------------------------------------------------------------------

@@ -272,8 +272,8 @@ class InsumServer:
         :mod:`repro.tuner` auto path (``format="auto"``): each request's
         sparse operand is profiled, the calibrated cost model picks the
         storage format per sparsity regime (decisions are memoised by
-        profile bucket), and compiled plans are cached per regime — so
-        one server adapts across heterogeneous request streams.  Sparse
+        profile bucket), and each chosen format compiles once — so one
+        server adapts across heterogeneous request streams.  Sparse
         operands may then also be plain dense arrays.
     coalesce:
         Same-plan request coalescing (on by default): a worker drains the

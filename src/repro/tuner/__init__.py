@@ -1,4 +1,4 @@
-"""repro.tuner: cost-model-driven adaptive format and schedule selection.
+"""repro.tuner: cost-model-driven adaptive format selection.
 
 The paper's pipeline covers structured SpMM, unstructured SpMM, sparse
 convolution, and equivariant tensor products with one compiler — but the
@@ -16,11 +16,10 @@ This package closes that gap:
    :func:`choose_format` plus a process-wide :class:`DecisionCache`, and
    the public API accepts ``insum(..., format="auto")``: profile → rank →
    build, the model deciding alone — no candidate is built or timed to
-   make the decision;
-4. :mod:`~repro.tuner.schedule` turns a decision into tile preferences
-   consumed by the planner and the Inductor-like autotuner.
+   make the decision.
 
-See ``docs/FORMATS.md`` for the candidate-space specification and
+The answer is a format, group size included (Section 4.2); the compiler
+lowers whatever format it is given.  See ``docs/FORMATS.md`` for the candidate-space specification and
 ``benchmarks/bench_tuner_adaptive.py`` for the seven-regime evaluation.
 """
 
@@ -45,7 +44,6 @@ from repro.tuner.profile import (
     SparsityProfile,
     profile_operand,
 )
-from repro.tuner.schedule import ScheduleHint, suggest_schedule
 
 __all__ = [
     "auto_format",
@@ -62,8 +60,6 @@ __all__ = [
     "BlockProfile",
     "SparsityProfile",
     "profile_operand",
-    "ScheduleHint",
-    "suggest_schedule",
     "DecisionCache",
     "TunerDecision",
     "get_decision_cache",

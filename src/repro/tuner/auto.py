@@ -191,9 +191,9 @@ def auto_format_with_decision(
     """:func:`auto_format` plus the decision it was based on.
 
     The shared implementation behind :func:`auto_format` and the
-    ``format="auto"`` API path (which also needs the decision's bucket and
-    candidate for plan-cache keying and schedule hints).  Parameters as
-    for :func:`auto_format`.
+    ``format="auto"`` API path (which records the decision as
+    ``SparseEinsum.last_decision``).  Parameters as for
+    :func:`auto_format`.
     """
     decision = choose_format(profile_operand(operand), n_cols, use_cache)
     candidate = decision.candidate

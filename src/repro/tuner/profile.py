@@ -161,10 +161,10 @@ class SparsityProfile:
     def bucket(self) -> tuple:
         """A coarse, hashable key grouping structurally-similar operands.
 
-        The serving runtime caches tuner decisions — and keys compiled
-        plans — by this bucket, so requests with the *same shape but a
-        different sparsity regime* get their own format decision and their
-        own compiled kernel, while near-identical requests share both.
+        The decision cache is keyed by this bucket, so requests with the
+        *same shape but a different sparsity regime* get their own format
+        decision, while near-identical requests share one.  Compiled plans
+        key on the format chosen, not on the bucket.
 
         The bucket quantises density (half-decades), row skew (cv rounded
         to halves), the group-size estimate (nearest power of two), and

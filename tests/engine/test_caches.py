@@ -220,7 +220,6 @@ def test_plan_cache_entry_carries_specialized_closure(medium_sparse_matrix, rng)
         operator.config,
         operator.check_bounds,
         operator._signature(tensors),
-        profile_bucket=None,
     )
     entry = get_plan_cache().get(key)
     assert entry is not None

@@ -1,10 +1,18 @@
 """Tests for the structured / unstructured SpMM applications."""
 
 import numpy as np
+import pytest
 
 from repro import InductorConfig
+from repro.core.insum import SparseEinsum
 from repro.datasets import random_block_sparse_matrix, random_sparse_matrix
-from repro.formats import CSR, GroupCOO
+from repro.formats import CSR, BlockGroupCOO, GroupCOO
+from repro.formats.blocking import block_occupancy
+from repro.formats.group_size import (
+    optimal_group_size,
+    power_of_two_candidates,
+    select_group_size,
+)
 from repro.kernels import StructuredSpMM, UnstructuredSpMM
 
 
@@ -27,13 +35,44 @@ def test_structured_spmm_accepts_prebuilt_format(block_sparse_matrix, rng):
     np.testing.assert_allclose(op(dense), block_sparse_matrix @ dense, atol=1e-9)
 
 
-def test_structured_spmm_group_size_autotune(rng):
-    matrix = random_block_sparse_matrix(128, (16, 16), 0.25, rng=2).astype(np.float64)
-    op = StructuredSpMM(matrix, block_shape=(16, 16), autotune_group_size=True,
-                        autotune_num_cols=64)
-    dense = rng.standard_normal((128, 16))
-    np.testing.assert_allclose(op(dense), matrix @ dense, atol=1e-8)
-    assert op.format.group_size >= 1
+def _modelled_pick_oracle(matrix, block_shape, num_cols):
+    """The strict-``<`` loop ``StructuredSpMM`` once ran to pick its group size."""
+    occupancy = block_occupancy(matrix, block_shape)
+    candidates = power_of_two_candidates(
+        optimal_group_size(occupancy), max_group=int(max(occupancy.max(), 1))
+    )
+    best, best_ms = None, float("inf")
+    for candidate in candidates:
+        fmt = BlockGroupCOO.from_dense(matrix, block_shape, group_size=candidate)
+        probe = SparseEinsum(StructuredSpMM.expression, config=InductorConfig.insum(dtype="fp16"))
+        dense = np.zeros((fmt.shape[1], num_cols), dtype=np.float32)
+        cost_ms = probe.estimate(A=fmt, B=dense).estimated_ms
+        if cost_ms < best_ms:
+            best, best_ms = candidate, cost_ms
+    return best
+
+
+@pytest.mark.parametrize(
+    "size, block, density, seed, num_cols",
+    [
+        (128, (16, 16), 0.25, 2, 64),
+        (2048, (32, 32), 0.05, 0, 2048),
+        (2048, (32, 32), 0.5, 0, 2048),
+    ],
+    ids=["small", "fig10-density0.05", "fig10-density0.5"],
+)
+def test_group_size_sweep_matches_the_modelled_pick(size, block, density, seed, num_cols):
+    """``select_group_size`` over modelled time returns what the old loop did."""
+    matrix = random_block_sparse_matrix(size, block, density, rng=seed)
+    occupancy = block_occupancy(matrix, block)
+    picked = select_group_size(
+        occupancy,
+        runtime_fn=lambda g: StructuredSpMM(
+            matrix, block, group_size=g, dtype="fp16"
+        ).estimate_ms(num_cols),
+        max_group=int(max(occupancy.max(), 1)),
+    )
+    assert picked == _modelled_pick_oracle(matrix, block, num_cols)
 
 
 def test_structured_spmm_estimate_without_execution(rng):
