@@ -4,9 +4,9 @@ Registers the ``--seed`` option (an *initial*-conftest-only hook, which
 is why it lives here rather than in ``benchmarks/conftest.py``): every
 test and benchmark harness derives all of its RNG streams from this one
 value through :func:`repro.utils.rng` — named, independent
-``np.random.Generator`` streams — so CI smoke-gate measurements are
-reproducible run-to-run and a regression can be replayed locally with
-the exact workload that tripped the gate.  Nothing seeds the legacy
+``np.random.Generator`` streams — so every test and harness run is
+reproducible run-to-run and a failure can be replayed locally with the
+exact inputs that tripped it (``pytest --seed N``).  Nothing seeds the legacy
 process-global RNGs anymore; consumers call ``rng(seed, "stream")``
 instead, so adding a draw in one place cannot perturb any other.
 """

@@ -2,11 +2,12 @@
 """Generate (or refresh) a committed workload-trace file.
 
 The committed smoke trace under ``benchmarks/traces/`` is the input to
-the CI replay gate: ``bench_runtime_throughput.py --trace`` replays it
-against the cluster backend and the regression gate holds its SLO
-attainment to an absolute floor.  This script is how that file is made
-— and remade byte-identically, because everything derives from the
-``--seed`` through named :func:`repro.utils.rng` streams.
+the replay floors: ``tests/replay/test_soak.py`` and
+``tests/gateway/test_replay_gateway.py`` replay it through a cluster and
+a gateway and hold its SLO attainment to absolute floors.  This script
+is how that file is made — and remade byte-identically, because
+everything derives from the ``--seed`` through named
+:func:`repro.utils.rng` streams.
 
 Run from the repository root::
 

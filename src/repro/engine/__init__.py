@@ -28,8 +28,8 @@ per-operand artefacts on every request:
   same-plan request coalescing.
 
 See ``docs/PERFORMANCE.md`` for what is specialized and which committed
-numbers (``benchmarks/layers``, ``benchmarks/results/BENCH_runtime.json``)
-track it.
+numbers (``benchmarks/layers`` and its record, ``BENCH_layers.json`` at
+the repository root) track it.
 """
 
 from repro.engine.coalesce import (

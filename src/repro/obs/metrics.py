@@ -22,8 +22,8 @@ Three design points keep the hot path cheap and the reads exact:
 
 Metric names follow Prometheus conventions (``repro_*`` prefix,
 counters ending ``_total``); :func:`validate_prometheus_text` checks the
-text exposition grammar and histogram invariants, and is what the CI
-bench-smoke job runs against a live scrape.
+text exposition grammar and histogram invariants, and is what the ops
+and gateway replay tests run against a live scrape.
 """
 
 from __future__ import annotations
@@ -426,8 +426,8 @@ def validate_prometheus_text(text: str) -> list[str]:
     grammar, every sample's family has a preceding ``# TYPE``, label
     pairs are well-formed, values are floats, and every histogram series
     has a ``+Inf`` bucket with non-decreasing cumulative counts matching
-    its ``_count``.  Used by the ops-endpoint tests and the CI
-    bench-smoke scrape, which fail on any returned problem.
+    its ``_count``.  Used by the ops-endpoint tests and the gateway
+    replay's mid-replay scrape, which fail on any returned problem.
 
     Parameters
     ----------

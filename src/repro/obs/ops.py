@@ -185,10 +185,10 @@ def _make_handler(ops: OpsServer) -> type:
                     body = json.dumps(ops._api_index_body(), default=repr).encode("utf-8")
                     self._reply(200, "application/json", body, "/v1")
                 else:
+                    path = "other"  # one series for every unserved path, not one per probe
                     self._reply(404, "application/json", b'{"error": "not found"}', path)
             except Exception:  # noqa: BLE001 — one bad request must not kill the server
-                ops._log.warning("ops request failed", exc_info=True,
-                                 extra={"path": path})
+                ops._log.warning("ops request failed", exc_info=True, extra={"path": path})
                 try:
                     self._reply(500, "application/json", b'{"error": "internal"}', path)
                 except Exception:  # noqa: BLE001 — client already gone

@@ -112,7 +112,7 @@ def assert_no_leaked_segments(monkeypatch):
 def mixed_workload(seed):
     """A small mixed serving workload: SpMM/SpMV traffic + equivariant.
 
-    Mirrors the throughput benchmark's shape — repeated logical
+    Mirrors the layer benchmark's serving mix — repeated logical
     expressions over long-lived sparse patterns with fresh dense values
     (the coalescing sweet spot), plus a raw indirect Einsum every 8th
     request — at test-suite size.  All draws come from named

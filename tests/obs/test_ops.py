@@ -44,12 +44,23 @@ def test_ops_server_without_session_serves_registry_only():
         status, _, body = fetch(ops.url("/healthz"))
         assert status == 200
         assert json.loads(body)["scope"] == "process"
-        try:
-            fetch(ops.url("/nope"))
-        except urllib.error.HTTPError as error:
-            assert error.code == 404
-        else:
-            raise AssertionError("expected a 404")
+        for probe in ("/nope", "/scan0", "/scan1", "/scan2?q=1"):
+            try:
+                fetch(ops.url(probe))
+            except urllib.error.HTTPError as error:
+                assert error.code == 404
+            else:
+                raise AssertionError("expected a 404")
+        # A client choosing paths must not mint a series per path: the
+        # registry keeps every child, so unserved paths share one label.
+        _, _, body = fetch(ops.url("/metrics"))
+        not_found = [
+            line
+            for line in body.decode().splitlines()
+            if line.startswith("repro_ops_requests_total{") and 'code="404"' in line
+        ]
+        assert len(not_found) == 1, not_found
+        assert 'path="other"' in not_found[0]
 
 
 def test_threaded_session_ops_endpoint_serves_all_three_paths(rng):
