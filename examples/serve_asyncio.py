@@ -10,7 +10,7 @@ aiohttp handler body, and `main` fires 64 concurrent "HTTP requests" at
 it.
 
 The last section is the ops side of the same deployment: scrape the
-session's Prometheus endpoint the way a collector would, and dump one
+gateway's Prometheus route the way a collector would, and dump one
 request's trace to see where its latency went.
 
 Run with:  PYTHONPATH=src python examples/serve_asyncio.py
@@ -82,17 +82,17 @@ async def main() -> None:
         print(session.stats().summary())
 
         # --- Observability: scrape /metrics, then dump one trace. ---------
-        # In production you'd set REPRO_OPS_PORT (or serve_ops(port=9100))
-        # and point Prometheus at it; here we bind an ephemeral port and
-        # scrape it ourselves.
-        ops = session.serve_ops()
-        with urllib.request.urlopen(ops.url("/metrics"), timeout=10) as response:
+        # In production you'd set REPRO_GATEWAY_PORT, build the session with
+        # Session.from_env() and point Prometheus at the gateway's /metrics;
+        # here we bind an ephemeral port and scrape it ourselves.
+        gateway = session.serve_gateway()
+        with urllib.request.urlopen(gateway.url("/metrics"), timeout=10) as response:
             exposition = response.read().decode()
         serve_lines = [
             line for line in exposition.splitlines()
             if line.startswith("repro_serve_") and not line.startswith("#")
         ]
-        print(f"\nscraped {ops.url('/metrics')}: "
+        print(f"\nscraped {gateway.url('/metrics')}: "
               f"{len(exposition.splitlines())} lines, e.g.")
         for line in serve_lines[:4]:
             print(f"  {line}")

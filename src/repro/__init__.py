@@ -30,8 +30,9 @@ Public API highlights
   :class:`repro.ServeStats` on every tier (see ``docs/API.md``).
 * :mod:`repro.obs` — observability across every tier: the process-wide
   metrics registry, per-request traces (``Future.trace()``), structured
-  JSON logs, and the ``/metrics`` / ``/healthz`` / ``/statsz`` ops HTTP
-  endpoint (``Session.serve_ops()``; see ``docs/OBSERVABILITY.md``).
+  JSON logs; the gateway serves the registry at ``/metrics`` and the
+  session at ``/v1/statsz`` and ``/v1/healthz`` (see
+  ``docs/OBSERVABILITY.md``).
 * :mod:`repro.replay` — workload-trace replay: versioned JSONL traces
   (``repro-trace/1``), an open-loop replayer over any backend emitting
   an SLO report with latency/attainment/goodput, and a seeded fault
@@ -81,7 +82,7 @@ from repro.runtime import (
     configure_plan_cache,
     get_plan_cache,
 )
-from repro.obs import OpsServer, configure_logging, get_logger, get_registry
+from repro.obs import configure_logging, get_logger, get_registry
 from repro.serve import Future, ServeConfig, ServeStats, Session
 from repro.tuner import (
     CostModel,
@@ -131,7 +132,6 @@ __all__ = [
     "SparsityProfile",
     "auto_format",
     "profile_operand",
-    "OpsServer",
     "configure_logging",
     "get_logger",
     "get_registry",

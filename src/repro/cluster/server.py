@@ -970,7 +970,7 @@ class ClusterServer:
         )
 
     def health(self) -> dict[str, Any]:
-        """Liveness report for ``/healthz``: per-worker state and resources.
+        """Liveness report for ``/v1/healthz``: per-worker state and resources.
 
         ``status`` is ``"ok"`` when every worker process is alive and the
         control plane is intact (``"degraded"``/``"closed"`` otherwise);

@@ -7,6 +7,13 @@ versioned ``/v1`` wire API:
 * ``GET /v1/healthz`` — the session's liveness probe (200/503).
 * ``POST /v1/submit`` / ``POST /v1/submit_many`` — execute requests,
   JSON or binary operand encoding (see :mod:`repro.gateway.wire`).
+* ``GET /metrics`` — the process registry in Prometheus text, the
+  session's ``repro_serve_*`` gauges refreshed first.
+* ``GET /v1/statsz`` — the session's ``ServeStats`` window as JSON.
+
+``/metrics`` and ``/v1/statsz`` take the API key as submit does (open
+without a keyring) and are not counted as gateway requests; they and
+``/v1/healthz`` read the session on the executor, never on the loop.
 
 Request flow per connection: authenticate (keyring -> tenant), decode
 (the per-connection :class:`~repro.gateway.wire.WireDecoder` applies
@@ -34,7 +41,7 @@ import json
 import math
 import threading
 import time
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import (
     ClusterBusyError,
@@ -63,7 +70,7 @@ from repro.gateway.wire import (
 )
 from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, get_registry
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, PROMETHEUS_CONTENT_TYPE, get_registry
 from repro.resilience.deadline import Deadline, deadline_error
 from repro.serve.future import Future
 
@@ -79,10 +86,15 @@ _REASONS = {
     409: "Conflict",
     422: "Unprocessable Entity",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+#: Header lines one request may carry; past it the reply is 431.
+_MAX_HEADER_LINES = 100
 
 
 def _outcome(error: BaseException | None) -> str:
@@ -133,8 +145,7 @@ class GatewayServer:
         self._server: asyncio.base_events.Server | None = None
         self._log = get_logger("gateway.server")
         registry = get_registry()
-        # Pre-register both families so the help text is pinned before
-        # the first scrape, mirroring the ops endpoint's convention.
+        # Pre-register both families so the help text is pinned before the first scrape.
         registry.counter(
             "repro_gateway_requests_total",
             "Gateway requests served, by tenant and outcome.",
@@ -272,12 +283,20 @@ class GatewayServer:
             return None
         method, target = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
-        while True:
+        for _ in range(_MAX_HEADER_LINES + 1):
             raw = await reader.readline()
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            await self._refuse(writer, 431, f"more than {_MAX_HEADER_LINES} header lines")
+            return None
+        if "transfer-encoding" in headers:
+            # Only Content-Length framing is read: an unread chunked body
+            # would be parsed as the next request (RFC 9112 section 6.1).
+            await self._refuse(writer, 501, "Transfer-Encoding is not supported")
+            return None
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
@@ -305,13 +324,19 @@ class GatewayServer:
         writer: asyncio.StreamWriter,
         keep_alive: bool,
     ) -> None:
+        if path in ("/v1/submit", "/v1/submit_many") and method == "POST":
+            await self._handle_submit(
+                headers, body, decoder, writer,
+                batch=path.endswith("submit_many"), keep_alive=keep_alive,
+            )
+            return
         if path in ("/v1", "/v1/") and method == "GET":
             index = dict(api_index(), gateway={"host": self.config.host, "port": self.port})
             await self._respond_json(writer, 200, index, keep_alive=keep_alive)
             return
         if path == "/v1/healthz" and method == "GET":
             try:
-                health = self.session.health()
+                health = await self._off_loop(self.session.health)
             except Exception as error:  # noqa: BLE001 — report the probe failure itself
                 await self._respond_json(
                     writer, 503, {"status": "error", "error": repr(error)},
@@ -321,11 +346,18 @@ class GatewayServer:
             code = 200 if health.get("status") == "ok" else 503
             await self._respond_json(writer, code, health, keep_alive=keep_alive)
             return
-        if path in ("/v1/submit", "/v1/submit_many") and method == "POST":
-            await self._handle_submit(
-                headers, body, decoder, writer,
-                batch=path.endswith("submit_many"), keep_alive=keep_alive,
-            )
+        if path in ("/metrics", "/v1/statsz") and method == "GET":
+            try:
+                self._auth.authenticate(headers.get(API_KEY_HEADER.lower()))
+            except GatewayAuthError as error:
+                await self._respond_error(writer, error, keep_alive=keep_alive)
+                return
+            if path == "/metrics":
+                text = await self._off_loop(self._scrape)
+                await self._write(writer, 200, PROMETHEUS_CONTENT_TYPE, text, keep_alive=keep_alive)
+            else:
+                stats = await self._off_loop(lambda: self.session.stats().to_dict())
+                await self._respond_json(writer, 200, stats, keep_alive=keep_alive)
             return
         if path.startswith("/v1"):
             error: BaseException = GatewayError(f"no such endpoint: {method} {path}")
@@ -338,6 +370,19 @@ class GatewayServer:
             writer, 404, encode_error(GatewayError(f"not found: {path}")),
             keep_alive=keep_alive,
         )
+
+    @staticmethod
+    async def _off_loop(read: Callable[[], Any]) -> Any:
+        """Run one blocking session read on the executor, off the loop."""
+        return await asyncio.get_running_loop().run_in_executor(None, read)
+
+    def _scrape(self) -> bytes:
+        """The ``/metrics`` body: the session's gauges refreshed, then the registry."""
+        try:
+            self.session.publish_metrics()
+        except Exception:  # noqa: BLE001 — a scrape must degrade, not 500
+            self._log.warning("publish_metrics failed during scrape", exc_info=True)
+        return get_registry().render_prometheus().encode("utf-8")
 
     # -- the submit path ----------------------------------------------------
     async def _handle_submit(
@@ -551,6 +596,11 @@ class GatewayServer:
             writer, status, JSON_CONTENT_TYPE, body,
             keep_alive=keep_alive, extra_headers=extra_headers,
         )
+
+    async def _refuse(self, writer: asyncio.StreamWriter, status: int, message: str) -> None:
+        """Answer a request the framing cannot read, and close the connection."""
+        error = encode_error(WireFormatError(message))
+        await self._respond_json(writer, status, error, keep_alive=False)
 
     async def _respond_error(
         self,

@@ -456,11 +456,11 @@ def decode_error(body: Mapping[str, Any]) -> BaseException:
 
 # -- Discovery -----------------------------------------------------------------
 def api_index() -> dict[str, Any]:
-    """The ``GET /v1`` body: a machine-readable index of the wire API.
+    """The ``GET /v1`` body: a machine-readable index of the gateway's routes.
 
-    Served by both the gateway itself and the ops endpoint (so an
-    operator probing ``/metrics`` discovers the data-plane surface from
-    the same place).
+    The data plane (``/v1/submit*``) and the ops routes (``/metrics``,
+    ``/v1/statsz``, ``/v1/healthz``) are listed together, because one
+    server serves them all.
     """
     return {
         "service": "repro-gateway",
@@ -468,6 +468,8 @@ def api_index() -> dict[str, Any]:
         "endpoints": {
             "GET /v1": "this index",
             "GET /v1/healthz": "session liveness (200 healthy / 503 degraded)",
+            "GET /v1/statsz": "the session's ServeStats window (API key as for submit)",
+            "GET /metrics": "Prometheus text of the process registry (API key as for submit)",
             "POST /v1/submit": "execute one expression; body is one request",
             "POST /v1/submit_many": "execute a batch; body carries 'requests'",
         },

@@ -11,12 +11,12 @@ without cycles (this package depends on nothing above the stdlib):
 * :mod:`repro.obs.trace` — per-request trace ids and span records,
   minted at ``Session.submit``, carried on the request and in cluster
   envelopes, retrievable as ``Future.trace()``.
-* :mod:`repro.obs.ops` — the ``/metrics`` / ``/healthz`` / ``/statsz``
-  HTTP endpoint (``Session.serve_ops`` or ``REPRO_OPS_PORT``), plus
-  :mod:`repro.obs.resources` for ``/proc``-based RSS/CPU accounting.
+* :mod:`repro.obs.resources` — ``/proc``-based RSS/CPU accounting.
 
-See ``docs/OBSERVABILITY.md`` for the metric catalogue, the trace span
-glossary, the ops API, and the log schema.
+The HTTP side is the gateway's: ``GET /metrics`` renders this registry
+and ``GET /v1/statsz`` / ``GET /v1/healthz`` read the session (see
+``docs/OBSERVABILITY.md`` for the metric catalogue, the trace span
+glossary, the ops routes, and the log schema).
 """
 
 from repro.obs.logs import configure_logging, get_logger
@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     get_registry,
     validate_prometheus_text,
 )
-from repro.obs.ops import OpsServer
 from repro.obs.resources import ProcessSample, sample_process
 from repro.obs.trace import Span, Trace
 
@@ -37,7 +36,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "OpsServer",
     "ProcessSample",
     "Span",
     "Trace",

@@ -22,8 +22,8 @@ Three design points keep the hot path cheap and the reads exact:
 
 Metric names follow Prometheus conventions (``repro_*`` prefix,
 counters ending ``_total``); :func:`validate_prometheus_text` checks the
-text exposition grammar and histogram invariants, and is what the ops
-and gateway replay tests run against a live scrape.
+text exposition grammar and histogram invariants, and is what the gateway's
+``/metrics`` tests run against a live scrape.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "get_registry",
     "validate_prometheus_text",
     "DEFAULT_LATENCY_BUCKETS_MS",
+    "PROMETHEUS_CONTENT_TYPE",
     "RESILIENCE_METRIC_NAMES",
 ]
 
@@ -79,6 +80,9 @@ RESILIENCE_METRIC_NAMES: tuple[str, ...] = (
     "repro_poisoned_requests_total",
     "repro_dead_workers",
 )
+
+#: Content type of :meth:`MetricsRegistry.render_prometheus`'s text.
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -399,7 +403,7 @@ class MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Exposition-format validation (used by the ops tests and the CI scrape)
+# Exposition-format validation (used by the scrape tests)
 # ---------------------------------------------------------------------------
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"

@@ -3,7 +3,7 @@
 The cluster monitor thread samples each worker's resident set size and
 accumulated CPU time about once a second, publishing them as gauges
 (``repro_worker_rss_bytes`` / ``repro_worker_cpu_seconds``) and through
-``/healthz``.  Reading two small ``/proc/<pid>`` files is cheap enough
+``/v1/healthz``.  Reading two small ``/proc/<pid>`` files is cheap enough
 to do inline on the monitor cadence and needs no third-party package.
 
 On platforms without ``/proc`` (macOS, Windows) :func:`sample_process`
@@ -47,7 +47,7 @@ class ProcessSample:
     sampled_at: float
 
     def as_dict(self) -> dict:
-        """A JSON-ready view (for ``/healthz`` payloads)."""
+        """A JSON-ready view (for ``/v1/healthz`` payloads)."""
         return {
             "pid": self.pid,
             "rss_bytes": self.rss_bytes,

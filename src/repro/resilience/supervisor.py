@@ -9,7 +9,7 @@ and masks the failure.  This module bounds both halves of the loop:
   a token bucket that refills at ``budget / window`` tokens per second —
   plus exponential backoff between consecutive restarts.  A slot that
   drains its bucket is **permanently dead** for the life of the server:
-  the router drops it from sticky sets, ``/healthz`` reports degraded,
+  the router drops it from sticky sets, ``/v1/healthz`` reports degraded,
   and (with failover configured) the session routes around the tier.
 * :class:`PoisonQuarantine` remembers the request keys that crashed a
   worker through *all* of their dispatch attempts, so resubmitting the
@@ -169,7 +169,7 @@ class WorkerSupervisor:
         return tuple(sorted(self._dead))
 
     def stats(self) -> dict:
-        """Restart counts and dead slots, for ``health()``/``/statsz``."""
+        """Restart counts and dead slots, for ``health()``/``/v1/statsz``."""
         return {
             "restarts": dict(self._restarts),
             "dead_workers": list(self.dead_workers),
@@ -271,5 +271,5 @@ class PoisonQuarantine:
         return len(self._keys)
 
     def stats(self) -> dict:
-        """Quarantine size and per-key crash counts for ``/statsz``."""
+        """Quarantine size and per-key crash counts for ``/v1/statsz``."""
         return {"size": len(self._keys), "keys": dict(self._keys)}

@@ -600,7 +600,7 @@ class InsumServer:
         self.window.reset()
 
     def health(self) -> dict[str, Any]:
-        """Liveness report for ``/healthz``: per-worker thread aliveness."""
+        """Liveness report for ``/v1/healthz``: per-worker thread aliveness."""
         workers = [
             {"worker": index, "alive": worker.is_alive()}
             for index, worker in enumerate(self._workers)

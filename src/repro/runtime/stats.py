@@ -116,7 +116,7 @@ class ServeStats:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        """A JSON-serializable view (the ops endpoint's ``/statsz`` body)."""
+        """A JSON-serializable view (the gateway's ``/v1/statsz`` body)."""
         payload = asdict(self)  # per_worker included: asdict recurses into the tuple
         payload["throughput_rps"] = self.throughput_rps
         payload["cache_hit_rate"] = self.cache_hit_rate

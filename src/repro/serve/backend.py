@@ -123,7 +123,7 @@ class InlineBackend:
         self._window.reset()
 
     def health(self) -> dict[str, Any]:
-        """Liveness report for ``/healthz`` (inline: the caller's thread)."""
+        """Liveness report for ``/v1/healthz`` (inline: the caller's thread)."""
         return {
             "status": "closed" if self._closed else "ok",
             "backend": "inline",

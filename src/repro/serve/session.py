@@ -39,7 +39,6 @@ from repro.errors import FutureCancelledError, ServeError, SessionClosedError
 from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
-from repro.obs.ops import OPS_PORT_ENV, OpsServer
 from repro.resilience.deadline import Deadline
 from repro.resilience.failover import fallback_config
 from repro.resilience.retry import RetryPolicy
@@ -86,7 +85,6 @@ class Session:
         #: request — goes at resolve, so neither outlives the other's use.
         self._unresolved: dict[Future, Request] = {}
         self._closed = False
-        self._ops: OpsServer | None = None
         self._gateway: Any = None
         self._log = get_logger("serve.session")
         self._backend: ExecutorBackend = build_backend(backend, config)
@@ -124,15 +122,6 @@ class Session:
             "Submits routed to the warm fallback backend while the primary was unhealthy.",
             backend=backend,
         )
-        port_env = os.environ.get(OPS_PORT_ENV, "").strip()
-        if port_env:
-            try:
-                self.serve_ops(port=int(port_env))
-            except Exception as error:  # noqa: BLE001 — ops is best-effort, never fatal
-                self._log.warning(
-                    "could not start ops endpoint",
-                    extra={"port": port_env, "error": repr(error)},
-                )
 
     @classmethod
     def from_env(cls, environ: Any = None) -> "Session":
@@ -152,8 +141,6 @@ class Session:
         environ:
             The mapping to read (defaults to ``os.environ``).
         """
-        import os
-
         environ = os.environ if environ is None else environ
         backend = environ.get(BACKEND_ENV, "inline")
         session = cls(backend=backend, config=ServeConfig.from_env(environ))
@@ -505,9 +492,6 @@ class Session:
         if self._gateway is not None:
             self._gateway.stop()
             self._gateway = None
-        if self._ops is not None:
-            self._ops.stop()
-            self._ops = None
         try:
             self.drain(timeout)
         finally:
@@ -535,7 +519,7 @@ class Session:
         self._backend.reset_stats()
 
     def health(self) -> dict[str, Any]:
-        """Backend liveness: the ops endpoint's ``/healthz`` body.
+        """Backend liveness: the gateway's ``/v1/healthz`` body.
 
         All tiers report ``status`` (``"ok"`` / ``"degraded"`` /
         ``"closed"``) and a ``workers`` list; the cluster tier adds
@@ -566,7 +550,7 @@ class Session:
     def publish_metrics(self) -> None:
         """Refresh the ``repro_serve_*`` gauges from this session's stats.
 
-        Called by the ops endpoint before each ``/metrics`` render.  The
+        Called by the gateway before each ``/metrics`` render.  The
         cluster tier's plan-cache and coalescing counters live inside the
         worker *processes* — outside the parent's registry — so this is
         how they (and the window as a whole) reach Prometheus: gauges
@@ -600,34 +584,6 @@ class Session:
                 backend=self._backend_name,
             ).set(float(value))
 
-    def serve_ops(self, port: int = 0, host: str = "127.0.0.1") -> OpsServer:
-        """Start (or return) this session's ops HTTP endpoint.
-
-        Serves ``/metrics`` (Prometheus text), ``/healthz`` (JSON
-        liveness), and ``/statsz`` (the :class:`ServeStats` window)
-        on a daemon thread.  Also started automatically when the
-        ``REPRO_OPS_PORT`` environment variable is set.
-
-        Parameters
-        ----------
-        port:
-            TCP port to bind; 0 picks an ephemeral port (read it back
-            from ``server.port``).
-        host:
-            Bind address (loopback by default — front it with a real
-            proxy before exposing it).
-        """
-        if self._closed:
-            raise SessionClosedError("Session is closed")
-        if self._ops is None:
-            self._ops = OpsServer(session=self, host=host, port=port)
-            self._ops.start()
-            self._log.info(
-                "ops endpoint listening",
-                extra={"host": host, "port": self._ops.port, "backend": self._backend_name},
-            )
-        return self._ops
-
     def serve_gateway(self, config: Any = None, port: int | None = None,
                       host: str | None = None) -> Any:
         """Start (or return) this session's HTTP gateway.
@@ -635,8 +591,8 @@ class Session:
         The network front door: the versioned ``/v1`` wire API of
         :class:`repro.gateway.GatewayServer` — JSON and binary operand
         encodings, per-tenant API-key auth and admission quotas,
-        header-carried deadlines, trace propagation — served on a daemon
-        thread over this session.  Stopped automatically by
+        header-carried deadlines, trace propagation — plus ``/metrics``
+        and ``/v1/statsz``, served on a daemon thread over this session.  Stopped automatically by
         :meth:`close`.  Also started by :meth:`from_env` when the
         ``REPRO_GATEWAY_PORT`` environment variable is set.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -46,6 +47,34 @@ SPMM_EXPR = "C[m,n] += A[m,k] * B[k,n]"
 
 def submit_and_wait(client, operands, **kwargs):
     return client.submit(SPMM_EXPR, **kwargs, **operands).result(timeout=60)
+
+
+def raw_exchange(port: int, request: bytes) -> bytes:
+    """Send ``request`` on a fresh connection; everything read until it closes.
+
+    The send runs on its own thread: a server that answers before reading
+    the whole request must not deadlock the test on a full socket buffer.
+    """
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+
+    def send() -> None:
+        try:
+            sock.sendall(request)
+        except OSError:
+            pass  # the server closed first; its reply is what is under test
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    chunks = []
+    try:
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    except ConnectionResetError:
+        pass
+    finally:
+        sender.join(timeout=30)
+        sock.close()
+    return b"".join(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +376,12 @@ class TestObservability:
         assert {"gateway.decode", "gateway.wait", "gateway.respond"} <= names
         assert "execute" in names
 
-    def test_ops_endpoint_advertises_the_gateway(self, inline_gateway):
-        session, server = inline_gateway
-        ops = session.serve_ops()
-        conn = http.client.HTTPConnection("127.0.0.1", ops.port, timeout=30)
-        try:
-            conn.request("GET", "/v1")
-            payload = json.loads(conn.getresponse().read())
-        finally:
-            conn.close()
+    def test_index_lists_the_ops_routes(self, inline_gateway, acme_client):
+        _, server = inline_gateway
+        payload = acme_client.api_index()
         assert payload["api_version"] == "v1"
         assert payload["gateway"]["port"] == server.port
+        assert {"GET /metrics", "GET /v1/statsz"} <= set(payload["endpoints"])
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +401,25 @@ class TestSurface:
         assert status == 404
         status, _, _ = acme_client._simple_request("GET", "/v1/submit")
         assert status == 405
+
+    def test_header_flood_is_431_and_closes(self, acme_client, inline_gateway):
+        _, server = inline_gateway
+        flood = b"".join(b"X-Flood-%05d: %s\r\n" % (i, b"v" * 84) for i in range(20_000))
+        reply = raw_exchange(server.port, b"GET /v1 HTTP/1.1\r\n" + flood + b"\r\n")
+        assert reply.startswith(b"HTTP/1.1 431 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert acme_client.api_index()["api_version"] == "v1"  # a new connection is served
+
+    def test_chunked_request_gets_one_501_and_closes(self, inline_gateway):
+        _, server = inline_gateway
+        request = (
+            b"POST /v1/submit HTTP/1.1\r\nX-Repro-Api-Key: key-acme\r\n"
+            b"Content-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n"
+        )
+        reply = raw_exchange(server.port, request)
+        assert reply.startswith(b"HTTP/1.1 501 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
 
     def test_binary_disabled_gateway_rejects_binary_wire(self, spmm_operands):
         with Session("inline") as session:

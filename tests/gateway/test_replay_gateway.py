@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.gateway import GatewayClient, GatewayConfig
+from repro.gateway.wire import API_KEY_HEADER
 from repro.obs.metrics import get_registry, validate_prometheus_text
 from repro.replay import read_trace, replay, synthesize
 from repro.serve import ServeConfig, Session
@@ -82,12 +83,14 @@ class TestMixedSmokeAcceptance:
             "cluster", config=ServeConfig(workers=2, coalesce=False)
         ) as session:
             server = session.serve_gateway(config=GatewayConfig(api_keys=api_keys))
-            ops = session.serve_ops()
+            metrics = urllib.request.Request(
+                server.url("/metrics"), headers={API_KEY_HEADER: next(iter(api_keys))}
+            )
 
             def scrape_mid_replay():
                 time.sleep(0.2)
                 try:
-                    with urllib.request.urlopen(ops.url("/metrics"), timeout=10) as reply:
+                    with urllib.request.urlopen(metrics, timeout=10) as reply:
                         scraped.append(reply.read().decode("utf-8"))
                 except OSError:
                     pass
@@ -98,7 +101,7 @@ class TestMixedSmokeAcceptance:
                 report = replay(trace, client, verify=True, time_scale=1.0)
             scraper.join(timeout=15)
             if not scraped:  # replay finished before the scraper woke
-                with urllib.request.urlopen(ops.url("/metrics"), timeout=10) as reply:
+                with urllib.request.urlopen(metrics, timeout=10) as reply:
                     scraped.append(reply.read().decode("utf-8"))
 
         assert report.digest_mismatches == 0

@@ -1,4 +1,4 @@
-"""The ops endpoint and registry truth against live serving tiers."""
+"""The gateway's ops routes and registry truth against live serving tiers."""
 
 from __future__ import annotations
 
@@ -10,23 +10,32 @@ import urllib.request
 import numpy as np
 
 from repro.formats import COO
-from repro.obs.metrics import get_registry, validate_prometheus_text
-from repro.obs.ops import PROMETHEUS_CONTENT_TYPE, OpsServer
+from repro.gateway import GatewayClient, GatewayConfig
+from repro.gateway.wire import API_KEY_HEADER
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, get_registry, validate_prometheus_text
 from repro.serve import ServeConfig, Session
 
+SPMM_EXPR = "C[m,n] += A[m,k] * B[k,n]"
 
-def fetch(url: str):
-    with urllib.request.urlopen(url, timeout=10) as response:
+
+def fetch(url: str, api_key: str | None = None):
+    headers = {API_KEY_HEADER: api_key} if api_key is not None else {}
+    request = urllib.request.Request(url, headers=headers)
+    with urllib.request.urlopen(request, timeout=10) as response:
         return response.status, response.headers.get("Content-Type"), response.read()
+
+
+def fetch_status(url: str, api_key: str | None = None) -> int:
+    try:
+        return fetch(url, api_key)[0]
+    except urllib.error.HTTPError as error:
+        return error.code
 
 
 def build_workload(rng, count=12):
     dense = np.where(rng.random((24, 32)) < 0.2, rng.standard_normal((24, 32)), 0.0)
     sparse = COO.from_dense(dense)
-    return [
-        ("C[m,n] += A[m,k] * B[k,n]", dict(A=sparse, B=rng.standard_normal((32, 8))))
-        for _ in range(count)
-    ]
+    return [(SPMM_EXPR, dict(A=sparse, B=rng.standard_normal((32, 8)))) for _ in range(count)]
 
 
 def completed_total(backend: str) -> float:
@@ -35,51 +44,41 @@ def completed_total(backend: str) -> float:
     ).value()
 
 
-def test_ops_server_without_session_serves_registry_only():
-    with OpsServer() as ops:
-        status, content_type, body = fetch(ops.url("/metrics"))
-        assert status == 200
-        assert content_type == PROMETHEUS_CONTENT_TYPE
-        assert validate_prometheus_text(body.decode()) == []
-        status, _, body = fetch(ops.url("/healthz"))
-        assert status == 200
-        assert json.loads(body)["scope"] == "process"
+def series(text: str) -> set[str]:
+    """The ``repro_`` series of one scrape: each sample's name and labels."""
+    return {
+        line.rsplit(" ", 1)[0] for line in text.splitlines() if line.startswith("repro_")
+    }
+
+
+def test_probed_paths_mint_no_series():
+    with Session("inline") as session:
+        gateway = session.serve_gateway()
+        before = series(fetch(gateway.url("/metrics"))[2].decode())
         for probe in ("/nope", "/scan0", "/scan1", "/scan2?q=1"):
-            try:
-                fetch(ops.url(probe))
-            except urllib.error.HTTPError as error:
-                assert error.code == 404
-            else:
-                raise AssertionError("expected a 404")
-        # A client choosing paths must not mint a series per path: the
-        # registry keeps every child, so unserved paths share one label.
-        _, _, body = fetch(ops.url("/metrics"))
-        not_found = [
-            line
-            for line in body.decode().splitlines()
-            if line.startswith("repro_ops_requests_total{") and 'code="404"' in line
-        ]
-        assert len(not_found) == 1, not_found
-        assert 'path="other"' in not_found[0]
+            assert fetch_status(gateway.url(probe)) == 404
+        after = series(fetch(gateway.url("/metrics"))[2].decode())
+    # A client choosing paths must not mint a series per path: the
+    # registry keeps every child it is asked for.
+    assert after == before
 
 
-def test_threaded_session_ops_endpoint_serves_all_three_paths(rng):
+def test_threaded_session_gateway_serves_the_ops_routes(rng):
     with Session(backend="threaded", config=ServeConfig(workers=2)) as session:
-        ops = session.serve_ops()
-        assert session.serve_ops() is ops  # idempotent
+        gateway = session.serve_gateway()
         for future in session.submit_many(build_workload(rng)):
             future.result(timeout=60)
-        status, content_type, body = fetch(ops.url("/metrics"))
+        status, content_type, body = fetch(gateway.url("/metrics"))
         assert status == 200 and content_type == PROMETHEUS_CONTENT_TYPE
         text = body.decode()
         assert validate_prometheus_text(text) == []
         assert 'repro_serve_completed{backend="threaded"} 12' in text
-        status, _, body = fetch(ops.url("/healthz"))
+        status, _, body = fetch(gateway.url("/v1/healthz"))
         health = json.loads(body)
         assert status == 200 and health["status"] == "ok"
         assert health["backend"] == "threaded"
         assert all(worker["alive"] for worker in health["workers"])
-        status, _, body = fetch(ops.url("/statsz"))
+        status, _, body = fetch(gateway.url("/v1/statsz"))
         stats = json.loads(body)
         assert status == 200
         assert stats["completed"] == 12 and stats["submitted"] == 12
@@ -92,10 +91,13 @@ def test_cluster_scrape_exposes_required_series(rng):
     and per-backend latency histograms."""
     config = ServeConfig(workers=2, worker_threads=1)
     with Session(backend="cluster", config=config) as session:
-        ops = session.serve_ops()
+        gateway = session.serve_gateway()
         for future in session.submit_many(build_workload(rng, count=16)):
             future.result(timeout=120)
-        _, _, body = fetch(ops.url("/metrics"))
+        _, _, body = fetch(gateway.url("/metrics"))
+        status, _, stats = fetch(gateway.url("/v1/statsz"))
+        assert status == 200 and json.loads(stats)["completed"] == 16
+        assert fetch_status(gateway.url("/v1/healthz")) == 200
     text = body.decode()
     assert validate_prometheus_text(text) == []
     assert 'repro_serve_plan_cache_hit_rate{backend="cluster"}' in text
@@ -103,6 +105,52 @@ def test_cluster_scrape_exposes_required_series(rng):
     assert "# TYPE repro_admission_rejected_total counter" in text
     assert 'repro_request_latency_ms_bucket{backend="cluster",le="+Inf"}' in text
     assert 'repro_serve_completed{backend="cluster"} 16' in text
+
+
+def test_keyring_guards_metrics_and_statsz_but_not_healthz():
+    config = GatewayConfig(api_keys={"key-acme": "acme"})
+    with Session("inline") as session:
+        gateway = session.serve_gateway(config=config)
+        counted = get_registry().counter(
+            "repro_gateway_requests_total", tenant="acme", outcome="ok"
+        )
+        before = counted.value()
+        for path in ("/metrics", "/v1/statsz"):
+            assert fetch_status(gateway.url(path)) == 401
+            assert fetch_status(gateway.url(path), api_key="key-wrong") == 403
+            assert fetch_status(gateway.url(path), api_key="key-acme") == 200
+        assert fetch_status(gateway.url("/v1/healthz")) == 200
+        assert counted.value() == before  # ops reads are not gateway requests
+
+
+def test_a_blocked_scrape_does_not_stall_submit(rng, monkeypatch):
+    entered, release = threading.Event(), threading.Event()
+    with Session("inline") as session:
+        publish = session.publish_metrics
+
+        def blocked_publish():
+            entered.set()
+            release.wait(timeout=60)
+            publish()
+
+        monkeypatch.setattr(session, "publish_metrics", blocked_publish)
+        gateway = session.serve_gateway()
+        scraped: list[int] = []
+        scraper = threading.Thread(
+            target=lambda: scraped.append(fetch_status(gateway.url("/metrics")))
+        )
+        scraper.start()
+        try:
+            assert entered.wait(timeout=30)
+            ((expression, operands),) = build_workload(rng, count=1)
+            with GatewayClient(gateway.url("")) as client:
+                output = client.submit(expression, **operands).result(timeout=10)
+            assert output.shape == (24, 8)
+            assert scraper.is_alive()  # the scrape is still parked
+        finally:
+            release.set()
+            scraper.join(timeout=30)
+    assert scraped == [200]
 
 
 def test_registry_counts_exactly_under_threads_and_live_cluster(rng):
