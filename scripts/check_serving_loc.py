@@ -38,10 +38,11 @@ PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 CEILING = 9357
 
 #: Packages outside the serving stack with a line budget of their own.
-#: ``engine`` is at the 2,100 the ROADMAP allows it; ``tuner`` is 1,332
-#: with the schedule hint deleted (1,401 before, 1,517 with measured
-#: tuning; the ROADMAP's budget is 1,350).
-PACKAGE_CEILINGS = {"engine": 2100, "tuner": 1332}
+#: ``engine`` is 2,097 with the FX interpreter's last callers on the step
+#: list (2,100, the ROADMAP's budget, before); ``tuner`` is 1,332 with the
+#: schedule hint deleted (1,401 before, 1,517 with measured tuning; the
+#: ROADMAP's budget is 1,350).
+PACKAGE_CEILINGS = {"engine": 2097, "tuner": 1332}
 
 #: The config dataclasses whose fields are the stack's options.
 CONFIG_CLASSES = {

@@ -15,8 +15,8 @@ Public API highlights
 * :mod:`repro.baselines` — the hand-written libraries and sparse compilers
   the paper compares against, re-implemented at the algorithm level.
 * :mod:`repro.core` — the compiler itself: the indirect-Einsum frontend,
-  the FX-like graph IR, the extended Inductor-like backend, and the
-  simulated Triton/GPU layer.
+  the Insum planner (whose plan is the IR), the extended Inductor-like
+  backend, and the simulated Triton/GPU layer.
 * :mod:`repro.tuner` — cost-model-driven adaptive format selection:
   :func:`repro.auto_format` and the ``insum(..., format="auto")`` path,
   scored by microbenchmark-calibrated analytical costs.

@@ -2,7 +2,7 @@
 
 Responsibilities, mirroring the paper's compiler extension:
 
-* lower the Insum FX graph into loop-level *stages* (gather / contraction /
+* lower the Insum plan into loop-level *stages* (gather / contraction /
   scatter) with explicit memory-traffic accounting;
 * pattern-match broadcasted-multiply-plus-sum contractions into an
   ``ops.dot`` node that maps onto Tensor Cores (Section 5.2.2);
@@ -12,6 +12,10 @@ Responsibilities, mirroring the paper's compiler extension:
 * apply 2-D output tiling and lazy vs. eager broadcasting (Section 5.2.3);
 * autotune tile sizes against the analytical device model — on demand, when
   a modelled number is asked for, never on the way to an executable.
+
+Every schedule executes on the plan's
+:class:`~repro.engine.specialize.SpecializedKernel`: cache-sized windows when
+fused, one window over the whole extent when not.
 """
 
 from repro.core.inductor.config import InductorConfig

@@ -2,9 +2,10 @@
 
 :func:`compile_plan` is the backend entry point used by
 :class:`repro.core.insum.api.Insum`.  It does only the work whose result
-executes: it detects the dot pattern, lowers and fuses the stages (fusion
-decides whether a :class:`~repro.engine.specialize.SpecializedKernel` is
-built) and specializes the plan.  The analytical GPU model — the tile
+executes: it detects the dot pattern, lowers and fuses the stages and
+compiles the plan's :class:`~repro.engine.specialize.SpecializedKernel` —
+cache-sized windows for a fused schedule, one whole-extent window for an
+unfused one (fusion decides which).  The analytical GPU model — the tile
 search, the kernel specs and the cost report — runs on the first access
 to :attr:`CompiledInsum.autotune`, :attr:`~CompiledInsum.kernels` or
 :attr:`~CompiledInsum.cost` (through ``estimated_ms``, ``describe()`` or
@@ -15,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.inductor.autotune import AutotuneResult, autotune_tiles
 from repro.core.inductor.config import InductorConfig
 from repro.core.inductor.dot_rewrite import DotInfo, detect_dot
-from repro.core.inductor.executor import run_unfused
 from repro.core.inductor.fusion import FusedKernelPlan, build_kernel_spec, fuse_stages
 from repro.core.inductor.loop_ir import StageIR, lower_to_stages
 from repro.core.insum.planner import InsumPlan
@@ -38,6 +39,9 @@ from repro.core.triton_sim.kernel import KernelSpec
 from repro.core.triton_sim.profiler import CostReport, estimate_total_time
 from repro.utils.timing import Timer
 
+if TYPE_CHECKING:
+    from repro.engine.specialize import SpecializedKernel
+
 
 @dataclass
 class CompiledInsum:
@@ -48,11 +52,10 @@ class CompiledInsum:
     stages: list[StageIR]
     kernel_plans: list[FusedKernelPlan]
     dot: DotInfo | None
+    #: The executor: cache-sized windows when the schedule is fused, one
+    #: window over the whole extent (every temporary materialised) when not.
+    specialized: SpecializedKernel = field(repr=False)
     compile_seconds: float = 0.0
-    #: The fused schedule's executor, a
-    #: :class:`repro.engine.specialize.SpecializedKernel` (``None`` when the
-    #: schedule is unfused).
-    specialized: object | None = field(default=None, repr=False)
 
     # -- execution -----------------------------------------------------------
     @property
@@ -60,15 +63,8 @@ class CompiledInsum:
         return len(self.kernel_plans) == 1
 
     def run(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
-        """Execute the compiled program on NumPy tensors.
-
-        A fused schedule runs the step list compiled for it at plan time
-        (cache-sized windows, fold + dot contraction, segment-sum scatter);
-        an unfused one runs the FX graph node by node.
-        """
-        if self.specialized is not None:
-            return self.specialized.run(tensors)
-        return run_unfused(self.plan, tensors)
+        """Execute the compiled program on NumPy tensors (:attr:`specialized`)."""
+        return self.specialized.run(tensors)
 
     # -- the GPU model, computed on first access --------------------------------
     @cached_property
@@ -122,8 +118,8 @@ class CompiledInsum:
 def compile_plan(plan: InsumPlan, config: InductorConfig | None = None) -> CompiledInsum:
     """Compile an Insum plan with the given backend configuration."""
     # Imported here: repro.engine.specialize imports this package's
-    # executor module, so a module-level import would be circular.
-    from repro.engine.specialize import specialize_plan
+    # dot_rewrite module, so a module-level import would be circular.
+    from repro.engine.specialize import materialize_plan, specialize_plan
 
     config = config or InductorConfig()
     config.validate()
@@ -136,7 +132,9 @@ def compile_plan(plan: InsumPlan, config: InductorConfig | None = None) -> Compi
         dot = detect_dot(plan)
         stages = lower_to_stages(plan, config)
         kernel_plans = fuse_stages(stages, dot, config)
-        specialized = specialize_plan(plan, config) if len(kernel_plans) == 1 else None
+        specialized = (
+            specialize_plan(plan, config) if len(kernel_plans) == 1 else materialize_plan(plan)
+        )
     return CompiledInsum(
         plan=plan,
         config=config,

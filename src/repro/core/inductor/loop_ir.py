@@ -1,6 +1,6 @@
 """Loop-level stages: the backend's analogue of InductorIR.
 
-The Insum FX graph always has the shape *gather → contraction → scatter*
+The Insum plan always has the shape *gather → contraction → scatter*
 (Section 5.1), so the loop-level IR is represented as a list of
 :class:`StageIR` records, one per stage, each carrying the loop variables
 it iterates and the memory streams it touches.  The fusion pass then

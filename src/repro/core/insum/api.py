@@ -46,7 +46,8 @@ class Insum:
     backend:
         ``"inductor"`` (default) compiles through the extended
         TorchInductor-like backend with fusion, ``ops.dot``, and lazy
-        broadcasting; ``"eager"`` runs the unfused FX graph directly.
+        broadcasting; ``"eager"`` runs the plan's step list as one window over
+        the whole extent (every temporary materialised, no C loop nest).
     config:
         Optional :class:`repro.core.inductor.config.InductorConfig`
         overriding the backend behaviour (used by the ablation study).
@@ -124,7 +125,9 @@ class Insum:
             if entry is None:
                 plan = plan_insum(self.statement, tensors, check_bounds=self.check_bounds)
                 if self.backend == "eager":
-                    compiled = _EagerKernel(plan)
+                    from repro.engine.specialize import materialize_plan
+
+                    compiled = materialize_plan(plan)
                 else:
                     from repro.core.inductor import compile_plan
 
@@ -190,18 +193,6 @@ def fresh_output(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     (the fused one recognises the view and allocates instead of copying).
     """
     return np.broadcast_to(np.zeros((), dtype=dtype), shape)
-
-
-class _EagerKernel:
-    """Unfused execution through the FX interpreter (the 'eager' backend)."""
-
-    def __init__(self, plan: InsumPlan):
-        self.plan = plan
-
-    def run(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
-        from repro.core.inductor.executor import run_unfused
-
-        return run_unfused(self.plan, tensors)
 
 
 def insum(

@@ -1,17 +1,17 @@
 """Planning the gather → einsum → scatter decomposition of an indirect Einsum.
 
 This is the Insum compiler of Section 5.1: given a validated indirect
-Einsum, build an FX graph that
+Einsum, decide how to
 
-1. gathers every factor with indirect indices into a dense temporary
-   (``index_select`` / ``coord_gather``),
-2. contracts the gathered factors with a single dense ``einsum``, and
-3. scatters the result into the output (``index_add``) when the left-hand
-   side is indirect, or adds it directly otherwise.
+1. gather every factor with indirect indices into a dense temporary,
+2. contract the gathered factors with a single dense ``einsum``, and
+3. scatter the result into the output when the left-hand side is indirect,
+   or add it directly otherwise.
 
-The plan records enough metadata (loop subscripts per stage, which loads
-are indirect, the contraction structure) for the Inductor-like backend to
-fuse the stages and map the contraction onto Tensor Cores.
+The :class:`InsumPlan` is the IR: it records the loop subscripts of every
+stage, which loads are indirect and the contraction's equation — what the
+Inductor-like backend fuses and maps onto Tensor Cores, and what
+:class:`~repro.engine.specialize.SpecializedKernel` compiles to steps.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.core.einsum.ast import (
 )
 from repro.core.einsum.parser import parse_einsum
 from repro.core.einsum.validation import ProgramInfo, validate
-from repro.core.fx.graph import Graph, GraphModule, Node
 from repro.errors import LoweringError
 
 
@@ -75,7 +74,6 @@ class InsumPlan:
     scatter_index: str | None
     scatter_dim: int | None
     scatter_index_subscripts: list[str] = field(default_factory=list)
-    graph_module: GraphModule | None = None
     #: Bytes per element of the right-hand-side operands' common dtype; the
     #: executor sizes its windows from it.
     value_itemsize: int = 8
@@ -208,7 +206,7 @@ def _analyse_output(statement: EinsumStatement, info: ProgramInfo):
 
 
 # ---------------------------------------------------------------------------
-# Graph construction
+# The contraction's equation
 # ---------------------------------------------------------------------------
 def _letters_for(variables: list[str]) -> dict[str, str]:
     pool = string.ascii_lowercase + string.ascii_uppercase
@@ -217,133 +215,12 @@ def _letters_for(variables: list[str]) -> dict[str, str]:
     return {var: pool[i] for i, var in enumerate(variables)}
 
 
-def _build_graph(plan: InsumPlan) -> GraphModule:
-    """Emit the FX graph implementing the plan."""
-    info = plan.info
-    graph = Graph()
-    placeholders: dict[str, Node] = {}
-
-    def placeholder(name: str) -> Node:
-        if name not in placeholders:
-            placeholders[name] = graph.placeholder(
-                name, meta={"shape": info.tensor_shapes.get(name)}
-            )
-        return placeholders[name]
-
-    # 1. Gather stage: bring every factor into dense (loop-variable) form.
-    factor_nodes: list[Node] = []
-    for factor in plan.factors:
-        tensor_node = placeholder(factor.access.tensor)
-        if not factor.is_indirect:
-            node = tensor_node
-            # Constant indices on direct factors become `select` ops.
-            for axis, ix in enumerate(factor.access.indices):
-                if isinstance(ix, IntLiteral):
-                    node = graph.call(
-                        "select", node, axis, ix.value, meta={"role": "shape"}
-                    )
-            factor_nodes.append(node)
-            continue
-
-        index_node = placeholder(factor.gather_index)
-        index_shape = info.tensor_shapes[factor.gather_index]
-        axis = factor.gather_axis
-        tensor_shape = info.tensor_shapes[factor.access.tensor]
-        if len(index_shape) == 1:
-            gathered = graph.call(
-                "index_select",
-                tensor_node,
-                axis,
-                index_node,
-                name=f"gather_{factor.access.tensor}",
-                meta={"role": "gather", "subscripts": factor.subscripts},
-            )
-        else:
-            flat_index = graph.call(
-                "reshape", index_node, [int(np.prod(index_shape))], meta={"role": "shape"}
-            )
-            flat_gather = graph.call(
-                "index_select",
-                tensor_node,
-                axis,
-                flat_index,
-                name=f"gather_{factor.access.tensor}",
-                meta={"role": "gather", "subscripts": factor.subscripts},
-            )
-            unflat_shape = (
-                list(tensor_shape[:axis]) + list(index_shape) + list(tensor_shape[axis + 1 :])
-            )
-            gathered = graph.call(
-                "reshape", flat_gather, [int(d) for d in unflat_shape], meta={"role": "shape"}
-            )
-        factor_nodes.append(gathered)
-
-    # 2. Contraction stage: one dense einsum over the gathered factors.
-    einsum_node = graph.call(
-        "einsum",
-        plan.einsum_equation,
-        *factor_nodes,
-        name="contract",
-        meta={"role": "einsum", "subscripts": plan.output_subscripts},
-    )
-
-    # 3. Scatter stage: write into the output.
-    output_placeholder = placeholder(info.output_name)
-    if plan.statement.accumulate:
-        base = output_placeholder
-    else:
-        out_shape = [int(d) for d in info.tensor_shapes[info.output_name]]
-        base = graph.call("zeros", out_shape, meta={"role": "creation"})
-
-    if plan.has_scatter:
-        index_node = placeholder(plan.scatter_index)
-        index_shape = info.tensor_shapes[plan.scatter_index]
-        source: Node = einsum_node
-        if len(index_shape) > 1:
-            # Merge the scatter variables (adjacent by construction) into a
-            # single axis so index_add sees a 1-D index.
-            merged_shape: list[int] = []
-            axis_cursor = 0
-            lhs = plan.statement.lhs
-            for ix in lhs.indices:
-                if isinstance(ix, TensorAccess):
-                    merged_shape.append(int(np.prod(index_shape)))
-                    axis_cursor += len(index_shape)
-                else:
-                    assert isinstance(ix, IndexVar)
-                    merged_shape.append(info.extents[ix.name])
-                    axis_cursor += 1
-            source = graph.call(
-                "reshape", einsum_node, merged_shape, meta={"role": "shape"}
-            )
-            index_node = graph.call(
-                "reshape", index_node, [int(np.prod(index_shape))], meta={"role": "shape"}
-            )
-        result = graph.call(
-            "index_add",
-            base,
-            plan.scatter_dim,
-            index_node,
-            source,
-            name="scatter",
-            meta={"role": "scatter", "subscripts": plan.output_subscripts},
-        )
-    else:
-        # Direct output: the einsum already has the output's shape/order.
-        result = graph.call(
-            "add", base, einsum_node, name="write_out", meta={"role": "pointwise"}
-        )
-
-    graph.output(result)
-    return GraphModule(graph, name="insum_kernel")
-
-
 def plan_insum(
     expression: str | EinsumStatement,
     tensors: dict[str, np.ndarray],
     check_bounds: bool = True,
 ) -> InsumPlan:
-    """Validate, analyse, and lower an indirect Einsum to an FX graph.
+    """Validate and analyse an indirect Einsum into its gather / einsum / scatter plan.
 
     Parameters
     ----------
@@ -357,9 +234,8 @@ def plan_insum(
     Returns
     -------
     InsumPlan
-        The plan, whose ``graph_module`` executes the computation on
-        NumPy arrays; it also carries the structural information the
-        backend needs for fusion and cost modelling.
+        The structural information the backend needs for fusion, cost
+        modelling and compiling the executor.
     """
     statement = expression if isinstance(expression, EinsumStatement) else parse_einsum(expression)
     info = validate(statement, tensors, check_bounds=check_bounds)
@@ -374,7 +250,7 @@ def plan_insum(
     output_spec = "".join(letters[v] for v in output_subscripts)
     equation = f"{inputs_spec}->{output_spec}"
 
-    plan = InsumPlan(
+    return InsumPlan(
         statement=statement,
         info=info,
         factors=factors,
@@ -387,5 +263,3 @@ def plan_insum(
             *(np.asarray(tensors[f.access.tensor]) for f in factors)
         ).itemsize,
     )
-    plan.graph_module = _build_graph(plan)
-    return plan

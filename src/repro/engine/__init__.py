@@ -10,7 +10,7 @@ the identity-keyed caches that let a serving process stop re-deriving
 per-operand artefacts on every request:
 
 * :mod:`repro.engine.specialize` — :class:`SpecializedKernel`, the one
-  executor of a fused schedule (cache-sized windows, gather, pointwise
+  executor of every plan (cache-sized windows, gather, pointwise
   folds plus one ``np.matmul`` that also sums duplicate targets where one
   rule allows, segment-sum scatter elsewhere), compiled per plan;
 * :mod:`repro.engine.emit` — the second emitter behind that lowering: a
@@ -18,7 +18,7 @@ per-operand artefacts on every request:
   ``~/.cache/repro/kernels`` and called outside the GIL
   (``python -m repro.engine`` builds them ahead of time);
 * :mod:`repro.engine.paths` — process-wide ``np.einsum_path`` memo (the
-  unfused ``einsum`` operator, and the fused executor's build-time fallback);
+  executor's build-time fallback);
 * :mod:`repro.engine.segment` — the run structure of a scatter index;
   ``np.add.at`` replaced by disjoint-row fancy ``+=`` or bucketed slab
   segment sums;
@@ -47,26 +47,25 @@ from repro.engine.fingerprint import (
     pattern_fingerprint,
 )
 from repro.engine.paths import (
-    cached_einsum,
     cached_einsum_path,
     clear_path_cache,
     path_cache_stats,
 )
 from repro.engine.segment import ScatterPlan, plan_scatter, segment_add
-from repro.engine.specialize import SpecializedKernel, specialize_plan
+from repro.engine.specialize import SpecializedKernel, materialize_plan, specialize_plan
 
 __all__ = [
     "CoalesceTicket",
     "ScatterPlan",
     "SpecializedKernel",
     "array_token",
-    "cached_einsum",
     "cached_einsum_path",
     "clear_derived_cache",
     "clear_path_cache",
     "coalesce_key",
     "derived",
     "derived_cache_size",
+    "materialize_plan",
     "pattern_fingerprint",
     "path_cache_stats",
     "plan_scatter",

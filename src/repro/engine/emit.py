@@ -88,12 +88,13 @@ _LOADED: dict[str, "dict[np.dtype, Callable[[int, int], int]] | str"] = {}
 def covers(plan: InsumPlan) -> bool:
     """Whether ``plan`` has a loop nest here: every tensor is one of output,
     value operand or index, and a dense reduction comes with an index tensor
-    and the vector variable its register tile is made of (:func:`_loop_order`)."""
+    and the vector variable its register tile is made of (:func:`_loop_order`);
+    a scalar output has none."""
     operands = {factor.access.tensor for factor in plan.factors}
     indices = set(plan.info.gather_tensors)
-    if plan.info.output_name in operands | indices or operands & indices:
+    if not plan.output_subscripts or plan.info.output_name in operands | indices:
         return False
-    return _loop_order(plan.statement) is not None
+    return not operands & indices and _loop_order(plan.statement) is not None
 
 
 def _loop_order(statement: EinsumStatement) -> tuple[list[str], str | None, str | None] | None:

@@ -7,11 +7,9 @@ only on the equation and the operand shapes, so the engine resolves it once
 per ``(equation, shapes)`` pair and passes the explicit path to every later
 call.
 
-:func:`cached_einsum_path` is the lookup; the fused executor
+:func:`cached_einsum_path` is the lookup; the executor
 (:mod:`repro.engine.specialize`) calls it at build time only, for a
 contraction it cannot lower to folds plus one ``np.matmul``.
-:func:`cached_einsum` is the one-line "einsum with a memoized path" wrapper
-behind the FX ``einsum`` operator of the unfused schedule.
 """
 
 from __future__ import annotations
@@ -65,16 +63,3 @@ def cached_einsum_path(equation: str, *operands: np.ndarray) -> list:
             _PATHS.clear()
         _PATHS.setdefault(key, computed)
         return _PATHS[key]
-
-
-def cached_einsum(equation: str, *operands: np.ndarray, out: np.ndarray | None = None):
-    """``np.einsum`` with the contraction path resolved through the memo.
-
-    Drop-in replacement for ``np.einsum(equation, *operands,
-    optimize=True)`` that pays the path search once per distinct
-    ``(equation, shapes)`` pair instead of on every call.
-    """
-    path = cached_einsum_path(equation, *operands)
-    if out is None:
-        return np.einsum(equation, *operands, optimize=path)
-    return np.einsum(equation, *operands, optimize=path, out=out)

@@ -5,12 +5,12 @@ trailing shape it processes one update at a time through the ufunc inner
 loop — and so does ``np.add.reduceat(axis=0)`` on a 2-D array.  (The emitted
 C loop nest of :mod:`repro.engine.emit` *is* that sequential loop, fused with
 its gather; this module serves the step list, which runs every plan with a
-dense reduction and every plan on a machine without a compiler.)  The FX
-``index_add`` operator scatters through :func:`segment_add` instead, and so
-do the fused plans that cannot hand their duplicates to the dot: a scatter
-index over several variables (sparse convolution's ``MAPX[p,q]``, the
-grouped tensor product's ``CGI[p,q]`` — the weights are shared per ``p``)
-and one element per update (SpMV).  Every other scattering plan — the SpMM
+dense reduction and every plan on a machine without a compiler.)  The plans
+that keep their duplicates from the dot scatter through :func:`segment_add`:
+the one window of ``materialize_plan``, a scatter index over several
+variables (sparse convolution's ``MAPX[p,q]``, the grouped tensor product's
+``CGI[p,q]`` — the weights are shared per ``p``) and one element per update
+(SpMV).  Every other scattering plan — the SpMM
 family, plain or stacked — windows over the runs of equal targets
 (:func:`plan_runs`), sums each run inside its ``np.matmul`` and never calls
 :func:`segment_add`.  Two structure-aware rewrites cover the cases the

@@ -1,6 +1,7 @@
 """Plan-time specialization: lower an :class:`InsumPlan` once, emit it twice.
 
-:class:`SpecializedKernel` is the executor of every fused schedule.
+:class:`SpecializedKernel` executes every plan (:func:`materialize_plan`: the
+unfused schedule's and ``backend="eager"``'s, one window over the whole extent).
 :meth:`SpecializedKernel.build` compiles the plan once into a list of
 prebuilt steps over a small register file; ``run`` loads the operands and
 walks the list — no AST inspection, no axis arithmetic and no contraction
@@ -60,15 +61,15 @@ multiply-add), in storage order — ``np.add.at``'s order; a dense reduction is
 summed per update, from zero, before it is added — so its result is a
 sequential loop's bit for bit, whatever the shapes, the vector width and
 wherever the operands lie, and a coalesced (stacked) execution equals the
-per-request ones bit for bit.  The step list matches it, and the unfused FX
-interpreter, up to floating-point reassociation: its dot sums in its BLAS's
-order — in a run-windowed plan that includes the duplicates of an output row,
-and a stack of ``s`` items runs ``s x K @ K x n`` per run where one request
-runs ``1 x K``, a few ulp apart (``tests/runtime/test_stacked.py``) — and a
-``segment_add`` store keeps the sequential contract of
-:mod:`repro.engine.segment`, within each window.
-Integer-valued data is exact under every schedule and both emitters.  Every
-kernel is tested against the loop-nest reference interpreter.
+per-request ones bit for bit.  The step list matches it up to floating-point
+reassociation: its dot sums in its BLAS's order — in a run-windowed plan that
+includes the duplicates of an output row, and a stack of ``s`` items runs
+``s x K @ K x n`` per run where one request runs ``1 x K``, a few ulp apart
+(``tests/runtime/test_stacked.py``) — and a ``segment_add`` store keeps the
+sequential contract of :mod:`repro.engine.segment`, within each window.
+Integer-valued data is exact under every schedule and both emitters, and the
+result's dtype is ``np.result_type`` of the operands and the bound output on
+both.  Every kernel is tested against the loop-nest reference interpreter.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ import numpy as np
 
 from repro.core.einsum.ast import IndexVar, IntLiteral
 from repro.core.inductor.dot_rewrite import detect_dot
-from repro.core.inductor.executor import run_unfused
 from repro.core.insum.planner import FactorPlan, InsumPlan
 from repro.engine.emit import Emitted, covers, emit
 from repro.engine.fingerprint import array_token, derived
@@ -156,11 +156,13 @@ class _Program:
 
     def __init__(self, plan: InsumPlan, windows: list[slice], run_budget: tuple | None = None):
         self.plan, self.windows = plan, windows
-        #: The variable the windows cut: the leading output variable — or, given
-        #: the ``run_budget`` of :meth:`run_windows`, the scatter variable of a
-        #: plan :func:`_split_runs` split, cut into whole runs of equal targets
-        #: (``inner``: the variable it added, over the positions inside a run).
-        self.lead = plan.scatter_index_subscripts[0] if run_budget else plan.output_subscripts[0]
+        #: The variable the windows cut: the leading output variable (``None``
+        #: for a scalar output) — or, given the ``run_budget`` of
+        #: :meth:`run_windows`, the scatter variable of a plan :func:`_split_runs`
+        #: split, cut into whole runs of equal targets (``inner``: the variable
+        #: it added, over the positions inside a run).
+        out = plan.scatter_index_subscripts if run_budget else plan.output_subscripts
+        self.lead = out[0] if out else None
         self.inner = plan.info.reduction_vars[0] if run_budget else None
         self.extents = plan.info.extents
         names = [plan.info.output_name, *(f.access.tensor for f in plan.factors)]
@@ -476,9 +478,8 @@ class _Program:
     def einsum(self, values: list[_Value]) -> _Value:
         """The fallback: ``np.einsum`` with its path resolved now."""
         equation, slots, dst = self.plan.einsum_equation, [v.slot for v in values], self.new(True)
-        steps = self.windows[0].stop
         shapes = [
-            tuple(steps if v == self.lead else self.extents[v] for v in value.vars)
+            tuple(self.windows[0].stop if v == self.lead else self.extents[v] for v in value.vars)
             for value in values
         ]
         path = cached_einsum_path(equation, *(np.broadcast_to(np.float64(0), s) for s in shapes))
@@ -597,26 +598,26 @@ class SpecializedKernel:
 
     Built once per compiled plan (and cached with it in the plan cache);
     ``run`` then executes gather → fold → dot → scatter window by window
-    with every value-independent decision already made.  Falls back to the
-    unfused FX interpreter for plans without a leading output variable
-    (scalar outputs): there is nothing to window over.
+    with every value-independent decision already made.  A scalar output has
+    no variable to window over: its one window is ``...``, which cuts the 0-d
+    result to a writable 0-d view of it.
     """
 
     plan: InsumPlan
+    _program: _Program = field(repr=False)
     #: Steps of the leading output variable one window takes (run-windowed:
     #: the runs per window a test forced, else ``None``).
     window_steps: int | None = 1
     #: Bytes of temporaries one step of the windowed variable accounts for.
     per_step_bytes: int = 0
-    #: Ordered execution windows over the leading output variable; empty when
-    #: run-windowed — those windows are cut per pattern at run time.
-    windows: list[slice] = field(default_factory=list)
+    #: Ordered execution windows over the leading output variable (``[...]``
+    #: for a scalar output); empty when run-windowed — those windows are cut
+    #: per pattern at run time.
+    windows: list = field(default_factory=list)
     #: Run-windowed (:func:`_split_runs`): the scatter variable, and the share
     #: of ``per_step_bytes`` — its row of the partial — paid once per run.
     run_variable: str | None = None
     per_run_bytes: int = 0
-    #: ``None`` for a plan the unfused interpreter runs.
-    _program: _Program | None = field(default=None, repr=False)
     #: The plan's fused C loop nest (:mod:`repro.engine.emit`) when the plan has
     #: one (``emit.covers``) and this machine compiled it; else why the
     #: steps run; ``None`` for a plan outside that rule.  Fixed here, at build.
@@ -624,7 +625,9 @@ class SpecializedKernel:
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def build(cls, plan: InsumPlan, window_steps: int | None = None) -> "SpecializedKernel":
+    def build(
+        cls, plan: InsumPlan, window_steps: int | None = None, split_runs: bool = True
+    ) -> "SpecializedKernel":
         """Compile a plan: fix the window schedule, every step of a window and
         which emitter runs.
 
@@ -637,19 +640,21 @@ class SpecializedKernel:
             (what :func:`specialize_plan` passes) sizes a window so its
             temporaries fill :data:`_WINDOW_BYTES`; tests pass a count to
             force a schedule — and a forced schedule is the step list's.
+        split_runs:
+            ``False`` keeps a scattering SpMM on windows over its leading
+            output variable (see :func:`_split_runs`).
         """
-        kernel = cls._steps(plan, window_steps)
-        if kernel._program is not None and covers(plan):
+        kernel = cls._steps(plan, window_steps, split_runs)
+        if covers(plan):
             forced = window_steps is not None
             kernel.emitted = "window_steps forced" if forced else emit(plan, kernel._program.inputs)
         return kernel
 
     @classmethod
-    def _steps(cls, plan: InsumPlan, window_steps: int | None) -> "SpecializedKernel":
+    def _steps(
+        cls, plan: InsumPlan, window_steps: int | None, split_runs: bool
+    ) -> "SpecializedKernel":
         """The step list of ``plan`` (see :meth:`build`)."""
-        if not plan.output_subscripts:
-            return cls(plan=plan)
-
         extents, out = plan.info.extents, plan.output_subscripts
 
         def elements(subscripts) -> int:
@@ -667,7 +672,7 @@ class SpecializedKernel:
             row = elements(out[:at] + out[at + 1 :])
             return row * plan.value_itemsize, shares * plan.value_itemsize
 
-        split = _split_runs(plan) if elements(plan.info.loop_vars) else None
+        split = _split_runs(plan) if split_runs and elements(plan.info.loop_vars) else None
         if split is not None:
             lead = plan.scatter_index_subscripts[0]
             row, shares = step_bytes(lead)
@@ -682,15 +687,16 @@ class SpecializedKernel:
                     _program=program,
                 )
 
-        lead = out[0]
-        extent = extents[lead]
-        per_step_bytes = sum(step_bytes(lead))
+        per_step_bytes = sum(step_bytes(out[0])) if out else 0
         if window_steps is None:
             window_steps = max(1, _WINDOW_BYTES // max(1, per_step_bytes))
         # An empty iteration space (an all-zero sparse operand, a zero-width
         # dense one) has no windows: ``run`` returns the (accumulated) base.
+        extent = extents[out[0]] if out else 1
         starts = range(0, extent, window_steps) if elements(plan.info.loop_vars) else ()
         windows = [slice(start, min(extent, start + window_steps)) for start in starts]
+        if not out:
+            windows = [...] * len(windows)  # a scalar output: ``...``, or none
 
         program = _Program(plan, windows)
         if windows:
@@ -707,9 +713,6 @@ class SpecializedKernel:
     def run(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
         """Execute the compiled steps on the given tensors."""
         program = self._program
-        if program is None:
-            return run_unfused(self.plan, tensors)
-
         regs: list[Any] = [np.asarray(tensors[name]) for name in program.inputs]
         base = regs[0]
         factor_dtype = np.result_type(*[regs[slot] for slot in program.factor_slots])
@@ -762,9 +765,9 @@ class SpecializedKernel:
     def describe(self) -> str:
         """The window schedule and the step list, one step per line."""
         program = self._program
-        if program is None:
-            return "specialized: unfused fallback (no leading output variable)"
-        if self.run_variable is None:
+        if program.lead is None:
+            header = f"{len(self.windows)} window(s) over the 0-d result"
+        elif self.run_variable is None:
             header = f"{len(self.windows)} window(s) of {self.window_steps} steps over "
             header += f"{program.lead!r} ({self.per_step_bytes} B per step)"
         else:
@@ -798,3 +801,12 @@ def specialize_plan(plan: InsumPlan, config: Any) -> SpecializedKernel:
     ``config`` shapes the kernel: the window size is :data:`_WINDOW_BYTES`.
     """
     return SpecializedKernel.build(plan)
+
+
+def materialize_plan(plan: InsumPlan) -> SpecializedKernel:
+    """The step list of ``plan`` as one window over its whole extent: every
+    temporary materialised in full, as the unfused schedule (a template matmul
+    between gather and scatter kernels) and ``backend="eager"`` hold them."""
+    out = plan.output_subscripts
+    steps = max(1, plan.info.extents[out[0]]) if out else 1
+    return SpecializedKernel.build(plan, window_steps=steps, split_runs=False)

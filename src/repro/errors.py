@@ -2,7 +2,7 @@
 
 Every error raised by the library derives from :class:`ReproError`, so user
 code can catch a single base class.  Sub-hierarchies mirror the pipeline
-stages: the Einsum frontend, format construction, the FX graph layer, the
+stages: the Einsum frontend, format construction, lowering, the
 Inductor-like backend, and the simulated device.
 """
 
@@ -48,10 +48,6 @@ class FormatError(ReproError):
 
 class ShapeError(FormatError):
     """A tensor or block shape is inconsistent with the format invariants."""
-
-
-class FXGraphError(ReproError):
-    """The FX-like graph is malformed (dangling inputs, unknown ops, ...)."""
 
 
 class LoweringError(ReproError):

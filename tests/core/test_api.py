@@ -28,9 +28,32 @@ def test_insum_eager_backend_matches_inductor(small_sparse_matrix, rng):
     tensors = dict(
         C=np.zeros((8, 4)), AV=coo.values, AM=coo.coords[0], AK=coo.coords[1], B=b
     )
-    fused = insum("C[AM[p],n] += AV[p] * B[AK[p],n]", **tensors)
-    eager = insum("C[AM[p],n] += AV[p] * B[AK[p],n]", backend="eager", **tensors)
-    np.testing.assert_allclose(fused, eager, atol=1e-10)
+    expected = np.einsum("mk,kn->mn", small_sparse_matrix, b)
+    for backend in ("inductor", "eager"):
+        out = insum("C[AM[p],n] += AV[p] * B[AK[p],n]", backend=backend, **tensors)
+        np.testing.assert_allclose(out, expected, atol=1e-10)
+
+
+#: ``(expression with its assignment operator as {op}, np.einsum equation,
+#: operand shapes)`` of a scalar and a matrix output.
+DTYPE_CASES = {
+    "scalar": ("s {op} x[i] * y[i]", "i,i->", {"s": (), "x": (7,), "y": (7,)}),
+    "matrix": ("C[m,n] {op} A[m,k] * B[k,n]", "mk,kn->mn", {"C": (5, 3), "A": (5, 4), "B": (4, 3)}),
+}
+
+
+@pytest.mark.parametrize("op", ["=", "+="])
+@pytest.mark.parametrize("output", DTYPE_CASES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("backend", ["inductor", "eager"])
+def test_result_dtype_is_the_operands_result_type(backend, dtype, output, op, rng):
+    expression, equation, shapes = DTYPE_CASES[output]
+    tensors = {name: rng.integers(-4, 5, shape).astype(dtype) for name, shape in shapes.items()}
+    base, *operands = tensors.values()
+    result = insum(expression.format(op=op), backend=backend, **tensors)
+    assert result.dtype == np.result_type(*operands)
+    expected = np.einsum(equation, *operands) + (base if op == "+=" else 0)
+    np.testing.assert_array_equal(result, expected)
 
 
 def test_insum_unknown_backend():

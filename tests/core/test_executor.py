@@ -1,4 +1,4 @@
-"""Tests for the fused (windowed) and unfused executors."""
+"""Tests for the executor, windowed and as one whole-extent window."""
 
 import dataclasses
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.einsum import reference_execute
-from repro.core.inductor.executor import run_unfused
 from repro.core.insum import plan_insum
-from repro.engine.specialize import SpecializedKernel
+from repro.engine.specialize import SpecializedKernel, materialize_plan
 from repro.errors import LoweringError
 from repro.formats import COO, BlockGroupCOO, GroupCOO
 
@@ -23,9 +22,9 @@ def assert_fused_matches_reference(expression, tensors, window_steps=3):
     plan = plan_insum(expression, tensors)
     expected = reference_execute(expression, tensors)
     fused = run_windowed(plan, tensors, window_steps=window_steps)
-    unfused = run_unfused(plan, tensors)
+    whole = materialize_plan(plan).run(tensors)
     np.testing.assert_allclose(fused, expected, atol=1e-9)
-    np.testing.assert_allclose(unfused, expected, atol=1e-9)
+    np.testing.assert_allclose(whole, expected, atol=1e-9)
 
 
 def test_coo_spmm_all_executors(small_sparse_matrix, rng):

@@ -11,12 +11,15 @@ from repro.core.inductor import (
     lower_to_stages,
 )
 from repro.core.inductor.autotune import autotune_tiles
-from repro.core.inductor.executor import run_unfused
 from repro.core.inductor.fusion import build_kernel_spec
 from repro.core.inductor.tiling import candidate_tiles, default_tiles
-from repro.core.insum import plan_insum
+from repro.core.einsum import reference_execute
+from repro.core.insum import Insum, plan_insum
 from repro.engine.specialize import SpecializedKernel
 from repro.formats import BlockGroupCOO, COO, GroupCOO
+
+
+BLOCKED = "C[AM[p],bm,n] += AV[p,q,bm,bk] * B[AK[p,q],bk,n]"
 
 
 @pytest.fixture
@@ -27,7 +30,7 @@ def blocked_plan(block_sparse_matrix, rng):
         "B": rng.standard_normal((8, 8, 16)),
         **fmt.tensors("A"),
     }
-    return plan_insum("C[AM[p],bm,n] += AV[p,q,bm,bk] * B[AK[p,q],bk,n]", tensors), tensors
+    return plan_insum(BLOCKED, tensors), tensors
 
 
 @pytest.fixture
@@ -198,8 +201,8 @@ def test_compiled_run_matches_reference(blocked_plan, block_sparse_matrix):
     np.testing.assert_allclose(out.reshape(64, 16), expected, atol=1e-8)
 
 
-def test_fused_schedules_run_their_specialized_kernel(blocked_plan, coo_plan):
-    """One executor per schedule: the closure when fused, the FX graph when not."""
+def test_every_schedule_runs_its_specialized_kernel(blocked_plan, coo_plan):
+    """Every preset has a kernel; the unfused schedule's is one whole-extent window."""
     presets = (
         InductorConfig.insum,
         InductorConfig.insum_tensor_core_only,
@@ -207,17 +210,23 @@ def test_fused_schedules_run_their_specialized_kernel(blocked_plan, coo_plan):
     )
     fused_count = 0
     for plan, tensors in (blocked_plan, coo_plan):
+        expected = reference_execute(plan.statement, tensors)
         for preset in presets:
             compiled = compile_plan(plan, preset())
-            if compiled.is_fused:
-                fused_count += 1
-                assert isinstance(compiled.specialized, SpecializedKernel)
-                expected = compiled.specialized.run(tensors)
-            else:
-                assert compiled.specialized is None
-                expected = run_unfused(plan, tensors)
-            np.testing.assert_array_equal(compiled.run(tensors), expected)
+            assert isinstance(compiled.specialized, SpecializedKernel)
+            np.testing.assert_allclose(compiled.run(tensors), expected, atol=1e-9)
+            fused_count += compiled.is_fused
     assert fused_count == 5  # only the blocked matmul under stock TorchInductor splits
+
+    plan, tensors = blocked_plan
+    unfused = compile_plan(plan, InductorConfig.torchinductor_default()).specialized
+    eager = Insum(BLOCKED, backend="eager").compile(**tensors)
+    extent, expected = plan.info.extents["p"], reference_execute(BLOCKED, tensors)
+    for kernel in (unfused, eager):
+        described = kernel.describe()
+        assert described.startswith(f"specialized: 1 window(s) of {extent} steps over 'p'")
+        assert "  emitter: steps (window_steps forced)" in described
+        np.testing.assert_allclose(kernel.run(tensors), expected, atol=1e-9)
 
 
 def test_lazy_broadcasting_reduces_cost(blocked_plan):

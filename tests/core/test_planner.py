@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.einsum import reference_execute
 from repro.core.insum import plan_insum
+from repro.engine.specialize import materialize_plan
 from repro.errors import LoweringError
 from repro.formats import COO, GroupCOO
 
@@ -33,10 +34,10 @@ def test_plan_structure_for_coo_spmm(small_sparse_matrix, rng):
     assert plan.einsum_equation == "a,ab->ab"
 
 
-def test_plan_graph_executes_correctly(small_sparse_matrix, rng):
+def test_plan_executes_correctly(small_sparse_matrix, rng):
     tensors = coo_spmm_setup(small_sparse_matrix, rng)
     plan = plan_insum("C[AM[p],n] += AV[p] * B[AK[p],n]", tensors)
-    out = plan.graph_module(**tensors)
+    out = materialize_plan(plan).run(tensors)
     np.testing.assert_allclose(out, small_sparse_matrix @ tensors["B"], atol=1e-10)
 
 
@@ -49,7 +50,7 @@ def test_plan_grouped_spmm_has_reduction(medium_sparse_matrix, rng):
     }
     plan = plan_insum("C[AM[p],n] += AV[p,q] * B[AK[p,q],n]", tensors)
     assert plan.info.reduction_vars == ["q"]
-    out = plan.graph_module(**tensors)
+    out = materialize_plan(plan).run(tensors)
     np.testing.assert_allclose(out, medium_sparse_matrix @ tensors["B"], atol=1e-10)
 
 
@@ -61,7 +62,7 @@ def test_plan_no_scatter_for_direct_output(rng):
     )
     assert not plan.has_scatter and not plan.has_gather
     np.testing.assert_allclose(
-        plan.graph_module(C=np.zeros((4, 3)), A=a, B=b), a @ b, atol=1e-12
+        materialize_plan(plan).run(dict(C=np.zeros((4, 3)), A=a, B=b)), a @ b, atol=1e-12
     )
 
 
@@ -72,7 +73,7 @@ def test_plan_multidim_scatter_index(rng):
     tensors = {"Out": np.zeros((3, 4)), "MAPX": outputs, "V": values,
                "In": rng.standard_normal((2, 2, 4))}
     plan = plan_insum("Out[MAPX[p,q],m] += V[p,q] * In[p,q,m]", tensors)
-    out = plan.graph_module(**tensors)
+    out = materialize_plan(plan).run(tensors)
     expected = reference_execute("Out[MAPX[p,q],m] += V[p,q] * In[p,q,m]", tensors)
     np.testing.assert_allclose(out, expected, atol=1e-12)
 

@@ -15,7 +15,6 @@ from repro import SparseEinsum
 from repro.core.insum import plan_insum
 from repro.engine import (
     array_token,
-    cached_einsum,
     cached_einsum_path,
     clear_derived_cache,
     derived,
@@ -32,11 +31,12 @@ from repro.tuner.profile import profile_operand
 # ---------------------------------------------------------------------------
 # Contraction-path memo
 # ---------------------------------------------------------------------------
-def test_cached_einsum_matches_numpy(rng):
+def test_cached_einsum_path_matches_numpy(rng):
     a = rng.standard_normal((6, 7))
     b = rng.standard_normal((7, 5))
+    path = cached_einsum_path("ij,jk->ik", a, b)
     np.testing.assert_allclose(
-        cached_einsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b), atol=1e-12
+        np.einsum("ij,jk->ik", a, b, optimize=path), np.einsum("ij,jk->ik", a, b), atol=1e-12
     )
 
 

@@ -19,11 +19,10 @@ from repro import sparse_einsum
 from repro.core.einsum import reference_execute
 from repro.core.einsum.parser import parse_einsum
 from repro.core.einsum.rewriting import rewrite_sparse_operand
-from repro.core.inductor.executor import run_unfused
 from repro.core.insum import plan_insum
 from repro.engine import specialize
 from repro.engine.fingerprint import clear_derived_cache, derived_cache_size
-from repro.engine.specialize import SpecializedKernel
+from repro.engine.specialize import SpecializedKernel, materialize_plan
 from repro.formats import COO, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 from repro.runtime.stacked import StackedSparse
 
@@ -175,7 +174,7 @@ cases = pytest.mark.parametrize("make", CASES.values(), ids=CASES.keys())
 def test_window_schedule_never_changes_an_integer_result(make, rng):
     expression, tensors = make(integers(rng))
     plan = plan_insum(expression, tensors)
-    expected = run_unfused(plan, tensors)
+    expected = reference_execute(expression, tensors)
     for window_steps in (1, 3, None):
         kernel = SpecializedKernel.build(plan, window_steps=window_steps)
         np.testing.assert_array_equal(kernel.run(tensors), expected)
@@ -185,7 +184,7 @@ def test_window_schedule_never_changes_an_integer_result(make, rng):
 def test_window_schedule_changes_normal_draws_only_by_rounding(make, rng):
     expression, tensors = make(normals(rng))
     plan = plan_insum(expression, tensors)
-    expected = run_unfused(plan, tensors)
+    expected = reference_execute(expression, tensors)
     for window_steps in (1, 3, None):
         result = SpecializedKernel.build(plan, window_steps=window_steps).run(tensors)
         np.testing.assert_allclose(result, expected, rtol=1e-12, atol=1e-12)
@@ -294,6 +293,37 @@ def test_a_caller_bound_output_still_decides_the_dtype(format_name, rng):
     assert not bound.any()  # the base is read, never written
 
 
+SCALAR_CASES = {
+    "direct": ("s {op} x[i] * y[i]", "i,i->"),
+    "gathered": ("s {op} AV[p] * x[AK[p]]", "p,p->"),
+}
+
+
+@pytest.mark.parametrize("op", ["=", "+="])
+@pytest.mark.parametrize("case", SCALAR_CASES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+def test_a_scalar_output_runs_on_the_step_list(case, op, dtype, rng):
+    """One window, ``...``: its 0-d view takes both the ``+=`` and the direct dot."""
+    expression, equation = SCALAR_CASES[case]
+    draw = integers(rng)
+    tensors = {"s": draw().astype(dtype), "x": draw(7).astype(dtype), "y": draw(7).astype(dtype)}
+    tensors.update(AV=draw(5).astype(dtype), AK=rng.integers(0, 7, size=5))
+    gathered = tensors["x"][tensors["AK"]]
+    operands = (tensors["x"], tensors["y"]) if case == "direct" else (tensors["AV"], gathered)
+    expected = np.einsum(equation, *operands) + (tensors["s"] if op == "+=" else 0)
+    plan = plan_insum(expression.format(op=op), tensors)
+    for kernel in (
+        *(SpecializedKernel.build(plan, window_steps=steps) for steps in (1, None)),
+        materialize_plan(plan),
+    ):
+        described = kernel.describe()
+        assert described.startswith("specialized: 1 window(s) over the 0-d result")
+        assert "unfused fallback" not in described and "emitter" not in described
+        result = kernel.run(tensors)
+        assert result.dtype == dtype and result.shape == ()
+        np.testing.assert_array_equal(result, expected)
+
+
 # ---------------------------------------------------------------------------
 # (c) nothing is interpreted at run time
 # ---------------------------------------------------------------------------
@@ -340,7 +370,7 @@ def test_every_operand_is_byte_identical_after_a_run(make, read_only, rng):
         for array in tensors.values():
             array.setflags(write=False)
     plan = plan_insum(expression, tensors)
-    expected = run_unfused(plan, {name: array.copy() for name, array in tensors.items()})
+    expected = reference_execute(expression, tensors)
     for window_steps in (2, None):
         result = SpecializedKernel.build(plan, window_steps=window_steps).run(tensors)
         np.testing.assert_array_equal(result, expected)
