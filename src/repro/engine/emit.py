@@ -16,10 +16,15 @@ scattered store, no temporary in between, the dot in registers:
   blocks it for the cache; the tile counts on a gathered panel being small);
 * **the source** (:func:`_source`) — loops in storage order: the output
   variables, then the reduction variables.  Without a dense reduction ``n``
-  moves innermost (the vectorisable axis of SpMM) and the store is a plain
-  ``+=``.  With one, the last output loops step by register tiles — rows of the
-  variable before ``n`` where no ``n``-carrying factor depends on it (``q`` of
-  the convolution, ``bm`` of a block) times vectors of ``n`` — so the ``c x m``
+  moves innermost (the vectorisable axis of SpMM) and a *run* — the updates of
+  one output row in a row: an ELL row, a GroupCOO group or COO entries of equal
+  target, joined while the next wrapped target is this one's — is summed in
+  registers: ``n`` steps by tiles of 512, 256, 128 and 64 bytes, then one tile
+  of the rest (a ``switch`` case); a tile loads its slice of the row into a
+  plain C array, walks the run and stores the slice once.  With a dense
+  reduction the last output loops step by register tiles — rows of the variable
+  before ``n`` where no ``n``-carrying factor depends on it (``q`` of the
+  convolution, ``bm`` of a block) times vectors of ``n`` — so the ``c x m``
   panel is read once per tile of rows, not once per update.  The accumulators
   are ``__attribute__((vector_size))`` vectors: which axis is vectorised is
   stated by their type, not left to the auto-vectoriser's choice of loop.  Every
@@ -32,9 +37,10 @@ scattered store, no temporary in between, the dot in registers:
   the compiler's own macros — so a new shape, pattern or tensor spelling never
   recompiles;
 * **the numerics** — one thread, a multiply then an add (never a fused one),
-  additions in ``np.add.at``'s order; a dense reduction is summed per update,
-  from zero, in storage order, then added to the output — whatever the tile
-  position, row instance or vector width.  So a result has the same bytes on
+  additions in ``np.add.at``'s order (a run's accumulators start from the
+  row's stored values); a dense reduction is summed per update, from zero, in
+  storage order, then added to the output — whatever the tile position, row
+  instance or vector width.  So a result has the same bytes on
   every machine, a coalesced execution equals the per-request ones bit for
   bit, and a tiled result differs from the steps' BLAS dot by reassociation only;
 * **the object** (:func:`_library`) — built with the system ``cc`` (``$CC``
@@ -92,9 +98,13 @@ def covers(plan: InsumPlan) -> bool:
     a scalar output has none."""
     operands = {factor.access.tensor for factor in plan.factors}
     indices = set(plan.info.gather_tensors)
-    if not plan.output_subscripts or plan.info.output_name in operands | indices:
+    if (
+        not plan.output_subscripts
+        or plan.info.output_name in operands | indices
+        or operands & indices
+    ):
         return False
-    return not operands & indices and _loop_order(plan.statement) is not None
+    return _loop_order(plan.statement) is not None
 
 
 def _loop_order(statement: EinsumStatement) -> tuple[list[str], str | None, str | None] | None:
@@ -146,6 +156,9 @@ _TILED = """\
 {tile} \\
 }}
 {function}"""
+#: A run's tiles of ``n``: 512, 256, 128 and 64 bytes of ``real``; the rest (at
+#: most 15 floats) is one more tile, its width a ``case`` of a ``switch``.
+_RUN_TILES = ("8 * VL", "4 * VL", "2 * VL", "VL")
 
 
 @functools.lru_cache(maxsize=256)
@@ -158,9 +171,14 @@ def _source(statement: EinsumStatement, inputs: tuple[str, ...]) -> tuple[str, l
     of the statement; a loaded index wraps once when negative, as in NumPy, and
     a failing one returns ``1 + check + len(checks) * (its flat position)``.
 
-    A dense reduction is two macros, instantiated for the full register tile
-    and its edges: ``ROWS`` loads the row-dependent indices and steps ``n`` by
-    tiles; ``TILE`` zeroes ``R x NV`` accumulators (vectors, unaligned by type;
+    Without a dense reduction the loops of the output row come first, the
+    scatter loop stepping by runs (it looks ahead while the next wrapped row
+    index is this one's), and the macro ``RUN(W)`` sums one run into ``W``
+    elements of its row (``n``, when it is the innermost loop, in tiles of a
+    compile-time width; else one element) and stores them once.  A dense
+    reduction is two macros, instantiated for the full register tile and its
+    edges: ``ROWS`` loads the row-dependent indices and steps ``n`` by tiles;
+    ``TILE`` zeroes ``R x NV`` accumulators (vectors, unaligned by type;
     scalars for the last ``n % VL`` lanes), reduces into them and stores once.
     """
     order, lanes, row = _loop_order(statement)
@@ -177,8 +195,14 @@ def _source(statement: EinsumStatement, inputs: tuple[str, ...]) -> tuple[str, l
             if isinstance(ix, TensorAccess)
         )
     )
+    checks = [(index.tensor, target, axis) for index, target, axis in uses]
     loaded = {use: f"k{number}" for number, use in enumerate(uses)}
-    tiled = len(order) if lanes is None else order.index(row or lanes)  # its first depth
+    # Without a tile, ``RUN``'s width variable: the innermost loop, where it is
+    # an axis of the output (directly, once) and subscripts no index.
+    lhs, last = statement.lhs, IndexVar(order[-1])
+    width = lhs.indices.count(last) == lhs.index_vars().count(last) == 1 and not lanes
+    width = width and all(last not in use[0].index_vars() for use in uses)
+    tiled = order.index(row or lanes) if lanes else len(order)  # its first depth
     if lanes:
         loop[lanes] = f"({loop[lanes]} + v * L)"
     if row:  # a loop variable and the indices through it: one per row of the tile
@@ -202,14 +226,15 @@ def _source(statement: EinsumStatement, inputs: tuple[str, ...]) -> tuple[str, l
         return all(order.index(var.name) <= depth for var in access.index_vars())
 
     def element(access: TensorAccess, const: str = "const ") -> str:
-        """What a tile's statement reads: a vector where ``access`` carries ``n``."""
+        """What a statement reads: a vector where ``access`` carries a tile's ``n``."""
         at = f"{tensor[access.tensor]}[{offset(access)}]"
-        return f"*({const}vec *)&{at}" if IndexVar(lanes) in access.index_vars() else at
+        return f"*({const}vec *)&{at}" if lanes and IndexVar(lanes) in access.index_vars() else at
 
     lines = ["int64_t KERNEL(void *const *T, const int64_t *D) {"]
     if lanes:
         lines.append("  typedef real vec __attribute__((vector_size(VB), aligned(1), may_alias));")
-        lines.append("  enum { VL = VB / sizeof(real) };")
+    if lanes or width:
+        lines.append(f"  enum {{ VL = {'VB' if lanes else 64} / sizeof(real) }};")
     lines.append("  real *restrict T0 = T[0];")
     indices = {inner.tensor for inner in nested}
     for slot, name in enumerate(inputs[1:], start=1):
@@ -224,6 +249,92 @@ def _source(statement: EinsumStatement, inputs: tuple[str, ...]) -> tuple[str, l
     factors = dict(enumerate(statement.rhs.factors))
     product: dict[int, str] = {}
     pending = list(uses)
+
+    def bind(depth: int, sink: list[str], pad: str, into: str | None = None) -> list[tuple]:
+        """Append the loads ``depth`` binds and return its indices (``into``: only
+        those into that tensor): each index, checked — per row of a tile where it
+        goes through the row variable — then each factor the loops below keep."""
+        binds = [use for use in pending if bound(use[0], depth) and into in (None, use[1])]
+        for use in binds:
+            pending.remove(use)
+            index, target, axis = use
+            name, extent = f"k{uses.index(use)}", f"{tensor[target]}_{axis}"
+            load = [
+                f"{pad}const int64_t a{name} = {offset(index)};",
+                f"{pad}int64_t {name} = {tensor[index.tensor]}[a{name}];",
+                f"{pad}{name} += {name} < 0 ? {extent} : 0;  /* as np.take */",
+                f"{pad}if ((uint64_t){name} >= (uint64_t){extent}) "
+                f"return {1 + uses.index(use)} + {len(uses)} * a{name};",
+            ]
+            if loaded[use] != name:  # one per row of the tile
+                each = [f"{pad}int64_t x{name[1:]}[R];", f"{pad}for (int r = 0; r < R; ++r) {{"]
+                kept = [f"{pad}  {loaded[use]} = {name};", pad + "}"]
+                load = [*each, *(f"  {line}" for line in load), *kept]
+            sink += load
+        for position, access in list(factors.items()):
+            if into is None and bound(access, depth) and depth < min(tiled, len(order) - 1):
+                del factors[position]
+                sink.append(f"{pad}const real f{position} = {element(access)};")
+                product[position] = f"f{position}"
+        return binds
+
+    if not lanes:  # the run loop
+        depths = [order.index(var.name) for var in lhs.index_vars() if var != last or not width]
+        run = max(depths, default=-1)
+        ahead = run >= 0 and IndexVar(order[run]) not in lhs.indices  # the scatter loop
+        for depth in range(-1, run + 1):
+            pad, var, start, end = "  " * (depth + 2), f"i{depth}", f"b{depth}", f"e{depth}"
+            if depth < run or not ahead:
+                plain = f"for (int64_t {var} = 0; {var} < n{depth}; ++{var}) {{"
+                lines += [pad[2:] + plain] * (depth >= 0)
+                bind(depth, lines, pad)
+                continue
+            runs = f"for (int64_t {start} = 0, {end}; {start} < n{depth}; {start} = {end}) {{"
+            lines.append(pad[2:] + runs)
+            loop[order[depth]] = start
+            targets = bind(depth, lines, pad, into=lhs.tensor)
+            loop[order[depth]] = end
+            lines.append(f"{pad}for ({end} = {start} + 1; {end} < n{depth}; ++{end}) {{")
+            for index, target, axis in targets:
+                name, extent = f"{uses.index((index, target, axis))}", f"{tensor[target]}_{axis}"
+                at = f"{tensor[index.tensor]}[{offset(index)}]"
+                wrapped = f"l{name} + (l{name} < 0 ? {extent} : 0)"
+                lines.append(f"{pad}  const int64_t l{name} = {at};")
+                lines.append(f"{pad}  if ({wrapped} != k{name}) break;")
+            lines.append(pad + "}")
+            loop[order[depth]] = var
+        # A run into its row: each element starts from its stored value and
+        # takes the run's additions in storage order.  A tile narrower than
+        # 64 bytes is unrolled in full (2-3x faster than the loop it would be).
+        lane, acc, each = f"i{len(order) - 1}", "acc", ""
+        if width:
+            loop[order[-1]], acc = f"({lane} + j)", "acc[j]"
+            each = '_Pragma("GCC unroll 15") for (int j = 0; j < (W); ++j) '
+        stored = f"T0[{offset(lhs)}]"
+        body = [f"real acc{'[W]' * width};", f"{each}{acc} = {stored};"]
+        inner = range(run + (not ahead), len(order) - width)
+        for depth in inner:
+            pad, var = "  " * (depth - inner.start + 1), f"i{depth}"
+            first, stop = (f"b{depth}", f"e{depth}") if depth == run else ("0", f"n{depth}")
+            body.append(f"{pad[2:]}for (int64_t {var} = {first}; {var} < {stop}; ++{var}) {{")
+            bind(depth, body, pad)
+        product.update({position: element(access) for position, access in factors.items()})
+        terms = " * ".join(product[position] for position in sorted(product))
+        body.append("  " * len(inner) + f"{each}{acc} += {terms};")
+        body += ["  " * depth + "}" for depth in range(len(inner) - 1, -1, -1)]
+        body.append(f"{each}{stored} = {acc};")
+        extent = f"n{len(order) - 1}"
+        steps = [f"for (; {lane} + {w} <= {extent}; {lane} += {w}) RUN({w})" for w in _RUN_TILES]
+        cases = [f"  case {w}: RUN({w}) break;" for w in range(1, 16)]
+        tiles = [f"int64_t {lane} = 0;", *steps, f"switch ({extent} - {lane}) {{", *cases, "}"]
+        lines += ["  " * (run + 2) + line for line in (tiles if width else body)]
+        lines += ["  " * depth + "}" for depth in range(run + 1, 0, -1)]
+        text = "\n".join([*lines, "  return 0;", "}"])
+        if width:
+            text = "".join(f"  {line} \\\n" for line in body) + "}\n" + text
+            text = "#define RUN(W) { \\\n" + text
+        return text, order, checks
+
     rows, tile = [], ["  vec acc[R][NV] = {0};"]  # the bodies of ROWS(R), TILE(R, NV, vec, L)
     for depth in range(-1, len(order)):
         var, sink, pad = f"i{depth}", lines, "  " * (depth + 2)
@@ -247,46 +358,20 @@ def _source(statement: EinsumStatement, inputs: tuple[str, ...]) -> tuple[str, l
             tile.append(pad[2:] + plain)
         elif depth >= 0:
             lines.append(pad[2:] + plain)
-        for use in [use for use in pending if bound(use[0], depth)]:
-            pending.remove(use)
-            index, target, axis = use
-            name, extent = f"k{uses.index(use)}", f"{tensor[target]}_{axis}"
-            load = [
-                f"{pad}const int64_t a{name} = {offset(index)};",
-                f"{pad}int64_t {name} = {tensor[index.tensor]}[a{name}];",
-                f"{pad}{name} += {name} < 0 ? {extent} : 0;  /* as np.take */",
-                f"{pad}if ((uint64_t){name} >= (uint64_t){extent}) "
-                f"return {1 + uses.index(use)} + {len(uses)} * a{name};",
-            ]
-            if loaded[use] != name:  # one per row of the tile
-                each = [f"{pad}int64_t x{name[1:]}[R];", f"{pad}for (int r = 0; r < R; ++r) {{"]
-                kept = [f"{pad}  {loaded[use]} = {name};", pad + "}"]
-                load = [*each, *(f"  {line}" for line in load), *kept]
-            sink += load
-        for position, access in list(factors.items()):
-            if bound(access, depth) and depth < tiled:
-                del factors[position]
-                product[position] = f"{tensor[access.tensor]}[{offset(access)}]"
-                if depth < len(order) - 1:  # invariant in the loops below: load it once
-                    lines.append(f"{pad}const real f{position} = {product[position]};")
-                    product[position] = f"f{position}"
+        bind(depth, sink, pad)
     product.update({position: element(access) for position, access in factors.items()})
     terms = " * ".join(product[position] for position in sorted(product))
-    if lanes is None:
-        lines.append(f"{pad}T0[{offset(statement.lhs)}] += {terms};")
-    else:
-        # Every reduction summed from zero, a multiply then an add; then one
-        # add into the output rows.
-        every = ["for (int r = 0; r < R; ++r)", "  for (int v = 0; v < NV; ++v)"]
-        tile += [pad + line for line in (*every, f"    acc[r][v] += {terms};")]
-        tile += [pad[: -2 * back] + "}" for back in range(1, len(pad) // 2)]
-        store = f"    {element(statement.lhs, const='')} += acc[r][v];"
-        tile += ["  " + line for line in (*every, store)]
+    # Every reduction summed from zero, a multiply then an add; then one
+    # add into the output rows.
+    every = ["for (int r = 0; r < R; ++r)", "  for (int v = 0; v < NV; ++v)"]
+    tile += [pad + line for line in (*every, f"    acc[r][v] += {terms};")]
+    tile += [pad[: -2 * back] + "}" for back in range(1, len(pad) // 2)]
+    store = f"    {element(statement.lhs, const='')} += acc[r][v];"
+    tile += ["  " + line for line in (*every, store)]
     lines += ["  " * depth + "}" for depth in range(tiled, 0, -1)]
     text = "\n".join([*lines, "  return 0;", "}"])
-    if lanes:
-        text = _TILED.format(rows=" \\\n".join(rows), tile=" \\\n".join(tile), function=text)
-    return text, order, [(index.tensor, target, axis) for index, target, axis in uses]
+    text = _TILED.format(rows=" \\\n".join(rows), tile=" \\\n".join(tile), function=text)
+    return text, order, checks
 
 
 def _unit(function: str) -> str:

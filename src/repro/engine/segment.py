@@ -7,11 +7,10 @@ C loop nest of :mod:`repro.engine.emit` *is* that sequential loop, fused with
 its gather; this module serves the step list, which runs every plan with a
 dense reduction and every plan on a machine without a compiler.)  The plans
 that keep their duplicates from the dot scatter through :func:`segment_add`:
-the one window of ``materialize_plan``, a scatter index over several
-variables (sparse convolution's ``MAPX[p,q]``, the grouped tensor product's
-``CGI[p,q]`` — the weights are shared per ``p``) and one element per update
-(SpMV).  Every other scattering plan — the SpMM
-family, plain or stacked — windows over the runs of equal targets
+a scatter index over several variables (sparse convolution's ``MAPX[p,q]``,
+the grouped tensor product's ``CGI[p,q]`` — the weights are shared per
+``p``) and one element per update (SpMV).  Every other scattering plan — the
+SpMM family, plain or stacked — windows over the runs of equal targets
 (:func:`plan_runs`), sums each run inside its ``np.matmul`` and never calls
 :func:`segment_add`.  Two structure-aware rewrites cover the cases the
 remaining plans produce:

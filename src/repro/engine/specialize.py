@@ -625,9 +625,7 @@ class SpecializedKernel:
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def build(
-        cls, plan: InsumPlan, window_steps: int | None = None, split_runs: bool = True
-    ) -> "SpecializedKernel":
+    def build(cls, plan: InsumPlan, window_steps: int | None = None) -> "SpecializedKernel":
         """Compile a plan: fix the window schedule, every step of a window and
         which emitter runs.
 
@@ -640,20 +638,15 @@ class SpecializedKernel:
             (what :func:`specialize_plan` passes) sizes a window so its
             temporaries fill :data:`_WINDOW_BYTES`; tests pass a count to
             force a schedule — and a forced schedule is the step list's.
-        split_runs:
-            ``False`` keeps a scattering SpMM on windows over its leading
-            output variable (see :func:`_split_runs`).
         """
-        kernel = cls._steps(plan, window_steps, split_runs)
+        kernel = cls._steps(plan, window_steps)
         if covers(plan):
             forced = window_steps is not None
             kernel.emitted = "window_steps forced" if forced else emit(plan, kernel._program.inputs)
         return kernel
 
     @classmethod
-    def _steps(
-        cls, plan: InsumPlan, window_steps: int | None, split_runs: bool
-    ) -> "SpecializedKernel":
+    def _steps(cls, plan: InsumPlan, window_steps: int | None) -> "SpecializedKernel":
         """The step list of ``plan`` (see :meth:`build`)."""
         extents, out = plan.info.extents, plan.output_subscripts
 
@@ -672,7 +665,7 @@ class SpecializedKernel:
             row = elements(out[:at] + out[at + 1 :])
             return row * plan.value_itemsize, shares * plan.value_itemsize
 
-        split = _split_runs(plan) if split_runs and elements(plan.info.loop_vars) else None
+        split = _split_runs(plan) if elements(plan.info.loop_vars) else None
         if split is not None:
             lead = plan.scatter_index_subscripts[0]
             row, shares = step_bytes(lead)
@@ -806,7 +799,9 @@ def specialize_plan(plan: InsumPlan, config: Any) -> SpecializedKernel:
 def materialize_plan(plan: InsumPlan) -> SpecializedKernel:
     """The step list of ``plan`` as one window over its whole extent: every
     temporary materialised in full, as the unfused schedule (a template matmul
-    between gather and scatter kernels) and ``backend="eager"`` hold them."""
+    between gather and scatter kernels) and ``backend="eager"`` hold them.  A
+    scattering SpMM keeps its windows over the runs of equal targets
+    (:func:`_split_runs`), that many runs to a window."""
     out = plan.output_subscripts
     steps = max(1, plan.info.extents[out[0]]) if out else 1
-    return SpecializedKernel.build(plan, window_steps=steps, split_runs=False)
+    return SpecializedKernel.build(plan, window_steps=steps)

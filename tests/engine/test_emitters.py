@@ -440,6 +440,42 @@ def test_a_dense_reduction_is_summed_per_update_from_zero_then_added(emitter, fa
     np.testing.assert_allclose(result, steps, rtol=1e-4, atol=1e-4)
 
 
+#: Runs of equal output rows (extent 6) across COO entries and GroupCOO groups:
+#: unsorted, with duplicates, and with one row named both ``k`` and ``k - 6``.
+RUN_ROWS = np.array([3, 3, -3, 3, 0, 0, 5, -1, 3, 1, 1, -5, 1, 2])
+RUN_GROUPS = np.array([3, -3, 3, 0, 5, -1, 1, 1])
+#: One tile, the largest tiles and every kind of remainder, at either dtype.
+RUN_WIDTHS = [1, 2, 7, 15, 16, 17, 33, 64, 128, 129]
+
+
+@only_c
+@pytest.mark.parametrize("dtype", EMITTED_DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("n_cols", RUN_WIDTHS)
+def test_a_run_into_one_row_is_the_sequential_loop_bit_for_bit(emitter, n_cols, dtype):
+    """Each element of a run's row starts from its stored (non-zero) value and
+    takes the run's additions in storage order, whatever the tile width."""
+    _, calls = emitter
+    rng = np.random.default_rng(35)
+    values = draw(rng, dtype, integer=False)
+    columns = rng.integers(0, 5, size=RUN_ROWS.size)
+    columns[1] = columns[0]  # a duplicate coordinate inside a run
+    entries, rhs = {"AV": values(RUN_ROWS.size), "AM": RUN_ROWS, "AK": columns}, values(5, n_cols)
+    groups = {"AV": values(RUN_GROUPS.size, 2), "AM": RUN_GROUPS}
+    groups["AK"] = rng.integers(-5, 5, size=(RUN_GROUPS.size, 2))
+    per_item = {**entries, "AV": values(2, RUN_ROWS.size), "B": values(2, 5, n_cols)}
+    cases = [
+        (COO_SPMM, {**entries, "B": rhs, "C": values(6, n_cols)}),
+        (GROUPCOO_SPMM, {**groups, "B": rhs, "C": values(6, n_cols)}),
+        ("C[s,AM[p],n] += AV[s,p] * B[s,AK[p],n]", {**per_item, "C": values(2, 6, n_cols)}),
+        ("y[AM[p]] += AV[p] * x[AK[p]]", {**entries, "x": values(5), "y": values(6)}),
+    ]
+    calls.clear()
+    for expression, tensors in cases:
+        result = insum(expression, check_bounds=False, **tensors)
+        assert result.tobytes() == sequential(expression, tensors).tobytes(), expression
+    assert len(calls) == len(cases)
+
+
 STACKABLE = {
     "ell": (ELL, {}),
     "groupcoo": (GroupCOO, {}),
@@ -498,22 +534,37 @@ def groupcoo_tensors(rng, dtype=np.float64):
     return {**tensors, "B": values(5, 7), "C": values(6, 7)}
 
 
+#: The SpMM-family plans of ``INDEX_TENSORS``: the flat position of a stored slot
+#: in the middle of the run of ``full_row_pattern``'s full row (COO entries 1-5,
+#: ELL slots 5-9).
+MID_RUN = {"spmm/coo": 3, "spmm/ell": 7, "spmv/coo": 3}
+
+
 def indexed(family, rng):
-    """``(expression, tensors, extent by index tensor)`` with a non-zero base."""
+    """``(expression, tensors, extent by index tensor, the flat position a test
+    corrupts)`` with a non-zero base."""
+    if family in MID_RUN:
+        values = draw(rng, np.float64)
+        expression, operands, product = problem(family, full_row_pattern(), 7, values)
+        statement, tensors = indirect(expression, operands, values(*product.shape))
+        return statement, tensors, {"AM": 6, "AK": 5}, MID_RUN[family]
     if family == "groupcoo":
-        return GROUPCOO_SPMM, groupcoo_tensors(rng), {"AK": 5, "AM": 6}
+        return GROUPCOO_SPMM, groupcoo_tensors(rng), {"AK": 5, "AM": 6}, -1
     shape, values = (3, 5, 9, 2), draw(rng, np.float64)
     expression, tensors = dense_tensors(family, shape, values, rng)
     output = parse_einsum(expression).lhs.tensor
     tensors[output] = values(*tensors[output].shape)
     specs = DENSE_FAMILIES[family][1](*shape).items()
-    return expression, tensors, {n: spec[1] for n, spec in specs if isinstance(spec[0], tuple)}
+    extents = {n: spec[1] for n, spec in specs if isinstance(spec[0], tuple)}
+    return expression, tensors, extents, -1
 
 
 #: Every index tensor by where the loop nest loads it: bound by the outer
-#: loops, one per row of a tile (through ``q``), inside a reduction loop.
+#: loops, one per row of a tile (through ``q``), inside a reduction loop, at the
+#: start of a run or by a member of one (the SpMM family, a bad value mid-run).
 INDEX_TENSORS = [
     ("groupcoo", "AK"), ("groupcoo", "AM"),
+    ("spmm/coo", "AM"), ("spmm/coo", "AK"), ("spmm/ell", "AK"), ("spmv/coo", "AM"),
     ("conv", "MAPZ"), ("conv", "MAPX"), ("conv", "MAPY"),
     ("product", "CGL"), ("product", "CGI"), ("product", "CGJ"), ("product", "CGK"),
     ("product/coo", "CGI"), ("product/coo", "CGK"),
@@ -524,12 +575,12 @@ INDEX_TENSORS = [
 
 @pytest.mark.parametrize("family,index", INDEX_TENSORS)
 def test_an_index_out_of_range_raises_the_same_exception_on_both_emitters(emitter, family, index):
-    expression, tensors, extents = indexed(family, np.random.default_rng(16))
+    expression, tensors, extents, at = indexed(family, np.random.default_rng(16))
     extent = extents[index]
     good = insum(expression, check_bounds=False, **tensors)
     for bad, error in ((extent, IndexError), (-extent - 1, IndexError), (2**40, IndexError)):
         broken = {**tensors, index: tensors[index].copy()}
-        broken[index].reshape(-1)[-1] = bad
+        broken[index].reshape(-1)[at] = bad
         before = {name: array.tobytes() for name, array in broken.items()}
         with pytest.raises(error):
             insum(expression, check_bounds=False, **broken)
@@ -539,7 +590,7 @@ def test_an_index_out_of_range_raises_the_same_exception_on_both_emitters(emitte
     # A negative index inside [-extent, 0) wraps, as in NumPy, on both emitters —
     # a scatter index too, where the row it names is also addressed from zero.
     wrapped = {**tensors, index: tensors[index].copy()}
-    wrapped[index].reshape(-1)[-1] -= extent
+    wrapped[index].reshape(-1)[at] -= extent
     np.testing.assert_array_equal(insum(expression, check_bounds=False, **wrapped), good)
 
 
@@ -715,15 +766,21 @@ def test_a_compiler_without_vector_types_leaves_the_register_tile_on_its_steps(
 
 @only_c
 def test_the_bytes_of_a_result_do_not_depend_on_the_vector_width(emitter, tmp_path, monkeypatch):
-    """The unit reads the vector width from the compiler's macros: built again
-    for SSE2 alone (16-byte vectors) it returns the same bytes."""
+    """A tiled unit reads the vector width from the compiler's macros, and a run
+    loop's tiles are fixed in bytes: built again for SSE2 alone (16-byte
+    vectors) each returns the same bytes."""
 
     def results():
         rng, taken = np.random.default_rng(29), {}
-        for family in DENSE_FAMILIES:
+        for family in [*DENSE_FAMILIES, *FAMILIES]:
             for dtype in EMITTED_DTYPES:
                 values = draw(rng, dtype, integer=False)
-                expression, tensors = dense_tensors(family, (2, 7, 113, 3), values, rng)
+                if family in DENSE_FAMILIES:
+                    expression, tensors = dense_tensors(family, (2, 7, 113, 3), values, rng)
+                else:  # 241: every tile of a run at either dtype, and a remainder
+                    pattern = full_row_pattern()
+                    expression, operands, product = problem(family, pattern, 241, values)
+                    expression, tensors = indirect(expression, operands, values(*product.shape))
                 kernel = SpecializedKernel.build(plan_insum(expression, tensors))
                 assert isinstance(kernel.emitted, emit.Emitted)
                 taken[family, np.dtype(dtype).name] = kernel.run(tensors).tobytes()
@@ -736,7 +793,7 @@ def test_the_bytes_of_a_result_do_not_depend_on_the_vector_width(emitter, tmp_pa
     narrow = results()
     assert narrow == native
     objects = list((tmp_path / "repro" / "kernels").iterdir())
-    assert len(objects) == len(DENSE_FAMILIES)  # built again, under another key
+    assert len(objects) == len(DENSE_FAMILIES) + len(FAMILIES)  # built again, under another key
 
 
 REQUEST = (
@@ -973,16 +1030,17 @@ def test_the_source_is_a_function_of_the_plans_structure_only(emitter):
     assert not any(name in tiled for name in ("MAP", "Weight", "113"))
 
 
-#: sha256 of the translation unit of every SpMM-family plan at 8389c0a: the
-#: register tile must not move a byte of them (their object-cache keys stay).
+#: sha256 of the translation unit of every SpMM-family plan, recorded with the
+#: run loop: a change that moves a byte of them (and so their object-cache keys)
+#: re-records them on purpose.
 SPMM_UNITS = {
-    "spmm/ell": "f0795842ad4b7196",
-    "spmm/groupcoo": "bba8696fe0d41c56",
-    "spmm/coo": "94c30cac20144d29",
-    "stacked/shared": "87852a9c1d74bc7f",
-    "stacked/per-item": "d745241963abc69b",
-    "spmv/ell": "0fee5ed4aeac1e2c",
-    "spmv/coo": "aac2d5115bd74318",
+    "spmm/ell": "f6c0c891eebd8e60",
+    "spmm/groupcoo": "aa2f6b55c8ee52da",
+    "spmm/coo": "991644dcfc8c0c95",
+    "stacked/shared": "b2be946ef30411db",
+    "stacked/per-item": "3a68d6a9eb454903",
+    "spmv/ell": "20eff28f9fa2359b",
+    "spmv/coo": "f2bc524df888fe1b",
 }
 
 

@@ -15,7 +15,12 @@ from repro import insum, sparse_einsum
 from repro.core.einsum import reference_execute
 from repro.core.inductor.config import InductorConfig
 from repro.core.insum import plan_insum
-from repro.engine.specialize import _WINDOW_BYTES, SpecializedKernel, specialize_plan
+from repro.engine.specialize import (
+    _WINDOW_BYTES,
+    SpecializedKernel,
+    materialize_plan,
+    specialize_plan,
+)
 from repro.formats import COO, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 from repro.runtime.stacked import StackedSparse
 
@@ -76,6 +81,8 @@ def assert_specialized_matches_reference(expression, tensors):
         # Repeated execution reuses the memoized scatter plans — results
         # must be bit-identical call to call.
         np.testing.assert_array_equal(kernel.run(tensors), result)
+    # The one-window kernel of ``backend="eager"`` and the unfused schedule.
+    np.testing.assert_allclose(materialize_plan(plan).run(tensors), expected, atol=1e-9)
 
 
 def test_coo_spmm_specialized(small_sparse_matrix, rng):

@@ -116,8 +116,8 @@ def test_calibration_load_rejects_stale_and_corrupt(tmp_path):
     )
     cal.save(path)
     current, tag = path.read_text(), f'"version": {CALIBRATION_VERSION}'
-    assert CALIBRATION_VERSION == 7
-    for version in (-1, 5, 6):  # 6: no unit_ns, no warm pass
+    assert CALIBRATION_VERSION == 8
+    for version in (-1, 5, 6, 7):  # 6: no unit_ns, no warm pass; 7: a store per stored slot
         path.write_text(current.replace(tag, f'"version": {version}'))
         assert Calibration.load(path) is None  # stale version
 
