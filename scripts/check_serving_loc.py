@@ -38,13 +38,17 @@ PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 CEILING = 9357
 
 #: Packages outside the serving stack with a line budget of their own.
-#: ``engine`` is 2,176 with the SpMM family's run loop (the run branch of
+#: ``engine`` is 2,185 with the operand placement rule (``emit._placed``, the
+#: reuse test in ``emit.emit`` and its measured break-even, ``describe()``
+#: naming the operands; +43 lines, 34 of them made up by the merged copy
+#: path and tighter module docstrings; ``kernel_spmm`` -14%); 2,176 with the
+#: SpMM family's run loop (the run branch of
 #: ``emit._source``, +79 lines for ``kernel_spmm`` -32%); 2,097 with the FX
 #: interpreter's last callers on the step list, 2,100 (the ROADMAP's budget)
 #: before that.  ``tuner`` is 1,332 with the
 #: schedule hint deleted (1,401 before, 1,517 with measured tuning; the
 #: ROADMAP's budget is 1,350).
-PACKAGE_CEILINGS = {"engine": 2176, "tuner": 1332}
+PACKAGE_CEILINGS = {"engine": 2185, "tuner": 1332}
 
 #: The config dataclasses whose fields are the stack's options.
 CONFIG_CLASSES = {

@@ -9,7 +9,11 @@ read only).  A plan that runs its emitted C loop nest — where ``cc`` exists al
 eighteen: the SpMM family, the block formats, sparse convolution and the tensor
 product — has no steps to wrap: its one line is ``<ms>  emitted C``; one that
 could have been emitted and was not (``CC=/bin/false`` shows every step list)
-says why.  The profiles in ``ROADMAP.md`` and ``docs/PERFORMANCE.md`` are its.
+says why.  An emitted case also prints where each operand of its last call
+lay — the byte phase of its data mod 64, ``reused`` after a vector operand
+the placement rule (``Emitted.operands``) keeps on a cache line and ``copied``
+after each one it copied for the call — so a case that runs at two speeds
+shows why.  The profiles in ``ROADMAP.md`` and ``docs/PERFORMANCE.md`` are its.
 """
 
 import argparse
@@ -36,6 +40,14 @@ def profile(case, calls: int) -> str:
     spent: dict[str, float] = defaultdict(float)
     timed_kernels, run = set(), specialize.SpecializedKernel.run
     loop, reasons = emit.Emitted.__call__, set()
+    place, placed = emit.Emitted.operands, {}
+
+    def traced_operands(emitted, arrays, dtype):
+        taken = place(emitted, arrays, dtype)
+        for (name, _, kind), array, used in zip(emitted.layout[1:], arrays[1:], taken or ()):
+            tags = ["reused"] * (kind == "reused") + ["copied"] * (used is not array)
+            placed[name] = f"{name} {array.ctypes.data % 64}" + f" ({', '.join(tags)})" * bool(tags)
+        return taken
 
     def timed_loop(emitted, result, operands):
         start = time.perf_counter()
@@ -62,6 +74,7 @@ def profile(case, calls: int) -> str:
 
     clear_plan_cache()  # a kernel another case instrumented would count twice
     specialize.SpecializedKernel.run, emit.Emitted.__call__ = traced, timed_loop
+    emit.Emitted.operands = traced_operands
     try:
         call = case.setup()
         call()  # compile, memoize, instrument
@@ -72,9 +85,11 @@ def profile(case, calls: int) -> str:
         per_call = (time.perf_counter() - start) / calls * 1e3
     finally:
         specialize.SpecializedKernel.run, emit.Emitted.__call__ = run, loop
+        emit.Emitted.operands = place
     head = f"{case.name}: {per_call:.3f} ms a warm call, "
     head += f"{sum(spent.values()) / calls * 1e3:.3f} ms of it in the kernel"
     lines = [f"  emitter: steps ({reason})" for reason in sorted(reasons)]
+    lines += [f"  phase mod 64: {', '.join(placed.values())}"] * bool(placed)
     lines += [f"  {s / calls * 1e3:8.3f} ms  {t}" for t, s in spent.items()]
     return "\n".join([head, *lines])
 

@@ -1,58 +1,49 @@
 """The second emitter: a plan's loop nest as one fused C function.
 
 :class:`~repro.engine.specialize.SpecializedKernel` lowers a plan once and
-emits it twice.  The step list materialises every arrow between gather,
-multiply and scatter as a NumPy array; this module writes the kernel the
-paper's backend generates — metadata load, indirect load, multiply-accumulate,
-scattered store, no temporary in between, the dot in registers:
+emits it twice: as NumPy steps, every arrow between gather, multiply and
+scatter an array, and here as the kernel the paper's backend generates —
+metadata load, indirect load, multiply-accumulate, scattered store, the dot in
+registers, no temporary in between.
 
-* **the rule** (:func:`covers`) — every tensor is one of output, value
-  operand or index, and a plan with a dense reduction (a reduction variable
-  that is a directly indexed axis of two factors: the block formats, sparse
-  convolution, the tensor product) has the vector variable ``n`` — the trailing
-  output variable, the contiguous last axis of every access that carries it —
-  and an index tensor.  A dense reduction with no ``n`` keeps its steps (a plain
-  nest loses to BLAS), and so does a contraction of dense operands alone (BLAS
-  blocks it for the cache; the tile counts on a gathered panel being small);
-* **the source** (:func:`_source`) — loops in storage order: the output
-  variables, then the reduction variables.  Without a dense reduction ``n``
-  moves innermost (the vectorisable axis of SpMM) and a *run* — the updates of
-  one output row in a row: an ELL row, a GroupCOO group or COO entries of equal
-  target, joined while the next wrapped target is this one's — is summed in
-  registers: ``n`` steps by tiles of 512, 256, 128 and 64 bytes, then one tile
-  of the rest (a ``switch`` case); a tile loads its slice of the row into a
-  plain C array, walks the run and stores the slice once.  With a dense
-  reduction the last output loops step by register tiles — rows of the variable
-  before ``n`` where no ``n``-carrying factor depends on it (``q`` of the
-  convolution, ``bm`` of a block) times vectors of ``n`` — so the ``c x m``
-  panel is read once per tile of rows, not once per update.  The accumulators
-  are ``__attribute__((vector_size))`` vectors: which axis is vectorised is
-  stated by their type, not left to the auto-vectoriser's choice of loop.  Every
-  index is loaded at the depth that binds its subscripts (per row of a tile
-  where they include the row variable) and compared against the extent it
-  indexes before it is used — an out-of-range value returns its position and
-  :class:`Emitted` raises ``IndexError``, as ``np.take`` does.  The source
-  depends on the plan's *structure* only — canonical names, every extent a
-  runtime argument, float32 and float64 side by side, the vector width from
-  the compiler's own macros — so a new shape, pattern or tensor spelling never
-  recompiles;
-* **the numerics** — one thread, a multiply then an add (never a fused one),
-  additions in ``np.add.at``'s order (a run's accumulators start from the
-  row's stored values); a dense reduction is summed per update, from zero, in
-  storage order, then added to the output — whatever the tile position, row
-  instance or vector width.  So a result has the same bytes on
-  every machine, a coalesced execution equals the per-request ones bit for
-  bit, and a tiled result differs from the steps' BLAS dot by reassociation only;
-* **the object** (:func:`_library`) — built with the system ``cc`` (``$CC``
-  honoured) under :data:`FLAGS`, synchronously, when a plan is built and
-  neither this process nor the disk cache
-  (``${XDG_CACHE_HOME:-~/.cache}/repro/kernels``, ours alone) has it; the key
-  names the source, the compiler binary, the flags and the CPU.  No compiler,
-  a failed compile, an unwritable cache: the reason is kept and the plan runs
-  its steps for its lifetime.
+* **The rule** (:func:`covers`).  Every tensor is output, value operand or
+  index.  A dense reduction (a reduction variable directly indexing two
+  factors: block formats, sparse convolution, the tensor product) also needs
+  an index tensor and the vector variable ``n``, the trailing output variable
+  and the contiguous last axis of every access that carries it; without them
+  the steps' BLAS calls win.
+* **The source** (:func:`_source`): loops in storage order, output variables
+  first.  In the SpMM family ``n`` is innermost and a *run* (an ELL row, a
+  GroupCOO group, COO entries of one wrapped target) is summed into its row in
+  registers, ``n`` in tiles of 512, 256, 128 and 64 bytes and one ``switch``
+  case for the rest.  A dense reduction steps its last output loops by register
+  tiles of ``__attribute__((vector_size))`` accumulators — rows of the variable
+  before ``n`` (``q`` of the convolution, ``bm`` of a block) times vectors of
+  ``n`` — so a panel is read once per tile of rows.  Every index is loaded at
+  the depth that binds it and checked against the extent it indexes: an
+  out-of-range value returns its position and :class:`Emitted` raises
+  ``IndexError``, as ``np.take`` does.  The source depends on the plan's
+  structure only (extents are arguments, float32 and float64 side by side, the
+  vector width from the compiler's macros): a new shape never recompiles.
+* **The numerics**: one thread, a multiply then an add, additions in
+  ``np.add.at``'s order (a run starts from the row's stored values); a dense
+  reduction is summed per update from zero, then added, whatever the tile.  A
+  result has the same bytes on every machine, a coalesced execution equals its
+  per-request ones, and a tile differs from the steps' BLAS dot by
+  reassociation only.
+* **The placement** (:meth:`Emitted.operands`).  An operand is read in place
+  when it is C-contiguous, of its type and aligned; a *reused* vector operand
+  (:func:`emit`: its last axis is the output's, each element read at least
+  :data:`_REUSE` times) must also start on a 64-byte cache line, or every
+  vector load of the tile straddles two (1.3-1.9x slower).  Anything else is
+  copied once per call onto a line: the same values, so the same bytes.
+* **The object** (:func:`_library`): built by ``cc`` (``$CC``) under
+  :data:`FLAGS` when a plan is built and neither this process nor the disk
+  cache (``${XDG_CACHE_HOME:-~/.cache}/repro/kernels``, ours alone) has it,
+  keyed by source, compiler, flags and CPU.  No compiler, a failed compile, an
+  unwritable cache: the reason is kept and the plan runs its steps.
 
-``import ctypes`` and ``import subprocess`` appear in ``repro.engine`` here
-only.
+``import ctypes`` and ``import subprocess`` appear in ``repro.engine`` here only.
 """
 
 from __future__ import annotations
@@ -61,6 +52,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import platform
 import shlex
@@ -84,6 +76,13 @@ _INSTANCES = {
     np.dtype(np.float64): ("double", "kernel_f64"),
 }
 _INDEX = np.dtype(np.int64)
+#: A cache line, and the reads per element from which a reused vector operand
+#: is copied onto one (:func:`emit`).  Measured break-even, copy time over the
+#: time a misaligned read costs (2-core AMD EPYC, AVX-512): 5-13 reads for an
+#: SpMM ``B`` of 1 MB, 8 for a block ``B``, 14-22 for the convolution's ``Weight``,
+#: 17-20 for a 0.1 MB ``B``, 16-36 for the tensor product's ``W`` (read 4-11
+#: times: left alone) — ``docs/PERFORMANCE.md``, "Where the operands lie".
+_LINE, _REUSE = 64, 16
 
 #: Source -> the functions of its loaded library by dtype, or the reason there
 #: is none.  Per process (a loaded object stays loaded): survives
@@ -98,13 +97,9 @@ def covers(plan: InsumPlan) -> bool:
     a scalar output has none."""
     operands = {factor.access.tensor for factor in plan.factors}
     indices = set(plan.info.gather_tensors)
-    if (
-        not plan.output_subscripts
-        or plan.info.output_name in operands | indices
-        or operands & indices
-    ):
+    if not plan.output_subscripts or plan.info.output_name in operands | indices:
         return False
-    return _loop_order(plan.statement) is not None
+    return not operands & indices and _loop_order(plan.statement) is not None
 
 
 def _loop_order(statement: EinsumStatement) -> tuple[list[str], str | None, str | None] | None:
@@ -473,6 +468,19 @@ def _library(unit: str) -> "dict[np.dtype, Callable[[int, int], int]] | str":
     return found
 
 
+def _placed(array: np.ndarray, dtype: np.dtype, on_line: bool) -> np.ndarray:
+    """``array`` itself where the loop nest can read it — C-contiguous ``dtype``,
+    aligned, and on a cache line if ``on_line`` — else its values copied once,
+    widened in the same copy, into a fresh buffer on a cache line."""
+    if array.dtype == dtype and array.flags.c_contiguous and array.flags.aligned:
+        if not on_line or not array.ctypes.data % _LINE:
+            return array
+    raw = np.empty(array.size * dtype.itemsize + _LINE, dtype=np.uint8)
+    placed = raw[-raw.ctypes.data % _LINE :][: raw.size - _LINE].view(dtype).reshape(array.shape)
+    np.copyto(placed, array, casting="unsafe")
+    return placed
+
+
 @dataclass(frozen=True)
 class Emitted:
     """A plan's compiled loop nest and what it may be called with."""
@@ -480,9 +488,10 @@ class Emitted:
     #: The C function (``real`` = float or double), as ``describe()`` prints it.
     source: str
     functions: dict[np.dtype, Callable[[int, int], int]]
-    #: Per input of the plan, output first: the shape it was compiled for and
-    #: whether it is an index tensor.
-    layout: tuple[tuple[tuple[int, ...], bool], ...]
+    #: Per input of the plan, output first: its name, the shape it was compiled
+    #: for, and what it is — ``"index"``, ``"value"`` or ``"reused"`` (a value
+    #: operand the loop nest reads from a cache line).
+    layout: tuple[tuple[str, tuple[int, ...], str], ...]
     #: The ``D`` argument (loop extents, then every shape) — fixed per plan.
     dims: np.ndarray
     #: ``(index slot, indexed tensor, axis, extent)`` per bounds check of the source.
@@ -492,22 +501,19 @@ class Emitted:
         """This call's operands as the loop nest reads them, or ``None``.
 
         ``arrays`` are the plan's inputs, the base first; ``dtype`` the factors'
-        common type, float32 or float64.  The loop nest takes the plan's shapes,
-        values of ``dtype`` (a narrower operand is widened, as ``np.multiply``
-        widens it) and int64 indices; an operand that is not C-contiguous and
-        aligned is copied (``np.take`` would have copied its rows too), so where
-        an operand happens to lie never changes the bits of a result.
+        common type, float32 or float64.  One rule places each: read in place
+        when C-contiguous, of its type (int64 for an index) and aligned — on a
+        cache line if ``"reused"`` — else copied once, for this call only, onto
+        a cache line and cast in the same copy (widened, as ``np.multiply``
+        widens a narrower operand).  Where an operand lies never moves a bit.
         """
-        if dtype not in self.functions or arrays[0].shape != self.layout[0][0]:
+        if dtype not in self.functions or arrays[0].shape != self.layout[0][1]:
             return None
         taken = []
-        for array, (shape, is_index) in zip(arrays[1:], self.layout[1:]):
-            if array.shape != shape or is_index and array.dtype != _INDEX:
+        for array, (_, shape, kind) in zip(arrays[1:], self.layout[1:]):
+            if array.shape != shape or kind == "index" and array.dtype != _INDEX:
                 return None
-            array = array if is_index else array.astype(dtype, copy=False)
-            if not (array.flags.c_contiguous and array.flags.aligned):
-                array = np.require(array, requirements="CA")
-            taken.append(array)
+            taken.append(_placed(array, _INDEX if kind == "index" else dtype, kind == "reused"))
         return taken
 
     def __call__(self, result: np.ndarray, operands: list[np.ndarray]) -> None:
@@ -524,18 +530,27 @@ class Emitted:
 
 def emit(plan: InsumPlan, inputs: list[str]) -> "Emitted | str":
     """The emitted kernel of a plan :func:`covers` — or the reason it has none
-    on this machine and runs its steps.  ``inputs``: its tensors, output first."""
+    on this machine and runs its steps.  ``inputs``: its tensors, output first.
+    A value operand is *reused* when its contiguous last axis is the output's
+    (``n``) and the loop extents' product is at least :data:`_REUSE` times its size."""
     function, order, checks = _source(plan.statement, tuple(inputs))
     functions = _library(_unit(function))
     if isinstance(functions, str):
         return functions
-    info = plan.info
-    shapes = [tuple(info.tensor_shapes[name]) for name in inputs]
-    dims = [info.extents[var] for var in order] + [extent for shape in shapes for extent in shape]
+    info, statement = plan.info, plan.statement
+    shapes = {name: tuple(info.tensor_shapes[name]) for name in inputs}
+    extents = [info.extents[var] for var in order]
+    last = statement.lhs.indices[-1]
+    kinds = dict.fromkeys(info.gather_tensors, "index")
+    for access in statement.rhs.factors:
+        size = math.prod(shapes[access.tensor])
+        if access.indices[-1] == last and 0 < size * _REUSE <= math.prod(extents):
+            kinds[access.tensor] = "reused"
+    dims = extents + [extent for name in inputs for extent in shapes[name]]
     return Emitted(
         source=function,
         functions=functions,
-        layout=tuple((shape, name in info.gather_tensors) for shape, name in zip(shapes, inputs)),
+        layout=tuple((name, shapes[name], kinds.get(name, "value")) for name in inputs),
         dims=np.array(dims, dtype=np.int64),
         checks=tuple(
             (inputs.index(index), target, axis, info.tensor_shapes[target][axis])

@@ -8,18 +8,12 @@ walks the list — no AST inspection, no axis arithmetic and no contraction
 path search per call — and ``describe()`` prints it, so "what does this
 plan execute" is a log line.  What ``build`` decides:
 
-* **the emitter** — a plan :func:`repro.engine.emit.covers` (ELL, GroupCOO,
-  COO, BlockCOO and BlockGroupCOO SpMM, their stacked forms, SpMV, sparse
-  convolution, the tensor product) also gets the paper's kernel, one fused C
-  loop nest with nothing materialised between gather, multiply and scatter and
-  every dense reduction in a register tile (:mod:`repro.engine.emit`), when
-  this machine has a C compiler.  The choice is made here, once, from the plan
-  and the platform, and holds for the kernel's lifetime: ``describe()`` says
-  ``emitter: C`` with the source, or ``emitter: steps (<why>)``.  The loop nest
-  takes float32 / float64 values (a narrower operand is widened) with int64
-  indices; any other call of that kernel — and every dense reduction with no
-  vector variable, every forced ``window_steps``, every machine without
-  ``cc`` — runs the steps below;
+* **the emitter** — a plan :func:`repro.engine.emit.covers` (the SpMM family,
+  SpMV, the block formats, sparse convolution, the tensor product) also gets
+  the paper's fused C loop nest (:mod:`repro.engine.emit`) where this machine
+  has a C compiler, decided once for the kernel's lifetime: ``describe()``
+  says ``emitter: C`` with the source, or ``emitter: steps (<why>)``.  A call
+  with other than float32 / float64 values and int64 indices runs the steps;
 * **the windows** — the kernel streams over the leading output variable in
   windows whose temporaries (the gathered factors and the partial that
   carry the variable, ``per_step_bytes`` a step) fill :data:`_WINDOW_BYTES`,
@@ -56,19 +50,17 @@ plan execute" is a log line.  What ``build`` decides:
   (:mod:`repro.engine.fingerprint`): repeated calls over one format
   instance do zero index work.
 
-Numerics.  The emitted loop nest multiplies, then adds (no fused
-multiply-add), in storage order — ``np.add.at``'s order; a dense reduction is
-summed per update, from zero, before it is added — so its result is a
-sequential loop's bit for bit, whatever the shapes, the vector width and
-wherever the operands lie, and a coalesced (stacked) execution equals the
-per-request ones bit for bit.  The step list matches it up to floating-point
-reassociation: its dot sums in its BLAS's order — in a run-windowed plan that
-includes the duplicates of an output row, and a stack of ``s`` items runs
-``s x K @ K x n`` per run where one request runs ``1 x K``, a few ulp apart
-(``tests/runtime/test_stacked.py``) — and a ``segment_add`` store keeps the
-sequential contract of :mod:`repro.engine.segment`, within each window.
-Integer-valued data is exact under every schedule and both emitters, and the
-result's dtype is ``np.result_type`` of the operands and the bound output on
+Numerics.  The emitted loop nest's are :mod:`repro.engine.emit`'s: a
+sequential loop's bits whatever the shapes, the vector width and wherever the
+operands lie, a coalesced execution the per-request ones' bits.  The step list
+matches it up to floating-point reassociation: its dot sums in its BLAS's
+order — in a run-windowed plan that includes the duplicates of an output row,
+and a stack of ``s`` items runs ``s x K @ K x n`` per run where one request
+runs ``1 x K``, a few ulp apart (``tests/runtime/test_stacked.py``) — and a
+``segment_add`` store keeps the sequential contract of
+:mod:`repro.engine.segment`, within each window.  Integer-valued data is exact
+under every schedule and both emitters, and the result's dtype is
+``np.result_type`` of the operands and the bound output on
 both.  Every kernel is tested against the loop-nest reference interpreter.
 """
 
@@ -770,7 +762,9 @@ class SpecializedKernel:
             header += f"update + {self.per_run_bytes} B per run)"
         lines = [f"specialized: {header}"]
         if self.emitted.__class__ is Emitted:
-            lines.append("  emitter: C (float32/float64 values, int64 indices; else the steps)")
+            head = "  emitter: C (float32/float64 values, int64 indices; else the steps)"
+            reused = ", ".join(name for name, _, kind in self.emitted.layout if kind == "reused")
+            lines.append(head + f"; on a cache line, else copied: {reused}" * bool(reused))
             lines.extend(f"    {line}" for line in self.emitted.source.splitlines())
         elif self.emitted is not None:
             lines.append(f"  emitter: steps ({self.emitted})")

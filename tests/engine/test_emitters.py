@@ -1089,3 +1089,117 @@ def test_two_processes_return_identical_bytes_for_every_dense_reduction_family(e
     first, second = fresh_interpreter(DENSE_REQUESTS), fresh_interpreter(DENSE_REQUESTS)
     assert first == second and len(first[0]) > 0
     assert first[1] == " ".join(["Emitted" if which == "C" else "str"] * 3)
+
+
+# ---------------------------------------------------------------------------
+# (g) where an operand lies: one placement rule, the same bytes
+# ---------------------------------------------------------------------------
+def at_phase(array, phase):
+    """A copy of ``array`` whose data starts ``phase`` bytes past a cache line."""
+    raw = np.empty(array.nbytes + 2 * emit._LINE, dtype=np.uint8)
+    start = -raw.ctypes.data % emit._LINE + phase
+    placed = raw[start : start + array.nbytes].view(array.dtype).reshape(array.shape)
+    placed[...] = array
+    return placed
+
+
+def vector_operands(expression):
+    """The value operands whose contiguous last axis is the output's."""
+    statement = parse_einsum(expression)
+    last = statement.lhs.indices[-1]
+    return {factor.tensor for factor in statement.rhs.factors if factor.indices[-1] == last}
+
+
+#: Per reuse, a shape whose vector operand the nest reads at least ``emit._REUSE``
+#: times an element ("above") and one it reads fewer times ("below"): an SpMM
+#: pattern with its ``N``, and ``(P, R, N, K)`` of a dense-reduction family.
+PLACED_PATTERNS = {"above": (np.ones((48, 2), dtype=bool), 19), "below": (full_row_pattern(), 7)}
+PLACED_SHAPES = {"above": (120, 3, 19, 3), "below": (3, 2, 7, 4)}
+PLACED_FAMILIES = ("conv", "blockcoo", "blockgroupcoo", "product", "product/coo")
+
+
+def placed_problems(dtype):
+    """``(family, reuse, expression, tensors)`` of every family at both reuses."""
+    rng = np.random.default_rng(36)
+    values = draw(rng, dtype, integer=False)
+    for family in FAMILIES:
+        for reuse, (pattern, n_cols) in PLACED_PATTERNS.items():
+            expression, operands, product = problem(family, pattern, n_cols, values)
+            yield family, reuse, *indirect(expression, operands, values(*product.shape))
+    for family in PLACED_FAMILIES:
+        for reuse, shape in PLACED_SHAPES.items():
+            yield family, reuse, *dense_tensors(family, shape, values, rng)
+
+
+@only_c
+@pytest.mark.parametrize("dtype", EMITTED_DTYPES, ids=lambda d: np.dtype(d).name)
+def test_where_an_operand_lies_never_changes_a_byte(emitter, dtype):
+    """Every value operand at every element-aligned phase mod 64: read in place
+    or copied onto a cache line, the result is the phase-0 result bit for bit."""
+    _, calls = emitter
+    phases = range(0, emit._LINE, np.dtype(dtype).itemsize)
+    runs = 0
+    for family, reuse, expression, tensors in placed_problems(dtype):
+        context = f"{family} {reuse} {np.dtype(dtype).name}"
+        kernel = SpecializedKernel.build(plan_insum(expression, tensors))
+        vectors = vector_operands(expression) if reuse == "above" else set()
+        reused = {name for name, _, kind in kernel.emitted.layout if kind == "reused"}
+        assert reused == vectors, context
+        operands = [factor.tensor for factor in parse_einsum(expression).rhs.factors]
+        results = [
+            kernel.run({**tensors, **{name: at_phase(tensors[name], phase) for name in operands}})
+            for phase in phases
+        ]
+        runs += len(phases)
+        for phase, result in zip(phases, results):
+            assert result.tobytes() == results[0].tobytes(), f"{context} at phase {phase}"
+    assert len(calls) == runs and set(calls) == {np.dtype(dtype)}
+
+
+@only_c
+@pytest.mark.parametrize("family", ["conv", "blockgroupcoo"])
+def test_a_copy_is_made_per_call_and_never_handed_back(emitter, family, monkeypatch):
+    """A misaligned vector operand mutated in place between two calls: the second
+    result is the new oracle, the caller's array is untouched and no result
+    shares memory with a copy."""
+    _, calls = emitter
+    rng = np.random.default_rng(37)
+    values = draw(rng, np.float64)
+    expression, tensors = dense_tensors(family, PLACED_SHAPES["above"], values, rng)
+    (name,) = vector_operands(expression)
+    tensors[name] = at_phase(tensors[name], 16)
+    copies, place = [], emit._placed
+
+    def recorded(array, dtype, on_line):
+        placed = place(array, dtype, on_line)
+        copies.extend([placed] * (placed is not array))
+        return placed
+
+    monkeypatch.setattr(emit, "_placed", recorded)
+    kernel = SpecializedKernel.build(plan_insum(expression, tensors))
+    results = []
+    for scale in (1, -3):
+        tensors[name] *= scale
+        before = tensors[name].copy()
+        results.append(kernel.run(tensors))
+        np.testing.assert_array_equal(results[-1], oracle(expression, tensors))
+        np.testing.assert_array_equal(tensors[name], before)
+    assert len(calls) == len(copies) == 2 and not np.shares_memory(*copies)
+    assert all(copy.ctypes.data % emit._LINE == 0 for copy in copies)
+    assert not any(np.shares_memory(result, copy) for result in results for copy in copies)
+
+
+@only_c
+def test_describe_names_the_operands_placed_on_a_cache_line(emitter):
+    rng = np.random.default_rng(38)
+    values = draw(rng, np.float32)
+    named = {"above": "; on a cache line, else copied: Weight", "below": ""}
+    for reuse, shape in PLACED_SHAPES.items():
+        expression, tensors = dense_tensors("conv", shape, values, rng)
+        kernel = SpecializedKernel.build(plan_insum(expression, tensors))
+        head = "  emitter: C (float32/float64 values, int64 indices; else the steps)"
+        assert kernel.describe().splitlines()[1] == head + named[reuse]
+    expression, operands, _ = problem("spmm/coo", PLACED_PATTERNS["above"][0], 19, values)
+    operator = SparseEinsum(expression)
+    operator(**operands)
+    assert operator.compiled.specialized.describe().splitlines()[1].endswith("else copied: B")
