@@ -27,7 +27,9 @@ from pathlib import Path
 PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 
 #: Total lines with one HTTP loop (the gateway serves ``/metrics`` and
-#: ``/v1/statsz``; the stdlib ops server is deleted).  9,557 once the plan
+#: ``/v1/statsz``; the stdlib ops server is deleted), 9,344 once coalesced
+#: results were verified bit for bit and ``GatewayClient.config``, replay's
+#: probe for an uncoalesced backend, went; 9,357 before.  9,557 once the plan
 #: key lost its per-regime bucket; 9,563 once the ``tune`` option left
 #: every tier (the tuner's model decides alone); 9,583 with one stats
 #: report and one serving window for every tier (three stats modules
@@ -35,20 +37,23 @@ PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 #: cluster's hand-copied window and the worker stats round trip deleted,
 #: `cluster/server.py` 1,232 -> 1,130); 9,984 before that, 10,112 and
 #: 10,102 earlier, 10,547, 10,556, and 10,867 at the start.
-CEILING = 9357
+CEILING = 9344
 
 #: Packages outside the serving stack with a line budget of their own.
-#: ``engine`` is 2,185 with the operand placement rule (``emit._placed``, the
-#: reuse test in ``emit.emit`` and its measured break-even, ``describe()``
+#: ``engine`` is 2,200 with ``emit.compiles()``, the once-per-process compile
+#: verdict the tuner's rule reads in place of three calibration probe kernels
+#: (+15 lines against the tuner's -537); 2,185 with the operand placement
+#: rule (``emit._placed``, the reuse test in ``emit.emit`` and its measured break-even, ``describe()``
 #: naming the operands; +43 lines, 34 of them made up by the merged copy
 #: path and tighter module docstrings; ``kernel_spmm`` -14%); 2,176 with the
 #: SpMM family's run loop (the run branch of
 #: ``emit._source``, +79 lines for ``kernel_spmm`` -32%); 2,097 with the FX
 #: interpreter's last callers on the step list, 2,100 (the ROADMAP's budget)
-#: before that.  ``tuner`` is 1,332 with the
-#: schedule hint deleted (1,401 before, 1,517 with measured tuning; the
-#: ROADMAP's budget is 1,350).
-PACKAGE_CEILINGS = {"engine": 2185, "tuner": 1332}
+#: before that.  ``tuner`` is 795 with the calibrated cost model and its
+#: microbenchmarks replaced by the Section 4.2 rule (``calibration.py`` 331
+#: and ``cost_model.py`` 213 deleted); 1,332 with the schedule hint deleted
+#: (1,401 before, 1,517 with measured tuning).
+PACKAGE_CEILINGS = {"engine": 2200, "tuner": 795}
 
 #: The config dataclasses whose fields are the stack's options.
 CONFIG_CLASSES = {

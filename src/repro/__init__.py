@@ -17,9 +17,9 @@ Public API highlights
 * :mod:`repro.core` — the compiler itself: the indirect-Einsum frontend,
   the Insum planner (whose plan is the IR), the extended Inductor-like
   backend, and the simulated Triton/GPU layer.
-* :mod:`repro.tuner` — cost-model-driven adaptive format selection:
+* :mod:`repro.tuner` — format selection by the paper's Section 4.2 rule:
   :func:`repro.auto_format` and the ``insum(..., format="auto")`` path,
-  scored by microbenchmark-calibrated analytical costs.
+  decided from the operand's sparsity profile with nothing timed.
 * :mod:`repro.cluster` — multi-process serving: :class:`repro.ClusterServer`
   dispatches the ``InsumServer`` surface across worker processes over
   shared-memory ring transport (see ``docs/SERVING.md``).
@@ -85,7 +85,6 @@ from repro.runtime import (
 from repro.obs import configure_logging, get_logger, get_registry
 from repro.serve import Future, ServeConfig, ServeStats, Session
 from repro.tuner import (
-    CostModel,
     SparsityProfile,
     auto_format,
     profile_operand,
@@ -128,7 +127,6 @@ __all__ = [
     "clear_plan_cache",
     "configure_plan_cache",
     "get_plan_cache",
-    "CostModel",
     "SparsityProfile",
     "auto_format",
     "profile_operand",

@@ -61,13 +61,13 @@ def _reinit_after_fork() -> None:
     import repro.engine.paths as paths
     import repro.obs.metrics as obs_metrics
     import repro.runtime.plan_cache as plan_cache
-    import repro.tuner.calibration as calibration
+    import repro.tuner.auto as tuner_auto
 
     fingerprint._LOCK = threading.RLock()
     fingerprint._TOKENS.clear()
     fingerprint._ARTIFACTS.clear()
     paths._LOCK = threading.Lock()
-    calibration._CALIBRATION_LOCK = threading.Lock()
+    tuner_auto._DECISIONS._lock = threading.Lock()
     plan_cache._GLOBAL_LOCK = threading.Lock()
     plan_cache._GLOBAL_CACHE._lock = threading.RLock()
     obs_metrics._reinit_after_fork()

@@ -214,8 +214,8 @@ def insum(
     logical tensors and the call routes through :class:`SparseEinsum`:
     ``format="auto"`` lets :mod:`repro.tuner` profile the sparse operand
     (a dense array or any :class:`~repro.formats.base.SparseFormat`) and
-    pick the storage format with its calibrated cost model, while a format
-    name or class forces that format.
+    pick the storage format by its Section 4.2 rule, while a format name or
+    class forces that format.
 
     Parameters
     ----------
@@ -399,7 +399,7 @@ class SparseEinsum:
         self.rewritten_expression: str | None = None
         self._last_compiled: Any | None = None
         #: The most recent :class:`repro.tuner.auto.TunerDecision` made by
-        #: the ``format="auto"`` path (``None`` otherwise).
+        #: the ``format="auto"`` path, with its ``reason`` (``None`` otherwise).
         self.last_decision: Any | None = None
         #: Memoized rewrites keyed by (sparse identity, dense shapes); see
         #: :meth:`_prepare`.

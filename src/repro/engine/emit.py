@@ -42,6 +42,7 @@ registers, no temporary in between.
   cache (``${XDG_CACHE_HOME:-~/.cache}/repro/kernels``, ours alone) has it,
   keyed by source, compiler, flags and CPU.  No compiler, a failed compile, an
   unwritable cache: the reason is kept and the plan runs its steps.
+  :func:`compiles` tells the tuner, before any plan, without compiling.
 
 ``import ctypes`` and ``import subprocess`` appear in ``repro.engine`` here only.
 """
@@ -85,8 +86,8 @@ _INDEX = np.dtype(np.int64)
 _LINE, _REUSE = 64, 16
 
 #: Source -> the functions of its loaded library by dtype, or the reason there
-#: is none.  Per process (a loaded object stays loaded): survives
-#: ``clear_plan_cache()`` and fork.
+#: is none (and, under ``""``, the verdict of :func:`compiles`).  Per process (a
+#: loaded object stays loaded): survives ``clear_plan_cache()`` and fork.
 _LOADED: dict[str, "dict[np.dtype, Callable[[int, int], int]] | str"] = {}
 
 
@@ -414,8 +415,9 @@ def _cached(directory: str, key: str) -> ctypes.CDLL | None:
     return None
 
 
-def _build(unit: str) -> ctypes.CDLL:
-    """The object of ``unit`` from the disk cache, compiling it on a miss."""
+def _build(unit: str) -> ctypes.CDLL | None:
+    """The object of ``unit`` from the disk cache, compiling it on a miss; for
+    no unit, only whether ``$CC --version`` runs and the cache is ours."""
     command = shlex.split(os.environ.get("CC") or "cc")
     compiler = shutil.which(command[0])
     if compiler is None:
@@ -424,6 +426,10 @@ def _build(unit: str) -> ctypes.CDLL:
     directory = os.path.join(base, "repro", "kernels")
     os.makedirs(directory, mode=0o700, exist_ok=True)
     _ours(directory)
+    if not unit:
+        version = [compiler, *command[1:], "--version"]
+        subprocess.run(version, capture_output=True, timeout=_COMPILE_SECONDS, check=True)
+        return None
     binary = os.stat(os.path.realpath(compiler))
     identity = [os.path.realpath(compiler), binary.st_size, binary.st_mtime_ns, *command[1:]]
     key = hashlib.sha256(repr((unit, identity, FLAGS, _host())).encode()).hexdigest()[:32]
@@ -460,12 +466,21 @@ def _library(unit: str) -> "dict[np.dtype, Callable[[int, int], int]] | str":
         except (OSError, subprocess.SubprocessError) as error:
             found = f"{type(error).__name__}: {error}"
         else:
-            found = {dtype: getattr(library, name) for dtype, (_, name) in _INSTANCES.items()}
+            instances = _INSTANCES.items() if unit else ()  # no unit: no functions
+            found = {dtype: getattr(library, name) for dtype, (_, name) in instances}
             for function in found.values():
                 function.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
                 function.restype = ctypes.c_int64
         found = _LOADED.setdefault(unit, found)
     return found
+
+
+def compiles() -> bool:
+    """Whether plans built in this process run as C, decided without compiling:
+    as the objects it loaded or failed to say (one loaded: yes), or, before its
+    first plan, as the empty unit's :func:`_library` verdict (kept with them)."""
+    built = [found for source, found in _LOADED.items() if source]
+    return any(isinstance(found, dict) for found in built or [_library("")])
 
 
 def _placed(array: np.ndarray, dtype: np.dtype, on_line: bool) -> np.ndarray:

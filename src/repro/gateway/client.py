@@ -31,7 +31,6 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 from typing import Any, Mapping
 from urllib.parse import urlsplit
 
@@ -122,17 +121,6 @@ class GatewayClient:
         )
 
     # -- the Session surface -------------------------------------------------
-    @property
-    def config(self) -> Any:
-        """A minimal config view for replay's ``verify="auto"`` probe.
-
-        ``coalesce=None`` (not ``False``): the client cannot see whether
-        the backend behind the gateway coalesces, so auto-verification
-        stays off — pass ``verify=True`` explicitly when the deployment
-        promises bit-exact results.
-        """
-        return SimpleNamespace(coalesce=None)
-
     def submit(
         self,
         expression: str,

@@ -16,10 +16,10 @@ Every request's end-to-end latency and outcome feed the run's
 :mod:`repro.obs` metrics registry — and, when verification is on, the
 result bytes are checked against the trace's expected digests.
 
-Digest verification (``verify="auto"``) engages only where the serving
-stack promises bit-exact results: the inline backend, or any backend
-with coalescing explicitly disabled (coalesced batches reassociate
-floating-point sums).  Pass ``verify=True``/``False`` to force it.
+Digest verification (``verify="auto"``, the default) engages on every
+backend: each promises bit-exact results, and a coalesced batch returns its
+per-request results bit for bit (``tests/runtime/test_server_coalesce.py``).
+Pass ``verify=False`` to turn it off.
 """
 
 from __future__ import annotations
@@ -243,14 +243,13 @@ class SLOReport:
         return merged
 
 
-def _should_verify(session: Session, verify: bool | str) -> bool:
-    if isinstance(verify, bool):
-        return verify
-    if verify != "auto":
-        raise ValueError(f"verify must be True, False, or 'auto', not {verify!r}")
-    if session.backend_name == "inline":
+def _should_verify(verify: bool | str) -> bool:
+    """``verify`` as a bool: ``"auto"`` checks, as every backend is bit-exact."""
+    if verify == "auto":
         return True
-    return session.config.coalesce is False
+    if not isinstance(verify, bool):
+        raise ValueError(f"verify must be True, False, or 'auto', not {verify!r}")
+    return verify
 
 
 def _wait_quietly(future: Future, timeout: float) -> None:
@@ -295,9 +294,9 @@ def replay(
     session:
         An open serve session; any backend.  The session is *not* closed.
     verify:
-        ``"auto"`` (default) checks result digests only where bit-exact
-        execution is promised — inline backend, or coalescing explicitly
-        off; ``True``/``False`` force.  Unverified runs report
+        ``"auto"`` (default) and ``True`` check every result's digest:
+        every backend promises bit-exact execution, coalesced or not.
+        ``False`` turns the check off; unverified runs report
         ``digest_checked == 0``.
     time_scale:
         Multiplier on trace offsets: ``1.0`` replays in real time,
@@ -309,7 +308,7 @@ def replay(
         run around every submission and its injected out-of-band
         requests are settled and folded into the report.
     """
-    check_digests = _should_verify(session, verify)
+    check_digests = _should_verify(verify)
     materializer = TraceMaterializer(trace.seed)
     registry = get_registry()
     latency_hist = registry.histogram(

@@ -270,7 +270,7 @@ class InsumServer:
     auto_format:
         When True, format-agnostic requests route through the
         :mod:`repro.tuner` auto path (``format="auto"``): each request's
-        sparse operand is profiled, the calibrated cost model picks the
+        sparse operand is profiled, the tuner's Section 4.2 rule picks the
         storage format per sparsity regime (decisions are memoised by
         profile bucket), and each chosen format compiles once — so one
         server adapts across heterogeneous request streams.  Sparse
@@ -281,9 +281,8 @@ class InsumServer:
         logical expression and one sparse *pattern* (the same live format
         instance) as a single widened
         :class:`~repro.runtime.stacked.StackedSparse` Einsum, instead of
-        one kernel per request.  Results are numerically equal to
-        individual execution up to floating-point reassociation of the
-        batched contraction.
+        one kernel per request.  Results are the per-request results bit
+        for bit (``tests/runtime/test_server_coalesce.py``).
     coalesce_max:
         Largest group executed as one batch.  Batches are zero-padded to
         the next power of two (capped here), so each expression compiles

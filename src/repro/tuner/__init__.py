@@ -1,26 +1,27 @@
-"""repro.tuner: cost-model-driven adaptive format selection.
+"""repro.tuner: format selection by the Section 4.2 rule.
 
 The paper's pipeline covers structured SpMM, unstructured SpMM, sparse
 convolution, and equivariant tensor products with one compiler — but the
-caller still hand-picks among seven storage formats and a backend config.
-This package closes that gap:
+caller still hand-picks among seven storage formats.  This package closes
+that gap without timing anything, as the paper picks GroupCOO's group size
+in closed form:
 
 1. :mod:`~repro.tuner.profile` extracts a :class:`SparsityProfile` from
    any operand (density, row-occupancy histogram, block-alignment scores,
    the Section 4.2 group-size estimate);
-2. :mod:`~repro.tuner.cost_model` scores candidate (format, parameters,
-   schedule) triples with an analytical model whose per-operation costs
-   are **calibrated** by :mod:`~repro.tuner.calibration` microbenchmarks
-   (persistable as JSON via ``REPRO_TUNER_CALIBRATION``);
-3. :mod:`~repro.tuner.auto` exposes :func:`auto_format` /
-   :func:`choose_format` plus a process-wide :class:`DecisionCache`, and
-   the public API accepts ``insum(..., format="auto")``: profile → rank →
-   build, the model deciding alone — no candidate is built or timed to
-   make the decision.
+2. :mod:`~repro.tuner.auto` applies one rule to it — ELL when it pads
+   nothing, the best-filled block shape on block-structured data, GroupCOO
+   otherwise, each grouped format at the Section 4.2 group size, and group
+   size 1 where plans compile — exposed as :func:`auto_format` /
+   :func:`choose_format` with a process-wide :class:`DecisionCache`, and as
+   ``insum(..., format="auto")``;
+3. :mod:`~repro.tuner.candidates` enumerates the configurations the rule
+   picks among, which ``benchmarks/bench_tuner_adaptive.py`` times against
+   its pick on seven regimes.
 
-The answer is a format, group size included (Section 4.2); the compiler
-lowers whatever format it is given.  See ``docs/FORMATS.md`` for the candidate-space specification and
-``benchmarks/bench_tuner_adaptive.py`` for the seven-regime evaluation.
+The answer is a format, group size included; the compiler lowers whatever
+format it is given.  See ``docs/FORMATS.md`` for the rule and its
+measurements.
 """
 
 from repro.tuner.auto import (
@@ -31,14 +32,7 @@ from repro.tuner.auto import (
     clear_decision_cache,
     get_decision_cache,
 )
-from repro.tuner.calibration import (
-    Calibration,
-    get_calibration,
-    run_microbenchmarks,
-    set_calibration,
-)
-from repro.tuner.candidates import Candidate, ScoredCandidate, enumerate_candidates
-from repro.tuner.cost_model import CostModel, TunerError
+from repro.tuner.candidates import Candidate, enumerate_candidates
 from repro.tuner.profile import (
     BlockProfile,
     SparsityProfile,
@@ -49,14 +43,7 @@ __all__ = [
     "auto_format",
     "choose_format",
     "Candidate",
-    "ScoredCandidate",
     "enumerate_candidates",
-    "CostModel",
-    "TunerError",
-    "Calibration",
-    "get_calibration",
-    "run_microbenchmarks",
-    "set_calibration",
     "BlockProfile",
     "SparsityProfile",
     "profile_operand",

@@ -2,11 +2,23 @@
 
 The front door of the tuner:
 
-* :func:`auto_format` — profile an operand, rank the candidate formats with
-  the calibrated cost model, and return the operand built in the winner.
-* :func:`choose_format` — the decision itself: profile → ranked candidates.
-  The model decides; no candidate is built or timed on the way, as the
-  paper's Section 4.2 picks a group size in closed form.
+* :func:`auto_format` — profile an operand, apply the rule, and return the
+  operand built in the format it names.
+* :func:`choose_format` — the decision itself, made from the profile alone as
+  the paper's Section 4.2 picks a group size: in closed form, nothing built or
+  timed.  In order:
+
+  1. **ELL** when it pads nothing (``rows * row_max == nnz``);
+  2. **block-structured data** (:meth:`SparsityProfile.best_block_shape`)
+     gets that block shape as BlockGroupCOO, its group size
+     :func:`~repro.formats.group_size.select_group_size` over the block-row
+     occupancy — BlockCOO when that is 1;
+  3. everything else gets GroupCOO with ``select_group_size`` over the row
+     occupancy — COO when that is 1;
+  4. where plans compile (:func:`repro.engine.emit.compiles`) the group size
+     is 1: the emitted loop sums a run of one row in registers, so grouping
+     buys nothing there.
+
 * :class:`DecisionCache` — decisions memoised by
   :meth:`~repro.tuner.profile.SparsityProfile.bucket`, so a serving
   process profiles each sparsity *regime* once and every later request in
@@ -21,10 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine import emit
 from repro.formats.base import SparseFormat
+from repro.formats.group_size import select_group_size
 from repro.obs.metrics import get_registry
-from repro.tuner.candidates import Candidate, ScoredCandidate, enumerate_candidates
-from repro.tuner.cost_model import CostModel
+from repro.tuner.candidates import Candidate
 from repro.tuner.profile import SparsityProfile, profile_operand
 
 
@@ -37,36 +50,24 @@ class TunerDecision:
     bucket:
         The profile bucket the decision applies to, and the width it was
         made for.
-    ranked:
-        Every scored candidate, cheapest-first.
+    candidate:
+        The chosen format configuration.
+    reason:
+        Which clause of the rule chose it, in one line, e.g.
+        ``GroupCOO(g=4): §4.2 over 512 rows``.
     profile:
-        The profile the decision was scored against (the *first* operand
-        of the bucket when the decision came from the cache).
+        The profile the rule read (the *first* operand of the bucket when
+        the decision came from the cache).
     """
 
     bucket: tuple
-    ranked: tuple[ScoredCandidate, ...]
+    candidate: Candidate
+    reason: str
     profile: SparsityProfile | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def chosen(self) -> ScoredCandidate:
-        """The winning candidate with its modelled cost."""
-        return self.ranked[0]
-
-    @property
-    def candidate(self) -> Candidate:
-        """The winning format configuration."""
-        return self.chosen.candidate
-
     def describe(self) -> str:
-        """One line per candidate with its modelled cost."""
-        lines = [f"tuner decision: {self.candidate.describe()}"]
-        for scored in self.ranked:
-            mark = "->" if scored.candidate == self.candidate else "  "
-            lines.append(
-                f"  {mark} {scored.candidate.describe():<24s} modeled {scored.modeled_ms:8.4f} ms"
-            )
-        return "\n".join(lines)
+        """The decision and why, in one line."""
+        return f"tuner decision: {self.reason}"
 
 
 class DecisionCache:
@@ -136,7 +137,7 @@ class DecisionCache:
 
     @property
     def misses(self) -> int:
-        """Lookups that required a fresh scoring run."""
+        """Lookups that ran the rule."""
         return self._misses
 
 
@@ -156,32 +157,54 @@ def clear_decision_cache() -> None:
 # ---------------------------------------------------------------------------
 # Selection
 # ---------------------------------------------------------------------------
+def _rule(profile: SparsityProfile) -> tuple[Candidate, str]:
+    """The rule of the module docstring: a candidate and why."""
+    rows = profile.shape[0]
+    if profile.nnz and rows * profile.row_max == profile.nnz:
+        return Candidate("ELL"), f"ELL: {rows} rows of {profile.row_max}, nothing padded"
+    block_shape = profile.best_block_shape()
+    stats = profile.blocks.get(block_shape)
+    if emit.compiles():
+        g, how = 1, "plans compile, so g=1"
+    elif stats is None:
+        g, how = select_group_size(profile.occupancy), f"§4.2 over {profile.nonempty_rows} rows"
+    else:
+        g, how = select_group_size(stats.occupancy), f"§4.2 over {stats.nonempty_rows} block rows"
+    if stats is None:
+        candidate = Candidate("GroupCOO", group_size=g) if g > 1 else Candidate("COO")
+        return candidate, f"{candidate.describe()}: {how}"
+    name = "BlockGroupCOO" if g > 1 else "BlockCOO"
+    candidate = Candidate(name, group_size=g if g > 1 else None, block_shape=block_shape)
+    return candidate, f"{candidate.describe()}: block fill {stats.fill:.2f}, {how}"
+
+
 def choose_format(
     profile: SparsityProfile, n_cols: int = 64, use_cache: bool = True
 ) -> TunerDecision:
-    """Pick the best format configuration for a profiled operand.
+    """Pick the format configuration for a profiled operand.
 
     Parameters
     ----------
     profile:
         The operand's structural summary.
     n_cols:
-        Dense-operand width the decision optimises for.
+        Dense-operand width; it keys the decision cache, and the rule does
+        not read it.
     use_cache:
         Consult/populate the process-wide :class:`DecisionCache`.
 
     Returns
     -------
     TunerDecision
-        The candidates ranked by the calibrated cost model, cheapest first.
+        The candidate the rule picks, and its reason.
     """
     bucket = (*profile.bucket(), n_cols)
     if use_cache:
         cached = _DECISIONS.get(bucket)
         if cached is not None:
             return cached
-    ranked = CostModel().rank(profile, enumerate_candidates(profile), n_cols)
-    decision = TunerDecision(bucket=bucket, ranked=tuple(ranked), profile=profile)
+    candidate, reason = _rule(profile)
+    decision = TunerDecision(bucket=bucket, candidate=candidate, reason=reason, profile=profile)
     return _DECISIONS.put(decision) if use_cache else decision
 
 
@@ -215,15 +238,15 @@ def auto_format(operand, n_cols: int = 64, use_cache: bool = True) -> SparseForm
         re-formatted when the tuner prefers a different configuration, and
         returned unchanged when it already matches the choice).
     n_cols:
-        Dense-operand width the decision optimises for (``n`` of the SpMM
-        the operand will participate in).
+        Dense-operand width (``n`` of the SpMM the operand will
+        participate in); it keys the decision cache.
     use_cache:
         Consult/populate the process-wide decision cache.
 
     Returns
     -------
     SparseFormat
-        The operand in the winning format.
+        The operand in the format the rule picks.
 
     Examples
     --------

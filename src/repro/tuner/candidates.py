@@ -1,21 +1,20 @@
-"""Candidate enumeration: the (format, parameters, schedule) search space.
+"""Candidate enumeration: the (format, parameters) space the tuner picks from.
 
 Given a :class:`~repro.tuner.profile.SparsityProfile`, enumerate the
-concrete format configurations the cost model will score.  The space is
-deliberately small (typically 4–8 candidates):
+concrete format configurations worth running (typically 4–8), which
+``benchmarks/bench_tuner_adaptive.py`` times against the tuner's pick:
 
 * ``COO`` — the universal fallback, always feasible;
-* ``ELL`` — only priced when the padded width is not catastrophic
+* ``ELL`` — only when the padded width is not catastrophic
   (``rows * row_max`` bounded relative to nnz);
 * ``GroupCOO`` — one candidate per power-of-two group size bracketing the
   Section 4.2 estimate ``g*``;
 * ``BlockCOO`` / ``BlockGroupCOO`` — for every scored block shape whose
-  fill clears a floor (unstructured data never pays block padding); the
-  cost model arbitrates between block shapes.
+  fill clears a floor (unstructured data never pays block padding).
 
-``docs/FORMATS.md`` is the prose companion of this module: it documents
-each format's layout and the regime in which the cost model should (and
-does) pick it.
+The rule of :mod:`repro.tuner.auto` always picks one of these.
+``docs/FORMATS.md`` documents each format's layout and the regime in which
+the rule picks it.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from repro.formats.ell import ELL
 from repro.formats.group_size import power_of_two_candidates
 from repro.formats.groupcoo import GroupCOO
 from repro.tuner.profile import SparsityProfile
+from repro.utils.arrays import next_power_of_two
 
 #: ELL candidates are dropped when padding would exceed this multiple of nnz.
 _ELL_PADDING_LIMIT = 8.0
@@ -99,14 +99,6 @@ class Candidate:
         return True
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
-    """A candidate with its modelled execution time in milliseconds."""
-
-    candidate: Candidate
-    modeled_ms: float
-
-
 def enumerate_candidates(profile: SparsityProfile) -> list[Candidate]:
     """The candidate set for one profile.
 
@@ -128,7 +120,9 @@ def enumerate_candidates(profile: SparsityProfile) -> list[Candidate]:
     if profile.row_max and rows * profile.row_max <= _ELL_PADDING_LIMIT * profile.nnz:
         candidates.append(Candidate("ELL"))
 
-    for g in power_of_two_candidates(profile.g_star, max_group=max(1, profile.row_max)):
+    # Group sizes up to the power of two above the fullest row, as
+    # ``select_group_size`` bounds them.
+    for g in power_of_two_candidates(profile.g_star, next_power_of_two(profile.row_max)):
         if g > 1:
             candidates.append(Candidate("GroupCOO", group_size=g))
 
@@ -136,7 +130,7 @@ def enumerate_candidates(profile: SparsityProfile) -> list[Candidate]:
         if stats.fill < _BLOCK_FILL_FLOOR:
             continue
         candidates.append(Candidate("BlockCOO", block_shape=block_shape))
-        for g in power_of_two_candidates(stats.g_star, max_group=max(1, stats.row_max)):
+        for g in power_of_two_candidates(stats.g_star, next_power_of_two(stats.row_max)):
             if g > 1:
                 candidates.append(Candidate("BlockGroupCOO", group_size=g, block_shape=block_shape))
     return candidates

@@ -1,13 +1,13 @@
 """Sparsity profiling: the tuner's view of an operand.
 
-The cost model never looks at an operand directly — it looks at a
+The tuner never looks at an operand directly — it looks at a
 :class:`SparsityProfile`, a compact structural summary extracted once per
 operand (or once per profile *bucket* in the serving runtime):
 
 * global statistics — shape, nnz, density;
 * the row-occupancy distribution (mean / max / coefficient of variation and
-  a fixed-quantile histogram), which drives the ELL-padding and
-  GroupCOO-group-size terms of the cost model;
+  a fixed-quantile histogram), from which the tuner's rule reads ELL's
+  padding and GroupCOO's group size;
 * a *block-alignment score* per candidate block shape: the fill fraction of
   the nonzero blocks, ``nnz / (num_nonzero_blocks * bM * bK)``.  Perfectly
   block-structured data scores 1.0; unstructured data scores roughly its
@@ -17,7 +17,7 @@ operand (or once per profile *bucket* in the serving runtime):
 
 All row-level statistics are computed from the *multiset* of row
 occupancies, so they are invariant under row permutation — the property
-the unstructured-format cost terms rely on (and that
+the rule's unstructured clauses rely on (and that
 ``tests/tuner/test_profile.py`` checks).  Block scores are intentionally
 **not** permutation-invariant: permuting rows destroys block structure,
 and the profile must notice.
@@ -60,6 +60,9 @@ class BlockProfile:
     g_star:
         Section 4.2 group-size estimate over the *block*-row occupancy
         (feeds BlockGroupCOO candidate enumeration).
+    occupancy:
+        Nonzero blocks per block row, from which the tuner's rule picks the
+        BlockGroupCOO group size (Section 4.2).
     """
 
     fill: float
@@ -67,6 +70,7 @@ class BlockProfile:
     nonempty_rows: int
     row_max: int
     g_star: float
+    occupancy: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,7 @@ class SparsityProfile:
         dividing the matrix.
     occupancy:
         The full per-row nonzero counts (row order preserved).  Excluded
-        from equality/hashing; the cost model uses it for exact padded-slot
-        counts.
+        from equality/hashing; the rule's Section 4.2 group size reads it.
     """
 
     shape: tuple[int, int]
@@ -124,8 +127,7 @@ class SparsityProfile:
 
         Everything derived from the row-occupancy *multiset* plus the
         global statistics — equal for any row permutation of the same
-        matrix.  Used by the property tests and by cost terms that must not
-        depend on row order.
+        matrix.  Used by the property tests.
         """
         return (
             self.shape,
@@ -267,7 +269,7 @@ def profile_operand(operand, block_shapes=CANDIDATE_BLOCK_SHAPES) -> SparsityPro
     Returns
     -------
     SparsityProfile
-        The structural summary consumed by the cost model, candidate
+        The structural summary consumed by the tuner's rule, candidate
         enumeration, and the decision cache.
     """
     if isinstance(operand, SparseFormat) and operand.format_name == "StackedSparse":
@@ -323,6 +325,7 @@ def profile_operand(operand, block_shapes=CANDIDATE_BLOCK_SHAPES) -> SparsityPro
             nonempty_rows=int(nonempty_block_rows.size),
             row_max=int(nonempty_block_rows.max()) if nonempty_block_rows.size else 0,
             g_star=float(optimal_group_size(block_occ)),
+            occupancy=block_occ,
         )
 
     profile = SparsityProfile(

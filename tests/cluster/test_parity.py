@@ -8,12 +8,8 @@ from repro import ClusterServer, InsumServer
 
 
 def test_mixed_workload_parity(mixed_workload, cluster_workers, cluster_timeout):
-    """The cluster serves the mixed workload bit-for-bit compatibly.
-
-    Results may differ from the threaded server only by floating-point
-    reassociation of coalesced batches — the same tolerance the
-    in-process coalescer is held to.
-    """
+    """The cluster serves the mixed workload bit for bit as the threaded
+    server does, coalesced or not."""
     with InsumServer(num_workers=cluster_workers) as threaded:
         expected = threaded.run_batch(mixed_workload)
     with ClusterServer(num_workers=cluster_workers, worker_threads=1) as cluster:
@@ -25,7 +21,7 @@ def test_mixed_workload_parity(mixed_workload, cluster_workers, cluster_timeout)
         result.error for result in actual if not result.ok
     ][:1]
     for reference, result in zip(expected, actual):
-        np.testing.assert_allclose(reference.unwrap(), result.unwrap(), atol=1e-8)
+        np.testing.assert_array_equal(reference.unwrap(), result.unwrap())
 
     # The pool-level report accounts for every request exactly once, and
     # worker-side coalescing survived the process boundary.

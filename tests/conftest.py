@@ -66,3 +66,16 @@ def steps_only(monkeypatch):
     clear_plan_cache()
     yield
     clear_plan_cache()
+
+
+@pytest.fixture(params=["steps", "C"])
+def executor(request):
+    """Run a test on the step list (``steps_only``), then where plans compile
+    to C; the second leg skips on a machine without a usable ``cc``."""
+    from repro.engine import emit
+
+    if request.param == "steps":
+        request.getfixturevalue("steps_only")
+    elif not emit.compiles():
+        pytest.skip("no usable C compiler on this machine")
+    return request.param

@@ -76,14 +76,15 @@ class TestInlineReplay:
 
 
 class TestVerifyModes:
-    def test_auto_skips_coalesced_backend(self, small_trace):
+    def test_auto_verifies_coalesced_backend(self, small_trace):
         session = Session("threaded", config=ServeConfig(workers=2))
         try:
             report = replay(small_trace, session, time_scale=0.0)
         finally:
             session.close()
-        # Coalescing not explicitly disabled -> bit-exactness not promised.
-        assert report.digest_checked == 0
+        # A coalesced batch returns its per-request results bit for bit.
+        assert report.digest_checked == len(small_trace)
+        assert report.digest_mismatches == 0
         assert report.completed == len(small_trace)
 
     def test_auto_verifies_uncoalesced_threaded(self, small_trace):

@@ -1,10 +1,14 @@
-"""Concurrency tests for same-plan request coalescing in InsumServer."""
+"""Same-plan request coalescing in InsumServer: concurrency, and results
+equal to the per-request ones bit for bit."""
 
 import numpy as np
 import pytest
 
 import repro.engine.coalesce as coalesce_module
-from repro import InsumServer, sparse_einsum
+from repro import InsumServer, SparseEinsum, sparse_einsum
+from repro.core.einsum.parser import parse_einsum
+from repro.engine.coalesce import split_results, stack_group, widen_expression
+from repro.formats import COO, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 from repro.kernels import FullyConnectedTensorProduct
 
 
@@ -17,7 +21,8 @@ def spmm_pattern(rng):
 
 
 def test_coalesced_batches_return_per_request_results(spmm_pattern, rng):
-    """Many same-plan requests, distinct values: every ticket gets its own answer."""
+    """Many same-plan requests, distinct values: every ticket gets its own
+    answer, the bytes its own request returns alone."""
     dense, fmt = spmm_pattern
     requests = [
         ("C[m,n] += A[m,k] * B[k,n]", dict(A=fmt, B=rng.standard_normal((64, 8))))
@@ -27,8 +32,8 @@ def test_coalesced_batches_return_per_request_results(spmm_pattern, rng):
         results = server.run_batch(requests)
         stats = server.stats()
     assert all(result.ok for result in results)
-    for result, (_, operands) in zip(results, requests):
-        np.testing.assert_allclose(result.unwrap(), dense @ operands["B"], atol=1e-9)
+    for result, (expression, operands) in zip(results, requests):
+        np.testing.assert_array_equal(result.unwrap(), sparse_einsum(expression, **operands))
     # With 48 identical-key requests racing 4 workers, at least some must
     # have been served through coalesced batches.
     assert stats.coalesced_requests > 0 and stats.coalesced_batches > 0
@@ -151,3 +156,55 @@ def test_single_worker_coalesces_queued_backlog(spmm_pattern, rng):
     assert stats.coalesced_requests > 0
     for result, (_, operands) in zip(results, requests):
         np.testing.assert_allclose(result.unwrap(), dense @ operands["B"], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Coalesced == per-request, bit for bit
+# ---------------------------------------------------------------------------
+#: Every fixed-length format, as the coalescer receives it.
+FIXED_LENGTH = {
+    "ell": ELL.from_dense,
+    "coo": COO.from_dense,
+    "groupcoo": lambda dense: GroupCOO.from_dense(dense, group_size=4),
+    "blockcoo": lambda dense: BlockCOO.from_dense(dense, (4, 4)),
+    "blockgroupcoo": lambda dense: BlockGroupCOO.from_dense(dense, (8, 4), group_size=2),
+}
+#: ``(expression, dense operand, its shape)`` of SpMM and SpMV over a 48 x 64 ``A``.
+PRODUCTS = {
+    "spmm": ("C[m,n] += A[m,k] * B[k,n]", "B", (64, 9)),
+    "spmv": ("y[m] += A[m,k] * x[k]", "x", (64,)),
+}
+#: The stack sizes ``InsumServer`` pads a group to: powers of two up to
+#: ``coalesce_max`` (16 by default).
+PADS = (2, 4, 8, 16)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64], ids=lambda d: d.__name__)
+@pytest.mark.parametrize("product", PRODUCTS)
+@pytest.mark.parametrize("fmt", FIXED_LENGTH)
+def test_coalesced_results_are_the_per_request_results_bit_for_bit(executor, fmt, product, dtype):
+    """What ``InsumServer._execute_group`` runs — the widened expression over
+    ``stack_group``'s padded stack, split back — returns each request's own
+    bytes, for float normals too."""
+    rng = np.random.default_rng(sum(map(ord, fmt + product)) + np.dtype(dtype).itemsize)
+    expression, name, shape = PRODUCTS[product]
+    widened, _ = widen_expression(parse_einsum(expression))
+    pattern = FIXED_LENGTH[fmt](np.where(rng.random((48, 64)) < 0.25, 1, 0).astype(dtype))
+    stored = pattern.tensors("A")["AV"]
+
+    def draw(shape):
+        values = rng.standard_normal(shape) * 4
+        return (np.round(values) if dtype is np.int64 else values).astype(dtype)
+
+    for pad in PADS:
+        count = pad // 2 + 1 if pad > 2 else 2  # a group the server pads to ``pad``
+        group = [
+            {"A": pattern.with_values(draw(stored.shape) * (stored != 0)), name: draw(shape)}
+            for _ in range(count)
+        ]
+        batched = SparseEinsum(widened)(**stack_group(group, "A", pad_to=pad))
+        coalesced_results = split_results(np.asarray(batched), count)
+        for position, (coalesced, operands) in enumerate(zip(coalesced_results, group)):
+            alone = SparseEinsum(expression)(**operands)
+            assert coalesced.dtype == alone.dtype
+            assert coalesced.tobytes() == alone.tobytes(), f"pad {pad}, request {position}"

@@ -5,10 +5,9 @@ The acceptance bar of the serve tier: a workload submitted through
 *bitwise-equal* results and the same :class:`ServeStats` type — proof
 that the three tiers share one execution path
 (:class:`~repro.runtime.server.RequestExecutor`) rather than three
-reimplementations.  Coalescing is disabled here because batched
-execution is only equal up to floating-point reassociation; parity of
-the coalesced path against per-request execution is covered by
-``tests/runtime/test_server_coalesce.py``.
+reimplementations.  Coalescing is disabled here so that every tier runs
+one request per kernel; the coalesced path equals per-request execution
+bit for bit (``tests/runtime/test_server_coalesce.py``).
 
 The second half proves the protocol itself is the contract: a ~20-line
 fake tier speaking ``submit`` / ``try_cancel`` / ``stats`` /

@@ -1,6 +1,12 @@
-"""End-to-end tests of auto_format, the decision cache, and format="auto"."""
+"""The tuner's rule, auto_format, the decision cache, and format="auto"."""
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +17,12 @@ from repro.datasets import random_block_sparse_matrix, random_sparse_matrix
 from repro.errors import EinsumValidationError
 from repro.formats import COO, GroupCOO
 from repro.formats.base import SparseFormat
-from repro.tuner import get_decision_cache
+from repro.formats.group_size import select_group_size
+from repro.tuner import Candidate, enumerate_candidates, get_decision_cache
 from repro.tuner.auto import choose_format
 from repro.tuner.profile import profile_operand
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -55,9 +64,9 @@ def test_auto_format_keeps_matching_instance(uniform):
     assert again is fmt  # already in the chosen format: no conversion
 
 
-def test_the_model_decides_and_only_the_winner_is_built(uniform, monkeypatch):
+def test_the_rule_decides_and_only_its_pick_is_built(uniform, monkeypatch):
     """No candidate is built, compiled or timed to make the decision: the one
-    build is the winner's, from the matrix, on a miss and on a hit alike."""
+    build is the pick's, from the matrix, on a miss and on a hit alike."""
     from repro.tuner.auto import auto_format_with_decision
     from repro.tuner.candidates import Candidate
 
@@ -75,8 +84,8 @@ def test_the_model_decides_and_only_the_winner_is_built(uniform, monkeypatch):
         assert [candidate for candidate, _ in built] == [decision.candidate]
         assert built[0][1] is fmt
     assert decision.bucket == (*profile_operand(uniform).bucket(), 32)
-    assert decision.chosen is decision.ranked[0]
-    assert [s.modeled_ms for s in decision.ranked] == sorted(s.modeled_ms for s in decision.ranked)
+    assert decision.reason.startswith(f"{decision.candidate.describe()}: ")
+    assert decision.describe() == f"tuner decision: {decision.reason}"
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +191,155 @@ def test_auto_operator_records_decision(uniform, rng):
     out = op(A=uniform, B=rng.standard_normal((80, 16)))
     assert out.shape == (96, 16)
     assert op.last_decision is not None
+    assert op.last_decision.reason in op.last_decision.describe()
+
+
+# ---------------------------------------------------------------------------
+# The rule, on both executors
+# ---------------------------------------------------------------------------
+def _rows_of(occupancy, cols, seed) -> np.ndarray:
+    """A matrix whose row ``i`` holds ``occupancy[i]`` nonzeros."""
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((len(occupancy), cols))
+    for row, occ in enumerate(occupancy):
+        dense[row, rng.choice(cols, size=occ, replace=False)] = rng.standard_normal(occ)
+    return dense
+
+
+def _powerlaw(size=256, seed=3) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return _rows_of(np.minimum(size, (rng.pareto(1.1, size) * 4 + 1).astype(int)), size, seed)
+
+
+def _decide(dense):
+    return choose_format(profile_operand(dense), use_cache=False)
+
+
+@pytest.mark.parametrize("rows, per_row", [(512, 12), (256, 32)])
+def test_ell_on_rows_of_exactly_equal_length(executor, rows, per_row):
+    decision = _decide(_rows_of([per_row] * rows, rows, seed=rows + per_row))
+    assert decision.candidate == Candidate("ELL")
+    assert decision.reason == f"ELL: {rows} rows of {per_row}, nothing padded"
+
+
+def test_one_empty_row_is_padding_so_no_ell(executor):
+    decision = _decide(_rows_of([12] * 255 + [0], 256, seed=1))
+    assert decision.candidate.format_name != "ELL"
+
+
+def test_a_16x16_block_over_8x8_and_4x4_on_full_tiles(executor):
+    dense = random_block_sparse_matrix(256, (16, 16), 0.1, rng=9)
+    profile = profile_operand(dense)
+    assert all(profile.block_scores[(b, b)] == pytest.approx(1.0) for b in (4, 8, 16))
+    decision = choose_format(profile, use_cache=False)
+    assert decision.candidate.format_name in ("BlockCOO", "BlockGroupCOO")
+    assert decision.candidate.block_shape == (16, 16)
+    assert "block fill 1.00" in decision.reason
+
+
+def test_no_block_format_on_unstructured_data(executor):
+    decision = _decide(random_sparse_matrix((256, 256), 0.05, rng=2))
+    assert decision.candidate.block_shape is None
+    assert decision.candidate.format_name in ("COO", "GroupCOO")
+
+
+@pytest.mark.parametrize("executor", ["C"], indirect=True)
+def test_coo_where_plans_compile(executor):
+    """The emitted loop sums a row's run in registers: group size 1, COO and
+    BlockCOO, whatever Section 4.2 would say."""
+    decision = _decide(_powerlaw())
+    assert decision.candidate == Candidate("COO")
+    assert decision.reason == "COO: plans compile, so g=1"
+    blocky = _decide(random_block_sparse_matrix(256, (16, 16), 0.1, rng=9))
+    assert blocky.candidate == Candidate("BlockCOO", block_shape=(16, 16))
+    assert blocky.reason.endswith("plans compile, so g=1")
+
+
+@pytest.mark.parametrize("executor", ["steps"], indirect=True)
+@pytest.mark.parametrize("rows", ["powerlaw", "exactly padded"])
+def test_the_section_4_2_group_size_on_the_step_list(executor, rows):
+    if rows == "powerlaw":
+        dense = _powerlaw()
+    else:  # rows of 16, 32, 48 or 64: every g <= 16 pads nothing, F(g) is least at 16
+        dense = _rows_of(np.random.default_rng(12).choice([16, 32, 48, 64], size=256), 256, 12)
+    profile = profile_operand(dense)
+    g = select_group_size(profile.occupancy)
+    decision = choose_format(profile, use_cache=False)
+    assert g > 1 and decision.candidate == Candidate("GroupCOO", group_size=g)
+    assert decision.reason == f"GroupCOO(g={g}): §4.2 over {profile.nonempty_rows} rows"
+    assert decision.candidate in enumerate_candidates(profile)
+    if rows == "exactly padded":
+        assert g == 16 and decision.candidate.build(dense).values.size == profile.nnz
+
+
+def test_block_group_size_is_section_4_2_over_block_rows(executor):
+    dense = random_block_sparse_matrix(512, (16, 16), 0.1, rng=4)
+    profile = profile_operand(dense)
+    stats = profile.blocks[(16, 16)]
+    g = 1 if executor == "C" else select_group_size(stats.occupancy)
+    decision = choose_format(profile, use_cache=False)
+    assert decision.candidate.group_size == (g if g > 1 else None)
+    assert decision.candidate in enumerate_candidates(profile)
+
+
+def test_a_decision_times_nothing_and_builds_no_kernel(executor, uniform, monkeypatch):
+    """The decision is read off the profile: with every timer and every
+    kernel build made to raise, ``auto_format`` still answers."""
+    import repro.utils.timing as timing
+    from repro.engine.specialize import SpecializedKernel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tuner timed or built something")
+
+    monkeypatch.setattr(timing, "Timer", refuse)
+    monkeypatch.setattr(SpecializedKernel, "build", refuse)
+    for dense in (uniform, _powerlaw(), random_block_sparse_matrix(96, (16, 16), 0.12, rng=1)):
+        fmt = auto_format(dense)
+        np.testing.assert_array_equal(fmt.to_dense(), dense)
+
+
+def test_a_fresh_process_decides_without_compiling(tmp_path):
+    """Reaching the first ``format="auto"`` decision on an empty object
+    cache compiles nothing."""
+    script = (
+        "import numpy as np\n"
+        "from repro.tuner import auto_format\n"
+        "dense = np.where(np.random.default_rng(0).random((64, 64)) < 0.1, 1.0, 0.0)\n"
+        "print(auto_format(dense).format_name)\n"
+    )
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() in ("COO", "GroupCOO", "ELL")
+    kernels = tmp_path / "repro" / "kernels"
+    assert not kernels.exists() or not any(kernels.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# Fork safety: a cluster worker re-arms the decision cache's lock
+# ---------------------------------------------------------------------------
+def _decide_after_fork(dense, queue):
+    from repro.cluster.worker import _reinit_after_fork
+
+    _reinit_after_fork()
+    queue.put(choose_format(profile_operand(dense)).candidate.describe())
+
+
+def test_a_forked_worker_decides_though_the_parent_held_the_decision_lock(uniform):
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    lock = get_decision_cache()._lock
+    with lock:  # a thread of the parent is inside the cache when the worker forks
+        child = context.Process(target=_decide_after_fork, args=(uniform, queue))
+        child.start()
+    try:
+        described = queue.get(timeout=60)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert described == choose_format(profile_operand(uniform)).candidate.describe()
+    assert child.exitcode == 0
