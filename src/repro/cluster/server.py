@@ -132,7 +132,7 @@ class ClusterServer:
         Worker processes in the pool.
     worker_threads:
         Threads of each worker's inner :class:`InsumServer`.
-    backend / config / check_bounds / auto_format / coalesce:
+    backend / config / auto_format / coalesce:
         Forwarded to every worker's inner server (see
         :class:`~repro.runtime.server.InsumServer`).
     ring_capacity:
@@ -171,7 +171,6 @@ class ClusterServer:
         worker_threads: int = 2,
         backend: str = "inductor",
         config: Any | None = None,
-        check_bounds: bool = True,
         auto_format: bool = False,
         coalesce: bool = True,
         ring_capacity: int = RING_CAPACITY,
@@ -197,7 +196,6 @@ class ClusterServer:
             num_workers=worker_threads,
             backend=backend,
             config=config,
-            check_bounds=check_bounds,
             auto_format=auto_format,
             coalesce=coalesce,
         )

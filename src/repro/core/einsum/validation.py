@@ -93,7 +93,6 @@ def _walk_access(
     tensors: dict[str, np.ndarray],
     extents: dict[str, int],
     gather_tensors: list[str],
-    check_bounds: bool,
 ) -> None:
     """Infer extents from one access and recurse into its nested accesses."""
     if access.tensor not in tensors:
@@ -123,21 +122,12 @@ def _walk_access(
             _check_integer_index_tensor(index.tensor, index_array)
             if index.tensor not in gather_tensors:
                 gather_tensors.append(index.tensor)
-            if check_bounds and index_array.size:
-                lo = int(index_array.min())
-                hi = int(index_array.max())
-                if lo < 0 or hi >= dim:
-                    raise EinsumValidationError(
-                        f"values of index tensor {index.tensor!r} (range [{lo}, {hi}]) are out of "
-                        f"bounds for {context} (size {dim})"
-                    )
-            _walk_access(index, tensors, extents, gather_tensors, check_bounds)
+            _walk_access(index, tensors, extents, gather_tensors)
 
 
 def validate(
     statement: EinsumStatement,
     tensors: dict[str, np.ndarray],
-    check_bounds: bool = True,
 ) -> ProgramInfo:
     """Validate a statement against bound tensors and infer loop extents.
 
@@ -148,9 +138,8 @@ def validate(
     tensors:
         Mapping from tensor name to NumPy array.  Every name referenced in
         the statement (including metadata/index tensors) must be present.
-    check_bounds:
-        If True (default), verify that the values of index tensors fall
-        inside the dimension they index.
+        Only shapes and dtypes are read: the executor checks index values
+        where it loads them.
 
     Returns
     -------
@@ -159,7 +148,7 @@ def validate(
     Raises
     ------
     EinsumValidationError
-        If any binding, shape, dtype, or bound check fails.
+        If any binding, shape, dtype, or constant-index check fails.
     """
     arrays = {name: np.asarray(value) for name, value in tensors.items()}
 
@@ -172,7 +161,7 @@ def validate(
     extents: dict[str, int] = {}
     gather_tensors: list[str] = []
     for access in statement.all_accesses():
-        _walk_access(access, arrays, extents, gather_tensors, check_bounds)
+        _walk_access(access, arrays, extents, gather_tensors)
 
     all_vars = statement.index_var_names()
     unresolved = [v for v in all_vars if v not in extents]

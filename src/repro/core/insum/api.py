@@ -23,11 +23,15 @@ import numpy as np
 from repro.core.einsum.ast import EinsumStatement, IndexVar
 from repro.core.einsum.parser import parse_einsum
 from repro.core.einsum.rewriting import rewrite_sparse_operand
-from repro.core.einsum.validation import validate
 from repro.core.insum.planner import InsumPlan, plan_insum
 from repro.errors import EinsumValidationError, LoweringError
 from repro.formats.base import SparseFormat
 from repro.utils.timing import Timer
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in ("inductor", "eager"):
+        raise LoweringError(f"unknown backend {backend!r}; use 'inductor' or 'eager'")
 
 
 class Insum:
@@ -51,9 +55,10 @@ class Insum:
     config:
         Optional :class:`repro.core.inductor.config.InductorConfig`
         overriding the backend behaviour (used by the ablation study).
-    check_bounds:
-        Validate that index-tensor values are in range (adds a scan of the
-        metadata; disable for large pre-validated inputs).
+
+    Index values are checked where the executor loads them, on every call:
+    NumPy's domain, ``[-extent, extent)`` with negatives wrapping; anything
+    else raises :class:`~repro.errors.IndexOutOfBoundsError`.
     """
 
     def __init__(
@@ -61,26 +66,14 @@ class Insum:
         expression: str,
         backend: str = "inductor",
         config: Any | None = None,
-        check_bounds: bool = True,
     ):
-        if backend not in ("inductor", "eager"):
-            raise LoweringError(f"unknown backend {backend!r}; use 'inductor' or 'eager'")
+        _check_backend(backend)
         self.expression = expression
         self.statement: EinsumStatement = parse_einsum(expression)
         self.backend = backend
         self.config = config
-        self.check_bounds = check_bounds
         self.last_plan: InsumPlan | None = None
         self.compile_seconds: float = 0.0
-        #: Names of tensors used as indices (gather/scatter metadata) —
-        #: the arrays whose *values* the bounds check inspects.
-        self._index_tensor_names: tuple[str, ...] = tuple(
-            dict.fromkeys(
-                nested.tensor
-                for access in self.statement.all_accesses()
-                for nested in access.nested_accesses()
-            )
-        )
 
     # -- compilation ------------------------------------------------------------
     def _signature(self, tensors: dict[str, np.ndarray]) -> tuple:
@@ -103,27 +96,17 @@ class Insum:
         Compilation is routed through the process-wide
         :class:`~repro.runtime.plan_cache.PlanCache`, so distinct
         :class:`Insum` instances (and one-shot :func:`insum` calls) reuse
-        each other's kernels.  On a cache hit with ``check_bounds=True``
-        the validation pass re-runs only when the metadata arrays are
-        *new objects*: bounds depend on the metadata values, so verdicts
-        are memoized per (plan key, metadata array identity) — the
-        serving steady state, where the same format instance backs every
-        request, validates once.
+        each other's kernels.  A hit touches no operand value: the
+        executor checks every index it loads.
         """
         from repro.runtime.plan_cache import CachedPlan, get_plan_cache, plan_key
 
         cache = get_plan_cache()
-        key = plan_key(
-            self.expression,
-            self.backend,
-            self.config,
-            self.check_bounds,
-            self._signature(tensors),
-        )
+        key = plan_key(self.expression, self.backend, self.config, self._signature(tensors))
         with Timer() as timer:
             entry = cache.get(key)
             if entry is None:
-                plan = plan_insum(self.statement, tensors, check_bounds=self.check_bounds)
+                plan = plan_insum(self.statement, tensors)
                 if self.backend == "eager":
                     from repro.engine.specialize import materialize_plan
 
@@ -133,55 +116,14 @@ class Insum:
 
                     compiled = compile_plan(plan, config=self.config)
                 entry = cache.put(key, CachedPlan(plan=plan, compiled=compiled))
-            elif self.check_bounds:
-                bounds_key = self._bounds_memo_key(key, tensors)
-                if bounds_key is None or bounds_key not in _VALIDATED_BOUNDS:
-                    validate(self.statement, tensors, check_bounds=True)
-                    if bounds_key is not None:
-                        _remember_bounds(bounds_key)
         self.compile_seconds += timer.elapsed
         self.last_plan = entry.plan
         return entry.compiled
-
-    def _bounds_memo_key(self, plan_key_tuple: tuple, tensors: dict) -> tuple | None:
-        """Memo key for a bounds-check verdict, or ``None`` when unkeyable.
-
-        The verdict is value-dependent, so the key pairs the full plan key
-        (shapes fix every extent the values are checked against) with the
-        identity token of each metadata array.  Non-ndarray metadata (a
-        list that ``np.asarray`` would copy) cannot be identity-tracked
-        and disables the memo for the call.
-        """
-        if not self._index_tensor_names:
-            # No metadata: the verdict depends only on shapes, which the
-            # plan key already fixes — one verdict per plan key.
-            return (plan_key_tuple,)
-        from repro.engine.fingerprint import array_token
-
-        tokens = []
-        for name in self._index_tensor_names:
-            value = tensors.get(name)
-            if not isinstance(value, np.ndarray):
-                return None
-            tokens.append(array_token(value))
-        return (plan_key_tuple, tuple(tokens))
 
     def __call__(self, **tensors: np.ndarray) -> np.ndarray:
         """Execute the Einsum on the given tensors."""
         compiled = self.compile(**tensors)
         return compiled.run(tensors)
-
-
-#: Bounds-check verdicts memoized per (plan key, metadata identity); a
-#: bounded FIFO so a long-lived process cannot accumulate keys forever.
-_VALIDATED_BOUNDS: dict = {}
-_VALIDATED_BOUNDS_MAX = 4096
-
-
-def _remember_bounds(key: tuple) -> None:
-    if len(_VALIDATED_BOUNDS) >= _VALIDATED_BOUNDS_MAX:
-        _VALIDATED_BOUNDS.clear()
-    _VALIDATED_BOUNDS[key] = True
 
 
 def fresh_output(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
@@ -199,7 +141,6 @@ def insum(
     expression: str,
     backend: str = "inductor",
     config: Any | None = None,
-    check_bounds: bool = True,
     format: Any | None = None,
     sparse_operand: str | None = None,
     **tensors: Any,
@@ -225,8 +166,6 @@ def insum(
         ``"inductor"`` (default) or ``"eager"``.
     config:
         Optional :class:`~repro.core.inductor.config.InductorConfig`.
-    check_bounds:
-        Validate that index-tensor values are in range.
     format:
         ``None``, ``"auto"``, a format name (``"coo"``, ``"ell"``, ...),
         or a :class:`~repro.formats.base.SparseFormat` subclass.
@@ -249,11 +188,10 @@ def insum(
             expression,
             backend=backend,
             config=config,
-            check_bounds=check_bounds,
             format=format,
             sparse_operand=sparse_operand,
         )(**tensors)
-    return Insum(expression, backend=backend, config=config, check_bounds=check_bounds)(**tensors)
+    return Insum(expression, backend=backend, config=config)(**tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +301,6 @@ class SparseEinsum:
         ``"inductor"`` (default) or ``"eager"``.
     config:
         Optional :class:`~repro.core.inductor.config.InductorConfig`.
-    check_bounds:
-        Validate index-tensor values at compile time.
     format:
         ``None`` (default) executes the sparse operand in whatever format
         it arrives in.  ``"auto"`` lets :mod:`repro.tuner` profile the
@@ -384,15 +320,14 @@ class SparseEinsum:
         expression: str,
         backend: str = "inductor",
         config: Any | None = None,
-        check_bounds: bool = True,
         format: Any | None = None,
         sparse_operand: str | None = None,
     ):
+        _check_backend(backend)
         self.expression = expression
         self.statement: EinsumStatement = parse_einsum(expression)
         self.backend = backend
         self.config = config
-        self.check_bounds = check_bounds
         self.format = format
         self.sparse_operand = sparse_operand
         self.operator: Insum | None = None
@@ -629,12 +564,7 @@ class SparseEinsum:
         """The reusable operator for the rewritten expression."""
         if self.operator is None or self.rewritten_expression != rewrite.expression:
             self.rewritten_expression = rewrite.expression
-            self.operator = Insum(
-                rewrite.expression,
-                backend=self.backend,
-                config=self.config,
-                check_bounds=self.check_bounds,
-            )
+            self.operator = Insum(rewrite.expression, backend=self.backend, config=self.config)
         return self.operator
 
     def __call__(self, **operands: Any) -> np.ndarray:

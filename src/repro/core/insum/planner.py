@@ -218,7 +218,6 @@ def _letters_for(variables: list[str]) -> dict[str, str]:
 def plan_insum(
     expression: str | EinsumStatement,
     tensors: dict[str, np.ndarray],
-    check_bounds: bool = True,
 ) -> InsumPlan:
     """Validate and analyse an indirect Einsum into its gather / einsum / scatter plan.
 
@@ -228,8 +227,6 @@ def plan_insum(
         The indirect Einsum, as a string or a pre-parsed statement.
     tensors:
         The operand arrays (shapes and dtypes drive extent inference).
-    check_bounds:
-        Validate that index-tensor values are in range.
 
     Returns
     -------
@@ -238,7 +235,7 @@ def plan_insum(
         modelling and compiling the executor.
     """
     statement = expression if isinstance(expression, EinsumStatement) else parse_einsum(expression)
-    info = validate(statement, tensors, check_bounds=check_bounds)
+    info = validate(statement, tensors)
 
     factors = [_analyse_factor(access, info) for access in statement.rhs.factors]
     output_subscripts, scatter_index, scatter_dim, scatter_subscripts = _analyse_output(

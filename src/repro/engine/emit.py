@@ -21,10 +21,10 @@ registers, no temporary in between.
   before ``n`` (``q`` of the convolution, ``bm`` of a block) times vectors of
   ``n`` — so a panel is read once per tile of rows.  Every index is loaded at
   the depth that binds it and checked against the extent it indexes: an
-  out-of-range value returns its position and :class:`Emitted` raises
-  ``IndexError``, as ``np.take`` does.  The source depends on the plan's
-  structure only (extents are arguments, float32 and float64 side by side, the
-  vector width from the compiler's macros): a new shape never recompiles.
+  out-of-range value returns its position and :class:`Emitted` raises the step
+  list's :class:`~repro.errors.IndexOutOfBoundsError`.  The source depends on the
+  plan's structure only (extents are arguments, float32 and float64 side by side,
+  the vector width from the compiler's macros): a new shape never recompiles.
 * **The numerics**: one thread, a multiply then an add, additions in
   ``np.add.at``'s order (a run starts from the row's stored values); a dense
   reduction is summed per update from zero, then added, whatever the tile.  A
@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.core.einsum.ast import EinsumStatement, IndexVar, IntLiteral, TensorAccess
 from repro.core.insum.planner import InsumPlan
+from repro.errors import IndexOutOfBoundsError
 
 #: The one set of compiler flags.  ``-ffp-contract=off``: a multiply then an
 #: add, never a fused one — the bits of a sequential NumPy loop (costs <= 5%).
@@ -540,7 +541,7 @@ class Emitted:
             slot, target, axis, extent = self.checks[check]
             value = operands[slot - 1].reshape(-1)[position]
             where = f"axis {axis} of {target} with size {extent}, flat position {position}"
-            raise IndexError(f"index {value} is out of bounds for {where}")
+            raise IndexOutOfBoundsError(f"index {value} is out of bounds for {where}")
 
 
 def emit(plan: InsumPlan, inputs: list[str]) -> "Emitted | str":

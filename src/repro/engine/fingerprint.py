@@ -1,13 +1,9 @@
 """Identity fingerprints and the per-operand derived-index cache.
 
-The serving runtime executes the *same* operand objects over and over: a
-format instance's metadata arrays (coordinates, pointers, group maps) are
-constructed once and then referenced by thousands of requests.  Everything
-the executor derives from those arrays — scatter sort orders, segment
-boundaries, bounds-check verdicts — is therefore value-stable for the
-lifetime of the object, and recomputing it per call is pure waste.
-
-This module provides the machinery to exploit that:
+A format instance's metadata arrays (coordinates, pointers, group maps) are
+built once and referenced by thousands of requests, so what the executor
+derives from them — scatter sort orders, run boundaries — is value-stable for
+the object's lifetime and memoized here:
 
 * :func:`array_token` — a process-unique token for a *live* ndarray
   object.  Tokens are handed out once per object and guarded by a weak
@@ -143,8 +139,7 @@ def pattern_fingerprint(fmt: Any) -> tuple:
     metadata tensor.  Two format instances share a fingerprint exactly
     when they reference the same live metadata arrays — the sufficient
     condition for same-pattern request coalescing and for skipping
-    repeated metadata work (validation, scatter planning) on the serving
-    path.
+    repeated scatter planning on the serving path.
 
     Parameters
     ----------

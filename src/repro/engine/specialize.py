@@ -79,7 +79,7 @@ from repro.engine.emit import Emitted, covers, emit
 from repro.engine.fingerprint import array_token, derived
 from repro.engine.paths import cached_einsum_path
 from repro.engine.segment import plan_runs, plan_scatter, segment_add
-from repro.errors import LoweringError
+from repro.errors import IndexOutOfBoundsError, LoweringError
 
 #: Bytes of temporaries one window may hold: the measured best of the sweep
 #: committed in `docs/PERFORMANCE.md` (this host has 2 MiB of L2 a core, and
@@ -696,7 +696,8 @@ class SpecializedKernel:
 
     # -- execution ----------------------------------------------------------
     def run(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
-        """Execute the compiled steps on the given tensors."""
+        """Execute the kernel on the given tensors: an index outside ``[-extent,
+        extent)`` raises :class:`IndexOutOfBoundsError` on either emitter."""
         program = self._program
         regs: list[Any] = [np.asarray(tensors[name]) for name in program.inputs]
         base = regs[0]
@@ -734,16 +735,19 @@ class SpecializedKernel:
             result = base.astype(dtype, copy=True)
 
         regs += [result, factor_dtype, *[None] * (len(program.names) - len(regs) - 2)]
-        for step in program.per_call:
-            step.run(regs, 0)
-        windows = self.windows if program.schedule is None else regs[program.schedule].windows
-        for window in range(len(windows)):
-            for step in steps:
-                step.run(regs, window)
-            # Free this window's temporaries before the next one allocates:
-            # the allocator then hands the same, cache-warm blocks back.
-            for slot in program.scratch:
-                regs[slot] = None
+        try:
+            for step in program.per_call:
+                step.run(regs, 0)
+            windows = self.windows if program.schedule is None else regs[program.schedule].windows
+            for window in range(len(windows)):
+                for step in steps:
+                    step.run(regs, window)
+                # Free this window's temporaries before the next one allocates:
+                # the allocator then hands the same, cache-warm blocks back.
+                for slot in program.scratch:
+                    regs[slot] = None
+        except IndexError as error:  # NumPy's, from a gather (np.take) or a store
+            raise IndexOutOfBoundsError(str(error)) from error
         return result
 
     # -- reporting ----------------------------------------------------------

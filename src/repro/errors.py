@@ -42,6 +42,17 @@ class EinsumValidationError(EinsumError):
     """
 
 
+class IndexOutOfBoundsError(EinsumValidationError, IndexError):
+    """An index tensor holds a value outside the axis it indexes.
+
+    Raised by the executor, which checks every index it loads: the emitted
+    loop nest and the NumPy step list alike.  The index domain is NumPy's —
+    a value in ``[-extent, extent)`` is in range and a negative one wraps —
+    so anything else raises this, on every tier.  An ``IndexError`` too, as
+    ``np.take`` raises one.
+    """
+
+
 class FormatError(ReproError):
     """Base class for sparse-format construction and conversion errors."""
 

@@ -8,8 +8,7 @@ one process-wide cache of compiled kernels, keyed by everything that can
 change the generated code:
 
 * the Einsum expression string,
-* the backend ("inductor" or "eager") and its configuration,
-* whether bounds checking was requested at plan time, and
+* the backend ("inductor" or "eager") and its configuration, and
 * the *signature* of the bound tensors — every operand's shape **and**
   dtype (two calls with identical shapes but different dtypes must not
   share one compiled kernel).
@@ -215,7 +214,6 @@ def plan_key(
     expression: str,
     backend: str,
     config: Any,
-    check_bounds: bool,
     signature: Hashable,
 ) -> tuple:
     """Build the canonical cache key for one compilation.
@@ -238,8 +236,6 @@ def plan_key(
         equal reprs without requiring hashability.  The tile dict is
         sorted first: two equal dicts built in different insertion orders
         get one key.
-    check_bounds:
-        Whether bounds validation was requested at plan time.
     signature:
         Shape-and-dtype signature of every bound tensor.
 
@@ -251,7 +247,7 @@ def plan_key(
     tiles = getattr(config, "tile_sizes", None)
     if tiles:
         config = replace(config, tile_sizes=dict(sorted(tiles.items())))
-    return (expression, backend, repr(config), bool(check_bounds), signature)
+    return (expression, backend, repr(config), signature)
 
 
 # ---------------------------------------------------------------------------

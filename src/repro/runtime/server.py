@@ -62,7 +62,7 @@ class RequestExecutor:
 
     Parameters
     ----------
-    backend / config / check_bounds:
+    backend / config:
         Defaults for every operator the executor builds.
     auto_format:
         Tuner integration: profile each request's sparse (or promotable
@@ -74,12 +74,10 @@ class RequestExecutor:
         self,
         backend: str = "inductor",
         config: Any | None = None,
-        check_bounds: bool = True,
         auto_format: bool = False,
     ):
         self.backend = backend
         self.config = config
-        self.check_bounds = check_bounds
         self.auto_format = bool(auto_format)
         self._operators: dict[tuple[str, str], _OperatorSlot] = {}
         self._operators_lock = threading.Lock()
@@ -106,16 +104,10 @@ class RequestExecutor:
                         expression,
                         backend=self.backend,
                         config=self.config,
-                        check_bounds=self.check_bounds,
                         format="auto" if self.auto_format else None,
                     )
                 else:
-                    operator = Insum(
-                        expression,
-                        backend=self.backend,
-                        config=self.config,
-                        check_bounds=self.check_bounds,
-                    )
+                    operator = Insum(expression, backend=self.backend, config=self.config)
                 slot = _OperatorSlot(operator=operator)
                 self._operators[key] = slot
             return slot
@@ -238,10 +230,7 @@ class RequestExecutor:
             if slot is None:
                 slot = _OperatorSlot(
                     operator=SparseEinsum(
-                        widened_expression,
-                        backend=self.backend,
-                        config=self.config,
-                        check_bounds=self.check_bounds,
+                        widened_expression, backend=self.backend, config=self.config
                     )
                 )
                 self._operators[key] = slot
@@ -265,7 +254,7 @@ class InsumServer:
     ----------
     num_workers:
         Worker threads draining the request queue.
-    backend / config / check_bounds:
+    backend / config:
         Defaults for every operator the server builds.
     auto_format:
         When True, format-agnostic requests route through the
@@ -295,7 +284,6 @@ class InsumServer:
         num_workers: int = 4,
         backend: str = "inductor",
         config: Any | None = None,
-        check_bounds: bool = True,
         auto_format: bool = False,
         coalesce: bool = True,
         coalesce_max: int = 16,
@@ -306,16 +294,10 @@ class InsumServer:
             raise ValueError(f"coalesce_max must be >= 2, got {coalesce_max}")
         self.backend = backend
         self.config = config
-        self.check_bounds = check_bounds
         self.auto_format = bool(auto_format)
         self.coalesce = bool(coalesce)
         self.coalesce_max = int(coalesce_max)
-        self.executor = RequestExecutor(
-            backend=backend,
-            config=config,
-            check_bounds=check_bounds,
-            auto_format=auto_format,
-        )
+        self.executor = RequestExecutor(backend=backend, config=config, auto_format=auto_format)
 
         self._queue: queue.SimpleQueue[Request | None] = queue.SimpleQueue()
         #: Makes "closed?" + queue put one step, so no request can land

@@ -116,7 +116,7 @@ class ServeConfig:
         rejected — for ``inline``, which executes in the calling thread.
     worker_threads:
         Cluster only: threads of each worker process's inner server.
-    compile_backend / compile_config / check_bounds:
+    compile_backend / compile_config:
         The compiler stack under every operator (any backend).
     auto_format:
         Tuner-driven per-request re-formatting (any backend).
@@ -153,7 +153,6 @@ class ServeConfig:
     worker_threads: int | None = _option("cluster", kwarg="worker_threads")
     compile_backend: str = _option(kwarg="backend", default="inductor")
     compile_config: Any = _option(kwarg="config")
-    check_bounds: bool = _option(kwarg="check_bounds", default=True)
     auto_format: bool = _option(kwarg="auto_format", default=False)
     coalesce: bool | None = _option("threaded", "cluster", kwarg="coalesce")
     admission: str | None = _option("cluster", kwarg="admission")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import ClusterServer, InsumServer
+from repro.errors import IndexOutOfBoundsError
 
 
 def test_mixed_workload_parity(mixed_workload, cluster_workers, cluster_timeout):
@@ -45,15 +46,23 @@ def test_affinity_spreads_distinct_patterns(mixed_workload, cluster_workers, clu
 
 
 def test_bad_request_is_an_error_not_a_crash(mixed_workload, cluster_timeout):
-    """A malformed expression errors per-request; the pool keeps serving."""
+    """A malformed expression or an index out of range errors per-request;
+    the pool keeps serving."""
     expression, operands = mixed_workload[0]
+    out_of_range = dict(C=np.zeros((4, 2)), AV=np.ones(2), AM=np.arange(2), B=np.ones((8, 2)))
+    out_of_range["AK"] = np.array([0, 99])
     with ClusterServer(num_workers=1, worker_threads=1) as cluster:
-        bad_result, good_result = cluster.run_batch(
-            [("this is not an einsum", dict(x=np.zeros(3))), (expression, operands)],
+        *bad_results, good_result = cluster.run_batch(
+            [
+                ("this is not an einsum", dict(x=np.zeros(3))),
+                ("C[AM[p],n] += AV[p] * B[AK[p],n]", out_of_range),
+                (expression, operands),
+            ],
             timeout=cluster_timeout,
         )
-        assert not bad_result.ok
+        assert not any(result.ok for result in bad_results)
+        assert isinstance(bad_results[1].error, IndexOutOfBoundsError)
         assert good_result.ok
         stats = cluster.stats()
-        assert stats.failed == 1
+        assert stats.failed == 2
         assert stats.restarts == 0

@@ -56,9 +56,10 @@ def test_result_dtype_is_the_operands_result_type(backend, dtype, output, op, rn
     np.testing.assert_array_equal(result, expected)
 
 
-def test_insum_unknown_backend():
+@pytest.mark.parametrize("operator", [Insum, SparseEinsum, sparse_einsum], ids=lambda f: f.__name__)
+def test_insum_unknown_backend(operator):
     with pytest.raises(LoweringError, match="backend"):
-        Insum("C[i] += A[i]", backend="tpu")
+        operator("C[i] += A[i]", backend="tpu")
 
 
 def test_insum_compile_is_cached(small_sparse_matrix, rng):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import insum
 from repro.core.einsum import parse_einsum, validate
-from repro.errors import EinsumValidationError
+from repro.errors import EinsumValidationError, IndexOutOfBoundsError
 
 
 def coo_spmm_tensors(rng):
@@ -67,20 +68,11 @@ def test_non_integer_index_tensor(rng):
 
 
 def test_out_of_bounds_index_values(rng):
-    with pytest.raises(EinsumValidationError, match="out of"):
-        validate(
-            parse_einsum("C[I[p]] += V[p]"),
-            {"C": np.zeros(3), "I": np.array([0, 5]), "V": np.ones(2)},
-        )
-
-
-def test_bounds_check_can_be_disabled(rng):
-    info = validate(
-        parse_einsum("C[I[p]] += V[p]"),
-        {"C": np.zeros(3), "I": np.array([0, 5]), "V": np.ones(2)},
-        check_bounds=False,
-    )
-    assert info.extents["p"] == 2
+    """``validate`` reads shapes only; the executor rejects the value it loads."""
+    tensors = {"C": np.zeros(3), "I": np.array([0, 5]), "V": np.ones(2)}
+    assert validate(parse_einsum("C[I[p]] += V[p]"), tensors).extents["p"] == 2
+    with pytest.raises(IndexOutOfBoundsError, match="out of"):
+        insum("C[I[p]] += V[p]", **tensors)
 
 
 def test_constant_index_bounds(rng):

@@ -215,11 +215,7 @@ def test_plan_cache_entry_carries_specialized_closure(medium_sparse_matrix, rng)
     operator = Insum("C[AM[p],n] += AV[p] * B[AK[p],n]")
     compiled = operator.compile(**tensors)
     key = plan_key(
-        operator.expression,
-        operator.backend,
-        operator.config,
-        operator.check_bounds,
-        operator._signature(tensors),
+        operator.expression, operator.backend, operator.config, operator._signature(tensors)
     )
     entry = get_plan_cache().get(key)
     assert entry is not None

@@ -378,12 +378,12 @@ def test_every_operand_is_byte_identical_after_a_run(make, read_only, rng):
 
 
 # ---------------------------------------------------------------------------
-# (e) NumPy's own bounds check guards the gathers
+# (e) NumPy's own bounds check guards the gathers: the executor's one check
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("window_steps", [2, None], ids=["windowed", "one-window"])
 def test_unchecked_gather_indices_behave_as_numpy_take(window_steps, rng):
     expression, tensors = spmm_case("groupcoo")(integers(rng))
-    plan = plan_insum(expression, tensors, check_bounds=False)
+    plan = plan_insum(expression, tensors)
     kernel = SpecializedKernel.build(plan, window_steps=window_steps)
     rows = tensors["B"].shape[0]
 

@@ -26,10 +26,11 @@ from test_compiled_kernel import KERNEL_INDIRECT_PLANS, lowered, step_text
 from repro import SparseEinsum, clear_plan_cache, insum
 from repro.core.einsum.ast import IndexVar, IntLiteral
 from repro.core.einsum.parser import parse_einsum
+from repro.core.inductor import InductorConfig
 from repro.core.insum import fresh_output, plan_insum
 from repro.engine import emit
 from repro.engine.specialize import SpecializedKernel
-from repro.errors import EinsumValidationError
+from repro.errors import IndexOutOfBoundsError
 from repro.formats import COO, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 from repro.runtime.stacked import StackedSparse
 
@@ -471,7 +472,7 @@ def test_a_run_into_one_row_is_the_sequential_loop_bit_for_bit(emitter, n_cols, 
     ]
     calls.clear()
     for expression, tensors in cases:
-        result = insum(expression, check_bounds=False, **tensors)
+        result = insum(expression, **tensors)
         assert result.tobytes() == sequential(expression, tensors).tobytes(), expression
     assert len(calls) == len(cases)
 
@@ -573,33 +574,71 @@ INDEX_TENSORS = [
 ]  # fmt: skip
 
 
+#: Every way a plan executes: its kernel, and the step list as one window
+#: (``backend="eager"``, the unfused schedule).
+EXECUTIONS = {
+    "kernel": {},
+    "eager": {"backend": "eager"},
+    "unfused": {"config": InductorConfig.torchinductor_default()},
+}
+
+
+@pytest.mark.parametrize("execution", EXECUTIONS)
 @pytest.mark.parametrize("family,index", INDEX_TENSORS)
-def test_an_index_out_of_range_raises_the_same_exception_on_both_emitters(emitter, family, index):
+def test_an_index_out_of_range_raises_the_same_exception_on_both_emitters(
+    emitter, family, index, execution
+):
+    """The executor is the one index check: nothing scans the values before it."""
+    how = EXECUTIONS[execution]
     expression, tensors, extents, at = indexed(family, np.random.default_rng(16))
     extent = extents[index]
-    good = insum(expression, check_bounds=False, **tensors)
-    for bad, error in ((extent, IndexError), (-extent - 1, IndexError), (2**40, IndexError)):
+    good = insum(expression, **how, **tensors)
+    for bad in (extent, -extent - 1, 2**40):
         broken = {**tensors, index: tensors[index].copy()}
         broken[index].reshape(-1)[at] = bad
         before = {name: array.tobytes() for name, array in broken.items()}
-        with pytest.raises(error):
-            insum(expression, check_bounds=False, **broken)
-        with pytest.raises(EinsumValidationError):  # the checked entry point stops it earlier
-            insum(expression, **broken)
+        with pytest.raises(IndexOutOfBoundsError):
+            insum(expression, **how, **broken)
         assert {name: array.tobytes() for name, array in broken.items()} == before
     # A negative index inside [-extent, 0) wraps, as in NumPy, on both emitters —
     # a scatter index too, where the row it names is also addressed from zero.
     wrapped = {**tensors, index: tensors[index].copy()}
     wrapped[index].reshape(-1)[at] -= extent
-    np.testing.assert_array_equal(insum(expression, check_bounds=False, **wrapped), good)
+    np.testing.assert_array_equal(insum(expression, **how, **wrapped), good)
+
+
+def outcome(expression, tensors):
+    """A call's result bytes, or the type of the exception it raised."""
+    try:
+        return insum(expression, **tensors).tobytes()
+    except Exception as error:  # noqa: BLE001 — the outcome under comparison
+        return type(error)
+
+
+@only_c
+@pytest.mark.parametrize("index", ["AM", "AK"])
+def test_an_index_has_one_outcome_whatever_the_call_history(emitter, index):
+    """-1 and 99 in a fresh array, and written in place into one that served two
+    good calls: one outcome either way (-1 wraps, 99 raises)."""
+    _, calls = emitter
+    expression, tensors, extents, at = indexed("spmm/coo", np.random.default_rng(21))
+    last = {**tensors, index: tensors[index].copy()}
+    last[index].reshape(-1)[at] = extents[index] - 1
+    for bad, expected in ((-1, outcome(expression, last)), (99, IndexOutOfBoundsError)):
+        fresh, live = ({**tensors, index: tensors[index].copy()} for _ in range(2))
+        fresh[index].reshape(-1)[at] = bad
+        insum(expression, **live)
+        insum(expression, **live)
+        live[index].reshape(-1)[at] = bad
+        assert outcome(expression, fresh) == outcome(expression, live) == expected
+    assert len(calls) == 1 + 2 * 4
 
 
 def test_an_index_written_into_a_live_array_after_a_good_call(emitter):
-    """The bounds verdict of the checked entry point is memoized per index
-    array identity; the emitted loop checks every index it loads on every
-    call, so the write is caught.  The step list catches it where it reads
-    the live array (ELL) — a scattering plan reads its memoized run-ordered
-    copy and keeps answering for the pattern it memoized."""
+    """The emitted loop checks every index it loads on every call, so the write
+    is caught.  The step list catches it where it reads the live array (ELL) —
+    a scattering plan reads its memoized run-ordered copy and keeps answering
+    for the pattern it memoized."""
     which, _ = emitter
     rng = np.random.default_rng(17)
     values = draw(rng, np.float64)

@@ -25,6 +25,7 @@ from repro.errors import (
     DeadlineExceededError,
     EinsumError,
     GatewayAuthError,
+    IndexOutOfBoundsError,
     TenantQuotaError,
     WireFormatError,
 )
@@ -34,6 +35,7 @@ from repro.gateway.wire import (
     DEADLINE_HEADER,
     JSON_CONTENT_TYPE,
     WireEncoder,
+    decode_error,
     encode_error,
     encode_result,
 )
@@ -119,6 +121,30 @@ class TestParity:
         assert futures[0].result(timeout=60).shape == (32, 8)
         with pytest.raises(EinsumError):
             futures[1].result(timeout=60)
+
+    def test_an_index_out_of_range_is_400_and_the_same_type(self, inline_gateway, acme_client):
+        _, server = inline_gateway
+        expression = "C[AM[p],n] += AV[p] * B[AK[p],n]"
+        operands = dict(C=np.zeros((4, 2)), AV=np.ones(2), AM=np.arange(2))
+        operands.update(B=np.arange(16.0).reshape(8, 2), AK=np.array([0, 99]))
+        content_type, body = WireEncoder().encode_request(expression, operands, binary=False)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            headers = {"Content-Type": content_type, API_KEY_HEADER: "key-acme"}
+            conn.request("POST", "/v1/submit", body=body, headers=headers)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert isinstance(decode_error(payload), IndexOutOfBoundsError)
+        with pytest.raises(IndexOutOfBoundsError):
+            acme_client.submit(expression, **operands).result(timeout=60)
+        last_row, wrapped = (
+            acme_client.submit(expression, **dict(operands, AK=np.array([0, k]))).result(timeout=60)
+            for k in (7, -1)
+        )
+        np.testing.assert_array_equal(wrapped, last_row)
 
 
 # ---------------------------------------------------------------------------

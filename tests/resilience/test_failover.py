@@ -21,7 +21,7 @@ def cluster_config(**overrides) -> ServeConfig:
         failover_floor=2,
         retry_attempts=3,
         compile_backend="inductor",
-        check_bounds=False,
+        auto_format=True,
     )
     fields.update(overrides)
     return ServeConfig(**fields)
@@ -52,7 +52,7 @@ def test_inline_fallback_also_drops_pool_knobs():
 def test_common_compiler_fields_survive_derivation():
     derived = fallback_config(cluster_config(), "threaded")
     assert derived.compile_backend == "inductor"
-    assert derived.check_bounds is False
+    assert derived.auto_format is True
 
 
 def test_fallback_never_recurses():

@@ -19,7 +19,7 @@ from repro import (
     SessionClosedError,
     WorkerCrashedError,
 )
-from repro.errors import ReproError
+from repro.errors import IndexOutOfBoundsError, ReproError
 from repro.serve import ServeConfig, ServeConfigError, Session
 
 SPMM_EXPR = "C[m,n] += A[m,k] * B[k,n]"
@@ -130,3 +130,38 @@ def test_worker_error_types_survive_the_future_path(spmm_operands):
         except ReproError as caught:
             error = caught
         assert error is not None and not isinstance(error, ServeError)
+
+
+RAW_EXPR = "C[AM[p],n] += AV[p] * B[AK[p],n]"
+
+
+def raw_operands(column: int) -> dict:
+    """A raw indirect SpMM request whose second entry reads row ``column`` of B."""
+    return dict(
+        C=np.zeros((4, 2)),
+        AV=np.ones(2),
+        AM=np.arange(2),
+        AK=np.array([0, column]),
+        B=np.arange(16.0).reshape(8, 2),
+    )
+
+
+@pytest.mark.parametrize(
+    "backend,config",
+    [
+        ("inline", ServeConfig()),
+        ("threaded", ServeConfig(workers=1)),
+        ("cluster", ServeConfig(workers=1, worker_threads=1)),
+    ],
+    ids=["inline", "threaded", "cluster"],
+)
+def test_an_index_out_of_range_fails_its_request_only(backend, config):
+    """The executor's index check reaches the caller typed on every tier; a
+    negative index inside the extent wraps, and the next request succeeds."""
+    with Session(backend=backend, config=config) as session:
+        with pytest.raises(IndexOutOfBoundsError):
+            session.submit(RAW_EXPR, **raw_operands(99)).result(timeout=120)
+        last_row = session.submit(RAW_EXPR, **raw_operands(7)).result(timeout=120)
+        wrapped = session.submit(RAW_EXPR, **raw_operands(-1)).result(timeout=120)
+        np.testing.assert_array_equal(wrapped, last_row)
+        assert last_row[1].tolist() == [14.0, 15.0]
