@@ -1,33 +1,30 @@
 """GatewayClient: the Session-shaped HTTP client for the gateway.
 
-Speaks the ``/v1`` wire API with the same ``submit() -> Future`` surface
-as :class:`repro.serve.Session`, so everything written against a session
-— the replay harness first among them — runs over real HTTP unchanged.
-``submit`` never blocks on the network: the request is handed to a small
-worker pool and the returned :class:`~repro.serve.Future` is resolved
-when the response lands, preserving the open-loop property replay
-depends on.
+Speaks the ``/v1`` wire API with the ``submit() -> Future`` surface of
+:class:`repro.serve.Session`, so code written against a session (the replay
+harness first) runs over HTTP unchanged.  ``submit`` never blocks on the
+network: a small worker pool runs the exchange and resolves the returned
+:class:`~repro.serve.Future`, the open-loop property replay depends on.
 
-Each worker thread owns one persistent keep-alive connection *and* the
-:class:`~repro.gateway.wire.WireEncoder` paired with it — the
-client-side half of the per-connection cache mirror.  A connection that
-dies takes its encoder with it (the server's decoder caches died with
-the connection, so a surviving encoder would emit dangling
-``["cached", ...]`` / ``["pattern", ...]`` references); the replacement
-pair starts cold and re-ships.
+Each worker thread owns one keep-alive connection (one ``sendmsg`` per
+request, one head parse per reply) *and* the
+:class:`~repro.gateway.wire.WireEncoder` paired with it, the client half of
+the per-connection cache mirror.  A connection that dies takes its encoder
+with it (the server's decoder caches died too, so a surviving encoder would
+emit dangling ``["cached", ...]`` references); the new pair starts cold and
+re-ships.
 
 Failures come back as the *same* :mod:`repro.errors` types the server
-raised (rebuilt by :func:`~repro.gateway.wire.decode_error`), which is
-what lets the configured :class:`~repro.resilience.retry.RetryPolicy`
-treat a 429 :class:`~repro.errors.TenantQuotaError` exactly like a local
-admission rejection — including flooring the backoff on the body's
-``retry_after`` hint.
+raised (:func:`~repro.gateway.wire.decode_error`), so the
+:class:`~repro.resilience.retry.RetryPolicy` treats a 429
+:class:`~repro.errors.TenantQuotaError` like a local admission rejection,
+its backoff floored on the body's ``retry_after`` hint.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,11 +37,14 @@ from repro.errors import GatewayError, ReproError, SessionClosedError, WireForma
 from repro.gateway.wire import (
     API_KEY_HEADER,
     DEADLINE_HEADER,
+    MAX_HEAD_BYTES,
+    MAX_HEADER_LINES,
     TRACE_HEADER,
     WireEncoder,
     decode_error,
     decode_result_body,
     decode_result_entry,
+    parse_head,
 )
 from repro.obs import trace as obs_trace
 from repro.resilience.deadline import Deadline, deadline_error
@@ -113,8 +113,8 @@ class GatewayClient:
         self._retry = retry_policy if retry_policy is not None else RetryPolicy()
         self._timeout = timeout
         self._local = threading.local()
-        self._conns: list[http.client.HTTPConnection] = []
-        self._conns_lock = threading.Lock()
+        # Pool threads add and discard; close() reads it once the pool has stopped.
+        self._conns: set[_Connection] = set()
         self._closed = False
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, max_connections), thread_name_prefix="repro-gateway-client"
@@ -201,13 +201,8 @@ class GatewayClient:
             return
         self._closed = True
         self._pool.shutdown(wait=True)
-        with self._conns_lock:
-            conns, self._conns = self._conns, []
-        for conn in conns:
-            try:
-                conn.close()
-            except Exception:  # noqa: BLE001 — already dead is fine
-                pass
+        while self._conns:
+            self._conns.pop().close()
 
     def __enter__(self) -> "GatewayClient":
         """Context-manager entry: the client itself."""
@@ -337,35 +332,31 @@ class GatewayClient:
             if obs_trace.enabled():
                 headers[TRACE_HEADER] = obs_trace.new_trace_id()
             try:
-                conn.request("POST", path, body=body, headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-            except (OSError, http.client.HTTPException) as error:
+                status, fields, data = conn.exchange("POST", path, headers, body)
+            except OSError as error:
                 # The connection (and the server's decoder caches) died;
                 # drop our half of the mirror and re-ship everything on
                 # a cold pair.
                 self._drop_connection()
                 last_error = error
                 continue
-            if response.getheader("Connection", "").lower() == "close":
+            if fields.get("connection", "").lower() == "close":
                 self._drop_connection()
-            return self._parse_response(response, data)
+            return self._parse_response(status, fields, data)
         raise GatewayError(
             f"gateway at {self._host}:{self._port} is unreachable: {last_error!r}"
         ) from last_error
 
     def _parse_response(
-        self, response: http.client.HTTPResponse, data: bytes
+        self, status: int, fields: Mapping[str, str], data: bytes
     ) -> tuple[dict[str, Any], memoryview | None]:
-        content_type = response.getheader("Content-Type", "application/json")
-        if response.status == 200:
+        content_type = fields.get("content-type", "application/json")
+        if status == 200:
             return decode_result_body(content_type, data)
         try:
-            body = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise GatewayError(
-                f"gateway returned HTTP {response.status} with a non-JSON body"
-            ) from None
+            body = json.loads(data)
+        except ValueError:  # not UTF-8, or not JSON
+            raise GatewayError(f"gateway returned HTTP {status} with a non-JSON body") from None
         raise decode_error(body)
 
     # -- delivery ------------------------------------------------------------
@@ -405,42 +396,85 @@ class GatewayClient:
         )
 
     # -- connection management -----------------------------------------------
-    def _connection(self, reset: bool = False) -> tuple[http.client.HTTPConnection, WireEncoder]:
-        conn = getattr(self._local, "conn", None)
-        if reset and conn is not None:
+    def _connection(self, reset: bool = False) -> tuple[_Connection, WireEncoder]:
+        if reset:
             self._drop_connection()
-            conn = None
-        if conn is None:
-            conn = http.client.HTTPConnection(self._host, self._port, timeout=self._timeout)
-            self._local.conn = conn
+        if getattr(self._local, "conn", None) is None:
+            self._local.conn = _Connection(self._host, self._port, self._timeout)
             self._local.encoder = WireEncoder()
-            with self._conns_lock:
-                self._conns.append(conn)
+            self._conns.add(self._local.conn)
         return self._local.conn, self._local.encoder
 
     def _drop_connection(self) -> None:
         conn = getattr(self._local, "conn", None)
-        self._local.conn = None
-        self._local.encoder = None
-        if conn is None:
-            return
-        with self._conns_lock:
-            if conn in self._conns:
-                self._conns.remove(conn)
-        try:
+        self._local.conn = self._local.encoder = None
+        if conn is not None:
+            self._conns.discard(conn)
             conn.close()
-        except Exception:  # noqa: BLE001 — already dead is fine
-            pass
 
     def _simple_request(self, method: str, path: str) -> tuple[int, str, bytes]:
-        conn = http.client.HTTPConnection(self._host, self._port, timeout=self._timeout)
+        conn = _Connection(self._host, self._port, self._timeout)
         try:
-            conn.request(method, path)
-            response = conn.getresponse()
-            return response.status, response.getheader("Content-Type", ""), response.read()
-        except (OSError, http.client.HTTPException) as error:
+            status, fields, body = conn.exchange(method, path, {})
+            return status, fields.get("content-type", ""), bytes(body)
+        except OSError as error:
             raise GatewayError(
                 f"gateway at {self._host}:{self._port} is unreachable: {error!r}"
             ) from error
         finally:
             conn.close()
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection, opened by its first exchange.  A
+    reply not framed by ``Content-Length`` alone is a ConnectionError, so the
+    caller drops the connection as it drops a dead one."""
+
+    def __init__(self, host: str, port: int, timeout: float):
+        self._address = (host, port)
+        self._timeout = timeout
+        self._sock: socket.socket | None = None
+        self._buffer = bytearray()
+
+    def exchange(
+        self, method: str, path: str, headers: Mapping[str, str], body: bytes = b""
+    ) -> tuple[int, dict[str, str], bytearray]:
+        """Send one request; the reply's status, fields and body."""
+        if self._sock is None:
+            self._sock = socket.create_connection(self._address, self._timeout)
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        lines = [f"{method} {path} HTTP/1.1", "Host: %s:%d" % self._address]
+        lines += [f"{name}: {value}" for name, value in headers.items()]
+        if body:  # a request with no Content-Length has no body (RFC 9112 section 6.3)
+            lines.append(f"Content-Length: {len(body)}")
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin1")
+        sent = self._sock.sendmsg([head, body])
+        if sent < len(head) + len(body):
+            self._sock.sendall((head + body)[sent:])
+        while (end := self._buffer.find(b"\r\n\r\n")) < 0 and len(self._buffer) <= MAX_HEAD_BYTES:
+            self._receive()
+        parsed = parse_head(bytes(self._buffer[:end]), MAX_HEADER_LINES) if end >= 0 else None
+        try:
+            (version, code, *_), fields = parsed
+            status, size = int(code), int(fields["content-length"])
+        except (TypeError, ValueError, KeyError):
+            raise ConnectionError("a reply not framed by Content-Length") from None
+        if size < 0 or "transfer-encoding" in fields or not version.startswith("HTTP/1."):
+            raise ConnectionError("a reply not framed by Content-Length")
+        while len(self._buffer) < end + 4 + size:
+            self._receive()
+        reply = self._buffer[end + 4 : end + 4 + size]
+        del self._buffer[: end + 4 + size]
+        return status, fields, reply
+
+    def _receive(self) -> None:
+        chunk = self._sock.recv(1 << 16)
+        if not chunk:
+            raise ConnectionError("the gateway closed the connection")
+        self._buffer += chunk
+
+    def close(self) -> None:
+        """Close the socket (idempotent; an already dead one is fine)."""
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None

@@ -60,6 +60,8 @@ from repro.gateway.wire import (
     BINARY_CONTENT_TYPE,
     DEADLINE_HEADER,
     JSON_CONTENT_TYPE,
+    MAX_HEAD_BYTES,
+    MAX_HEADER_LINES,
     TRACE_HEADER,
     WireDecoder,
     api_index,
@@ -67,6 +69,7 @@ from repro.gateway.wire import (
     encode_error,
     encode_result,
     http_status,
+    parse_head,
 )
 from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
@@ -92,9 +95,6 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
-
-#: Header lines one request may carry; past it the reply is 431.
-_MAX_HEADER_LINES = 100
 
 
 def _outcome(error: BaseException | None) -> str:
@@ -174,7 +174,10 @@ class GatewayServer:
             try:
                 self._server = self._loop.run_until_complete(
                     asyncio.start_server(
-                        self._handle_connection, self.config.host, self.config.port
+                        self._handle_connection,
+                        self.config.host,
+                        self.config.port,
+                        limit=MAX_HEAD_BYTES,
                     )
                 )
             except BaseException as error:  # noqa: BLE001 — surfaced to start()
@@ -257,7 +260,7 @@ class GatewayServer:
                 await self._dispatch(method, path, headers, body, decoder, writer, keep_alive)
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
             pass  # shutdown cancelled a keep-alive read; fall through to close
@@ -273,25 +276,20 @@ class GatewayServer:
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> tuple[str, str, dict[str, str], bytes] | None:
-        line = await reader.readline()
-        if not line or line in (b"\r\n", b"\n"):
+        try:
+            parsed = parse_head(await reader.readuntil(b"\r\n\r\n"), MAX_HEADER_LINES)
+        except asyncio.LimitOverrunError:
+            parsed = None
+        if parsed is None:
+            limits = f"{MAX_HEADER_LINES} header lines or {MAX_HEAD_BYTES} bytes"
+            await self._refuse(writer, 431, f"a request head over {limits}")
             return None
-        parts = line.decode("latin1").split()
-        if len(parts) < 2:
+        start, headers = parsed
+        if len(start) < 2:
             await self._respond_error(writer, WireFormatError("malformed request line"),
                                       keep_alive=False)
             return None
-        method, target = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADER_LINES + 1):
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            await self._refuse(writer, 431, f"more than {_MAX_HEADER_LINES} header lines")
-            return None
+        method, target = start[0].upper(), start[1]
         if "transfer-encoding" in headers:
             # Only Content-Length framing is read: an unread chunked body
             # would be parsed as the next request (RFC 9112 section 6.1).

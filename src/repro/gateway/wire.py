@@ -28,6 +28,7 @@ The module also owns the error contract: :func:`http_status` and
 :func:`encode_error` map the :class:`~repro.errors.ServeError` taxonomy
 onto stable HTTP codes and machine-readable JSON bodies, and
 :func:`decode_error` rebuilds the *same* exception types client-side.
+Both ends read an HTTP head with the one :func:`parse_head`.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ __all__ = [
     "decode_error",
     "encode_error",
     "http_status",
+    "parse_head",
 ]
 
 #: Magic prefix of a binary wire frame (version 1).
@@ -142,6 +144,21 @@ def _is_binary(content_type: str) -> bool:
     if kind != BINARY_CONTENT_TYPE:
         raise WireFormatError(f"unsupported content type {content_type!r}")
     return True
+
+
+#: Fields one HTTP head may carry, and bytes it may take, on either end.
+MAX_HEADER_LINES = 100
+MAX_HEAD_BYTES = 1 << 16
+
+
+def parse_head(head: bytes, max_fields: int) -> tuple[list[str], dict[str, str]] | None:
+    """Split one CRLF-framed HTTP head into its start-line words and its fields,
+    names lower-cased; ``None`` when it carries more than ``max_fields`` fields."""
+    lines = head.decode("latin1").strip().split("\r\n")
+    if len(lines) > max_fields + 1:
+        return None
+    fields = (line.partition(":") for line in lines[1:])
+    return lines[0].split(), {name.strip().lower(): value.strip() for name, _, value in fields}
 
 
 # -- JSON operand specs: a JSON body's operands, an RGW1 frame's inline values ---

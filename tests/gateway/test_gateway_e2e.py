@@ -436,6 +436,26 @@ class TestSurface:
         assert reply.count(b"HTTP/1.1 ") == 1
         assert acme_client.api_index()["api_version"] == "v1"  # a new connection is served
 
+    def test_a_header_line_over_the_stream_limit_is_431(
+        self, acme_client, inline_gateway, monkeypatch
+    ):
+        _, server = inline_gateway
+        warnings = []
+        monkeypatch.setattr(server._log, "warning", lambda *a, **k: warnings.append(a))
+        line = b"X-Long: " + b"v" * (1 << 17) + b"\r\n"
+        reply = raw_exchange(server.port, b"GET /v1 HTTP/1.1\r\n" + line + b"\r\n")
+        assert reply.startswith(b"HTTP/1.1 431 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert warnings == []
+        assert acme_client.api_index()["api_version"] == "v1"  # a new connection is served
+
+    def test_101_short_header_lines_are_431(self, inline_gateway):
+        _, server = inline_gateway
+        fields = b"".join(b"X-Field-%03d: v\r\n" % i for i in range(101))
+        reply = raw_exchange(server.port, b"GET /v1 HTTP/1.1\r\n" + fields + b"\r\n")
+        assert reply.startswith(b"HTTP/1.1 431 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+
     def test_chunked_request_gets_one_501_and_closes(self, inline_gateway):
         _, server = inline_gateway
         request = (
