@@ -207,7 +207,6 @@ ROLES = (
     ("repro-gateway", "gateway asyncio loop"),
     ("MainThread", "bench generator + oracle check"),
     ("cluster-", "cluster threads"),
-    ("QueueFeederThread", "cluster threads"),
     ("asyncio_", "asyncio executor (submit hop)"),
 )
 

@@ -34,8 +34,9 @@ checked before use, a violation is a :class:`~repro.errors.WireFormatError`.
 
 **What is still pickled, and why.**  Only the ring framing pickles, and
 only its inline payloads (scalars, arrays too small or too large for the
-ring) and exceptions — inside ``multiprocessing`` queues between a
-parent and the workers it spawned, which pickle every envelope anyway.
+ring) and exceptions — inside the ``multiprocessing`` pipe between a
+parent and each worker it spawned, whose ``Connection.send`` pickles the
+small envelope anyway.
 No byte that arrived over HTTP reaches ``pickle.loads``.
 
 Ring writes are budgeted **per request**: a request's ring space is
@@ -423,7 +424,7 @@ class RingFraming:
         return self.ring.read(offset, nbytes)
 
     def inline(self, value: Any) -> bytes:
-        """Pickle: the payload stays inside the queue between trusted processes."""
+        """Pickle: the payload stays inside the pipe between trusted processes."""
         return pickle.dumps(value)
 
     def outline(self, payload: bytes) -> Any:

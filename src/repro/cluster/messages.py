@@ -1,8 +1,8 @@
-"""Envelope types crossing the cluster's control queues.
+"""Envelope types crossing the cluster's per-worker pipes.
 
 Bulk payloads (dense operands, the arrays of sparse operands, result
 arrays) travel through the shared-memory rings
-(:mod:`repro.cluster.shm`); the queues carry only these small picklable
+(:mod:`repro.cluster.shm`); the pipes carry only these small picklable
 envelopes plus control tuples.  Each envelope references ring payloads
 by the descriptors of :mod:`repro.cluster.codec`.
 

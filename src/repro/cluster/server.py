@@ -44,6 +44,7 @@ import multiprocessing
 import operator
 import os
 import secrets
+import select
 import threading
 import time
 from collections import deque
@@ -79,23 +80,26 @@ RING_CAPACITY = 8 * 1024 * 1024
 
 __all__ = ["ClusterServer", "WorkerCrashedError", "RING_CAPACITY"]
 
+#: Held from a worker's ``Pipe()`` until the parent closes its copy of the
+#: worker's end: a worker forked meanwhile (by any cluster) would inherit that
+#: copy, and the collector would see no EOF when its own worker dies.
+_SPAWN_LOCK = threading.Lock()
+
 
 @dataclass
 class _WorkerHandle:
     """Everything the parent holds about one worker incarnation.
 
-    Each incarnation owns its *own* response queue (and collector
-    thread): a ``multiprocessing.Queue`` write lock is a plain semaphore,
-    so a worker SIGKILLed mid-write would leave a *shared* queue's lock
-    held forever and silently poison every other writer.  Per-incarnation
-    queues die with their worker instead.
+    ``conn`` is the parent end of the incarnation's duplex pipe: the
+    dispatcher sends envelopes on it, and the incarnation's collector
+    thread reads responses from it until the EOF the worker's death makes
+    (the worker holds the only copy of the other end).
     """
 
     worker_id: int
     incarnation: int
     process: Any
-    request_q: Any
-    response_q: Any
+    conn: Any
     req_ring: ShmRing
     resp_ring: ShmRing
     encoder: OperandEncoder
@@ -109,8 +113,6 @@ class _WorkerHandle:
     #: wire id -> the request this incarnation owns, guarded by the
     #: server's state condition.
     outstanding: dict[int, Request] = field(default_factory=dict)
-    #: Serializes ring reads against restart-time unlinking.
-    ring_lock: threading.Lock = field(default_factory=threading.Lock)
     #: Resource samples taken by the monitor thread (newest last).
     prev_sample: Any = None
     last_sample: Any = None
@@ -148,7 +150,7 @@ class ClusterServer:
     health_interval / heartbeat_timeout:
         Monitor cadence and the heartbeat staleness (seconds) beyond
         which a live-but-silent worker is declared wedged and replaced.
-        Workers beat per queue poll and as each request in a batch
+        Workers beat per pipe poll and as each request in a batch
         completes, so ``heartbeat_timeout`` must exceed the longest
         legitimate *single request* — a slower request is mistaken for a
         wedge, its worker killed, and after ``max_attempts`` redispatches
@@ -256,12 +258,15 @@ class ClusterServer:
         self._closed = False
         self._stopping = threading.Event()
 
-        self._handles: list[_WorkerHandle] = [
-            self._start_worker(worker_id, incarnation=0)
-            for worker_id in range(self.num_workers)
-        ]
-        for handle in self._handles:
-            self._start_collector(handle)
+        self._handles: list[_WorkerHandle] = []
+        try:
+            for worker_id in range(self.num_workers):
+                self._handles.append(self._start_worker(worker_id, incarnation=0))
+                self._start_collector(self._handles[-1])
+        except BaseException:
+            for handle in self._handles:
+                self._teardown_handle(handle)
+            raise
 
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="cluster-dispatch", daemon=True
@@ -277,36 +282,34 @@ class ClusterServer:
         return f"rcl{self._session}w{worker_id}i{incarnation}{direction}"
 
     def _start_worker(self, worker_id: int, incarnation: int) -> _WorkerHandle:
-        req_ring = ShmRing.create(
-            self._segment_name(worker_id, incarnation, "q"), self.ring_capacity
-        )
-        resp_ring = ShmRing.create(
-            self._segment_name(worker_id, incarnation, "r"), self.ring_capacity
-        )
-        request_q = self._ctx.Queue()
-        response_q = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=worker_main,
-            name=f"cluster-worker-{worker_id}",
-            args=(
-                worker_id,
-                incarnation,
-                req_ring.name,
-                resp_ring.name,
-                request_q,
-                response_q,
-                self._server_kwargs,
-                self._forked,
-            ),
-            daemon=True,
-        )
-        process.start()
+        names = [self._segment_name(worker_id, incarnation, d) for d in "qr"]
+        opened: list[Any] = []  # closed again if any step fails
+        try:
+            for name in names:
+                opened.append(ShmRing.create(name, self.ring_capacity))
+            with _SPAWN_LOCK:
+                conn, child = self._ctx.Pipe()
+                opened.append(conn)
+                process = self._ctx.Process(
+                    target=worker_main,
+                    name=f"cluster-worker-{worker_id}",
+                    args=(worker_id, incarnation, *names, child, self._server_kwargs, self._forked),
+                    daemon=True,
+                )
+                try:
+                    process.start()
+                finally:
+                    child.close()
+        except BaseException:
+            for resource in opened:
+                resource.close()
+            raise
+        req_ring, resp_ring = opened[:2]
         return _WorkerHandle(
             worker_id=worker_id,
             incarnation=incarnation,
             process=process,
-            request_q=request_q,
-            response_q=response_q,
+            conn=conn,
             req_ring=req_ring,
             resp_ring=resp_ring,
             encoder=OperandEncoder(req_ring),
@@ -323,19 +326,21 @@ class ClusterServer:
         handle.collector.start()
 
     def _teardown_handle(self, handle: _WorkerHandle, join_timeout: float = 2.0) -> None:
-        """Stop one worker incarnation and reclaim its IPC resources."""
+        """Stop one worker incarnation and reclaim its IPC resources, in order:
+        the process; its collector, which reads the pipe to the EOF the
+        process's death makes; the rings, which no response can then still
+        be decoding from; the pipe.  Never called on a collector thread."""
         if handle.process.is_alive():
             handle.process.terminate()
         handle.process.join(timeout=join_timeout)
         if handle.process.is_alive():
             handle.process.kill()
             handle.process.join(timeout=join_timeout)
-        with handle.ring_lock:
-            handle.req_ring.close()
-            handle.resp_ring.close()
-        for q in (handle.request_q, handle.response_q):
-            q.close()
-            q.cancel_join_thread()
+        if handle.collector is not None:
+            handle.collector.join()
+        handle.req_ring.close()
+        handle.resp_ring.close()
+        handle.conn.close()
 
     def _handle_worker_failure(self, worker_id: int) -> None:
         """Rule on one detected worker death via the restart budget.
@@ -400,8 +405,6 @@ class ClusterServer:
             self._replaced_counters[worker_id] = self._cumulative_counters()[worker_id]
             self._handles[worker_id] = replacement
         self._start_collector(replacement)
-        # The old collector thread notices it is superseded and exits on
-        # its next poll; its queue died with the worker.
         self._teardown_handle(old)
         for request in stranded:
             self._requeue(request, exclude_worker=worker_id, crashed=True)
@@ -671,9 +674,9 @@ class ClusterServer:
             handle.outstanding[request.request_id] = request
             self._loads[worker_id] += 1
         try:
-            handle.request_q.put(envelope)
+            handle.conn.send(envelope)
         except (OSError, ValueError):
-            # The queue died under us (worker torn down mid-dispatch).
+            # The pipe died under us (worker torn down mid-dispatch).
             # Requeue ONLY if the registration is still ours — a restart
             # that already harvested handle.outstanding has requeued the
             # request itself, and a second requeue would execute it twice.
@@ -686,7 +689,7 @@ class ClusterServer:
 
     # -- collector ----------------------------------------------------------
     def _collect_loop(self, handle: _WorkerHandle) -> None:
-        """Drain one worker incarnation's response queue until superseded."""
+        """Read one worker incarnation's responses until its pipe's EOF."""
         try:
             self._collect_run(handle)
         except Exception as error:  # noqa: BLE001 — contain control-plane death
@@ -695,29 +698,15 @@ class ClusterServer:
             )
 
     def _collect_run(self, handle: _WorkerHandle) -> None:
-        """The collector body (see :meth:`_collect_loop` for containment)."""
-        import queue as _queue
-
+        """The collector body (see :meth:`_collect_loop` for containment).
+        The worker holds the only copy of its end of the pipe: its exit or
+        death is EOF, and so is a frame torn by a kill mid-write."""
         while True:
             try:
-                message = handle.response_q.get(timeout=0.2)
-            except (_queue.Empty, OSError, ValueError):
-                message = None
-            # By the time close() sets the stop flag it has already
-            # drained in-flight work, so exiting here drops nothing.
-            if self._stopping.is_set():
+                response = handle.conn.recv()
+            except (EOFError, OSError):
                 return
-            if message is None:
-                if self._handles[handle.worker_id] is not handle:
-                    return  # replaced by a newer incarnation
-                if handle.retired:
-                    # Retired with no successor (budget-exhausted slot or
-                    # a deferred restart): the queue is torn down, so
-                    # polling it again would spin on OSError forever.
-                    return
-                continue
-            if not isinstance(message, tuple):  # ("wake",) only wakes the poll
-                self._accept_response(message)
+            self._accept_response(response)
 
     def _accept_response(self, response: ResponseEnvelope) -> None:
         with self._state:
@@ -732,31 +721,17 @@ class ClusterServer:
         error = response.error
         output = None
         if error is None:
+            # Release even when decoding raises: the space is consumed either
+            # way, and holding it would let repeated decode failures fill the
+            # ring and wedge the worker's encode_result (release is monotonic,
+            # so that is always safe).  The rings close only after this
+            # incarnation's collector, the caller, has returned.
             try:
-                with handle.ring_lock:
-                    # Release even when decoding raises: the ring space is
-                    # consumed either way, and holding it would let repeated
-                    # decode failures fill the response ring and wedge the
-                    # worker's encode_result.  (release is monotonic, so
-                    # releasing a failed response is always safe.)
-                    try:
-                        output = decode_result(handle.resp_ring, response.result)
-                    finally:
-                        handle.resp_ring.release(response.release_to)
+                output = decode_result(handle.resp_ring, response.result)
             except Exception as decode_error:  # noqa: BLE001 — surface as request error
-                with self._state:
-                    retired = handle.retired
-                if retired:
-                    # A restart won the race: between our stale-check (which
-                    # popped the inflight record, so the restart's harvest
-                    # missed it) and the ring read, the monitor retired the
-                    # handle and closed its rings.  The worker did complete
-                    # the request, but its bytes died with the segment —
-                    # give it the same another-attempt treatment as the
-                    # requests the harvest did catch.
-                    self._requeue(request, exclude_worker=response.worker_id)
-                    return
                 error = decode_error
+            finally:
+                handle.resp_ring.release(response.release_to)
         self._record(
             request,
             output=output,
@@ -1100,21 +1075,20 @@ class ClusterServer:
             pass
         with self._dispatch_cv:
             self._dispatch_cv.notify_all()
+        # A Connection has no write lock: the dispatcher, which writes every
+        # envelope, exits first.  Workers forked later hold copies of the
+        # parent ends, so a worker is told to stop and sees no EOF.
+        self._dispatcher.join(timeout=5.0)
         for handle in self._handles:
             try:
-                handle.request_q.put(("stop",))
-                # Wake the collector immediately instead of letting it
-                # sleep out its poll interval.
-                handle.response_q.put(("wake",))
+                # A worker whose pipe is full is not reading; teardown ends it.
+                if select.select([], [handle.conn], [], 0)[1]:
+                    handle.conn.send(("stop",))
             except (OSError, ValueError):
                 pass
         for handle in self._handles:
             handle.process.join(timeout=5.0)
-        self._dispatcher.join(timeout=5.0)
         self._monitor.join(timeout=5.0)
-        for handle in self._handles:
-            if handle.collector is not None:
-                handle.collector.join(timeout=5.0)
         for handle in self._handles:
             self._teardown_handle(handle)
         self._log.info("ClusterServer closed", extra={"workers": self.num_workers})

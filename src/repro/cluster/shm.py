@@ -5,8 +5,8 @@ request payloads (parent writes, worker reads) and one for response
 payloads (worker writes, parent reads).  Dense operand and result arrays
 travel through these rings as raw bytes; only the small *envelope*
 describing each request (expression string, operand descriptors, ring
-offsets) crosses a pickled ``multiprocessing`` queue.  For the serving
-workloads this package targets, that removes the dominant IPC cost: a
+offsets) is pickled through the pair's ``multiprocessing`` pipe.  For the
+serving workloads this package targets, that removes the dominant IPC cost: a
 ``(256, 16)`` float64 operand is one 32 KiB ``memcpy`` into the segment
 instead of a pickle round-trip through a pipe.
 

@@ -1,15 +1,14 @@
 """The worker process: one :class:`InsumServer` behind a ring pair.
 
 Each worker is a full serving stack in its own interpreter — engine
-specialization, plan cache, and same-plan coalescing intact — fed by a
-request queue of envelopes and a request ring of operand bytes, and
-reporting through its own response queue and response ring.  (Queues are
-strictly per-worker-incarnation: a shared queue's write lock is a plain
-semaphore that a SIGKILLed writer would leave held forever, stalling
-every surviving writer — the parent's crash tests exercise exactly that.)
+specialization, plan cache, and same-plan coalescing intact — fed by
+envelopes on its end of a duplex pipe and operand bytes on a request ring,
+and answering on the same pipe and a response ring.  The main thread is the
+only reader and the only writer of the pipe, so the worker runs no thread
+besides its inner server's.
 
-The loop deliberately *batches*: after blocking on the first envelope it
-drains whatever else has queued (up to :data:`BATCH_WINDOW`) and submits the
+The loop deliberately *batches*: after waiting for the first envelope it
+drains whatever else has arrived (up to :data:`BATCH_WINDOW`) and submits the
 whole batch to the inner server before answering any of it, so the inner
 server's coalescer sees the same opportunity window it would see
 in-process.  Completions then come back one at a time, in the order the
@@ -17,7 +16,7 @@ inner server finishes them, which lets the worker heartbeat as each
 request completes instead of once per batch.
 
 The serve loop itself stamps the response ring's heartbeat header — once
-per queue poll and once per completed request — so the stamp measures
+per pipe poll and once per completed request — so the stamp measures
 *progress*, not mere process existence (a dedicated beater thread would
 keep beating while the loop sat wedged, making the parent's staleness
 check worthless).  The parent's health monitor combines the stamp with
@@ -78,7 +77,7 @@ def _serve_batch(
     decoder: OperandDecoder,
     server: Any,
     resp_ring: ShmRing,
-    response_q,
+    conn,
     worker_id: int,
     incarnation: int,
     should_abort,
@@ -117,7 +116,7 @@ def _serve_batch(
             deadline = Deadline.from_epoch(envelope.deadline)
             if deadline is not None and deadline.expired():
                 expired = deadline_error(envelope.request_id, "worker")
-                response_q.put(reply(envelope, error=portable_error(expired)))
+                conn.send(reply(envelope, error=portable_error(expired)))
                 resp_ring.beat()
                 continue
             if wtrace is not None:
@@ -132,7 +131,7 @@ def _serve_batch(
                 )
             )
         except Exception as error:  # noqa: BLE001 — a bad request must not kill the worker
-            response_q.put(reply(envelope, error=portable_error(error)))
+            conn.send(reply(envelope, error=portable_error(error)))
             continue
         submitted += 1
     # Answer per completion, not per batch: every request is already in
@@ -155,7 +154,7 @@ def _serve_batch(
             result.trace.stamp("worker.done")
             result.trace.span_between("codec.encode_result", "exec.end", "worker.done")
             response.trace = result.trace.export()
-        response_q.put(response)
+        conn.send(response)
         resp_ring.beat()
 
 
@@ -164,8 +163,7 @@ def worker_main(
     incarnation: int,
     req_ring_name: str,
     resp_ring_name: str,
-    request_q,
-    response_q,
+    conn,
     server_kwargs: dict,
     forked: bool,
 ) -> None:
@@ -191,33 +189,20 @@ def worker_main(
         running = True
         while running and not parent_gone():
             resp_ring.beat()
-            try:
-                message = request_q.get(timeout=1.0)
-            except queue.Empty:
+            if not conn.poll(1.0):
                 continue
             batch: list[RequestEnvelope] = []
-            while True:
+            while len(batch) < BATCH_WINDOW and conn.poll():
+                message = conn.recv()
                 if isinstance(message, tuple):  # ("stop",), the one control message
                     running = False
                     break
-                else:
-                    batch.append(message)
-                    if len(batch) >= BATCH_WINDOW:
-                        break
-                try:
-                    message = request_q.get_nowait()
-                except queue.Empty:
-                    break
+                batch.append(message)
             _serve_batch(
-                batch,
-                decoder,
-                server,
-                resp_ring,
-                response_q,
-                worker_id,
-                incarnation,
-                parent_gone,
+                batch, decoder, server, resp_ring, conn, worker_id, incarnation, parent_gone
             )
+    except (EOFError, OSError):
+        pass  # the pipe broke: the parent is gone
     finally:
         server.close()
         req_ring.close()

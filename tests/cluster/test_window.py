@@ -43,7 +43,7 @@ def test_reporting_puts_nothing_on_a_request_queue(mixed_workload, monkeypatch):
         sent = []
         with monkeypatch.context() as patch:  # undone before close() sends its "stop"
             for handle in session._backend._handles:
-                patch.setattr(handle.request_q, "put", sent.append)
+                patch.setattr(handle.conn, "send", sent.append)
             assert session.stats().completed == 8
             session.publish_metrics()
             session.reset_stats()
