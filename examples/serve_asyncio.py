@@ -55,7 +55,7 @@ async def main() -> None:
 
     # One cluster session behind the whole frontend.  Swap the backend
     # string for "threaded" (or "inline") to serve without processes.
-    config = ServeConfig(workers=2, worker_threads=2, max_inflight=256)
+    config = ServeConfig(workers=2, worker_threads=1, max_inflight=256)
     with Session(backend="cluster", config=config) as session:
         # Warm the compile caches once so the measured burst is steady-state.
         await handle_request(session, weights, payloads[0])

@@ -13,8 +13,9 @@ single interpreter (the ROADMAP's "production-scale" direction):
   routing, so worker-side coalescing still sees whole groups.
 * :mod:`repro.cluster.admission` — bounded in-flight admission control
   with blocking backpressure or reject-with-``retry_after``.
-* :mod:`repro.cluster.worker` — the worker process: an inner
-  ``InsumServer`` (specialization + coalescing intact) behind the rings.
+* :mod:`repro.cluster.worker` — the worker process: one thread serving
+  each drained batch through the shared batch routine (specialization +
+  coalescing intact) behind the rings.
 
 See ``docs/SERVING.md`` for the architecture and failure model.
 """

@@ -29,9 +29,10 @@ class RequestEnvelope:
     request trace id (None when tracing is disabled); the worker
     re-creates a trace under it and ships its stamps/spans back in the
     response.  ``deadline`` is the request's absolute expiry in epoch
-    seconds (None = no deadline): the worker skips an already-expired
-    envelope without decoding or executing it and answers with a
-    ``DeadlineExceededError`` instead.
+    seconds (None = no deadline): the worker's request carries it, so the
+    batch routine answers an envelope that has expired by its turn with a
+    ``DeadlineExceededError`` instead of executing it (the envelope is
+    still decoded, which releases its ring space).
     """
 
     request_id: int

@@ -1,11 +1,11 @@
 """Affinity routing: same expression + pattern, same worker — until hot.
 
-Worker-side performance depends on locality twice over: the inner
-:class:`~repro.runtime.server.InsumServer` can only coalesce requests
-that share an expression and a live sparse pattern if those requests
-land in the *same* process, and the worker's pattern / stable-array /
-plan caches only pay off when the traffic that warmed them keeps
-arriving.  The router therefore assigns each affinity key — the
+Worker-side performance depends on locality twice over: a worker's batch
+routine (:meth:`~repro.runtime.server.InlineBackend.serve`) can only
+coalesce requests that share an expression and a live sparse pattern if
+those requests land in the *same* process, and the worker's pattern /
+stable-array / plan caches only pay off when the traffic that warmed
+them keeps arriving.  The router therefore assigns each affinity key — the
 expression plus the pattern fingerprints of its sparse operands — to one
 worker, sticky for the key's lifetime, choosing the least-loaded worker
 at first sight so distinct keys spread across the pool.

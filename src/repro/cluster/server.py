@@ -6,8 +6,9 @@ them — queueing, rewriting, coalescing, result bookkeeping — serializes
 on a single GIL.  ``ClusterServer`` implements the exact same
 :class:`repro.serve.ExecutorBackend` protocol
 (``submit(request)`` / ``try_cancel(request)``) and
-moves execution into a pool of worker *processes*, each running its own
-:class:`~repro.runtime.server.InsumServer` (specialization and
+moves execution into a pool of worker *processes*, each serving on its
+main thread through the same batch routine
+(:meth:`~repro.runtime.server.InlineBackend.serve`; specialization and
 same-plan coalescing intact):
 
 * **Transport** — dense operands and results cross as raw bytes through
@@ -17,7 +18,7 @@ same-plan coalescing intact):
   by identity token (:mod:`repro.cluster.codec`).
 * **Routing** — requests are assigned by expression + pattern
   fingerprint (:mod:`repro.cluster.router`), sticky per key, so the
-  inner servers' coalescers still see whole groups.
+  workers' coalescers still see whole groups.
 * **Admission control** — total in-flight work is bounded; over-limit
   submissions block (bounded-queue backpressure) or fail fast with
   :class:`~repro.cluster.admission.ClusterBusyError` carrying a
@@ -133,10 +134,11 @@ class ClusterServer:
     num_workers:
         Worker processes in the pool.
     worker_threads:
-        Threads of each worker's inner :class:`InsumServer`.
+        Threads per worker process: ``None`` or 1, the only value (each
+        worker executes on its main thread; ``num_workers`` scales).
     backend / config / auto_format / coalesce:
-        Forwarded to every worker's inner server (see
-        :class:`~repro.runtime.server.InsumServer`).
+        Forwarded to every worker's batch routine (see
+        :class:`~repro.runtime.server.InlineBackend`).
     ring_capacity:
         Bytes per shared-memory ring (one request + one response ring
         per worker).
@@ -170,7 +172,7 @@ class ClusterServer:
     def __init__(
         self,
         num_workers: int = 2,
-        worker_threads: int = 2,
+        worker_threads: int | None = 1,
         backend: str = "inductor",
         config: Any | None = None,
         auto_format: bool = False,
@@ -189,13 +191,14 @@ class ClusterServer:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        if worker_threads not in (None, 1):
+            raise ValueError(f"worker_threads must be 1, got {worker_threads}")
         self.num_workers = int(num_workers)
         self.ring_capacity = int(ring_capacity)
         self.max_attempts = int(max_attempts)
         self.health_interval = float(health_interval)
         self.heartbeat_timeout = heartbeat_timeout or None
         self._server_kwargs = dict(
-            num_workers=worker_threads,
             backend=backend,
             config=config,
             auto_format=auto_format,
@@ -1019,9 +1022,8 @@ class ClusterServer:
                     self._cumulative_counters(), self._counter_marks, self._worker_completed
                 )
             ]
-        threads = self._server_kwargs["num_workers"]
         return self._window.snapshot(
-            per_worker=tuple(ServeStats("threaded", threads, **slot) for slot in slots),
+            per_worker=tuple(ServeStats("threaded", 1, **slot) for slot in slots),
             rejected=self.admission.rejected - self._rejected_mark,
         )
 

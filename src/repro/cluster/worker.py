@@ -1,19 +1,20 @@
-"""The worker process: one :class:`InsumServer` behind a ring pair.
+"""The worker process: the inline backend's batch routine behind a ring pair.
 
 Each worker is a full serving stack in its own interpreter — engine
 specialization, plan cache, and same-plan coalescing intact — fed by
 envelopes on its end of a duplex pipe and operand bytes on a request ring,
-and answering on the same pipe and a response ring.  The main thread is the
-only reader and the only writer of the pipe, so the worker runs no thread
-besides its inner server's.
+and answering on the same pipe and a response ring.  Everything happens on
+the main thread: it is the only reader and the only writer of the pipe, and
+it executes every request itself, so the process runs exactly one thread.
 
 The loop deliberately *batches*: after waiting for the first envelope it
-drains whatever else has arrived (up to :data:`BATCH_WINDOW`) and submits the
-whole batch to the inner server before answering any of it, so the inner
-server's coalescer sees the same opportunity window it would see
-in-process.  Completions then come back one at a time, in the order the
-inner server finishes them, which lets the worker heartbeat as each
-request completes instead of once per batch.
+drains whatever else has arrived (up to :data:`BATCH_WINDOW`), decodes the
+whole batch and hands it to :meth:`~repro.runtime.server.InlineBackend.serve`,
+the batch routine the threaded tier's workers run, so the coalescer sees the
+same opportunity window it would see in-process and a request that expires
+behind earlier members of its batch is shed unexecuted.  Each request is
+answered from its ``on_done`` as the routine finishes it, which lets the
+worker heartbeat as each request completes instead of once per batch.
 
 The serve loop itself stamps the response ring's heartbeat header — once
 per pipe poll and once per completed request — so the stamp measures
@@ -27,8 +28,8 @@ single *request*, independent of the batch window.
 
 from __future__ import annotations
 
+import functools
 import os
-import queue
 import threading
 import time
 from typing import Any
@@ -37,11 +38,11 @@ from repro.cluster.codec import OperandDecoder, encode_result, portable_error
 from repro.cluster.messages import RequestEnvelope, ResponseEnvelope
 from repro.cluster.shm import ShmRing
 from repro.obs import trace as obs_trace
-from repro.resilience.deadline import Deadline, deadline_error
+from repro.resilience.deadline import Deadline
 from repro.runtime.request import Request
 from repro.runtime.stats import INTERIOR
 
-#: Largest envelope batch a worker drains per inner-server round — the
+#: Largest envelope batch a worker drains per batch-routine round — the
 #: coalescing opportunity window.
 BATCH_WINDOW = 32
 
@@ -82,7 +83,8 @@ def _serve_batch(
     incarnation: int,
     should_abort,
 ) -> None:
-    """Decode, execute (as one inner-server batch), and answer ``batch``."""
+    """Decode ``batch`` and serve it through the batch routine; each
+    request's ``on_done`` answers it on the pipe and beats."""
 
     def reply(envelope: RequestEnvelope, **fields: Any) -> ResponseEnvelope:
         # The counters, not a stats snapshot: that sorts every latency sample.
@@ -95,50 +97,10 @@ def _serve_batch(
             **fields,
         )
 
-    done: queue.SimpleQueue = queue.SimpleQueue()
-    submitted = 0
-    for envelope in batch:
-        received = time.time()
-        try:
-            wtrace = None
-            if envelope.trace_id is not None:
-                # Re-create the parent's trace worker-side: stamp the ring
-                # arrival, span the decode, and hand it to the inner
-                # server on the request.
-                wtrace = obs_trace.maybe_start(envelope.trace_id)
-            if wtrace is not None:
-                wtrace.stamp("worker.receive", received)
-            # Decode even when the deadline has passed: decoding applies
-            # the cache side-effects the parent mirrors from the
-            # descriptor stream and releases the envelope's ring space.
-            # Only *execution* is skipped for expired work.
-            operands = decoder.decode_request(envelope)
-            deadline = Deadline.from_epoch(envelope.deadline)
-            if deadline is not None and deadline.expired():
-                expired = deadline_error(envelope.request_id, "worker")
-                conn.send(reply(envelope, error=portable_error(expired)))
-                resp_ring.beat()
-                continue
-            if wtrace is not None:
-                wtrace.stamp("decode.done")
-                wtrace.span_between("codec.decode", "worker.receive", "decode.done")
-            server.submit(
-                Request(
-                    envelope.expression,
-                    operands,
-                    on_done=lambda result, envelope=envelope: done.put((envelope, result)),
-                    trace=wtrace,
-                )
-            )
-        except Exception as error:  # noqa: BLE001 — a bad request must not kill the worker
-            conn.send(reply(envelope, error=portable_error(error)))
-            continue
-        submitted += 1
-    # Answer per completion, not per batch: every request is already in
-    # flight, and the beat after each one keeps the parent's staleness
-    # check scaled to a single request rather than BATCH_WINDOW of them.
-    for _ in range(submitted):
-        envelope, result = done.get()
+    def answer(envelope: RequestEnvelope, result: Any) -> None:
+        # Answer per completion, not per batch: the beat after each one
+        # keeps the parent's staleness check scaled to a single request
+        # rather than BATCH_WINDOW of them.
         response = reply(envelope)
         try:
             if result.ok:
@@ -157,6 +119,39 @@ def _serve_batch(
         conn.send(response)
         resp_ring.beat()
 
+    requests = []
+    for envelope in batch:
+        received = time.time()
+        try:
+            wtrace = None
+            if envelope.trace_id is not None:
+                # Re-create the parent's trace worker-side: stamp the ring
+                # arrival, span the decode, and carry it on the request.
+                wtrace = obs_trace.maybe_start(envelope.trace_id)
+            if wtrace is not None:
+                wtrace.stamp("worker.receive", received)
+            # Decode even when the deadline has passed: decoding applies
+            # the cache side-effects the parent mirrors from the
+            # descriptor stream and releases the envelope's ring space.
+            # The batch routine sheds expired work unexecuted.
+            operands = decoder.decode_request(envelope)
+            if wtrace is not None:
+                wtrace.stamp("decode.done")
+                wtrace.span_between("codec.decode", "worker.receive", "decode.done")
+        except Exception as error:  # noqa: BLE001 — a bad request must not kill the worker
+            conn.send(reply(envelope, error=portable_error(error)))
+            continue
+        request = Request(
+            envelope.expression,
+            operands,
+            on_done=functools.partial(answer, envelope),
+            trace=wtrace,
+            deadline=Deadline.from_epoch(envelope.deadline),
+        )
+        server.accept(request, envelope.request_id)
+        requests.append(request)
+    server.serve(requests)
+
 
 def worker_main(
     worker_id: int,
@@ -172,7 +167,7 @@ def worker_main(
         _reinit_after_fork()
     # Import here, after the fork guard: building the server touches the
     # caches whose locks _reinit_after_fork just re-armed.
-    from repro.runtime.server import InsumServer
+    from repro.runtime.server import InlineBackend
 
     parent_pid = os.getppid()
 
@@ -184,7 +179,7 @@ def worker_main(
     resp_ring.beat()
 
     decoder = OperandDecoder(req_ring)
-    server = InsumServer(**server_kwargs)
+    server = InlineBackend(**server_kwargs)
     try:
         running = True
         while running and not parent_gone():
@@ -204,6 +199,5 @@ def worker_main(
     except (EOFError, OSError):
         pass  # the pipe broke: the parent is gone
     finally:
-        server.close()
         req_ring.close()
         resp_ring.close()

@@ -1,22 +1,25 @@
-"""InsumServer: the threaded serving tier behind :class:`repro.serve.Session`.
+"""The serving core: one executor, one batch routine, and the threaded tier.
 
 The compiler stack below this module is request-free: every entry point
 takes one expression and one set of operands.  This module turns it into
-a serving engine, split into two layers:
+a serving engine, in three layers:
 
 * :class:`RequestExecutor` — the per-request execution core: long-lived
-  per-expression operators (:class:`SparseEinsum` / :class:`Insum`),
-  expression classification, and tuner-driven re-formatting.  The inline
-  backend of :mod:`repro.serve`, the threaded ``InsumServer``, and every
-  cluster worker's inner server all execute through this one code path —
-  which is what makes results bit-identical across serving backends.
-* :class:`InsumServer` — a queue and a pool of worker threads over the
-  executor, implementing the :class:`repro.serve.ExecutorBackend`
+  per-expression operators (:class:`SparseEinsum` / :class:`Insum`) and
+  expression classification.
+* :class:`InlineBackend` — the one batch routine (:meth:`InlineBackend.serve`:
+  claim, shed expired work, group by coalesce key, execute, record) and
+  the inline tier, which serves a batch of one in the calling thread.
+  The threaded tier's worker threads and every cluster worker's main
+  thread serve through the same routine, which is what makes results
+  bit-identical across serving backends.
+* :class:`InsumServer` — the inline backend plus a queue and a pool of
+  worker threads, implementing the :class:`repro.serve.ExecutorBackend`
   protocol (``submit(request)`` / ``try_cancel(request)`` / ``stats`` /
-  ``close``) plus same-plan request coalescing.
+  ``close``) with same-plan request coalescing over each drained batch.
 
 Requests arrive as :class:`~repro.runtime.request.Request` objects that
-carry their own completion; :meth:`InsumServer.run_batch` is the
+carry their own completion; :meth:`InlineBackend.run_batch` is the
 synchronous convenience over that protocol, and
 :class:`repro.serve.Session` the futures-based front door.
 """
@@ -53,12 +56,12 @@ class _OperatorSlot:
 class RequestExecutor:
     """The per-request execution core shared by every serving backend.
 
-    Owns the long-lived reusable operators (one per distinct expression),
-    the expression-classification cache, and the tuner's per-request
-    re-formatting when ``auto_format`` is on.  ``InsumServer`` (threaded),
-    the cluster workers' inner servers, and the serve tier's inline
-    backend all call :meth:`execute`, so a request produces the same bits
-    no matter which tier served it.
+    Owns the long-lived reusable operators (one per distinct expression)
+    and the expression-classification cache; with ``auto_format`` on, a
+    request's operators re-format its sparse operand through the tuner.
+    The batch routine of :class:`InlineBackend` is the one caller of
+    :meth:`execute`, on every tier, so a request produces the same bits no
+    matter which tier served it.
 
     Parameters
     ----------
@@ -145,62 +148,19 @@ class RequestExecutor:
     def execute(self, expression: str, operands: dict[str, Any]) -> np.ndarray:
         """Execute one request exactly as a direct operator call would.
 
-        This is the single per-request code path of every serving tier:
-        classify the expression, optionally promote/re-format the sparse
-        operand through the tuner, and run the cached per-expression
-        operator.
+        A request with a sparse operand runs on the expression's
+        :class:`SparseEinsum`; so does, under ``auto_format``, a logical
+        expression with a promotable dense operand (2-D, density < 0.5).
+        That operator's ``format="auto"`` pass profiles and re-formats the
+        operand through the tuner.  Anything else runs on its :class:`Insum`.
         """
-        has_instance = any(isinstance(value, SparseFormat) for value in operands.values())
-        promoted_name: str | None = None
-        if not has_instance and self.auto_format:
+        has_sparse = any(isinstance(value, SparseFormat) for value in operands.values())
+        if not has_sparse and self.auto_format:
             logical, rhs_names, _ = self.expression_info(expression)
-            if logical:
-                for name in rhs_names:
-                    value = operands.get(name)
-                    arr = np.asarray(value) if value is not None else None
-                    if (
-                        arr is not None
-                        and arr.ndim == 2
-                        and np.count_nonzero(arr) < 0.5 * arr.size
-                    ):
-                        promoted_name = name
-                        break
-        has_sparse = has_instance or promoted_name is not None
-        if has_sparse and self.auto_format:
-            logical, rhs_names, _ = self.expression_info(expression)
-            # Re-format the sparse (or promoted dense) operand once, here —
-            # decisions are cached per regime bucket — so the per-expression
-            # operator's own auto pass sees a matching format and skips
-            # both the density rescan and a second conversion.  The width
-            # is inferred from the request's dense operand so the decision
-            # optimises for the actual workload, matching what
-            # SparseEinsum._infer_n_cols would derive.
-            if logical:
-                from repro.tuner.auto import auto_format as tuner_auto_format
-
-                targets = (
-                    [promoted_name]
-                    if promoted_name is not None
-                    else [
-                        name
-                        for name, value in operands.items()
-                        if isinstance(value, SparseFormat)
-                        and value.format_name != "StackedSparse"
-                    ]
-                )
-                if targets:
-                    n_cols = 64
-                    for name in rhs_names:
-                        value = operands.get(name)
-                        if name in targets or value is None or isinstance(value, SparseFormat):
-                            continue
-                        arr = np.asarray(value)
-                        if arr.ndim >= 2:
-                            n_cols = int(arr.shape[-1])
-                            break
-                    operands = dict(operands)
-                    for name in targets:
-                        operands[name] = tuner_auto_format(operands[name], n_cols=n_cols)
+            arrays = (np.asarray(operands[name]) for name in rhs_names if name in operands)
+            has_sparse = logical and any(
+                arr.ndim == 2 and np.count_nonzero(arr) < 0.5 * arr.size for arr in arrays
+            )
         slot = self.operator_for(expression, has_sparse)
         with slot.lock:
             return slot.operator(**operands)
@@ -242,20 +202,23 @@ class RequestExecutor:
             return sorted({expression for expression, _ in self._operators})
 
 
-class InsumServer:
-    """Batched, cached, multi-worker serving of sparse Einsum requests.
+class InlineBackend:
+    """Synchronous serving over one :class:`RequestExecutor`: the inline
+    tier, and the one batch routine every tier executes through.
 
-    This is the *threaded* :class:`repro.serve.ExecutorBackend`: a queue
-    drained by worker threads over one shared :class:`RequestExecutor`.
-    Construct it directly for :meth:`run_batch`, or (preferred) through
-    ``Session(backend="threaded")``, which wraps it in futures.
+    :meth:`serve` takes accepted requests and, in the calling thread,
+    claims them, groups them by coalesce key, executes singles and widened
+    groups (shedding a request that has expired by its turn) and records
+    every result.  Its three callers: :meth:`submit` here, which serves a
+    batch of one before returning (the ``"inline"`` tier, the
+    zero-concurrency baseline); :class:`InsumServer`'s worker threads, on
+    each batch they drain; and a cluster worker's main thread
+    (:mod:`repro.cluster.worker`), on each batch of envelopes it drains.
 
     Parameters
     ----------
-    num_workers:
-        Worker threads draining the request queue.
     backend / config:
-        Defaults for every operator the server builds.
+        Defaults for every operator the backend builds.
     auto_format:
         When True, format-agnostic requests route through the
         :mod:`repro.tuner` auto path (``format="auto"``): each request's
@@ -264,77 +227,47 @@ class InsumServer:
         profile bucket), and each chosen format compiles once — so one
         server adapts across heterogeneous request streams.  Sparse
         operands may then also be plain dense arrays.
-    coalesce:
-        Same-plan request coalescing (on by default): a worker drains the
-        queue opportunistically and executes requests that share one
-        logical expression and one sparse *pattern* (the same live format
-        instance) as a single widened
-        :class:`~repro.runtime.stacked.StackedSparse` Einsum, instead of
-        one kernel per request.  Results are the per-request results bit
-        for bit (``tests/runtime/test_server_coalesce.py``).
-    coalesce_max:
-        Largest group executed as one batch.  Batches are zero-padded to
-        the next power of two (capped here), so each expression compiles
-        at most ``log2(coalesce_max)`` stacked plans while padded compute
-        stays under 2x.
+    coalesce / coalesce_max:
+        Same-plan coalescing within a batch (see :class:`InsumServer`); a
+        batch of one never coalesces.
+    workers:
+        The parallelism reported as ``ServeStats.workers``.
     """
+
+    #: The tier label of the window and of the deadline counter.
+    name = "inline"
 
     def __init__(
         self,
-        num_workers: int = 4,
         backend: str = "inductor",
         config: Any | None = None,
         auto_format: bool = False,
         coalesce: bool = True,
         coalesce_max: int = 16,
+        workers: int = 1,
     ):
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if coalesce_max < 2:
             raise ValueError(f"coalesce_max must be >= 2, got {coalesce_max}")
-        self.backend = backend
-        self.config = config
-        self.auto_format = bool(auto_format)
         self.coalesce = bool(coalesce)
         self.coalesce_max = int(coalesce_max)
         self.executor = RequestExecutor(backend=backend, config=config, auto_format=auto_format)
-
-        self._queue: queue.SimpleQueue[Request | None] = queue.SimpleQueue()
-        #: Makes "closed?" + queue put one step, so no request can land
-        #: behind the shutdown tokens.
-        self._lock = threading.Lock()
         self._ids = itertools.count()
         #: The measurement window; a cluster worker reads its counters.
-        self.window = ServingWindow(tier="threaded", workers=num_workers)
+        self.window = ServingWindow(tier=self.name, workers=workers)
         self._closed = False
         self._log = get_logger("runtime.server")
         self._m_deadline = get_registry().counter(
             "repro_deadline_expired_total",
             "Requests that exceeded their deadline, by serving tier.",
-            backend="threaded",
+            backend=self.name,
         )
-
-        self._workers = [
-            threading.Thread(target=self._worker_loop, name=f"insum-worker-{i}", daemon=True)
-            for i in range(num_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        """Stop the workers after the queue drains."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for _ in self._workers:
-                self._queue.put(None)
-        for worker in self._workers:
-            worker.join()
-        self._log.info("InsumServer closed", extra={"workers": len(self._workers)})
+        """Refuse further submits (inline holds no threads or queues)."""
+        self._closed = True
 
-    def __enter__(self) -> "InsumServer":
+    def __enter__(self) -> "InlineBackend":
         return self
 
     def __exit__(self, *exc: Any) -> None:
@@ -342,55 +275,43 @@ class InsumServer:
 
     # -- the ExecutorBackend protocol ---------------------------------------
     def submit(self, request: Request) -> None:
-        """Queue one request; its ``on_done`` receives the terminal result.
+        """Serve one request now; its ``on_done`` runs before this returns.
+        Raises :class:`SessionClosedError` once closed and
+        :class:`DeadlineExceededError` for an already expired request."""
+        self._admit(request)
+        self.serve([request])
 
-        The expression is a raw indirect Einsum over plain arrays, or a
-        format-agnostic Einsum when a sparse operand is bound (or the
-        server runs with ``auto_format=True``).  An accepted request
-        always reaches ``on_done`` — the closed check and the queue put
-        share one critical section with :meth:`close`.
+    def _admit(self, request: Request) -> None:
+        """Refuse a request this tier cannot take (closed, or already
+        expired: dead work is never accepted), else :meth:`accept` it."""
+        if self._closed:
+            raise SessionClosedError(f"the {self.name} backend is closed")
+        if request.expired():
+            raise DeadlineExceededError("request exceeded its deadline before it was accepted")
+        self.accept(request)
 
-        Raises
-        ------
-        SessionClosedError
-            If the server has been closed.
-        DeadlineExceededError
-            When the request's deadline had already expired (dead work
-            is never queued).
-        """
-        with self._lock:
-            if self._closed:
-                raise SessionClosedError("InsumServer is closed")
-            if request.expired():
-                raise DeadlineExceededError(
-                    "request exceeded its deadline before it was enqueued"
-                )
-            if request.trace is not None:
-                request.trace.stamp("queued")
-            request.accept(next(self._ids))
-            self.window.open_at(request.submitted_at)
-            self._queue.put(request)
+    def accept(self, request: Request, request_id: int | None = None) -> None:
+        """Take one request towards :meth:`serve`: stamp its trace's
+        ``queued``, number it (``request_id`` when the caller already has
+        one) and open the window at its submission."""
+        if request.trace is not None:
+            request.trace.stamp("queued")
+        request.accept(next(self._ids) if request_id is None else request_id)
+        self.window.open_at(request.submitted_at)
 
     def try_cancel(self, request: Request) -> bool:
-        """Cancel a request no worker has claimed yet.
+        """Cancel a request not yet claimed by :meth:`serve`.
 
         Returns True when the request was still queued: it will never
         execute, and its ``on_done`` receives a
         :class:`~repro.errors.FutureCancelledError` result (not counted
-        as completed or failed).  Returns False once a worker has taken
-        the request (or it already finished) — the result will arrive
-        normally.
+        as completed or failed).  Returns False once it is claimed (or
+        already finished) — the result will arrive normally.
         """
         if not request.cancel():
             return False
-        self._record(
-            request,
-            request.failed(
-                FutureCancelledError(
-                    f"request {request.request_id} was cancelled before dispatch"
-                )
-            ),
-        )
+        error = FutureCancelledError(f"request {request.request_id} was cancelled before dispatch")
+        self._record(request, request.failed(error))
         return True
 
     def run_batch(
@@ -407,78 +328,47 @@ class InsumServer:
         """
         return runtime_request.run_batch(self, requests, timeout)
 
-    # -- execution ----------------------------------------------------------
-    def _worker_loop(self) -> None:
-        while True:
-            request = self._queue.get()
-            if request is None:
-                return
-            batch = [request]
-            if self.coalesce:
-                # Opportunistic drain: whatever else is already queued (up
-                # to a bounded window) is grouped by coalesce key below.
-                limit = 2 * self.coalesce_max
-                while len(batch) < limit:
-                    try:
-                        extra = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if extra is None:
-                        # Another worker's shutdown token: hand it back.
-                        self._queue.put(None)
-                        break
-                    batch.append(extra)
-            self._process_batch(batch)
-
-    def _claim(self, request: Request) -> bool:
-        """Claim one dequeued request for execution; False when cancelled
-        (already recorded by :meth:`try_cancel`) or expired (an expired
-        request records its deadline error instead of spending worker
-        time on output nobody can use)."""
-        if not request.claim():
-            return False
-        if request.expired():
-            self._record(
-                request,
-                request.failed(
-                    deadline_error(request.request_id, "queue"), time.perf_counter()
-                ),
-            )
-            return False
-        return True
-
-    def _process_batch(self, batch: list[Request]) -> None:
-        """Group a drained batch by coalesce key and execute the groups.
+    # -- the batch routine --------------------------------------------------
+    def serve(self, batch: list[Request]) -> None:
+        """Claim, group by coalesce key, execute and record accepted requests.
 
         Groups of one (and requests that cannot coalesce) run through the
         ordinary per-request path; larger groups execute as one widened
-        stacked Einsum.  First-arrival order is preserved across groups.
+        stacked Einsum.  First-arrival order is preserved across groups,
+        and a request that expired while earlier ones executed is shed
+        just before its own turn.
         """
-        batch = [request for request in batch if self._claim(request)]
+        # A cancelled request was already recorded by try_cancel.
+        batch = [request for request in batch if request.claim()]
         groups: dict[tuple, tuple[list[Request], Any]] = {}
-        order: list[tuple[str, Any]] = []
+        order: list[tuple[list[Request], Any]] = []
         for request in batch:
             ticket = self._coalesce_ticket(request) if len(batch) > 1 else None
             if ticket is None:
-                order.append(("single", request))
-                continue
-            bucket = groups.get(ticket.key)
-            if bucket is None:
-                groups[ticket.key] = ([request], ticket)
-                order.append(("group", ticket.key))
+                order.append(([request], None))
+            elif ticket.key in groups:
+                groups[ticket.key][0].append(request)
             else:
-                bucket[0].append(request)
-        for kind, payload in order:
-            if kind == "single":
-                self._process_one(payload)
-                continue
-            requests, ticket = groups[payload]
+                groups[ticket.key] = ([request], ticket)
+                order.append(groups[ticket.key])
+        for requests, ticket in order:
             for start in range(0, len(requests), self.coalesce_max):
-                chunk = requests[start : start + self.coalesce_max]
+                chunk = [r for r in requests[start : start + self.coalesce_max] if self._live(r)]
                 if len(chunk) == 1:
                     self._process_one(chunk[0])
-                else:
+                elif chunk:
                     self._execute_group(chunk, ticket)
+
+    def _live(self, request: Request) -> bool:
+        """False when ``request`` expired: it records its deadline error
+        instead of spending time on output nobody can use."""
+        if not request.expired():
+            return True
+        self._record(
+            request,
+            request.failed(deadline_error(request.request_id, "queue"), time.perf_counter()),
+        )
+        return False
 
     def _process_one(self, request: Request) -> None:
         """Execute one request through the per-request path and record it."""
@@ -508,7 +398,7 @@ class InsumServer:
         sparse operand; ``auto_format`` servers keep the per-request tuner
         path, whose format decisions a batched execution must not bypass.
         """
-        if not self.coalesce or self.auto_format:
+        if not self.coalesce or self.executor.auto_format:
             return None
         from repro.engine.coalesce import coalesce_key
 
@@ -581,6 +471,130 @@ class InsumServer:
         self.window.reset()
 
     def health(self) -> dict[str, Any]:
+        """Liveness report for ``/v1/healthz`` (inline: the caller's thread)."""
+        return {
+            "status": "closed" if self._closed else "ok",
+            "backend": self.name,
+            "workers": [],
+        }
+
+    @property
+    def expressions_served(self) -> list[str]:
+        """Distinct expressions with a live reusable operator."""
+        return self.executor.expressions()
+
+
+class InsumServer(InlineBackend):
+    """Batched, cached, multi-worker serving of sparse Einsum requests.
+
+    This is the *threaded* :class:`repro.serve.ExecutorBackend`: a queue
+    drained by worker threads, each handing what it drains to the shared
+    batch routine (:meth:`InlineBackend.serve`).  Construct it directly
+    for :meth:`run_batch`, or (preferred) through
+    ``Session(backend="threaded")``, which wraps it in futures.
+
+    Parameters
+    ----------
+    num_workers:
+        Worker threads draining the request queue.
+    backend / config / auto_format:
+        As for :class:`InlineBackend`.
+    coalesce:
+        Same-plan request coalescing (on by default): a worker drains the
+        queue opportunistically and executes requests that share one
+        logical expression and one sparse *pattern* (the same live format
+        instance) as a single widened
+        :class:`~repro.runtime.stacked.StackedSparse` Einsum, instead of
+        one kernel per request.  Results are the per-request results bit
+        for bit (``tests/runtime/test_server_coalesce.py``).
+    coalesce_max:
+        Largest group executed as one batch.  Batches are zero-padded to
+        the next power of two (capped here), so each expression compiles
+        at most ``log2(coalesce_max)`` stacked plans while padded compute
+        stays under 2x.
+    """
+
+    name = "threaded"
+
+    def __init__(
+        self,
+        num_workers: int = 4,
+        backend: str = "inductor",
+        config: Any | None = None,
+        auto_format: bool = False,
+        coalesce: bool = True,
+        coalesce_max: int = 16,
+    ):
+        if num_workers < 1:
+            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+        super().__init__(backend, config, auto_format, coalesce, coalesce_max, workers=num_workers)
+        self._queue: queue.SimpleQueue[Request | None] = queue.SimpleQueue()
+        #: Makes "closed?" + queue put one step, so no request can land
+        #: behind the shutdown tokens.
+        self._lock = threading.Lock()
+        self._workers = [
+            threading.Thread(target=self._worker_loop, name=f"insum-worker-{i}", daemon=True)
+            for i in range(num_workers)
+        ]
+        for worker in self._workers:
+            worker.start()
+
+    def close(self) -> None:
+        """Stop the workers after the queue drains."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            for _ in self._workers:
+                self._queue.put(None)
+        for worker in self._workers:
+            worker.join()
+        self._log.info("InsumServer closed", extra={"workers": len(self._workers)})
+
+    def submit(self, request: Request) -> None:
+        """Queue one request; its ``on_done`` receives the terminal result.
+
+        The expression is a raw indirect Einsum over plain arrays, or a
+        format-agnostic Einsum when a sparse operand is bound (or the
+        server runs with ``auto_format=True``).  An accepted request
+        always reaches ``on_done`` — the closed check and the queue put
+        share one critical section with :meth:`close`.
+
+        Raises
+        ------
+        SessionClosedError
+            If the server has been closed.
+        DeadlineExceededError
+            When the request's deadline had already expired (dead work
+            is never queued).
+        """
+        with self._lock:
+            self._admit(request)
+            self._queue.put(request)
+
+    def _worker_loop(self) -> None:
+        while True:
+            request = self._queue.get()
+            if request is None:
+                return
+            batch = [request]
+            if self.coalesce:
+                # Opportunistic drain: whatever else is already queued (up
+                # to a bounded window) is grouped by coalesce key in serve().
+                limit = 2 * self.coalesce_max
+                while len(batch) < limit:
+                    try:
+                        extra = self._queue.get_nowait()
+                    except queue.Empty:
+                        break
+                    if extra is None:
+                        # Another worker's shutdown token: hand it back.
+                        self._queue.put(None)
+                        break
+                    batch.append(extra)
+            self.serve(batch)
+
+    def health(self) -> dict[str, Any]:
         """Liveness report for ``/v1/healthz``: per-worker thread aliveness."""
         workers = [
             {"worker": index, "alive": worker.is_alive()}
@@ -589,11 +603,6 @@ class InsumServer:
         healthy = not self._closed and all(entry["alive"] for entry in workers)
         return {
             "status": "ok" if healthy else ("closed" if self._closed else "degraded"),
-            "backend": "threaded",
+            "backend": self.name,
             "workers": workers,
         }
-
-    @property
-    def expressions_served(self) -> list[str]:
-        """Distinct expressions with a live reusable operator."""
-        return self.executor.expressions()

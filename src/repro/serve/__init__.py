@@ -15,7 +15,7 @@ grown by the runtime (a thread-pool ``InsumServer``), the cluster (a
 * :mod:`repro.serve.future` — :class:`Future`: result/exception
   delivery, timeout, cancellation of undispatched work, callbacks.
 * :mod:`repro.serve.backend` — the :class:`ExecutorBackend` protocol the
-  tiers implement, plus the inline (calling-thread) backend.
+  tiers implement; it re-exports the inline (calling-thread) backend.
 
 :class:`ServeStats`, the report every tier's ``stats()`` returns, is
 re-exported here from :mod:`repro.runtime.stats`, its one home.

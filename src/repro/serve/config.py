@@ -115,7 +115,9 @@ class ServeConfig:
         processes for ``cluster`` (defaults: 4 / 2).  Meaningless — and
         rejected — for ``inline``, which executes in the calling thread.
     worker_threads:
-        Cluster only: threads of each worker process's inner server.
+        Cluster only: threads per worker process.  ``None`` or 1, the only
+        value: each worker executes on its main thread, and ``workers``
+        scales the cluster.
     compile_backend / compile_config:
         The compiler stack under every operator (any backend).
     auto_format:
@@ -206,6 +208,8 @@ class ServeConfig:
             )
         if self.workers is not None and self.workers < 1:
             raise ServeConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.worker_threads not in (None, 1):
+            raise ServeConfigError(f"worker_threads must be 1, got {self.worker_threads}")
         if self.admission is not None and self.admission not in ("block", "reject"):
             raise ServeConfigError(
                 f"admission must be 'block' or 'reject', got {self.admission!r}"

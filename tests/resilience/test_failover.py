@@ -11,7 +11,7 @@ from repro.serve import ServeConfig
 def cluster_config(**overrides) -> ServeConfig:
     fields = dict(
         workers=2,
-        worker_threads=2,
+        worker_threads=1,
         coalesce=False,
         admission="reject",
         max_inflight=64,

@@ -5,10 +5,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro import InsumServer, insum, sparse_einsum
+from repro import InsumServer, SparseEinsum, insum, sparse_einsum
 from repro.errors import EinsumValidationError, SessionClosedError
 from repro.formats import COO, GroupCOO
 from repro.runtime import Request
+from repro.runtime.server import RequestExecutor
 
 
 def _mixed_workload(rng, count=100):
@@ -176,3 +177,22 @@ def test_submit_racing_close_is_served_or_refused_never_lost():
     with pytest.raises(SessionClosedError):
         server.submit(Request("C[i] += A[i]", dict(A=np.ones(3), C=np.zeros(3)), on_done=landed.append))
     assert len(landed) == 1
+
+
+@pytest.mark.parametrize("as_format", [False, True], ids=["dense", "coo"])
+def test_an_auto_format_request_profiles_its_operand_once(rng, monkeypatch, as_format):
+    """The executor leaves the tuner to its SparseEinsum(format="auto"): one
+    profile per request, and the direct operator's bits."""
+    import repro.tuner.auto as tuner_auto
+
+    calls = []
+    profile = tuner_auto.profile_operand
+    monkeypatch.setattr(
+        tuner_auto, "profile_operand", lambda operand: calls.append(1) or profile(operand)
+    )
+    dense = np.where(rng.random((32, 48)) < 0.1, rng.standard_normal((32, 48)), 0.0)
+    operands = dict(A=COO.from_dense(dense) if as_format else dense, B=rng.standard_normal((48, 8)))
+    expression = "C[m,n] += A[m,k] * B[k,n]"
+    output = RequestExecutor(auto_format=True).execute(expression, operands)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(output, SparseEinsum(expression, format="auto")(**operands))

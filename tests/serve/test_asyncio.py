@@ -40,7 +40,7 @@ def test_hundred_concurrent_asubmit_on_cluster(spmm_operands):
     """The acceptance bar: >= 100 concurrent awaits on the cluster, no deadlock."""
 
     async def main():
-        config = ServeConfig(workers=2, worker_threads=2)
+        config = ServeConfig(workers=2, worker_threads=1)
         with Session(backend="cluster", config=config) as session:
             coroutines = [
                 session.asubmit(SPMM_EXPR, **spmm_operands) for _ in range(100)

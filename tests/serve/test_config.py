@@ -10,7 +10,7 @@ import pytest
 from repro.cluster.server import ClusterServer
 from repro.core.inductor import InductorConfig
 from repro.resilience.failover import FALLBACK_BACKENDS, fallback_config
-from repro.runtime.server import InsumServer, RequestExecutor
+from repro.runtime.server import InlineBackend, InsumServer
 from repro.serve import BACKENDS, ServeConfig, ServeConfigError, Session
 
 
@@ -27,10 +27,9 @@ def test_unknown_backend_rejected():
         Session(backend="gpu-farm")
 
 
-#: What each tier's forwarded kwargs must be accepted by (inline hands
-#: them to the executor unchanged).
+#: What each tier's forwarded kwargs must be accepted by.
 _TIER_CONSTRUCTORS = {
-    "inline": RequestExecutor,
+    "inline": InlineBackend,
     "threaded": InsumServer,
     "cluster": ClusterServer,
 }
@@ -38,12 +37,16 @@ _TIER_CONSTRUCTORS = {
 #: (value, REPRO_SERVE_* spelling) per annotation; the value is valid on
 #: every tier that accepts the field and differs from its default.
 _SAMPLES = {"int": (3, "3"), "float": (1.5, "1.5"), "str": ("eager", "eager")}
-_ENUMERATED = {"admission": "reject", "failover": "threaded"}
+_ENUMERATED = {
+    "admission": ("reject", "reject"),
+    "failover": ("threaded", "threaded"),
+    "worker_threads": (1, "1"),
+}
 
 
 def _sample(config_field):
     if config_field.name in _ENUMERATED:
-        return _ENUMERATED[config_field.name], _ENUMERATED[config_field.name]
+        return _ENUMERATED[config_field.name]
     kind = config_field.type.split(" | ")[0]
     if kind == "bool":
         value = config_field.default is not True
@@ -99,6 +102,16 @@ def test_value_validation():
         ServeConfig(workers=0).validate("threaded")
     with pytest.raises(ServeConfigError, match="admission"):
         ServeConfig(admission="panic").validate("cluster")
+
+
+def test_worker_threads_is_one_or_unset():
+    """A cluster worker executes on its main thread: 1 is the only value."""
+    for value in (None, 1):
+        ServeConfig(worker_threads=value).validate("cluster")
+    with pytest.raises(ServeConfigError, match="worker_threads"):
+        ServeConfig(worker_threads=2).validate("cluster")
+    with pytest.raises(ValueError, match="worker_threads"):
+        ClusterServer(worker_threads=2)
 
 
 def test_resolved_workers_defaults():

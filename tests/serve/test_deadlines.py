@@ -135,6 +135,20 @@ class TestDeadlineObservability:
                 victim.result(timeout=60)
         assert counter.value() >= before + 1
 
+    def test_inline_counts_a_result_that_expires_mid_execute(self, operands, monkeypatch):
+        slow_down_executor(monkeypatch)
+        counter = get_registry().counter(
+            "repro_deadline_expired_total",
+            "Requests that exceeded their deadline, by serving tier.",
+            backend="inline",
+        )
+        before = counter.value()
+        with make_session("inline") as session:
+            future = session.submit(SPMM_EXPR, deadline_ms=150, **operands)
+            with pytest.raises(DeadlineExceededError):
+                future.result(timeout=60)
+        assert counter.value() == before + 1
+
     def test_deadline_error_is_a_serve_error_not_a_timeout(self):
         from repro.errors import ReproError, ServeError
 
