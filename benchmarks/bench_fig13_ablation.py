@@ -29,15 +29,15 @@ EXPRESSION = "C[m,n] += A[m,k] * B[k,n]"
 def _estimate(fmt, config) -> float:
     einsum = SparseEinsum(EXPRESSION, config=config)
     dense = np.zeros((SIZE, NUM_COLS), dtype=np.float32)
-    return einsum.estimate(A=fmt, B=dense).estimated_ms
+    return einsum.estimate(A=fmt, B=dense).price("fp16").estimated_ms
 
 
 @pytest.fixture(scope="module")
 def ablation_rows():
     matrix = random_block_sparse_matrix(SIZE, BLOCK, BLOCK_DENSITY, rng=0)
-    stock = InductorConfig.torchinductor_default(dtype="fp16")
-    tc_fusion = InductorConfig.insum_tensor_core_only(dtype="fp16")
-    full = InductorConfig.insum(dtype="fp16")
+    stock = InductorConfig.torchinductor_default()
+    tc_fusion = InductorConfig.insum_tensor_core_only()
+    full = InductorConfig.insum()
 
     timings = {
         "COO": _estimate(COO.from_dense(matrix), stock),

@@ -47,9 +47,6 @@ def main() -> None:
     print("\ncompilation summary")
     print("-------------------")
     print(compiled.describe())
-    print("\ngenerated Triton-style kernel")
-    print("-----------------------------")
-    print(compiled.source())
 
 
 if __name__ == "__main__":

@@ -40,23 +40,23 @@ def main() -> None:
     configurations = {
         "COO (stock backend)": (
             COO.from_dense(matrix),
-            InductorConfig.torchinductor_default("fp16"),
+            InductorConfig.torchinductor_default(),
         ),
         "GroupCOO (stock backend)": (
             GroupCOO.from_dense(matrix, group_size=16),
-            InductorConfig.torchinductor_default("fp16"),
+            InductorConfig.torchinductor_default(),
         ),
         "BlockGroupCOO (stock backend)": (
             BlockGroupCOO.from_dense(matrix, BLOCK, group_size=4),
-            InductorConfig.torchinductor_default("fp16"),
+            InductorConfig.torchinductor_default(),
         ),
         "BlockGroupCOO + TC fusion": (
             BlockGroupCOO.from_dense(matrix, BLOCK, group_size=4),
-            InductorConfig.insum_tensor_core_only("fp16"),
+            InductorConfig.insum_tensor_core_only(),
         ),
         "BlockGroupCOO + TC + lazy broadcasting": (
             BlockGroupCOO.from_dense(matrix, BLOCK, group_size=4),
-            InductorConfig.insum("fp16"),
+            InductorConfig.insum(),
         ),
     }
     rows = []
@@ -64,7 +64,8 @@ def main() -> None:
         compiled = SparseEinsum(StructuredSpMM.expression, config=config).estimate(
             A=fmt, B=placeholder
         )
-        rows.append([name, compiled.num_kernels, compiled.estimated_ms])
+        priced = compiled.price("fp16")
+        rows.append([name, priced.num_kernels, priced.estimated_ms])
     rows.append(
         ["TorchBSR baseline", 1, TorchBSRSpMM(matrix, BLOCK, dtype="fp16").modeled_ms(placeholder)]
     )

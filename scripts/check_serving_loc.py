@@ -26,7 +26,10 @@ from pathlib import Path
 
 PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 
-#: Total lines with one batch routine for every tier: 9,264, -64 once the
+#: Total lines with the plan key on the frozen three-switch ``InductorConfig``:
+#: 9,263, -1 in ``runtime/plan_cache.py`` (``None`` keys as the default
+#: config; the tile-dict sort went with the config's tile field).
+#: With one batch routine for every tier: 9,264, -64 once the
 #: inline backend became the routine's class in ``runtime/server.py``
 #: (``serve/backend.py`` 168 -> 81), a cluster worker called it on its main
 #: thread (no inner threaded server, thread or ``SimpleQueue``) and the
@@ -57,7 +60,7 @@ PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 #: cluster's hand-copied window and the worker stats round trip deleted,
 #: `cluster/server.py` 1,232 -> 1,130); 9,984 before that, 10,112 and
 #: 10,102 earlier, 10,547, 10,556, and 10,867 at the start.
-CEILING = 9264
+CEILING = 9263
 
 #: Packages outside the serving stack with a line budget of their own.
 #: ``engine`` is 2,200 with ``emit.compiles()``, the once-per-process compile
@@ -82,12 +85,14 @@ CONFIG_CLASSES = {
     "gateway/config.py": "GatewayConfig",
 }
 
-#: Config fields with the bounds-check field of ``ServeConfig`` deleted
-#: (20 + 6 + 8: the executor checks every index it loads, so there is no
-#: pre-execution scan to turn off); 35 with ``ServeConfig.tune`` deleted; 36
-#: when the executor's memory bound became the ``_WINDOW_BYTES`` constant, 37
-#: and 47 before it.
-OPTIONS_CEILING = 34
+#: Config fields with ``InductorConfig`` down to the three Section 6.6
+#: switches (20 + 3 + 8: the value dtype, explicit tiles and simulated device
+#: steer only the GPU model and are arguments of ``CompiledInsum.price``); 34
+#: with the bounds-check field of ``ServeConfig`` deleted (the executor checks
+#: every index it loads, so there is no pre-execution scan to turn off); 35
+#: with ``ServeConfig.tune`` deleted; 36 when the executor's memory bound
+#: became the ``_WINDOW_BYTES`` constant, 37 and 47 before it.
+OPTIONS_CEILING = 31
 
 
 def package_lines(root: Path, packages=PACKAGES) -> dict[str, int]:

@@ -10,8 +10,9 @@ Responsibilities, mirroring the paper's compiler extension:
   Triton kernel — or keep them separate, reproducing stock TorchInductor's
   template-matmul limitation (Section 5.2, "Limitation");
 * apply 2-D output tiling and lazy vs. eager broadcasting (Section 5.2.3);
-* autotune tile sizes against the analytical device model — on demand, when
-  a modelled number is asked for, never on the way to an executable.
+* autotune tile sizes against the analytical device model — in
+  ``CompiledInsum.price``, for a value dtype, tile choice and device, when a
+  modelled number is asked for, never on the way to an executable.
 
 Every schedule executes on the plan's
 :class:`~repro.engine.specialize.SpecializedKernel`: cache-sized windows when

@@ -17,6 +17,7 @@ from repro.core.inductor.dot_rewrite import DotInfo
 from repro.core.inductor.fusion import FusedKernelPlan, build_kernel_spec
 from repro.core.inductor.tiling import candidate_tiles
 from repro.core.insum.planner import InsumPlan
+from repro.core.triton_sim.device import DeviceModel
 from repro.core.triton_sim.profiler import estimate_total_time
 from repro.errors import AutotuneError
 from repro.utils.timing import Timer
@@ -42,12 +43,18 @@ def autotune_tiles(
     kernel_plans: list[FusedKernelPlan],
     dot: DotInfo | None,
     config: InductorConfig,
+    dtype: str,
+    device: DeviceModel,
+    tiles: dict[str, int] | None = None,
 ) -> AutotuneResult:
-    """Pick the tile configuration minimising the modelled runtime."""
-    if config.tile_sizes is not None:
-        tiles = dict(config.tile_sizes)
-        kernels = [build_kernel_spec(kp, dot, config, tiles) for kp in kernel_plans]
-        cost = estimate_total_time(kernels, config.device).total_ms
+    """Pick the tile configuration minimising the modelled runtime.
+
+    Explicit ``tiles`` skip the search: they are the one candidate.
+    """
+    if tiles is not None:
+        tiles = dict(tiles)
+        kernels = [build_kernel_spec(kp, dot, config, dtype, tiles) for kp in kernel_plans]
+        cost = estimate_total_time(kernels, device).total_ms
         return AutotuneResult(
             best_tiles=tiles,
             best_cost_ms=cost,
@@ -56,7 +63,7 @@ def autotune_tiles(
             modeled_seconds=0.0,
         )
 
-    candidates = candidate_tiles(plan, dot, config)
+    candidates = candidate_tiles(plan, dot, config, dtype, device)
     if not candidates:
         raise AutotuneError("no valid tile configuration found for this problem")
 
@@ -64,8 +71,8 @@ def autotune_tiles(
     best_cost = float("inf")
     with Timer() as timer:
         for tiles in candidates:
-            kernels = [build_kernel_spec(kp, dot, config, tiles) for kp in kernel_plans]
-            cost = estimate_total_time(kernels, config.device).total_ms
+            kernels = [build_kernel_spec(kp, dot, config, dtype, tiles) for kp in kernel_plans]
+            cost = estimate_total_time(kernels, device).total_ms
             if cost < best_cost:
                 best_cost = cost
                 best_tiles = tiles

@@ -37,19 +37,22 @@ def _is_intermediate(buffer: str) -> bool:
     return buffer.startswith("tmp_")
 
 
+def fuses(dot: DotInfo | None, config: InductorConfig) -> bool:
+    """Whether the program compiles to one kernel.
+
+    Either the program is pure pointwise/reduction (no matmul template
+    involved), which stock TorchInductor fuses too, or our extension is
+    active: the matmul is generated natively and may fuse with its gathers
+    and scatter.
+    """
+    return dot is None or (config.native_dot and config.fuse_gather_scatter)
+
+
 def fuse_stages(
     stages: list[StageIR], dot: DotInfo | None, config: InductorConfig
 ) -> list[FusedKernelPlan]:
     """Group stages into kernels according to the backend configuration."""
-    has_matmul = dot is not None
-    template_matmul = has_matmul and not config.native_dot
-    fuse_everything = config.fuse_gather_scatter and not template_matmul
-
-    if fuse_everything or not has_matmul:
-        # Either our extension is active, or the program is pure
-        # pointwise/reduction (no matmul template involved); both fuse into
-        # one kernel, which is what stock TorchInductor also does for the
-        # template-free case.
+    if fuses(dot, config):
         return [FusedKernelPlan(name="fused_insum_kernel", stages=list(stages))]
 
     # Template path: every stage is its own kernel.
@@ -66,7 +69,8 @@ def build_kernel_spec(
     plan: FusedKernelPlan,
     dot: DotInfo | None,
     config: InductorConfig,
-    tile_sizes: dict[str, int],
+    dtype: str,
+    tiles: dict[str, int],
 ) -> KernelSpec:
     """Materialise a :class:`KernelSpec` for one fused kernel group.
 
@@ -105,7 +109,7 @@ def build_kernel_spec(
     dram_efficiency = None
     if has_contraction and dot is not None:
         if config.native_dot:
-            uses_tensor_core = dot.tensor_core_eligible(config.dtype)
+            uses_tensor_core = dot.tensor_core_eligible(dtype)
             if uses_tensor_core and not config.lazy_broadcasting:
                 # Eager broadcasting forces tl.view + tl.trans before tl.dot
                 # (Figure 8b); lazy broadcasting removes both (Figure 8c).
@@ -113,7 +117,7 @@ def build_kernel_spec(
         else:
             # The hand-written template always uses Tensor Cores and has no
             # broadcasting overhead — its problem is that it cannot fuse.
-            uses_tensor_core = dot.tensor_core_eligible(config.dtype)
+            uses_tensor_core = dot.tensor_core_eligible(dtype)
             compute_efficiency = 0.78
 
     if fused and config.native_dot and config.fuse_gather_scatter:
@@ -123,7 +127,7 @@ def build_kernel_spec(
         compute_efficiency = 0.75
         dram_efficiency = 0.92
 
-    tile_sizes = dict(tile_sizes)
+    tiles = dict(tiles)
     if contraction_stage is not None and dot is not None and config.native_dot:
         # Triton block dimensions must be powers of two: a reduction extent
         # like a group size of 48 is padded up to 64 at execution time.  Record
@@ -133,11 +137,11 @@ def build_kernel_spec(
         for var in dot.k_vars:
             extent = contraction_stage.loop_vars.get(var)
             if extent is not None and extent <= 256:
-                tile_sizes.setdefault(f"r_{var}", int(extent))
+                tiles.setdefault(f"r_{var}", int(extent))
 
     grid = 1
     if contraction_stage is not None:
-        grid = max(1, contraction_stage.iteration_count // max(1, _tile_product(tile_sizes)))
+        grid = max(1, contraction_stage.iteration_count // max(1, _tile_product(tiles)))
 
     description = " + ".join(plan.kinds) if fused else plan.stages[0].kind
     return KernelSpec(
@@ -147,17 +151,17 @@ def build_kernel_spec(
         stores=stores,
         flops=flops,
         uses_tensor_core=uses_tensor_core,
-        dtype=config.dtype,
+        dtype=dtype,
         reshape_transpose_ops=reshape_ops,
-        tile_sizes=dict(tile_sizes),
+        tiles=tiles,
         description=description,
         compute_efficiency=compute_efficiency,
         dram_efficiency=dram_efficiency,
     )
 
 
-def _tile_product(tile_sizes: dict[str, int]) -> int:
+def _tile_product(tiles: dict[str, int]) -> int:
     product = 1
-    for value in tile_sizes.values():
+    for value in tiles.values():
         product *= max(1, value)
     return product

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.inductor.config import InductorConfig
 from repro.core.insum.planner import FactorPlan, InsumPlan
 from repro.core.triton_sim.kernel import MemoryAccess
 
@@ -84,10 +83,10 @@ def _gather_contiguity(factor: FactorPlan, plan: InsumPlan) -> float:
     return float(trailing)
 
 
-def lower_to_stages(plan: InsumPlan, config: InductorConfig) -> list[StageIR]:
-    """Lower an Insum plan to gather / contraction / scatter stages."""
+def lower_to_stages(plan: InsumPlan, dtype: str) -> list[StageIR]:
+    """Lower an Insum plan to gather / contraction / scatter stages of ``dtype`` values."""
     extents = plan.info.extents
-    value_bytes = _dtype_bytes(config.dtype)
+    value_bytes = _dtype_bytes(dtype)
     index_bytes = 4
     stages: list[StageIR] = []
 

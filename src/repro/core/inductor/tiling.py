@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.core.inductor.config import InductorConfig
 from repro.core.inductor.dot_rewrite import DotInfo
 from repro.core.insum.planner import InsumPlan
+from repro.core.triton_sim.device import DeviceModel
 from repro.utils.arrays import next_power_of_two, prev_power_of_two
 
 
@@ -31,7 +32,7 @@ def default_tiles(plan: InsumPlan, dot: DotInfo | None, config: InductorConfig) 
 
 
 def candidate_tiles(
-    plan: InsumPlan, dot: DotInfo | None, config: InductorConfig
+    plan: InsumPlan, dot: DotInfo | None, config: InductorConfig, dtype: str, device: DeviceModel
 ) -> list[dict[str, int]]:
     """The autotuning search space (a small grid, as in torch.compile)."""
     if dot is None or not config.native_dot:
@@ -48,7 +49,7 @@ def candidate_tiles(
                     "n": min(tile_n, _clamp_tile(dot.n, tile_n)),
                     "k": min(tile_k, _clamp_tile(dot.k, tile_k)),
                 }
-                if tiles not in candidates and _fits_shared_memory(tiles, config):
+                if tiles not in candidates and _fits_shared_memory(tiles, dtype, device):
                     candidates.append(tiles)
     return candidates or [default_tiles(plan, dot, config)]
 
@@ -60,11 +61,11 @@ def _clamp_tile(extent: int, preferred: int) -> int:
     return min(preferred, prev_power_of_two(extent))
 
 
-def _fits_shared_memory(tiles: dict[str, int], config: InductorConfig) -> bool:
+def _fits_shared_memory(tiles: dict[str, int], dtype: str, device: DeviceModel) -> bool:
     """Reject tile combinations whose operand tiles exceed shared memory."""
-    element_bytes = 2 if config.dtype == "fp16" else 4
+    element_bytes = 2 if dtype == "fp16" else 4
     tile_m = tiles.get("m", 1)
     tile_n = tiles.get("n", 1)
     tile_k = tiles.get("k", 1)
     required = (tile_m * tile_k + tile_k * tile_n + tile_m * tile_n) * element_bytes
-    return required <= config.device.shared_memory_per_sm
+    return required <= device.shared_memory_per_sm

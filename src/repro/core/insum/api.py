@@ -289,8 +289,8 @@ class SparseEinsum:
 
     Wraps the rewrite (format-agnostic → format-conscious) plus a reusable
     :class:`Insum` operator, so applications can execute the same Einsum
-    many times and still inspect the compiled kernel, its modelled GPU
-    cost, and the generated Triton-style source.
+    many times and still inspect the compiled kernel and its modelled GPU
+    cost (:meth:`~repro.core.inductor.compile.CompiledInsum.price`).
 
     Parameters
     ----------
@@ -612,7 +612,11 @@ class SparseEinsum:
 
     @property
     def modeled_ms(self) -> float | None:
-        """Modelled GPU time of the most recent execution, in milliseconds."""
+        """Modelled GPU time of the most recent execution, in milliseconds.
+
+        The default pricing (fp32 values, autotuned tiles, RTX 3090);
+        ``compiled.price(...)`` prices any other.
+        """
         return None if self._last_compiled is None else self._last_compiled.estimated_ms
 
     @property

@@ -1,4 +1,4 @@
-"""Kernel descriptions consumed by the cost model and the code generator."""
+"""Kernel descriptions consumed by the cost model."""
 
 from __future__ import annotations
 
@@ -70,7 +70,7 @@ class KernelSpec:
     #: by eager broadcasting; zero under lazy broadcasting (Section 5.2.3).
     reshape_transpose_ops: int = 0
     #: Tile sizes chosen by the tiler/autotuner, keyed by loop-variable role.
-    tile_sizes: dict[str, int] = field(default_factory=dict)
+    tiles: dict[str, int] = field(default_factory=dict)
     #: Free-form notes displayed in reports (e.g. "gather+dot+scatter fused").
     description: str = ""
     #: Optional per-kernel overrides of the device's achievable efficiency.

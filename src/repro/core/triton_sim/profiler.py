@@ -27,7 +27,7 @@ from repro.utils.arrays import is_power_of_two, next_power_of_two
 _RESHAPE_OVERHEAD_PER_OP = 0.18
 
 
-def _tile_padding_factor(tile_sizes: dict[str, int]) -> float:
+def _tile_padding_factor(tiles: dict[str, int]) -> float:
     """Triton pads non-power-of-two block sizes up to the next power of two.
 
     This reproduces the downward spikes at power-of-two group sizes in
@@ -35,7 +35,7 @@ def _tile_padding_factor(tile_sizes: dict[str, int]) -> float:
     lanes idle.
     """
     factor = 1.0
-    for size in tile_sizes.values():
+    for size in tiles.values():
         if size > 0 and not is_power_of_two(int(size)):
             factor *= next_power_of_two(int(size)) / float(size)
     return factor
@@ -66,7 +66,7 @@ def estimate_kernel_time(
             footprint_bytes=footprint,
         )
 
-    padding = _tile_padding_factor(kernel.tile_sizes)
+    padding = _tile_padding_factor(kernel.tiles)
     compute_ms = device.time_compute(
         kernel.flops * padding, kernel.uses_tensor_core, kernel.dtype
     )

@@ -65,10 +65,6 @@ class LoweringError(ReproError):
     """Lowering from one IR to the next failed."""
 
 
-class CodegenError(ReproError):
-    """The Triton-style code generator could not emit a kernel."""
-
-
 class AutotuneError(ReproError):
     """The autotuner could not find any valid configuration."""
 

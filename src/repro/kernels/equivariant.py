@@ -40,7 +40,8 @@ class FullyConnectedTensorProduct:
         self.l_max = int(l_max)
         self.channels = int(channels)
         self.cg: CGTensor = fully_connected_cg_tensor(self.l_max)
-        self.config = config or InductorConfig.insum(dtype=dtype)
+        self.dtype = dtype
+        self.config = config or InductorConfig.insum()
         self._grouped = self._group_by_path(group_size)
         self._operator = Insum(self.expression, config=self.config)
         self._compiled = None
@@ -107,7 +108,7 @@ class FullyConnectedTensorProduct:
         output = fresh_output((batch, slots, self.channels), np.float32)
         tensors = {"Z": output, "X": x, "Y": y, "W": w, **self._grouped}
         self._compiled = self._operator.compile(**tensors)
-        return self._compiled.estimated_ms
+        return self._compiled.price(self.dtype).estimated_ms
 
     def reference(self, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Dense einsum over the full CG tensor, used by the tests.
@@ -124,7 +125,7 @@ class FullyConnectedTensorProduct:
 
     @property
     def modeled_ms(self) -> float | None:
-        return None if self._compiled is None else self._compiled.estimated_ms
+        return None if self._compiled is None else self._compiled.price(self.dtype).estimated_ms
 
     @property
     def compile_seconds(self) -> float:

@@ -55,7 +55,8 @@ class SparseConv3d:
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
         self.map_arrays = kernel_map.to_grouped_arrays(group_size=group_size)
-        self.config = config or InductorConfig.insum(dtype=dtype)
+        self.dtype = dtype
+        self.config = config or InductorConfig.insum()
         rng = np.random.default_rng(rng)
         scale = 1.0 / np.sqrt(in_channels * kernel_map.kernel_volume)
         self.weight = (
@@ -97,7 +98,7 @@ class SparseConv3d:
             **self.map_arrays,
         }
         self._compiled = self._operator.compile(**tensors)
-        return self._compiled.estimated_ms
+        return self._compiled.price(self.dtype).estimated_ms
 
     def reference(self, features: np.ndarray) -> np.ndarray:
         """Offset-by-offset dense reference used by the tests.
@@ -121,7 +122,7 @@ class SparseConv3d:
 
     @property
     def modeled_ms(self) -> float | None:
-        return None if self._compiled is None else self._compiled.estimated_ms
+        return None if self._compiled is None else self._compiled.price(self.dtype).estimated_ms
 
     @property
     def compile_seconds(self) -> float:

@@ -48,7 +48,8 @@ class StructuredSpMM:
         dtype: str = "fp16",
         config: InductorConfig | None = None,
     ):
-        self.config = config or InductorConfig.insum(dtype=dtype)
+        self.dtype = dtype
+        self.config = config or InductorConfig.insum()
         self._einsum = SparseEinsum(self.expression, config=self.config)
         if isinstance(matrix, BlockGroupCOO):
             self.format = matrix
@@ -64,7 +65,7 @@ class StructuredSpMM:
     def estimate_ms(self, num_cols: int) -> float:
         """Modelled GPU runtime for a dense operand with ``num_cols`` columns."""
         dense = np.zeros((self.format.shape[1], num_cols), dtype=np.float32)
-        return self._einsum.estimate(A=self.format, B=dense).estimated_ms
+        return self._einsum.estimate(A=self.format, B=dense).price(self.dtype).estimated_ms
 
     # -- introspection ------------------------------------------------------
     @property
@@ -75,7 +76,8 @@ class StructuredSpMM:
     @property
     def modeled_ms(self) -> float | None:
         """Modelled GPU runtime of the most recent call (milliseconds)."""
-        return self._einsum.modeled_ms
+        compiled = self._einsum.compiled
+        return None if compiled is None else compiled.price(self.dtype).estimated_ms
 
     @property
     def compile_seconds(self) -> float:
@@ -101,7 +103,8 @@ class UnstructuredSpMM:
             self.format = GroupCOO.from_csr(matrix, group_size=group_size)
         else:
             self.format = GroupCOO.from_dense(np.asarray(matrix), group_size=group_size)
-        self.config = config or InductorConfig.insum(dtype=dtype)
+        self.dtype = dtype
+        self.config = config or InductorConfig.insum()
         self._einsum = SparseEinsum(self.expression, config=self.config)
 
     def __call__(self, dense: np.ndarray) -> np.ndarray:
@@ -111,7 +114,7 @@ class UnstructuredSpMM:
     def estimate_ms(self, num_cols: int) -> float:
         """Modelled GPU runtime for a dense operand with ``num_cols`` columns."""
         dense = np.zeros((self.format.shape[1], num_cols), dtype=np.float32)
-        return self._einsum.estimate(A=self.format, B=dense).estimated_ms
+        return self._einsum.estimate(A=self.format, B=dense).price(self.dtype).estimated_ms
 
     @property
     def compiled(self):
@@ -119,7 +122,8 @@ class UnstructuredSpMM:
 
     @property
     def modeled_ms(self) -> float | None:
-        return self._einsum.modeled_ms
+        compiled = self._einsum.compiled
+        return None if compiled is None else compiled.price(self.dtype).estimated_ms
 
     @property
     def compile_seconds(self) -> float:

@@ -1,9 +1,9 @@
 """Process-wide LRU cache of compiled Insum plans.
 
-Compilation (parse → validate → plan → lower → autotune → cost model) is
-the dominant cost of a one-shot ``insum()`` / ``sparse_einsum()`` call:
-the NumPy execution of a small kernel takes microseconds while the
-compile pipeline takes milliseconds.  The serving runtime therefore keeps
+Compilation (parse → validate → plan → specialize) is the dominant cost
+of a one-shot ``insum()`` / ``sparse_einsum()`` call: the NumPy execution
+of a small kernel takes microseconds while the compile pipeline takes
+milliseconds.  The serving runtime therefore keeps
 one process-wide cache of compiled kernels, keyed by everything that can
 change the generated code:
 
@@ -26,9 +26,10 @@ cache dual-writes keep that property).
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.obs.metrics import get_registry
@@ -210,12 +211,7 @@ class PlanCache:
 # ---------------------------------------------------------------------------
 # Key construction
 # ---------------------------------------------------------------------------
-def plan_key(
-    expression: str,
-    backend: str,
-    config: Any,
-    signature: Hashable,
-) -> tuple:
+def plan_key(expression: str, backend: str, config: Any, signature: Hashable) -> tuple:
     """Build the canonical cache key for one compilation.
 
     The key holds what decides the executed kernel and nothing else: a
@@ -230,12 +226,9 @@ def plan_key(
     backend:
         ``"inductor"`` or ``"eager"``.
     config:
-        Backend configuration, folded in through its ``repr`` —
-        ``InductorConfig`` is a plain dataclass (of bools, strings, a tile
-        dict, and a frozen device model), so equal configurations produce
-        equal reprs without requiring hashability.  The tile dict is
-        sorted first: two equal dicts built in different insertion orders
-        get one key.
+        Backend configuration — a frozen ``InductorConfig`` of the three
+        compiler switches, so equal configurations hash and compare equal.
+        ``None`` means the default configuration and keys as it does.
     signature:
         Shape-and-dtype signature of every bound tensor.
 
@@ -244,10 +237,16 @@ def plan_key(
     tuple
         A hashable key for :class:`PlanCache`.
     """
-    tiles = getattr(config, "tile_sizes", None)
-    if tiles:
-        config = replace(config, tile_sizes=dict(sorted(tiles.items())))
-    return (expression, backend, repr(config), signature)
+    return (expression, backend, config or _default_config(), signature)
+
+
+@functools.cache
+def _default_config() -> Any:
+    # Imported on first use: this module stays importable without the
+    # compiler packages (see the module docstring).
+    from repro.core.inductor.config import InductorConfig
+
+    return InductorConfig()
 
 
 # ---------------------------------------------------------------------------

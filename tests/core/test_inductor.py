@@ -1,4 +1,4 @@
-"""Tests for the Inductor-like backend: dot rewrite, fusion, tiling, autotune, codegen."""
+"""Tests for the Inductor-like backend: dot rewrite, fusion, tiling, autotune, kernel specs."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from repro.core.inductor import (
 from repro.core.inductor.autotune import autotune_tiles
 from repro.core.inductor.fusion import build_kernel_spec
 from repro.core.inductor.tiling import candidate_tiles, default_tiles
+from repro.core.triton_sim import RTX3090
 from repro.core.einsum import reference_execute
 from repro.core.insum import Insum, plan_insum
 from repro.engine.specialize import SpecializedKernel
@@ -56,11 +57,12 @@ def test_config_presets():
     assert not stock.native_dot and not stock.fuse_gather_scatter
 
 
-def test_config_validation():
+def test_price_validation(blocked_plan):
+    compiled = compile_plan(blocked_plan[0])
     with pytest.raises(ValueError):
-        InductorConfig(dtype="fp8").validate()
+        compiled.price("fp8")
     with pytest.raises(ValueError):
-        InductorConfig(tile_sizes={"m": 0}).validate()
+        compiled.price(tiles={"m": 0})
 
 
 def test_config_has_no_specialize_switch():
@@ -95,7 +97,7 @@ def test_matvec_shape_not_tensor_core_eligible(medium_sparse_matrix, rng):
 # -- lowering and fusion ----------------------------------------------------------------
 def test_lowering_produces_three_stage_kinds(blocked_plan):
     plan, _ = blocked_plan
-    stages = lower_to_stages(plan, InductorConfig.insum(dtype="fp16"))
+    stages = lower_to_stages(plan, "fp16")
     assert [s.kind for s in stages] == ["gather", "contraction", "scatter"]
     gather = stages[0]
     assert any(load.indirect for load in gather.loads)
@@ -104,8 +106,8 @@ def test_lowering_produces_three_stage_kinds(blocked_plan):
 
 def test_fusion_single_kernel_with_extension(blocked_plan):
     plan, _ = blocked_plan
-    config = InductorConfig.insum(dtype="fp16")
-    stages = lower_to_stages(plan, config)
+    config = InductorConfig.insum()
+    stages = lower_to_stages(plan, "fp16")
     plans = fuse_stages(stages, detect_dot(plan), config)
     assert len(plans) == 1
     assert plans[0].kinds == ["gather", "contraction", "scatter"]
@@ -113,8 +115,8 @@ def test_fusion_single_kernel_with_extension(blocked_plan):
 
 def test_fusion_splits_with_template_matmul(blocked_plan):
     plan, _ = blocked_plan
-    config = InductorConfig.torchinductor_default(dtype="fp16")
-    stages = lower_to_stages(plan, config)
+    config = InductorConfig.torchinductor_default()
+    stages = lower_to_stages(plan, "fp16")
     plans = fuse_stages(stages, detect_dot(plan), config)
     assert len(plans) == 3
 
@@ -122,17 +124,18 @@ def test_fusion_splits_with_template_matmul(blocked_plan):
 def test_pointwise_program_fuses_even_without_extension(coo_plan):
     plan, _ = coo_plan
     config = InductorConfig.torchinductor_default()
-    stages = lower_to_stages(plan, config)
+    stages = lower_to_stages(plan, "fp32")
     plans = fuse_stages(stages, detect_dot(plan), config)
     assert len(plans) == 1  # no matmul template involved -> stock fusion works
 
 
 def test_fused_kernel_drops_intermediate_traffic(blocked_plan):
     plan, _ = blocked_plan
-    config = InductorConfig.insum(dtype="fp16")
-    stages = lower_to_stages(plan, config)
+    config = InductorConfig.insum()
+    stages = lower_to_stages(plan, "fp16")
     kernel_plans = fuse_stages(stages, detect_dot(plan), config)
-    fused = build_kernel_spec(kernel_plans[0], detect_dot(plan), config, {"m": 8, "n": 8, "k": 8})
+    tiles = {"m": 8, "n": 8, "k": 8}
+    fused = build_kernel_spec(kernel_plans[0], detect_dot(plan), config, "fp16", tiles)
     buffers = {load.buffer for load in fused.loads} | {store.buffer for store in fused.stores}
     assert not any(name.startswith("tmp_") for name in buffers)
 
@@ -140,7 +143,7 @@ def test_fused_kernel_drops_intermediate_traffic(blocked_plan):
 # -- tiling and autotuning -------------------------------------------------------------------
 def test_default_tiles_2d_for_dot(blocked_plan):
     plan, _ = blocked_plan
-    config = InductorConfig.insum(dtype="fp16")
+    config = InductorConfig.insum()
     tiles = default_tiles(plan, detect_dot(plan), config)
     assert set(tiles) == {"m", "n", "k"}
 
@@ -153,18 +156,18 @@ def test_default_tiles_flattened_without_dot(coo_plan):
 
 def test_candidate_tiles_are_powers_of_two(blocked_plan):
     plan, _ = blocked_plan
-    config = InductorConfig.insum(dtype="fp16")
-    for tiles in candidate_tiles(plan, detect_dot(plan), config):
+    config = InductorConfig.insum()
+    for tiles in candidate_tiles(plan, detect_dot(plan), config, "fp16", RTX3090):
         for value in tiles.values():
             assert value & (value - 1) == 0
 
 
 def test_autotune_picks_a_candidate(blocked_plan):
     plan, _ = blocked_plan
-    config = InductorConfig.insum(dtype="fp16")
-    stages = lower_to_stages(plan, config)
+    config = InductorConfig.insum()
+    stages = lower_to_stages(plan, "fp16")
     kernel_plans = fuse_stages(stages, detect_dot(plan), config)
-    result = autotune_tiles(plan, kernel_plans, detect_dot(plan), config)
+    result = autotune_tiles(plan, kernel_plans, detect_dot(plan), config, "fp16", RTX3090)
     assert result.candidates_evaluated >= 1
     assert result.best_cost_ms > 0
     assert result.modeled_seconds > 0
@@ -173,20 +176,26 @@ def test_autotune_picks_a_candidate(blocked_plan):
 
 def test_autotune_respects_explicit_tiles(blocked_plan):
     plan, _ = blocked_plan
-    config = InductorConfig.insum(dtype="fp16", tile_sizes={"m": 8, "n": 8, "k": 8})
-    stages = lower_to_stages(plan, config)
+    tiles = {"m": 8, "n": 8, "k": 8}
+    config = InductorConfig.insum()
+    stages = lower_to_stages(plan, "fp16")
     kernel_plans = fuse_stages(stages, detect_dot(plan), config)
-    result = autotune_tiles(plan, kernel_plans, detect_dot(plan), config)
-    assert result.best_tiles == {"m": 8, "n": 8, "k": 8}
+    result = autotune_tiles(plan, kernel_plans, detect_dot(plan), config, "fp16", RTX3090, tiles)
+    assert result.best_tiles == tiles
     assert result.candidates_evaluated == 1
+    # The priced kernel carries them, and one program per output tile.
+    kernel = compile_plan(plan, config).price("fp16", tiles).kernels[0]
+    assert {role: kernel.tiles[role] for role in tiles} == tiles
+    assert kernel.grid > 1
 
 
 # -- end-to-end compile ---------------------------------------------------------------------
 def test_compile_plan_fused_vs_unfused_cost(blocked_plan):
     plan, tensors = blocked_plan
-    fused = compile_plan(plan, InductorConfig.insum(dtype="fp16"))
-    unfused = compile_plan(plan, InductorConfig.torchinductor_default(dtype="fp16"))
+    fused = compile_plan(plan, InductorConfig.insum())
+    unfused = compile_plan(plan, InductorConfig.torchinductor_default())
     assert fused.is_fused and not unfused.is_fused
+    fused, unfused = fused.price("fp16"), unfused.price("fp16")
     assert fused.num_kernels == 1 and unfused.num_kernels == 3
     assert fused.estimated_ms < unfused.estimated_ms
     assert unfused.cost.intermediate_bytes > 0
@@ -195,7 +204,7 @@ def test_compile_plan_fused_vs_unfused_cost(blocked_plan):
 
 def test_compiled_run_matches_reference(blocked_plan, block_sparse_matrix):
     plan, tensors = blocked_plan
-    compiled = compile_plan(plan, InductorConfig.insum(dtype="fp16"))
+    compiled = compile_plan(plan, InductorConfig.insum())
     out = compiled.run(tensors)
     expected = block_sparse_matrix @ tensors["B"].reshape(64, 16)
     np.testing.assert_allclose(out.reshape(64, 16), expected, atol=1e-8)
@@ -232,8 +241,8 @@ def test_every_schedule_runs_its_specialized_kernel(blocked_plan, coo_plan):
 
 def test_lazy_broadcasting_reduces_cost(blocked_plan):
     plan, _ = blocked_plan
-    lazy = compile_plan(plan, InductorConfig.insum(dtype="fp16"))
-    eager = compile_plan(plan, InductorConfig.insum_tensor_core_only(dtype="fp16"))
+    lazy = compile_plan(plan, InductorConfig.insum()).price("fp16")
+    eager = compile_plan(plan, InductorConfig.insum_tensor_core_only()).price("fp16")
     assert lazy.estimated_ms <= eager.estimated_ms
     assert eager.kernels[0].reshape_transpose_ops > 0
     assert lazy.kernels[0].reshape_transpose_ops == 0
@@ -241,33 +250,35 @@ def test_lazy_broadcasting_reduces_cost(blocked_plan):
 
 def test_describe_and_cost_summary(blocked_plan):
     plan, _ = blocked_plan
-    compiled = compile_plan(plan, InductorConfig.insum(dtype="fp16"))
+    compiled = compile_plan(plan, InductorConfig.insum())
     text = compiled.describe()
     assert "kernel" in text and "tiles" in text
     assert "total" in compiled.cost.summary()
 
 
-# -- generated source -------------------------------------------------------------------------
-def test_source_contains_dot_and_atomic(blocked_plan):
+# -- the kernel spec: what a generated Triton kernel would contain ----------------------
+def test_fused_kernel_has_dot_and_atomic_scatter(blocked_plan):
+    """tl.dot, no tl.view/tl.trans, and a tl.atomic_add scatter, in one kernel."""
     plan, _ = blocked_plan
-    compiled = compile_plan(plan, InductorConfig.insum(dtype="fp16"))
-    source = compiled.source()
-    assert "@triton.jit" in source
-    assert "tl.dot" in source
-    assert "tl.atomic_add" in source
-    assert "tl.view" not in source and "tl.trans" not in source
+    (kernel,) = compile_plan(plan, InductorConfig.insum()).price("fp16").kernels
+    assert kernel.description == "gather + contraction + scatter"
+    assert kernel.uses_tensor_core
+    assert kernel.reshape_transpose_ops == 0
+    assert [store.atomic for store in kernel.stores] == [True]
 
 
-def test_eager_broadcasting_source_has_views(blocked_plan):
+def test_eager_broadcasting_kernel_reshapes(blocked_plan):
+    """Eager broadcasting puts a tl.view and a tl.trans before tl.dot."""
     plan, _ = blocked_plan
-    compiled = compile_plan(plan, InductorConfig.insum_tensor_core_only(dtype="fp16"))
-    source = compiled.source()
-    assert "tl.view" in source and "tl.trans" in source
+    (kernel,) = compile_plan(plan, InductorConfig.insum_tensor_core_only()).price("fp16").kernels
+    assert kernel.uses_tensor_core
+    assert kernel.reshape_transpose_ops == 2
 
 
-def test_source_without_dot_uses_mac(coo_plan):
+def test_kernel_without_dot_is_a_mac_body(coo_plan):
+    """No dot pattern: a CUDA-core multiply-accumulate, never tl.dot."""
     plan, _ = coo_plan
-    compiled = compile_plan(plan, InductorConfig.insum())
-    source = compiled.source()
-    assert "tl.dot" not in source
-    assert "acc +=" in source
+    (kernel,) = compile_plan(plan, InductorConfig.insum()).price("fp16").kernels
+    assert not kernel.uses_tensor_core
+    assert kernel.reshape_transpose_ops == 0
+    assert [store.atomic for store in kernel.stores] == [True]

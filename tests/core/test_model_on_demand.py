@@ -1,15 +1,15 @@
 """The GPU cost model runs on demand: compiling and calling never run it.
 
 ``compile_plan`` does only the work whose result executes (dot detection,
-stage lowering and fusion, specialization).  The tile search, the kernel
-specs and the cost report are computed on first access to ``autotune``,
-``kernels`` or ``cost``, once, against the configuration as it read when
-the plan was compiled.
+the fusion decision, specialization).  Stage lowering, the tile search,
+the kernel specs and the cost report run in ``CompiledInsum.price``, once
+per dtype, tile choice and device.  The config is frozen, so the plan
+cached under it cannot change behind its key.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -22,14 +22,21 @@ from repro.core.inductor.dot_rewrite import detect_dot
 from repro.core.inductor.fusion import build_kernel_spec, fuse_stages
 from repro.core.inductor.loop_ir import lower_to_stages
 from repro.core.insum import plan_insum
+from repro.core.triton_sim import RTX3090
 from repro.core.triton_sim.profiler import estimate_total_time
 from repro.datasets import build_kernel_map, generate_scene, voxelize
 from repro.formats import BlockGroupCOO, GroupCOO
-from repro.kernels import FullyConnectedTensorProduct, SparseConv3d
+from repro.kernels import FullyConnectedTensorProduct, SparseConv3d, StructuredSpMM
 from repro.serve import Session
 
 SPMM = "C[m,n] += A[m,k] * B[k,n]"
-MODEL = ("autotune_tiles", "build_kernel_spec", "estimate_total_time")
+MODEL = (
+    "lower_to_stages",
+    "fuse_stages",
+    "autotune_tiles",
+    "build_kernel_spec",
+    "estimate_total_time",
+)
 
 
 @pytest.fixture
@@ -94,15 +101,16 @@ def test_inline_session_runs_without_the_model(no_model, small_sparse_matrix, rn
 
 # -- the model on demand --------------------------------------------------------
 def test_model_matches_the_eager_formula(blocked):
-    config = InductorConfig.insum(dtype="fp16")
+    config = InductorConfig.insum()
     compiled = compile_plan(blocked, config)
     dot = detect_dot(blocked)
-    kernel_plans = fuse_stages(lower_to_stages(blocked, config), dot, config)
-    tuned = autotune_tiles(blocked, kernel_plans, dot, config)
-    kernels = [build_kernel_spec(kp, dot, config, tuned.best_tiles) for kp in kernel_plans]
-    assert compiled.autotune.best_tiles == tuned.best_tiles
-    assert compiled.kernels == kernels
-    assert compiled.estimated_ms == estimate_total_time(kernels, config.device).total_ms
+    kernel_plans = fuse_stages(lower_to_stages(blocked, "fp16"), dot, config)
+    tuned = autotune_tiles(blocked, kernel_plans, dot, config, "fp16", RTX3090)
+    kernels = [build_kernel_spec(kp, dot, config, "fp16", tuned.best_tiles) for kp in kernel_plans]
+    priced = compiled.price("fp16")
+    assert priced.autotune.best_tiles == tuned.best_tiles
+    assert priced.kernels == kernels
+    assert priced.estimated_ms == estimate_total_time(kernels, RTX3090).total_ms
 
 
 def test_model_runs_once(blocked, monkeypatch):
@@ -115,35 +123,37 @@ def test_model_runs_once(blocked, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(compile_module, name, counted)
-    compiled = compile_plan(blocked, InductorConfig.insum(dtype="fp16"))
+    compiled = compile_plan(blocked, InductorConfig.insum())
     assert calls == dict.fromkeys(MODEL, 0)
     first = compiled.estimated_ms
     for _ in range(3):
         assert compiled.estimated_ms == first
         compiled.describe()
-        compiled.source()
-        assert compiled.autotune.best_tiles and compiled.kernels
-    assert calls == {"autotune_tiles": 1, "build_kernel_spec": 1, "estimate_total_time": 1}
+        assert compiled.autotune.best_tiles and compiled.kernels and compiled.stages
+    assert calls == dict.fromkeys(MODEL, 1)
+    assert compiled.price("fp16") is compiled.price("fp16") is not compiled.price()
+    assert calls == dict.fromkeys(MODEL, 2)
 
 
-def test_mutating_the_config_after_compiling_changes_nothing(blocked):
-    def config():
-        return InductorConfig.insum(dtype="fp16", tile_sizes={"m": 8, "n": 8, "k": 8})
-
-    expected = compile_plan(blocked, config())
-    compiled = compile_plan(blocked, mutated := config())
-    mutated.tile_sizes["m"] = 16
-    mutated.device = replace(mutated.device, dram_bandwidth_gbps=1.0)
-    assert compiled.estimated_ms == expected.estimated_ms
-    assert compiled.autotune.best_tiles == {"m": 8, "n": 8, "k": 8}
+def test_config_is_frozen():
+    config = InductorConfig.insum()
+    with pytest.raises(FrozenInstanceError):
+        config.lazy_broadcasting = False
+    assert config == InductorConfig()
 
 
-def test_mutating_an_operator_config_leaves_its_cached_plan(block_sparse_matrix, rng, cold):
+def test_equal_tile_dicts_in_either_order_share_one_pricing(blocked):
+    compiled = compile_plan(blocked)
+    first = compiled.price(tiles={"m": 32, "n": 64})
+    assert compiled.price(tiles={"n": 64, "m": 32}) is first
+    assert first.autotune.candidates_evaluated == 1
+
+
+def test_an_operator_and_its_kernel_class_share_one_plan(block_sparse_matrix, rng, cold):
+    """The dtype is a pricing argument: fp16 and fp32 users compile one kernel."""
     fmt = BlockGroupCOO.from_dense(block_sparse_matrix, (8, 8))
     rhs = rng.standard_normal((block_sparse_matrix.shape[1], 16)).astype(np.float32)
-    expected = SparseEinsum(SPMM, config=InductorConfig.insum(dtype="fp16")).estimate(A=fmt, B=rhs)
-    clear_plan_cache()
-    config = InductorConfig.insum(dtype="fp16")
-    compiled = SparseEinsum(SPMM, config=config).estimate(A=fmt, B=rhs)
-    config.device = replace(config.device, dram_bandwidth_gbps=1.0)
-    assert compiled.estimated_ms == expected.estimated_ms
+    compiled = SparseEinsum(SPMM).estimate(A=fmt, B=rhs)
+    layer = StructuredSpMM(fmt, dtype="fp16")
+    assert layer.estimate_ms(16) == compiled.price("fp16").estimated_ms
+    assert layer.compiled is compiled

@@ -1,4 +1,4 @@
-"""Tests for the simulated device, cost model, and Triton-style codegen."""
+"""Tests for the simulated device and the cost model."""
 
 import pytest
 
@@ -9,15 +9,6 @@ from repro.core.triton_sim import (
     RTX3090,
     estimate_kernel_time,
     estimate_total_time,
-    generate_triton_source,
-)
-from repro.core.triton_sim.codegen import (
-    DotStmt,
-    IndexLoadStmt,
-    KernelSource,
-    LoadStmt,
-    MacStmt,
-    StoreStmt,
 )
 from repro.errors import DeviceError
 
@@ -110,8 +101,8 @@ def test_reshape_transpose_ops_increase_runtime():
 
 
 def test_non_power_of_two_tiles_are_padded():
-    padded = estimate_kernel_time(make_kernel(tile_sizes={"m": 48}, flops=1e12))
-    exact = estimate_kernel_time(make_kernel(tile_sizes={"m": 64}, flops=1e12))
+    padded = estimate_kernel_time(make_kernel(tiles={"m": 48}, flops=1e12))
+    exact = estimate_kernel_time(make_kernel(tiles={"m": 64}, flops=1e12))
     assert padded.compute_ms > exact.compute_ms * 0.99
 
 
@@ -147,45 +138,3 @@ def test_custom_device_changes_results():
     slow = estimate_kernel_time(make_kernel(), slow_device)
     assert slow.dram_ms > fast.dram_ms
 
-
-# -- codegen -----------------------------------------------------------------------------
-def make_source(lazy=True, dot=True):
-    return KernelSource(
-        name="test_kernel",
-        arguments=["A", "B", "C", "AK"],
-        parallel_vars=[("y", 64), ("x", 64)],
-        reduction_vars=[("r", 32)],
-        index_loads=[IndexLoadStmt("AK_val", "AK", "r", "R")],
-        loads=[
-            LoadStmt("A_tile", "A", "y,r", "Y,R"),
-            LoadStmt("B_tile", "B", "AK[r],x", "R,X", indirect=True),
-        ],
-        body=[DotStmt("acc", "A_tile", "B_tile", needs_view_transpose=not lazy)]
-        if dot
-        else [MacStmt("acc", ["A_tile", "B_tile"])],
-        store=StoreStmt("C", "y,x", "acc", atomic=True),
-        lazy_broadcasting=lazy,
-    )
-
-
-def test_codegen_lazy_has_no_views():
-    source = generate_triton_source(make_source(lazy=True))
-    assert "tl.dot" in source and "tl.view" not in source and "tl.trans" not in source
-    assert "tl.atomic_add" in source
-
-
-def test_codegen_eager_has_views():
-    source = generate_triton_source(make_source(lazy=False))
-    assert "tl.view" in source and "tl.trans" in source
-
-
-def test_codegen_mac_body_and_store():
-    source = generate_triton_source(make_source(dot=False))
-    assert "acc += A_tile * B_tile" in source
-    assert "tl.sum" in source
-
-
-def test_codegen_declares_blocks_and_program_ids():
-    source = generate_triton_source(make_source())
-    assert "YBLOCK: tl.constexpr = 64" in source
-    assert "tl.program_id(0)" in source and "tl.program_id(1)" in source

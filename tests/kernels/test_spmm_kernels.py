@@ -44,9 +44,9 @@ def _modelled_pick_oracle(matrix, block_shape, num_cols):
     best, best_ms = None, float("inf")
     for candidate in candidates:
         fmt = BlockGroupCOO.from_dense(matrix, block_shape, group_size=candidate)
-        probe = SparseEinsum(StructuredSpMM.expression, config=InductorConfig.insum(dtype="fp16"))
+        probe = SparseEinsum(StructuredSpMM.expression, config=InductorConfig.insum())
         dense = np.zeros((fmt.shape[1], num_cols), dtype=np.float32)
-        cost_ms = probe.estimate(A=fmt, B=dense).estimated_ms
+        cost_ms = probe.estimate(A=fmt, B=dense).price("fp16").estimated_ms
         if cost_ms < best_ms:
             best, best_ms = candidate, cost_ms
     return best
