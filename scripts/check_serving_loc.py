@@ -3,7 +3,8 @@
 
 Prints ``wc -l`` per serving package — ``cluster``, ``gateway``,
 ``serve``, ``runtime``, ``obs``, ``resilience`` under ``src/repro`` —
-the two packages with a budget of their own (``engine``, ``tuner``),
+the packages with a budget of their own (``engine``, ``tuner``, and
+``cluster``, the largest serving package),
 and the number of config fields (``ServeConfig`` + ``InductorConfig`` +
 ``GatewayConfig``: every independently settable option).  Exits 1 when
 the serving total exceeds :data:`CEILING`, a budgeted package exceeds
@@ -26,7 +27,13 @@ from pathlib import Path
 
 PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 
-#: Total lines with the plan key on the frozen three-switch ``InductorConfig``:
+#: Total lines with the caller dispatching: 9,195, -68 once ``submit`` routed,
+#: encoded and sent on the calling thread under one send lock per worker
+#: incarnation (``cluster/`` 2,487 -> 2,435: the dispatcher thread, its queue
+#: and the monitor's deadline sweep deleted) and ``Session.asettled`` became
+#: the one async bridge (``gateway/`` -33 without its inlined copy, ``serve/``
+#: +17).
+#: With the plan key on the frozen three-switch ``InductorConfig``:
 #: 9,263, -1 in ``runtime/plan_cache.py`` (``None`` keys as the default
 #: config; the tile-dict sort went with the config's tile field).
 #: With one batch routine for every tier: 9,264, -64 once the
@@ -60,9 +67,11 @@ PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 #: cluster's hand-copied window and the worker stats round trip deleted,
 #: `cluster/server.py` 1,232 -> 1,130); 9,984 before that, 10,112 and
 #: 10,102 earlier, 10,547, 10,556, and 10,867 at the start.
-CEILING = 9263
+CEILING = 9195
 
-#: Packages outside the serving stack with a line budget of their own.
+#: Packages with a line budget of their own.  ``cluster`` is 2,435 with the
+#: caller dispatching: the largest serving package, budgeted so it cannot grow
+#: back unnoticed under the serving total.
 #: ``engine`` is 2,200 with ``emit.compiles()``, the once-per-process compile
 #: verdict the tuner's rule reads in place of three calibration probe kernels
 #: (+15 lines against the tuner's -537); 2,185 with the operand placement
@@ -76,7 +85,7 @@ CEILING = 9263
 #: microbenchmarks replaced by the Section 4.2 rule (``calibration.py`` 331
 #: and ``cost_model.py`` 213 deleted); 1,332 with the schedule hint deleted
 #: (1,401 before, 1,517 with measured tuning).
-PACKAGE_CEILINGS = {"engine": 2200, "tuner": 795}
+PACKAGE_CEILINGS = {"engine": 2200, "tuner": 795, "cluster": 2435}
 
 #: The config dataclasses whose fields are the stack's options.
 CONFIG_CLASSES = {

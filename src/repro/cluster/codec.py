@@ -42,7 +42,7 @@ No byte that arrived over HTTP reaches ``pickle.loads``.
 Ring writes are budgeted **per request**: a request's ring space is
 released only once its envelope arrives, so all its ring-borne arrays
 are resident at once, and one larger than the ring's ``max_payload``
-would block the dispatcher forever — past that bound the remaining
+would block its sender forever — past that bound the remaining
 arrays ride inline.  Encoding never fails a ring request: an operand
 outside the domain becomes ``["bad", repr]``, that request's error.
 """

@@ -67,8 +67,8 @@ def affinity_key(expression: str, operands: dict[str, Any]) -> tuple:
 class Router:
     """Sticky least-loaded assignment of affinity keys to worker sets.
 
-    Thread-safe: the dispatcher routes while the health monitor forgets
-    a crashed worker's assignments, so the table is lock-guarded.
+    Thread-safe: submitting threads route while the health monitor
+    forgets a crashed worker's assignments, so the table is lock-guarded.
     """
 
     def __init__(

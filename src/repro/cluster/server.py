@@ -48,7 +48,6 @@ import secrets
 import select
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -70,7 +69,7 @@ from repro.obs import resources as obs_resources
 from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
-from repro.resilience.deadline import deadline_error
+from repro.resilience.deadline import deadline_error, expired_result
 from repro.resilience.supervisor import PoisonQuarantine, WorkerSupervisor, poison_key
 from repro.runtime import request as runtime_request
 from repro.runtime.request import InsumResult, Request
@@ -91,10 +90,12 @@ _SPAWN_LOCK = threading.Lock()
 class _WorkerHandle:
     """Everything the parent holds about one worker incarnation.
 
-    ``conn`` is the parent end of the incarnation's duplex pipe: the
-    dispatcher sends envelopes on it, and the incarnation's collector
-    thread reads responses from it until the EOF the worker's death makes
-    (the worker holds the only copy of the other end).
+    ``conn`` is the parent end of the incarnation's duplex pipe: a
+    submitting thread encodes and sends each envelope under ``send_lock``,
+    so the encoder's cache mirror changes in the order the worker reads
+    envelopes, and the incarnation's collector thread reads responses
+    until the EOF the worker's death makes (the worker holds the only copy
+    of the other end).
     """
 
     worker_id: int
@@ -106,6 +107,7 @@ class _WorkerHandle:
     encoder: OperandEncoder
     started_at: float
     collector: Any = None
+    send_lock: threading.Lock = field(default_factory=threading.Lock)
     #: Set (under the server's state condition) the moment a restart
     #: decides to replace this incarnation — before the in-flight
     #: snapshot — so a concurrent dispatch can never register into an
@@ -255,9 +257,6 @@ class ClusterServer:
             "Worker slots retired permanently after exhausting their restart budget.",
         )
 
-        self._dispatch_cv = threading.Condition()
-        self._dispatch: deque[Request] = deque()
-
         self._closed = False
         self._stopping = threading.Event()
 
@@ -271,13 +270,9 @@ class ClusterServer:
                 self._teardown_handle(handle)
             raise
 
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="cluster-dispatch", daemon=True
-        )
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="cluster-monitor", daemon=True
         )
-        self._dispatcher.start()
         self._monitor.start()
 
     # -- worker lifecycle ---------------------------------------------------
@@ -332,7 +327,9 @@ class ClusterServer:
         """Stop one worker incarnation and reclaim its IPC resources, in order:
         the process; its collector, which reads the pipe to the EOF the
         process's death makes; the rings, which no response can then still
-        be decoding from; the pipe.  Never called on a collector thread."""
+        be decoding from; the pipe.  Never called on a collector thread.  The
+        handle is retired or the server stopping, so a sender gives up its
+        ring wait and ``send_lock`` comes free: no encode is mid-write."""
         if handle.process.is_alive():
             handle.process.terminate()
         handle.process.join(timeout=join_timeout)
@@ -341,9 +338,10 @@ class ClusterServer:
             handle.process.join(timeout=join_timeout)
         if handle.collector is not None:
             handle.collector.join()
-        handle.req_ring.close()
+        with handle.send_lock:
+            handle.req_ring.close()
+            handle.conn.close()
         handle.resp_ring.close()
-        handle.conn.close()
 
     def _handle_worker_failure(self, worker_id: int) -> None:
         """Rule on one detected worker death via the restart budget.
@@ -361,8 +359,7 @@ class ClusterServer:
             if decision == "defer":
                 # Harvest the dead incarnation's work right away — only
                 # the replacement spawn waits for the backoff.
-                for request in self._harvest_incarnation(worker_id):
-                    self._requeue(request, exclude_worker=worker_id, crashed=True)
+                self._redispatch(self._harvest_incarnation(worker_id), worker_id)
                 return
             if decision == "restart":
                 self._restart_worker(worker_id)
@@ -409,16 +406,14 @@ class ClusterServer:
             self._handles[worker_id] = replacement
         self._start_collector(replacement)
         self._teardown_handle(old)
-        for request in stranded:
-            self._requeue(request, exclude_worker=worker_id, crashed=True)
+        self._redispatch(stranded, worker_id)
 
     def _retire_worker_slot(self, worker_id: int) -> None:
         """Permanently retire a slot whose restart budget is exhausted."""
         old = self._handles[worker_id]
         stranded = self._harvest_incarnation(worker_id)
-        for request in stranded:
-            self._requeue(request, exclude_worker=worker_id, crashed=True)
         self.router.mark_dead(worker_id)
+        self._redispatch(stranded, worker_id)
         self._m_dead_workers.set(len(self.supervisor.dead_workers))
         self._log.error(
             "worker slot retired: restart budget exhausted",
@@ -430,6 +425,23 @@ class ClusterServer:
         )
         self._teardown_handle(old)
 
+    def _redispatch(self, stranded: list[Request], worker_id: int) -> None:
+        """Requeue a harvested incarnation's work on a thread of its own.
+
+        The thread that detects a failure never waits on a ring: a
+        redispatch can block on a survivor's full ring, and when that
+        survivor is wedged only the monitor can notice it.
+        """
+
+        def requeue_all() -> None:
+            for request in stranded:
+                self._requeue(request, exclude_worker=worker_id, crashed=True)
+
+        if stranded:
+            threading.Thread(
+                target=requeue_all, name=f"cluster-redispatch-{worker_id}", daemon=True
+            ).start()
+
     def _requeue(
         self, request: Request, exclude_worker: int | None, crashed: bool = False
     ) -> None:
@@ -438,17 +450,19 @@ class ClusterServer:
         ``crashed`` marks requeues caused by the owning worker's death
         (rather than a benign bounce off a retiring handle); a request
         whose every attempt crashed its worker is quarantined as poison
-        when it fails out.
+        when it fails out.  Once containment has run, the request fails
+        with the containment error: nobody collects from the workers.
         """
+        if self._control_error is not None:
+            self._record(request, error=self._control_error)
+            return
         request.dispatches += 1
         if crashed:
             request.crashes += 1
         request.exclude_worker = exclude_worker
         if request.dispatches >= self.max_attempts:
             if request.crashes >= self.max_attempts:
-                self.quarantine.record(
-                    poison_key(request.expression, request.operands)
-                )
+                self.quarantine.record(poison_key(request.expression, request.operands))
             self._record(
                 request,
                 error=WorkerCrashedError(
@@ -458,32 +472,18 @@ class ClusterServer:
             )
             return
         self._window.count("requeued")
-        self._enqueue(request, front=True)
-
-    def _enqueue(self, request: Request, front: bool = False) -> None:
-        """Queue a request for the dispatcher, unless containment already ran.
-
-        Containment sets the error, then clears the queue once: a submit or
-        a crash requeue that lost that race would wait in it for ever.
-        """
-        with self._dispatch_cv:
-            contained = self._control_error
-            if contained is None:
-                (self._dispatch.appendleft if front else self._dispatch.append)(request)
-                self._dispatch_cv.notify()
-        if contained is not None:
-            self._record(request, error=contained)
+        self._dispatch(request)
 
     # -- the ExecutorBackend protocol ---------------------------------------
     def submit(self, request: Request) -> None:
-        """Admit one request; its ``on_done`` receives the terminal result.
+        """Admit one request and dispatch it on the calling thread (route,
+        encode, send); its ``on_done`` receives the terminal result.
 
-        Operand arrays are shipped asynchronously (and re-shipped if a
-        worker crashes), so they must not be mutated between ``submit``
-        and the request's completion.  Reusing a buffer *across* requests
-        — refilling the same array with new values once the previous
-        result has arrived — is fine: the transport cache is
-        content-checksummed and re-ships changed bytes.
+        Operand arrays are re-shipped if a worker crashes, so they must not
+        be mutated between ``submit`` and the request's completion.
+        Reusing a buffer *across* requests — refilling the same array with
+        new values once the previous result has arrived — is fine: the
+        transport cache is content-checksummed and re-ships changed bytes.
 
         Raises
         ------
@@ -553,23 +553,22 @@ class ClusterServer:
             self._unfinished += 1
         request.accept(next(self._ids))
         self._window.open_at(request.submitted_at)
-        self._enqueue(request)
+        # A cancel that won the compare-and-set already recorded the request.
+        if request.claim():
+            self._dispatch(request)
 
     def try_cancel(self, request: Request) -> bool:
-        """Cancel a request that has not been dispatched to a worker yet.
+        """Cancel a request that :meth:`submit` has not claimed yet.
 
-        Returns True when the request was still in the parent's dispatch
-        queue: it is withdrawn, its admission slot is released, and its
-        ``on_done`` receives a :class:`~repro.errors.FutureCancelledError`
-        result (not counted as completed or failed).  Returns False once
-        the dispatcher has handed the request to a worker (or it already
-        finished).
+        Returns True when the cancel wins the compare-and-set against the
+        submitting thread's claim: the request is never sent, its
+        admission slot is released, and its ``on_done`` receives a
+        :class:`~repro.errors.FutureCancelledError` result (not counted as
+        completed or failed).  Returns False once ``submit`` has claimed
+        it — the result will arrive normally.
         """
-        with self._dispatch_cv:
-            try:
-                self._dispatch.remove(request)
-            except ValueError:
-                return False
+        if not request.cancel():
+            return False
         self._record(
             request,
             error=FutureCancelledError(
@@ -593,56 +592,46 @@ class ClusterServer:
         """
         return runtime_request.run_batch(self, requests, timeout)
 
-    # -- dispatcher ---------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while True:
-            try:
-                if self._dispatch_iteration():
-                    return
-            except Exception as error:  # noqa: BLE001 — contain control-plane death
-                self._control_thread_failed("dispatcher", error)
-                return
+    # -- dispatch -----------------------------------------------------------
+    def _dispatch(self, request: Request) -> None:
+        """Route, encode and send one claimed request; never raises.
 
-    def _dispatch_iteration(self) -> bool:
-        """One dispatcher round; True means the loop should exit.
-
-        Split out of :meth:`_dispatch_loop` so the loop body is a single
-        instance-level seam: the containment path (and the replay
-        harness's ``control_thread_exception`` fault) wraps exactly one
-        iteration, and an exception escaping it is control-plane death,
-        not a request failure.
+        Runs on the submitting thread, or on a crash's redispatch thread.
+        A request that needs another attempt is requeued only after the
+        send lock is released: that attempt may pick the same incarnation.
         """
-        with self._dispatch_cv:
-            while not self._dispatch and not self._stopping.is_set():
-                self._dispatch_cv.wait(0.2)
-            if self._stopping.is_set() and not self._dispatch:
-                return True
-            request = self._dispatch.popleft()
+        worker_id = request.exclude_worker
         try:
-            self._dispatch_one(request)
-        except Exception:  # noqa: BLE001 — dispatch failure = another attempt
-            self._requeue(request, exclude_worker=request.exclude_worker)
-        return False
+            if request.expired():
+                # Don't spend encode + ring space on work that is already
+                # dead; the future resolves with the deadline error now.
+                self._record(request, error=deadline_error(request.request_id, "queue"))
+                return
+            if request.trace is not None:
+                # Overwritten on redispatch: the trace describes the attempt
+                # that actually produced the result.
+                request.trace.stamp("dispatch.start")
+            key = affinity_key(request.expression, request.operands)
+            with self._state:
+                loads = list(self._loads)
+            worker_id = self.router.route(key, loads, exclude=request.exclude_worker)
+            handle = self._handles[worker_id]
+            with handle.send_lock:
+                again = self._send(handle, request)
+        except Exception:  # noqa: BLE001 — a failed dispatch is another attempt
+            again = True
+        if again:
+            self._requeue(request, exclude_worker=worker_id)
 
-    def _dispatch_one(self, request: Request) -> None:
-        if request.expired():
-            # Don't spend encode + ring space on work that is already
-            # dead; the future resolves with the deadline error now.
-            self._record(request, error=deadline_error(request.request_id, "queue"))
-            return
-        if request.trace is not None:
-            # Overwritten on redispatch: the trace describes the attempt
-            # that actually produced the result.
-            request.trace.stamp("dispatch.start")
-        key = affinity_key(request.expression, request.operands)
-        with self._state:
-            loads = list(self._loads)
-        worker_id = self.router.route(key, loads, exclude=request.exclude_worker)
-        handle = self._handles[worker_id]
+    def _send(self, handle: _WorkerHandle, request: Request) -> bool:
+        """Encode, register and send ``request`` under ``handle.send_lock``;
+        True when the request needs another attempt."""
 
         def aborted() -> bool:
             return self._stopping.is_set() or handle.retired or not handle.alive()
 
+        if self._stopping.is_set() or handle.retired:
+            return True  # teardown may be closing this incarnation's rings
         try:
             envelope = handle.encoder.encode_request(
                 request.request_id,
@@ -652,64 +641,46 @@ class ClusterServer:
                 should_abort=aborted,
             )
         except (RingAborted, TimeoutError):
-            self._requeue(request, exclude_worker=worker_id)
-            return
+            return True
         if request.trace is not None:
             request.trace.stamp("encode.done")
             envelope.trace_id = request.trace.trace_id
         if request.deadline is not None:
             envelope.deadline = request.deadline.expires_at
         with self._state:
-            if self._control_error is not None:
-                # Containment already failed everything in flight; this
-                # request raced the harvest in the dispatch window, so
-                # fail it the same way instead of stranding it on a
-                # worker nobody is collecting from.
-                self._record(request, error=self._control_error)
-                return
-            if handle.retired:
-                # A restart harvested this handle's outstanding map while
-                # we were encoding: the ring bytes died with the old
-                # incarnation, and registering now would strand the
-                # request.  Try again elsewhere.
-                self._requeue(request, exclude_worker=worker_id)
-                return
+            if self._control_error is not None or handle.retired:
+                # Containment, or a restart, harvested the outstanding maps
+                # while we were encoding: registering now would strand the
+                # request on an incarnation nobody collects from.
+                return True
             handle.outstanding[request.request_id] = request
-            self._loads[worker_id] += 1
+            self._loads[handle.worker_id] += 1
         try:
             handle.conn.send(envelope)
         except (OSError, ValueError):
-            # The pipe died under us (worker torn down mid-dispatch).
-            # Requeue ONLY if the registration is still ours — a restart
-            # that already harvested handle.outstanding has requeued the
-            # request itself, and a second requeue would execute it twice.
+            # The worker was torn down mid-send.  Another attempt ONLY if the
+            # registration is still ours: a restart's harvest requeues it too.
             with self._state:
                 owned = handle.outstanding.pop(request.request_id, None)
                 if owned is not None:
-                    self._loads[worker_id] -= 1
-            if owned is not None:
-                self._requeue(request, exclude_worker=worker_id)
+                    self._loads[handle.worker_id] -= 1
+            return owned is not None
+        return False
 
     # -- collector ----------------------------------------------------------
     def _collect_loop(self, handle: _WorkerHandle) -> None:
-        """Read one worker incarnation's responses until its pipe's EOF."""
-        try:
-            self._collect_run(handle)
-        except Exception as error:  # noqa: BLE001 — contain control-plane death
-            self._control_thread_failed(
-                f"collector-{handle.worker_id}.{handle.incarnation}", error
-            )
-
-    def _collect_run(self, handle: _WorkerHandle) -> None:
-        """The collector body (see :meth:`_collect_loop` for containment).
+        """Read one worker incarnation's responses until its pipe's EOF.
         The worker holds the only copy of its end of the pipe: its exit or
         death is EOF, and so is a frame torn by a kill mid-write."""
-        while True:
-            try:
-                response = handle.conn.recv()
-            except (EOFError, OSError):
-                return
-            self._accept_response(response)
+        try:
+            while True:
+                try:
+                    response = handle.conn.recv()
+                except (EOFError, OSError):
+                    return
+                self._accept_response(response)
+        except Exception as error:  # noqa: BLE001 — contain control-plane death
+            self._control_thread_failed(f"collector-{handle.worker_id}.{handle.incarnation}", error)
 
     def _accept_response(self, response: ResponseEnvelope) -> None:
         with self._state:
@@ -747,9 +718,9 @@ class ClusterServer:
         """Merge the worker's trace export and build the parent-side spans.
 
         The parent's spans tile the stretches the worker cannot see —
-        admission, dispatch queueing, operand encode, and both ring
-        crossings — between its own stamps and the worker's, so the full
-        span set covers the request's wall latency without overlap.
+        admission, dispatch, operand encode, and both ring crossings —
+        between its own stamps and the worker's, so the full span set
+        covers the request's wall latency without overlap.
         """
         trace = request.trace
         if trace is None:
@@ -777,14 +748,6 @@ class ClusterServer:
         """
         if not request.finish():
             return
-        if error is None and request.expired():
-            # The worker finished, but past the deadline: the output is
-            # useless to the caller, so the terminal outcome is the same
-            # as if the request had been shed early.
-            output = None
-            error = deadline_error(request.request_id, "execute")
-        if isinstance(error, DeadlineExceededError):
-            self._m_deadline.inc()
         finished = time.perf_counter()
         latency_ms = (finished - request.submitted_at) * 1e3
         result = InsumResult(
@@ -795,6 +758,9 @@ class ClusterServer:
             latency_ms=latency_ms,
             trace=self._finish_trace(request, trace_export),
         )
+        error = expired_result(result, request.deadline).error
+        if isinstance(error, DeadlineExceededError):
+            self._m_deadline.inc()
         if isinstance(error, FutureCancelledError):
             self.admission.release()
             self._window.count("cancelled")
@@ -822,7 +788,7 @@ class ClusterServer:
 
     # -- control-plane containment ------------------------------------------
     def _control_thread_failed(self, name: str, error: BaseException) -> None:
-        """Contain the death of a control thread (dispatcher/collector/monitor).
+        """Contain the death of a control thread (a collector or the monitor).
 
         The parent can no longer guarantee progress, so rather than leave
         ``Future.result()`` callers hanging on requests nobody is driving,
@@ -850,69 +816,50 @@ class ClusterServer:
         self._fail_all_inflight(wrapped)
 
     def _fail_all_inflight(self, error: ControlThreadError) -> None:
-        """Resolve every queued and dispatched request with ``error``."""
-        with self._dispatch_cv:
-            queued = list(self._dispatch)
-            self._dispatch.clear()
+        """Resolve every dispatched request with ``error``."""
         stranded: list[Request] = []
         with self._state:
             for handle in self._handles:
                 stranded.extend(handle.outstanding.values())
                 handle.outstanding.clear()
             self._loads = [0] * self.num_workers
-        for request in queued + stranded:
+        for request in stranded:
             self._record(request, error=error)
 
     # -- health monitor -----------------------------------------------------
     def _monitor_loop(self) -> None:
-        try:
-            self._monitor_run()
-        except Exception as error:  # noqa: BLE001 — contain control-plane death
-            self._control_thread_failed("monitor", error)
-
-    def _monitor_run(self) -> None:
-        """The monitor body (see :meth:`_monitor_loop` for containment)."""
+        """Run :meth:`_monitor_iteration` every ``health_interval``; after
+        containing an escaped exception it goes on replacing workers."""
         while not self._stopping.wait(self.health_interval):
-            self._sweep_expired()
-            for worker_id in range(self.num_workers):
-                handle = self._handles[worker_id]
-                if self._stopping.is_set():
-                    return
-                if self.supervisor.is_dead(worker_id):
-                    continue
-                if not handle.alive():
+            try:
+                self._monitor_iteration()
+            except Exception as error:  # noqa: BLE001 — contain control-plane death
+                self._control_thread_failed("monitor", error)
+
+    def _monitor_iteration(self) -> None:
+        """One monitor round: replace dead or wedged workers, sample the rest.
+
+        Split out of :meth:`_monitor_loop` so the loop body is a single
+        instance-level seam: the containment path (and the replay
+        harness's ``control_thread_exception`` fault) wraps exactly one
+        iteration, and an exception escaping it is control-plane death,
+        not a worker failure.
+        """
+        for worker_id in range(self.num_workers):
+            handle = self._handles[worker_id]
+            if self._stopping.is_set():
+                return
+            if self.supervisor.is_dead(worker_id):
+                continue
+            if not handle.alive():
+                self._handle_worker_failure(worker_id)
+                continue
+            if self.heartbeat_timeout is not None:
+                last_beat = max(handle.resp_ring.heartbeat, handle.started_at)
+                if time.time() - last_beat > self.heartbeat_timeout:
                     self._handle_worker_failure(worker_id)
                     continue
-                if self.heartbeat_timeout is not None:
-                    last_beat = max(handle.resp_ring.heartbeat, handle.started_at)
-                    if time.time() - last_beat > self.heartbeat_timeout:
-                        self._handle_worker_failure(worker_id)
-                        continue
-                self._sample_worker(handle)
-
-    def _sweep_expired(self) -> None:
-        """Fail queued dispatches whose deadline lapsed while they waited.
-
-        The dispatcher checks at dispatch time, but under load a request
-        can sit in the dispatch queue long past its deadline; the sweep
-        bounds that wait to one monitor interval.
-        """
-        now = time.time()
-        expired: list[Request] = []
-        with self._dispatch_cv:
-            if not self._dispatch:
-                return
-            retained = []
-            for request in self._dispatch:
-                if request.deadline is not None and request.deadline.expired(now):
-                    expired.append(request)
-                else:
-                    retained.append(request)
-            if expired:
-                self._dispatch.clear()
-                self._dispatch.extend(retained)
-        for request in expired:
-            self._record(request, error=deadline_error(request.request_id, "queue"))
+            self._sample_worker(handle)
 
     def _sample_worker(self, handle: _WorkerHandle) -> None:
         """Record one ``/proc`` RSS/CPU sample for a live worker."""
@@ -937,7 +884,7 @@ class ClusterServer:
         """Worker slots currently able to serve (alive and not retired).
 
         Zero when the control plane has failed: live workers are useless
-        once nobody dispatches to them or collects from them.
+        once nobody collects from them.
         """
         if self._control_error is not None:
             return 0
@@ -1075,19 +1022,20 @@ class ClusterServer:
             # under the lock and does nothing — so no worker (or shm
             # segment) is ever spawned after its teardown pass.
             pass
-        with self._dispatch_cv:
-            self._dispatch_cv.notify_all()
-        # A Connection has no write lock: the dispatcher, which writes every
-        # envelope, exits first.  Workers forked later hold copies of the
-        # parent ends, so a worker is told to stop and sees no EOF.
-        self._dispatcher.join(timeout=5.0)
+        # Workers forked later hold copies of the parent ends, so a worker is
+        # told to stop and sees no EOF.  A worker whose pipe is full is not
+        # reading, and a send lock still held is a send blocked on such a
+        # worker: teardown ends it.
         for handle in self._handles:
+            if not handle.send_lock.acquire(timeout=1.0):
+                continue
             try:
-                # A worker whose pipe is full is not reading; teardown ends it.
                 if select.select([], [handle.conn], [], 0)[1]:
                     handle.conn.send(("stop",))
             except (OSError, ValueError):
                 pass
+            finally:
+                handle.send_lock.release()
         for handle in self._handles:
             handle.process.join(timeout=5.0)
         self._monitor.join(timeout=5.0)

@@ -214,7 +214,7 @@ class TenantQuotaError(ClusterBusyError):
 
 
 class ControlThreadError(ServeError, RuntimeError):
-    """A serving control thread (dispatcher/collector/monitor) died.
+    """A serving control thread (a cluster collector or monitor) died.
 
     An unexpected exception in one of the cluster's control threads
     means the parent can no longer guarantee progress, so every in-flight

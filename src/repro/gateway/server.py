@@ -21,10 +21,9 @@ cache effects *before* any gate can reject, keeping the client/server
 mirrors in sync even across rejections), shed expired deadlines at the
 edge (an ``X-Repro-Deadline-Ms`` budget that is already spent becomes a
 504 without touching the session), acquire the tenant's admission quota,
-then ride :meth:`~repro.serve.Session.submit` through the event loop's
-executor with completion bridged back via ``call_soon_threadsafe`` — the
-same non-blocking bridge as ``Session.asubmit``, kept inline here so the
-gateway can read the settled future's latency and trace.
+then await :meth:`~repro.serve.Session.asettled`, the non-blocking
+bridge under ``Session.asubmit``, whose settled future carries the
+latency and trace the response reports.
 
 Every request lands in ``repro_gateway_requests_total{tenant,outcome}``
 and the per-tenant latency histogram; with tracing on (or a client trace
@@ -36,7 +35,6 @@ merges the session-side trace into the response.
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import math
 import threading
@@ -75,7 +73,6 @@ from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, PROMETHEUS_CONTENT_TYPE, get_registry
 from repro.resilience.deadline import Deadline, deadline_error
-from repro.serve.future import Future
 
 __all__ = ["GatewayServer"]
 
@@ -468,7 +465,12 @@ class GatewayServer:
                     error: BaseException = deadline_error(-1, "gateway")
                     return {"error": error, "status": http_status(error)}
                 remaining_ms = deadline.remaining_s() * 1e3
-            settled = await self._submit_and_wait(expression, operands, remaining_ms, trace)
+            if trace is not None:
+                trace.stamp("gateway.submit")
+            settled = await self.session.asettled(expression, deadline_ms=remaining_ms, **operands)
+            if trace is not None:
+                trace.stamp("gateway.settled")
+                trace.span_between("gateway.wait", "gateway.submit", "gateway.settled")
             try:
                 output = settled.result(timeout=0)
             except BaseException as error:  # noqa: BLE001 — mapped to a wire error
@@ -484,43 +486,6 @@ class GatewayServer:
             return {"error": error, "status": http_status(error)}
         finally:
             self._quota.release(tenant)
-
-    async def _submit_and_wait(
-        self,
-        expression: str,
-        operands: dict[str, Any],
-        deadline_ms: float | None,
-        trace: obs_trace.Trace | None,
-    ) -> Future:
-        """Submit via the executor and await the settled serve future.
-
-        The same bridge as :meth:`~repro.serve.Session.asubmit`, inlined
-        so the gateway gets the settled :class:`~repro.serve.Future`
-        back (for ``latency_ms`` and the session-side trace) instead of
-        just the output array.
-        """
-        loop = asyncio.get_running_loop()
-        if trace is not None:
-            trace.stamp("gateway.submit")
-        submit = functools.partial(
-            self.session.submit, expression, deadline_ms=deadline_ms, **operands
-        )
-        future: Future = await loop.run_in_executor(None, submit)
-        done: asyncio.Future[Future] = loop.create_future()
-
-        def transfer(settled: Future) -> None:
-            def apply() -> None:
-                if not done.done():
-                    done.set_result(settled)
-
-            loop.call_soon_threadsafe(apply)
-
-        future.add_done_callback(transfer)
-        settled = await done
-        if trace is not None:
-            trace.stamp("gateway.settled")
-            trace.span_between("gateway.wait", "gateway.submit", "gateway.settled")
-        return settled
 
     # -- responses ----------------------------------------------------------
     def _observe(self, tenant: str, outcome: str, started: float) -> None:

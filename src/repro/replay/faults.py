@@ -33,8 +33,8 @@ The fault catalogue (see ``docs/REPLAY.md`` for the full table):
     gate that must re-ship mutated arrays instead of serving the stale
     identity-cache entry.
 ``control_thread_exception``
-    Raise from inside the cluster's dispatcher loop (via the
-    ``_dispatch_iteration`` seam).  Exercises control-plane containment:
+    Raise from inside the cluster's monitor loop (via the
+    ``_monitor_iteration`` seam).  Exercises control-plane containment:
     every in-flight future must fail with
     :class:`~repro.errors.ControlThreadError` — never hang — and a
     session with ``failover`` configured must route subsequent submits
@@ -322,25 +322,21 @@ class FaultInjector:
 
     def _break_control_thread(self, session: Session) -> bool:
         backend = session._backend
-        if getattr(backend, "_dispatch_iteration", None) is None:
+        if getattr(backend, "_monitor_iteration", None) is None:
             return False
-        # Shadow the instance's dispatch seam with a raising wrapper; the
-        # dispatcher thread hits it on its next round and must contain the
-        # failure (fail in-flight futures, refuse new enqueues) rather
-        # than hang.  One-shot by construction: the dispatcher exits.
-        def raising_iteration() -> bool:
+        # Shadow the instance's monitor seam with a raising wrapper; the
+        # monitor thread hits it on its next round (one health_interval at
+        # most) and must contain the failure (fail in-flight futures,
+        # refuse new submissions) rather than hang.  One-shot: the wrapper
+        # removes itself, and later rounds supervise the workers again.
+        def raising_iteration() -> None:
+            del backend._monitor_iteration
             raise RuntimeError("injected control-plane fault")
 
-        backend._dispatch_iteration = raising_iteration  # type: ignore[method-assign]
-        # Nudge the dispatcher awake so the fault lands promptly even on
-        # an idle queue.
-        cv = getattr(backend, "_dispatch_cv", None)
-        if cv is not None:
-            with cv:
-                cv.notify_all()
+        backend._monitor_iteration = raising_iteration  # type: ignore[method-assign]
         # Wait for containment to land before the replay submits the next
         # record: at time_scale=0 the whole tail would otherwise race the
-        # dying dispatcher into the primary and fail, instead of
+        # dying monitor into the primary and fail, instead of
         # deterministically seeing the control error (and the failover
         # path when one is configured).
         deadline = time.perf_counter() + 5.0

@@ -10,11 +10,11 @@ same reasoning as :mod:`repro.obs.trace`).
 Expiry is enforced at every stage a request can linger:
 
 * **before dispatch** — the backend's ``submit`` (every tier) and the
-  cluster dispatcher refuse already-expired work;
+  cluster's dispatch (a crash's redispatch too) refuse already-expired
+  work;
 * **in a queue** — the batch routine the threaded workers and the
-  cluster workers run sheds a request that expired by its turn, and the
-  cluster's dispatch-queue sweep drops expired requests, neither executing
-  them;
+  cluster workers run sheds a request that expired by its turn, without
+  executing it;
 * **mid-execute** — a result that lands after its deadline is converted
   to a :class:`~repro.errors.DeadlineExceededError` at record time, so
   "too late" is a deterministic terminal outcome rather than a race

@@ -173,7 +173,7 @@ class Session:
         deadline_ms:
             Optional per-request deadline, in milliseconds from now.  The
             deadline travels with the request through every stage —
-            admission wait, dispatch queue, even into cluster worker
+            admission wait, a worker's queue, even into cluster worker
             processes — and an expired request resolves its future with
             :class:`~repro.errors.DeadlineExceededError` instead of
             executing.  (``deadline_ms`` is reserved; an operand cannot
@@ -281,13 +281,34 @@ class Session:
     ) -> np.ndarray:
         """Await one request's result without blocking the event loop.
 
+        An async HTTP handler can call ``await session.asubmit(...)``
+        directly; errors raise from the ``await`` exactly as
+        :meth:`Future.result` would raise them (see :meth:`asettled`).
+
+        Parameters
+        ----------
+        expression:
+            The Einsum to execute, as for :meth:`submit`.
+        deadline_ms:
+            Per-request deadline in milliseconds, as for :meth:`submit`.
+        **operands:
+            Operand tensors by name.
+        """
+        settled = await self.asettled(expression, deadline_ms=deadline_ms, **operands)
+        return settled.result(timeout=0)
+
+    async def asettled(
+        self, expression: str, *, deadline_ms: float | None = None, **operands: Any
+    ) -> Future:
+        """Await one request's :class:`Future`, settled, without blocking the loop.
+
         The submission itself runs in the loop's default thread-pool
         executor (cluster admission in ``"block"`` mode may wait for
-        capacity; inline execution happens inside submit), and completion
-        is bridged back via ``call_soon_threadsafe`` — no polling.  An
-        async HTTP handler can therefore call
-        ``await session.asubmit(...)`` directly; errors raise from the
-        ``await`` exactly as :meth:`Future.result` would raise them.
+        capacity; the inline tier executes and the cluster dispatches
+        inside submit), and completion is bridged back via
+        ``call_soon_threadsafe`` — no polling.  The gateway reads the
+        settled future's ``latency_ms`` and trace; :meth:`asubmit` unwraps
+        its result.
 
         Parameters
         ----------
@@ -304,21 +325,17 @@ class Session:
             self.submit, expression, deadline_ms=deadline_ms, **operands
         )
         future = await loop.run_in_executor(None, submit)
-        afuture: asyncio.Future[np.ndarray] = loop.create_future()
+        done: asyncio.Future[Future] = loop.create_future()
 
-        def transfer(done: Future) -> None:
+        def transfer(settled: Future) -> None:
             def apply() -> None:
-                if afuture.cancelled():
-                    return
-                try:
-                    afuture.set_result(done.result(timeout=0))
-                except BaseException as error:  # noqa: BLE001 — delivered via the future
-                    afuture.set_exception(error)
+                if not done.done():
+                    done.set_result(settled)
 
             loop.call_soon_threadsafe(apply)
 
         future.add_done_callback(transfer)
-        return await afuture
+        return await done
 
     async def amap_batches(
         self,

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro import ClusterServer
+from repro.cluster.router import affinity_key
 from repro.cluster.server import WorkerCrashedError
 from repro.errors import ControlThreadError
 from repro.formats import COO
@@ -165,22 +167,30 @@ def test_requeue_gives_up_after_max_attempts():
 
 
 def test_requeue_after_control_plane_containment_fails_the_request():
-    """A crash requeue that loses the race with containment must not wait in
-    a dispatch queue whose dispatcher is dead: containment clears that queue
-    once, so the request would never resolve (``Session.close`` then hangs)."""
-    with ClusterServer(num_workers=1, worker_threads=1) as cluster:
+    """A crash requeue that loses the race with containment must not be sent
+    to a worker nobody collects from: containment harvests the outstanding
+    maps once, so the request would never resolve (``Session.close`` then
+    hangs)."""
+    with ClusterServer(num_workers=1, worker_threads=1, health_interval=0.05) as cluster:
         landed = []
         stranded = Request("y[m] += A[m,k] * x[k]", {}, on_done=landed.append)
         cluster.admission.acquire()
         with cluster._state:
             cluster._unfinished += 1
         stranded.accept(10_000)
-        cluster._control_thread_failed("dispatcher", RuntimeError("injected"))
+
+        def raising_iteration():
+            raise RuntimeError("injected")
+
+        cluster._monitor_iteration = raising_iteration
+        deadline = time.monotonic() + 30
+        while cluster._control_error is None:
+            assert time.monotonic() < deadline, "the monitor never ran its iteration"
+            time.sleep(0.01)
         cluster._requeue(stranded, exclude_worker=0, crashed=True)
         (lost,) = landed
         assert not lost.ok
         assert isinstance(lost.error, ControlThreadError)
-        assert not cluster._dispatch
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP to wedge a worker")
@@ -223,3 +233,100 @@ def test_wedged_worker_is_replaced_by_heartbeat_timeout(pattern, submit_all):
         # The stopped process ignored SIGTERM; teardown escalated to SIGKILL.
         with pytest.raises(ProcessLookupError):
             os.kill(before[0], 0)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP to wedge a worker")
+def test_a_redispatch_onto_a_wedged_worker_does_not_block_the_monitor():
+    """A crash's stranded requests route to a wedged survivor whose request
+    ring is full.  Their redispatch waits on that ring off the monitor
+    thread, so the monitor still sees the survivor's heartbeat go stale and
+    replaces it within ``heartbeat_timeout``; every request then resolves.
+
+    The SIGSTOPped worker last beat at most one 1 s pipe poll before it
+    stopped, so a 4 s timeout leaves the crash seconds to land first.
+    """
+    heartbeat_timeout = 4.0
+    rng = np.random.default_rng(61)
+    expression = "C[m,n] += A[m,k] * B[k,n]"
+    dense_v, dense_w = (
+        np.where(rng.random((64, 256)) < 0.05, rng.standard_normal((64, 256)), 0.0)
+        for _ in range(2)
+    )
+    fmt_v, fmt_w = COO.from_dense(dense_v), COO.from_dense(dense_w)
+    results: list = []
+    landed = threading.Semaphore(0)
+
+    def submit_in_background(fmt, count):
+        """Submit ``count`` requests, each on its own thread (a submit may
+        block on a full ring); returns the threads."""
+        operands = [rng.standard_normal((256, 8)) for _ in range(count)]  # 16 KB each
+
+        def submit(operand):
+            cluster.submit(
+                Request(
+                    expression,
+                    dict(A=fmt, B=operand),
+                    on_done=lambda r: (results.append((fmt, operand, r)), landed.release()),
+                )
+            )
+
+        threads = [threading.Thread(target=submit, args=(b,), daemon=True) for b in operands]
+        for thread in threads:
+            thread.start()
+        return threads
+
+    def wait_until(predicate, timeout, message):
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            assert time.monotonic() < deadline, message
+            time.sleep(0.01)
+
+    with ClusterServer(
+        num_workers=2,
+        worker_threads=1,
+        ring_capacity=64 * 1024,
+        health_interval=0.05,
+        heartbeat_timeout=heartbeat_timeout,
+        max_attempts=5,
+    ) as cluster:
+        # Worker 0 serves fmt_v (first sight, equal load), worker 1 fmt_w.
+        assert cluster.router.route(affinity_key(expression, dict(A=fmt_w)), [1, 0]) == 1
+        warm = cluster.run_batch(
+            [(expression, dict(A=fmt, B=rng.standard_normal((256, 8)))) for fmt in (fmt_v, fmt_w)],
+            timeout=180,
+        )
+        assert all(result.ok for result in warm)
+        victim, wedged = cluster.worker_pids
+
+        os.kill(wedged, signal.SIGSTOP)
+        stopped_at = time.monotonic()
+        blocked = submit_in_background(fmt_w, 8)
+        wait_until(lambda: cluster._loads[1] >= 3, 30, "the wedged worker's ring never filled")
+        time.sleep(0.2)
+        assert any(thread.is_alive() for thread in blocked), "no submit waits on the full ring"
+
+        os.kill(victim, signal.SIGSTOP)
+        stranded = submit_in_background(fmt_v, 2)
+        for thread in stranded:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in stranded)
+        wait_until(lambda: cluster._loads[0] == 2, 30, "the victim never owned its requests")
+        os.kill(victim, signal.SIGKILL)
+        assert time.monotonic() - stopped_at < heartbeat_timeout - 1.5, "the setup was too slow"
+
+        wait_until(
+            lambda: cluster.worker_pids[1] != wedged,
+            heartbeat_timeout + 10 - (time.monotonic() - stopped_at),
+            "the wedged worker was never replaced: the monitor is blocked",
+        )
+        for _ in range(10):
+            assert landed.acquire(timeout=120), "a request never resolved"
+        for thread in blocked:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in blocked)
+        for fmt, operand, result in results:
+            assert result.ok, result.error
+            dense = dense_v if fmt is fmt_v else dense_w
+            np.testing.assert_allclose(result.unwrap(), dense @ operand, atol=1e-8)
+        assert cluster.worker_pids[0] != victim
+        assert cluster.stats().restarts == 2

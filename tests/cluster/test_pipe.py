@@ -57,8 +57,8 @@ def test_failed_construction_tears_down_the_workers_it_started(monkeypatch):
 
 
 def test_a_cluster_that_has_served_runs_one_collector_per_worker(mixed_workload, cluster_timeout):
-    """After every worker has served, the parent runs the dispatcher, the
-    monitor and one collector per worker (no queue feeder threads), and
+    """After every worker has served, the parent runs the monitor and one
+    collector per worker (no dispatcher or queue feeder threads), and
     each worker runs its main thread alone: it executes what it serves."""
     before = set(threading.enumerate())
     with ClusterServer(num_workers=2, worker_threads=1) as cluster:
@@ -74,7 +74,6 @@ def test_a_cluster_that_has_served_runs_one_collector_per_worker(mixed_workload,
     assert started == [
         "cluster-collect-0.0",
         "cluster-collect-1.0",
-        "cluster-dispatch",
         "cluster-monitor",
     ]
     assert not [name for name in running if name.startswith("QueueFeeder")]

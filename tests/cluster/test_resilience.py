@@ -1,7 +1,7 @@
 """Cluster resilience: containment, close races, restart budgets, poison.
 
 The containment test is the regression for control-plane thread death:
-an exception injected into the dispatch loop must fail every in-flight
+an exception injected into the monitor loop must fail every in-flight
 future with :class:`~repro.errors.ControlThreadError` — never leave a
 ``Future.result()`` caller hanging.  The module-level shm-leak fixture
 in ``conftest.py`` gives the close-race and crash-loop tests their
@@ -46,10 +46,10 @@ def wait_until(predicate, timeout: float, message: str) -> None:
 
 
 class TestControlThreadContainment:
-    def test_dispatcher_death_fails_all_futures_without_hanging(
+    def test_monitor_death_fails_all_futures_without_hanging(
         self, operands, monkeypatch
     ):
-        """Inject an exception into the dispatch loop; nothing may hang."""
+        """Inject an exception into the monitor loop; nothing may hang."""
         original = RequestExecutor.execute
 
         def slow_execute(self, expression, ops):
@@ -63,11 +63,9 @@ class TestControlThreadContainment:
             futures = [session.submit(SPMM_EXPR, **operands) for _ in range(6)]
 
             def raising_iteration():
-                raise RuntimeError("injected dispatcher fault")
+                raise RuntimeError("injected monitor fault")
 
-            backend._dispatch_iteration = raising_iteration
-            with backend._dispatch_cv:
-                backend._dispatch_cv.notify_all()
+            backend._monitor_iteration = raising_iteration
 
             errors = []
             for future in futures:
@@ -89,7 +87,7 @@ class TestControlThreadContainment:
             assert backend.healthy_worker_count == 0
             health = backend.health()
             assert health["status"] == "degraded"
-            assert "dispatcher" in health["control_error"]
+            assert "monitor" in health["control_error"]
 
 
 class TestCloseRestartRace:

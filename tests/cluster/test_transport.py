@@ -145,7 +145,7 @@ class TestCodec:
         # Regression (deadlock): every ring payload of one request stays
         # resident until the worker receives the envelope, so a request
         # whose operands each fit the ring but cumulatively exceed it
-        # would block the dispatcher forever.  Over-budget operands must
+        # would block its sender forever.  Over-budget operands must
         # fall back to inline instead.
         encoder, decoder = self._pair(ring)
         rng = np.random.default_rng(4)

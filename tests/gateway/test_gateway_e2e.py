@@ -249,6 +249,9 @@ class _StubSession:
     def health(self):
         return {"status": "ok"}
 
+    #: The session's own bridge, over the double's ``submit``.
+    asettled = Session.asettled
+
 
 class TestTenantQuotaE2E:
     def test_second_inflight_request_is_429(self, rng):

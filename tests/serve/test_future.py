@@ -168,29 +168,43 @@ def test_context_manager_drains_before_close(spmm_operands):
     assert all(future.result().shape == (32, 8) for future in futures)
 
 
-def test_cluster_cancel_of_undispatched_request(monkeypatch, spmm_operands):
-    """Cluster cancellation withdraws requests still in the dispatch queue."""
-    from repro.cluster.server import ClusterServer
-
-    gate = threading.Event()
-    entered = threading.Event()
-    original = ClusterServer._dispatch_one
-
-    def stalled_dispatch(self, dispatch):
-        entered.set()
-        assert gate.wait(30), "test forgot to open the gate"
-        return original(self, dispatch)
-
-    monkeypatch.setattr(ClusterServer, "_dispatch_one", stalled_dispatch)
+def test_cluster_cancel_after_submit_returns_is_too_late(spmm_operands):
+    """The cluster dispatches on the submitting thread: once ``submit`` has
+    returned, the request is claimed and sent, so a cancel gives False and
+    the result still arrives, as on the inline tier."""
     with Session(backend="cluster", config=ServeConfig(workers=1)) as session:
-        blocker = session.submit(SPMM_EXPR, **spmm_operands)
-        assert entered.wait(10)  # the dispatcher is now stalled on `blocker`
-        victim = session.submit(SPMM_EXPR, **spmm_operands)
-        assert victim.cancel() is True
-        assert victim.cancelled()
-        with pytest.raises(FutureCancelledError):
-            victim.result(timeout=5)
-        gate.set()
-        assert blocker.result(timeout=60).shape == (32, 8)
+        future = session.submit(SPMM_EXPR, **spmm_operands)
+        assert future.cancel() is False
+        assert not future.cancelled()
+        assert future.result(timeout=60).shape == (32, 8)
         stats = session.stats()
-        assert stats.completed == 1 and stats.failed == 0
+        assert stats.completed == 1 and stats.failed == 0 and stats.cancelled == 0
+
+
+def test_cluster_cancel_that_wins_before_the_claim(spmm_operands):
+    """A cancel that lands between admission and the submitting thread's
+    claim wins the compare-and-set: the request is never sent, resolves with
+    FutureCancelledError, and gives its admission slot back."""
+    from repro.cluster.server import ClusterServer
+    from repro.runtime.request import Request
+
+    with ClusterServer(num_workers=1) as cluster:
+        landed, won = [], []
+        request = Request(SPMM_EXPR, dict(spmm_operands), on_done=landed.append)
+
+        def cancel_then_claim():
+            won.append(cluster.try_cancel(request))
+            return Request.claim(request)
+
+        request.claim = cancel_then_claim
+        cluster.submit(request)
+        assert won == [True]
+        (result,) = landed
+        assert isinstance(result.error, FutureCancelledError)
+        assert cluster.admission.inflight == 0
+        assert cluster.try_cancel(request) is False  # already finished
+        (served,) = cluster.run_batch([(SPMM_EXPR, spmm_operands)], timeout=60)
+        assert served.ok
+        stats = cluster.stats()
+        assert (stats.completed, stats.failed, stats.cancelled) == (1, 0, 1)
+        assert stats.per_worker[0].completed == 1  # the cancelled one never ran
