@@ -1,6 +1,7 @@
 """Warm step profile: where one call of a compiled kernel spends its time.
 
     python scripts/step_profile.py [--case cora/groupcoo ...] [--seed 7] [--calls 20]
+    python scripts/step_profile.py --call [--case ref256x192/coo ...] [--calls 20]
 
 Wraps every prebuilt step of a case's ``SpecializedKernel`` in a timer and
 prints milliseconds per step and per warm call, for the eighteen cases of the
@@ -11,15 +12,23 @@ product — has no steps to wrap: its one line is ``<ms>  emitted C``; one that
 could have been emitted and was not (``CC=/bin/false`` shows every step list)
 says why.  An emitted case also prints where each operand of its last call
 lay — the byte phase of its data mod 64, ``reused`` after a vector operand
-the placement rule (``Emitted.operands``) keeps on a cache line and ``copied``
+the placement rule (``Emitted.pin``) keeps on a cache line and ``copied``
 after each one it copied for the call — so a case that runs at two speeds
 shows why.  The profiles in ``ROADMAP.md`` and ``docs/PERFORMANCE.md`` are its.
+
+``--call`` prints instead the stage census of a reused ``SparseEinsum`` call of
+each SpMM case (the thirteen of ``kernel_spmm``), in microseconds: the memo
+lookup, the plan-cache lookup, binding the dense operands, their placement,
+the data pointers, the result's allocation, the C call and the reshape, each
+timed alone (best of ``--calls`` rounds), beside the whole call.  A case whose
+plan runs its steps prints the memo and plan lookups and ``run``.
 """
 
 import argparse
 import os
 import sys
 import time
+import timeit
 from collections import defaultdict
 from pathlib import Path
 
@@ -29,9 +38,11 @@ for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "layers")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-from repro import clear_plan_cache  # noqa: E402
+from repro import SparseEinsum, clear_plan_cache  # noqa: E402
+from repro.core.insum import api  # noqa: E402
 from repro.engine import emit, specialize  # noqa: E402
 
 
@@ -40,19 +51,21 @@ def profile(case, calls: int) -> str:
     spent: dict[str, float] = defaultdict(float)
     timed_kernels, run = set(), specialize.SpecializedKernel.run
     loop, reasons = emit.Emitted.__call__, set()
-    place, placed = emit.Emitted.operands, {}
+    place, originals, placed = emit._placed, {}, {}
 
-    def traced_operands(emitted, arrays, dtype):
-        taken = place(emitted, arrays, dtype)
-        for (name, _, kind), array, used in zip(emitted.layout[1:], arrays[1:], taken or ()):
+    def traced_place(array, dtype, on_line):
+        used = place(array, dtype, on_line)
+        originals[id(used)] = array
+        return used
+
+    def timed_loop(emitted, result, operands, pointers):
+        start = time.perf_counter()
+        loop(emitted, result, operands, pointers)
+        spent["emitted C"] += time.perf_counter() - start
+        for (name, _, kind), used in zip(emitted.layout[1:], operands):
+            array = originals.pop(id(used), used)
             tags = ["reused"] * (kind == "reused") + ["copied"] * (used is not array)
             placed[name] = f"{name} {array.ctypes.data % 64}" + f" ({', '.join(tags)})" * bool(tags)
-        return taken
-
-    def timed_loop(emitted, result, operands):
-        start = time.perf_counter()
-        loop(emitted, result, operands)
-        spent["emitted C"] += time.perf_counter() - start
 
     def timed(step):
         def timed_run(regs, window):
@@ -74,7 +87,7 @@ def profile(case, calls: int) -> str:
 
     clear_plan_cache()  # a kernel another case instrumented would count twice
     specialize.SpecializedKernel.run, emit.Emitted.__call__ = traced, timed_loop
-    emit.Emitted.operands = traced_operands
+    emit._placed = traced_place
     try:
         call = case.setup()
         call()  # compile, memoize, instrument
@@ -85,7 +98,7 @@ def profile(case, calls: int) -> str:
         per_call = (time.perf_counter() - start) / calls * 1e3
     finally:
         specialize.SpecializedKernel.run, emit.Emitted.__call__ = run, loop
-        emit.Emitted.operands = place
+        emit._placed = place
     head = f"{case.name}: {per_call:.3f} ms a warm call, "
     head += f"{sum(spent.values()) / calls * 1e3:.3f} ms of it in the kernel"
     lines = [f"  emitter: steps ({reason})" for reason in sorted(reasons)]
@@ -94,18 +107,72 @@ def profile(case, calls: int) -> str:
     return "\n".join([head, *lines])
 
 
+def census(case, calls: int) -> str:
+    """The stages of a reused ``SparseEinsum`` call of an SpMM ``case``, in µs."""
+    operator, operands = SparseEinsum(workloads.SPMM), {"A": case.build_format(), "B": case.rhs}
+    operator(**operands)  # compile, memoize, pin
+
+    def best(stage, number: int = 50) -> float:
+        return min(timeit.repeat(stage, number=number, repeat=max(1, calls))) / number * 1e6
+
+    bound, _ = operator._bound(operands)
+    compiled = bound.compile(operands)
+    stages = {
+        "memo lookup": best(lambda: operator._bound(operands)),
+        "plan lookup": best(lambda: bound.compile(operands)),
+    }
+    emitted = compiled.specialized.emitted
+    if bound.pin(compiled, operands) is None:
+        stages["run"] = best(lambda: compiled.run(bound.tensors(operands)), 5)
+        why = emitted if isinstance(emitted, str) else "not pinned"
+        lines = [f"  emitter: steps ({why})"]
+    else:
+        tensors, layout = bound.tensors(operands), emitted.layout
+        dtype = np.result_type(*[tensors[name] for name, _, kind in layout[1:] if kind != "index"])
+        given = [(name, kind) for name, _, kind in layout if name in bound.given]
+        views = [tensors[name] for name, _ in given]
+        result = np.zeros(layout[0][1], dtype)
+        kept = [emit._address(tensors[n]) for n, _, _ in layout[1:] if n not in bound.given]
+        placed = {n: emit._placed(tensors[n], dtype, kind == "reused") for n, kind in given}
+        placed[layout[0][0]] = result  # never the read-only placeholder
+        array = emitted._array(*[emit._address(placed.get(n, tensors[n])) for n, _, _ in layout])
+        stages["bind"] = best(lambda: [api._view(operands[n], bound.given[n]) for n, _ in given])
+        stages["placement"] = best(
+            lambda: [emit._placed(v, dtype, kind == "reused") for v, (_, kind) in zip(views, given)]
+        )
+        stages["pointers"] = best(
+            lambda: emitted._array(*map(emit._address, [result, *views]), *kept)
+        )
+        stages["result allocation"] = best(lambda: np.zeros(layout[0][1], dtype))
+        function = emitted.functions[dtype]
+        if function(array, emitted._dims):
+            raise RuntimeError(f"{case.name}: the census's pointers are not the call's")
+        stages["C call"] = best(lambda: function(array, emitted._dims), 5)
+        shape = bound.logical_shape
+        stages["reshape"] = best(lambda: result if result.shape == shape else result.reshape(shape))
+        lines = []
+    whole = best(lambda: operator(**operands), 5)
+    lines += [f"  {spent:9.1f} us  {stage}" for stage, spent in stages.items()]
+    lines.append(f"  {whole - sum(stages.values()):9.1f} us  the rest")
+    return "\n".join([f"{case.name}: {whole:.1f} us a reused call", *lines])
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--case", action="append", help="case name; default: all eighteen")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--calls", type=int, default=20)
+    parser.add_argument("--call", action="store_true", help="the stages of a reused call")
     args = parser.parse_args()
-    cases = workloads.kernel_spmm_cases(args.seed) + workloads.kernel_indirect_cases(args.seed)
+    cases = workloads.kernel_spmm_cases(args.seed)
+    if not args.call:
+        cases += workloads.kernel_indirect_cases(args.seed)
     if set(args.case or ()) - {case.name for case in cases}:
         parser.error(f"unknown case in {args.case}; have {[case.name for case in cases]}")
     for case in cases:
         if not args.case or case.name in args.case:
-            sys.stdout.write(profile(case, args.calls) + "\n")
+            report = census(case, args.calls) if args.call else profile(case, args.calls)
+            sys.stdout.write(report + "\n")
 
 
 if __name__ == "__main__":

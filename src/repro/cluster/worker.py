@@ -58,7 +58,6 @@ def _reinit_after_fork() -> None:
     bookkeeping could have been mid-mutation) before touching them.
     """
     import repro.engine.fingerprint as fingerprint
-    import repro.engine.paths as paths
     import repro.obs.metrics as obs_metrics
     import repro.runtime.plan_cache as plan_cache
     import repro.tuner.auto as tuner_auto
@@ -66,7 +65,6 @@ def _reinit_after_fork() -> None:
     fingerprint._LOCK = threading.RLock()
     fingerprint._TOKENS.clear()
     fingerprint._ARTIFACTS.clear()
-    paths._LOCK = threading.Lock()
     tuner_auto._DECISIONS._lock = threading.Lock()
     plan_cache._GLOBAL_LOCK = threading.Lock()
     plan_cache._GLOBAL_CACHE._lock = threading.RLock()

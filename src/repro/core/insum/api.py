@@ -16,13 +16,14 @@ Two levels of API are provided, mirroring the paper:
 
 from __future__ import annotations
 
-from typing import Any
+import functools
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.core.einsum.ast import EinsumStatement, IndexVar
 from repro.core.einsum.parser import parse_einsum
-from repro.core.einsum.rewriting import rewrite_sparse_operand
+from repro.core.einsum.rewriting import OperandRewrite, RewriteResult, rewrite_sparse_operand
 from repro.core.insum.planner import InsumPlan, plan_insum
 from repro.errors import EinsumValidationError, LoweringError
 from repro.formats.base import SparseFormat
@@ -77,18 +78,19 @@ class Insum:
 
     # -- compilation ------------------------------------------------------------
     def _signature(self, tensors: dict[str, np.ndarray]) -> tuple:
-        """Shape **and** dtype of every operand.
+        """Shape **and** dtype of every operand, by name.
 
         Dtypes must participate: two calls with identical shapes but
         different dtypes (say fp32 and fp64 values) would otherwise share
         one compiled kernel and one cost report.
         """
-        return tuple(
-            sorted(
-                (name, np.asarray(t).shape, np.asarray(t).dtype.str)
-                for name, t in tensors.items()
-            )
-        )
+        signature = []
+        for name in sorted(tensors):
+            array = tensors[name]
+            if array.__class__ is not np.ndarray:
+                array = np.asarray(array)
+            signature.append((name, array.shape, array.dtype.str))
+        return tuple(signature)
 
     def compile(self, **tensors: np.ndarray):
         """Plan and compile for the given tensors, returning the compiled kernel.
@@ -99,14 +101,21 @@ class Insum:
         each other's kernels.  A hit touches no operand value: the
         executor checks every index it loads.
         """
-        from repro.runtime.plan_cache import CachedPlan, get_plan_cache, plan_key
+        from repro.runtime.plan_cache import plan_key
+
+        key = plan_key(self.expression, self.backend, self.config, self._signature(tensors))
+        return self._compiled(key, lambda: tensors)
+
+    def _compiled(self, key: tuple, tensors: Callable[[], dict[str, np.ndarray]]):
+        """The kernel under plan key ``key``: one counted plan-cache lookup and,
+        on a miss, the plan and compile of ``tensors()``."""
+        from repro.runtime.plan_cache import CachedPlan, get_plan_cache
 
         cache = get_plan_cache()
-        key = plan_key(self.expression, self.backend, self.config, self._signature(tensors))
         with Timer() as timer:
             entry = cache.get(key)
             if entry is None:
-                plan = plan_insum(self.statement, tensors)
+                plan = plan_insum(self.statement, tensors())
                 if self.backend == "eager":
                     from repro.engine.specialize import materialize_plan
 
@@ -126,13 +135,15 @@ class Insum:
         return compiled.run(tensors)
 
 
+@functools.lru_cache(maxsize=64)
 def fresh_output(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     """The all-zero base of a call that binds no output operand.
 
     ``dtype`` is the right-hand-side operands' common type: float32 in,
-    float32 out.  A read-only zero-stride view rather than a buffer: every
-    executor builds the result it owns from the base before accumulating
-    (the fused one recognises the view and allocates instead of copying).
+    float32 out.  A read-only zero-stride view rather than a buffer, one per
+    shape and dtype shared by every call: every executor builds the result it
+    owns from the base before accumulating (the fused one recognises the view
+    and allocates instead of copying).
     """
     return np.broadcast_to(np.zeros((), dtype=dtype), shape)
 
@@ -284,13 +295,92 @@ def _infer_logical_extents(
     return extents
 
 
+#: Entries of each :class:`SparseEinsum` memo before it is emptied.
+_MEMO_ENTRIES = 16
+
+
+def _view(value: Any, shape: tuple[int, ...] | None) -> np.ndarray:
+    """A dense operand as the kernel reads it: viewed in blocks where the
+    rewrite asks (``shape``)."""
+    array = np.asarray(value)
+    return array if shape is None else array.reshape(shape)
+
+
+class _Bound:
+    """What every call of one :class:`SparseEinsum` execution signature reuses.
+
+    Built by the first call of the signature: the sparse operand (held, so its
+    identity keys the memo), the :class:`Insum` of the rewritten expression
+    and its plan key, the dense operands a call gives (``given``: name to
+    blocked shape, or ``None``), the tensors every call keeps (``kept``: the
+    zero-stride output placeholder and the format's arrays, read in place so
+    writes to them are seen) and the logical output shape.  ``kernel`` is the
+    last compiled kernel looked up under the key with its pinned call
+    (:meth:`pin`), pinned again when the plan cache hands back another.
+    """
+
+    __slots__ = ("operand", "operator", "given", "kept", "logical_shape", "key", "kernel")
+
+    def __init__(self, operand, operator, given, kept, logical_shape):
+        self.operand, self.operator, self.given = operand, operator, given
+        self.kept, self.logical_shape = kept, logical_shape
+        self.key: tuple = ()
+        self.kernel: tuple = (None, None)
+
+    def tensors(self, operands: dict[str, Any]) -> dict[str, np.ndarray]:
+        """A call's execution tensors: its dense operands, then the kept ones."""
+        tensors = {name: _view(operands[name], shape) for name, shape in self.given.items()}
+        tensors.update(self.kept)
+        return tensors
+
+    def compile(self, operands: dict[str, Any]) -> Any:
+        """The kernel: one counted plan-cache lookup (a compile on a miss)."""
+        return self.operator._compiled(self.key, lambda: self.tensors(operands))
+
+    def pin(self, compiled: Any, operands: dict[str, Any]) -> Callable | None:
+        """The emitted loop nest of ``compiled`` with the kept tensors bound
+        (:meth:`~repro.engine.emit.Emitted.pin`): a function of a call's
+        operands that reads a pointer for the dense ones and the result only,
+        and returns ``None`` for the call to run ``compiled.run``.  ``None``
+        where every call does: the steps run, the caller binds the output, the
+        sum would promote it, or a kept tensor is not read in place."""
+        from repro.engine.emit import Emitted
+
+        emitted = getattr(compiled, "specialized", compiled).emitted
+        if emitted.__class__ is not Emitted or emitted.layout[0][0] in self.given:
+            return None
+        tensors, layout = self.tensors(operands), emitted.layout
+        dtype = np.result_type(*[tensors[name] for name, _, kind in layout[1:] if kind != "index"])
+        arrays = [None if name in self.given else tensors[name] for name, _, _ in layout]
+        call = emitted.pin(arrays, dtype) if arrays[0].dtype == dtype else None
+        if call is None:
+            return None
+        blocked = [(name, self.given[name]) for name, _, _ in layout if name in self.given]
+        shape = arrays[0].shape
+        return lambda operands: call(
+            [_view(operands[name], at) for name, at in blocked], np.zeros(shape, dtype)
+        )
+
+    def run(self, compiled: Any, operands: dict[str, Any]) -> np.ndarray:
+        """Execute ``compiled`` on a call's operands, in the logical shape."""
+        kernel = self.kernel
+        if kernel[0] is not compiled:
+            kernel = self.kernel = (compiled, self.pin(compiled, operands))
+        result = None if kernel[1] is None else kernel[1](operands)
+        if result is None:
+            result = compiled.run(self.tensors(operands))
+        shape = self.logical_shape
+        return result if result.shape == shape else result.reshape(shape)
+
+
 class SparseEinsum:
     """A reusable format-agnostic sparse Einsum.
 
     Wraps the rewrite (format-agnostic → format-conscious) plus a reusable
     :class:`Insum` operator, so applications can execute the same Einsum
     many times and still inspect the compiled kernel and its modelled GPU
-    cost (:meth:`~repro.core.inductor.compile.CompiledInsum.price`).
+    cost (:meth:`~repro.core.inductor.compile.CompiledInsum.price`).  A call
+    is reentrant: threads may share one operator, whatever formats they pass.
 
     Parameters
     ----------
@@ -330,15 +420,20 @@ class SparseEinsum:
         self.config = config
         self.format = format
         self.sparse_operand = sparse_operand
+        #: The operator and rewritten expression of the most recent call.
         self.operator: Insum | None = None
         self.rewritten_expression: str | None = None
         self._last_compiled: Any | None = None
         #: The most recent :class:`repro.tuner.auto.TunerDecision` made by
         #: the ``format="auto"`` path, with its ``reason`` (``None`` otherwise).
         self.last_decision: Any | None = None
-        #: Memoized rewrites keyed by (sparse identity, dense shapes); see
-        #: :meth:`_prepare`.
-        self._prepare_memo: dict[tuple, tuple] = {}
+        #: One :class:`_Bound` per execution signature (sparse identity, dense
+        #: shapes and dtypes), one :class:`Insum` per rewritten expression and
+        #: one rewrite per format layout and shapes; each at most
+        #: :data:`_MEMO_ENTRIES`, emptied when full.
+        self._prepare_memo: dict[tuple, _Bound] = {}
+        self._operators: dict[str, Insum] = {}
+        self._rewrites: dict[tuple, RewriteResult] = {}
 
     # -- format selection ----------------------------------------------------
     def _pick_reformat_target(self, operands: dict[str, Any]) -> str:
@@ -417,24 +512,54 @@ class SparseEinsum:
         return updated
 
     # -- rewriting -----------------------------------------------------------
-    def _prepare(self, operands: dict[str, Any]):
-        """Rewrite for the sparse operand and assemble execution tensors.
+    @staticmethod
+    def _memo_key(operands: dict[str, Any]) -> tuple | None:
+        """What fixes a call's execution signature: the sparse operand's identity
+        and every dense operand's name, shape and dtype (``None`` unless exactly
+        one operand is sparse).  The entry holds the sparse operand, so its
+        ``id`` names no other object while the entry lives."""
+        key, sparse = [], 0
+        for name, value in operands.items():
+            if isinstance(value, SparseFormat):
+                key.append((name, id(value)))
+                sparse += 1
+            else:
+                array = value if value.__class__ is np.ndarray else np.asarray(value)
+                key.append((name, array.shape, array.dtype))
+        return tuple(key) if sparse == 1 else None
 
-        The rewrite (and the output-shape bookkeeping) depends only on the
-        sparse operand's identity and the dense operands' shapes, so it is
-        memoized per call signature: the serving steady state — the same
-        format instance, fresh dense values — skips the whole rewrite
-        pipeline and only re-binds tensors.
+    def _bound(self, operands: dict[str, Any]) -> tuple[_Bound, dict[str, Any]]:
+        """The memo entry of a call (built on a miss), and the call's operands
+        after the ``format=`` conversion.
+
+        The rewrite depends only on the sparse operand's identity and the dense
+        operands' shapes and dtypes, so the serving steady state — the same
+        format instance, fresh dense values — is one dictionary lookup here.
         """
         if self.format is not None:
             operands = self._apply_format(operands)
-        memoized = self._prepare_from_memo(operands)
-        if memoized is not None:
-            return memoized
-        return self._prepare_uncached(operands)
+        key = self._memo_key(operands)
+        bound = self._prepare_memo.get(key)
+        return bound or self._bind(operands, key), operands
 
-    def _prepare_uncached(self, operands: dict[str, Any]):
+    def _rewrite(self, plan: OperandRewrite, shapes: dict[str, tuple[int, ...]]) -> RewriteResult:
+        """:func:`rewrite_sparse_operand` of the plan's structure (its tensors
+        aside), memoized: every instance of one format layout and shapes
+        rewrites to one expression."""
+        key = (plan.operand, plan.value_access, *plan.substitutions.items(), *shapes.items())
+        rewrite = self._rewrites.get(key)
+        if rewrite is None:
+            if len(self._rewrites) >= _MEMO_ENTRIES:
+                self._rewrites.clear()
+            structure = OperandRewrite(plan.operand, plan.value_access, plan.substitutions)
+            rewrite = rewrite_sparse_operand(self.statement, structure, shapes)
+            self._rewrites[key] = rewrite
+        return rewrite
+
+    def _bind(self, operands: dict[str, Any], key: tuple | None) -> _Bound:
         """The full rewrite pipeline (first call per signature)."""
+        from repro.runtime.plan_cache import plan_key
+
         statement = self.statement
         sparse_names = [
             name
@@ -470,105 +595,51 @@ class SparseEinsum:
         dense_tensors = {
             name: np.asarray(value)
             for name, value in operands.items()
-            if name != sparse_name and not isinstance(value, SparseFormat)
+            if not isinstance(value, SparseFormat)
         }
         plan = sparse_operand.rewrite_plan(sparse_name, index_names)
-        output_dtype = None
+        kept: dict[str, np.ndarray] = {}
         if output_name not in dense_tensors:
             rhs_names = [f.tensor for f in statement.rhs.factors]
             output_dtype = np.result_type(
                 plan.tensors[plan.value_access.tensor],
                 *(dense_tensors[name] for name in rhs_names if name in dense_tensors),
             )
-            dense_tensors[output_name] = fresh_output(output_shape, output_dtype)
+            kept[output_name] = fresh_output(output_shape, output_dtype)
+        shapes = {name: tuple(arr.shape) for name, arr in {**dense_tensors, **kept}.items()}
+        rewrite = self._rewrite(plan, shapes)
 
-        shapes = {name: tuple(arr.shape) for name, arr in dense_tensors.items()}
-        rewrite = rewrite_sparse_operand(statement, plan, shapes)
-
-        execution_tensors = dict(dense_tensors)
-        execution_tensors.update(rewrite.tensors)
-        for name, new_shape in rewrite.reshapes.items():
-            execution_tensors[name] = execution_tensors[name].reshape(new_shape)
-        logical_output_shape = execution_tensors[output_name].shape
-        if rewrite.output_reshape is not None:
-            execution_tensors[output_name] = execution_tensors[output_name].reshape(
-                rewrite.output_reshape
-            )
-        key = self._prepare_memo_key(operands)
+        blocked = {**rewrite.reshapes, output_name: rewrite.output_reshape}
+        if output_name in kept and rewrite.output_reshape is not None:
+            kept[output_name] = kept[output_name].reshape(rewrite.output_reshape)
+        kept.update(plan.tensors)
+        operator = self._operators.get(rewrite.expression)
+        if operator is None:
+            if len(self._operators) >= _MEMO_ENTRIES:
+                self._operators.clear()
+            operator = Insum(rewrite.expression, backend=self.backend, config=self.config)
+            operator = self._operators.setdefault(rewrite.expression, operator)
+        bound = _Bound(
+            sparse_operand,
+            operator,
+            {name: blocked.get(name) for name in dense_tensors},
+            kept,
+            shapes[output_name],
+        )
+        signature = operator._signature(bound.tensors(operands))
+        bound.key = plan_key(rewrite.expression, self.backend, self.config, signature)
         if key is not None:
-            if len(self._prepare_memo) >= 16:
+            if len(self._prepare_memo) >= _MEMO_ENTRIES:
                 self._prepare_memo.clear()
-            self._prepare_memo[key] = (
-                rewrite,
-                sparse_name,
-                output_name,
-                tuple(output_shape),
-                output_dtype,
-                logical_output_shape,
-            )
-        return rewrite, execution_tensors, logical_output_shape
-
-    def _prepare_memo_key(self, operands: dict[str, Any]) -> tuple | None:
-        """Identity/shape key under which the rewrite may be reused."""
-        from repro.engine.fingerprint import array_token
-
-        sparse_items = [
-            (name, value)
-            for name, value in operands.items()
-            if isinstance(value, SparseFormat)
-        ]
-        if len(sparse_items) != 1:
-            return None
-        dense_sig = []
-        for name in sorted(operands):
-            value = operands[name]
-            if isinstance(value, SparseFormat):
-                continue
-            arr = np.asarray(value)
-            dense_sig.append((name, arr.shape, arr.dtype.str))
-        try:
-            sparse_token = array_token(sparse_items[0][1])
-        except TypeError:
-            return None
-        return (sparse_items[0][0], sparse_token, tuple(dense_sig))
-
-    def _prepare_from_memo(self, operands: dict[str, Any]):
-        """Re-bind tensors under a memoized rewrite, or ``None`` on miss."""
-        if not self._prepare_memo:
-            return None
-        key = self._prepare_memo_key(operands)
-        if key is None:
-            return None
-        memo = self._prepare_memo.get(key)
-        if memo is None:
-            return None
-        rewrite, sparse_name, output_name, output_shape, output_dtype, logical_shape = memo
-        execution_tensors = {
-            name: np.asarray(value)
-            for name, value in operands.items()
-            if name != sparse_name and not isinstance(value, SparseFormat)
-        }
-        if output_name not in execution_tensors:
-            execution_tensors[output_name] = fresh_output(output_shape, output_dtype)
-        execution_tensors.update(rewrite.tensors)
-        for name, new_shape in rewrite.reshapes.items():
-            execution_tensors[name] = execution_tensors[name].reshape(new_shape)
-        if rewrite.output_reshape is not None:
-            execution_tensors[output_name] = execution_tensors[output_name].reshape(
-                rewrite.output_reshape
-            )
-        return rewrite, execution_tensors, logical_shape
+            self._prepare_memo[key] = bound
+        return bound
 
     # -- execution --------------------------------------------------------------
-    def _ensure_operator(self, rewrite) -> Insum:
-        """The reusable operator for the rewritten expression."""
-        if self.operator is None or self.rewritten_expression != rewrite.expression:
-            self.rewritten_expression = rewrite.expression
-            self.operator = Insum(rewrite.expression, backend=self.backend, config=self.config)
-        return self.operator
-
     def __call__(self, **operands: Any) -> np.ndarray:
         """Execute the Einsum; sparse operands may be SparseFormat objects.
+
+        A repeat call of one execution signature is one memo lookup, one
+        counted plan-cache lookup and the kernel.
 
         Parameters
         ----------
@@ -582,15 +653,12 @@ class SparseEinsum:
         numpy.ndarray
             The result in the logical output shape.
         """
-        rewrite, tensors, logical_shape = self._prepare(operands)
-        operator = self._ensure_operator(rewrite)
-        # Compile once (through the plan cache) and run the same kernel, so
-        # each execution costs exactly one cache lookup.
-        compiled = operator.compile(**tensors)
+        bound, operands = self._bound(operands)
+        compiled = bound.compile(operands)
+        self.operator, self.rewritten_expression = bound.operator, bound.operator.expression
         if self.backend == "inductor":
             self._last_compiled = compiled
-        result = compiled.run(tensors)
-        return np.asarray(result).reshape(logical_shape)
+        return bound.run(compiled, operands)
 
     def estimate(self, **operands: Any) -> Any:
         """Compile for the given operands without executing.
@@ -598,10 +666,9 @@ class SparseEinsum:
         Used by the benchmark harnesses to obtain the modelled GPU cost at
         paper-scale problem sizes without paying for the NumPy execution.
         """
-        rewrite, tensors, _ = self._prepare(operands)
-        operator = self._ensure_operator(rewrite)
-        compiled = operator.compile(**tensors)
-        self._last_compiled = compiled
+        bound, operands = self._bound(operands)
+        self.operator, self.rewritten_expression = bound.operator, bound.operator.expression
+        self._last_compiled = compiled = bound.compile(operands)
         return compiled
 
     # -- introspection -------------------------------------------------------------
@@ -622,7 +689,7 @@ class SparseEinsum:
     @property
     def compile_seconds(self) -> float:
         """Cumulative frontend + backend compile time spent by this operator."""
-        return 0.0 if self.operator is None else self.operator.compile_seconds
+        return sum(operator.compile_seconds for operator in self._operators.values())
 
 
 def sparse_einsum(

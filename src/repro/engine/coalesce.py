@@ -29,8 +29,7 @@ The helpers here are value-free plumbing used by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,12 +40,7 @@ from repro.formats.base import SparseFormat
 def _pick_stack_var(statement: EinsumStatement) -> str:
     """A fresh index-variable name not colliding with the statement's names."""
     used = set(statement.index_var_names()) | set(statement.tensor_names())
-    if "s" not in used:
-        return "s"
-    count = 0
-    while f"s{count}" in used:
-        count += 1
-    return f"s{count}"
+    return next(name for name in ("s", *(f"s{n}" for n in range(len(used)))) if name not in used)
 
 
 def widen_expression(statement: EinsumStatement) -> tuple[str, str]:
@@ -70,17 +64,9 @@ def widen_expression(statement: EinsumStatement) -> tuple[str, str]:
     return str(widened), stack
 
 
-@dataclass(frozen=True)
-class CoalesceTicket:
-    """One request's coalescing analysis: its group key and sparse operand.
-
-    Attributes
-    ----------
-    key:
-        Hashable group key; requests with equal keys may stack.
-    sparse_name:
-        Operand name of the sparse factor.
-    """
+class CoalesceTicket(NamedTuple):
+    """One request's coalescing analysis: its group ``key`` (requests with
+    equal keys may stack) and the operand name of its sparse factor."""
 
     key: tuple
     sparse_name: str
@@ -175,11 +161,8 @@ def stack_group(
         raise ValueError(f"pad_to={pad_to} smaller than the group ({count})")
 
     def stack_padded(items: list[np.ndarray]) -> np.ndarray:
-        out = np.empty((pad_to,) + items[0].shape, dtype=np.result_type(*items))
-        for position, item in enumerate(items):
-            out[position] = item
-        if pad_to > count:
-            out[count:] = 0.0
+        out = np.zeros((pad_to,) + items[0].shape, dtype=np.result_type(*items))
+        np.stack(items, out=out[:count])
         return out
 
     first_sparse: SparseFormat = group[0][sparse_name]

@@ -31,7 +31,7 @@ registers, no temporary in between.
   result has the same bytes on every machine, a coalesced execution equals its
   per-request ones, and a tile differs from the steps' BLAS dot by
   reassociation only.
-* **The placement** (:meth:`Emitted.operands`).  An operand is read in place
+* **The placement** (:meth:`Emitted.pin`).  An operand is read in place
   when it is C-contiguous, of its type and aligned; a *reused* vector operand
   (:func:`emit`: its last axis is the output's, each element read at least
   :data:`_REUSE` times) must also start on a 64-byte cache line, or every
@@ -61,7 +61,7 @@ import shutil
 import subprocess
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -90,6 +90,8 @@ _LINE, _REUSE = 64, 16
 #: is none (and, under ``""``, the verdict of :func:`compiles`).  Per process (a
 #: loaded object stays loaded): survives ``clear_plan_cache()`` and fork.
 _LOADED: dict[str, "dict[np.dtype, Callable[[int, int], int]] | str"] = {}
+#: The ctypes array of ``count`` pointers (a new type per call would be garbage).
+_pointers = functools.cache(lambda count: ctypes.c_void_p * count)
 
 
 def covers(plan: InsumPlan) -> bool:
@@ -484,12 +486,21 @@ def compiles() -> bool:
     return any(isinstance(found, dict) for found in built or [_library("")])
 
 
+def _address(array: np.ndarray) -> int:
+    """Where ``array``'s data starts: through the buffer protocol (a third of the
+    cost of ``array.ctypes.data``) unless it is read-only, strided or empty."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):
+        return array.ctypes.data
+
+
 def _placed(array: np.ndarray, dtype: np.dtype, on_line: bool) -> np.ndarray:
     """``array`` itself where the loop nest can read it — C-contiguous ``dtype``,
     aligned, and on a cache line if ``on_line`` — else its values copied once,
     widened in the same copy, into a fresh buffer on a cache line."""
     if array.dtype == dtype and array.flags.c_contiguous and array.flags.aligned:
-        if not on_line or not array.ctypes.data % _LINE:
+        if not on_line or not _address(array) % _LINE:
             return array
     raw = np.empty(array.size * dtype.itemsize + _LINE, dtype=np.uint8)
     placed = raw[-raw.ctypes.data % _LINE :][: raw.size - _LINE].view(dtype).reshape(array.shape)
@@ -513,29 +524,48 @@ class Emitted:
     #: ``(index slot, indexed tensor, axis, extent)`` per bounds check of the source.
     checks: tuple[tuple[int, str, int, int], ...]
 
-    def operands(self, arrays: list[np.ndarray], dtype: np.dtype) -> list[np.ndarray] | None:
-        """This call's operands as the loop nest reads them, or ``None``.
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_array", _pointers(len(self.layout)))
+        object.__setattr__(self, "_dims", self.dims.ctypes.data)
 
-        ``arrays`` are the plan's inputs, the base first; ``dtype`` the factors'
-        common type, float32 or float64.  One rule places each: read in place
-        when C-contiguous, of its type (int64 for an index) and aligned — on a
-        cache line if ``"reused"`` — else copied once, for this call only, onto
-        a cache line and cast in the same copy (widened, as ``np.multiply``
-        widens a narrower operand).  Where an operand lies never moves a bit.
+    def pin(self, arrays: list, dtype: np.dtype) -> "Callable[[list, np.ndarray], Any] | None":
+        """The loop nest bound to the inputs a caller keeps, or ``None``.
+
+        ``arrays`` are the plan's inputs, the base first (its shape is checked),
+        ``None`` at each input given per call; ``dtype`` the factors' common
+        type, float32 or float64.  A kept input must be one the placement rule
+        (module docstring) reads in place; its data pointer is read here, once.
+        ``call(given, result)`` places ``given`` (in input order) for that call
+        only, accumulates into ``result`` and returns it — or ``None``, having
+        run nothing, when one has another shape or is an index not int64.
         """
         if dtype not in self.functions or arrays[0].shape != self.layout[0][1]:
             return None
-        taken = []
-        for array, (_, shape, kind) in zip(arrays[1:], self.layout[1:]):
-            if array.shape != shape or kind == "index" and array.dtype != _INDEX:
+        pointers, given_slots = [], []
+        for slot, (array, (_, shape, kind)) in enumerate(zip(arrays[1:], self.layout[1:])):
+            rule = (_INDEX if kind == "index" else dtype, kind == "reused")
+            if array is not None and (array.shape != shape or _placed(array, *rule) is not array):
                 return None
-            taken.append(_placed(array, _INDEX if kind == "index" else dtype, kind == "reused"))
-        return taken
+            pointers.append(None if array is None else _address(array))
+            given_slots += [(slot, shape, kind == "index", rule)] * (array is None)
+        kept = arrays[1:]
 
-    def __call__(self, result: np.ndarray, operands: list[np.ndarray]) -> None:
-        """Accumulate into ``result`` (this kernel's own C-contiguous array)."""
-        pointers = np.array([array.ctypes.data for array in (result, *operands)], dtype=np.uintp)
-        code = self.functions[result.dtype](pointers.ctypes.data, self.dims.ctypes.data)
+        def call(given: list, result: np.ndarray) -> np.ndarray | None:
+            operands = list(kept)
+            for (slot, shape, index, rule), array in zip(given_slots, given):
+                if array.shape != shape or index and array.dtype != _INDEX:
+                    return None
+                operands[slot] = _placed(array, *rule)
+            self(result, operands, pointers)
+            return result
+
+        return call
+
+    def __call__(self, result: np.ndarray, operands: list, pointers: list) -> None:
+        """Accumulate into ``result`` (this kernel's own C-contiguous array);
+        ``pointers`` are those of ``operands`` read before, ``None`` where not."""
+        taken = [_address(a) if p is None else p for a, p in zip(operands, pointers)]
+        code = self.functions[result.dtype](self._array(_address(result), *taken), self._dims)
         if code:
             position, check = divmod(code - 1, len(self.checks))
             slot, target, axis, extent = self.checks[check]

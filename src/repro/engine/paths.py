@@ -14,32 +14,28 @@ contraction it cannot lower to folds plus one ``np.matmul``.
 
 from __future__ import annotations
 
-import threading
+import functools
 
 import numpy as np
 
-#: Hard bound on distinct (equation, shapes) entries; a serving process
-#: sees a small, recurring set, so this is a leak guard, not a tuning knob.
-_MAX_ENTRIES = 4096
 
-_PATHS: dict[tuple, list] = {}
-_LOCK = threading.Lock()
-_HITS = 0
-_MISSES = 0
+@functools.lru_cache(maxsize=4096)
+def _path(equation: str, shapes: tuple[tuple[int, ...], ...]) -> list:
+    """The path over operands of ``shapes``.  A serving process sees a small,
+    recurring set: the bound (least recently used out) is a leak guard."""
+    operands = (np.broadcast_to(np.float64(0), shape) for shape in shapes)
+    return np.einsum_path(equation, *operands, optimize="optimal")[0]
 
 
 def path_cache_stats() -> tuple[int, int]:
     """``(hits, misses)`` counters of the process-wide path cache."""
-    with _LOCK:
-        return _HITS, _MISSES
+    info = _path.cache_info()
+    return info.hits, info.misses
 
 
 def clear_path_cache() -> None:
     """Drop all memoized contraction paths (tests and benchmarks)."""
-    global _HITS, _MISSES
-    with _LOCK:
-        _PATHS.clear()
-        _HITS = _MISSES = 0
+    _path.cache_clear()
 
 
 def cached_einsum_path(equation: str, *operands: np.ndarray) -> list:
@@ -49,17 +45,4 @@ def cached_einsum_path(equation: str, *operands: np.ndarray) -> list:
     what ``np.einsum_path`` depends on.  The returned value is the path
     list accepted by ``np.einsum(..., optimize=path)``.
     """
-    global _HITS, _MISSES
-    key = (equation, tuple(np.shape(op) for op in operands))
-    with _LOCK:
-        path = _PATHS.get(key)
-        if path is not None:
-            _HITS += 1
-            return path
-        _MISSES += 1
-    computed = np.einsum_path(equation, *operands, optimize="optimal")[0]
-    with _LOCK:
-        if len(_PATHS) >= _MAX_ENTRIES:
-            _PATHS.clear()
-        _PATHS.setdefault(key, computed)
-        return _PATHS[key]
+    return _path(equation, tuple(np.shape(op) for op in operands))

@@ -708,9 +708,9 @@ class SpecializedKernel:
         zero_base = not self.plan.statement.accumulate or (
             base.size > 0 and not any(base.strides) and not base[(0,) * base.ndim]
         )
-        emitted = self.emitted
-        operands = emitted.operands(regs, factor_dtype) if emitted.__class__ is Emitted else None
-        if operands is not None:
+        emitted, given = self.emitted, [None] * (len(regs) - 1)
+        call = emitted.pin([base, *given], factor_dtype) if emitted.__class__ is Emitted else None
+        if call is not None:
             # A base the sum would promote (float64 under float32 operands)
             # receives the operand-dtype partial in one add, as on the step list.
             promote = dtype != factor_dtype
@@ -718,10 +718,10 @@ class SpecializedKernel:
                 result = np.zeros(base.shape, dtype=factor_dtype)
             else:
                 result = np.array(base, dtype=dtype, order="C")
-            emitted(result, operands)
-            if promote:
-                result = result.astype(dtype) if zero_base else base + result
-            return result
+            if call(regs[1:], result) is not None:
+                if promote:
+                    result = result.astype(dtype) if zero_base else base + result
+                return result
         steps = program.per_window
         if zero_base and program.per_window_direct and dtype == factor_dtype:
             # A direct dot fills every window of the result; a run-windowed

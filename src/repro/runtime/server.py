@@ -30,7 +30,6 @@ import itertools
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 import numpy as np
@@ -47,12 +46,6 @@ from repro.runtime.request import InsumResult, Request, clock
 from repro.runtime.stats import ServeStats, ServingWindow
 
 
-@dataclass
-class _OperatorSlot:
-    operator: Any
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-
 class RequestExecutor:
     """The per-request execution core shared by every serving backend.
 
@@ -61,7 +54,8 @@ class RequestExecutor:
     request's operators re-format its sparse operand through the tuner.
     The batch routine of :class:`InlineBackend` is the one caller of
     :meth:`execute`, on every tier, so a request produces the same bits no
-    matter which tier served it.
+    matter which tier served it.  An operator call is reentrant, so threads
+    share an operator without a lock.
 
     Parameters
     ----------
@@ -82,7 +76,7 @@ class RequestExecutor:
         self.backend = backend
         self.config = config
         self.auto_format = bool(auto_format)
-        self._operators: dict[tuple[str, str], _OperatorSlot] = {}
+        self._operators: dict[tuple[str, str], Any] = {}
         self._operators_lock = threading.Lock()
         #: expression -> (is_logical, rhs_factor_names, statement); used by
         #: the auto_format path to recognise dense operands it may
@@ -91,7 +85,7 @@ class RequestExecutor:
         #: expression -> widened (expression, stack_var), built on demand.
         self._widened: dict[str, tuple[str, str] | None] = {}
 
-    def operator_for(self, expression: str, has_sparse: bool) -> _OperatorSlot:
+    def operator_for(self, expression: str, has_sparse: bool) -> Any:
         """The long-lived reusable operator for one expression.
 
         Format-agnostic requests (a sparse operand present, or the
@@ -100,10 +94,10 @@ class RequestExecutor:
         """
         key = (expression, "sparse" if has_sparse else "indirect")
         with self._operators_lock:
-            slot = self._operators.get(key)
-            if slot is None:
+            operator = self._operators.get(key)
+            if operator is None:
                 if has_sparse:
-                    operator: Any = SparseEinsum(
+                    operator = SparseEinsum(
                         expression,
                         backend=self.backend,
                         config=self.config,
@@ -111,9 +105,8 @@ class RequestExecutor:
                     )
                 else:
                     operator = Insum(expression, backend=self.backend, config=self.config)
-                slot = _OperatorSlot(operator=operator)
-                self._operators[key] = slot
-            return slot
+                self._operators[key] = operator
+            return operator
 
     def expression_info(self, expression: str) -> tuple[bool, tuple[str, ...], Any]:
         """Whether an expression is purely *logical* (no indirect accesses).
@@ -161,9 +154,7 @@ class RequestExecutor:
             has_sparse = logical and any(
                 arr.ndim == 2 and np.count_nonzero(arr) < 0.5 * arr.size for arr in arrays
             )
-        slot = self.operator_for(expression, has_sparse)
-        with slot.lock:
-            return slot.operator(**operands)
+        return self.operator_for(expression, has_sparse)(**operands)
 
     def widened_for(self, expression: str) -> tuple[str, str] | None:
         """The widened (stacked) expression for one logical expression."""
@@ -182,19 +173,17 @@ class RequestExecutor:
             self._widened[expression] = widened
         return widened
 
-    def coalesced_operator_for(self, expression: str, widened_expression: str) -> _OperatorSlot:
+    def coalesced_operator_for(self, expression: str, widened_expression: str) -> SparseEinsum:
         """The long-lived operator executing coalesced batches of one expression."""
         key = (expression, "coalesced")
         with self._operators_lock:
-            slot = self._operators.get(key)
-            if slot is None:
-                slot = _OperatorSlot(
-                    operator=SparseEinsum(
-                        widened_expression, backend=self.backend, config=self.config
-                    )
+            operator = self._operators.get(key)
+            if operator is None:
+                operator = SparseEinsum(
+                    widened_expression, backend=self.backend, config=self.config
                 )
-                self._operators[key] = slot
-            return slot
+                self._operators[key] = operator
+            return operator
 
     def expressions(self) -> list[str]:
         """Distinct expressions with a live reusable operator."""
@@ -432,9 +421,8 @@ class InlineBackend:
                 ticket.sparse_name,
                 pad_to=min(pad_to, self.coalesce_max),
             )
-            slot = self.executor.coalesced_operator_for(requests[0].expression, widened[0])
-            with slot.lock:
-                batched = slot.operator(**stacked)
+            operator = self.executor.coalesced_operator_for(requests[0].expression, widened[0])
+            batched = operator(**stacked)
             outputs = split_results(np.asarray(batched), len(requests))
         except Exception:  # noqa: BLE001 — coalescing is an optimisation, never a failure
             for request in requests:

@@ -64,9 +64,9 @@ def emitter(request, monkeypatch):
             pytest.skip("no usable C compiler on this machine")
         run = emit.Emitted.__call__
 
-        def counted(self, result, operands):
+        def counted(self, result, operands, pointers=None):
             calls.append(result.dtype)
-            return run(self, result, operands)
+            return run(self, result, operands, pointers)
 
         monkeypatch.setattr(emit.Emitted, "__call__", counted)
     yield request.param, calls
