@@ -75,7 +75,10 @@ CEILING = 9179
 #: Packages with a line budget of their own.  ``cluster`` is 2,433 with
 #: reentrant operators, 2,435 with the caller dispatching: the largest serving
 #: package, budgeted so it cannot grow back unnoticed under the serving total.
-#: ``engine`` is 2,196 with the pinned call (``Emitted.pin`` in place of
+#: ``engine`` is 2,193 with the fused dense-reduction update (``FMA`` and
+#: ``FUSED`` in ``emit._TILED``, +13 lines, made up by tighter docstrings in
+#: ``engine/__init__.py``, ``coalesce.py`` and ``specialize.py`` and two unused
+#: re-exports; ``kernel_indirect`` -28%); 2,196 with the pinned call (``Emitted.pin`` in place of
 #: ``Emitted.operands``, the cheaper pointer read; +36 lines, made up by the
 #: path memo on ``functools.lru_cache`` and a plainer ``coalesce.py``;
 #: ``kernel_spmm`` -21%); 2,200 with ``emit.compiles()``, the once-per-process compile
@@ -91,7 +94,7 @@ CEILING = 9179
 #: microbenchmarks replaced by the Section 4.2 rule (``calibration.py`` 331
 #: and ``cost_model.py`` 213 deleted); 1,332 with the schedule hint deleted
 #: (1,401 before, 1,517 with measured tuning).
-PACKAGE_CEILINGS = {"engine": 2196, "tuner": 795, "cluster": 2433}
+PACKAGE_CEILINGS = {"engine": 2193, "tuner": 795, "cluster": 2433}
 
 #: The config dataclasses whose fields are the stack's options.
 CONFIG_CLASSES = {

@@ -1,7 +1,7 @@
 """Warm step profile: where one call of a compiled kernel spends its time.
 
     python scripts/step_profile.py [--case cora/groupcoo ...] [--seed 7] [--calls 20]
-    python scripts/step_profile.py --call [--case ref256x192/coo ...] [--calls 20]
+    python scripts/step_profile.py --call [--case equivariant/l1/c16 ...] [--calls 20]
 
 Wraps every prebuilt step of a case's ``SpecializedKernel`` in a timer and
 prints milliseconds per step and per warm call, for the eighteen cases of the
@@ -16,12 +16,14 @@ the placement rule (``Emitted.pin``) keeps on a cache line and ``copied``
 after each one it copied for the call — so a case that runs at two speeds
 shows why.  The profiles in ``ROADMAP.md`` and ``docs/PERFORMANCE.md`` are its.
 
-``--call`` prints instead the stage census of a reused ``SparseEinsum`` call of
-each SpMM case (the thirteen of ``kernel_spmm``), in microseconds: the memo
-lookup, the plan-cache lookup, binding the dense operands, their placement,
-the data pointers, the result's allocation, the C call and the reshape, each
-timed alone (best of ``--calls`` rounds), beside the whole call.  A case whose
-plan runs its steps prints the memo and plan lookups and ``run``.
+``--call`` prints instead the stage census of a reused call of each case — a
+``SparseEinsum`` over an SpMM case's operands, or the ``SparseConv3d`` or
+``FullyConnectedTensorProduct`` of a ``kernel_indirect`` case — in
+microseconds: the memo lookup, the plan-cache lookup, binding the operands a
+call gives, their placement, the data pointers, the result's allocation, the C
+call and the reshape, each timed alone (best of ``--calls`` rounds), beside the
+whole call.  A case whose plan runs its steps prints the memo and plan lookups
+and ``run``.
 """
 
 import argparse
@@ -107,20 +109,32 @@ def profile(case, calls: int) -> str:
     return "\n".join([head, *lines])
 
 
+def reused(case) -> tuple:
+    """``(memo lookup, whole call)`` of a reused call of ``case``: a
+    ``SparseEinsum`` over the SpMM case's operands, or the kernel class (and
+    the operands) that the case's warm call closes over."""
+    if case.rhs is not None:
+        operator, operands = SparseEinsum(workloads.SPMM), {"A": case.build_format(), "B": case.rhs}
+        return lambda: operator._bound(operands), lambda: operator(**operands)
+    call = case.setup()
+    cells = dict(zip(call.__code__.co_freevars, (cell.cell_contents for cell in call.__closure__)))
+    layer = cells.pop("conv", None) or cells.pop("product")
+    args = [cells[name] for name in ("features", "x", "y", "w") if name in cells]
+    return lambda: layer._bound(*args), call
+
+
 def census(case, calls: int) -> str:
-    """The stages of a reused ``SparseEinsum`` call of an SpMM ``case``, in µs."""
-    operator, operands = SparseEinsum(workloads.SPMM), {"A": case.build_format(), "B": case.rhs}
-    operator(**operands)  # compile, memoize, pin
+    """The stages of a reused call of ``case`` (its ``SparseEinsum`` or kernel
+    class), in µs."""
+    lookup, call = reused(case)
+    call()  # compile, memoize, pin
 
     def best(stage, number: int = 50) -> float:
         return min(timeit.repeat(stage, number=number, repeat=max(1, calls))) / number * 1e6
 
-    bound, _ = operator._bound(operands)
+    bound, operands = lookup()
     compiled = bound.compile(operands)
-    stages = {
-        "memo lookup": best(lambda: operator._bound(operands)),
-        "plan lookup": best(lambda: bound.compile(operands)),
-    }
+    stages = {"memo lookup": best(lookup), "plan lookup": best(lambda: bound.compile(operands))}
     emitted = compiled.specialized.emitted
     if bound.pin(compiled, operands) is None:
         stages["run"] = best(lambda: compiled.run(bound.tensors(operands)), 5)
@@ -151,7 +165,7 @@ def census(case, calls: int) -> str:
         shape = bound.logical_shape
         stages["reshape"] = best(lambda: result if result.shape == shape else result.reshape(shape))
         lines = []
-    whole = best(lambda: operator(**operands), 5)
+    whole = best(call, 5)
     lines += [f"  {spent:9.1f} us  {stage}" for stage, spent in stages.items()]
     lines.append(f"  {whole - sum(stages.values()):9.1f} us  the rest")
     return "\n".join([f"{case.name}: {whole:.1f} us a reused call", *lines])
@@ -164,9 +178,7 @@ def main() -> None:
     parser.add_argument("--calls", type=int, default=20)
     parser.add_argument("--call", action="store_true", help="the stages of a reused call")
     args = parser.parse_args()
-    cases = workloads.kernel_spmm_cases(args.seed)
-    if not args.call:
-        cases += workloads.kernel_indirect_cases(args.seed)
+    cases = workloads.kernel_spmm_cases(args.seed) + workloads.kernel_indirect_cases(args.seed)
     if set(args.case or ()) - {case.name for case in cases}:
         parser.error(f"unknown case in {args.case}; have {[case.name for case in cases]}")
     for case in cases:

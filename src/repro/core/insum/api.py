@@ -134,6 +134,40 @@ class Insum:
         compiled = self.compile(**tensors)
         return compiled.run(tensors)
 
+    def bind(
+        self,
+        given: dict[str, tuple[int, ...] | None],
+        kept: dict[str, np.ndarray],
+        operands: dict[str, Any],
+        logical_shape: tuple[int, ...],
+        operand: Any = None,
+    ) -> "_Bound":
+        """What every call of one execution signature reuses (:class:`_Bound`),
+        its plan key taken once: the one pinned-call path of
+        :class:`SparseEinsum` and the kernel classes.
+
+        Parameters
+        ----------
+        given:
+            The tensors a call passes, by name: the shape the kernel views it
+            in (a blocked dense operand), or ``None`` to take it as it is.
+        kept:
+            The tensors every call reads in place: the output placeholder and
+            the format's, map's or CG tensor's arrays.
+        operands:
+            One call's operands, whose shapes and dtypes fix the plan key.
+        logical_shape:
+            The shape a call's result is returned in.
+        operand:
+            The sparse operand a :class:`SparseEinsum` entry holds, if any.
+        """
+        from repro.runtime.plan_cache import plan_key
+
+        bound = _Bound(operand, self, given, kept, logical_shape)
+        signature = self._signature(bound.tensors(operands))
+        bound.key = plan_key(self.expression, self.backend, self.config, signature)
+        return bound
+
 
 @functools.lru_cache(maxsize=64)
 def fresh_output(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
@@ -295,8 +329,16 @@ def _infer_logical_extents(
     return extents
 
 
-#: Entries of each :class:`SparseEinsum` memo before it is emptied.
+#: Entries of each :class:`SparseEinsum` (and kernel class) memo before it is emptied.
 _MEMO_ENTRIES = 16
+
+
+def remember(memo: dict, key: Any, value: Any) -> Any:
+    """``value`` kept under ``key`` in ``memo`` (or what another thread kept
+    first), the memo emptied when it holds :data:`_MEMO_ENTRIES` entries."""
+    if len(memo) >= _MEMO_ENTRIES:
+        memo.clear()
+    return memo.setdefault(key, value)
 
 
 def _view(value: Any, shape: tuple[int, ...] | None) -> np.ndarray:
@@ -307,14 +349,15 @@ def _view(value: Any, shape: tuple[int, ...] | None) -> np.ndarray:
 
 
 class _Bound:
-    """What every call of one :class:`SparseEinsum` execution signature reuses.
+    """What every call of one execution signature reuses (:meth:`Insum.bind`).
 
-    Built by the first call of the signature: the sparse operand (held, so its
-    identity keys the memo), the :class:`Insum` of the rewritten expression
-    and its plan key, the dense operands a call gives (``given``: name to
-    blocked shape, or ``None``), the tensors every call keeps (``kept``: the
-    zero-stride output placeholder and the format's arrays, read in place so
-    writes to them are seen) and the logical output shape.  ``kernel`` is the
+    Built by the first call of the signature: the sparse operand of a
+    :class:`SparseEinsum` (held, so its identity keys the memo), the
+    :class:`Insum` and its plan key, the dense operands a call gives
+    (``given``: name to blocked shape, or ``None``), the tensors every call
+    keeps (``kept``: the zero-stride output placeholder and the format's, map's
+    or CG tensor's arrays, read in place so writes to them are seen) and the
+    logical output shape.  ``kernel`` is the
     last compiled kernel looked up under the key with its pinned call
     (:meth:`pin`), pinned again when the plan cache hands back another.
     """
@@ -549,17 +592,13 @@ class SparseEinsum:
         key = (plan.operand, plan.value_access, *plan.substitutions.items(), *shapes.items())
         rewrite = self._rewrites.get(key)
         if rewrite is None:
-            if len(self._rewrites) >= _MEMO_ENTRIES:
-                self._rewrites.clear()
             structure = OperandRewrite(plan.operand, plan.value_access, plan.substitutions)
             rewrite = rewrite_sparse_operand(self.statement, structure, shapes)
-            self._rewrites[key] = rewrite
+            rewrite = remember(self._rewrites, key, rewrite)
         return rewrite
 
     def _bind(self, operands: dict[str, Any], key: tuple | None) -> _Bound:
         """The full rewrite pipeline (first call per signature)."""
-        from repro.runtime.plan_cache import plan_key
-
         statement = self.statement
         sparse_names = [
             name
@@ -615,24 +654,11 @@ class SparseEinsum:
         kept.update(plan.tensors)
         operator = self._operators.get(rewrite.expression)
         if operator is None:
-            if len(self._operators) >= _MEMO_ENTRIES:
-                self._operators.clear()
             operator = Insum(rewrite.expression, backend=self.backend, config=self.config)
-            operator = self._operators.setdefault(rewrite.expression, operator)
-        bound = _Bound(
-            sparse_operand,
-            operator,
-            {name: blocked.get(name) for name in dense_tensors},
-            kept,
-            shapes[output_name],
-        )
-        signature = operator._signature(bound.tensors(operands))
-        bound.key = plan_key(rewrite.expression, self.backend, self.config, signature)
-        if key is not None:
-            if len(self._prepare_memo) >= _MEMO_ENTRIES:
-                self._prepare_memo.clear()
-            self._prepare_memo[key] = bound
-        return bound
+            operator = remember(self._operators, rewrite.expression, operator)
+        given = {name: blocked.get(name) for name in dense_tensors}
+        bound = operator.bind(given, kept, operands, shapes[output_name], sparse_operand)
+        return bound if key is None else remember(self._prepare_memo, key, bound)
 
     # -- execution --------------------------------------------------------------
     def __call__(self, **operands: Any) -> np.ndarray:

@@ -11,20 +11,13 @@ operand instead::
     C[m,n] += A[m,k] * B[k,n]          # k same-pattern requests
     ->  C[s,m,n] += A[s,m,k] * B[s,k,n]   # one stacked execution
 
-The helpers here are value-free plumbing used by
-:class:`~repro.runtime.server.InsumServer`:
-
-* :func:`coalesce_key` — decide whether a request is coalescible and
-  produce the hashable group key (expression + pattern fingerprint +
-  dense signatures).  Requests share a key exactly when stacking them is
-  valid *without inspecting any metadata values*.
-* :func:`widen_expression` — prepend a fresh stack index to every access
-  of the statement.
-* :func:`stack_group` — build the widened operand dict for a group,
-  zero-padding to a fixed stack size so every coalesced execution of an
-  expression shares one compiled plan.
-* :func:`split_results` — slice the widened output back into per-request
-  results.
+The helpers here are the value-free plumbing of
+:class:`~repro.runtime.server.InsumServer`: :func:`coalesce_key` gives requests
+equal keys exactly when they stack without inspecting a metadata value,
+:func:`widen_expression` prepends the stack index to every access,
+:func:`stack_group` builds a group's widened operands (zero-padded to a fixed
+stack size, so every coalesced execution of an expression shares one plan) and
+:func:`split_results` slices the widened output back per request.
 """
 
 from __future__ import annotations

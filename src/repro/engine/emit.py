@@ -25,12 +25,13 @@ registers, no temporary in between.
   list's :class:`~repro.errors.IndexOutOfBoundsError`.  The source depends on the
   plan's structure only (extents are arguments, float32 and float64 side by side,
   the vector width from the compiler's macros): a new shape never recompiles.
-* **The numerics**: one thread, a multiply then an add, additions in
-  ``np.add.at``'s order (a run starts from the row's stored values); a dense
-  reduction is summed per update from zero, then added, whatever the tile.  A
-  result has the same bytes on every machine, a coalesced execution equals its
-  per-request ones, and a tile differs from the steps' BLAS dot by
-  reassociation only.
+* **The numerics**: one thread.  The SpMM family multiplies, then adds in
+  ``np.add.at``'s order (a run starts from the row's stored values).  A dense
+  reduction is summed per update from zero, whatever the tile — each update one
+  fused multiply-add of the last factor into the sum, the product of the others
+  rounded first — then added.  A result has the same bytes on every machine, a
+  coalesced execution equals its per-request ones, and a tile differs from the
+  steps' BLAS dot by reassociation and the fused rounding only.
 * **The placement** (:meth:`Emitted.pin`).  An operand is read in place
   when it is C-contiguous, of its type and aligned; a *reused* vector operand
   (:func:`emit`: its last axis is the output's, each element read at least
@@ -70,7 +71,8 @@ from repro.core.insum.planner import InsumPlan
 from repro.errors import IndexOutOfBoundsError
 
 #: The one set of compiler flags.  ``-ffp-contract=off``: a multiply then an
-#: add, never a fused one — the bits of a sequential NumPy loop (costs <= 5%).
+#: add — the bits of a sequential NumPy loop (costs <= 5%); only a dense
+#: reduction's update is fused, summed per update from zero, then added.
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 _COMPILE_SECONDS = 60
 _INSTANCES = {
@@ -139,6 +141,9 @@ def _loop_order(statement: EinsumStatement) -> tuple[list[str], str | None, str 
 #: Rows, and vectors of ``n`` a row, of the full register tile (4 x 2: 5-34% slower)
 #: and its edge instances.  A tiled function follows the bytes of a vector — from
 #: the compiler's own macros, never from Python — and the two macros it expands.
+#: ``FMA`` is an update: one fused multiply-add per lane, by contraction in the
+#: ``FUSED`` function where the compiler has a fast ``fma`` (the vectorizer off:
+#: it would sum a lane's products unfused), else by libm's ``fma`` per lane.
 _TILES = (4, 2, 1)
 _TILED = """\
 #if defined(__AVX512F__)
@@ -148,13 +153,23 @@ _TILED = """\
 #else
 #define VB 16
 #endif
+#if defined(__FP_FAST_FMA) && defined(__FP_FAST_FMAF) && defined(__GNUC__) && !defined(__clang__)
+#define FUSED __attribute__((optimize("fp-contract=fast", "no-tree-vectorize")))
+#define FMA(vec, L, acc, a, b) acc += (a) * (b);
+#else
+#include <math.h>
+#define FUSED
+#define FMA(vec, L, acc, a, b) {{ vec a_ = (a) - (vec){{0}}, b_ = (b) - (vec){{0}}; \\
+  for (int l = 0; l < (L); ++l) ((real *)&(acc))[l] = _Generic((real)0, float: fmaf, \\
+    default: fma)(((real *)&a_)[l], ((real *)&b_)[l], ((real *)&(acc))[l]); }}
+#endif
 #define ROWS(R) {{ \\
 {rows} \\
 }}
 #define TILE(R, NV, vec, L) {{ \\
 {tile} \\
 }}
-{function}"""
+FUSED {function}"""
 #: A run's tiles of ``n``: 512, 256, 128 and 64 bytes of ``real``; the rest (at
 #: most 15 floats) is one more tile, its width a ``case`` of a ``switch``.
 _RUN_TILES = ("8 * VL", "4 * VL", "2 * VL", "VL")
@@ -178,7 +193,8 @@ def _source(statement: EinsumStatement, inputs: tuple[str, ...]) -> tuple[str, l
     reduction is two macros, instantiated for the full register tile and its
     edges: ``ROWS`` loads the row-dependent indices and steps ``n`` by tiles;
     ``TILE`` zeroes ``R x NV`` accumulators (vectors, unaligned by type;
-    scalars for the last ``n % VL`` lanes), reduces into them and stores once.
+    scalars for the last ``n % VL`` lanes), fuses each update into them
+    (``FMA``) and stores once.
     """
     order, lanes, row = _loop_order(statement)
     loop = {var: f"i{depth}" for depth, var in enumerate(order)}
@@ -359,11 +375,11 @@ def _source(statement: EinsumStatement, inputs: tuple[str, ...]) -> tuple[str, l
             lines.append(pad[2:] + plain)
         bind(depth, sink, pad)
     product.update({position: element(access) for position, access in factors.items()})
-    terms = " * ".join(product[position] for position in sorted(product))
-    # Every reduction summed from zero, a multiply then an add; then one
-    # add into the output rows.
+    *prefix, last = (product[position] for position in sorted(product))
+    # Every reduction from zero, each update fused; then one add into the rows.
     every = ["for (int r = 0; r < R; ++r)", "  for (int v = 0; v < NV; ++v)"]
-    tile += [pad + line for line in (*every, f"    acc[r][v] += {terms};")]
+    update = f"    FMA(vec, L, acc[r][v], {' * '.join(prefix)}, {last})"
+    tile += [pad + line for line in (*every, update)]
     tile += [pad[: -2 * back] + "}" for back in range(1, len(pad) // 2)]
     store = f"    {element(statement.lhs, const='')} += acc[r][v];"
     tile += ["  " + line for line in (*every, store)]

@@ -50,18 +50,16 @@ plan execute" is a log line.  What ``build`` decides:
   (:mod:`repro.engine.fingerprint`): repeated calls over one format
   instance do zero index work.
 
-Numerics.  The emitted loop nest's are :mod:`repro.engine.emit`'s: a
-sequential loop's bits whatever the shapes, the vector width and wherever the
-operands lie, a coalesced execution the per-request ones' bits.  The step list
-matches it up to floating-point reassociation: its dot sums in its BLAS's
-order — in a run-windowed plan that includes the duplicates of an output row,
-and a stack of ``s`` items runs ``s x K @ K x n`` per run where one request
-runs ``1 x K``, a few ulp apart (``tests/runtime/test_stacked.py``) — and a
-``segment_add`` store keeps the sequential contract of
-:mod:`repro.engine.segment`, within each window.  Integer-valued data is exact
-under every schedule and both emitters, and the result's dtype is
-``np.result_type`` of the operands and the bound output on
-both.  Every kernel is tested against the loop-nest reference interpreter.
+Numerics.  The emitted loop nest's are :mod:`repro.engine.emit`'s: the same
+bytes whatever the shapes, the vector width and wherever the operands lie, a
+coalesced execution the per-request ones' bytes.  The step list matches it up
+to reassociation and the tile's fused rounding: its dot sums in its BLAS's
+order (a run-windowed plan's includes the duplicates of an output row; a stack
+of ``s`` items runs ``s x K @ K x n`` where one request runs ``1 x K``, a few
+ulp apart: ``tests/runtime/test_stacked.py``), and a ``segment_add`` store
+keeps :mod:`repro.engine.segment`'s sequential contract within each window.
+Integer-valued data is exact everywhere; the result's dtype is
+``np.result_type`` of the operands and the bound output on both emitters.
 """
 
 from __future__ import annotations

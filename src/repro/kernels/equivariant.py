@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core.inductor import InductorConfig
 from repro.core.insum import Insum, fresh_output
+from repro.core.insum.api import _Bound, remember
 from repro.datasets.clebsch_gordan import CGTensor, fully_connected_cg_tensor
 from repro.errors import ShapeError
 from repro.formats.group_size import select_group_size
@@ -21,7 +22,12 @@ from repro.utils.arrays import padded_slots
 
 
 class FullyConnectedTensorProduct:
-    """Equivariant ``Z[b,i,w] = CG[i,j,k,l] * X[b,j,u] * Y[b,k] * W[b,l,u,w]``."""
+    """Equivariant ``Z[b,i,w] = CG[i,j,k,l] * X[b,j,u] * Y[b,k] * W[b,l,u,w]``.
+
+    A call reuses what the shapes and dtypes of ``X``, ``Y`` and ``W`` fix (a
+    memo of :data:`~repro.core.insum.api._MEMO_ENTRIES` entries): the plan key
+    and the kernel's pointers to the grouped CG arrays, read in place.
+    """
 
     #: The entire user-written implementation (Table 1's "1 LoC").
     expression = (
@@ -45,6 +51,7 @@ class FullyConnectedTensorProduct:
         self._grouped = self._group_by_path(group_size)
         self._operator = Insum(self.expression, config=self.config)
         self._compiled = None
+        self._memo: dict[tuple, _Bound] = {}
 
     # -- CG grouping -------------------------------------------------------------
     def _group_by_path(self, group_size: int | None) -> dict[str, np.ndarray]:
@@ -90,14 +97,26 @@ class FullyConnectedTensorProduct:
 
     def __call__(self, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Compute the tensor product for a batch of inputs."""
-        x, y, w = np.asarray(x), np.asarray(y), np.asarray(w)
-        batch = x.shape[0]
-        if y.shape[0] != batch or w.shape[0] != batch:
+        bound, operands = self._bound(x, y, w)
+        self._compiled = compiled = bound.compile(operands)
+        return bound.run(compiled, operands)
+
+    def _bound(self, x, y, w) -> tuple[_Bound, dict[str, np.ndarray]]:
+        """The memo entry of a call (built on a miss) and its operands."""
+        operands = {"X": np.asarray(x), "Y": np.asarray(y), "W": np.asarray(w)}
+        key = tuple((array.shape, array.dtype) for array in operands.values())
+        return self._memo.get(key) or self._bind(operands, key), operands
+
+    def _bind(self, operands: dict[str, np.ndarray], key: tuple) -> _Bound:
+        """The memo entry of an ``X``, ``Y`` and ``W`` signature (first call)."""
+        batch = operands["X"].shape[0]
+        if operands["Y"].shape[0] != batch or operands["W"].shape[0] != batch:
             raise ShapeError("X, Y, and W must share the batch dimension")
-        output = fresh_output((batch, self.slot_dimension, self.channels), x.dtype)
-        tensors = {"Z": output, "X": x, "Y": y, "W": w, **self._grouped}
-        self._compiled = self._operator.compile(**tensors)
-        return self._compiled.run(tensors)
+        dtype = np.result_type(*operands.values(), self._grouped["CGV"])
+        shape = (batch, self.slot_dimension, self.channels)
+        kept = {"Z": fresh_output(shape, dtype), **self._grouped}
+        bound = self._operator.bind(dict.fromkeys(operands), kept, operands, shape)
+        return remember(self._memo, key, bound)
 
     def estimate_ms(self, batch: int) -> float:
         """Modelled GPU runtime for a given batch size without executing."""

@@ -18,6 +18,8 @@ import stat
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -347,11 +349,25 @@ def test_unsorted_coo_with_duplicate_coordinates(emitter):
 # (b) float normals: the emitted loop is a sequential multiply-then-add loop,
 #     and a coalesced execution is its per-request ones — bit for bit
 # ---------------------------------------------------------------------------
+def rounded(value, dtype):
+    """The rational ``value`` rounded once to the nearest ``dtype`` (ties to
+    even): a fused multiply-add's one rounding, never twice through float64."""
+    info, value = np.finfo(dtype), Fraction(value)
+    if not value:
+        return np.dtype(dtype).type(0)
+    exponent = abs(value.numerator).bit_length() - value.denominator.bit_length()
+    exponent -= abs(value) < Fraction(2) ** exponent  # 2**exponent <= |value|
+    quantum = Fraction(2) ** (max(exponent, info.minexp) - info.nmant)
+    return np.dtype(dtype).type(float(round(value / quantum) * quantum))
+
+
 def sequential(expression, tensors, per_update=False):
     """The statement as a storage-order Python loop in the operands' dtype:
     one multiply per factor, then one add, per point (no fused multiply-add).
     ``per_update`` is the order of a dense reduction: each update's reduction
-    is summed from zero, then that sum is added to the output."""
+    is summed from zero — the product of every factor but the last, then one
+    fused multiply-add of the last into the sum, exact and rounded once — and
+    then that sum is added to the output."""
     statement = parse_einsum(expression)
     arrays = {name: np.asarray(value) for name, value in tensors.items()}
     out = statement.lhs
@@ -374,11 +390,18 @@ def sequential(expression, tensors, per_update=False):
         for point in itertools.product(*(range(extents[var]) for var in variables)):
             yield dict(zip(variables, point))
 
-    def term(env):
-        value = arrays[statement.rhs.factors[0].tensor][at(statement.rhs.factors[0], env)]
-        for factor in statement.rhs.factors[1:]:
+    def term(env, factors=statement.rhs.factors):
+        value = arrays[factors[0].tensor][at(factors[0], env)]
+        for factor in factors[1:]:
             value = value * arrays[factor.tensor][at(factor, env)]
         return value
+
+    def fused(total, env):
+        """``total + prefix * last`` with one rounding to ``total``'s dtype."""
+        *factors, last = statement.rhs.factors
+        prefix, last = term(env, factors), arrays[last.tensor][at(last, env)]
+        exact = Fraction(float(total)) + Fraction(float(prefix)) * Fraction(float(last))
+        return rounded(exact, total.dtype)
 
     outer, inner = statement.output_index_vars(), statement.reduction_index_vars()
     if not per_update:
@@ -388,7 +411,7 @@ def sequential(expression, tensors, per_update=False):
         if per_update:
             total = zero
             for reduction in points(inner):
-                total = total + term({**env, **reduction})
+                total = fused(total, {**env, **reduction})
         else:
             total = term(env)
         result[at(out, env)] = result[at(out, env)] + total
@@ -425,8 +448,9 @@ def test_the_emitted_loop_is_a_sequential_multiply_then_add_loop(emitter, family
 @pytest.mark.parametrize("dtype", EMITTED_DTYPES, ids=lambda d: np.dtype(d).name)
 @pytest.mark.parametrize("family", DENSE_FAMILIES)
 def test_a_dense_reduction_is_summed_per_update_from_zero_then_added(emitter, family, dtype):
-    """The order the module docstrings state — whatever the tile position, the
-    row instance and the vector width (19 = vectors and scalar lanes at any)."""
+    """The order and rounding the module docstrings state — each update one fused
+    multiply-add — whatever the tile position, the row instance and the vector
+    width (19 = vectors and scalar lanes at any)."""
     _, calls = emitter
     rng = np.random.default_rng(32)
     values = draw(rng, dtype, integer=False)
@@ -439,6 +463,41 @@ def test_a_dense_reduction_is_summed_per_update_from_zero_then_added(emitter, fa
     # The step list's BLAS dot differs by reassociation only.
     steps = SpecializedKernel.build(plan_insum(expression, tensors), window_steps=2).run(tensors)
     np.testing.assert_allclose(result, steps, rtol=1e-4, atol=1e-4)
+
+
+def top_level(text, separator):
+    """``text`` split at each ``separator`` outside brackets and parentheses."""
+    parts, depth, start = [], 0, 0
+    for at, char in enumerate(text):
+        depth += (char in "([") - (char in ")]")
+        if not depth and text.startswith(separator, at):
+            parts.append(text[start:at])
+            start = at + len(separator)
+    return [*parts, text[start:]]
+
+
+@pytest.mark.parametrize("family", DENSE_FAMILIES)
+def test_every_dense_reduction_source_spells_the_fused_update(family):
+    """The tile's one update is ``FMA(vec, L, acc[r][v], prefix, last)``: the
+    product of every factor but the last, in statement order, fused with the
+    last into the accumulator; the function is ``FUSED`` and the store adds."""
+    rng = np.random.default_rng(34)
+    expression, tensors = dense_tensors(family, (2, 3, 19, 3), draw(rng, np.float64), rng)
+    kernel = SpecializedKernel.build(plan_insum(expression, tensors), window_steps=1)
+    inputs = kernel._program.inputs
+    source, _, _ = emit._source(kernel.plan.statement, tuple(inputs))
+    head, function = source.split("\nFUSED int64_t KERNEL(")
+    tile = head.split("#define TILE(R, NV, vec, L) {")[1]
+    updates = [line.strip() for line in tile.splitlines() if "acc[r][v]" in line]
+    assert len(updates) == 2 and updates[1].endswith("+= acc[r][v]; \\")
+    assert updates[0].startswith("FMA(") and updates[0].endswith(") \\") and "acc" not in function
+    vec, lanes, acc, prefix, last = top_level(updates[0][len("FMA(") : -len(") \\")], ", ")
+    assert (vec, lanes, acc) == ("vec", "L", "acc[r][v]")
+    factors, terms = parse_einsum(expression).rhs.factors, [*top_level(prefix, " * "), last]
+    assert len(terms) == len(factors) and last.startswith("*(const vec *)&")
+    for position, (factor, term) in enumerate(zip(factors, terms)):
+        slot = f"T{inputs.index(factor.tensor)}["  # loaded here, or hoisted as f<position>
+        assert term.startswith((slot, f"*(const vec *)&{slot}")) or term == f"f{position}"
 
 
 #: Runs of equal output rows (extent 6) across COO entries and GroupCOO groups:
@@ -807,22 +866,33 @@ def test_a_compiler_without_vector_types_leaves_the_register_tile_on_its_steps(
 def test_the_bytes_of_a_result_do_not_depend_on_the_vector_width(emitter, tmp_path, monkeypatch):
     """A tiled unit reads the vector width from the compiler's macros, and a run
     loop's tiles are fixed in bytes: built again for SSE2 alone (16-byte
-    vectors) each returns the same bytes."""
+    vectors, no fused multiply-add instruction: the tile takes libm's ``fma``
+    per lane) each returns the same bytes."""
+    rng, problems = np.random.default_rng(29), {}
+    for family in [*DENSE_FAMILIES, *FAMILIES]:
+        for dtype in EMITTED_DTYPES:
+            values = draw(rng, dtype, integer=False)
+            if family in DENSE_FAMILIES:
+                expression, tensors = dense_tensors(family, (2, 7, 113, 3), values, rng)
+            else:  # 241: every tile of a run at either dtype, and a remainder
+                pattern = full_row_pattern()
+                expression, operands, product = problem(family, pattern, 241, values)
+                expression, tensors = indirect(expression, operands, values(*product.shape))
+            problems[family, np.dtype(dtype).name] = expression, tensors
+
+    def build(problem):
+        return SpecializedKernel.build(plan_insum(*problem))
 
     def results():
-        rng, taken = np.random.default_rng(29), {}
-        for family in [*DENSE_FAMILIES, *FAMILIES]:
-            for dtype in EMITTED_DTYPES:
-                values = draw(rng, dtype, integer=False)
-                if family in DENSE_FAMILIES:
-                    expression, tensors = dense_tensors(family, (2, 7, 113, 3), values, rng)
-                else:  # 241: every tile of a run at either dtype, and a remainder
-                    pattern = full_row_pattern()
-                    expression, operands, product = problem(family, pattern, 241, values)
-                    expression, tensors = indirect(expression, operands, values(*product.shape))
-                kernel = SpecializedKernel.build(plan_insum(expression, tensors))
-                assert isinstance(kernel.emitted, emit.Emitted)
-                taken[family, np.dtype(dtype).name] = kernel.run(tensors).tobytes()
+        # One unit per family (both dtypes): its builds are independent ``cc``
+        # processes, so they run side by side before the loop.
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(build, {family: p for (family, _), p in problems.items()}.values()))
+        taken = {}
+        for key, problem in problems.items():
+            kernel = build(problem)
+            assert isinstance(kernel.emitted, emit.Emitted)
+            taken[key] = kernel.run(problem[1]).tobytes()
         return taken
 
     native = results()
