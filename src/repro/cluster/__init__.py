@@ -10,12 +10,12 @@ single interpreter (the ROADMAP's "production-scale" direction):
 * :mod:`repro.cluster.codec` — the one operand codec: descriptors, the
   sender/receiver cache mirror every transport shares, the ring framing.
 * :mod:`repro.cluster.router` — sticky expression+pattern affinity
-  routing, so worker-side coalescing still sees whole groups.
+  routing, so each key's traffic reaches the worker whose caches it warmed.
 * :mod:`repro.cluster.admission` — bounded in-flight admission control
   with blocking backpressure or reject-with-``retry_after``.
 * :mod:`repro.cluster.worker` — the worker process: one thread serving
-  each drained batch through the shared batch routine (specialization +
-  coalescing intact) behind the rings.
+  each drained batch through the shared batch routine (specialization
+  intact, one call per request) behind the rings.
 
 See ``docs/SERVING.md`` for the architecture and failure model.
 """

@@ -19,7 +19,7 @@ cannot diverge:
   array a descriptor of its own; a ``StackedSparse`` is its base's
   record plus ``data``).  The receiver rebuilds it with the format's
   validating constructor and keeps *one live instance* per key, so
-  identity-fingerprint caches and coalescing keys stay hot behind the
+  identity-fingerprint caches and affinity keys stay hot behind the
   boundary.  The key covers the value array's identity: fresh values
   over old metadata re-ship, and then only the values move — the
   metadata arrays have become stable.

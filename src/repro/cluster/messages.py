@@ -55,9 +55,8 @@ class ResponseEnvelope:
     worker-side :meth:`repro.obs.trace.Trace.export` snapshot (stamps
     and spans) when the request carried a trace id.  ``counters`` holds
     the worker's cumulative :data:`~repro.runtime.stats.INTERIOR` counters
-    (plan-cache hits and misses, coalesced requests and batches, since the
-    incarnation started) as of this response; the parent keeps the last
-    it saw, so they outlive the worker.
+    (plan-cache hits and misses since the incarnation started) as of this
+    response; the parent keeps the last it saw, so they outlive the worker.
     """
 
     request_id: int
@@ -67,4 +66,4 @@ class ResponseEnvelope:
     error: Any = None
     release_to: int = 0
     trace: dict | None = None
-    counters: tuple[int, ...] = (0, 0, 0, 0)
+    counters: tuple[int, ...] = (0, 0)

@@ -1,14 +1,12 @@
 """Affinity routing: same expression + pattern, same worker — until hot.
 
-Worker-side performance depends on locality twice over: a worker's batch
-routine (:meth:`~repro.runtime.server.InlineBackend.serve`) can only
-coalesce requests that share an expression and a live sparse pattern if
-those requests land in the *same* process, and the worker's pattern /
-stable-array / plan caches only pay off when the traffic that warmed
-them keeps arriving.  The router therefore assigns each affinity key — the
-expression plus the pattern fingerprints of its sparse operands — to one
-worker, sticky for the key's lifetime, choosing the least-loaded worker
-at first sight so distinct keys spread across the pool.
+Worker-side performance depends on locality: the worker's pattern /
+stable-array / plan caches, and the operator memo that makes a reused
+call cost its kernel, only pay off when the traffic that warmed them keeps
+arriving at the same process.  The router therefore assigns each affinity
+key — the expression plus the pattern fingerprints of its sparse operands —
+to one worker, sticky for the key's lifetime, choosing the least-loaded
+worker at first sight so distinct keys spread across the pool.
 
 Stickiness alone would starve the pool on a *single-key* workload —
 exactly the one-expression raw indirect Einsum traffic this package
@@ -16,10 +14,9 @@ targets, where every request shares the affinity key and would pin one
 worker while the rest idle.  So a key **spills**: once the least-loaded
 of its assigned workers has ``spill_threshold`` requests outstanding
 while some unassigned worker sits at half that or less, the idler worker
-is added to the key's assignment (sticky too, so its caches warm and
-coalescing windows re-form there).  Under light traffic a key stays on
-one worker and coalesces maximally; under saturation it grows onto the
-pool worker by worker.
+is added to the key's assignment (sticky too, so its caches warm
+there).  Under light traffic a key stays on one worker's warm caches;
+under saturation it grows onto the pool worker by worker.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ def affinity_key(expression: str, operands: dict[str, Any]) -> tuple:
 
     Sparse operands contribute their pattern fingerprint plus the
     identity of their value array (two requests over the very same
-    format instance — the coalescing sweet spot — share a key).
+    format instance — the warm-cache sweet spot — share a key).
     Requests without sparse operands key on the expression alone, which
     still concentrates one raw indirect Einsum's repeated metadata
     arrays on one worker's stable-array cache (spilling spreads the key

@@ -2,14 +2,14 @@
 
 ``InsumServer`` (PR 1–3) serves every request inside one interpreter:
 its engine-specialized kernels are fast, but the Python framework around
-them — queueing, rewriting, coalescing, result bookkeeping — serializes
+them — queueing, rewriting, result bookkeeping — serializes
 on a single GIL.  ``ClusterServer`` implements the exact same
 :class:`repro.serve.ExecutorBackend` protocol
 (``submit(request)`` / ``try_cancel(request)``) and
 moves execution into a pool of worker *processes*, each serving on its
 main thread through the same batch routine
-(:meth:`~repro.runtime.server.InlineBackend.serve`; specialization and
-same-plan coalescing intact):
+(:meth:`~repro.runtime.server.InlineBackend.serve`; specialization intact,
+one call per request):
 
 * **Transport** — dense operands and results cross as raw bytes through
   per-worker :class:`~repro.cluster.shm.ShmRing` shared-memory rings;
@@ -17,8 +17,8 @@ same-plan coalescing intact):
   worker-side as one live instance; repeated metadata arrays are cached
   by identity token (:mod:`repro.cluster.codec`).
 * **Routing** — requests are assigned by expression + pattern
-  fingerprint (:mod:`repro.cluster.router`), sticky per key, so the
-  workers' coalescers still see whole groups.
+  fingerprint (:mod:`repro.cluster.router`), sticky per key, so each
+  key's traffic keeps hitting the caches it warmed.
 * **Admission control** — total in-flight work is bounded; over-limit
   submissions block (bounded-queue backpressure) or fail fast with
   :class:`~repro.cluster.admission.ClusterBusyError` carrying a
@@ -31,7 +31,7 @@ same-plan coalescing intact):
 * **Stats** — :meth:`stats` returns the same
   :class:`~repro.runtime.stats.ServeStats` as every tier, from the
   parent's own :class:`~repro.runtime.stats.ServingWindow`: outcomes,
-  latency and throughput are measured here, and the cache/coalesce
+  latency and throughput are measured here, and the plan-cache
   counters are the cumulative totals each worker attaches to its
   responses — reporting never talks to a worker.
 
@@ -138,7 +138,7 @@ class ClusterServer:
     worker_threads:
         Threads per worker process: ``None`` or 1, the only value (each
         worker executes on its main thread; ``num_workers`` scales).
-    backend / config / auto_format / coalesce:
+    backend / config / auto_format:
         Forwarded to every worker's batch routine (see
         :class:`~repro.runtime.server.InlineBackend`).
     ring_capacity:
@@ -178,7 +178,6 @@ class ClusterServer:
         backend: str = "inductor",
         config: Any | None = None,
         auto_format: bool = False,
-        coalesce: bool = True,
         ring_capacity: int = RING_CAPACITY,
         max_inflight: int = 1024,
         admission: str = "block",
@@ -200,12 +199,7 @@ class ClusterServer:
         self.max_attempts = int(max_attempts)
         self.health_interval = float(health_interval)
         self.heartbeat_timeout = heartbeat_timeout or None
-        self._server_kwargs = dict(
-            backend=backend,
-            config=config,
-            auto_format=auto_format,
-            coalesce=coalesce,
-        )
+        self._server_kwargs = dict(backend=backend, config=config, auto_format=auto_format)
 
         # Fork where available (workers inherit warm module state).
         methods = multiprocessing.get_all_start_methods()

@@ -1,20 +1,20 @@
 """The worker process: the inline backend's batch routine behind a ring pair.
 
 Each worker is a full serving stack in its own interpreter — engine
-specialization, plan cache, and same-plan coalescing intact — fed by
+specialization and plan cache intact — fed by
 envelopes on its end of a duplex pipe and operand bytes on a request ring,
 and answering on the same pipe and a response ring.  Everything happens on
 the main thread: it is the only reader and the only writer of the pipe, and
 it executes every request itself, so the process runs exactly one thread.
 
-The loop deliberately *batches*: after waiting for the first envelope it
-drains whatever else has arrived (up to :data:`BATCH_WINDOW`), decodes the
-whole batch and hands it to :meth:`~repro.runtime.server.InlineBackend.serve`,
-the batch routine the threaded tier's workers run, so the coalescer sees the
-same opportunity window it would see in-process and a request that expires
-behind earlier members of its batch is shed unexecuted.  Each request is
-answered from its ``on_done`` as the routine finishes it, which lets the
-worker heartbeat as each request completes instead of once per batch.
+After waiting for the first envelope the loop drains whatever else has
+arrived (up to :data:`BATCH_WINDOW`), decodes it and hands the batch to
+:meth:`~repro.runtime.server.InlineBackend.serve`, the batch routine the
+threaded tier's workers run: one call per request in arrival order, and a
+request that expires behind earlier members of its batch is shed
+unexecuted.  Each request is answered from its ``on_done`` as the routine
+finishes it, which lets the worker heartbeat as each request completes
+instead of once per batch.
 
 The serve loop itself stamps the response ring's heartbeat header — once
 per pipe poll and once per completed request — so the stamp measures
@@ -42,8 +42,8 @@ from repro.resilience.deadline import Deadline
 from repro.runtime.request import Request
 from repro.runtime.stats import INTERIOR
 
-#: Largest envelope batch a worker drains per batch-routine round — the
-#: coalescing opportunity window.
+#: Largest envelope batch a worker drains, decodes and sheds per
+#: batch-routine round.
 BATCH_WINDOW = 32
 
 

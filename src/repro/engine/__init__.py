@@ -18,19 +18,12 @@ spare a serving process re-deriving per-operand artefacts on every request:
 * :mod:`repro.engine.segment` — the run structure of a scatter index: disjoint
   rows' fancy ``+=`` or bucketed slab segment sums in place of ``np.add.at``;
 * :mod:`repro.engine.fingerprint` — identity tokens for live arrays, pattern
-  fingerprints for formats, and the derived-artefact cache;
-* :mod:`repro.engine.coalesce` — widening for same-plan request coalescing.
+  fingerprints for formats, and the derived-artefact cache.
 
 ``docs/PERFORMANCE.md`` says what is specialized and which numbers track it
 (``benchmarks/layers``, and its record ``BENCH_layers.json``).
 """
 
-from repro.engine.coalesce import (
-    coalesce_key,
-    split_results,
-    stack_group,
-    widen_expression,
-)
 from repro.engine.fingerprint import (
     array_token,
     clear_derived_cache,
@@ -52,7 +45,6 @@ __all__ = [
     "cached_einsum_path",
     "clear_derived_cache",
     "clear_path_cache",
-    "coalesce_key",
     "derived",
     "derived_cache_size",
     "materialize_plan",
@@ -61,7 +53,4 @@ __all__ = [
     "plan_scatter",
     "segment_add",
     "specialize_plan",
-    "split_results",
-    "stack_group",
-    "widen_expression",
 ]

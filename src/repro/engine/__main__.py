@@ -1,6 +1,6 @@
 """``python -m repro.engine``: build every emitted kernel of the library's formats
 and kernel classes — ELL, GroupCOO, COO, BlockCOO, BlockGroupCOO; SpMM and SpMV;
-plain and coalesced; sparse convolution, both tensor products — into the object
+plain and stacked; sparse convolution, both tensor products — into the object
 cache now, so that no later process on this machine waits for ``cc``.  A source
 depends on a plan's structure only: these serve every shape, pattern and spelling.
 """

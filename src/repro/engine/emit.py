@@ -30,7 +30,7 @@ registers, no temporary in between.
   reduction is summed per update from zero, whatever the tile — each update one
   fused multiply-add of the last factor into the sum, the product of the others
   rounded first — then added.  A result has the same bytes on every machine, a
-  coalesced execution equals its per-request ones, and a tile differs from the
+  stacked execution equals its per-item ones, and a tile differs from the
   steps' BLAS dot by reassociation and the fused rounding only.
 * **The placement** (:meth:`Emitted.pin`).  An operand is read in place
   when it is C-contiguous, of its type and aligned; a *reused* vector operand

@@ -17,7 +17,7 @@ the object's lifetime and memoized here:
   format's *pattern*: its class, logical shape, and the tokens of its
   metadata arrays (values excluded).  Two operands share a fingerprint
   exactly when they share the same live metadata objects, which is the
-  cheap sufficient condition the server's request coalescing needs.
+  cheap sufficient condition the cluster router's affinity key needs.
 
 The single caveat of identity keying: mutating a metadata array **in
 place** after it has been fingerprinted is not detected.  Formats in this
@@ -138,8 +138,8 @@ def pattern_fingerprint(fmt: Any) -> tuple:
     value array's shape and dtype, and the :func:`array_token` of every
     metadata tensor.  Two format instances share a fingerprint exactly
     when they reference the same live metadata arrays — the sufficient
-    condition for same-pattern request coalescing and for skipping
-    repeated scatter planning on the serving path.
+    condition for sticky affinity routing and for the codecs' pattern
+    cache on the serving path.
 
     Parameters
     ----------

@@ -33,7 +33,7 @@ it because the reduced axis is never the contiguous inner loop.  A source
 with one element per update (1-D, or a trailing shape of ones) would make
 it the inner loop, where NumPy sums pairwise; those sources accumulate
 their run sums with a 1-D ``np.add.at`` instead, which is sequential by
-definition and has a fast indexed loop.  A coalesced (stacked) execution
+definition and has a fast indexed loop.  A stacked execution
 of these plans therefore sums each row's duplicates in the order the
 per-request one does.  (The run-windowed plans make no such promise: their
 duplicates are summed by the dot, in its BLAS's order — see the numerics

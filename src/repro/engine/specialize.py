@@ -52,7 +52,7 @@ plan execute" is a log line.  What ``build`` decides:
 
 Numerics.  The emitted loop nest's are :mod:`repro.engine.emit`'s: the same
 bytes whatever the shapes, the vector width and wherever the operands lie, a
-coalesced execution the per-request ones' bytes.  The step list matches it up
+stacked execution its per-item ones' bytes.  The step list matches it up
 to reassociation and the tile's fused rounding: its dot sums in its BLAS's
 order (a run-windowed plan's includes the duplicates of an output row; a stack
 of ``s`` items runs ``s x K @ K x n`` where one request runs ``1 x K``, a few
@@ -95,8 +95,8 @@ def _split_runs(plan: InsumPlan) -> InsumPlan | None:
     range over the *runs* of equal targets and a new reduction variable ``p'``
     over the positions inside a run: the dot then sums the duplicates (``p'``
     joins its ``K`` group — :meth:`_Program.contraction` says whether it can)
-    and the store is a disjoint write.  One-element updates (SpMV, and the
-    stack of SpMVs a server coalesces) keep ``np.add.at``'s sequential order.
+    and the store is a disjoint write.  One-element updates (SpMV, and a
+    stack of SpMVs) keep ``np.add.at``'s sequential order.
     """
     out, info, subscripts = plan.output_subscripts, plan.info, plan.scatter_index_subscripts
     if not subscripts or len(plan.statement.lhs.indices[plan.scatter_dim].indices) != 1:

@@ -86,8 +86,8 @@ class SparseFormat(abc.ABC):
         and the identity tokens of the metadata arrays (values excluded) —
         see :func:`repro.engine.fingerprint.pattern_fingerprint`.  Two
         instances share a fingerprint exactly when they reference the same
-        live metadata arrays, which is what the serving runtime's
-        same-plan request coalescing keys on.  Memoized per instance
+        live metadata arrays, which is what the cluster router's affinity
+        key and the codec's pattern cache key on.  Memoized per instance
         (formats are immutable).
         """
         cached = getattr(self, "_fingerprint_memo", None)

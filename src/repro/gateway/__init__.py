@@ -7,7 +7,7 @@ that turns any :class:`~repro.serve.Session` into an HTTP service:
   API-key auth and admission quotas, header-carried deadlines shed at
   the edge, trace propagation, and a binary operand encoding that reuses
   the cluster codec's descriptor scheme so sparse patterns ship once per
-  connection and coalescing keys stay hot.
+  connection and identity-keyed caches stay hot.
 * :class:`GatewayClient` — the Session-shaped client (``submit() ->
   Future``), re-raising the *same* :mod:`repro.errors` types the server
   mapped onto HTTP, with :class:`~repro.resilience.retry.RetryPolicy`

@@ -294,7 +294,7 @@ class WireDecoder(MirrorDecoder):
     rebuilt from its arrays by the format's validating constructor — no
     pickle, no dense projection — and cached as *one live instance per
     key*, which keeps the engine's identity-fingerprint caches (and the
-    cluster's coalescing keys) stable across requests on the connection.
+    cluster's affinity keys) stable across requests on the connection.
     """
 
     def decode_request(

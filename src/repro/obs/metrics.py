@@ -1,7 +1,7 @@
 """A process-wide, thread-safe registry of counters, gauges, and histograms.
 
 Every serving tier (inline, threaded, cluster) and every cross-cutting
-subsystem (plan cache, tuner, coalescer, router, admission control)
+subsystem (plan cache, tuner, router, admission control)
 increments the *same* process-wide registry, so one ``/metrics`` scrape
 answers for the whole process no matter which mix of backends is live.
 Three design points keep the hot path cheap and the reads exact:

@@ -54,9 +54,8 @@ class Span:
     """One named, closed interval of a request's lifetime.
 
     ``start``/``end`` are epoch seconds (``time.time``); ``meta`` carries
-    span-specific context, e.g. the coalesce batch size on an ``execute``
-    span.  Spans from one trace are non-overlapping: each is built
-    between two consecutive lifecycle stamps.
+    span-specific context a caller attaches.  Spans from one trace are
+    non-overlapping: each is built between two consecutive lifecycle stamps.
     """
 
     name: str
@@ -117,7 +116,7 @@ class Trace:
             Wall-clock bounds (``time.time``); ``end`` is clamped to
             ``start`` so a span never has negative duration.
         **meta:
-            Extra annotations stored on the span (e.g. ``batch_size``).
+            Extra annotations stored on the span.
         """
         span = Span(name=name, start=start, end=max(start, end), meta=dict(meta))
         with self._lock:

@@ -17,9 +17,9 @@ Every request's end-to-end latency and outcome feed the run's
 result bytes are checked against the trace's expected digests.
 
 Digest verification (``verify="auto"``, the default) engages on every
-backend: each promises bit-exact results, and a coalesced batch returns its
-per-request results bit for bit (``tests/runtime/test_server_coalesce.py``).
-Pass ``verify=False`` to turn it off.
+backend: each runs every request as its own call through the same batch
+routine, so each promises bit-exact results.  Pass ``verify=False`` to turn
+it off.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def replay(
         An open serve session; any backend.  The session is *not* closed.
     verify:
         ``"auto"`` (default) and ``True`` check every result's digest:
-        every backend promises bit-exact execution, coalesced or not.
+        every backend promises bit-exact execution.
         ``False`` turns the check off; unverified runs report
         ``digest_checked == 0``.
     time_scale:

@@ -30,7 +30,7 @@ forward compatible.
 Digests: ``operand_digest`` hashes the *logical* dense content of every
 operand and is therefore format independent (the same pattern shipped
 as COO or GroupCOO digests identically); ``digest`` hashes the exact
-bytes of the canonical (inline, uncoalesced) execution's result.  Result
+bytes of the canonical (inline) execution's result.  Result
 digests are bitwise and therefore machine-local — BLAS builds differ —
 so replay harnesses on a different machine call
 :meth:`WorkloadTrace.refresh_digests` once before verifying (see
@@ -576,10 +576,9 @@ def compute_digests(trace: WorkloadTrace) -> None:
     """Fill every record's ``digest``/``operand_digest`` in place.
 
     Executes each record once through a canonical
-    :class:`~repro.runtime.server.RequestExecutor` (inline, uncoalesced,
-    default compiler config) — the same execution the serve
-    tier's inline backend performs, which the threaded and cluster tiers
-    are bit-identical to when coalescing is off.
+    :class:`~repro.runtime.server.RequestExecutor` (inline,
+    default compiler config) — the same execution the serve tier's inline
+    backend performs; the threaded and cluster tiers match it bit for bit.
 
     Parameters
     ----------

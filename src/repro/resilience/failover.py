@@ -43,7 +43,7 @@ def fallback_config(config, failover: str):
     Keeps every field whose declaration names the fallback backend and
     clears the rest — everything cluster-gated, including the failover
     fields (the fallback is a leaf, never itself failed over), and for
-    ``"inline"`` the worker-pool and coalescing fields too.
+    ``"inline"`` the worker-pool field too.
 
     Parameters
     ----------

@@ -10,7 +10,7 @@ ROADMAP's "production-scale" direction):
 * :mod:`repro.runtime.request` — :class:`Request` / :class:`InsumResult`,
   the one record a request travels as and the outcome it resolves to.
 * :mod:`repro.runtime.server` — :class:`InsumServer`, request queuing
-  over reusable per-expression operators.
+  over reusable per-expression operators, one call per request.
 * :mod:`repro.runtime.stats` — the one home of serving accounting:
   :class:`ServeStats`, the report every tier returns, and
   :class:`ServingWindow`, the counter store every tier embeds.

@@ -165,7 +165,6 @@ class Request:
         error: BaseException | None,
         started: tuple[float, float],
         finished: tuple[float, float],
-        **execute_meta: Any,
     ) -> InsumResult:
         """The result of one execution — the only place a tier builds it.
 
@@ -179,11 +178,7 @@ class Request:
         output / error:
             What the executor returned or raised (exactly one is set).
         started / finished:
-            :func:`clock` pairs taken around the execution (shared by
-            every member of a coalesced batch).
-        **execute_meta:
-            Annotations for the ``execute`` span (``coalesced``,
-            ``batch_size``).
+            :func:`clock` pairs taken around the execution.
         """
         result = InsumResult(
             request_id=self.request_id,
@@ -199,7 +194,7 @@ class Request:
             self.trace.stamp("exec.start", started[1])
             self.trace.stamp("exec.end", finished[1])
             self.trace.span_between("queue.wait", "queued", "exec.start")
-            self.trace.span_between("execute", "exec.start", "exec.end", **execute_meta)
+            self.trace.span_between("execute", "exec.start", "exec.end")
         return result
 
 

@@ -8,15 +8,16 @@ a serving engine, in three layers:
   per-expression operators (:class:`SparseEinsum` / :class:`Insum`) and
   expression classification.
 * :class:`InlineBackend` — the one batch routine (:meth:`InlineBackend.serve`:
-  claim, shed expired work, group by coalesce key, execute, record) and
-  the inline tier, which serves a batch of one in the calling thread.
+  claim, shed expired work, execute each request on its expression's
+  operator in arrival order, record) and the inline tier, which serves a
+  batch of one in the calling thread.
   The threaded tier's worker threads and every cluster worker's main
   thread serve through the same routine, which is what makes results
   bit-identical across serving backends.
 * :class:`InsumServer` — the inline backend plus a queue and a pool of
   worker threads, implementing the :class:`repro.serve.ExecutorBackend`
   protocol (``submit(request)`` / ``try_cancel(request)`` / ``stats`` /
-  ``close``) with same-plan request coalescing over each drained batch.
+  ``close``); each worker thread takes one request per queue read.
 
 Requests arrive as :class:`~repro.runtime.request.Request` objects that
 carry their own completion; :meth:`InlineBackend.run_batch` is the
@@ -78,12 +79,9 @@ class RequestExecutor:
         self.auto_format = bool(auto_format)
         self._operators: dict[tuple[str, str], Any] = {}
         self._operators_lock = threading.Lock()
-        #: expression -> (is_logical, rhs_factor_names, statement); used by
-        #: the auto_format path to recognise dense operands it may
-        #: sparsify and by coalescing to build widened statements.
-        self._expression_info: dict[str, tuple[bool, tuple[str, ...], Any]] = {}
-        #: expression -> widened (expression, stack_var), built on demand.
-        self._widened: dict[str, tuple[str, str] | None] = {}
+        #: expression -> (is_logical, rhs_factor_names); used by the
+        #: auto_format path to recognise dense operands it may sparsify.
+        self._expression_info: dict[str, tuple[bool, tuple[str, ...]]] = {}
 
     def operator_for(self, expression: str, has_sparse: bool) -> Any:
         """The long-lived reusable operator for one expression.
@@ -108,14 +106,13 @@ class RequestExecutor:
                 self._operators[key] = operator
             return operator
 
-    def expression_info(self, expression: str) -> tuple[bool, tuple[str, ...], Any]:
+    def expression_info(self, expression: str) -> tuple[bool, tuple[str, ...]]:
         """Whether an expression is purely *logical* (no indirect accesses).
 
         Only logical expressions may have dense operands promoted to
         sparse formats (in a raw indirect Einsum, a sparse-looking 2-D
-        array is storage, not a logical matrix) or be coalesced into
-        widened batches.  Returns ``(logical, rhs_factor_names,
-        statement)``; the statement is ``None`` when parsing failed.
+        array is storage, not a logical matrix).  Returns ``(logical,
+        rhs_factor_names)``; ``(False, ())`` when parsing failed.
         """
         with self._operators_lock:
             cached = self._expression_info.get(expression)
@@ -133,10 +130,10 @@ class RequestExecutor:
             )
             rhs = tuple(f.tensor for f in statement.rhs.factors)
         except Exception:  # noqa: BLE001 — classification must not fail a request
-            logical, rhs, statement = False, (), None
+            logical, rhs = False, ()
         with self._operators_lock:
-            self._expression_info[expression] = (logical, rhs, statement)
-        return logical, rhs, statement
+            self._expression_info[expression] = (logical, rhs)
+        return logical, rhs
 
     def execute(self, expression: str, operands: dict[str, Any]) -> np.ndarray:
         """Execute one request exactly as a direct operator call would.
@@ -149,41 +146,12 @@ class RequestExecutor:
         """
         has_sparse = any(isinstance(value, SparseFormat) for value in operands.values())
         if not has_sparse and self.auto_format:
-            logical, rhs_names, _ = self.expression_info(expression)
+            logical, rhs_names = self.expression_info(expression)
             arrays = (np.asarray(operands[name]) for name in rhs_names if name in operands)
             has_sparse = logical and any(
                 arr.ndim == 2 and np.count_nonzero(arr) < 0.5 * arr.size for arr in arrays
             )
         return self.operator_for(expression, has_sparse)(**operands)
-
-    def widened_for(self, expression: str) -> tuple[str, str] | None:
-        """The widened (stacked) expression for one logical expression."""
-        with self._operators_lock:
-            if expression in self._widened:
-                return self._widened[expression]
-        from repro.engine.coalesce import widen_expression
-
-        _, _, statement = self.expression_info(expression)
-        widened: tuple[str, str] | None
-        try:
-            widened = widen_expression(statement) if statement is not None else None
-        except Exception:  # noqa: BLE001 — fall back to per-request execution
-            widened = None
-        with self._operators_lock:
-            self._widened[expression] = widened
-        return widened
-
-    def coalesced_operator_for(self, expression: str, widened_expression: str) -> SparseEinsum:
-        """The long-lived operator executing coalesced batches of one expression."""
-        key = (expression, "coalesced")
-        with self._operators_lock:
-            operator = self._operators.get(key)
-            if operator is None:
-                operator = SparseEinsum(
-                    widened_expression, backend=self.backend, config=self.config
-                )
-                self._operators[key] = operator
-            return operator
 
     def expressions(self) -> list[str]:
         """Distinct expressions with a live reusable operator."""
@@ -196,8 +164,8 @@ class InlineBackend:
     tier, and the one batch routine every tier executes through.
 
     :meth:`serve` takes accepted requests and, in the calling thread,
-    claims them, groups them by coalesce key, executes singles and widened
-    groups (shedding a request that has expired by its turn) and records
+    claims them and executes each on its expression's operator in arrival
+    order (shedding a request that has expired by its turn), recording
     every result.  Its three callers: :meth:`submit` here, which serves a
     batch of one before returning (the ``"inline"`` tier, the
     zero-concurrency baseline); :class:`InsumServer`'s worker threads, on
@@ -216,9 +184,6 @@ class InlineBackend:
         profile bucket), and each chosen format compiles once — so one
         server adapts across heterogeneous request streams.  Sparse
         operands may then also be plain dense arrays.
-    coalesce / coalesce_max:
-        Same-plan coalescing within a batch (see :class:`InsumServer`); a
-        batch of one never coalesces.
     workers:
         The parallelism reported as ``ServeStats.workers``.
     """
@@ -231,14 +196,8 @@ class InlineBackend:
         backend: str = "inductor",
         config: Any | None = None,
         auto_format: bool = False,
-        coalesce: bool = True,
-        coalesce_max: int = 16,
         workers: int = 1,
     ):
-        if coalesce_max < 2:
-            raise ValueError(f"coalesce_max must be >= 2, got {coalesce_max}")
-        self.coalesce = bool(coalesce)
-        self.coalesce_max = int(coalesce_max)
         self.executor = RequestExecutor(backend=backend, config=config, auto_format=auto_format)
         self._ids = itertools.count()
         #: The measurement window; a cluster worker reads its counters.
@@ -319,34 +278,16 @@ class InlineBackend:
 
     # -- the batch routine --------------------------------------------------
     def serve(self, batch: list[Request]) -> None:
-        """Claim, group by coalesce key, execute and record accepted requests.
+        """Claim, execute and record accepted requests in arrival order.
 
-        Groups of one (and requests that cannot coalesce) run through the
-        ordinary per-request path; larger groups execute as one widened
-        stacked Einsum.  First-arrival order is preserved across groups,
-        and a request that expired while earlier ones executed is shed
-        just before its own turn.
+        Each request runs on its expression's operator, one pinned call per
+        request; one that expired while earlier ones executed is shed just
+        before its own turn.
         """
-        # A cancelled request was already recorded by try_cancel.
-        batch = [request for request in batch if request.claim()]
-        groups: dict[tuple, tuple[list[Request], Any]] = {}
-        order: list[tuple[list[Request], Any]] = []
         for request in batch:
-            ticket = self._coalesce_ticket(request) if len(batch) > 1 else None
-            if ticket is None:
-                order.append(([request], None))
-            elif ticket.key in groups:
-                groups[ticket.key][0].append(request)
-            else:
-                groups[ticket.key] = ([request], ticket)
-                order.append(groups[ticket.key])
-        for requests, ticket in order:
-            for start in range(0, len(requests), self.coalesce_max):
-                chunk = [r for r in requests[start : start + self.coalesce_max] if self._live(r)]
-                if len(chunk) == 1:
-                    self._process_one(chunk[0])
-                elif chunk:
-                    self._execute_group(chunk, ticket)
+            # A cancelled request was already recorded by try_cancel.
+            if request.claim() and self._live(request):
+                self._process_one(request)
 
     def _live(self, request: Request) -> bool:
         """False when ``request`` expired: it records its deadline error
@@ -376,67 +317,7 @@ class InlineBackend:
                     "trace_id": request.trace.trace_id if request.trace is not None else None,
                 },
             )
-        self._record(
-            request, request.executed(output, error, started, clock(), coalesced=False)
-        )
-
-    def _coalesce_ticket(self, request: Request):
-        """Coalescing analysis of one request (``None`` = not coalescible).
-
-        Coalescing applies to logical expressions over an already-formatted
-        sparse operand; ``auto_format`` servers keep the per-request tuner
-        path, whose format decisions a batched execution must not bypass.
-        """
-        if not self.coalesce or self.executor.auto_format:
-            return None
-        from repro.engine.coalesce import coalesce_key
-
-        logical, _, statement = self.executor.expression_info(request.expression)
-        try:
-            return coalesce_key(request.expression, statement, logical, request.operands)
-        except Exception:  # noqa: BLE001 — analysis must not fail a request
-            return None
-
-    def _execute_group(self, requests: list[Request], ticket: Any) -> None:
-        """Execute same-key requests as one widened stacked Einsum.
-
-        Any failure falls back to per-request execution, so coalescing can
-        never turn a servable request into an error.
-        """
-        from repro.engine.coalesce import split_results, stack_group
-
-        started = clock()
-        try:
-            widened = self.executor.widened_for(requests[0].expression)
-            if widened is None:
-                raise LookupError("expression cannot be widened")
-            # Pad to the next power of two: bounded plan-signature variety
-            # (log2(coalesce_max) sizes per expression) with at most 2x
-            # padded compute, instead of always paying the full width.
-            pad_to = 2
-            while pad_to < len(requests):
-                pad_to *= 2
-            stacked = stack_group(
-                [request.operands for request in requests],
-                ticket.sparse_name,
-                pad_to=min(pad_to, self.coalesce_max),
-            )
-            operator = self.executor.coalesced_operator_for(requests[0].expression, widened[0])
-            batched = operator(**stacked)
-            outputs = split_results(np.asarray(batched), len(requests))
-        except Exception:  # noqa: BLE001 — coalescing is an optimisation, never a failure
-            for request in requests:
-                self._process_one(request)
-            return
-        finished = clock()
-        self.window.observe_batch(len(requests))
-        for request, output in zip(requests, outputs):
-            self._record(
-                request,
-                request.executed(
-                    output, None, started, finished, coalesced=True, batch_size=len(requests)
-                ),
-            )
+        self._record(request, request.executed(output, error, started, clock()))
 
     def _record(self, request: Request, result: InsumResult) -> None:
         """Publish one terminal result and update the serving counters."""
@@ -476,9 +357,10 @@ class InsumServer(InlineBackend):
     """Batched, cached, multi-worker serving of sparse Einsum requests.
 
     This is the *threaded* :class:`repro.serve.ExecutorBackend`: a queue
-    drained by worker threads, each handing what it drains to the shared
-    batch routine (:meth:`InlineBackend.serve`).  Construct it directly
-    for :meth:`run_batch`, or (preferred) through
+    read by worker threads, each taking one request per read and handing
+    it to the shared batch routine (:meth:`InlineBackend.serve`), so an
+    idle worker never waits while another holds a drained batch.
+    Construct it directly for :meth:`run_batch`, or (preferred) through
     ``Session(backend="threaded")``, which wraps it in futures.
 
     Parameters
@@ -487,19 +369,6 @@ class InsumServer(InlineBackend):
         Worker threads draining the request queue.
     backend / config / auto_format:
         As for :class:`InlineBackend`.
-    coalesce:
-        Same-plan request coalescing (on by default): a worker drains the
-        queue opportunistically and executes requests that share one
-        logical expression and one sparse *pattern* (the same live format
-        instance) as a single widened
-        :class:`~repro.runtime.stacked.StackedSparse` Einsum, instead of
-        one kernel per request.  Results are the per-request results bit
-        for bit (``tests/runtime/test_server_coalesce.py``).
-    coalesce_max:
-        Largest group executed as one batch.  Batches are zero-padded to
-        the next power of two (capped here), so each expression compiles
-        at most ``log2(coalesce_max)`` stacked plans while padded compute
-        stays under 2x.
     """
 
     name = "threaded"
@@ -510,12 +379,10 @@ class InsumServer(InlineBackend):
         backend: str = "inductor",
         config: Any | None = None,
         auto_format: bool = False,
-        coalesce: bool = True,
-        coalesce_max: int = 16,
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        super().__init__(backend, config, auto_format, coalesce, coalesce_max, workers=num_workers)
+        super().__init__(backend, config, auto_format, workers=num_workers)
         self._queue: queue.SimpleQueue[Request | None] = queue.SimpleQueue()
         #: Makes "closed?" + queue put one step, so no request can land
         #: behind the shutdown tokens.
@@ -565,22 +432,7 @@ class InsumServer(InlineBackend):
             request = self._queue.get()
             if request is None:
                 return
-            batch = [request]
-            if self.coalesce:
-                # Opportunistic drain: whatever else is already queued (up
-                # to a bounded window) is grouped by coalesce key in serve().
-                limit = 2 * self.coalesce_max
-                while len(batch) < limit:
-                    try:
-                        extra = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if extra is None:
-                        # Another worker's shutdown token: hand it back.
-                        self._queue.put(None)
-                        break
-                    batch.append(extra)
-            self.serve(batch)
+            self.serve([request])
 
     def health(self) -> dict[str, Any]:
         """Liveness report for ``/v1/healthz``: per-worker thread aliveness."""

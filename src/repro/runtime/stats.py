@@ -6,23 +6,18 @@ from __future__ import annotations
 import threading
 from dataclasses import asdict, dataclass
 
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, DEFAULT_SIZE_BUCKETS, get_registry
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, get_registry
 from repro.runtime.plan_cache import get_plan_cache
 from repro.utils.timing import LatencyRecorder
 
 #: The counters that live where requests execute.  A cluster worker attaches
 #: their cumulative values, in this order, to every response it sends.
-INTERIOR = ("cache_hits", "cache_misses", "coalesced_requests", "coalesced_batches")
+INTERIOR = ("cache_hits", "cache_misses")
 
 _OUTCOMES = ("completed", "failed", "cancelled")
 
 #: Window counter -> (registry family, help) of its write-through child.
 _EVENTS = {
-    "coalesced_requests": (
-        "repro_coalesced_requests_total",
-        "Requests served through a widened (stacked) batch.",
-    ),
-    "coalesced_batches": ("repro_coalesced_batches_total", "Widened (stacked) batches executed."),
     "requeued": ("repro_requeued_total", "Requests redispatched after losing their worker."),
     "restarts": (
         "repro_worker_restarts_total",
@@ -40,9 +35,14 @@ class ServeStats:
     :data:`~repro.utils.timing.MAX_SAMPLES` requests; counts are exact.
     ``rejected`` / ``requeued`` / ``restarts`` count the cluster's admission
     and failure machinery and are zero elsewhere.  ``per_worker`` is the
-    cluster's drill-down: one report per worker slot (completions, cache and
-    coalescing counters; no latencies — those are measured at the parent).
+    cluster's drill-down: one report per worker slot (completions and cache
+    counters; no latencies — those are measured at the parent).
     """
+
+    #: Read by the frozen ``benchmarks/layers`` harness; every request runs
+    #: as its own call, so they are 0.  Deleted with that harness's next change.
+    coalesced_requests = coalesced_batches = 0
+    coalesce_rate = 0.0
 
     backend: str
     workers: int
@@ -55,8 +55,6 @@ class ServeStats:
     max_latency_ms: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    coalesced_requests: int = 0
-    coalesced_batches: int = 0
     rejected: int = 0
     requeued: int = 0
     restarts: int = 0
@@ -76,20 +74,9 @@ class ServeStats:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Fraction of requests served without compiling (0.0 when idle).
-
-        Coalesced requests beyond the first of each batch never perform a
-        plan-cache lookup at all — the batch compiles (or hits) once — so
-        they count as lookup-free hits alongside the cache's own hits.
-        """
-        free = max(0, self.coalesced_requests - self.coalesced_batches)
-        lookups = self.cache_hits + self.cache_misses + free
-        return (self.cache_hits + free) / lookups if lookups else 0.0
-
-    @property
-    def coalesce_rate(self) -> float:
-        """Fraction of completed requests served via coalesced batches."""
-        return self.coalesced_requests / self.completed if self.completed else 0.0
+        """Fraction of plan-cache lookups that hit (0.0 when idle)."""
+        lookups = self.cache_hits + self.cache_misses
+        return self.cache_hits / lookups if lookups else 0.0
 
     def summary(self) -> str:
         """Multi-line human-readable report (throughput, latency, cache)."""
@@ -105,8 +92,6 @@ class ServeStats:
             f"max {self.max_latency_ms:.3f} ms",
             f"plan cache : {self.cache_hits} hits / {self.cache_misses} misses "
             f"(hit rate {self.cache_hit_rate:.1%})",
-            f"coalescing : {self.coalesced_requests} requests in "
-            f"{self.coalesced_batches} batches ({self.coalesce_rate:.1%} of requests)",
         ]
         if self.backend == "cluster":
             lines.append(
@@ -120,7 +105,6 @@ class ServeStats:
         payload = asdict(self)  # per_worker included: asdict recurses into the tuple
         payload["throughput_rps"] = self.throughput_rps
         payload["cache_hit_rate"] = self.cache_hit_rate
-        payload["coalesce_rate"] = self.coalesce_rate
         payload["submitted"] = self.submitted
         return payload
 
@@ -168,16 +152,11 @@ class ServingWindow:
             buckets=DEFAULT_LATENCY_BUCKETS_MS,
             backend=tier,
         )
-        self._m_batch_size = registry.histogram(
-            "repro_coalesce_batch_size",
-            "Requests per executed coalesced batch.",
-            buckets=DEFAULT_SIZE_BUCKETS,
-        )
         self.reset()
 
     def count(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to the counter ``name`` — an outcome or an event
-        (``requeued``, ``restarts``, ``coalesced_*``) — and its registry child."""
+        (``requeued``, ``restarts``) — and its registry child."""
         with self._lock:
             self._counts[name] += amount
         self._children[name].inc(amount)
@@ -197,12 +176,6 @@ class ServingWindow:
             self._finished = finished_at
         self.count("completed" if ok else "failed")
         self._m_latency.observe(latency_ms)
-
-    def observe_batch(self, size: int) -> None:
-        """Account one executed coalesced batch of ``size`` requests."""
-        self.count("coalesced_batches")
-        self.count("coalesced_requests", size)
-        self._m_batch_size.observe(size)
 
     def counters(self) -> dict[str, int]:
         """Every integer of the window: outcomes, events, and the process-wide

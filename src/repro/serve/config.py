@@ -1,12 +1,12 @@
 """ServeConfig: one typed configuration for every serving backend.
 
 Before the serve tier, each backend grew its own kwarg set —
-``InsumServer(num_workers=, coalesce=, ...)``,
+``InsumServer(num_workers=, auto_format=, ...)``,
 ``ClusterServer(num_workers=, worker_threads=, max_inflight=, ...)`` —
 with near-identical-but-divergent names and no cross-checking.
 ``ServeConfig`` consolidates them into one frozen dataclass with
 per-backend validation: a field that is meaningless for the chosen
-backend (``max_inflight`` on a threaded session, ``coalesce`` on an
+backend (``max_inflight`` on a threaded session, ``workers`` on an
 inline one) raises :class:`ServeConfigError` instead of being silently
 ignored.
 
@@ -122,9 +122,6 @@ class ServeConfig:
         The compiler stack under every operator (any backend).
     auto_format:
         Tuner-driven per-request re-formatting (any backend).
-    coalesce:
-        Same-plan request coalescing (threaded and cluster — inline has
-        no queue to drain a window from).
     admission / max_inflight / block_timeout:
         Cluster admission control (``"block"`` or ``"reject"``).
     max_attempts:
@@ -156,7 +153,6 @@ class ServeConfig:
     compile_backend: str = _option(kwarg="backend", default="inductor")
     compile_config: Any = _option(kwarg="config")
     auto_format: bool = _option(kwarg="auto_format", default=False)
-    coalesce: bool | None = _option("threaded", "cluster", kwarg="coalesce")
     admission: str | None = _option("cluster", kwarg="admission")
     max_inflight: int | None = _option("cluster", kwarg="max_inflight")
     block_timeout: float | None = _option("cluster", kwarg="block_timeout")
@@ -240,7 +236,7 @@ class ServeConfig:
         """Build a config from ``REPRO_SERVE_*`` environment variables.
 
         Each dataclass field maps to ``REPRO_SERVE_<FIELD>`` (upper-case):
-        ``REPRO_SERVE_WORKERS=8``, ``REPRO_SERVE_COALESCE=off``,
+        ``REPRO_SERVE_WORKERS=8``, ``REPRO_SERVE_AUTO_FORMAT=on``,
         ``REPRO_SERVE_MAX_INFLIGHT=256``, ...  Unset variables leave the
         field at its default; values are parsed by the field's type
         (booleans accept 1/0, true/false, yes/no, on/off).

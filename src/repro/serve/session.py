@@ -256,8 +256,7 @@ class Session:
             most ``window`` requests are in flight at once, so an
             unbounded stream serves in bounded memory.
         window:
-            In-flight bound (also the coalescing opportunity the backend
-            sees).
+            In-flight bound.
         timeout:
             Per-result wait bound, as in :meth:`Future.result`.
 
@@ -568,7 +567,7 @@ class Session:
         """Refresh the ``repro_serve_*`` gauges from this session's stats.
 
         Called by the gateway before each ``/metrics`` render.  The
-        cluster tier's plan-cache and coalescing counters live inside the
+        cluster tier's plan-cache counters live inside the
         worker *processes* — outside the parent's registry — so this is
         how they (and the window as a whole) reach Prometheus: gauges
         snapshotting :meth:`stats`, labelled with the backend.  Nothing
@@ -583,9 +582,6 @@ class Session:
             "plan_cache_hits": stats.cache_hits,
             "plan_cache_misses": stats.cache_misses,
             "plan_cache_hit_rate": stats.cache_hit_rate,
-            "coalesced_requests": stats.coalesced_requests,
-            "coalesced_batches": stats.coalesced_batches,
-            "coalesce_rate": stats.coalesce_rate,
             "rejected": stats.rejected,
             "requeued": stats.requeued,
             "restarts": stats.restarts,

@@ -114,7 +114,7 @@ def mixed_workload(seed):
 
     Mirrors the layer benchmark's serving mix — repeated logical
     expressions over long-lived sparse patterns with fresh dense values
-    (the coalescing sweet spot), plus a raw indirect Einsum every 8th
+    (the warm-cache sweet spot), plus a raw indirect Einsum every 8th
     request — at test-suite size.  All draws come from named
     ``repro.utils.rng`` streams of the session seed.
     """

@@ -117,14 +117,13 @@ def test_window_counters_outlive_the_worker_that_earned_them(pattern, restart_bu
         return stats
 
     def interior(stats):
-        lookups = stats.cache_hits + stats.cache_misses
-        return (lookups, stats.coalesced_requests, stats.coalesced_batches)
+        return stats.cache_hits + stats.cache_misses
 
     with ClusterServer(
         num_workers=2, worker_threads=1, health_interval=0.05, restart_budget=restart_budget
     ) as cluster:
         before = serve(cluster, 8)
-        assert before.completed == 8 and interior(before)[0] > 0
+        assert before.completed == 8 and interior(before) > 0
         (owner,) = [slot for slot in range(2) if before.per_worker[slot].completed]
         victim = cluster.worker_pids[owner]
         os.kill(victim, signal.SIGKILL)
@@ -139,8 +138,7 @@ def test_window_counters_outlive_the_worker_that_earned_them(pattern, restart_bu
         ]
         final = serve(cluster, 4)  # whoever serves now counts on top
         assert final.completed == 12
-        assert all(now >= then for now, then in zip(interior(final), interior(after)))
-        assert interior(final)[0] > interior(after)[0]
+        assert interior(final) > interior(after)
 
 
 def test_requeue_gives_up_after_max_attempts():

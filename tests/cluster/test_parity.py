@@ -19,7 +19,7 @@ from repro.runtime.server import InlineBackend
 
 def test_mixed_workload_parity(mixed_workload, cluster_workers, cluster_timeout):
     """The cluster serves the mixed workload bit for bit as the threaded
-    server does, coalesced or not."""
+    server does."""
     with InsumServer(num_workers=cluster_workers) as threaded:
         expected = threaded.run_batch(mixed_workload)
     with ClusterServer(num_workers=cluster_workers, worker_threads=1) as cluster:
@@ -33,12 +33,10 @@ def test_mixed_workload_parity(mixed_workload, cluster_workers, cluster_timeout)
     for reference, result in zip(expected, actual):
         np.testing.assert_array_equal(reference.unwrap(), result.unwrap())
 
-    # The pool-level report accounts for every request exactly once, and
-    # worker-side coalescing survived the process boundary.
+    # The pool-level report accounts for every request exactly once.
     assert stats.completed == len(mixed_workload)
     assert stats.failed == 0
     assert stats.workers == cluster_workers
-    assert stats.coalesced_requests > 0
     assert sum(worker.completed for worker in stats.per_worker) == len(mixed_workload)
 
 

@@ -57,7 +57,7 @@ class TestControlThreadContainment:
             return original(self, expression, ops)
 
         monkeypatch.setattr(RequestExecutor, "execute", slow_execute)
-        config = ServeConfig(workers=2, coalesce=False)
+        config = ServeConfig(workers=2)
         with Session("cluster", config=config) as session:
             backend = session._backend
             futures = [session.submit(SPMM_EXPR, **operands) for _ in range(6)]
@@ -98,7 +98,7 @@ class TestCloseRestartRace:
         The conftest shm-leak fixture asserts zero leaked segments after
         the test body — that assertion is the test.
         """
-        config = ServeConfig(workers=2, coalesce=False, health_interval=0.05)
+        config = ServeConfig(workers=2, health_interval=0.05)
         session = Session("cluster", config=config)
         try:
             result = session.submit(SPMM_EXPR, **operands).result(timeout=120)
@@ -116,7 +116,6 @@ class TestRestartBudget:
         with ClusterServer(
             num_workers=2,
             worker_threads=1,
-            coalesce=False,
             restart_budget=1,
             restart_window=3600.0,
             health_interval=0.05,
@@ -157,9 +156,7 @@ class TestRestartBudget:
 class TestPoisonFailFast:
     def test_quarantined_request_fails_fast_on_resubmit(self, operands):
         """Drive a request through crash-requeues to quarantine directly."""
-        with ClusterServer(
-            num_workers=1, worker_threads=1, coalesce=False, max_attempts=2
-        ) as cluster:
+        with ClusterServer(num_workers=1, worker_threads=1, max_attempts=2) as cluster:
             landed = []
             doomed = Request(SPMM_EXPR, dict(operands), on_done=landed.append)
             cluster.admission.acquire()

@@ -152,7 +152,7 @@ def problem(family, pattern, n_cols, values):
 
 
 #: The plans with a dense reduction, as the kernel classes, the block formats and
-#: the coalescer (``test_coalesced_equals_per_request...`` checks the spelling)
+#: a stacked operand (``test_stacked_equals_per_item...`` checks the spelling)
 #: lower them: ``family -> (expression, shapes(P, R, N, K))`` for ``P`` groups
 #: (0: nnz = 0), row extent ``R``, vector extent ``N`` and reduction extent ``K``.
 #: An index tensor's entry is ``(its shape, the extent it indexes)``.
@@ -347,7 +347,7 @@ def test_unsorted_coo_with_duplicate_coordinates(emitter):
 
 # ---------------------------------------------------------------------------
 # (b) float normals: the emitted loop is a sequential multiply-then-add loop,
-#     and a coalesced execution is its per-request ones — bit for bit
+#     and a stacked execution is its per-item ones — bit for bit
 # ---------------------------------------------------------------------------
 def rounded(value, dtype):
     """The rational ``value`` rounded once to the nearest ``dtype`` (ties to
@@ -548,7 +548,7 @@ STACKABLE = {
 @only_c
 @pytest.mark.parametrize("dtype", EMITTED_DTYPES, ids=lambda d: np.dtype(d).name)
 @pytest.mark.parametrize("fmt", STACKABLE)
-def test_coalesced_equals_per_request_bit_for_bit_on_float_normals(emitter, fmt, dtype):
+def test_stacked_equals_per_item_bit_for_bit_on_float_normals(emitter, fmt, dtype):
     _, calls = emitter
     rng = np.random.default_rng(14)
     values = draw(rng, dtype, integer=False)
@@ -566,7 +566,7 @@ def test_coalesced_equals_per_request_bit_for_bit_on_float_normals(emitter, fmt,
             for position, item in enumerate(stacked.items())
         ]
         assert batched.tobytes() == np.stack(singles).tobytes()
-        if f"stacked/{fmt}{suffix}" in DENSE_FAMILIES:  # spelled as the coalescer produces it
+        if f"stacked/{fmt}{suffix}" in DENSE_FAMILIES:  # spelled as StackedSparse lowers it
             lowered_to = str(operator.compiled.plan.statement)
             assert lowered_to == DENSE_FAMILIES[f"stacked/{fmt}{suffix}"][0]
     assert len(calls) == 2 * (1 + 5)

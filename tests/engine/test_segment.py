@@ -4,8 +4,8 @@ The contract under test (``repro.engine.segment``): for every target row
 and every trailing shape, contributions are summed sequentially in storage
 order and the sum is added to the row.  The reference below applies the
 updates one at a time into zeros — the order ``np.add.at`` uses — and the
-comparison is *bit* equality, because coalesced and per-request executions
-of one request must agree exactly.
+comparison is *bit* equality, because a stacked execution and its per-item
+ones must agree exactly.
 """
 
 import numpy as np
@@ -67,7 +67,7 @@ def test_segment_add_is_bit_equal_to_sequential_scatter(rng, shape, dtype, trail
 
 
 def test_stacked_and_single_sources_agree_bitwise(rng):
-    """One column of a stacked (coalesced) source sums exactly like the
+    """One column of a stacked source sums exactly like the
     same column scattered on its own as a 1-D source."""
     index = draw_index(rng, "power-law")
     plan = plan_scatter(index, ROWS)

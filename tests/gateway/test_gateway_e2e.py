@@ -100,8 +100,8 @@ class TestParity:
     def test_backends_behind_gateway_agree(self, backend, spmm_operands):
         configs = {
             "inline": ServeConfig(),
-            "threaded": ServeConfig(workers=2, coalesce=False),
-            "cluster": ServeConfig(workers=2, worker_threads=1, coalesce=False),
+            "threaded": ServeConfig(workers=2),
+            "cluster": ServeConfig(workers=2, worker_threads=1),
         }
         with Session("inline") as reference_session:
             reference = reference_session.submit(SPMM_EXPR, **spmm_operands).result(timeout=60)

@@ -155,7 +155,7 @@ class TestMirror:
             instances.append(decoded["A"])
         assert seen == ["pattern_store", "pattern", "pattern"]
         # One live instance per key: identity survives across requests, so
-        # fingerprint-keyed caches (and coalescing keys) stay stable.
+        # fingerprint-keyed caches (and affinity keys) stay stable.
         assert instances[1] is instances[0] and instances[2] is instances[0]
         np.testing.assert_array_equal(instances[0].to_dense(), fmt.to_dense())
 

@@ -79,9 +79,7 @@ class TestMixedSmokeAcceptance:
         tenant_keys, api_keys = tenant_keyring(trace)
         scraped: list[str] = []
 
-        with Session(
-            "cluster", config=ServeConfig(workers=2, coalesce=False)
-        ) as session:
+        with Session("cluster", config=ServeConfig(workers=2)) as session:
             server = session.serve_gateway(config=GatewayConfig(api_keys=api_keys))
             metrics = urllib.request.Request(
                 server.url("/metrics"), headers={API_KEY_HEADER: next(iter(api_keys))}

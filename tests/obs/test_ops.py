@@ -87,8 +87,9 @@ def test_threaded_session_gateway_serves_the_ops_routes(rng):
 
 def test_cluster_scrape_exposes_required_series(rng):
     """Acceptance: a cluster session under load serves valid Prometheus text
-    including the plan-cache hit rate, coalesce rate, admission rejections,
-    and per-backend latency histograms."""
+    including the plan-cache hit rate, admission rejections and per-backend
+    latency histograms, and no coalescing series (every request is its own
+    call)."""
     config = ServeConfig(workers=2, worker_threads=1)
     with Session(backend="cluster", config=config) as session:
         gateway = session.serve_gateway()
@@ -101,7 +102,7 @@ def test_cluster_scrape_exposes_required_series(rng):
     text = body.decode()
     assert validate_prometheus_text(text) == []
     assert 'repro_serve_plan_cache_hit_rate{backend="cluster"}' in text
-    assert 'repro_serve_coalesce_rate{backend="cluster"}' in text
+    assert "coalesce" not in text
     assert "# TYPE repro_admission_rejected_total counter" in text
     assert 'repro_request_latency_ms_bucket{backend="cluster",le="+Inf"}' in text
     assert 'repro_serve_completed{backend="cluster"} 16' in text

@@ -76,19 +76,18 @@ class TestInlineReplay:
 
 
 class TestVerifyModes:
-    def test_auto_verifies_coalesced_backend(self, small_trace):
+    def test_auto_verifies_threaded_backend(self, small_trace):
         session = Session("threaded", config=ServeConfig(workers=2))
         try:
             report = replay(small_trace, session, time_scale=0.0)
         finally:
             session.close()
-        # A coalesced batch returns its per-request results bit for bit.
         assert report.digest_checked == len(small_trace)
         assert report.digest_mismatches == 0
         assert report.completed == len(small_trace)
 
-    def test_auto_verifies_uncoalesced_threaded(self, small_trace):
-        session = Session("threaded", config=ServeConfig(workers=2, coalesce=False))
+    def test_auto_verifies_one_worker_threaded(self, small_trace):
+        session = Session("threaded", config=ServeConfig(workers=1))
         try:
             report = replay(small_trace, session, time_scale=0.0)
         finally:
@@ -111,7 +110,7 @@ class TestMixedBackends:
         first, second = small_trace.subset(0, half), small_trace.subset(half)
 
         inline = Session("inline")
-        threaded = Session("threaded", config=ServeConfig(workers=2, coalesce=False))
+        threaded = Session("threaded", config=ServeConfig(workers=2))
         try:
             report_a = replay(first, inline, time_scale=0.0)
             report_b = replay(second, threaded, time_scale=0.0)

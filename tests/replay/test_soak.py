@@ -46,10 +46,9 @@ RESILIENT_OVERRIDES = dict(
 
 
 def cluster_session(**overrides) -> Session:
-    """A 2-worker uncoalesced cluster session with deterministic rejects."""
+    """A 2-worker cluster session with deterministic rejects."""
     fields = dict(
         workers=2,
-        coalesce=False,
         admission="reject",
         ring_capacity=SOAK_RING_CAPACITY,
     )
@@ -218,7 +217,7 @@ class TestNoFaultAttainment:
             trace = smoke_trace()
         else:
             trace = synthesize("smoke-attain", seed=seed, num_records=24, rate_rps=200.0)
-        session = Session("cluster", config=ServeConfig(workers=2, coalesce=False))
+        session = Session("cluster", config=ServeConfig(workers=2))
         try:
             report = replay(trace, session, time_scale=1.0)
         finally:
@@ -246,7 +245,6 @@ class TestFailoverAttainment:
         config = ServeConfig(
             workers=2,
             worker_threads=1,
-            coalesce=False,
             restart_budget=0,
             health_interval=0.1,
             failover="threaded",

@@ -12,7 +12,6 @@ def cluster_config(**overrides) -> ServeConfig:
     fields = dict(
         workers=2,
         worker_threads=1,
-        coalesce=False,
         admission="reject",
         max_inflight=64,
         ring_capacity=1 << 20,
@@ -27,11 +26,10 @@ def cluster_config(**overrides) -> ServeConfig:
     return ServeConfig(**fields)
 
 
-def test_threaded_fallback_keeps_worker_and_coalesce_settings():
+def test_threaded_fallback_keeps_worker_settings():
     config = cluster_config()
     derived = fallback_config(config, "threaded")
     assert derived.workers == 2
-    assert derived.coalesce is False
     # Cluster-gated fields are stripped...
     for name in (
         "worker_threads", "admission", "max_inflight", "ring_capacity",
@@ -45,7 +43,6 @@ def test_threaded_fallback_keeps_worker_and_coalesce_settings():
 def test_inline_fallback_also_drops_pool_knobs():
     derived = fallback_config(cluster_config(failover="inline"), "inline")
     assert derived.workers is None
-    assert derived.coalesce is None
     derived.validate("inline")
 
 

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import InsumServer, SparseEinsum, insum, sparse_einsum
+from repro import InsumServer, ServeConfig, Session, SparseEinsum, insum, sparse_einsum
 from repro.errors import EinsumValidationError, SessionClosedError
 from repro.formats import COO, GroupCOO
 from repro.runtime import Request
@@ -177,6 +177,36 @@ def test_submit_racing_close_is_served_or_refused_never_lost():
     with pytest.raises(SessionClosedError):
         server.submit(Request("C[i] += A[i]", dict(A=np.ones(3), C=np.zeros(3)), on_done=landed.append))
     assert len(landed) == 1
+
+
+def test_a_held_request_does_not_hold_back_the_next(rng, monkeypatch):
+    """Each worker thread takes one request per queue read: while one worker
+    is held inside a request's execution, a request submitted right behind
+    it runs on the other worker instead of waiting in the held one's batch."""
+    held_expression = "C[i] += A[i]"
+    held, release = threading.Event(), threading.Event()
+    spmv = COO.from_dense(np.where(rng.random((24, 24)) < 0.3, rng.standard_normal((24, 24)), 0))
+    x = rng.standard_normal(24)
+    with Session("threaded", ServeConfig(workers=2)) as session:
+        executor = session._backend.executor
+        execute = executor.execute
+
+        def held_at_the_event(expression, operands):
+            if expression == held_expression:
+                held.set()
+                release.wait(30)
+            return execute(expression, operands)
+
+        monkeypatch.setattr(executor, "execute", held_at_the_event)
+        try:
+            first = session.submit(held_expression, A=np.ones(3), C=np.zeros(3))
+            second = session.submit("y[m] += A[m,k] * x[k]", A=spmv, x=x)
+            output = second.result(timeout=10)
+            assert held.is_set() and not first.done()
+        finally:
+            release.set()
+        np.testing.assert_array_equal(first.result(timeout=30), np.ones(3))
+    np.testing.assert_array_equal(output, sparse_einsum("y[m] += A[m,k] * x[k]", A=spmv, x=x))
 
 
 @pytest.mark.parametrize("as_format", [False, True], ids=["dense", "coo"])

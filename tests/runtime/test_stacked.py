@@ -166,7 +166,7 @@ def test_stacked_float_spmm_equals_per_item(rng, factory, kwargs, dtype, emitter
 
     The emitted loop nest adds in storage order, stack or no stack — a block
     format's register tile sums each update's block row from zero first — so a
-    coalesced execution *is* its per-request ones, bit for bit.  On the step
+    stacked execution *is* its per-item ones, bit for bit.  On the step
     list a row's duplicates are summed inside the dot — a stack of ``s`` items
     runs ``s x K @ K x n`` per run of equal targets where one request runs
     ``1 x K``, and BLAS orders the two sums differently (float64 results

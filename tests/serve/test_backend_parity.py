@@ -5,9 +5,7 @@ The acceptance bar of the serve tier: a workload submitted through
 *bitwise-equal* results and the same :class:`ServeStats` type — proof
 that the three tiers share one execution path
 (:class:`~repro.runtime.server.RequestExecutor`) rather than three
-reimplementations.  Coalescing is disabled here so that every tier runs
-one request per kernel; the coalesced path equals per-request execution
-bit for bit (``tests/runtime/test_server_coalesce.py``).
+reimplementations: every tier runs one call per request.
 
 The second half proves the protocol itself is the contract: a ~20-line
 fake tier speaking ``submit`` / ``try_cancel`` / ``stats`` /
@@ -28,8 +26,8 @@ from repro.serve import ExecutorBackend, ServeConfig, ServeStats, Session
 
 BACKEND_CONFIGS = {
     "inline": ServeConfig(),
-    "threaded": ServeConfig(workers=2, coalesce=False),
-    "cluster": ServeConfig(workers=2, worker_threads=1, coalesce=False),
+    "threaded": ServeConfig(workers=2),
+    "cluster": ServeConfig(workers=2, worker_threads=1),
 }
 
 
@@ -84,7 +82,7 @@ def test_stats_are_normalized_across_backends(per_backend_results, serve_workloa
 
 
 def test_map_batches_matches_submit_order(serve_workload):
-    with Session(backend="threaded", config=ServeConfig(workers=2, coalesce=False)) as session:
+    with Session(backend="threaded", config=ServeConfig(workers=2)) as session:
         streamed = [np.asarray(out) for out in session.map_batches(serve_workload, window=8)]
     with Session(backend="inline") as session:
         direct = [
@@ -97,9 +95,9 @@ def test_map_batches_matches_submit_order(serve_workload):
 
 def test_run_batch_matches_session_futures(serve_workload):
     """The synchronous helper and the futures path share one execution."""
-    with InsumServer(num_workers=2, coalesce=False) as server:
+    with InsumServer(num_workers=2) as server:
         batch = server.run_batch(serve_workload, timeout=60)
-    with Session(backend="threaded", config=ServeConfig(workers=2, coalesce=False)) as session:
+    with Session(backend="threaded", config=ServeConfig(workers=2)) as session:
         futures = session.submit_many(serve_workload)
         modern = [future.result(timeout=60) for future in futures]
     assert len(batch) == len(modern)

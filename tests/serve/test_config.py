@@ -127,13 +127,13 @@ def test_from_env_parses_typed_fields():
     config = ServeConfig.from_env(
         {
             "REPRO_SERVE_WORKERS": "8",
-            "REPRO_SERVE_COALESCE": "off",
+            "REPRO_SERVE_AUTO_FORMAT": "on",
             "REPRO_SERVE_BLOCK_TIMEOUT": "2.5",
             "UNRELATED": "ignored",
         }
     )
     assert config.workers == 8
-    assert config.coalesce is False
+    assert config.auto_format is True
     assert config.block_timeout == 2.5
     assert config.max_inflight is None  # unset stays at the tier default
 
@@ -146,8 +146,8 @@ def test_from_env_boolean_truthy(raw):
 def test_from_env_bad_value_raises():
     with pytest.raises(ServeConfigError, match="REPRO_SERVE_WORKERS"):
         ServeConfig.from_env({"REPRO_SERVE_WORKERS": "many"})
-    with pytest.raises(ServeConfigError, match="REPRO_SERVE_COALESCE"):
-        ServeConfig.from_env({"REPRO_SERVE_COALESCE": "maybe"})
+    with pytest.raises(ServeConfigError, match="REPRO_SERVE_AUTO_FORMAT"):
+        ServeConfig.from_env({"REPRO_SERVE_AUTO_FORMAT": "maybe"})
 
 
 def test_session_from_env_runs_a_request(spmm_operands):

@@ -42,7 +42,7 @@ def operands():
 def make_session(backend: str) -> Session:
     if backend == "inline":
         return Session("inline")
-    return Session(backend, config=ServeConfig(workers=1, coalesce=False))
+    return Session(backend, config=ServeConfig(workers=1))
 
 
 def slow_down_executor(monkeypatch, delay: float = EXECUTE_DELAY) -> None:

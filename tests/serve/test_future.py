@@ -83,9 +83,7 @@ def test_result_timeout(gated_executor, spmm_operands):
 def test_cancel_not_yet_dispatched_work(gated_executor, spmm_operands):
     gate, entered = gated_executor
     observed = []
-    with Session(
-        backend="threaded", config=ServeConfig(workers=1, coalesce=False)
-    ) as session:
+    with Session(backend="threaded", config=ServeConfig(workers=1)) as session:
         blocker = session.submit(SPMV_EXPR, **_spmv_operands(spmm_operands))
         assert entered.wait(10)  # the only worker is now occupied
         victim = session.submit(SPMM_EXPR, **spmm_operands)

@@ -40,7 +40,6 @@ def busy_session(**retry_fields) -> Session:
     config = ServeConfig(
         workers=1,
         worker_threads=1,
-        coalesce=False,
         admission="reject",
         max_inflight=1,
         **retry_fields,
@@ -150,7 +149,6 @@ class TestFailover:
         config = ServeConfig(
             workers=2,
             worker_threads=1,
-            coalesce=False,
             restart_budget=0,
             health_interval=0.05,
             failover="threaded",
@@ -190,7 +188,6 @@ class TestFailover:
         config = ServeConfig(
             workers=1,
             worker_threads=1,
-            coalesce=False,
             failover="threaded",
             failover_floor=1,
         )

@@ -75,7 +75,7 @@ class TestMixedBackendStatsParity:
         first, second = replay_trace.subset(0, half), replay_trace.subset(half)
 
         inline = Session("inline")
-        threaded = Session("threaded", config=ServeConfig(workers=2, coalesce=False))
+        threaded = Session("threaded", config=ServeConfig(workers=2))
         try:
             report_inline = replay(first, inline, time_scale=0.0)
             report_threaded = replay(second, threaded, time_scale=0.0)
