@@ -27,6 +27,7 @@ from pathlib import Path
 
 PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 
+#: Total lines with one tier core and one request per turn: 8,895 (``ClusterServer`` on it).
 #: Total lines with one call per request: 8,979 (the coalescer left ``runtime/``).
 #: With reentrant operators: 9,179, -16 in ``runtime/server.py``
 #: (``_OperatorSlot`` and its per-call lock deleted) and -2 in ``cluster/``
@@ -71,8 +72,9 @@ PACKAGES = ("cluster", "gateway", "serve", "runtime", "obs", "resilience")
 #: cluster's hand-copied window and the worker stats round trip deleted,
 #: `cluster/server.py` 1,232 -> 1,130); 9,984 before that, 10,112 and
 #: 10,102 earlier, 10,547, 10,556, and 10,867 at the start.
-CEILING = 8979
+CEILING = 8895
 
+#: ``engine`` 1,959 without the path memo; ``cluster`` 2,327 on ``TierCore``, with no drain.
 #: Packages with a line budget of their own; ``engine`` 2,004, ``cluster`` 2,422 with no coalescer.
 #: ``cluster`` is 2,433 with
 #: reentrant operators, 2,435 with the caller dispatching: the largest serving
@@ -96,7 +98,7 @@ CEILING = 8979
 #: microbenchmarks replaced by the Section 4.2 rule (``calibration.py`` 331
 #: and ``cost_model.py`` 213 deleted); 1,332 with the schedule hint deleted
 #: (1,401 before, 1,517 with measured tuning).
-PACKAGE_CEILINGS = {"engine": 2004, "tuner": 795, "cluster": 2422}
+PACKAGE_CEILINGS = {"engine": 1959, "tuner": 795, "cluster": 2327}
 
 #: The config dataclasses whose fields are the stack's options.
 CONFIG_CLASSES = {

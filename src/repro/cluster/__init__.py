@@ -14,8 +14,8 @@ single interpreter (the ROADMAP's "production-scale" direction):
 * :mod:`repro.cluster.admission` — bounded in-flight admission control
   with blocking backpressure or reject-with-``retry_after``.
 * :mod:`repro.cluster.worker` — the worker process: one thread serving
-  each drained batch through the shared batch routine (specialization
-  intact, one call per request) behind the rings.
+  each envelope as it reads it through the shared request routine
+  (specialization intact, one call per request) behind the rings.
 
 See ``docs/SERVING.md`` for the architecture and failure model.
 """

@@ -30,7 +30,7 @@ class RequestEnvelope:
     re-creates a trace under it and ships its stamps/spans back in the
     response.  ``deadline`` is the request's absolute expiry in epoch
     seconds (None = no deadline): the worker's request carries it, so the
-    batch routine answers an envelope that has expired by its turn with a
+    request routine answers an envelope that has expired by its turn with a
     ``DeadlineExceededError`` instead of executing it (the envelope is
     still decoded, which releases its ring space).
     """

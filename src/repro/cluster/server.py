@@ -7,9 +7,11 @@ on a single GIL.  ``ClusterServer`` implements the exact same
 :class:`repro.serve.ExecutorBackend` protocol
 (``submit(request)`` / ``try_cancel(request)``) and
 moves execution into a pool of worker *processes*, each serving on its
-main thread through the same batch routine
+main thread through the same request routine
 (:meth:`~repro.runtime.server.InlineBackend.serve`; specialization intact,
-one call per request):
+one call per request), and sharing the inline tier's
+:class:`~repro.runtime.server.TierCore` parent-side (ids, window, deadline
+counter, cancellation, result publication):
 
 * **Transport** — dense operands and results cross as raw bytes through
   per-worker :class:`~repro.cluster.shm.ShmRing` shared-memory rings;
@@ -40,7 +42,6 @@ See ``docs/SERVING.md`` for the architecture and failure model.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import operator
 import os
@@ -49,7 +50,7 @@ import select
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro.cluster.admission import AdmissionController, ClusterBusyError
 from repro.cluster.codec import OperandEncoder, decode_result
@@ -66,14 +67,12 @@ from repro.errors import (
     WorkerCrashedError,
 )
 from repro.obs import resources as obs_resources
-from repro.obs import trace as obs_trace
-from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 from repro.resilience.deadline import deadline_error, expired_result
 from repro.resilience.supervisor import PoisonQuarantine, WorkerSupervisor, poison_key
-from repro.runtime import request as runtime_request
 from repro.runtime.request import InsumResult, Request
-from repro.runtime.stats import INTERIOR, ServeStats, ServingWindow
+from repro.runtime.server import TierCore
+from repro.runtime.stats import INTERIOR, ServeStats
 
 #: Default per-direction ring capacity (bytes).
 RING_CAPACITY = 8 * 1024 * 1024
@@ -128,7 +127,7 @@ class _WorkerHandle:
         return self.process.is_alive()
 
 
-class ClusterServer:
+class ClusterServer(TierCore):
     """Multi-process serving of sparse Einsum requests over shared memory.
 
     Parameters
@@ -139,7 +138,7 @@ class ClusterServer:
         Threads per worker process: ``None`` or 1, the only value (each
         worker executes on its main thread; ``num_workers`` scales).
     backend / config / auto_format:
-        Forwarded to every worker's batch routine (see
+        Forwarded to every worker's request routine (see
         :class:`~repro.runtime.server.InlineBackend`).
     ring_capacity:
         Bytes per shared-memory ring (one request + one response ring
@@ -154,9 +153,9 @@ class ClusterServer:
     health_interval / heartbeat_timeout:
         Monitor cadence and the heartbeat staleness (seconds) beyond
         which a live-but-silent worker is declared wedged and replaced.
-        Workers beat per pipe poll and as each request in a batch
-        completes, so ``heartbeat_timeout`` must exceed the longest
-        legitimate *single request* — a slower request is mistaken for a
+        Workers beat per pipe poll and as each request completes, so
+        ``heartbeat_timeout`` must exceed the longest legitimate *single
+        request* — a slower request is mistaken for a
         wedge, its worker killed, and after ``max_attempts`` redispatches
         the request fails with :class:`WorkerCrashedError`.  Raise the
         timeout (or pass ``None`` or 0 to disable the staleness check —
@@ -170,6 +169,8 @@ class ClusterServer:
         :meth:`health` — instead of crash-looping; ``restart_budget=0``
         retires a slot on its first crash.
     """
+
+    name = "cluster"
 
     def __init__(
         self,
@@ -194,6 +195,7 @@ class ClusterServer:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if worker_threads not in (None, 1):
             raise ValueError(f"worker_threads must be 1, got {worker_threads}")
+        super().__init__(num_workers, "cluster.server")
         self.num_workers = int(num_workers)
         self.ring_capacity = int(ring_capacity)
         self.max_attempts = int(max_attempts)
@@ -225,8 +227,6 @@ class ClusterServer:
         #: Requests accepted and not yet recorded (what close() drains).
         self._unfinished = 0
         self._loads = [0] * self.num_workers
-        self._ids = itertools.count()
-        self._window = ServingWindow(tier="cluster", workers=self.num_workers)
         #: Per slot, guarded by the state condition: the interior counters
         #: of the incarnations already replaced, the per-slot totals at the
         #: last reset_stats(), and the window's completions.  A window is
@@ -235,13 +235,7 @@ class ClusterServer:
         self._counter_marks = list(self._replaced_counters)
         self._worker_completed = [0] * self.num_workers
         self._rejected_mark = 0
-        self._log = get_logger("cluster.server")
         registry = get_registry()
-        self._m_deadline = registry.counter(
-            "repro_deadline_expired_total",
-            "Requests that exceeded their deadline, by serving tier.",
-            backend="cluster",
-        )
         self._m_poisoned = registry.counter(
             "repro_poisoned_requests_total",
             "Submissions failed fast by the poison quarantine.",
@@ -251,7 +245,6 @@ class ClusterServer:
             "Worker slots retired permanently after exhausting their restart budget.",
         )
 
-        self._closed = False
         self._stopping = threading.Event()
 
         self._handles: list[_WorkerHandle] = []
@@ -384,7 +377,7 @@ class ClusterServer:
         """Replace a dead/wedged worker and requeue its in-flight requests."""
         old = self._handles[worker_id]
         stranded = self._harvest_incarnation(worker_id)
-        self._window.count("restarts")
+        self.window.count("restarts")
         self._log.warning(
             "restarting worker",
             extra={
@@ -448,7 +441,7 @@ class ClusterServer:
         with the containment error: nobody collects from the workers.
         """
         if self._control_error is not None:
-            self._record(request, error=self._control_error)
+            self._record(request, request.failed(self._control_error))
             return
         request.dispatches += 1
         if crashed:
@@ -457,15 +450,13 @@ class ClusterServer:
         if request.dispatches >= self.max_attempts:
             if request.crashes >= self.max_attempts:
                 self.quarantine.record(poison_key(request.expression, request.operands))
-            self._record(
-                request,
-                error=WorkerCrashedError(
-                    f"request {request.request_id} failed after "
-                    f"{request.dispatches} dispatch attempts (worker crashes)"
-                ),
+            error = WorkerCrashedError(
+                f"request {request.request_id} failed after "
+                f"{request.dispatches} dispatch attempts (worker crashes)"
             )
+            self._record(request, request.failed(error))
             return
-        self._window.count("requeued")
+        self.window.count("requeued")
         self._dispatch(request)
 
     # -- the ExecutorBackend protocol ---------------------------------------
@@ -546,45 +537,10 @@ class ClusterServer:
                 raise SessionClosedError("ClusterServer is closed")
             self._unfinished += 1
         request.accept(next(self._ids))
-        self._window.open_at(request.submitted_at)
+        self.window.open_at(request.submitted_at)
         # A cancel that won the compare-and-set already recorded the request.
         if request.claim():
             self._dispatch(request)
-
-    def try_cancel(self, request: Request) -> bool:
-        """Cancel a request that :meth:`submit` has not claimed yet.
-
-        Returns True when the cancel wins the compare-and-set against the
-        submitting thread's claim: the request is never sent, its
-        admission slot is released, and its ``on_done`` receives a
-        :class:`~repro.errors.FutureCancelledError` result (not counted as
-        completed or failed).  Returns False once ``submit`` has claimed
-        it — the result will arrive normally.
-        """
-        if not request.cancel():
-            return False
-        self._record(
-            request,
-            error=FutureCancelledError(
-                f"request {request.request_id} was cancelled before dispatch"
-            ),
-        )
-        return True
-
-    def run_batch(
-        self,
-        requests: Iterable[tuple[str, dict[str, Any]]],
-        timeout: float | None = None,
-    ) -> list[InsumResult]:
-        """Serve ``(expression, operands)`` pairs; results in request order.
-
-        The synchronous helper over :meth:`submit` (see
-        :func:`repro.runtime.request.run_batch`): a request admission
-        rejects yields a failed result in its place.  New code should
-        prefer :meth:`repro.serve.Session.map_batches`, which streams
-        results with a bounded in-flight window.
-        """
-        return runtime_request.run_batch(self, requests, timeout)
 
     # -- dispatch -----------------------------------------------------------
     def _dispatch(self, request: Request) -> None:
@@ -599,7 +555,8 @@ class ClusterServer:
             if request.expired():
                 # Don't spend encode + ring space on work that is already
                 # dead; the future resolves with the deadline error now.
-                self._record(request, error=deadline_error(request.request_id, "queue"))
+                error = deadline_error(request.request_id, "queue")
+                self._record(request, request.failed(error))
                 return
             if request.trace is not None:
                 # Overwritten on redispatch: the trace describes the attempt
@@ -700,13 +657,8 @@ class ClusterServer:
                 error = decode_error
             finally:
                 handle.resp_ring.release(response.release_to)
-        self._record(
-            request,
-            output=output,
-            error=error,
-            trace_export=response.trace,
-            worker_id=response.worker_id,
-        )
+        result = InsumResult(request.request_id, request.expression, output, error)
+        self._record(request, result, response.trace, response.worker_id)
 
     def _finish_trace(self, request: Request, trace_export: dict | None) -> Any:
         """Merge the worker's trace export and build the parent-side spans.
@@ -730,10 +682,12 @@ class ClusterServer:
         return trace
 
     def _record(
-        self, request: Request, output=None, error=None, trace_export=None, worker_id=None
+        self, request: Request, result: InsumResult, trace_export=None, worker_id=None
     ) -> None:
-        """Publish one terminal result and update the serving counters
-        (``worker_id``: the slot whose response this is, if any).
+        """Settle a terminal result (its latency and trace, the admission
+        slot), :meth:`TierCore._account` it before the drain count and the
+        completions of ``worker_id`` (the slot whose response this is, if
+        any) move, so ``close()`` returns with it counted, then ``on_done``.
 
         Idempotent per request: control-plane containment can race a
         collector already recording the same request, and the loser must
@@ -742,42 +696,17 @@ class ClusterServer:
         """
         if not request.finish():
             return
-        finished = time.perf_counter()
-        latency_ms = (finished - request.submitted_at) * 1e3
-        result = InsumResult(
-            request_id=request.request_id,
-            expression=request.expression,
-            output=output,
-            error=error,
-            latency_ms=latency_ms,
-            trace=self._finish_trace(request, trace_export),
-        )
-        error = expired_result(result, request.deadline).error
-        if isinstance(error, DeadlineExceededError):
-            self._m_deadline.inc()
-        if isinstance(error, FutureCancelledError):
-            self.admission.release()
-            self._window.count("cancelled")
-        else:
-            self.admission.release(service_seconds=latency_ms / 1e3)
-            self._window.observe(result.ok, latency_ms, finished)
-            if not result.ok:
-                self._log.info(
-                    "request failed",
-                    extra={
-                        "request_id": request.request_id,
-                        "expression": request.expression,
-                        "error": repr(error),
-                        "trace_id": result.trace.trace_id if result.trace else None,
-                    },
-                )
+        result.latency_ms = (time.perf_counter() - request.submitted_at) * 1e3
+        result.trace = self._finish_trace(request, trace_export)
+        expired_result(result, request.deadline)
+        cancelled = isinstance(result.error, FutureCancelledError)
+        self.admission.release(service_seconds=None if cancelled else result.latency_ms / 1e3)
+        self._account(request, result)
         with self._state:
             self._unfinished -= 1
             if result.ok and worker_id is not None:
                 self._worker_completed[worker_id] += 1
             self._state.notify_all()
-        if result.trace is not None:
-            obs_trace.maybe_log_trace(result.trace)
         request.on_done(result)
 
     # -- control-plane containment ------------------------------------------
@@ -818,7 +747,7 @@ class ClusterServer:
                 handle.outstanding.clear()
             self._loads = [0] * self.num_workers
         for request in stranded:
-            self._record(request, error=error)
+            self._record(request, request.failed(error))
 
     # -- health monitor -----------------------------------------------------
     def _monitor_loop(self) -> None:
@@ -920,7 +849,7 @@ class ClusterServer:
             if sample is not None and prev is not None:
                 entry["cpu_percent"] = obs_resources.cpu_percent_between(prev, sample)
             workers.append(entry)
-        restarts = self._window.counters()["restarts"]
+        restarts = self.window.counters()["restarts"]
         control_error = self._control_error
         dead_workers = list(self.supervisor.dead_workers)
         status = "ok" if all_alive and control_error is None and not dead_workers else "degraded"
@@ -928,7 +857,7 @@ class ClusterServer:
             status = "closed"
         return {
             "status": status,
-            "backend": "cluster",
+            "backend": self.name,
             "restarts": restarts,
             "inflight": self.admission.inflight,
             "healthy_workers": self.healthy_worker_count,
@@ -963,7 +892,7 @@ class ClusterServer:
                     self._cumulative_counters(), self._counter_marks, self._worker_completed
                 )
             ]
-        return self._window.snapshot(
+        return self.window.snapshot(
             per_worker=tuple(ServeStats("threaded", 1, **slot) for slot in slots),
             rejected=self.admission.rejected - self._rejected_mark,
         )
@@ -975,7 +904,7 @@ class ClusterServer:
             self._counter_marks = self._cumulative_counters()
             self._worker_completed = [0] * self.num_workers
             self._rejected_mark = self.admission.rejected
-        self._window.reset()
+        self.window.reset()
 
     @property
     def worker_pids(self) -> list[int]:
@@ -1036,9 +965,3 @@ class ClusterServer:
         for handle in self._handles:
             self._teardown_handle(handle)
         self._log.info("ClusterServer closed", extra={"workers": self.num_workers})
-
-    def __enter__(self) -> "ClusterServer":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()

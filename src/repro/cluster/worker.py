@@ -1,4 +1,4 @@
-"""The worker process: the inline backend's batch routine behind a ring pair.
+"""The worker process: the inline backend's request routine behind a ring pair.
 
 Each worker is a full serving stack in its own interpreter — engine
 specialization and plan cache intact — fed by
@@ -7,14 +7,11 @@ and answering on the same pipe and a response ring.  Everything happens on
 the main thread: it is the only reader and the only writer of the pipe, and
 it executes every request itself, so the process runs exactly one thread.
 
-After waiting for the first envelope the loop drains whatever else has
-arrived (up to :data:`BATCH_WINDOW`), decodes it and hands the batch to
-:meth:`~repro.runtime.server.InlineBackend.serve`, the batch routine the
-threaded tier's workers run: one call per request in arrival order, and a
-request that expires behind earlier members of its batch is shed
-unexecuted.  Each request is answered from its ``on_done`` as the routine
-finishes it, which lets the worker heartbeat as each request completes
-instead of once per batch.
+The loop serves each envelope as it reads it: decode, accept, then
+:meth:`~repro.runtime.server.InlineBackend.serve`, the request routine the
+threaded tier's workers run — one call, or, for a request that expired
+behind earlier ones, its deadline error unexecuted — and answer from the
+request's ``on_done``.  The next envelope is read only after that answer.
 
 The serve loop itself stamps the response ring's heartbeat header — once
 per pipe poll and once per completed request — so the stamp measures
@@ -23,12 +20,11 @@ keep beating while the loop sat wedged, making the parent's staleness
 check worthless).  The parent's health monitor combines the stamp with
 ``Process.is_alive()`` to distinguish "busy" from "gone"; its
 ``heartbeat_timeout`` must therefore exceed the longest legitimate
-single *request*, independent of the batch window.
+single *request*.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 import time
@@ -41,10 +37,6 @@ from repro.obs import trace as obs_trace
 from repro.resilience.deadline import Deadline
 from repro.runtime.request import Request
 from repro.runtime.stats import INTERIOR
-
-#: Largest envelope batch a worker drains, decodes and sheds per
-#: batch-routine round.
-BATCH_WINDOW = 32
 
 
 def _reinit_after_fork() -> None:
@@ -71,8 +63,8 @@ def _reinit_after_fork() -> None:
     obs_metrics._reinit_after_fork()
 
 
-def _serve_batch(
-    batch: list[RequestEnvelope],
+def _serve_envelope(
+    envelope: RequestEnvelope,
     decoder: OperandDecoder,
     server: Any,
     resp_ring: ShmRing,
@@ -81,10 +73,10 @@ def _serve_batch(
     incarnation: int,
     should_abort,
 ) -> None:
-    """Decode ``batch`` and serve it through the batch routine; each
+    """Decode ``envelope`` and serve it through the request routine; the
     request's ``on_done`` answers it on the pipe and beats."""
 
-    def reply(envelope: RequestEnvelope, **fields: Any) -> ResponseEnvelope:
+    def reply(**fields: Any) -> ResponseEnvelope:
         # The counters, not a stats snapshot: that sorts every latency sample.
         counters = server.window.counters()
         return ResponseEnvelope(
@@ -95,11 +87,8 @@ def _serve_batch(
             **fields,
         )
 
-    def answer(envelope: RequestEnvelope, result: Any) -> None:
-        # Answer per completion, not per batch: the beat after each one
-        # keeps the parent's staleness check scaled to a single request
-        # rather than BATCH_WINDOW of them.
-        response = reply(envelope)
+    def answer(result: Any) -> None:
+        response = reply()
         try:
             if result.ok:
                 response.result, response.release_to = encode_result(
@@ -117,38 +106,35 @@ def _serve_batch(
         conn.send(response)
         resp_ring.beat()
 
-    requests = []
-    for envelope in batch:
-        received = time.time()
-        try:
-            wtrace = None
-            if envelope.trace_id is not None:
-                # Re-create the parent's trace worker-side: stamp the ring
-                # arrival, span the decode, and carry it on the request.
-                wtrace = obs_trace.maybe_start(envelope.trace_id)
-            if wtrace is not None:
-                wtrace.stamp("worker.receive", received)
-            # Decode even when the deadline has passed: decoding applies
-            # the cache side-effects the parent mirrors from the
-            # descriptor stream and releases the envelope's ring space.
-            # The batch routine sheds expired work unexecuted.
-            operands = decoder.decode_request(envelope)
-            if wtrace is not None:
-                wtrace.stamp("decode.done")
-                wtrace.span_between("codec.decode", "worker.receive", "decode.done")
-        except Exception as error:  # noqa: BLE001 — a bad request must not kill the worker
-            conn.send(reply(envelope, error=portable_error(error)))
-            continue
-        request = Request(
-            envelope.expression,
-            operands,
-            on_done=functools.partial(answer, envelope),
-            trace=wtrace,
-            deadline=Deadline.from_epoch(envelope.deadline),
-        )
-        server.accept(request, envelope.request_id)
-        requests.append(request)
-    server.serve(requests)
+    received = time.time()
+    try:
+        wtrace = None
+        if envelope.trace_id is not None:
+            # Re-create the parent's trace worker-side: stamp the ring
+            # arrival, span the decode, and carry it on the request.
+            wtrace = obs_trace.maybe_start(envelope.trace_id)
+        if wtrace is not None:
+            wtrace.stamp("worker.receive", received)
+        # Decode even when the deadline has passed: decoding applies the
+        # cache side-effects the parent mirrors from the descriptor stream
+        # and releases the envelope's ring space.  The request routine
+        # sheds expired work unexecuted.
+        operands = decoder.decode_request(envelope)
+        if wtrace is not None:
+            wtrace.stamp("decode.done")
+            wtrace.span_between("codec.decode", "worker.receive", "decode.done")
+    except Exception as error:  # noqa: BLE001 — a bad request must not kill the worker
+        conn.send(reply(error=portable_error(error)))
+        return
+    request = Request(
+        envelope.expression,
+        operands,
+        on_done=answer,
+        trace=wtrace,
+        deadline=Deadline.from_epoch(envelope.deadline),
+    )
+    server.accept(request, envelope.request_id)
+    server.serve(request)
 
 
 def worker_main(
@@ -179,20 +165,15 @@ def worker_main(
     decoder = OperandDecoder(req_ring)
     server = InlineBackend(**server_kwargs)
     try:
-        running = True
-        while running and not parent_gone():
+        while not parent_gone():
             resp_ring.beat()
             if not conn.poll(1.0):
                 continue
-            batch: list[RequestEnvelope] = []
-            while len(batch) < BATCH_WINDOW and conn.poll():
-                message = conn.recv()
-                if isinstance(message, tuple):  # ("stop",), the one control message
-                    running = False
-                    break
-                batch.append(message)
-            _serve_batch(
-                batch, decoder, server, resp_ring, conn, worker_id, incarnation, parent_gone
+            message = conn.recv()
+            if isinstance(message, tuple):  # ("stop",), the one control message
+                break
+            _serve_envelope(
+                message, decoder, server, resp_ring, conn, worker_id, incarnation, parent_gone
             )
     except (EOFError, OSError):
         pass  # the pipe broke: the parent is gone

@@ -14,7 +14,6 @@ spare a serving process re-deriving per-operand artefacts on every request:
   (dense reductions in a register tile), built once per machine into
   ``~/.cache/repro/kernels`` (``python -m repro.engine`` builds them ahead of
   time) and called outside the GIL;
-* :mod:`repro.engine.paths` — the process-wide ``np.einsum_path`` memo;
 * :mod:`repro.engine.segment` — the run structure of a scatter index: disjoint
   rows' fancy ``+=`` or bucketed slab segment sums in place of ``np.add.at``;
 * :mod:`repro.engine.fingerprint` — identity tokens for live arrays, pattern
@@ -31,18 +30,22 @@ from repro.engine.fingerprint import (
     derived_cache_size,
     pattern_fingerprint,
 )
-from repro.engine.paths import (
-    cached_einsum_path,
-    clear_path_cache,
-    path_cache_stats,
-)
 from repro.engine.segment import plan_scatter, segment_add
 from repro.engine.specialize import SpecializedKernel, materialize_plan, specialize_plan
+
+
+def path_cache_stats() -> tuple[int, int]:
+    """``(0, 0)``: a plan resolves its ``np.einsum`` path once, at build, and
+    the plan cache memoizes the build (kept for ``benchmarks/layers``)."""
+    return 0, 0
+
+
+def clear_path_cache() -> None:
+    """Nothing to clear (see :func:`path_cache_stats`)."""
 
 __all__ = [
     "SpecializedKernel",
     "array_token",
-    "cached_einsum_path",
     "clear_derived_cache",
     "clear_path_cache",
     "derived",

@@ -36,8 +36,8 @@ plan execute" is a log line.  What ``build`` decides:
   the kernel gathered, never a caller's array — then one ``np.matmul``
   runs over views whose transposes and reshapes are fixed here.  A plan
   without a reduction variable is the fold chain alone; a contraction this
-  cannot express keeps ``np.einsum``, its path resolved here through
-  :mod:`repro.engine.paths`;
+  cannot express keeps ``np.einsum``, its path resolved here, once per
+  plan build;
 * **the store** — on an all-zero base a scatter-free plan's ``np.matmul``
   writes straight into its window of the result, and a run-windowed plan
   assigns each window's run sums to their rows of a zeroed result (a target
@@ -75,7 +75,6 @@ from repro.core.inductor.dot_rewrite import detect_dot
 from repro.core.insum.planner import FactorPlan, InsumPlan
 from repro.engine.emit import Emitted, covers, emit
 from repro.engine.fingerprint import array_token, derived
-from repro.engine.paths import cached_einsum_path
 from repro.engine.segment import plan_runs, plan_scatter, segment_add
 from repro.errors import IndexOutOfBoundsError, LoweringError
 
@@ -472,7 +471,8 @@ class _Program:
             tuple(self.windows[0].stop if v == self.lead else self.extents[v] for v in value.vars)
             for value in values
         ]
-        path = cached_einsum_path(equation, *(np.broadcast_to(np.float64(0), s) for s in shapes))
+        zeros = (np.broadcast_to(np.float64(0), s) for s in shapes)
+        path = np.einsum_path(equation, *zeros, optimize="optimal")[0]
 
         def contract(regs: list, w: int) -> None:
             regs[dst] = np.einsum(equation, *[regs[slot] for slot in slots], optimize=path)

@@ -132,8 +132,8 @@ class FullyConnectedTensorProduct:
     def reference(self, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Dense einsum over the full CG tensor, used by the tests.
 
-        Plain NumPy on purpose: an oracle that shared the engine's path
-        memo with the kernel it checks could not see a bug there.
+        Plain NumPy on purpose: an oracle that shared the engine's code
+        with the kernel it checks could not see a bug there.
         """
         return np.einsum("ijkl,bju,bk,bluw->biw", self.cg.dense, x, y, w, optimize=True)
 

@@ -66,9 +66,6 @@ DEFAULT_LATENCY_BUCKETS_MS: tuple[float, ...] = (
     5000.0,
 )
 
-#: Default buckets for small cardinalities (batch sizes, attempt counts).
-DEFAULT_SIZE_BUCKETS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
 #: Metric names the resilience layer registers (deadline enforcement,
 #: session retries, failover routing, and crash-loop supervision) — one
 #: authoritative list for dashboards and the test suite, so a renamed

@@ -12,9 +12,9 @@ Expiry is enforced at every stage a request can linger:
 * **before dispatch** — the backend's ``submit`` (every tier) and the
   cluster's dispatch (a crash's redispatch too) refuse already-expired
   work;
-* **in a queue** — the batch routine the threaded workers and the
-  cluster workers run sheds a request that expired by its turn, without
-  executing it;
+* **in a queue** — the request routine the threaded workers and the
+  cluster workers run sheds a request that expired by its turn (behind
+  earlier requests), without executing it;
 * **mid-execute** — a result that lands after its deadline is converted
   to a :class:`~repro.errors.DeadlineExceededError` at record time, so
   "too late" is a deterministic terminal outcome rather than a race

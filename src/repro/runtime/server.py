@@ -1,16 +1,19 @@
-"""The serving core: one executor, one batch routine, and the threaded tier.
+"""The serving core: one executor, one request routine, and the threaded tier.
 
 The compiler stack below this module is request-free: every entry point
 takes one expression and one set of operands.  This module turns it into
-a serving engine, in three layers:
+a serving engine, in four layers:
 
 * :class:`RequestExecutor` — the per-request execution core: long-lived
   per-expression operators (:class:`SparseEinsum` / :class:`Insum`) and
   expression classification.
-* :class:`InlineBackend` — the one batch routine (:meth:`InlineBackend.serve`:
-  claim, shed expired work, execute each request on its expression's
-  operator in arrival order, record) and the inline tier, which serves a
-  batch of one in the calling thread.
+* :class:`TierCore` — what every tier shares, the cluster's parent too:
+  request ids, the window, the deadline counter, ``try_cancel``,
+  ``run_batch`` and the publication of each terminal result.
+* :class:`InlineBackend` — the one request routine (:meth:`InlineBackend.serve`:
+  claim, shed an expired request, execute it on its expression's
+  operator, record) and the inline tier, which serves each request in the
+  calling thread.
   The threaded tier's worker threads and every cluster worker's main
   thread serve through the same routine, which is what makes results
   bit-identical across serving backends.
@@ -20,7 +23,7 @@ a serving engine, in three layers:
   ``close``); each worker thread takes one request per queue read.
 
 Requests arrive as :class:`~repro.runtime.request.Request` objects that
-carry their own completion; :meth:`InlineBackend.run_batch` is the
+carry their own completion; :meth:`TierCore.run_batch` is the
 synchronous convenience over that protocol, and
 :class:`repro.serve.Session` the futures-based front door.
 """
@@ -53,7 +56,7 @@ class RequestExecutor:
     Owns the long-lived reusable operators (one per distinct expression)
     and the expression-classification cache; with ``auto_format`` on, a
     request's operators re-format its sparse operand through the tuner.
-    The batch routine of :class:`InlineBackend` is the one caller of
+    The request routine of :class:`InlineBackend` is the one caller of
     :meth:`execute`, on every tier, so a request produces the same bits no
     matter which tier served it.  An operator call is reentrant, so threads
     share an operator without a lock.
@@ -159,18 +162,110 @@ class RequestExecutor:
             return sorted({expression for expression, _ in self._operators})
 
 
-class InlineBackend:
-    """Synchronous serving over one :class:`RequestExecutor`: the inline
-    tier, and the one batch routine every tier executes through.
+class TierCore:
+    """The tier-agnostic half of every serving tier: request ids, the
+    measurement window, the ``repro_deadline_expired_total{backend}``
+    counter, cancellation and the publication of each terminal result.
 
-    :meth:`serve` takes accepted requests and, in the calling thread,
-    claims them and executes each on its expression's operator in arrival
-    order (shedding a request that has expired by its turn), recording
-    every result.  Its three callers: :meth:`submit` here, which serves a
-    batch of one before returning (the ``"inline"`` tier, the
-    zero-concurrency baseline); :class:`InsumServer`'s worker threads, on
-    each batch they drain; and a cluster worker's main thread
-    (:mod:`repro.cluster.worker`), on each batch of envelopes it drains.
+    :class:`InlineBackend` (so :class:`InsumServer` too) and
+    :class:`repro.cluster.ClusterServer` subclass it.  A subclass names its
+    tier in :attr:`name` and hands every terminal result to :meth:`_record`;
+    the cluster's override does its own bookkeeping (admission, drain,
+    per-worker completions, the worker's trace) around :meth:`_account`.
+    """
+
+    #: The tier label of the window and of the deadline counter.
+    name: str
+
+    def __init__(self, workers: int, logger: str):
+        self._ids = itertools.count()
+        #: The measurement window; a cluster worker reads its counters.
+        self.window = ServingWindow(tier=self.name, workers=workers)
+        self._closed = False
+        self._log = get_logger(logger)
+        self._m_deadline = get_registry().counter(
+            "repro_deadline_expired_total",
+            "Requests that exceeded their deadline, by serving tier.",
+            backend=self.name,
+        )
+
+    def __enter__(self) -> "TierCore":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    def try_cancel(self, request: Request) -> bool:
+        """Cancel a request no worker or dispatcher has claimed yet.
+
+        Returns True when the cancel wins the compare-and-set against the
+        claim: the request never executes, and its ``on_done`` receives a
+        :class:`~repro.errors.FutureCancelledError` result (not counted as
+        completed or failed).  Returns False once it is claimed (or already
+        finished) — the result will arrive normally.
+        """
+        if not request.cancel():
+            return False
+        error = FutureCancelledError(f"request {request.request_id} was cancelled before dispatch")
+        self._record(request, request.failed(error))
+        return True
+
+    def run_batch(
+        self,
+        requests: Iterable[tuple[str, dict[str, Any]]],
+        timeout: float | None = None,
+    ) -> list[InsumResult]:
+        """Serve ``(expression, operands)`` pairs; results in request order.
+
+        The synchronous helper over ``submit`` (see
+        :func:`repro.runtime.request.run_batch`): a request the tier refuses
+        yields a failed result in its place.  New code should prefer
+        :meth:`repro.serve.Session.map_batches`, which streams results
+        with a bounded in-flight window.
+        """
+        return runtime_request.run_batch(self, requests, timeout)
+
+    def _record(self, request: Request, result: InsumResult) -> None:
+        """Publish one terminal result: :meth:`_account` it, then run
+        ``on_done``."""
+        self._account(request, result)
+        request.on_done(result)
+
+    def _account(self, request: Request, result: InsumResult) -> None:
+        """Count a deadline miss, account the result in the window (a
+        cancel as ``cancelled``), and log a failure and the trace."""
+        error = result.error
+        if isinstance(error, DeadlineExceededError):
+            self._m_deadline.inc()
+        if isinstance(error, FutureCancelledError):
+            self.window.count("cancelled")
+        else:
+            self.window.observe(result.ok, result.latency_ms, time.perf_counter())
+            if error is not None:
+                self._log.info(
+                    "request failed",
+                    extra={
+                        "request_id": request.request_id,
+                        "expression": request.expression,
+                        "error": repr(error),
+                        "trace_id": result.trace.trace_id if result.trace else None,
+                    },
+                )
+            obs_trace.maybe_log_trace(result.trace)
+
+
+class InlineBackend(TierCore):
+    """Synchronous serving over one :class:`RequestExecutor`: the inline
+    tier, and the one request routine every tier executes through.
+
+    :meth:`serve` takes one accepted request and, in the calling thread,
+    claims it and executes it on its expression's operator (shedding it
+    when it has expired by its turn), recording the result.  Its three
+    callers: :meth:`submit` here, which serves the request before returning
+    (the ``"inline"`` tier, the zero-concurrency baseline);
+    :class:`InsumServer`'s worker threads, on each request they take from
+    the queue; and a cluster worker's main thread
+    (:mod:`repro.cluster.worker`), on each envelope as it reads it.
 
     Parameters
     ----------
@@ -188,7 +283,6 @@ class InlineBackend:
         The parallelism reported as ``ServeStats.workers``.
     """
 
-    #: The tier label of the window and of the deadline counter.
     name = "inline"
 
     def __init__(
@@ -198,45 +292,12 @@ class InlineBackend:
         auto_format: bool = False,
         workers: int = 1,
     ):
+        super().__init__(workers, "runtime.server")
         self.executor = RequestExecutor(backend=backend, config=config, auto_format=auto_format)
-        self._ids = itertools.count()
-        #: The measurement window; a cluster worker reads its counters.
-        self.window = ServingWindow(tier=self.name, workers=workers)
-        self._closed = False
-        self._log = get_logger("runtime.server")
-        self._m_deadline = get_registry().counter(
-            "repro_deadline_expired_total",
-            "Requests that exceeded their deadline, by serving tier.",
-            backend=self.name,
-        )
 
-    # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
         """Refuse further submits (inline holds no threads or queues)."""
         self._closed = True
-
-    def __enter__(self) -> "InlineBackend":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    # -- the ExecutorBackend protocol ---------------------------------------
-    def submit(self, request: Request) -> None:
-        """Serve one request now; its ``on_done`` runs before this returns.
-        Raises :class:`SessionClosedError` once closed and
-        :class:`DeadlineExceededError` for an already expired request."""
-        self._admit(request)
-        self.serve([request])
-
-    def _admit(self, request: Request) -> None:
-        """Refuse a request this tier cannot take (closed, or already
-        expired: dead work is never accepted), else :meth:`accept` it."""
-        if self._closed:
-            raise SessionClosedError(f"the {self.name} backend is closed")
-        if request.expired():
-            raise DeadlineExceededError("request exceeded its deadline before it was accepted")
-        self.accept(request)
 
     def accept(self, request: Request, request_id: int | None = None) -> None:
         """Take one request towards :meth:`serve`: stamp its trace's
@@ -247,88 +308,42 @@ class InlineBackend:
         request.accept(next(self._ids) if request_id is None else request_id)
         self.window.open_at(request.submitted_at)
 
-    def try_cancel(self, request: Request) -> bool:
-        """Cancel a request not yet claimed by :meth:`serve`.
+    # -- the ExecutorBackend protocol ---------------------------------------
+    def submit(self, request: Request) -> None:
+        """Serve one request now; its ``on_done`` runs before this returns.
+        Raises :class:`SessionClosedError` once closed and
+        :class:`DeadlineExceededError` for an already expired request."""
+        self._admit(request)
+        self.serve(request)
 
-        Returns True when the request was still queued: it will never
-        execute, and its ``on_done`` receives a
-        :class:`~repro.errors.FutureCancelledError` result (not counted
-        as completed or failed).  Returns False once it is claimed (or
-        already finished) — the result will arrive normally.
-        """
-        if not request.cancel():
-            return False
-        error = FutureCancelledError(f"request {request.request_id} was cancelled before dispatch")
-        self._record(request, request.failed(error))
-        return True
+    def _admit(self, request: Request) -> None:
+        """Refuse a request this tier cannot take (closed, or already
+        expired: dead work is never accepted), else :meth:`accept` it."""
+        if self._closed:
+            raise SessionClosedError(f"the {self.name} backend is closed")
+        if request.expired():
+            raise DeadlineExceededError("request exceeded its deadline before it was accepted")
+        self.accept(request)
 
-    def run_batch(
-        self,
-        requests: Iterable[tuple[str, dict[str, Any]]],
-        timeout: float | None = None,
-    ) -> list[InsumResult]:
-        """Serve ``(expression, operands)`` pairs; results in request order.
-
-        The synchronous helper over :meth:`submit` (see
-        :func:`repro.runtime.request.run_batch`); new code should prefer
-        :meth:`repro.serve.Session.map_batches`, which streams results
-        with a bounded in-flight window.
-        """
-        return runtime_request.run_batch(self, requests, timeout)
-
-    # -- the batch routine --------------------------------------------------
-    def serve(self, batch: list[Request]) -> None:
-        """Claim, execute and record accepted requests in arrival order.
-
-        Each request runs on its expression's operator, one pinned call per
-        request; one that expired while earlier ones executed is shed just
-        before its own turn.
-        """
-        for request in batch:
-            # A cancelled request was already recorded by try_cancel.
-            if request.claim() and self._live(request):
-                self._process_one(request)
-
-    def _live(self, request: Request) -> bool:
-        """False when ``request`` expired: it records its deadline error
-        instead of spending time on output nobody can use."""
-        if not request.expired():
-            return True
-        self._record(
-            request,
-            request.failed(deadline_error(request.request_id, "queue"), time.perf_counter()),
-        )
-        return False
-
-    def _process_one(self, request: Request) -> None:
-        """Execute one request through the per-request path and record it."""
+    # -- the request routine ------------------------------------------------
+    def serve(self, request: Request) -> None:
+        """Claim, execute and record one accepted request: one pinned call
+        on its expression's operator, or, when it expired by its turn, its
+        deadline error without spending time on output nobody can use."""
+        # A cancelled request was already recorded by try_cancel.
+        if not request.claim():
+            return
+        if request.expired():
+            error = deadline_error(request.request_id, "queue")
+            self._record(request, request.failed(error, time.perf_counter()))
+            return
         started = clock()
         output = error = None
         try:
             output = self.executor.execute(request.expression, request.operands)
         except Exception as caught:  # noqa: BLE001 — a bad request must not kill the worker
             error = caught
-            self._log.info(
-                "request failed",
-                extra={
-                    "request_id": request.request_id,
-                    "expression": request.expression,
-                    "error": repr(error),
-                    "trace_id": request.trace.trace_id if request.trace is not None else None,
-                },
-            )
         self._record(request, request.executed(output, error, started, clock()))
-
-    def _record(self, request: Request, result: InsumResult) -> None:
-        """Publish one terminal result and update the serving counters."""
-        if isinstance(result.error, DeadlineExceededError):
-            self._m_deadline.inc()
-        if isinstance(result.error, FutureCancelledError):
-            self.window.count("cancelled")
-        else:
-            self.window.observe(result.ok, result.latency_ms, time.perf_counter())
-            obs_trace.maybe_log_trace(result.trace)
-        request.on_done(result)
 
     # -- reporting ----------------------------------------------------------
     def stats(self) -> ServeStats:
@@ -354,12 +369,11 @@ class InlineBackend:
 
 
 class InsumServer(InlineBackend):
-    """Batched, cached, multi-worker serving of sparse Einsum requests.
+    """Queued, cached, multi-worker serving of sparse Einsum requests.
 
     This is the *threaded* :class:`repro.serve.ExecutorBackend`: a queue
     read by worker threads, each taking one request per read and handing
-    it to the shared batch routine (:meth:`InlineBackend.serve`), so an
-    idle worker never waits while another holds a drained batch.
+    it to the shared request routine (:meth:`InlineBackend.serve`).
     Construct it directly for :meth:`run_batch`, or (preferred) through
     ``Session(backend="threaded")``, which wraps it in futures.
 
@@ -432,7 +446,7 @@ class InsumServer(InlineBackend):
             request = self._queue.get()
             if request is None:
                 return
-            self.serve([request])
+            self.serve(request)
 
     def health(self) -> dict[str, Any]:
         """Liveness report for ``/v1/healthz``: per-worker thread aliveness."""

@@ -7,7 +7,7 @@ The serve tier's refactoring move: :class:`~repro.runtime.server.InsumServer`
 zero-infrastructure variant that serves each request in the calling
 thread — so :class:`repro.serve.Session` drives all three through
 identical plumbing.  Every tier executes through the inline backend's
-one batch routine (the cluster's in its worker processes), which is what
+one request routine (the cluster's in its worker processes), which is what
 makes one workload's results bit-identical across them.
 """
 

@@ -40,6 +40,15 @@ def test_close_drains_in_flight_work_first(small_request, submit_all):
     assert all(result.ok for result in results)
 
 
+def test_close_returns_with_every_request_in_the_window(small_request, submit_all):
+    expression, operands = small_request
+    cluster = ClusterServer(num_workers=2, worker_threads=1)
+    submit_all(cluster, [(expression, operands)] * 10)
+    cluster.close()  # a request leaves the drain count only once accounted
+    stats = cluster.stats()
+    assert (stats.completed, stats.failed) == (10, 0)
+
+
 def test_close_is_idempotent_and_submissions_after_close_fail(small_request):
     expression, operands = small_request
     cluster = ClusterServer(num_workers=1, worker_threads=1)

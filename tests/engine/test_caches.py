@@ -1,8 +1,8 @@
 """Unit tests for the engine's caches and primitives.
 
-Covers the contraction-path memo, the identity token / derived-artefact
-cache, the segment-sum scatter, per-instance profile memoization, and the
-garbage a compile leaves behind.
+Covers the identity token / derived-artefact cache, the segment-sum
+scatter, per-instance profile memoization, and the garbage a compile
+leaves behind.
 """
 
 import gc
@@ -15,39 +15,15 @@ from repro import SparseEinsum
 from repro.core.insum import plan_insum
 from repro.engine import (
     array_token,
-    cached_einsum_path,
     clear_derived_cache,
     derived,
     derived_cache_size,
-    path_cache_stats,
     plan_scatter,
     segment_add,
 )
 from repro.engine.specialize import SpecializedKernel
 from repro.formats import BCSR, COO, CSR, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 from repro.tuner.profile import profile_operand
-
-
-# ---------------------------------------------------------------------------
-# Contraction-path memo
-# ---------------------------------------------------------------------------
-def test_cached_einsum_path_matches_numpy(rng):
-    a = rng.standard_normal((6, 7))
-    b = rng.standard_normal((7, 5))
-    path = cached_einsum_path("ij,jk->ik", a, b)
-    np.testing.assert_allclose(
-        np.einsum("ij,jk->ik", a, b, optimize=path), np.einsum("ij,jk->ik", a, b), atol=1e-12
-    )
-
-
-def test_path_cache_hits_on_repeat_shapes(rng):
-    a = rng.standard_normal((4, 9))
-    b = rng.standard_normal((9, 3))
-    cached_einsum_path("ij,jk->ik", a, b)
-    hits_before, _ = path_cache_stats()
-    cached_einsum_path("ij,jk->ik", a + 1.0, b - 1.0)  # same shapes, new values
-    hits_after, _ = path_cache_stats()
-    assert hits_after == hits_before + 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,7 @@ import time
 
 import pytest
 
-from repro.obs.metrics import (
-    DEFAULT_SIZE_BUCKETS,
-    MetricsRegistry,
-    get_registry,
-    validate_prometheus_text,
-)
+from repro.obs.metrics import MetricsRegistry, get_registry, validate_prometheus_text
 
 THREADS = 8
 INCS_PER_THREAD = 5000
@@ -42,7 +37,7 @@ def test_counter_total_is_exact_under_contention():
 def test_histogram_count_and_buckets_are_exact_under_contention():
     registry = MetricsRegistry()
     histogram = registry.histogram(
-        "repro_test_sizes", "test histogram", buckets=DEFAULT_SIZE_BUCKETS
+        "repro_test_sizes", "test histogram", buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
     )
 
     def work():

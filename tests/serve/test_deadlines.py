@@ -149,6 +149,28 @@ class TestDeadlineObservability:
                 future.result(timeout=60)
         assert counter.value() == before + 1
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_each_expired_request_is_counted_once(self, backend, operands, monkeypatch):
+        """Behind a slow request, two requests expire — shed at their turn
+        (threaded, cluster) or finishing late (inline, which serves each
+        request before ``submit`` returns) — and the tier's counter rises
+        by exactly two: the recorder every tier shares counts each once."""
+        slow_down_executor(monkeypatch)
+        counter = get_registry().counter(
+            "repro_deadline_expired_total",
+            "Requests that exceeded their deadline, by serving tier.",
+            backend=backend,
+        )
+        before = counter.value()
+        with make_session(backend) as session:
+            blocker = session.submit(SPMM_EXPR, **operands)
+            victims = [session.submit(SPMM_EXPR, deadline_ms=100, **operands) for _ in range(2)]
+            for victim in victims:
+                with pytest.raises(DeadlineExceededError):
+                    victim.result(timeout=60)
+            assert blocker.result(timeout=60).shape == (24, 4)
+        assert counter.value() == before + 2
+
     def test_deadline_error_is_a_serve_error_not_a_timeout(self):
         from repro.errors import ReproError, ServeError
 
