@@ -75,8 +75,8 @@ from repro.errors import (
 from repro.gateway import GatewayClient, GatewayConfig, GatewayServer
 from repro.resilience import RetryPolicy
 from repro.runtime import (
+    BoundedMemo,
     InsumServer,
-    PlanCache,
     StackedSparse,
     clear_plan_cache,
     configure_plan_cache,
@@ -122,7 +122,7 @@ __all__ = [
     "DeviceModel",
     "RTX3090",
     "InsumServer",
-    "PlanCache",
+    "BoundedMemo",
     "StackedSparse",
     "clear_plan_cache",
     "configure_plan_cache",

@@ -45,21 +45,18 @@ def _reinit_after_fork() -> None:
     A ``fork()`` copies every module-level lock in whatever state some
     *other* parent thread held it, and that thread does not exist in the
     child — a lock caught locked stays locked forever.  The worker
-    therefore replaces the process-wide locks of the engine and runtime
-    caches with fresh ones (and clears the identity-keyed caches, whose
+    therefore replaces the locks of every memo and of the metrics registry
+    with fresh ones (and clears the identity-keyed caches, whose
     bookkeeping could have been mid-mutation) before touching them.
     """
     import repro.engine.fingerprint as fingerprint
     import repro.obs.metrics as obs_metrics
     import repro.runtime.plan_cache as plan_cache
-    import repro.tuner.auto as tuner_auto
 
     fingerprint._LOCK = threading.RLock()
-    fingerprint._TOKENS.clear()
-    fingerprint._ARTIFACTS.clear()
-    tuner_auto._DECISIONS._lock = threading.Lock()
-    plan_cache._GLOBAL_LOCK = threading.Lock()
-    plan_cache._GLOBAL_CACHE._lock = threading.RLock()
+    for table in (fingerprint._TOKENS, fingerprint._ARTIFACTS, fingerprint._TAGS):
+        table.clear()
+    plan_cache._reinit_after_fork()
     obs_metrics._reinit_after_fork()
 
 

@@ -17,6 +17,7 @@ Two levels of API are provided, mirroring the paper:
 from __future__ import annotations
 
 import functools
+import weakref
 from typing import Any, Callable
 
 import numpy as np
@@ -96,7 +97,7 @@ class Insum:
         """Plan and compile for the given tensors, returning the compiled kernel.
 
         Compilation is routed through the process-wide
-        :class:`~repro.runtime.plan_cache.PlanCache`, so distinct
+        plan cache (:func:`~repro.runtime.plan_cache.get_plan_cache`), so distinct
         :class:`Insum` instances (and one-shot :func:`insum` calls) reuse
         each other's kernels.  A hit touches no operand value: the
         executor checks every index it loads.
@@ -140,7 +141,6 @@ class Insum:
         kept: dict[str, np.ndarray],
         operands: dict[str, Any],
         logical_shape: tuple[int, ...],
-        operand: Any = None,
     ) -> "_Bound":
         """What every call of one execution signature reuses (:class:`_Bound`),
         its plan key taken once: the one pinned-call path of
@@ -158,12 +158,10 @@ class Insum:
             One call's operands, whose shapes and dtypes fix the plan key.
         logical_shape:
             The shape a call's result is returned in.
-        operand:
-            The sparse operand a :class:`SparseEinsum` entry holds, if any.
         """
         from repro.runtime.plan_cache import plan_key
 
-        bound = _Bound(operand, self, given, kept, logical_shape)
+        bound = _Bound(self, given, kept, logical_shape)
         signature = self._signature(bound.tensors(operands))
         bound.key = plan_key(self.expression, self.backend, self.config, signature)
         return bound
@@ -329,18 +327,6 @@ def _infer_logical_extents(
     return extents
 
 
-#: Entries of each :class:`SparseEinsum` (and kernel class) memo before it is emptied.
-_MEMO_ENTRIES = 16
-
-
-def remember(memo: dict, key: Any, value: Any) -> Any:
-    """``value`` kept under ``key`` in ``memo`` (or what another thread kept
-    first), the memo emptied when it holds :data:`_MEMO_ENTRIES` entries."""
-    if len(memo) >= _MEMO_ENTRIES:
-        memo.clear()
-    return memo.setdefault(key, value)
-
-
 def _view(value: Any, shape: tuple[int, ...] | None) -> np.ndarray:
     """A dense operand as the kernel reads it: viewed in blocks where the
     rewrite asks (``shape``)."""
@@ -351,9 +337,8 @@ def _view(value: Any, shape: tuple[int, ...] | None) -> np.ndarray:
 class _Bound:
     """What every call of one execution signature reuses (:meth:`Insum.bind`).
 
-    Built by the first call of the signature: the sparse operand of a
-    :class:`SparseEinsum` (held, so its identity keys the memo), the
-    :class:`Insum` and its plan key, the dense operands a call gives
+    Built by the first call of the signature: the :class:`Insum` and its
+    plan key, the dense operands a call gives
     (``given``: name to blocked shape, or ``None``), the tensors every call
     keeps (``kept``: the zero-stride output placeholder and the format's, map's
     or CG tensor's arrays, read in place so writes to them are seen) and the
@@ -362,10 +347,10 @@ class _Bound:
     (:meth:`pin`), pinned again when the plan cache hands back another.
     """
 
-    __slots__ = ("operand", "operator", "given", "kept", "logical_shape", "key", "kernel")
+    __slots__ = ("operator", "given", "kept", "logical_shape", "key", "kernel")
 
-    def __init__(self, operand, operator, given, kept, logical_shape):
-        self.operand, self.operator, self.given = operand, operator, given
+    def __init__(self, operator, given, kept, logical_shape):
+        self.operator, self.given = operator, given
         self.kept, self.logical_shape = kept, logical_shape
         self.key: tuple = ()
         self.kernel: tuple = (None, None)
@@ -470,13 +455,16 @@ class SparseEinsum:
         #: The most recent :class:`repro.tuner.auto.TunerDecision` made by
         #: the ``format="auto"`` path, with its ``reason`` (``None`` otherwise).
         self.last_decision: Any | None = None
-        #: One :class:`_Bound` per execution signature (sparse identity, dense
-        #: shapes and dtypes), one :class:`Insum` per rewritten expression and
-        #: one rewrite per format layout and shapes; each at most
-        #: :data:`_MEMO_ENTRIES`, emptied when full.
-        self._prepare_memo: dict[tuple, _Bound] = {}
+        from repro.runtime.plan_cache import BoundedMemo
+
+        #: Each sparse operand's bindings (:class:`_Bound`), keyed by the dense
+        #: operands' names, shapes and dtypes: they live as long as the operand.
+        self._bindings: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        #: One :class:`Insum` per rewritten expression (one per format layout:
+        #: a rewritten expression carries no extent) and one rewrite per
+        #: format layout and shapes.
         self._operators: dict[str, Insum] = {}
-        self._rewrites: dict[tuple, RewriteResult] = {}
+        self._rewrites = BoundedMemo("einsum_rewrites")
 
     # -- format selection ----------------------------------------------------
     def _pick_reformat_target(self, operands: dict[str, Any]) -> str:
@@ -555,35 +543,34 @@ class SparseEinsum:
         return updated
 
     # -- rewriting -----------------------------------------------------------
-    @staticmethod
-    def _memo_key(operands: dict[str, Any]) -> tuple | None:
-        """What fixes a call's execution signature: the sparse operand's identity
-        and every dense operand's name, shape and dtype (``None`` unless exactly
-        one operand is sparse).  The entry holds the sparse operand, so its
-        ``id`` names no other object while the entry lives."""
-        key, sparse = [], 0
-        for name, value in operands.items():
-            if isinstance(value, SparseFormat):
-                key.append((name, id(value)))
-                sparse += 1
-            else:
-                array = value if value.__class__ is np.ndarray else np.asarray(value)
-                key.append((name, array.shape, array.dtype))
-        return tuple(key) if sparse == 1 else None
-
     def _bound(self, operands: dict[str, Any]) -> tuple[_Bound, dict[str, Any]]:
-        """The memo entry of a call (built on a miss), and the call's operands
+        """The binding of a call (built on a miss), and the call's operands
         after the ``format=`` conversion.
 
-        The rewrite depends only on the sparse operand's identity and the dense
-        operands' shapes and dtypes, so the serving steady state — the same
-        format instance, fresh dense values — is one dictionary lookup here.
+        A binding depends only on the sparse operand and every operand's name
+        and the dense ones' shapes and dtypes, so the serving steady state —
+        the same format instance, fresh dense values — is one lookup in that
+        operand's memo, however many other operands are alive.
         """
         if self.format is not None:
             operands = self._apply_format(operands)
-        key = self._memo_key(operands)
-        bound = self._prepare_memo.get(key)
-        return bound or self._bind(operands, key), operands
+        key, sparse = [], []
+        for name, value in operands.items():
+            if isinstance(value, SparseFormat):
+                key.append(name)
+                sparse.append(value)
+            else:
+                array = value if value.__class__ is np.ndarray else np.asarray(value)
+                key.append((name, array.shape, array.dtype))
+        if len(sparse) != 1:
+            return self._bind(operands), operands
+        bindings = self._bindings.get(sparse[0])
+        if bindings is None:
+            from repro.runtime.plan_cache import BoundedMemo
+
+            bindings = self._bindings.setdefault(sparse[0], BoundedMemo("einsum_bindings"))
+        key = tuple(key)
+        return bindings.get(key) or bindings.put(key, self._bind(operands)), operands
 
     def _rewrite(self, plan: OperandRewrite, shapes: dict[str, tuple[int, ...]]) -> RewriteResult:
         """:func:`rewrite_sparse_operand` of the plan's structure (its tensors
@@ -594,10 +581,10 @@ class SparseEinsum:
         if rewrite is None:
             structure = OperandRewrite(plan.operand, plan.value_access, plan.substitutions)
             rewrite = rewrite_sparse_operand(self.statement, structure, shapes)
-            rewrite = remember(self._rewrites, key, rewrite)
+            rewrite = self._rewrites.put(key, rewrite)
         return rewrite
 
-    def _bind(self, operands: dict[str, Any], key: tuple | None) -> _Bound:
+    def _bind(self, operands: dict[str, Any]) -> _Bound:
         """The full rewrite pipeline (first call per signature)."""
         statement = self.statement
         sparse_names = [
@@ -655,17 +642,16 @@ class SparseEinsum:
         operator = self._operators.get(rewrite.expression)
         if operator is None:
             operator = Insum(rewrite.expression, backend=self.backend, config=self.config)
-            operator = remember(self._operators, rewrite.expression, operator)
+            operator = self._operators.setdefault(rewrite.expression, operator)
         given = {name: blocked.get(name) for name in dense_tensors}
-        bound = operator.bind(given, kept, operands, shapes[output_name], sparse_operand)
-        return bound if key is None else remember(self._prepare_memo, key, bound)
+        return operator.bind(given, kept, operands, shapes[output_name])
 
     # -- execution --------------------------------------------------------------
     def __call__(self, **operands: Any) -> np.ndarray:
         """Execute the Einsum; sparse operands may be SparseFormat objects.
 
-        A repeat call of one execution signature is one memo lookup, one
-        counted plan-cache lookup and the kernel.
+        A repeat call of one execution signature is one lookup in the sparse
+        operand's bindings, one counted plan-cache lookup and the kernel.
 
         Parameters
         ----------

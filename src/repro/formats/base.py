@@ -98,6 +98,14 @@ class SparseFormat(abc.ABC):
             self._fingerprint_memo = cached
         return cached
 
+    def __getstate__(self) -> dict:
+        """The state a pickle or ``copy.deepcopy`` takes: everything but the
+        fingerprint and profile memos, which name the original's arrays."""
+        state = self.__dict__.copy()
+        state.pop("_fingerprint_memo", None)
+        state.pop("_profile_memo", None)
+        return state
+
     # -- storage accounting -------------------------------------------------
     def value_count(self) -> int:
         """Number of stored value slots, including padding."""

@@ -14,10 +14,11 @@ import numpy as np
 
 from repro.core.inductor import InductorConfig
 from repro.core.insum import Insum, fresh_output
-from repro.core.insum.api import _Bound, remember
+from repro.core.insum.api import _Bound
 from repro.datasets.clebsch_gordan import CGTensor, fully_connected_cg_tensor
 from repro.errors import ShapeError
 from repro.formats.group_size import select_group_size
+from repro.runtime.plan_cache import BoundedMemo
 from repro.utils.arrays import padded_slots
 
 
@@ -25,7 +26,7 @@ class FullyConnectedTensorProduct:
     """Equivariant ``Z[b,i,w] = CG[i,j,k,l] * X[b,j,u] * Y[b,k] * W[b,l,u,w]``.
 
     A call reuses what the shapes and dtypes of ``X``, ``Y`` and ``W`` fix (a
-    memo of :data:`~repro.core.insum.api._MEMO_ENTRIES` entries): the plan key
+    :class:`~repro.runtime.plan_cache.BoundedMemo`): the plan key
     and the kernel's pointers to the grouped CG arrays, read in place.
     """
 
@@ -51,7 +52,7 @@ class FullyConnectedTensorProduct:
         self._grouped = self._group_by_path(group_size)
         self._operator = Insum(self.expression, config=self.config)
         self._compiled = None
-        self._memo: dict[tuple, _Bound] = {}
+        self._memo = BoundedMemo("tensor_product_bindings")
 
     # -- CG grouping -------------------------------------------------------------
     def _group_by_path(self, group_size: int | None) -> dict[str, np.ndarray]:
@@ -105,9 +106,9 @@ class FullyConnectedTensorProduct:
         """The memo entry of a call (built on a miss) and its operands."""
         operands = {"X": np.asarray(x), "Y": np.asarray(y), "W": np.asarray(w)}
         key = tuple((array.shape, array.dtype) for array in operands.values())
-        return self._memo.get(key) or self._bind(operands, key), operands
+        return self._memo.get(key) or self._memo.put(key, self._bind(operands)), operands
 
-    def _bind(self, operands: dict[str, np.ndarray], key: tuple) -> _Bound:
+    def _bind(self, operands: dict[str, np.ndarray]) -> _Bound:
         """The memo entry of an ``X``, ``Y`` and ``W`` signature (first call)."""
         batch = operands["X"].shape[0]
         if operands["Y"].shape[0] != batch or operands["W"].shape[0] != batch:
@@ -115,8 +116,7 @@ class FullyConnectedTensorProduct:
         dtype = np.result_type(*operands.values(), self._grouped["CGV"])
         shape = (batch, self.slot_dimension, self.channels)
         kept = {"Z": fresh_output(shape, dtype), **self._grouped}
-        bound = self._operator.bind(dict.fromkeys(operands), kept, operands, shape)
-        return remember(self._memo, key, bound)
+        return self._operator.bind(dict.fromkeys(operands), kept, operands, shape)
 
     def estimate_ms(self, batch: int) -> float:
         """Modelled GPU runtime for a given batch size without executing."""

@@ -14,9 +14,10 @@ import numpy as np
 
 from repro.core.inductor import InductorConfig
 from repro.core.insum import Insum, fresh_output
-from repro.core.insum.api import _Bound, remember
+from repro.core.insum.api import _Bound
 from repro.datasets.pointclouds import KernelMap
 from repro.errors import ShapeError
+from repro.runtime.plan_cache import BoundedMemo
 
 
 class SparseConv3d:
@@ -36,7 +37,7 @@ class SparseConv3d:
         Cost-model dtype; the paper's Figure 12 uses FP16.
 
     A call reuses what its features' and weight's shapes and dtypes fix (a
-    memo of :data:`~repro.core.insum.api._MEMO_ENTRIES` entries): the plan
+    :class:`~repro.runtime.plan_cache.BoundedMemo`): the plan
     key and the kernel's pointers to the map arrays, which it reads in place,
     so writes to them are seen.  ``MAPV`` is stored as float32; where a call
     computes in float64 the entry keeps it cast, once, and writes to the
@@ -72,7 +73,7 @@ class SparseConv3d:
         )
         self._operator = Insum(self.expression, config=self.config)
         self._compiled = None
-        self._memo: dict[tuple, _Bound] = {}
+        self._memo = BoundedMemo("conv_bindings")
 
     @property
     def group_size(self) -> int:
@@ -88,9 +89,9 @@ class SparseConv3d:
         """The memo entry of a call (built on a miss) and its operands."""
         operands = {"In": np.asarray(features), "Weight": np.asarray(self.weight)}
         key = tuple((array.shape, array.dtype) for array in operands.values())
-        return self._memo.get(key) or self._bind(operands, key), operands
+        return self._memo.get(key) or self._memo.put(key, self._bind(operands)), operands
 
-    def _bind(self, operands: dict[str, np.ndarray], key: tuple) -> _Bound:
+    def _bind(self, operands: dict[str, np.ndarray]) -> _Bound:
         """The memo entry of a features and weight signature (first call)."""
         features = operands["In"]
         if features.shape != (self.kernel_map.num_voxels, self.in_channels):
@@ -102,8 +103,7 @@ class SparseConv3d:
         shape = (self.kernel_map.num_voxels, self.out_channels)
         kept = {"Out": fresh_output(shape, dtype), **self.map_arrays}
         kept["MAPV"] = kept["MAPV"].astype(dtype, copy=False)
-        bound = self._operator.bind(dict.fromkeys(operands), kept, operands, shape)
-        return remember(self._memo, key, bound)
+        return self._operator.bind(dict.fromkeys(operands), kept, operands, shape)
 
     def estimate_ms(self) -> float:
         """Modelled GPU runtime of one convolution without executing it."""

@@ -3,8 +3,9 @@
 This package turns the Insum compiler into a serving engine (the
 ROADMAP's "production-scale" direction):
 
-* :mod:`repro.runtime.plan_cache` — one process-wide LRU of compiled
-  kernels, consulted by every operator and one-shot helper.
+* :mod:`repro.runtime.plan_cache` — :class:`BoundedMemo`, the one counted
+  LRU, and on it the process-wide cache of compiled kernels, consulted by
+  every operator and one-shot helper.
 * :mod:`repro.runtime.stacked` — :class:`StackedSparse`, a DSBCOO-style
   batch of same-pattern sparse operands executed as one widened Einsum.
 * :mod:`repro.runtime.request` — :class:`Request` / :class:`InsumResult`,
@@ -17,9 +18,9 @@ ROADMAP's "production-scale" direction):
 """
 
 from repro.runtime.plan_cache import (
+    BoundedMemo,
     CachedPlan,
-    PlanCache,
-    PlanCacheStats,
+    MemoStats,
     clear_plan_cache,
     configure_plan_cache,
     get_plan_cache,
@@ -31,9 +32,9 @@ from repro.runtime.stacked import StackedSparse
 from repro.runtime.stats import ServeStats
 
 __all__ = [
+    "BoundedMemo",
     "CachedPlan",
-    "PlanCache",
-    "PlanCacheStats",
+    "MemoStats",
     "Request",
     "clear_plan_cache",
     "configure_plan_cache",

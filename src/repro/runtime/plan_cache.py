@@ -1,80 +1,70 @@
-"""Process-wide LRU cache of compiled Insum plans.
+"""One bounded memo, and the process-wide plan cache built on it.
 
-Compilation (parse → validate → plan → specialize) is the dominant cost
-of a one-shot ``insum()`` / ``sparse_einsum()`` call: the NumPy execution
-of a small kernel takes microseconds while the compile pipeline takes
-milliseconds.  The serving runtime therefore keeps
-one process-wide cache of compiled kernels, keyed by everything that can
-change the generated code:
+:class:`BoundedMemo` is the library's one counted LRU.  What is derived from
+an operand lives with the operand; every other memo is a ``BoundedMemo`` —
+the plan cache, the tuner's decisions, a ``SparseEinsum``'s rewrites and
+per-operand bindings, the kernel classes' bindings and the serving
+executor's tables — and counts into one labelled family,
+``repro_memo_{hits,misses,evictions}_total{memo}``, so a working set past
+a bound shows on ``/metrics`` as evictions and not only as latency.
 
-* the Einsum expression string,
-* the backend ("inductor" or "eager") and its configuration, and
-* the *signature* of the bound tensors — every operand's shape **and**
-  dtype (two calls with identical shapes but different dtypes must not
-  share one compiled kernel).
-
-:class:`Insum`, and through it the one-shot helpers and
-:class:`SparseEinsum`, route every compilation through
-:func:`get_plan_cache`, so repeated one-shot calls stop recompiling and a
-server can report a meaningful hit rate.
-
-This module deliberately has no dependency on the compiler packages so it
-can be imported from ``repro.core.insum.api`` without cycles
-(:mod:`repro.obs.metrics` is stdlib-only, so the registry counters the
-cache dual-writes keep that property).
+Compilation (parse → validate → plan → specialize) dominates a one-shot
+``insum()`` call, so :func:`get_plan_cache` is one process-wide memo of
+compiled kernels keyed by everything that can change the generated code:
+the expression, the backend and its configuration, and every bound
+tensor's shape **and** dtype.  This module imports only the standard
+library and :mod:`repro.obs.metrics`, so ``repro.core.insum.api`` imports
+it without cycles.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.obs.metrics import get_registry
 
+#: The bound of a memo constructed without one.
+MAXSIZE = 256
+
 
 @dataclass(frozen=True)
-class PlanCacheStats:
-    """Immutable snapshot of the plan cache's counters.
-
-    Counters (hits, misses, evictions) are monotonic over the cache's
-    lifetime; take two snapshots and diff them with :meth:`since` to
-    measure one workload's window, as :class:`~repro.runtime.server.InsumServer`
-    does for its hit-rate report.
-    """
+class MemoStats:
+    """Immutable snapshot of one memo's counters (monotonic between clears):
+    diff two with :meth:`since` to measure one workload's window."""
 
     hits: int
     misses: int
     evictions: int
     size: int
     maxsize: int
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups observed (hits + misses)."""
-        return self.hits + self.misses
+    name: str
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
+        """Fraction of lookups served from the memo (0.0 when unused)."""
+        lookups = self.hits + self.misses
+        return self.hits / lookups if lookups else 0.0
 
-    def since(self, earlier: "PlanCacheStats") -> "PlanCacheStats":
-        """Counter deltas relative to an earlier snapshot (same cache)."""
-        return PlanCacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            evictions=self.evictions - earlier.evictions,
-            size=self.size,
-            maxsize=self.maxsize,
+    def since(self, earlier: "MemoStats") -> "MemoStats":
+        """Counter deltas relative to an earlier snapshot (same memo)."""
+        return MemoStats(
+            self.hits - earlier.hits,
+            self.misses - earlier.misses,
+            self.evictions - earlier.evictions,
+            self.size,
+            self.maxsize,
+            self.name,
         )
 
     def summary(self) -> str:
         """One-line human-readable report of the counters."""
         return (
-            f"plan cache: {self.size}/{self.maxsize} entries, "
+            f"{self.name}: {self.size}/{self.maxsize} entries, "
             f"{self.hits} hits / {self.misses} misses "
             f"(hit rate {self.hit_rate:.1%}), {self.evictions} evictions"
         )
@@ -82,130 +72,124 @@ class PlanCacheStats:
 
 @dataclass(frozen=True)
 class CachedPlan:
-    """One cache entry: the plan and the kernel compiled from it.
-
-    An inductor ``compiled`` with a fused schedule carries its
-    :class:`~repro.engine.specialize.SpecializedKernel`, so a cache hit
-    hands back the fully compiled kernel — window schedule, step list and
-    all.
-    """
+    """One plan-cache entry: the plan and the kernel compiled from it (which
+    carries its :class:`~repro.engine.specialize.SpecializedKernel`)."""
 
     plan: Any
     compiled: Any
 
 
-class PlanCache:
-    """A thread-safe LRU cache mapping plan keys to compiled kernels.
+@functools.cache
+def _counters(name: str) -> tuple:
+    """The registry children of memo ``name``: hits, misses, evictions."""
+    return tuple(
+        get_registry().counter(f"repro_memo_{what}_total", f"Memo {what}, by memo.", memo=name)
+        for what in ("hits", "misses", "evictions")
+    )
 
-    Entries are promoted to most-recently-used on every hit; inserting
-    beyond ``maxsize`` evicts the least-recently-used entry.  All three
-    counters (hits, misses, evictions) are monotonic so callers can take
-    snapshot deltas around a workload.
+
+#: Every live memo, so a forked child re-arms their locks in one call.
+_MEMOS: "weakref.WeakSet[BoundedMemo]" = weakref.WeakSet()
+
+
+class BoundedMemo:
+    """A thread-safe LRU memo with counted hits, misses and evictions.
+
+    A hit promotes its entry; an insert beyond ``maxsize`` (:data:`MAXSIZE`
+    when omitted) evicts the least recently used.  :meth:`put` is first
+    writer wins, so threads that build one value concurrently converge on
+    one object.  Values are never ``None`` (:meth:`get`'s miss).  ``name``
+    labels the registry counters: memos of one name count together.
     """
 
-    def __init__(self, maxsize: int = 256):
-        if maxsize < 1:
-            raise ValueError(f"plan cache maxsize must be >= 1, got {maxsize}")
-        self._maxsize = int(maxsize)
-        self._entries: OrderedDict[Hashable, CachedPlan] = OrderedDict()
-        self._lock = threading.RLock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        registry = get_registry()
-        self._m_hits = registry.counter(
-            "repro_plan_cache_hits_total", "Plan-cache lookups served without compiling."
-        )
-        self._m_misses = registry.counter(
-            "repro_plan_cache_misses_total", "Plan-cache lookups that required a compile."
-        )
-        self._m_evictions = registry.counter(
-            "repro_plan_cache_evictions_total", "Plans evicted by the LRU bound."
-        )
+    def __init__(self, name: str, maxsize: int | None = None):
+        self.name = name
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self._lock = threading.Lock()
+        #: Counted since the last :meth:`clear`.
+        self.hits = self.misses = self.evictions = 0
+        self._m_hits, self._m_misses, self._m_evictions = _counters(name)
+        self.resize(MAXSIZE if maxsize is None else maxsize)
+        _MEMOS.add(self)
 
-    # -- core operations ----------------------------------------------------
-    def get(self, key: Hashable) -> CachedPlan | None:
-        """Look up a compiled plan, counting a hit or a miss."""
+    def get(self, key: Hashable) -> Any:
+        """The value under ``key``, or ``None``; counts a hit or a miss."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
             else:
                 self._entries.move_to_end(key)
-                self._hits += 1
-        (self._m_hits if entry is not None else self._m_misses).inc()
-        return entry
+                self.hits += 1
+        (self._m_misses if value is None else self._m_hits).inc()
+        return value
 
-    def put(self, key: Hashable, entry: CachedPlan) -> CachedPlan:
-        """Insert an entry, evicting the least-recently-used beyond maxsize.
-
-        If another thread inserted the same key first, the earlier entry
-        wins (so concurrent compiles of the same program converge on one
-        kernel object).
-        """
-        evicted = 0
+    def put(self, key: Hashable, value: Any) -> Any:
+        """Keep ``value`` under ``key`` and return it — or the value another
+        thread kept there first — evicting beyond ``maxsize``."""
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
                 self._entries.move_to_end(key)
                 return existing
-            self._entries[key] = entry
-            while len(self._entries) > self._maxsize:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                evicted += 1
+            self._entries[key] = value
+            self._evict()
+        return value
+
+    def _evict(self) -> None:
+        evicted = max(0, len(self._entries) - self.maxsize)
+        for _ in range(evicted):
+            self._entries.popitem(last=False)
         if evicted:
+            self.evictions += evicted
             self._m_evictions.inc(evicted)
-        return entry
 
     def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
-    # -- management ---------------------------------------------------------
-    @property
-    def maxsize(self) -> int:
-        """Capacity: the entry count beyond which LRU eviction kicks in."""
-        return self._maxsize
+    def keys(self) -> list:
+        """The keys, least recently used first."""
+        with self._lock:
+            return list(self._entries)
+
+    def values(self) -> list:
+        """The values, least recently used first."""
+        with self._lock:
+            return list(self._entries.values())
 
     def resize(self, maxsize: int) -> None:
-        """Change capacity, evicting LRU entries if the cache shrank."""
+        """Change capacity, evicting LRU entries if the memo shrank."""
         if maxsize < 1:
-            raise ValueError(f"plan cache maxsize must be >= 1, got {maxsize}")
-        evicted = 0
+            raise ValueError(f"memo maxsize must be >= 1, got {maxsize}")
         with self._lock:
-            self._maxsize = int(maxsize)
-            while len(self._entries) > self._maxsize:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                evicted += 1
-        if evicted:
-            self._m_evictions.inc(evicted)
+            self.maxsize = int(maxsize)
+            self._evict()
 
-    def clear(self, reset_stats: bool = False) -> None:
-        """Drop all entries; optionally zero the counters as well."""
+    def clear(self, reset_stats: bool = True) -> None:
+        """Drop all entries and, unless told not to, zero the counters."""
         with self._lock:
             self._entries.clear()
             if reset_stats:
-                self._hits = self._misses = self._evictions = 0
+                self.hits = self.misses = self.evictions = 0
 
-    def stats(self) -> PlanCacheStats:
+    def stats(self) -> MemoStats:
         """An immutable snapshot of the current counters and occupancy."""
         with self._lock:
-            return PlanCacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                maxsize=self._maxsize,
+            return MemoStats(
+                self.hits, self.misses, self.evictions, len(self), self.maxsize, self.name
             )
 
     def __repr__(self) -> str:
-        return f"PlanCache({self.stats().summary()})"
+        return f"BoundedMemo({self.stats().summary()})"
+
+
+def _reinit_after_fork() -> None:
+    """Re-arm the lock of every live memo in a forked child (see cluster.worker)."""
+    for memo in list(_MEMOS):
+        memo._lock = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +219,7 @@ def plan_key(expression: str, backend: str, config: Any, signature: Hashable) ->
     Returns
     -------
     tuple
-        A hashable key for :class:`PlanCache`.
+        A hashable key for the plan cache.
     """
     return (expression, backend, config or _default_config(), signature)
 
@@ -250,22 +234,20 @@ def _default_config() -> Any:
 
 
 # ---------------------------------------------------------------------------
-# The process-wide cache
+# The process-wide plan cache
 # ---------------------------------------------------------------------------
-_GLOBAL_CACHE = PlanCache()
-_GLOBAL_LOCK = threading.Lock()
+_GLOBAL_CACHE = BoundedMemo("plan_cache")
 
 
-def get_plan_cache() -> PlanCache:
+def get_plan_cache() -> BoundedMemo:
     """The process-wide plan cache shared by every operator."""
     return _GLOBAL_CACHE
 
 
-def configure_plan_cache(maxsize: int) -> PlanCache:
+def configure_plan_cache(maxsize: int) -> BoundedMemo:
     """Resize the process-wide cache (keeping current entries when possible)."""
-    with _GLOBAL_LOCK:
-        _GLOBAL_CACHE.resize(maxsize)
-        return _GLOBAL_CACHE
+    _GLOBAL_CACHE.resize(maxsize)
+    return _GLOBAL_CACHE
 
 
 def clear_plan_cache(reset_stats: bool = True) -> None:

@@ -46,6 +46,7 @@ from repro.resilience.deadline import deadline_error
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 from repro.runtime import request as runtime_request
+from repro.runtime.plan_cache import BoundedMemo
 from repro.runtime.request import InsumResult, Request, clock
 from repro.runtime.stats import ServeStats, ServingWindow
 
@@ -54,7 +55,8 @@ class RequestExecutor:
     """The per-request execution core shared by every serving backend.
 
     Owns the long-lived reusable operators (one per distinct expression)
-    and the expression-classification cache; with ``auto_format`` on, a
+    and the expression-classification cache, each a
+    :class:`~repro.runtime.plan_cache.BoundedMemo`; with ``auto_format`` on, a
     request's operators re-format its sparse operand through the tuner.
     The request routine of :class:`InlineBackend` is the one caller of
     :meth:`execute`, on every tier, so a request produces the same bits no
@@ -80,11 +82,11 @@ class RequestExecutor:
         self.backend = backend
         self.config = config
         self.auto_format = bool(auto_format)
-        self._operators: dict[tuple[str, str], Any] = {}
-        self._operators_lock = threading.Lock()
+        #: (expression, "sparse" or "indirect") -> its operator.
+        self._operators = BoundedMemo("executor_operators")
         #: expression -> (is_logical, rhs_factor_names); used by the
         #: auto_format path to recognise dense operands it may sparsify.
-        self._expression_info: dict[str, tuple[bool, tuple[str, ...]]] = {}
+        self._classes = BoundedMemo("executor_expressions")
 
     def operator_for(self, expression: str, has_sparse: bool) -> Any:
         """The long-lived reusable operator for one expression.
@@ -94,20 +96,19 @@ class RequestExecutor:
         :class:`SparseEinsum`; raw indirect Einsums get an :class:`Insum`.
         """
         key = (expression, "sparse" if has_sparse else "indirect")
-        with self._operators_lock:
-            operator = self._operators.get(key)
-            if operator is None:
-                if has_sparse:
-                    operator = SparseEinsum(
-                        expression,
-                        backend=self.backend,
-                        config=self.config,
-                        format="auto" if self.auto_format else None,
-                    )
-                else:
-                    operator = Insum(expression, backend=self.backend, config=self.config)
-                self._operators[key] = operator
-            return operator
+        operator = self._operators.get(key)
+        if operator is None:
+            if has_sparse:
+                operator = SparseEinsum(
+                    expression,
+                    backend=self.backend,
+                    config=self.config,
+                    format="auto" if self.auto_format else None,
+                )
+            else:
+                operator = Insum(expression, backend=self.backend, config=self.config)
+            operator = self._operators.put(key, operator)
+        return operator
 
     def expression_info(self, expression: str) -> tuple[bool, tuple[str, ...]]:
         """Whether an expression is purely *logical* (no indirect accesses).
@@ -117,8 +118,7 @@ class RequestExecutor:
         array is storage, not a logical matrix).  Returns ``(logical,
         rhs_factor_names)``; ``(False, ())`` when parsing failed.
         """
-        with self._operators_lock:
-            cached = self._expression_info.get(expression)
+        cached = self._classes.get(expression)
         if cached is not None:
             return cached
         from repro.core.einsum.ast import TensorAccess
@@ -134,9 +134,7 @@ class RequestExecutor:
             rhs = tuple(f.tensor for f in statement.rhs.factors)
         except Exception:  # noqa: BLE001 — classification must not fail a request
             logical, rhs = False, ()
-        with self._operators_lock:
-            self._expression_info[expression] = (logical, rhs)
-        return logical, rhs
+        return self._classes.put(expression, (logical, rhs))
 
     def execute(self, expression: str, operands: dict[str, Any]) -> np.ndarray:
         """Execute one request exactly as a direct operator call would.
@@ -158,8 +156,7 @@ class RequestExecutor:
 
     def expressions(self) -> list[str]:
         """Distinct expressions with a live reusable operator."""
-        with self._operators_lock:
-            return sorted({expression for expression, _ in self._operators})
+        return sorted({expression for expression, _ in self._operators.keys()})
 
 
 class TierCore:

@@ -13,7 +13,7 @@ in closed form:
    nothing, the best-filled block shape on block-structured data, GroupCOO
    otherwise, each grouped format at the Section 4.2 group size, and group
    size 1 where plans compile — exposed as :func:`auto_format` /
-   :func:`choose_format` with a process-wide :class:`DecisionCache`, and as
+   :func:`choose_format` with a process-wide decision cache, and as
    ``insum(..., format="auto")``;
 3. :mod:`~repro.tuner.candidates` enumerates the configurations the rule
    picks among, which ``benchmarks/bench_tuner_adaptive.py`` times against
@@ -25,7 +25,6 @@ measurements.
 """
 
 from repro.tuner.auto import (
-    DecisionCache,
     TunerDecision,
     auto_format,
     choose_format,
@@ -47,7 +46,6 @@ __all__ = [
     "BlockProfile",
     "SparsityProfile",
     "profile_operand",
-    "DecisionCache",
     "TunerDecision",
     "get_decision_cache",
     "clear_decision_cache",

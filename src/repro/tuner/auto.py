@@ -19,7 +19,8 @@ The front door of the tuner:
      is 1: the emitted loop sums a run of one row in registers, so grouping
      buys nothing there.
 
-* :class:`DecisionCache` — decisions memoised by
+* the decision cache (:func:`get_decision_cache`, a
+  :class:`~repro.runtime.plan_cache.BoundedMemo`) — decisions memoised by
   :meth:`~repro.tuner.profile.SparsityProfile.bucket`, so a serving
   process profiles each sparsity *regime* once and every later request in
   the same bucket reuses the choice.
@@ -27,8 +28,6 @@ The front door of the tuner:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from repro.engine import emit
 from repro.formats.base import SparseFormat
 from repro.formats.group_size import select_group_size
-from repro.obs.metrics import get_registry
+from repro.runtime.plan_cache import BoundedMemo
 from repro.tuner.candidates import Candidate
 from repro.tuner.profile import SparsityProfile, profile_operand
 
@@ -70,81 +69,12 @@ class TunerDecision:
         return f"tuner decision: {self.reason}"
 
 
-class DecisionCache:
-    """Thread-safe LRU memo of tuner decisions keyed by profile bucket.
-
-    Bounded like the plan cache: each entry retains its profile (an
-    O(rows) occupancy array), so a long-lived server seeing many distinct
-    shapes must not accumulate decisions forever.  Entries are promoted
-    on hit and the least-recently-used is evicted beyond ``maxsize``.
-    """
-
-    def __init__(self, maxsize: int = 256) -> None:
-        if maxsize < 1:
-            raise ValueError(f"decision cache maxsize must be >= 1, got {maxsize}")
-        self._maxsize = int(maxsize)
-        self._decisions: OrderedDict[tuple, TunerDecision] = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        registry = get_registry()
-        decision_help = "Tuner decision-cache lookups, by outcome."
-        self._m_hits = registry.counter(
-            "repro_tuner_decisions_total", decision_help, outcome="hit"
-        )
-        self._m_misses = registry.counter(
-            "repro_tuner_decisions_total", decision_help, outcome="miss"
-        )
-
-    def get(self, bucket: tuple) -> TunerDecision | None:
-        """Look up a cached decision, counting a hit or a miss."""
-        with self._lock:
-            decision = self._decisions.get(bucket)
-            if decision is None:
-                self._misses += 1
-            else:
-                self._decisions.move_to_end(bucket)
-                self._hits += 1
-        (self._m_hits if decision is not None else self._m_misses).inc()
-        return decision
-
-    def put(self, decision: TunerDecision) -> TunerDecision:
-        """Insert a decision (first writer wins, as with the plan cache)."""
-        with self._lock:
-            existing = self._decisions.get(decision.bucket)
-            if existing is not None:
-                self._decisions.move_to_end(decision.bucket)
-                return existing
-            self._decisions[decision.bucket] = decision
-            while len(self._decisions) > self._maxsize:
-                self._decisions.popitem(last=False)
-            return decision
-
-    def clear(self) -> None:
-        """Drop all decisions and reset counters."""
-        with self._lock:
-            self._decisions.clear()
-            self._hits = self._misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._decisions)
-
-    @property
-    def hits(self) -> int:
-        """Lookups served from the cache."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Lookups that ran the rule."""
-        return self._misses
+#: Decisions by profile bucket and width: each keeps its profile (an O(rows)
+#: occupancy array), so a server seeing many shapes keeps a bounded number.
+_DECISIONS = BoundedMemo("tuner_decisions")
 
 
-_DECISIONS = DecisionCache()
-
-
-def get_decision_cache() -> DecisionCache:
+def get_decision_cache() -> BoundedMemo:
     """The process-wide decision cache shared by the auto paths."""
     return _DECISIONS
 
@@ -191,7 +121,7 @@ def choose_format(
         Dense-operand width; it keys the decision cache, and the rule does
         not read it.
     use_cache:
-        Consult/populate the process-wide :class:`DecisionCache`.
+        Consult/populate the process-wide decision cache.
 
     Returns
     -------
@@ -205,7 +135,7 @@ def choose_format(
             return cached
     candidate, reason = _rule(profile)
     decision = TunerDecision(bucket=bucket, candidate=candidate, reason=reason, profile=profile)
-    return _DECISIONS.put(decision) if use_cache else decision
+    return _DECISIONS.put(bucket, decision) if use_cache else decision
 
 
 def auto_format_with_decision(

@@ -1,15 +1,18 @@
-"""The reused call of a SparseEinsum: one memo hit, one plan-cache lookup, the kernel.
+"""The reused call of a SparseEinsum: one binding hit, one plan-cache lookup, the kernel.
 
 A repeat call of one execution signature (the same format instance, dense
-operands of the same shapes and dtypes) reuses its memo entry: the rewrite,
-the operator and plan key, the output placeholder and, where the plan runs
-its emitted loop nest, the data pointers of the format's arrays.  These tests
-pin down what that reuse must not change — in-place writes are seen, the plan
-cache counts every call, threads share an operator — on both emitters.
+operands of the same shapes and dtypes) reuses its binding, which lives as
+long as the format instance: the rewrite, the operator and plan key, the
+output placeholder and, where the plan runs its emitted loop nest, the data
+pointers of the format's arrays.  These tests pin down what that reuse must
+not change — in-place writes are seen, the plan cache counts every call,
+threads share an operator, each operand binds once however many others are
+alive — on both emitters.
 """
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ import pytest
 from repro import SparseEinsum, clear_plan_cache, get_plan_cache
 from repro.core.insum import api
 from repro.engine import emit
-from repro.formats import COO, ELL, GroupCOO
+from repro.runtime import plan_cache
+from repro.formats import COO, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 
 SPMM = "C[m,n] += A[m,k] * B[k,n]"
 
@@ -42,7 +46,7 @@ def test_in_place_writes_between_reused_calls_are_seen(executor, fmt, rng):
     operand.values *= 3.0  # the format's own array, read in place
     b *= -2.0  # the caller's buffer, given again
     np.testing.assert_array_equal(operator(A=operand, B=b), (3.0 * dense) @ b)
-    assert len(operator._prepare_memo) == 1
+    assert len(operator._bindings[operand]) == 1
 
 
 def test_clearing_the_plan_cache_between_reused_calls_counts_one_miss(executor, rng):
@@ -91,24 +95,96 @@ def test_alternating_formats_build_one_insum_per_rewritten_expression(rng, monke
     assert operator.rewritten_expression == built[1]
 
 
-def test_memos_stay_bounded(rng):
+def test_a_rewritten_expression_carries_no_extent(rng):
+    """One operator per format, whatever the shapes, group and block sizes:
+    which is why ``_operators`` needs no bound."""
+    operator = SparseEinsum(SPMM)
+    for shape in [(16, 24), (32, 40)]:
+        dense = integer_matrix(rng, shape=shape)
+        b = rhs(rng, rows=shape[1], cols=5)
+        for operand in [
+            COO.from_dense(dense),
+            ELL.from_dense(dense),
+            GroupCOO.from_dense(dense, group_size=2),
+            GroupCOO.from_dense(dense, group_size=4),
+            BlockCOO.from_dense(dense, (4, 4)),
+            BlockCOO.from_dense(dense, (8, 8)),
+            BlockGroupCOO.from_dense(dense, (4, 4), group_size=2),
+        ]:
+            np.testing.assert_array_equal(operator(A=operand, B=b), dense @ b)
+    assert len(operator._operators) == 5
+
+
+def test_memos_stay_bounded(rng, monkeypatch):
+    monkeypatch.setattr(plan_cache, "MAXSIZE", 16)
     operator, b = SparseEinsum(SPMM), rhs(rng)
-    for _ in range(3 * api._MEMO_ENTRIES):
+    for _ in range(3 * plan_cache.MAXSIZE):
         dense = integer_matrix(rng)
-        np.testing.assert_array_equal(operator(A=COO.from_dense(dense), B=b), dense @ b)
-        assert 1 <= len(operator._prepare_memo) <= api._MEMO_ENTRIES
-    assert len(operator._operators) <= api._MEMO_ENTRIES
-    assert len(operator._rewrites) <= api._MEMO_ENTRIES
+        operand = COO.from_dense(dense)
+        np.testing.assert_array_equal(operator(A=operand, B=b), dense @ b)
+        assert 1 <= len(operator._bindings) <= plan_cache.MAXSIZE
+    assert len(operator._operators) <= plan_cache.MAXSIZE
+    assert len(operator._rewrites) <= plan_cache.MAXSIZE
+
+
+def counted_binds(monkeypatch) -> list:
+    """The sparse operands that :meth:`SparseEinsum._bind` binds, in order."""
+    binds, bind = [], SparseEinsum._bind
+
+    def counted(self, operands):
+        binds.append(operands["A"])
+        return bind(self, operands)
+
+    monkeypatch.setattr(SparseEinsum, "_bind", counted)
+    return binds
+
+
+def test_cycling_over_64_live_operands_binds_each_operand_once(rng, monkeypatch):
+    binds = counted_binds(monkeypatch)
+    dense, b = integer_matrix(rng), rhs(rng)
+    operands = [GroupCOO.from_dense(dense) for _ in range(64)]
+    operator = SparseEinsum(SPMM)
+    for _ in range(3):
+        for operand in operands:
+            np.testing.assert_array_equal(operator(A=operand, B=b), dense @ b)
+    assert len(binds) == 64
+    assert {id(operand) for operand in binds} == {id(operand) for operand in operands}
+
+
+def test_a_dropped_operand_frees_its_bindings(executor, rng):
+    dense, b = integer_matrix(rng), rhs(rng)
+    operand, operator = GroupCOO.from_dense(dense), SparseEinsum(SPMM)
+    np.testing.assert_array_equal(operator(A=operand, B=b), dense @ b)
+    alive = weakref.ref(operand)
+    del operand
+    assert alive() is None
+    assert len(operator._bindings) == 0
+    np.testing.assert_array_equal(operator(A=GroupCOO.from_dense(dense), B=b), dense @ b)
+
+
+def test_one_operand_keeps_at_most_the_bound_of_bindings(rng, monkeypatch):
+    monkeypatch.setattr(plan_cache, "MAXSIZE", 4)
+    binds = counted_binds(monkeypatch)
+    dense = integer_matrix(rng)
+    operand, operator = COO.from_dense(dense), SparseEinsum(SPMM)
+    for width in range(1, 3 * plan_cache.MAXSIZE + 1):
+        b = rhs(rng, cols=width)
+        np.testing.assert_array_equal(operator(A=operand, B=b), dense @ b)
+        assert 1 <= len(operator._bindings[operand]) <= plan_cache.MAXSIZE
+    assert len(binds) == 3 * plan_cache.MAXSIZE
+    assert operator._bindings[operand].stats().evictions == 2 * plan_cache.MAXSIZE
 
 
 def test_eight_threads_share_one_operator_across_formats(executor, rng):
     dense = integer_matrix(rng, shape=(40, 36))
-    operands = [GroupCOO.from_dense(dense), ELL.from_dense(dense), COO.from_dense(dense)]
+    # 24 live operands, eight of each format, each bound by the racing threads.
+    operands = [fmt.from_dense(dense) for _ in range(8) for fmt in (GroupCOO, ELL, COO)]
     buffers = [rhs(rng, rows=36, cols=17) for _ in range(8)]
-    operator = SparseEinsum(SPMM)
     each = 40
-    calls = [(operands[(t + i) % 3], buffers[t]) for t in range(8) for i in range(each)]
-    serial = [operator(A=operand, B=b).tobytes() for operand, b in calls]
+    calls = [(operands[(3 * t + i) % 24], buffers[t]) for t in range(8) for i in range(each)]
+    reference, operator = SparseEinsum(SPMM), SparseEinsum(SPMM)
+    serial = [reference(A=operand, B=b).tobytes() for operand, b in calls]
+    # ``operator`` is fresh: the threads race to bind every operand first.
     results: dict[int, bytes] = {}
     start = threading.Barrier(8)
 
@@ -130,6 +206,7 @@ def test_eight_threads_share_one_operator_across_formats(executor, rng):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert [results[i] for i in range(len(calls))] == serial
+    assert [len(operator._bindings[operand]) for operand in operands] == [1] * 24
     np.testing.assert_array_equal(operator(A=operands[0], B=buffers[0]), dense @ buffers[0])
 
 

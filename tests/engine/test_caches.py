@@ -5,7 +5,9 @@ scatter, per-instance profile memoization, and the garbage a compile
 leaves behind.
 """
 
+import copy
 import gc
+import pickle
 import sys
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.engine import (
     plan_scatter,
     segment_add,
 )
+from repro.engine.fingerprint import pattern_fingerprint
 from repro.engine.specialize import SpecializedKernel
 from repro.formats import BCSR, COO, CSR, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 from repro.tuner.profile import profile_operand
@@ -168,6 +171,29 @@ def test_format_fingerprint_identity_semantics(rng):
     assert sibling.fingerprint() == fmt.fingerprint()
     rebuilt = COO.from_dense(dense)  # same pattern, different arrays
     assert rebuilt.fingerprint() != fmt.fingerprint()
+
+
+@pytest.mark.parametrize(
+    "copy_of",
+    [lambda fmt: pickle.loads(pickle.dumps(fmt)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_a_copied_operand_fingerprints_its_own_arrays(copy_of, rng):
+    fmt = GroupCOO.from_dense(np.where(rng.random((8, 8)) < 0.4, 1.0, 0.0))
+    original, profile = fmt.fingerprint(), profile_operand(fmt)
+    copied = copy_of(fmt)
+    assert copied.fingerprint() == pattern_fingerprint(copied) != original
+    assert profile_operand(copied) is not profile
+    assert fmt.fingerprint() == original and profile_operand(fmt) is profile
+
+
+def test_an_operand_that_has_been_called_still_pickles(rng):
+    dense = np.where(rng.random((12, 8)) < 0.4, rng.standard_normal((12, 8)), 0.0)
+    fmt, rhs = GroupCOO.from_dense(dense), rng.standard_normal((8, 3))
+    operator = SparseEinsum("C[m,n] += A[m,k] * B[k,n]")
+    expected = operator(A=fmt, B=rhs)
+    copied = pickle.loads(pickle.dumps(fmt))
+    np.testing.assert_array_equal(operator(A=copied, B=rhs), expected)
 
 
 # ---------------------------------------------------------------------------

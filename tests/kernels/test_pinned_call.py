@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import clear_plan_cache, get_plan_cache
-from repro.core.insum import api
+from repro.runtime import plan_cache
 from repro.datasets import build_kernel_map
 from repro.kernels import FullyConnectedTensorProduct, SparseConv3d
 
@@ -133,12 +133,13 @@ def test_a_pinned_call_is_one_counted_plan_cache_lookup(executor, rng):
     assert (after.hits, after.misses) == (0, 2)
 
 
-def test_the_memos_stay_bounded_over_a_long_run_of_signatures(rng):
+def test_the_memos_stay_bounded_over_a_long_run_of_signatures(rng, monkeypatch):
+    monkeypatch.setattr(plan_cache, "MAXSIZE", 16)
     layer = product_layer(rng, channels=2)
-    for batch in range(1, 3 * api._MEMO_ENTRIES + 1):
+    for batch in range(1, 3 * plan_cache.MAXSIZE + 1):
         x, y, w = product_inputs(rng, layer, batch)
         np.testing.assert_array_equal(layer(x, y, w), product_oracle(layer, x, y, w))
-        assert 1 <= len(layer._memo) <= api._MEMO_ENTRIES
+        assert 1 <= len(layer._memo) <= plan_cache.MAXSIZE
     conv = conv_layer(rng, channels=(2, 3))
     dtypes = [np.float16, np.float32, np.float64, np.int8, np.int32]
     for feature_dtype in dtypes:
@@ -146,7 +147,23 @@ def test_the_memos_stay_bounded_over_a_long_run_of_signatures(rng):
             conv.weight = integers(rng, conv.weight.shape, weight_dtype)
             features = integers(rng, (conv.kernel_map.num_voxels, 2), feature_dtype)
             np.testing.assert_array_equal(conv(features), conv_oracle(conv, features))
-            assert 1 <= len(conv._memo) <= api._MEMO_ENTRIES
+            assert 1 <= len(conv._memo) <= plan_cache.MAXSIZE
+
+
+def test_a_product_cycled_over_24_batch_shapes_binds_each_shape_once(rng, monkeypatch):
+    binds, bind = [], FullyConnectedTensorProduct._bind
+
+    def counted(self, operands):
+        binds.append(operands["X"].shape[0])
+        return bind(self, operands)
+
+    monkeypatch.setattr(FullyConnectedTensorProduct, "_bind", counted)
+    layer = product_layer(rng, channels=2)
+    inputs = [product_inputs(rng, layer, batch) for batch in range(1, 25)]
+    for _ in range(3):
+        for x, y, w in inputs:
+            np.testing.assert_array_equal(layer(x, y, w), product_oracle(layer, x, y, w))
+    assert binds == list(range(1, 25))
 
 
 def test_eight_threads_share_one_conv_and_one_product(executor, rng):

@@ -1,11 +1,12 @@
-"""Tests for the process-wide PlanCache and its API integration."""
+"""Tests for BoundedMemo, the process-wide plan cache on it, and its API integration."""
 
 import numpy as np
 import pytest
 
 from repro import Insum, clear_plan_cache, get_plan_cache, insum, sparse_einsum
 from repro.formats import COO, GroupCOO
-from repro.runtime.plan_cache import CachedPlan, PlanCache
+from repro.obs.metrics import get_registry
+from repro.runtime.plan_cache import BoundedMemo, CachedPlan
 
 
 @pytest.fixture(autouse=True)
@@ -29,10 +30,10 @@ def _spmm_tensors(rng, n_cols=4):
 
 
 # ---------------------------------------------------------------------------
-# The cache data structure itself
+# The memo data structure itself
 # ---------------------------------------------------------------------------
 def test_lru_eviction_order():
-    cache = PlanCache(maxsize=2)
+    cache = BoundedMemo("lru", maxsize=2)
     cache.put("a", CachedPlan(plan=1, compiled=1))
     cache.put("b", CachedPlan(plan=2, compiled=2))
     assert cache.get("a") is not None  # promotes "a" to MRU
@@ -45,7 +46,7 @@ def test_lru_eviction_order():
 
 
 def test_stats_counters_and_hit_rate():
-    cache = PlanCache(maxsize=4)
+    cache = BoundedMemo("lru", maxsize=4)
     assert cache.get("missing") is None
     cache.put("k", CachedPlan(plan=None, compiled=None))
     assert cache.get("k") is not None
@@ -56,7 +57,7 @@ def test_stats_counters_and_hit_rate():
 
 
 def test_stats_since_delta():
-    cache = PlanCache()
+    cache = BoundedMemo("lru")
     cache.get("x")
     mark = cache.stats()
     cache.put("x", CachedPlan(plan=None, compiled=None))
@@ -67,7 +68,7 @@ def test_stats_since_delta():
 
 
 def test_resize_evicts_lru():
-    cache = PlanCache(maxsize=4)
+    cache = BoundedMemo("lru", maxsize=4)
     for key in "abcd":
         cache.put(key, CachedPlan(plan=key, compiled=key))
     cache.resize(2)
@@ -76,7 +77,7 @@ def test_resize_evicts_lru():
 
 
 def test_put_is_first_writer_wins():
-    cache = PlanCache()
+    cache = BoundedMemo("lru")
     first = cache.put("k", CachedPlan(plan="first", compiled="first"))
     second = cache.put("k", CachedPlan(plan="second", compiled="second"))
     assert first is second
@@ -85,7 +86,25 @@ def test_put_is_first_writer_wins():
 
 def test_invalid_maxsize_rejected():
     with pytest.raises(ValueError):
-        PlanCache(maxsize=0)
+        BoundedMemo("lru", maxsize=0)
+
+
+def test_an_eviction_is_counted_under_the_memos_name_on_the_registry():
+    memo = BoundedMemo("eviction_probe", maxsize=1)
+    memo.put("a", 1)
+    memo.put("b", 2)
+    assert memo.stats().evictions == 1
+    assert 'repro_memo_evictions_total{memo="eviction_probe"}' in get_registry().render_prometheus()
+
+
+def test_clear_zeroes_the_counters_unless_told_not_to():
+    memo = BoundedMemo("lru")
+    memo.put("k", 1)
+    memo.get("k"), memo.get("missing")
+    memo.clear(reset_stats=False)
+    assert (len(memo), memo.hits, memo.misses) == (0, 1, 1)
+    memo.clear()
+    assert (memo.hits, memo.misses) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

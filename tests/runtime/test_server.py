@@ -226,3 +226,32 @@ def test_an_auto_format_request_profiles_its_operand_once(rng, monkeypatch, as_f
     output = RequestExecutor(auto_format=True).execute(expression, operands)
     assert len(calls) == 1
     np.testing.assert_array_equal(output, SparseEinsum(expression, format="auto")(**operands))
+
+
+def test_the_executor_tables_stay_bounded(rng, monkeypatch):
+    """Both executor tables are bounded memos: distinct expressions, valid or
+    not, evict the least recent, and a request on an evicted expression
+    rebuilds its operator and returns the same bytes."""
+    from repro.errors import ReproError
+    from repro.runtime import plan_cache
+
+    monkeypatch.setattr(plan_cache, "MAXSIZE", 4)
+    executor = RequestExecutor(auto_format=True)
+    dense = np.where(rng.random((16, 12)) < 0.2, rng.integers(1, 5, (16, 12)), 0.0)
+    operands = dict(A=dense, B=rng.integers(-3, 4, (12, 5)).astype(np.float64))
+
+    def expression(i: int) -> str:
+        return f"C[m,n] += A[m,k{i}] * B[k{i},n]"
+
+    first = executor.execute(expression(0), operands).tobytes()
+    for i in range(1, 3 * plan_cache.MAXSIZE):
+        if i % 3:
+            executor.execute(expression(i), operands)
+        else:
+            with pytest.raises(ReproError):
+                executor.execute(f"C[m,n] += A[m,k{i}] * B[", operands)
+        assert len(executor._operators) <= plan_cache.MAXSIZE
+        assert len(executor._classes) <= plan_cache.MAXSIZE
+    assert expression(0) not in executor.expressions()
+    assert executor.execute(expression(0), operands).tobytes() == first
+    np.testing.assert_array_equal(np.frombuffer(first), (dense @ operands["B"]).ravel())

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import auto_format, insum, sparse_einsum
+from repro import auto_format, get_plan_cache, insum, sparse_einsum
 from repro.core.insum.api import SparseEinsum
 from repro.datasets import random_block_sparse_matrix, random_sparse_matrix
 from repro.errors import EinsumValidationError
@@ -325,14 +325,15 @@ def _decide_after_fork(dense, queue):
     from repro.cluster.worker import _reinit_after_fork
 
     _reinit_after_fork()
+    assert get_plan_cache().get(("absent",)) is None
     queue.put(choose_format(profile_operand(dense)).candidate.describe())
 
 
 def test_a_forked_worker_decides_though_the_parent_held_the_decision_lock(uniform):
     context = multiprocessing.get_context("fork")
     queue = context.Queue()
-    lock = get_decision_cache()._lock
-    with lock:  # a thread of the parent is inside the cache when the worker forks
+    # Threads of the parent are inside both caches when the worker forks.
+    with get_decision_cache()._lock, get_plan_cache()._lock:
         child = context.Process(target=_decide_after_fork, args=(uniform, queue))
         child.start()
     try:
