@@ -2,6 +2,7 @@
 
     python scripts/step_profile.py [--case cora/groupcoo ...] [--seed 7] [--calls 20]
     python scripts/step_profile.py --call [--case equivariant/l1/c16 ...] [--calls 20]
+    python scripts/step_profile.py --call --fresh [--case cora/groupcoo ...] [--calls 20]
 
 Wraps every prebuilt step of a case's ``SpecializedKernel`` in a timer and
 prints milliseconds per step and per warm call, for the eighteen cases of the
@@ -24,6 +25,19 @@ call gives, their placement, the data pointers, the result's allocation, the C
 call and the reshape, each timed alone (best of ``--calls`` rounds), beside the
 whole call.  A case whose plan runs its steps prints the memo and plan lookups
 and ``run``.
+
+``--call --fresh`` prints the stage census of a *first* call on a fresh
+instance of a warm operator, for the five ``pattern_churn`` cases: the format's
+construction from a never-seen matrix of the case's layout, then the binding
+(``SparseEinsum._bound``), the plan-cache lookup, the pin of the new arrays and
+the pinned call, beside a reused call of the same instance (its second call).
+The ``warm`` column builds ``--calls`` instances of one case back to back, then
+makes their first calls back to back; the ``cold`` column takes the ops in the
+layer benchmark's own loop order (every case in turn, each ``reps`` times a
+round, each matrix drawn and built just before its call), where each step
+runs cache-cold.  ``full binds``
+counts the first calls that ran the whole rewrite pipeline
+(``SparseEinsum._bind``).  Every result is checked against its dense oracle.
 """
 
 import argparse
@@ -171,20 +185,125 @@ def census(case, calls: int) -> str:
     return "\n".join([f"{case.name}: {whole:.1f} us a reused call", *lines])
 
 
+FRESH_STAGES = ("build", "bind", "plan lookup", "pin", "pinned call")
+
+#: The operators that ran the whole rewrite pipeline (``SparseEinsum._bind``).
+FULL_BINDS: list = []
+
+
+def fresh_op(case, operator, rng, samples: dict, built=None) -> None:
+    """One ``pattern_churn`` op of ``case`` on ``operator``, stage by stage —
+    build a never-seen matrix's format (or take ``built``: the format and its
+    oracle), then its first call — and a reused call of the same instance:
+    each stage's µs into ``samples``."""
+    clock = time.perf_counter
+    if built is None:
+        dense, oracle = case.fresh(rng)
+        start = clock()
+        operand = case.build(dense)
+        samples["build"].append((clock() - start) * 1e6)
+    else:
+        operand, oracle = built
+    binds, start = len(FULL_BINDS), clock()
+    bound, operands = operator._bound({"A": operand, "B": case.rhs})
+    bound_at = clock()
+    compiled = bound.compile(operands)
+    looked_up = clock()
+    bound.kernel = (compiled, bound.pin(compiled, operands))
+    pinned = clock()
+    result = bound.run(compiled, operands)
+    first = clock()
+    again = operator(A=operand, B=case.rhs)
+    reused = clock()
+    tolerance = 1e-4 if case.single else 1e-9
+    for got in (result, again):
+        if not np.allclose(got, oracle, rtol=tolerance, atol=tolerance):
+            raise RuntimeError(f"{case.name}: a fresh-instance call disagrees with its oracle")
+    marks = (start, bound_at, looked_up, pinned, first)
+    for stage, begin, end in zip(FRESH_STAGES[1:], marks, marks[1:]):
+        samples[stage].append((end - begin) * 1e6)
+    samples["first call"].append((first - start) * 1e6)
+    samples["reused call"].append((reused - first) * 1e6)
+    samples["full binds"].append(len(FULL_BINDS) - binds)
+
+
+def fresh_census(cases, calls: int, seed: int) -> str:
+    """The stages of a first call on a fresh instance of each ``pattern_churn``
+    case on its warm operator: back to back (``warm``: the formats built
+    first, then their first calls) and in the benchmark's loop order (``cold``)."""
+    rng = workloads.stream(seed, "churn/ops")
+    operators = {case.name: SparseEinsum(workloads.SPMM) for case in cases}
+    columns = {mode: {case.name: defaultdict(list) for case in cases} for mode in ("warm", "cold")}
+    for case in cases:  # warm each operator, as the benchmark's setup does
+        fresh_op(case, operators[case.name], rng, defaultdict(list))
+    bind = SparseEinsum._bind
+
+    def counted(self, operands):
+        FULL_BINDS.append(self)
+        return bind(self, operands)
+
+    SparseEinsum._bind = counted
+    try:
+        for case in cases:
+            samples = columns["warm"][case.name]
+            built = []
+            for _ in range(calls):
+                dense, oracle = case.fresh(rng)
+                start = time.perf_counter()
+                built.append((case.build(dense), oracle))
+                samples["build"].append((time.perf_counter() - start) * 1e6)
+            for instance in built:
+                fresh_op(case, operators[case.name], rng, samples, instance)
+        for _ in range(calls):
+            for case in cases:
+                for _ in range(case.reps):
+                    fresh_op(case, operators[case.name], rng, columns["cold"][case.name])
+    finally:
+        SparseEinsum._bind = bind
+    lines = [f"first call on a fresh instance of a warm operator, us (median; {calls} rounds)"]
+    for case in cases:
+        warm, cold = columns["warm"][case.name], columns["cold"][case.name]
+        lines.append(f"{case.name:30s}{'warm':>10s}{'cold':>10s}")
+        for stage in (*FRESH_STAGES, "first call", "reused call"):
+            medians = [np.median(column[stage]) for column in (warm, cold)]
+            lines.append(f"  {stage:28s}" + "".join(f"{value:10.1f}" for value in medians))
+        ratios = [
+            np.median(column["first call"]) / np.median(column["reused call"])
+            for column in (warm, cold)
+        ]
+        lines.append(f"  {'first / reused':28s}" + "".join(f"{ratio:9.2f}x" for ratio in ratios))
+        counts = [f"{sum(column['full binds'])}/{len(column['bind'])}" for column in (warm, cold)]
+        lines.append(f"  {'full binds':28s}" + "".join(f"{count:>10s}" for count in counts))
+    return "\n".join(lines)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--case", action="append", help="case name; default: all eighteen")
+    parser.add_argument("--case", action="append", help="case name; default: all of the mode's")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--calls", type=int, default=20)
     parser.add_argument("--call", action="store_true", help="the stages of a reused call")
+    parser.add_argument(
+        "--fresh",
+        action="store_true",
+        help="with --call: the stages of a first call on a fresh instance (pattern_churn cases)",
+    )
     args = parser.parse_args()
-    cases = workloads.kernel_spmm_cases(args.seed) + workloads.kernel_indirect_cases(args.seed)
+    if args.fresh and not args.call:
+        parser.error("--fresh is a mode of --call")
+    if args.fresh:
+        cases = workloads.pattern_churn_cases(args.seed)
+    else:
+        cases = workloads.kernel_spmm_cases(args.seed) + workloads.kernel_indirect_cases(args.seed)
     if set(args.case or ()) - {case.name for case in cases}:
         parser.error(f"unknown case in {args.case}; have {[case.name for case in cases]}")
-    for case in cases:
-        if not args.case or case.name in args.case:
-            report = census(case, args.calls) if args.call else profile(case, args.calls)
-            sys.stdout.write(report + "\n")
+    chosen = [case for case in cases if not args.case or case.name in args.case]
+    if args.fresh:
+        sys.stdout.write(fresh_census(chosen, args.calls, args.seed) + "\n")
+        return
+    for case in chosen:
+        report = census(case, args.calls) if args.call else profile(case, args.calls)
+        sys.stdout.write(report + "\n")
 
 
 if __name__ == "__main__":

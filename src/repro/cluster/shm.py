@@ -153,12 +153,6 @@ class ShmRing:
         write, read, _ = self._load()
         return self.capacity - (write - read)
 
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently in flight (written but not yet released)."""
-        write, read, _ = self._load()
-        return write - read
-
     # -- heartbeat ----------------------------------------------------------
     def beat(self) -> None:
         """Stamp the heartbeat field with the current wall-clock time."""

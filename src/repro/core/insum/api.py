@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.einsum.ast import EinsumStatement, IndexVar
 from repro.core.einsum.parser import parse_einsum
-from repro.core.einsum.rewriting import OperandRewrite, RewriteResult, rewrite_sparse_operand
+from repro.core.einsum.rewriting import rewrite_sparse_operand
 from repro.core.insum.planner import InsumPlan, plan_insum
 from repro.errors import EinsumValidationError, LoweringError
 from repro.formats.base import SparseFormat
@@ -345,15 +345,18 @@ class _Bound:
     logical output shape.  ``kernel`` is the
     last compiled kernel looked up under the key with its pinned call
     (:meth:`pin`), pinned again when the plan cache hands back another.
+    ``pinning`` holds how that kernel is pinned, which every binding of one
+    layout shares (:class:`_Layout`): it depends on no array.
     """
 
-    __slots__ = ("operator", "given", "kept", "logical_shape", "key", "kernel")
+    __slots__ = ("operator", "given", "kept", "logical_shape", "key", "kernel", "pinning")
 
-    def __init__(self, operator, given, kept, logical_shape):
+    def __init__(self, operator, given, kept, logical_shape, pinning=None):
         self.operator, self.given = operator, given
         self.kept, self.logical_shape = kept, logical_shape
         self.key: tuple = ()
         self.kernel: tuple = (None, None)
+        self.pinning: list = [(None, None)] if pinning is None else pinning
 
     def tensors(self, operands: dict[str, Any]) -> dict[str, np.ndarray]:
         """A call's execution tensors: its dense operands, then the kept ones."""
@@ -365,13 +368,11 @@ class _Bound:
         """The kernel: one counted plan-cache lookup (a compile on a miss)."""
         return self.operator._compiled(self.key, lambda: self.tensors(operands))
 
-    def pin(self, compiled: Any, operands: dict[str, Any]) -> Callable | None:
-        """The emitted loop nest of ``compiled`` with the kept tensors bound
-        (:meth:`~repro.engine.emit.Emitted.pin`): a function of a call's
-        operands that reads a pointer for the dense ones and the result only,
-        and returns ``None`` for the call to run ``compiled.run``.  ``None``
-        where every call does: the steps run, the caller binds the output, the
-        sum would promote it, or a kept tensor is not read in place."""
+    def _pinning(self, compiled: Any, operands: dict[str, Any]) -> tuple | None:
+        """How to pin ``compiled``: its emitted loop nest, the factors' common
+        dtype and the given operands' blocked shapes in the nest's order; or
+        ``None`` where every call runs ``compiled.run``: the steps run, the
+        caller binds the output, or the sum would promote it."""
         from repro.engine.emit import Emitted
 
         emitted = getattr(compiled, "specialized", compiled).emitted
@@ -379,12 +380,29 @@ class _Bound:
             return None
         tensors, layout = self.tensors(operands), emitted.layout
         dtype = np.result_type(*[tensors[name] for name, _, kind in layout[1:] if kind != "index"])
-        arrays = [None if name in self.given else tensors[name] for name, _, _ in layout]
-        call = emitted.pin(arrays, dtype) if arrays[0].dtype == dtype else None
-        if call is None:
+        if tensors[layout[0][0]].dtype != dtype:
             return None
         blocked = [(name, self.given[name]) for name, _, _ in layout if name in self.given]
-        shape = arrays[0].shape
+        return emitted, dtype, blocked
+
+    def pin(self, compiled: Any, operands: dict[str, Any]) -> Callable | None:
+        """The emitted loop nest of ``compiled`` with the kept tensors bound
+        (:meth:`~repro.engine.emit.Emitted.pin`, which places and checks each
+        of them): a function of a call's operands that reads a pointer for
+        the dense ones and the result only, and returns ``None`` for the call
+        to run ``compiled.run``.  ``None`` where every call does, or a kept
+        tensor is not read in place."""
+        pinning = self.pinning[0]
+        if pinning[0] is not compiled:
+            pinning = self.pinning[0] = (compiled, self._pinning(compiled, operands))
+        if pinning[1] is None:
+            return None
+        emitted, dtype, blocked = pinning[1]
+        given, kept = self.given, self.kept
+        call = emitted.pin([None if n in given else kept[n] for n, _, _ in emitted.layout], dtype)
+        if call is None:
+            return None
+        shape = emitted.layout[0][1]
         return lambda operands: call(
             [_view(operands[name], at) for name, at in blocked], np.zeros(shape, dtype)
         )
@@ -399,6 +417,70 @@ class _Bound:
             result = compiled.run(self.tensors(operands))
         shape = self.logical_shape
         return result if result.shape == shape else result.reshape(shape)
+
+
+@functools.cache
+def _layout_classes() -> tuple[frozenset, type]:
+    """The formats that keep :meth:`~repro.formats.base.SparseFormat.rewrite_plan`'s
+    layout contract, by exact class: the package's fixed-length formats, and
+    the stack class (over one of them)."""
+    from repro.formats import FORMATS
+    from repro.runtime.stacked import StackedSparse
+
+    return frozenset(cls for cls in FORMATS.values() if cls.fixed_length), StackedSparse
+
+
+def _layout(operand: SparseFormat, name: str) -> tuple[tuple, dict[str, np.ndarray]] | None:
+    """The layout of ``operand`` bound as ``name`` — its class (and a stack's
+    base class), logical shape, and every array of ``tensors(name)`` by name,
+    shape and dtype — and those arrays; ``None`` for a format whose rewrite
+    may depend on more than its layout (any other class).
+    """
+    formats, stacked = _layout_classes()
+    cls = operand.__class__
+    base = operand.base.__class__ if cls is stacked else None
+    if (base or cls) not in formats:
+        return None
+    arrays = operand.tensors(name)
+    layout = tuple((key, array.shape, array.dtype) for key, array in arrays.items())
+    return (cls, base, operand.shape, layout), arrays
+
+
+class _Layout:
+    """What every operand of one layout binds to, its arrays aside: the
+    operator, the given dense operands, the logical shape, the plan key, the
+    output placeholder, for each kept tensor the name of the operand's array
+    it is (``None``: the placeholder), and how the kernel is pinned
+    (:meth:`_Bound.pin`).  It holds no operand array."""
+
+    __slots__ = ("operator", "given", "logical_shape", "key", "pinning", "sources", "placeholder")
+
+    def __init__(self, bound: _Bound, sources: dict[str, str | None]):
+        self.operator, self.given, self.key = bound.operator, bound.given, bound.key
+        self.logical_shape, self.pinning, self.sources = bound.logical_shape, bound.pinning, sources
+        fixed = [name for name, source in sources.items() if source is None]
+        self.placeholder = bound.kept[fixed[0]] if fixed else None
+
+    @classmethod
+    def of(cls, bound: _Bound, arrays: dict[str, np.ndarray]) -> "_Layout | None":
+        """The template of ``bound``, whose operand's arrays are ``arrays``;
+        ``None`` when a kept tensor other than one placeholder is not one of
+        them, or two of them are one array (a name would be ambiguous)."""
+        by_id = {id(array): key for key, array in arrays.items()}
+        sources = {name: by_id.get(id(array)) for name, array in bound.kept.items()}
+        if len(by_id) != len(arrays) or list(sources.values()).count(None) > 1:
+            return None
+        return cls(bound, sources)
+
+    def bind(self, arrays: dict[str, np.ndarray]) -> _Bound:
+        """The binding of an operand of this layout, whose arrays are ``arrays``."""
+        kept = {
+            name: self.placeholder if source is None else arrays[source]
+            for name, source in self.sources.items()
+        }
+        bound = _Bound(self.operator, self.given, kept, self.logical_shape, self.pinning)
+        bound.key = self.key
+        return bound
 
 
 class SparseEinsum:
@@ -460,11 +542,11 @@ class SparseEinsum:
         #: Each sparse operand's bindings (:class:`_Bound`), keyed by the dense
         #: operands' names, shapes and dtypes: they live as long as the operand.
         self._bindings: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        #: One :class:`Insum` per rewritten expression (one per format layout:
-        #: a rewritten expression carries no extent) and one rewrite per
-        #: format layout and shapes.
+        #: One :class:`Insum` per rewritten expression (one per format: a
+        #: rewritten expression carries no extent), and one binding template
+        #: (:class:`_Layout`) per operand layout and dense shapes.
         self._operators: dict[str, Insum] = {}
-        self._rewrites = BoundedMemo("einsum_rewrites")
+        self._layouts = BoundedMemo("einsum_layouts")
 
     # -- format selection ----------------------------------------------------
     def _pick_reformat_target(self, operands: dict[str, Any]) -> str:
@@ -558,31 +640,43 @@ class SparseEinsum:
         for name, value in operands.items():
             if isinstance(value, SparseFormat):
                 key.append(name)
-                sparse.append(value)
+                sparse.append((name, value))
             else:
                 array = value if value.__class__ is np.ndarray else np.asarray(value)
                 key.append((name, array.shape, array.dtype))
         if len(sparse) != 1:
             return self._bind(operands), operands
-        bindings = self._bindings.get(sparse[0])
+        name, operand = sparse[0]
+        bindings = self._bindings.get(operand)
         if bindings is None:
             from repro.runtime.plan_cache import BoundedMemo
 
-            bindings = self._bindings.setdefault(sparse[0], BoundedMemo("einsum_bindings"))
+            bindings = self._bindings.setdefault(operand, BoundedMemo("einsum_bindings"))
         key = tuple(key)
-        return bindings.get(key) or bindings.put(key, self._bind(operands)), operands
+        bound = bindings.get(key)
+        if bound is None:
+            bound = bindings.put(key, self._bind_operand(key, name, operand, operands))
+        return bound, operands
 
-    def _rewrite(self, plan: OperandRewrite, shapes: dict[str, tuple[int, ...]]) -> RewriteResult:
-        """:func:`rewrite_sparse_operand` of the plan's structure (its tensors
-        aside), memoized: every instance of one format layout and shapes
-        rewrites to one expression."""
-        key = (plan.operand, plan.value_access, *plan.substitutions.items(), *shapes.items())
-        rewrite = self._rewrites.get(key)
-        if rewrite is None:
-            structure = OperandRewrite(plan.operand, plan.value_access, plan.substitutions)
-            rewrite = rewrite_sparse_operand(self.statement, structure, shapes)
-            rewrite = self._rewrites.put(key, rewrite)
-        return rewrite
+    def _bind_operand(
+        self, key: tuple, name: str, operand: SparseFormat, operands: dict[str, Any]
+    ) -> _Bound:
+        """The binding of an operand new to this call signature: from its
+        layout's template (:class:`_Layout`) where an operand of that layout
+        was bound before — no rewrite, no extent inference, no signature —
+        else the full pipeline, whose binding then becomes the template."""
+        found = _layout(operand, name)
+        if found is None:
+            return self._bind(operands)
+        layout, arrays = found
+        template = self._layouts.get((key, layout))
+        if template is not None:
+            return template.bind(arrays)
+        bound = self._bind(operands)
+        template = _Layout.of(bound, arrays)
+        if template is not None:
+            self._layouts.put((key, layout), template)
+        return bound
 
     def _bind(self, operands: dict[str, Any]) -> _Bound:
         """The full rewrite pipeline (first call per signature)."""
@@ -633,7 +727,7 @@ class SparseEinsum:
             )
             kept[output_name] = fresh_output(output_shape, output_dtype)
         shapes = {name: tuple(arr.shape) for name, arr in {**dense_tensors, **kept}.items()}
-        rewrite = self._rewrite(plan, shapes)
+        rewrite = rewrite_sparse_operand(statement, plan, shapes)
 
         blocked = {**rewrite.reshapes, output_name: rewrite.output_reshape}
         if output_name in kept and rewrite.output_reshape is not None:

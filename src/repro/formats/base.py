@@ -57,6 +57,19 @@ class SparseFormat(abc.ABC):
 
         Fixed-length formats override this.  Variable-length formats raise,
         explaining the limitation described in Section 4 of the paper.
+
+        **The layout contract.**  The plan of the package's fixed-length
+        formats (and of a :class:`~repro.runtime.StackedSparse` over one) is
+        a function of the instance's *layout* alone: its class, its logical
+        ``shape`` and, for each array of ``tensors(name)``, its name, shape
+        and dtype — never of the values in those arrays; and its ``tensors``
+        are arrays of ``tensors(name)`` themselves, under the plan's own
+        names.  A ``SparseEinsum`` therefore binds a new instance of a layout
+        it has served from that layout's template, with no rewrite (and binds
+        in full where one array is held under two names).  Any other
+        subclass (a third-party format, or a subclass of a package format)
+        gets the full rewrite for every new instance, so its plan may depend
+        on anything.
         """
         raise FormatError(
             f"{self.format_name} is not a fixed-length format: its loop bounds depend on data "

@@ -111,10 +111,14 @@ def select_group_size(
         max_group = max(1, next_power_of_two(max(1, max_occ)))
     g_star = optimal_group_size(occ)
     candidates = power_of_two_candidates(g_star, max_group=max_group)
-    score = runtime_fn if runtime_fn is not None else (
-        lambda g: float(exact_indirect_access_count(occ, g))
-    )
-    return min(candidates, key=score)
+    if runtime_fn is not None:
+        return min(candidates, key=runtime_fn)
+    # F(g) of every candidate at once, from the number of rows of each
+    # occupancy; argmin keeps ``min``'s first-wins ties.
+    rows = np.bincount(occ)
+    sizes = np.asarray(candidates, dtype=np.int64)
+    costs = (sizes + 1) * (rows * -(-np.arange(rows.size) // sizes[:, None])).sum(axis=1)
+    return candidates[int(np.argmin(costs))]
 
 
 @dataclass

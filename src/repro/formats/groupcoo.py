@@ -21,7 +21,7 @@ from repro.errors import FormatError, ShapeError
 from repro.formats.base import SparseFormat
 from repro.formats.csr import CSR
 from repro.formats.group_size import select_group_size
-from repro.utils.arrays import as_index_array, as_value_array, padded_slots
+from repro.utils.arrays import as_index_array, as_value_array, nonzero_entries, padded_slots
 
 
 class GroupCOO(SparseFormat):
@@ -76,17 +76,36 @@ class GroupCOO(SparseFormat):
     # -- constructors -------------------------------------------------------------
     @classmethod
     def from_dense(cls, dense: np.ndarray, group_size: int | None = None) -> "GroupCOO":
-        """Build GroupCOO from a dense matrix.
+        """Build GroupCOO from a dense matrix, straight from its nonzeros.
 
         If ``group_size`` is omitted, the Section 4.2 heuristic
-        (``g* = sqrt(S/n)`` rounded to a power of two) selects it.
+        (``g* = sqrt(S/n)`` rounded to a power of two) selects it.  The
+        arrays equal ``from_csr(CSR.from_dense(dense))``'s, without the CSR.
         """
-        return cls.from_csr(CSR.from_dense(dense), group_size=group_size)
+        dense = np.asarray(dense)
+        if dense.ndim != 2:
+            raise ShapeError(f"GroupCOO.from_dense expects a matrix, got shape {dense.shape}")
+        (rows, columns), values = nonzero_entries(dense)
+        if values.dtype.kind not in "fc":
+            values = values.astype(np.float64)
+        occupancy = np.bincount(rows, minlength=dense.shape[0])
+        return cls._grouped(dense.shape, occupancy, columns, values, group_size)
 
     @classmethod
     def from_csr(cls, csr: CSR, group_size: int | None = None) -> "GroupCOO":
         """Build GroupCOO from CSR (rows already sorted and counted)."""
-        occupancy = csr.row_occupancy()
+        return cls._grouped(csr.shape, csr.row_occupancy(), csr.indices, csr.data, group_size)
+
+    @classmethod
+    def _grouped(
+        cls,
+        shape: tuple[int, int],
+        occupancy: np.ndarray,
+        columns: np.ndarray,
+        values: np.ndarray,
+        group_size: int | None,
+    ) -> "GroupCOO":
+        """GroupCOO of entries sorted by row, ``occupancy[row]`` of them per row."""
         if group_size is None:
             group_size = select_group_size(occupancy)
         if group_size < 1:
@@ -94,13 +113,18 @@ class GroupCOO(SparseFormat):
 
         groups = -(-occupancy // group_size)
         slots = padded_slots(occupancy, groups, group_size)
-        columns = np.zeros(int(groups.sum()) * group_size, dtype=np.int64)
-        values = np.zeros(columns.size, dtype=csr.data.dtype)
-        columns[slots] = csr.indices
-        values[slots] = csr.data
-        columns, values = columns.reshape(-1, group_size), values.reshape(-1, group_size)
-        rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64), groups)
-        return cls(csr.shape, rows, columns, values, nnz=csr.nnz)
+        stored = np.zeros(int(groups.sum()) * group_size, dtype=np.int64)
+        padded = np.zeros(stored.size, dtype=values.dtype)
+        stored[slots] = columns
+        padded[slots] = values
+        rows = np.repeat(np.arange(shape[0], dtype=np.int64), groups)
+        return cls(
+            shape,
+            rows,
+            stored.reshape(-1, group_size),
+            padded.reshape(-1, group_size),
+            nnz=values.size,
+        )
 
     @classmethod
     def from_coo(cls, coo, group_size: int | None = None) -> "GroupCOO":

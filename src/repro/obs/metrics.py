@@ -132,6 +132,11 @@ class Counter:
         with self._lock:
             self._value += amount
 
+    def add_held(self, amount: int = 1) -> None:
+        """:meth:`inc` for an owner whose own lock, held, orders every
+        increment of this counter: exact, and one lock instead of two."""
+        self._value += amount
+
     def value(self) -> float:
         """The current total (a consistent read under the counter's lock)."""
         with self._lock:
@@ -166,10 +171,6 @@ class Gauge:
         """Add ``amount`` (may be negative) to the gauge."""
         with self._lock:
             self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Subtract ``amount`` from the gauge."""
-        self.inc(-amount)
 
     def value(self) -> float:
         """The current value (a consistent read under the gauge's lock)."""

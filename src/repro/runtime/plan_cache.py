@@ -2,11 +2,12 @@
 
 :class:`BoundedMemo` is the library's one counted LRU.  What is derived from
 an operand lives with the operand; every other memo is a ``BoundedMemo`` —
-the plan cache, the tuner's decisions, a ``SparseEinsum``'s rewrites and
+the plan cache, the tuner's decisions, a ``SparseEinsum``'s layouts and
 per-operand bindings, the kernel classes' bindings and the serving
 executor's tables — and counts into one labelled family,
 ``repro_memo_{hits,misses,evictions}_total{memo}``, so a working set past
-a bound shows on ``/metrics`` as evictions and not only as latency.
+a bound shows on ``/metrics`` as evictions and not only as latency.  A
+memo counts under the lock its lookup takes anyway, one per memo name.
 
 Compilation (parse → validate → plan → specialize) dominates a one-shot
 ``insum()`` call, so :func:`get_plan_cache` is one process-wide memo of
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable
@@ -79,17 +79,20 @@ class CachedPlan:
     compiled: Any
 
 
-@functools.cache
-def _counters(name: str) -> tuple:
-    """The registry children of memo ``name``: hits, misses, evictions."""
-    return tuple(
-        get_registry().counter(f"repro_memo_{what}_total", f"Memo {what}, by memo.", memo=name)
-        for what in ("hits", "misses", "evictions")
-    )
+class _Tally:
+    """The lock that every memo of one name takes and its registry counters,
+    which count under that lock alone: a lookup takes one lock."""
+
+    def __init__(self, name: str):
+        self.lock = threading.Lock()
+        self.hits, self.misses, self.evictions = (
+            get_registry().counter(f"repro_memo_{what}_total", f"Memo {what}, by memo.", memo=name)
+            for what in ("hits", "misses", "evictions")
+        )
 
 
-#: Every live memo, so a forked child re-arms their locks in one call.
-_MEMOS: "weakref.WeakSet[BoundedMemo]" = weakref.WeakSet()
+#: The tally of every memo name (a racing second one is dropped unused).
+_TALLIES: dict[str, _Tally] = {}
 
 
 class BoundedMemo:
@@ -99,35 +102,36 @@ class BoundedMemo:
     when omitted) evicts the least recently used.  :meth:`put` is first
     writer wins, so threads that build one value concurrently converge on
     one object.  Values are never ``None`` (:meth:`get`'s miss).  ``name``
-    labels the registry counters: memos of one name count together.
+    labels the registry counters: memos of one name count together, under
+    the one lock they share, so a lookup takes one lock and no other.
     """
 
     def __init__(self, name: str, maxsize: int | None = None):
         self.name = name
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-        self._lock = threading.Lock()
+        self._tally = _TALLIES.get(name) or _TALLIES.setdefault(name, _Tally(name))
         #: Counted since the last :meth:`clear`.
         self.hits = self.misses = self.evictions = 0
-        self._m_hits, self._m_misses, self._m_evictions = _counters(name)
         self.resize(MAXSIZE if maxsize is None else maxsize)
-        _MEMOS.add(self)
 
     def get(self, key: Hashable) -> Any:
         """The value under ``key``, or ``None``; counts a hit or a miss."""
-        with self._lock:
+        tally = self._tally
+        with tally.lock:
             value = self._entries.get(key)
             if value is None:
                 self.misses += 1
+                tally.misses.add_held()
             else:
                 self._entries.move_to_end(key)
                 self.hits += 1
-        (self._m_misses if value is None else self._m_hits).inc()
+                tally.hits.add_held()
         return value
 
     def put(self, key: Hashable, value: Any) -> Any:
         """Keep ``value`` under ``key`` and return it — or the value another
         thread kept there first — evicting beyond ``maxsize``."""
-        with self._lock:
+        with self._tally.lock:
             existing = self._entries.get(key)
             if existing is not None:
                 self._entries.move_to_end(key)
@@ -142,7 +146,7 @@ class BoundedMemo:
             self._entries.popitem(last=False)
         if evicted:
             self.evictions += evicted
-            self._m_evictions.inc(evicted)
+            self._tally.evictions.add_held(evicted)
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
@@ -152,32 +156,32 @@ class BoundedMemo:
 
     def keys(self) -> list:
         """The keys, least recently used first."""
-        with self._lock:
+        with self._tally.lock:
             return list(self._entries)
 
     def values(self) -> list:
         """The values, least recently used first."""
-        with self._lock:
+        with self._tally.lock:
             return list(self._entries.values())
 
     def resize(self, maxsize: int) -> None:
         """Change capacity, evicting LRU entries if the memo shrank."""
         if maxsize < 1:
             raise ValueError(f"memo maxsize must be >= 1, got {maxsize}")
-        with self._lock:
+        with self._tally.lock:
             self.maxsize = int(maxsize)
             self._evict()
 
     def clear(self, reset_stats: bool = True) -> None:
         """Drop all entries and, unless told not to, zero the counters."""
-        with self._lock:
+        with self._tally.lock:
             self._entries.clear()
             if reset_stats:
                 self.hits = self.misses = self.evictions = 0
 
     def stats(self) -> MemoStats:
         """An immutable snapshot of the current counters and occupancy."""
-        with self._lock:
+        with self._tally.lock:
             return MemoStats(
                 self.hits, self.misses, self.evictions, len(self), self.maxsize, self.name
             )
@@ -187,9 +191,9 @@ class BoundedMemo:
 
 
 def _reinit_after_fork() -> None:
-    """Re-arm the lock of every live memo in a forked child (see cluster.worker)."""
-    for memo in list(_MEMOS):
-        memo._lock = threading.Lock()
+    """Re-arm the lock of every memo name in a forked child (see cluster.worker)."""
+    for tally in list(_TALLIES.values()):
+        tally.lock = threading.Lock()
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,15 @@ import weakref
 import numpy as np
 import pytest
 
-from repro import SparseEinsum, clear_plan_cache, get_plan_cache
+from repro import SparseEinsum, StackedSparse, clear_plan_cache, get_plan_cache
 from repro.core.insum import api
 from repro.engine import emit
 from repro.runtime import plan_cache
 from repro.formats import COO, ELL, BlockCOO, BlockGroupCOO, GroupCOO
 
 SPMM = "C[m,n] += A[m,k] * B[k,n]"
+STACKED = "C[s,m,n] += A[s,m,k] * B[k,n]"
+SUMMED = "C[m,n] += A[s,m,k] * B[k,n]"
 
 
 def integer_matrix(rng, shape=(24, 20), density=0.3) -> np.ndarray:
@@ -124,11 +126,25 @@ def test_memos_stay_bounded(rng, monkeypatch):
         np.testing.assert_array_equal(operator(A=operand, B=b), dense @ b)
         assert 1 <= len(operator._bindings) <= plan_cache.MAXSIZE
     assert len(operator._operators) <= plan_cache.MAXSIZE
-    assert len(operator._rewrites) <= plan_cache.MAXSIZE
+    assert len(operator._layouts) <= plan_cache.MAXSIZE
 
 
 def counted_binds(monkeypatch) -> list:
-    """The sparse operands that :meth:`SparseEinsum._bind` binds, in order."""
+    """The sparse operands that :meth:`SparseEinsum._bind_operand` binds (an
+    insert into the operand's bindings), in order."""
+    binds, bind = [], SparseEinsum._bind_operand
+
+    def counted(self, key, name, operand, operands):
+        binds.append(operand)
+        return bind(self, key, name, operand, operands)
+
+    monkeypatch.setattr(SparseEinsum, "_bind_operand", counted)
+    return binds
+
+
+def counted_full_binds(monkeypatch) -> list:
+    """The sparse operands that :meth:`SparseEinsum._bind` binds through the
+    whole rewrite pipeline, in order."""
     binds, bind = [], SparseEinsum._bind
 
     def counted(self, operands):
@@ -140,7 +156,7 @@ def counted_binds(monkeypatch) -> list:
 
 
 def test_cycling_over_64_live_operands_binds_each_operand_once(rng, monkeypatch):
-    binds = counted_binds(monkeypatch)
+    binds, full = counted_binds(monkeypatch), counted_full_binds(monkeypatch)
     dense, b = integer_matrix(rng), rhs(rng)
     operands = [GroupCOO.from_dense(dense) for _ in range(64)]
     operator = SparseEinsum(SPMM)
@@ -149,6 +165,152 @@ def test_cycling_over_64_live_operands_binds_each_operand_once(rng, monkeypatch)
             np.testing.assert_array_equal(operator(A=operand, B=b), dense @ b)
     assert len(binds) == 64
     assert {id(operand) for operand in binds} == {id(operand) for operand in operands}
+    assert full == [operands[0]]  # one layout: every later operand binds from its template
+
+
+#: Builders of a new instance of one layout (same shapes and dtypes) per format.
+LAYOUT_BUILDERS = {
+    "GroupCOO": lambda dense: GroupCOO.from_dense(dense, group_size=2),
+    "ELL": ELL.from_dense,
+    "COO": COO.from_dense,
+    "BlockCOO": lambda dense: BlockCOO.from_dense(dense, (4, 4)),
+    "BlockGroupCOO": lambda dense: BlockGroupCOO.from_dense(dense, (4, 4), group_size=2),
+}
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Every call of ``owner.name`` (a module function or a class's method)."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", [*LAYOUT_BUILDERS, "StackedSparse"])
+def test_a_new_operand_of_a_seen_layout_skips_the_rewrite_pipeline(executor, fmt, rng, monkeypatch):
+    stages = {
+        name: count_calls(monkeypatch, owner, name)
+        for owner, name in [
+            (api, "rewrite_sparse_operand"),
+            (api, "_infer_logical_extents"),
+            (api.Insum, "bind"),
+        ]
+    }
+    operator, b = SparseEinsum(STACKED if fmt == "StackedSparse" else SPMM), rhs(rng)
+    dense = integer_matrix(rng)
+    for round in range(4):
+        values = dense * (round + 1)  # the same pattern, new values
+        if fmt == "StackedSparse":
+            stack = np.stack([values, -values])
+            operand = StackedSparse.from_dense(stack, GroupCOO, group_size=2)
+            expected = np.einsum("smk,kn->smn", stack, b)
+        else:
+            operand, expected = LAYOUT_BUILDERS[fmt](values), values @ b
+        np.testing.assert_array_equal(operator(A=operand, B=b), expected)
+    assert {name: len(calls) for name, calls in stages.items()} == dict.fromkeys(stages, 1)
+    assert len(operator._layouts) == 1
+
+
+def test_a_changed_layout_never_reuses_a_template(rng, monkeypatch):
+    """Group size, ELL width, block shape, values dtype, stack depth and a
+    COO's rank (against a stack of one logical shape) each make a new layout:
+    its first operand binds in full, and every result is the einsum oracle's."""
+    full = counted_full_binds(monkeypatch)
+    dense, b = integer_matrix(rng, shape=(24, 20)), rhs(rng)
+    wider = dense.copy()
+    wider[5] = np.arange(1, 21)  # one full row: a wider ELL
+    stack = np.stack([dense, 2 * dense, -dense])
+    pairs = [
+        (SPMM, GroupCOO.from_dense(dense, group_size=2), GroupCOO.from_dense(dense, group_size=4)),
+        (SPMM, ELL.from_dense(dense), ELL.from_dense(wider)),
+        (SPMM, BlockCOO.from_dense(dense, (2, 2)), BlockCOO.from_dense(dense, (4, 4))),
+        (
+            SPMM,
+            BlockGroupCOO.from_dense(dense, (2, 2), group_size=2),
+            BlockGroupCOO.from_dense(dense, (4, 4), group_size=2),
+        ),
+        (SPMM, COO.from_dense(dense), COO.from_dense(dense.astype(np.float32))),
+        (
+            STACKED,
+            StackedSparse.from_dense(stack[:2], GroupCOO, group_size=2),
+            StackedSparse.from_dense(stack, GroupCOO, group_size=2),
+        ),
+        (SUMMED, COO.from_dense(stack), StackedSparse.from_dense(stack, COO)),
+    ]
+    subscripts = {SPMM: "mk,kn->mn", STACKED: "smk,kn->smn", SUMMED: "smk,kn->mn"}
+    for expression, first, changed in pairs:
+        operator, seen = SparseEinsum(expression), len(full)
+        for operand in (first, changed, first):
+            dense_operand = operand.to_dense().astype(np.float64)
+            expected = np.einsum(subscripts[expression], dense_operand, b)
+            np.testing.assert_array_equal(operator(A=operand, B=b), expected)
+        assert full[seen:] == [first, changed]
+        assert len(operator._layouts) == 2
+
+
+def test_a_format_outside_the_package_binds_in_full_every_time(rng, monkeypatch):
+    """A subclass may rewrite from more than its layout: no template."""
+
+    class Subclass(GroupCOO):
+        pass
+
+    full = counted_full_binds(monkeypatch)
+    dense, b = integer_matrix(rng), rhs(rng)
+    operator = SparseEinsum(SPMM)
+    operands = [Subclass.from_dense(dense) for _ in range(3)]
+    for operand in operands:
+        np.testing.assert_array_equal(operator(A=operand, B=b), dense @ b)
+    assert full == operands
+    assert len(operator._layouts) == 0
+
+
+def test_one_array_under_two_names_binds_in_full(rng, monkeypatch):
+    """A diagonal COO holds one coordinate array for both axes: its template
+    could not tell which name a new instance's array belongs to, so none."""
+    full = counted_full_binds(monkeypatch)
+    b, diagonal, values = rhs(rng, rows=6), np.arange(6), rng.integers(1, 5, 6).astype(float)
+    operator = SparseEinsum(SPMM)
+    operands = [COO((6, 6), scale * values, (diagonal, diagonal)) for scale in (1.0, 2.0)]
+    for operand in operands:
+        np.testing.assert_array_equal(operator(A=operand, B=b), operand.to_dense() @ b)
+    assert full == operands
+    assert len(operator._layouts) == 0
+
+
+def test_each_operand_of_a_layout_has_its_own_arrays_placed_and_checked(rng):
+    """The template shares how the kernel is pinned, not the check: an
+    operand whose values lie off their alignment runs the steps, correctly."""
+    if not emit.compiles():
+        pytest.skip("no usable C compiler on this machine")
+    dense, b = integer_matrix(rng), rhs(rng)
+    operator, aligned = SparseEinsum(SPMM), GroupCOO.from_dense(dense)
+    np.testing.assert_array_equal(operator(A=aligned, B=b), dense @ b)
+    raw = np.zeros(aligned.values.nbytes + 1, dtype=np.uint8)
+    values = raw[1:].view(np.float64).reshape(aligned.values.shape)
+    values[...] = aligned.values
+    shifted = GroupCOO(dense.shape, aligned.group_rows, aligned.columns, values)
+    assert not shifted.values.flags.aligned
+    np.testing.assert_array_equal(operator(A=shifted, B=b), dense @ b)
+    pinned = [operator._bindings[operand].values()[0].kernel[1] for operand in (aligned, shifted)]
+    assert pinned[0] is not None and pinned[1] is None
+    assert len(operator._layouts) == 1
+
+
+def test_the_first_operand_of_a_layout_is_freed_when_dropped(executor, rng):
+    dense, b = integer_matrix(rng), rhs(rng)
+    operator = SparseEinsum(SPMM)
+    first, second = GroupCOO.from_dense(dense), GroupCOO.from_dense(dense)
+    for operand in (first, second):
+        np.testing.assert_array_equal(operator(A=operand, B=b), dense @ b)
+    alive = [weakref.ref(first), *map(weakref.ref, first.tensors("A").values())]
+    del first
+    assert [ref() for ref in alive] == [None] * len(alive)  # the template holds no array
+    assert len(operator._layouts) == 1 and len(operator._bindings) == 1
+    np.testing.assert_array_equal(operator(A=GroupCOO.from_dense(dense), B=b), dense @ b)
 
 
 def test_a_dropped_operand_frees_its_bindings(executor, rng):

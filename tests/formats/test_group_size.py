@@ -133,3 +133,20 @@ def test_exact_cost_structure_property(occupancy, group_size):
     larger_groups = sum(-(-o // (group_size + 1)) for o in occupancy if o > 0)
     assert larger_groups <= groups
     assert larger >= 0 and cost >= 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=200), max_size=60),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=128)),
+)
+def test_select_group_size_is_the_per_candidate_minimum(occupancy, max_group):
+    """One vectorised F(g) over the candidates picks what the per-candidate
+    ``min`` over :func:`exact_indirect_access_count` picks, ties included."""
+    occ = np.asarray(occupancy, dtype=np.int64)
+    bound = max_group
+    if bound is None and occ.size:
+        bound = max(1, 1 << (max(1, int(occ.max())) - 1).bit_length())
+    candidates = power_of_two_candidates(optimal_group_size(occ), max_group=bound)
+    expected = min(candidates, key=lambda g: exact_indirect_access_count(occ, g))
+    assert select_group_size(occ, max_group=max_group) == expected

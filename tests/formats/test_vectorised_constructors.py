@@ -272,6 +272,18 @@ def test_groupcoo_from_csr_equals_the_row_loop(name, dtype, rng):
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("name", MASKS)
+def test_groupcoo_from_dense_is_the_two_hop_build_through_csr(name, layout, dtype, rng):
+    """Straight from the nonzeros, the arrays (and dtypes) of the build that
+    went dense -> CSR -> GroupCOO, at the chosen and at forced group sizes."""
+    dense = LAYOUTS[layout](matrix(name, dtype, rng))
+    for group_size in (None, 1, 2, 3):
+        fmt = GroupCOO.from_dense(dense, group_size=group_size)
+        assert_same_format(fmt, GroupCOO.from_csr(CSR.from_dense(dense), group_size), dense)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
 @pytest.mark.parametrize("name", [name for name in MASKS if name != "no rows"])
 def test_blockgroupcoo_from_dense_equals_the_row_loop(name, dtype, rng):
     dense = matrix(name, dtype, rng)

@@ -1,5 +1,9 @@
 """Tests for BoundedMemo, the process-wide plan cache on it, and its API integration."""
 
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -105,6 +109,40 @@ def test_clear_zeroes_the_counters_unless_told_not_to():
     assert (len(memo), memo.hits, memo.misses) == (0, 1, 1)
     memo.clear()
     assert (memo.hits, memo.misses) == (0, 0)
+
+
+def scraped(family: str, memo: str) -> float:
+    """The value of ``family{memo=...}`` in a ``/metrics`` scrape of the registry."""
+    text = get_registry().render_prometheus()
+    match = re.search(rf'^{family}\{{memo="{memo}"\}} (\S+)$', text, re.MULTILINE)
+    return float(match.group(1)) if match else 0.0
+
+
+def test_eight_threads_of_hits_on_one_memo_scrape_exactly():
+    """A hit counts under the memo's own lock alone and loses no update."""
+    memo, each = BoundedMemo("threaded_hit_probe"), 5_000
+    memo.put("k", 1)
+    before = scraped("repro_memo_hits_total", memo.name)
+    start = threading.Barrier(8)
+
+    def work() -> None:
+        start.wait(timeout=60)
+        for _ in range(each):
+            memo.get("k")
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the lookups
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert scraped("repro_memo_hits_total", memo.name) - before == 8 * each
+    assert (memo.hits, memo.misses) == (8 * each, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -333,7 +333,7 @@ def test_a_forked_worker_decides_though_the_parent_held_the_decision_lock(unifor
     context = multiprocessing.get_context("fork")
     queue = context.Queue()
     # Threads of the parent are inside both caches when the worker forks.
-    with get_decision_cache()._lock, get_plan_cache()._lock:
+    with get_decision_cache()._tally.lock, get_plan_cache()._tally.lock:
         child = context.Process(target=_decide_after_fork, args=(uniform, queue))
         child.start()
     try:
