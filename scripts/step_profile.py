@@ -35,9 +35,13 @@ The ``warm`` column builds ``--calls`` instances of one case back to back, then
 makes their first calls back to back; the ``cold`` column takes the ops in the
 layer benchmark's own loop order (every case in turn, each ``reps`` times a
 round, each matrix drawn and built just before its call), where each step
-runs cache-cold.  ``full binds``
-counts the first calls that ran the whole rewrite pipeline
-(``SparseEinsum._bind``).  Every result is checked against its dense oracle.
+runs cache-cold.  The ``extents`` column takes the ``cold`` column's order,
+but each never-seen matrix also drops one to eight of its nonzeros (of its
+blocks, for the block case): its arrays' extents — nnz, groups, ELL width —
+differ from the case's, which the binding template serves too (the plan cache
+compiles each extent once).  ``full binds`` counts the first calls that ran
+the whole rewrite pipeline (``SparseEinsum._bind``), ``compiles`` the plan-cache
+misses.  Every result is checked against its dense oracle.
 """
 
 import argparse
@@ -57,7 +61,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "layers")]
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-from repro import SparseEinsum, clear_plan_cache  # noqa: E402
+from repro import SparseEinsum, clear_plan_cache, get_plan_cache  # noqa: E402
 from repro.core.insum import api  # noqa: E402
 from repro.engine import emit, specialize  # noqa: E402
 
@@ -191,20 +195,34 @@ FRESH_STAGES = ("build", "bind", "plan lookup", "pin", "pinned call")
 FULL_BINDS: list = []
 
 
-def fresh_op(case, operator, rng, samples: dict, built=None) -> None:
+def thinned(case, dense: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``dense`` less one to eight of its nonzeros (blocks, for a block case),
+    and its oracle: the same layout at other extents."""
+    block = case.block
+    occupied = dense.reshape(dense.shape[0] // block, block, -1, block).any(axis=(1, 3))
+    rows, cols = np.nonzero(occupied)
+    drop = rng.choice(rows.size, size=int(rng.integers(1, 9)), replace=False)
+    for row, col in zip(rows[drop], cols[drop]):
+        dense[row * block : (row + 1) * block, col * block : (col + 1) * block] = 0
+    return dense, dense.astype(np.float64) @ case.rhs
+
+
+def fresh_op(case, operator, rng, samples: dict, built=None, thin=False) -> None:
     """One ``pattern_churn`` op of ``case`` on ``operator``, stage by stage —
-    build a never-seen matrix's format (or take ``built``: the format and its
-    oracle), then its first call — and a reused call of the same instance:
-    each stage's µs into ``samples``."""
+    build a never-seen matrix's format (:func:`thinned` with ``thin``; or take
+    ``built``: the format and its oracle), then its first call — and a reused
+    call of the same instance: each stage's µs into ``samples``."""
     clock = time.perf_counter
     if built is None:
         dense, oracle = case.fresh(rng)
+        if thin:
+            dense, oracle = thinned(case, dense, rng)
         start = clock()
         operand = case.build(dense)
         samples["build"].append((clock() - start) * 1e6)
     else:
         operand, oracle = built
-    binds, start = len(FULL_BINDS), clock()
+    binds, misses, start = len(FULL_BINDS), get_plan_cache().misses, clock()
     bound, operands = operator._bound({"A": operand, "B": case.rhs})
     bound_at = clock()
     compiled = bound.compile(operands)
@@ -225,15 +243,18 @@ def fresh_op(case, operator, rng, samples: dict, built=None) -> None:
     samples["first call"].append((first - start) * 1e6)
     samples["reused call"].append((reused - first) * 1e6)
     samples["full binds"].append(len(FULL_BINDS) - binds)
+    samples["compiles"].append(get_plan_cache().misses - misses)
 
 
 def fresh_census(cases, calls: int, seed: int) -> str:
     """The stages of a first call on a fresh instance of each ``pattern_churn``
     case on its warm operator: back to back (``warm``: the formats built
-    first, then their first calls) and in the benchmark's loop order (``cold``)."""
+    first, then their first calls), in the benchmark's loop order (``cold``),
+    and so at other extents (``extents``)."""
     rng = workloads.stream(seed, "churn/ops")
     operators = {case.name: SparseEinsum(workloads.SPMM) for case in cases}
-    columns = {mode: {case.name: defaultdict(list) for case in cases} for mode in ("warm", "cold")}
+    modes = ("warm", "cold", "extents")
+    columns = {mode: {case.name: defaultdict(list) for case in cases} for mode in modes}
     for case in cases:  # warm each operator, as the benchmark's setup does
         fresh_op(case, operators[case.name], rng, defaultdict(list))
     bind = SparseEinsum._bind
@@ -254,26 +275,29 @@ def fresh_census(cases, calls: int, seed: int) -> str:
                 samples["build"].append((time.perf_counter() - start) * 1e6)
             for instance in built:
                 fresh_op(case, operators[case.name], rng, samples, instance)
-        for _ in range(calls):
-            for case in cases:
-                for _ in range(case.reps):
-                    fresh_op(case, operators[case.name], rng, columns["cold"][case.name])
+        for mode in ("cold", "extents"):
+            for _ in range(calls):
+                for case in cases:
+                    for _ in range(case.reps):
+                        samples = columns[mode][case.name]
+                        fresh_op(case, operators[case.name], rng, samples, thin=mode == "extents")
     finally:
         SparseEinsum._bind = bind
     lines = [f"first call on a fresh instance of a warm operator, us (median; {calls} rounds)"]
     for case in cases:
-        warm, cold = columns["warm"][case.name], columns["cold"][case.name]
-        lines.append(f"{case.name:30s}{'warm':>10s}{'cold':>10s}")
+        chosen = [columns[mode][case.name] for mode in modes]
+        lines.append(f"{case.name:30s}" + "".join(f"{mode:>10s}" for mode in modes))
         for stage in (*FRESH_STAGES, "first call", "reused call"):
-            medians = [np.median(column[stage]) for column in (warm, cold)]
+            medians = [np.median(column[stage]) for column in chosen]
             lines.append(f"  {stage:28s}" + "".join(f"{value:10.1f}" for value in medians))
         ratios = [
             np.median(column["first call"]) / np.median(column["reused call"])
-            for column in (warm, cold)
+            for column in chosen
         ]
         lines.append(f"  {'first / reused':28s}" + "".join(f"{ratio:9.2f}x" for ratio in ratios))
-        counts = [f"{sum(column['full binds'])}/{len(column['bind'])}" for column in (warm, cold)]
-        lines.append(f"  {'full binds':28s}" + "".join(f"{count:>10s}" for count in counts))
+        for count in ("full binds", "compiles"):
+            shares = [f"{sum(column[count])}/{len(column['bind'])}" for column in chosen]
+            lines.append(f"  {count:28s}" + "".join(f"{share:>10s}" for share in shares))
     return "\n".join(lines)
 
 

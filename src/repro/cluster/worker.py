@@ -56,8 +56,8 @@ def _reinit_after_fork() -> None:
     fingerprint._LOCK = threading.RLock()
     for table in (fingerprint._TOKENS, fingerprint._ARTIFACTS, fingerprint._TAGS):
         table.clear()
-    plan_cache._reinit_after_fork()
     obs_metrics._reinit_after_fork()
+    plan_cache._reinit_after_fork()
 
 
 def _serve_envelope(

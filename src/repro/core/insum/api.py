@@ -345,18 +345,15 @@ class _Bound:
     logical output shape.  ``kernel`` is the
     last compiled kernel looked up under the key with its pinned call
     (:meth:`pin`), pinned again when the plan cache hands back another.
-    ``pinning`` holds how that kernel is pinned, which every binding of one
-    layout shares (:class:`_Layout`): it depends on no array.
     """
 
-    __slots__ = ("operator", "given", "kept", "logical_shape", "key", "kernel", "pinning")
+    __slots__ = ("operator", "given", "kept", "logical_shape", "key", "kernel")
 
-    def __init__(self, operator, given, kept, logical_shape, pinning=None):
+    def __init__(self, operator, given, kept, logical_shape):
         self.operator, self.given = operator, given
         self.kept, self.logical_shape = kept, logical_shape
         self.key: tuple = ()
         self.kernel: tuple = (None, None)
-        self.pinning: list = [(None, None)] if pinning is None else pinning
 
     def tensors(self, operands: dict[str, Any]) -> dict[str, np.ndarray]:
         """A call's execution tensors: its dense operands, then the kept ones."""
@@ -368,11 +365,13 @@ class _Bound:
         """The kernel: one counted plan-cache lookup (a compile on a miss)."""
         return self.operator._compiled(self.key, lambda: self.tensors(operands))
 
-    def _pinning(self, compiled: Any, operands: dict[str, Any]) -> tuple | None:
-        """How to pin ``compiled``: its emitted loop nest, the factors' common
-        dtype and the given operands' blocked shapes in the nest's order; or
-        ``None`` where every call runs ``compiled.run``: the steps run, the
-        caller binds the output, or the sum would promote it."""
+    def pin(self, compiled: Any, operands: dict[str, Any]) -> Callable | None:
+        """The emitted loop nest of ``compiled`` with the kept tensors bound
+        (:meth:`~repro.engine.emit.Emitted.pin`): a function of a call's
+        operands that reads a pointer for the dense ones and the result only,
+        and returns ``None`` for the call to run ``compiled.run``.  ``None``
+        where every call does: the steps run, the caller binds the output, the
+        sum would promote it, or a kept tensor is not read in place."""
         from repro.engine.emit import Emitted
 
         emitted = getattr(compiled, "specialized", compiled).emitted
@@ -380,29 +379,12 @@ class _Bound:
             return None
         tensors, layout = self.tensors(operands), emitted.layout
         dtype = np.result_type(*[tensors[name] for name, _, kind in layout[1:] if kind != "index"])
-        if tensors[layout[0][0]].dtype != dtype:
-            return None
-        blocked = [(name, self.given[name]) for name, _, _ in layout if name in self.given]
-        return emitted, dtype, blocked
-
-    def pin(self, compiled: Any, operands: dict[str, Any]) -> Callable | None:
-        """The emitted loop nest of ``compiled`` with the kept tensors bound
-        (:meth:`~repro.engine.emit.Emitted.pin`, which places and checks each
-        of them): a function of a call's operands that reads a pointer for
-        the dense ones and the result only, and returns ``None`` for the call
-        to run ``compiled.run``.  ``None`` where every call does, or a kept
-        tensor is not read in place."""
-        pinning = self.pinning[0]
-        if pinning[0] is not compiled:
-            pinning = self.pinning[0] = (compiled, self._pinning(compiled, operands))
-        if pinning[1] is None:
-            return None
-        emitted, dtype, blocked = pinning[1]
-        given, kept = self.given, self.kept
-        call = emitted.pin([None if n in given else kept[n] for n, _, _ in emitted.layout], dtype)
+        arrays = [None if name in self.given else tensors[name] for name, _, _ in layout]
+        call = emitted.pin(arrays, dtype) if arrays[0].dtype == dtype else None
         if call is None:
             return None
-        shape = emitted.layout[0][1]
+        blocked = [(name, self.given[name]) for name, _, _ in layout if name in self.given]
+        shape = arrays[0].shape
         return lambda operands: call(
             [_view(operands[name], at) for name, at in blocked], np.zeros(shape, dtype)
         )
@@ -431,35 +413,39 @@ def _layout_classes() -> tuple[frozenset, type]:
 
 
 def _layout(operand: SparseFormat, name: str) -> tuple[tuple, dict[str, np.ndarray]] | None:
-    """The layout of ``operand`` bound as ``name`` — its class (and a stack's
-    base class), logical shape, and every array of ``tensors(name)`` by name,
-    shape and dtype — and those arrays; ``None`` for a format whose rewrite
-    may depend on more than its layout (any other class).
+    """The layout of ``operand`` bound as ``name`` — what its rewrite reads:
+    its class (and a stack's base class), logical shape and block shape, and
+    every array of ``tensors(name)`` by name, rank and dtype, but no array's
+    extent (its nnz, groups, group size or ELL width) — and those arrays;
+    ``None`` for a format whose rewrite may read more (any other class).
     """
     formats, stacked = _layout_classes()
     cls = operand.__class__
-    base = operand.base.__class__ if cls is stacked else None
-    if (base or cls) not in formats:
+    base = operand.base if cls is stacked else operand
+    if base.__class__ not in formats:
         return None
     arrays = operand.tensors(name)
-    layout = tuple((key, array.shape, array.dtype) for key, array in arrays.items())
-    return (cls, base, operand.shape, layout), arrays
+    ranks = tuple((key, array.ndim, array.dtype) for key, array in arrays.items())
+    return (cls, base.__class__, operand.shape, getattr(base, "block_shape", None), ranks), arrays
 
 
 class _Layout:
     """What every operand of one layout binds to, its arrays aside: the
-    operator, the given dense operands, the logical shape, the plan key, the
-    output placeholder, for each kept tensor the name of the operand's array
-    it is (``None``: the placeholder), and how the kernel is pinned
-    (:meth:`_Bound.pin`).  It holds no operand array."""
+    operator, the given dense operands, the logical shape, the output
+    placeholder, for each kept tensor the name of the operand's array it is
+    (``None``: the placeholder), and the plan key's signature, whose entry
+    for such a tensor takes that array's shape.  It holds no operand array,
+    and serves operands of any extents: each gets its own plan key."""
 
-    __slots__ = ("operator", "given", "logical_shape", "key", "pinning", "sources", "placeholder")
+    __slots__ = ("operator", "given", "logical_shape", "sources", "placeholder", "signature")
 
     def __init__(self, bound: _Bound, sources: dict[str, str | None]):
-        self.operator, self.given, self.key = bound.operator, bound.given, bound.key
-        self.logical_shape, self.pinning, self.sources = bound.logical_shape, bound.pinning, sources
+        self.operator, self.given = bound.operator, bound.given
+        self.logical_shape, self.sources = bound.logical_shape, sources
         fixed = [name for name, source in sources.items() if source is None]
         self.placeholder = bound.kept[fixed[0]] if fixed else None
+        # The signature is the plan key's last item (plan_key).
+        self.signature = tuple((entry, sources.get(entry[0])) for entry in bound.key[-1])
 
     @classmethod
     def of(cls, bound: _Bound, arrays: dict[str, np.ndarray]) -> "_Layout | None":
@@ -474,12 +460,19 @@ class _Layout:
 
     def bind(self, arrays: dict[str, np.ndarray]) -> _Bound:
         """The binding of an operand of this layout, whose arrays are ``arrays``."""
+        from repro.runtime.plan_cache import plan_key
+
         kept = {
             name: self.placeholder if source is None else arrays[source]
             for name, source in self.sources.items()
         }
-        bound = _Bound(self.operator, self.given, kept, self.logical_shape, self.pinning)
-        bound.key = self.key
+        signature = tuple(
+            entry if source is None else (entry[0], arrays[source].shape, entry[2])
+            for entry, source in self.signature
+        )
+        operator = self.operator
+        bound = _Bound(operator, self.given, kept, self.logical_shape)
+        bound.key = plan_key(operator.expression, operator.backend, operator.config, signature)
         return bound
 
 
@@ -663,8 +656,9 @@ class SparseEinsum:
     ) -> _Bound:
         """The binding of an operand new to this call signature: from its
         layout's template (:class:`_Layout`) where an operand of that layout
-        was bound before — no rewrite, no extent inference, no signature —
-        else the full pipeline, whose binding then becomes the template."""
+        was bound before, whatever its extents — no rewrite, no extent
+        inference; its arrays' shapes fill in the plan key — else the full
+        pipeline, whose binding then becomes the template."""
         found = _layout(operand, name)
         if found is None:
             return self._bind(operands)

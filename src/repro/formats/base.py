@@ -61,15 +61,18 @@ class SparseFormat(abc.ABC):
         **The layout contract.**  The plan of the package's fixed-length
         formats (and of a :class:`~repro.runtime.StackedSparse` over one) is
         a function of the instance's *layout* alone: its class, its logical
-        ``shape`` and, for each array of ``tensors(name)``, its name, shape
-        and dtype — never of the values in those arrays; and its ``tensors``
-        are arrays of ``tensors(name)`` themselves, under the plan's own
-        names.  A ``SparseEinsum`` therefore binds a new instance of a layout
-        it has served from that layout's template, with no rewrite (and binds
-        in full where one array is held under two names).  Any other
-        subclass (a third-party format, or a subclass of a package format)
-        gets the full rewrite for every new instance, so its plan may depend
-        on anything.
+        ``shape``, its ``block_shape`` (the block formats: the split sizes)
+        and, for each array of ``tensors(name)``, its name, rank and dtype.
+        It reads no value and no array's extent: not the number of stored
+        entries, groups or blocks, nor the group size or the ELL width.  Its
+        ``tensors`` are arrays of ``tensors(name)`` themselves, under the
+        plan's own names.  A ``SparseEinsum`` therefore binds a new instance
+        of a layout it has served from that layout's template, with no
+        rewrite, whatever its extents: only the plan key's signature is
+        taken from the new arrays' shapes (and it binds in full where one
+        array is held under two names).  Any other subclass (a third-party
+        format, or a subclass of a package format) gets the full rewrite for
+        every new instance, so its plan may depend on anything.
         """
         raise FormatError(
             f"{self.format_name} is not a fixed-length format: its loop bounds depend on data "

@@ -108,7 +108,26 @@ def _render_labels(labels: Mapping[str, str], extra: tuple[tuple[str, str], ...]
     return "{" + body + "}"
 
 
-class Counter:
+class _Scalar:
+    """One label combination's number, read and reset under its own lock."""
+
+    def __init__(self, name: str, labels: Mapping[str, str]):
+        self.name = name
+        self.labels = dict(labels)
+        self._lock = threading.Lock()
+        self._value = 0.0
+
+    def value(self) -> float:
+        """The current value (a consistent read under the child's lock)."""
+        with self._lock:
+            return self._value
+
+    def _reset(self) -> None:
+        with self._lock:
+            self._value = 0.0
+
+
+class Counter(_Scalar):
     """A monotonically increasing counter (one label combination).
 
     Obtained from :meth:`MetricsRegistry.counter`; hold the reference and
@@ -119,12 +138,6 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, labels: Mapping[str, str]):
-        self.name = name
-        self.labels = dict(labels)
-        self._lock = threading.Lock()
-        self._value = 0.0
-
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (default 1) to the counter; must be >= 0."""
         if amount < 0:
@@ -132,22 +145,20 @@ class Counter:
         with self._lock:
             self._value += amount
 
+    def share_lock(self, *others: "Counter") -> threading.Lock:
+        """Give ``others`` this counter's lock and return it, for an owner
+        to hold around :meth:`add_held` (a racing second call is a no-op)."""
+        for other in others:
+            other._lock = self._lock
+        return self._lock
+
     def add_held(self, amount: int = 1) -> None:
-        """:meth:`inc` for an owner whose own lock, held, orders every
-        increment of this counter: exact, and one lock instead of two."""
+        """:meth:`inc` under this counter's lock, held by its owner
+        (:meth:`share_lock`): one lock, ordered with :meth:`value` and a reset."""
         self._value += amount
 
-    def value(self) -> float:
-        """The current total (a consistent read under the counter's lock)."""
-        with self._lock:
-            return self._value
 
-    def _reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
-
-class Gauge:
+class Gauge(_Scalar):
     """A settable instantaneous value (one label combination).
 
     Used for point-in-time quantities — in-flight requests, worker RSS —
@@ -155,12 +166,6 @@ class Gauge:
     """
 
     kind = "gauge"
-
-    def __init__(self, name: str, labels: Mapping[str, str]):
-        self.name = name
-        self.labels = dict(labels)
-        self._lock = threading.Lock()
-        self._value = 0.0
 
     def set(self, value: float) -> None:
         """Replace the gauge's value."""
@@ -171,15 +176,6 @@ class Gauge:
         """Add ``amount`` (may be negative) to the gauge."""
         with self._lock:
             self._value += amount
-
-    def value(self) -> float:
-        """The current value (a consistent read under the gauge's lock)."""
-        with self._lock:
-            return self._value
-
-    def _reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
 
 
 class Histogram:

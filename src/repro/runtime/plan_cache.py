@@ -6,8 +6,7 @@ the plan cache, the tuner's decisions, a ``SparseEinsum``'s layouts and
 per-operand bindings, the kernel classes' bindings and the serving
 executor's tables — and counts into one labelled family,
 ``repro_memo_{hits,misses,evictions}_total{memo}``, so a working set past
-a bound shows on ``/metrics`` as evictions and not only as latency.  A
-memo counts under the lock its lookup takes anyway, one per memo name.
+a bound shows on ``/metrics`` as evictions and not only as latency.
 
 Compilation (parse → validate → plan → specialize) dominates a one-shot
 ``insum()`` call, so :func:`get_plan_cache` is one process-wide memo of
@@ -21,7 +20,6 @@ it without cycles.
 from __future__ import annotations
 
 import functools
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable
@@ -80,15 +78,19 @@ class CachedPlan:
 
 
 class _Tally:
-    """The lock that every memo of one name takes and its registry counters,
-    which count under that lock alone: a lookup takes one lock."""
+    """The registry counters of every memo of one name and the lock they
+    share, which those memos take: a lookup counts under it and takes no
+    other, and a scrape or a registry reset is ordered with every count."""
 
     def __init__(self, name: str):
-        self.lock = threading.Lock()
         self.hits, self.misses, self.evictions = (
             get_registry().counter(f"repro_memo_{what}_total", f"Memo {what}, by memo.", memo=name)
             for what in ("hits", "misses", "evictions")
         )
+        self.rearm()
+
+    def rearm(self) -> None:
+        self.lock = self.hits.share_lock(self.misses, self.evictions)
 
 
 #: The tally of every memo name (a racing second one is dropped unused).
@@ -191,9 +193,10 @@ class BoundedMemo:
 
 
 def _reinit_after_fork() -> None:
-    """Re-arm the lock of every memo name in a forked child (see cluster.worker)."""
+    """Re-arm the lock of every memo name in a forked child: its counters'
+    lock, after the registry's re-arm (see cluster.worker)."""
     for tally in list(_TALLIES.values()):
-        tally.lock = threading.Lock()
+        tally.rearm()
 
 
 # ---------------------------------------------------------------------------

@@ -216,17 +216,13 @@ def test_a_new_operand_of_a_seen_layout_skips_the_rewrite_pipeline(executor, fmt
 
 
 def test_a_changed_layout_never_reuses_a_template(rng, monkeypatch):
-    """Group size, ELL width, block shape, values dtype, stack depth and a
-    COO's rank (against a stack of one logical shape) each make a new layout:
-    its first operand binds in full, and every result is the einsum oracle's."""
+    """Block shape, values dtype, stack depth and a COO's rank (against a
+    stack of one logical shape) each make a new layout: its first operand
+    binds in full, and every result is the einsum oracle's."""
     full = counted_full_binds(monkeypatch)
     dense, b = integer_matrix(rng, shape=(24, 20)), rhs(rng)
-    wider = dense.copy()
-    wider[5] = np.arange(1, 21)  # one full row: a wider ELL
     stack = np.stack([dense, 2 * dense, -dense])
     pairs = [
-        (SPMM, GroupCOO.from_dense(dense, group_size=2), GroupCOO.from_dense(dense, group_size=4)),
-        (SPMM, ELL.from_dense(dense), ELL.from_dense(wider)),
         (SPMM, BlockCOO.from_dense(dense, (2, 2)), BlockCOO.from_dense(dense, (4, 4))),
         (
             SPMM,
@@ -250,6 +246,41 @@ def test_a_changed_layout_never_reuses_a_template(rng, monkeypatch):
             np.testing.assert_array_equal(operator(A=operand, B=b), expected)
         assert full[seen:] == [first, changed]
         assert len(operator._layouts) == 2
+
+
+def test_other_extents_bind_from_the_template_under_their_own_plan_key(rng, monkeypatch):
+    """Nnz, group count, group size and ELL width are extents, which no
+    rewrite reads: an operand that differs from the layout's first only in
+    them binds from its template, under the plan key a full bind would take
+    (its own arrays' shapes), and computes the einsum oracle's result."""
+    full = counted_full_binds(monkeypatch)
+    dense, b = integer_matrix(rng, shape=(24, 20)), rhs(rng)
+    wider, sparser = dense.copy(), dense.copy()
+    wider[5] = np.arange(1, 21)  # one full row: a wider ELL
+    sparser[:4] = 0  # fewer entries, groups and blocks
+    pairs = [
+        (GroupCOO.from_dense(dense, group_size=2), GroupCOO.from_dense(dense, group_size=4)),
+        (GroupCOO.from_dense(dense, group_size=2), GroupCOO.from_dense(sparser, group_size=2)),
+        (ELL.from_dense(dense), ELL.from_dense(wider)),
+        (COO.from_dense(dense), COO.from_dense(sparser)),
+        (BlockCOO.from_dense(dense, (4, 4)), BlockCOO.from_dense(sparser, (4, 4))),
+        (
+            BlockGroupCOO.from_dense(dense, (4, 4), group_size=2),
+            BlockGroupCOO.from_dense(sparser, (4, 4), group_size=4),
+        ),
+    ]
+    for first, other in pairs:
+        shapes = [[a.shape for a in operand.tensors("A").values()] for operand in (first, other)]
+        assert shapes[0] != shapes[1]
+        operator, seen = SparseEinsum(SPMM), len(full)
+        for operand in (first, other, first):
+            expected = operand.to_dense() @ b
+            np.testing.assert_array_equal(operator(A=operand, B=b), expected)
+        assert full[seen:] == [first]
+        assert len(operator._layouts) == 1
+        keys = [operator._bindings[operand].values()[0].key for operand in (first, other)]
+        assert keys[0] != keys[1]
+        assert keys[1] == SparseEinsum(SPMM)._bind({"A": other, "B": b}).key
 
 
 def test_a_format_outside_the_package_binds_in_full_every_time(rng, monkeypatch):

@@ -145,6 +145,55 @@ def test_eight_threads_of_hits_on_one_memo_scrape_exactly():
     assert (memo.hits, memo.misses) == (8 * each, 0)
 
 
+def test_a_reset_of_a_memos_counters_waits_for_the_lookup_in_progress():
+    """``MetricsRegistry.reset`` zeroes each child under the child's lock,
+    which for a memo's counters is the memo's own: a reset lands before or
+    after a lookup's count, never between its read and its write."""
+    tally = BoundedMemo("reset_order_probe")._tally
+    for counter in (tally.hits, tally.misses, tally.evictions):
+        with tally.lock:  # a lookup in progress
+            resetter = threading.Thread(target=counter._reset)
+            resetter.start()
+            resetter.join(timeout=0.2)
+            assert resetter.is_alive()
+            counter.add_held()
+        resetter.join(timeout=60)
+        assert not resetter.is_alive()
+        assert counter.value() == 0
+
+
+def test_resets_during_eight_threads_of_hits_lose_no_later_hit():
+    """After the last reset the scrape counts exactly the hits that followed
+    it: between ``total - hits(after)`` and ``total - hits(before)``."""
+    memo, each = BoundedMemo("reset_race_probe"), 5_000
+    memo.put("k", 1)
+    counter, start, windows = memo._tally.hits, threading.Barrier(9), []
+
+    def work() -> None:
+        start.wait(timeout=60)
+        for _ in range(each):
+            memo.get("k")
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        start.wait(timeout=60)
+        while any(thread.is_alive() for thread in threads):
+            before = memo.hits
+            counter._reset()  # what MetricsRegistry.reset does to this child
+            windows.append((before, memo.hits))
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    before, after = windows[-1]
+    assert 8 * each - after <= scraped("repro_memo_hits_total", memo.name) <= 8 * each - before
+
+
 # ---------------------------------------------------------------------------
 # Signature correctness (the dtype satellite fix)
 # ---------------------------------------------------------------------------
